@@ -36,6 +36,7 @@ from typing import Optional, Sequence
 
 from . import interval as iv
 from . import lp as lpmod
+from . import records as rec
 from .errors import BranchError, CutRejected, NoProgress, ParseError
 from .expr import Expr, Var, const_from_float, make_add, make_mul, make_sub, parse, to_text
 from .interval import Interval
@@ -539,76 +540,55 @@ def problem_to_text(p: AssemblyProblem) -> str:
     return "\n".join(lines) + "\n"
 
 
+_PROBLEM_FIELDS = {
+    "domain": (str,), "vars": [str], "box": [rec.interval],
+    "phi": rec.TEXT, "end": (), "row": (rec.index, str, rec.decimal),
+    "rhs": (rec.index, rec.decimal), "obj": (str, rec.decimal),
+}
+
+
 def problem_from_text(text: str) -> AssemblyProblem:
+    records = rec.read_records(text, _PROBLEM_FIELDS, header="assembly-problem")
     domains: list[LocalDomain] = []
-    var_map: list[tuple[int, int]] = []
-    name_to_global: dict[str, int] = {}
-    rows: dict[int, dict[int, float]] = {}
-    rhs: dict[int, float] = {}
-    obj: dict[int, float] = {}
-
-    cur_id = None
-    cur_vars: list[str] = []
-    cur_box: Optional[Box] = None
-    cur_phis: list[Expr] = []
-
-    def close_domain(lineno):
-        nonlocal cur_id, cur_vars, cur_box, cur_phis
-        if cur_box is None or not cur_vars:
-            raise ParseError(f"line {lineno}: domain {cur_id!r} missing vars/box")
-        d_idx = len(domains)
-        domains.append(LocalDomain(cur_id, tuple(cur_vars), cur_box, tuple(cur_phis)))
-        for slot, vname in enumerate(cur_vars):
-            g = len(var_map)
-            var_map.append((d_idx, slot))
-            name_to_global[f"{cur_id}.{vname}"] = g
-        cur_id, cur_vars, cur_box, cur_phis = None, [], None, []
-
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kw = parts[0].lower()
-        try:
-            if kw == "assembly-problem":
-                continue
-            elif kw == "domain":
-                if cur_id is not None:
-                    raise ParseError(f"line {lineno}: nested domain block")
-                cur_id = parts[1]
-            elif kw == "vars":
-                cur_vars = parts[1:]
-            elif kw == "box":
-                cur_box = Box(tuple(iv.parse_interval_literal(tok) for tok in parts[1:]))
-            elif kw == "phi":
-                cur_phis.append(parse(line[len("phi"):].strip(), arity=len(cur_vars)))
-            elif kw == "end":
-                close_domain(lineno)
-            elif kw == "row":
-                k = int(parts[1])
-                g = name_to_global[parts[2]]
-                rows.setdefault(k, {})[g] = iv.decimal_to_nearest_float(parts[3])
-            elif kw == "rhs":
-                rhs[int(parts[1])] = iv.decimal_to_nearest_float(parts[2])
-            elif kw == "obj":
-                obj[name_to_global[parts[1]]] = iv.decimal_to_nearest_float(parts[2])
-            else:
-                raise ParseError(f"line {lineno}: unknown keyword {kw!r}", position=lineno)
-        except (IndexError, ValueError, KeyError):
-            raise ParseError(f"line {lineno}: malformed entry {raw!r}", position=lineno) from None
-    if cur_id is not None:
+    names: dict[str, int] = {}  # "domain.var" -> global variable index
+    block: Optional[dict] = None  # the open domain block
+    for r in records:
+        kw, v = r.keyword, r.values
+        if kw == "domain" and block is not None:
+            raise r.error("nested domain block")
+        if kw in ("vars", "box", "phi", "end") and block is None:
+            raise r.error(f"{kw!r} outside a domain block")
+        if kw == "domain":
+            block = {"id": v[0], "vars": (), "box": (), "phi": []}
+        elif kw in ("vars", "box"):
+            block[kw] = v
+        elif kw == "phi":
+            arity = len(block["vars"])
+            block["phi"].append(rec.convert(r.line, lambda t: parse(t, arity=arity), v[0]))
+        elif kw == "end":
+            if not block["vars"]:
+                raise r.error(f"domain {block['id']!r} has no vars")
+            try:
+                dom = LocalDomain(block["id"], block["vars"], Box(block["box"]),
+                                  tuple(block["phi"]))
+            except ValueError as exc:
+                raise r.error(str(exc)) from None
+            for vname in dom.var_names:
+                if f"{dom.id}.{vname}" in names:
+                    raise r.error(f"variable {dom.id}.{vname} defined twice")
+                names[f"{dom.id}.{vname}"] = len(names)
+            domains.append(dom)
+            block = None
+        elif kw in ("row", "obj") and v[-2] not in names:
+            raise r.error(f"unknown variable {v[-2]!r}")
+    if block is not None:
         raise ParseError("unterminated domain block")
-    n = len(var_map)
-    m = 1 + max(list(rows) + list(rhs), default=-1)
-    a = [[0.0] * n for _ in range(m)]
-    for k, entries in rows.items():
-        for g, v in entries.items():
-            a[k][g] = v
-    b = [rhs.get(k, 0.0) for k in range(m)]
-    c = [obj.get(g, 0.0) for g in range(n)]
-    return AssemblyProblem(tuple(domains), tuple(var_map),
-                           tuple(tuple(r) for r in a), tuple(b), tuple(c))
+    rows = {(k, names[name]): v for (k, name), v in rec.table(records, "row").items()}
+    a, b = rec.dense_rows(rows, rec.table(records, "rhs"), len(names))
+    obj = {names[name]: v for name, v in rec.table(records, "obj").items()}
+    var_map = tuple((d, slot) for d, dom in enumerate(domains) for slot in range(dom.n))
+    return AssemblyProblem(tuple(domains), var_map, tuple(tuple(row) for row in a),
+                           tuple(b), tuple(obj.get(g, 0.0) for g in range(len(names))))
 
 
 def certificate_to_text(p: AssemblyProblem, cert: DualityCertificate) -> str:
@@ -629,53 +609,34 @@ def certificate_to_text(p: AssemblyProblem, cert: DualityCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
+_CERTIFICATE_FIELDS = {
+    "m": (rec.decimal,), "t0": (rec.decimal,), "x_star": (rec.index, rec.decimal),
+    "r": (str, rec.index, rec.decimal), "w": (rec.index, rec.decimal),
+    "retained": [rec.index], "seed": (int,),
+}
+
+
 def certificate_from_text(p: AssemblyProblem, text: str) -> DualityCertificate:
-    m_bound = None
-    t0 = None
-    x_star: dict[int, float] = {}
-    r_entries: dict[tuple[str, int], float] = {}
-    w_entries: dict[int, float] = {}
-    retained: list[int] = []
-    seed = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kw = parts[0].lower()
-        try:
-            if kw == "duality-certificate":
-                continue
-            elif kw == "m":
-                m_bound = iv.decimal_to_nearest_float(parts[1])
-            elif kw == "t0":
-                t0 = iv.decimal_to_nearest_float(parts[1])
-            elif kw == "x_star":
-                x_star[int(parts[1])] = iv.decimal_to_nearest_float(parts[2])
-            elif kw == "r":
-                r_entries[(parts[1], int(parts[2]))] = iv.decimal_to_nearest_float(parts[3])
-            elif kw == "w":
-                w_entries[int(parts[1])] = iv.decimal_to_nearest_float(parts[2])
-            elif kw == "retained":
-                retained = [int(tok) for tok in parts[1:]]
-            elif kw == "seed":
-                seed = int(parts[1])
-            else:
-                raise ParseError(f"line {lineno}: unknown keyword {kw!r}", position=lineno)
-        except (IndexError, ValueError):
-            raise ParseError(f"line {lineno}: malformed entry {raw!r}", position=lineno) from None
-    if m_bound is None or t0 is None:
+    records = rec.read_records(text, _CERTIFICATE_FIELDS, header="duality-certificate")
+    n_constraints = {dom.id: len(dom.constraints) for dom in p.domains}
+    for r in records:
+        if r.keyword == "x_star" and r.values[0] >= p.n:
+            raise r.error(f"variable {r.values[0]} out of range for {p.n} variables")
+        if r.keyword == "r" and r.values[1] >= n_constraints.get(r.values[0], 0):
+            raise r.error(f"domain {r.values[0]!r} has no constraint {r.values[1]}")
+    last = {r.keyword: r.values for r in records}
+    if "m" not in last or "t0" not in last:
         raise ParseError("certificate missing M or t0")
-    r = tuple(
-        tuple(r_entries.get((dom.id, c_idx), 0.0)
-              for c_idx in range(len(dom.constraints)))
-        for dom in p.domains)
+    x_star, r_entries, w = (rec.table(records, kw) for kw in ("x_star", "r", "w"))
+    retained = last.get("retained", ())
     return DualityCertificate(
-        m_bound=m_bound,
+        m_bound=last["m"][0],
         x_star=tuple(x_star.get(j, 0.0) for j in range(p.n)),
-        r=r,
-        w=tuple(w_entries.get(k, 0.0) for k in retained),
-        t0=t0,
-        retained_rows=tuple(retained),
-        test_seed=seed,
+        r=tuple(tuple(r_entries.get((dom.id, c_idx), 0.0)
+                      for c_idx in range(len(dom.constraints)))
+                for dom in p.domains),
+        w=tuple(w.get(k, 0.0) for k in retained),
+        t0=last["t0"][0],
+        retained_rows=retained,
+        test_seed=last["seed"][0] if "seed" in last else None,
     )

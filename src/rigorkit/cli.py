@@ -2,7 +2,8 @@
 emission.
 
 Exit codes: 0 for Proven/Certified/complete enumeration, 1 for
-Undecided/Refuted/Inconclusive/Incomplete, 2 for input errors.  Reports
+Undecided/Refuted/Inconclusive/Incomplete, 2 for input errors, 3 for
+internal errors (any other exception, reported on one stderr line).  Reports
 are written even on exit 1 and re-parse under `parse_report`; apart from
 the wall-time field they are byte-identical across reruns with the same
 inputs, flags and seeds.
@@ -25,6 +26,7 @@ from . import geom
 from . import graphgen as gg
 from . import interval as iv
 from . import lp as lpmod
+from . import records as rec
 from .errors import NoProgress, ParseError, RigorError
 from .prover import (ProofStatus, ProofTask, ProverConfig, prove_negative)
 from .taylor import Box
@@ -34,6 +36,7 @@ __all__ = ["main", "dispatch", "RunManifest", "parse_report", "parse_task_file"]
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,42 +103,34 @@ def parse_report(text: str) -> tuple[dict, list[tuple[str, str]]]:
 # Task files (.ineq)
 # ---------------------------------------------------------------------------
 
-def parse_task_file(text: str) -> tuple[ProofTask, dict]:
+def _variable(token: str) -> int:
+    if not token.startswith("x"):
+        raise ValueError(f"expected a variable xI, got {token!r}")
+    return rec.index(token[1:])
+
+
+_TASK_FIELDS = {"arity": (rec.index,), "expr": rec.TEXT,
+                "domain": (_variable, rec.interval), "margin": (rec.decimal,)}
+
+
+def parse_task_file(text: str) -> ProofTask:
     """Arity declaration, expression text, per-variable domain interval
     literals, optional margin."""
-    arity = None
-    expr_text = None
-    domains: dict[int, iv.Interval] = {}
-    margin = 0.0
-    extras: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split(None, 1)
-        kw = parts[0].lower()
-        rest = parts[1] if len(parts) > 1 else ""
-        if kw == "arity":
-            arity = int(rest)
-        elif kw == "expr":
-            expr_text = rest
-        elif kw == "domain":
-            toks = rest.split()
-            if len(toks) != 2 or not toks[0].startswith("x"):
-                raise ParseError(f"line {lineno}: expected 'domain xI literal'",
-                                 position=lineno)
-            domains[int(toks[0][1:])] = iv.parse_interval_literal(toks[1])
-        elif kw == "margin":
-            margin = iv.decimal_to_nearest_float(rest.strip())
-        else:
-            raise ParseError(f"line {lineno}: unknown keyword {kw!r}", position=lineno)
-    if arity is None or expr_text is None:
+    records = rec.read_records(text, _TASK_FIELDS)
+    last = {r.keyword: r for r in records}
+    domains = {r.values[0]: r for r in records if r.keyword == "domain"}
+    if "arity" not in last or "expr" not in last:
         raise ParseError("task file needs 'arity' and 'expr'")
-    if set(domains) != set(range(arity)):
+    arity = last["arity"].values[0]
+    for i, r in domains.items():
+        if i >= arity:
+            raise r.error(f"x{i} out of range for arity {arity}")
+    if len(domains) != arity:
         raise ParseError("task file must give a domain for every variable")
-    e = ex.parse(expr_text, arity)
-    box = Box(tuple(domains[i] for i in range(arity)))
-    return ProofTask(e, box, margin), extras
+    expr = last["expr"]
+    e = rec.convert(expr.line, lambda t: ex.parse(t, arity), expr.values[0])
+    margin = last["margin"].values[0] if "margin" in last else 0.0
+    return ProofTask(e, Box(tuple(domains[i].values[1] for i in range(arity))), margin)
 
 
 def format_task_file(task: ProofTask) -> str:
@@ -159,7 +154,7 @@ def _cells_rows(label: str, cells) -> list[tuple[str, str]]:
 
 def _cmd_prove(args) -> int:
     text = Path(args.task).read_text()
-    task, _ = parse_task_file(text)
+    task = parse_task_file(text)
     cfg = ProverConfig(max_cells=args.max_cells, max_depth=args.max_depth,
                        min_width=args.min_width)
     t0 = time.perf_counter()
@@ -169,8 +164,7 @@ def _cmd_prove(args) -> int:
         "prove",
         ((Path(args.task).name, _digest(text)),),
         (("max_cells", str(cfg.max_cells)), ("max_depth", str(cfg.max_depth)),
-         ("min_width", repr(cfg.min_width)), ("seed", str(args.seed)),
-         ("threads", str(args.threads))),
+         ("min_width", repr(cfg.min_width)), ("seed", str(args.seed))),
         wall)
     body: list[tuple[str, str]] = [
         ("status", report.status.value),
@@ -208,8 +202,7 @@ def _cmd_lp_certify(args) -> int:
     wall = time.perf_counter() - t0
     manifest = RunManifest(
         "lp-certify", tuple(digests),
-        (("solve", str(bool(args.solve))), ("seed", str(args.seed)),
-         ("threads", str(args.threads))),
+        (("solve", str(bool(args.solve))), ("seed", str(args.seed))),
         wall)
     residual_norm = max((d.mag for d in cert.residual), default=0.0)
     body = [
@@ -230,8 +223,7 @@ def _cmd_assemble(args) -> int:
     ptext = Path(args.problem).read_text()
     problem = asm.problem_from_text(ptext)
     digests = [(Path(args.problem).name, _digest(ptext))]
-    config_echo = [("mode", args.mode), ("seed", str(args.seed)),
-                   ("threads", str(args.threads))]
+    config_echo = [("mode", args.mode), ("seed", str(args.seed))]
 
     if args.mode == "fit":
         if args.bound is None or args.guess is None:
@@ -309,7 +301,7 @@ def _cmd_graphs(args) -> int:
         (("max_vertices", str(args.max_vertices)),
          ("prune", args.prune or ""),
          ("max_states", str(args.max_states)),
-         ("seed", str(args.seed)), ("threads", str(args.threads))),
+         ("seed", str(args.seed))),
         wall)
     body = [("complete", str(result.complete)),
             ("classes", str(len(result.terminals))),
@@ -346,8 +338,7 @@ def _terminal_file(rec: gg.TerminalRecord) -> str:
 
 
 def _cmd_geom(args) -> int:
-    config_echo = [("mode", args.mode), ("seed", str(args.seed)),
-                   ("threads", str(args.threads))]
+    config_echo = [("mode", args.mode), ("seed", str(args.seed))]
     digests: list[tuple[str, str]] = []
     t0 = time.perf_counter()
     if args.mode == "simplex":
@@ -384,7 +375,7 @@ def _cmd_geom(args) -> int:
 
 def _cmd_plan_dump(args) -> int:
     if args.task:
-        task, _ = parse_task_file(Path(args.task).read_text())
+        task = parse_task_file(Path(args.task).read_text())
         e, arity = task.expr, task.domain.n
     elif args.expr is not None and args.arity is not None:
         e = ex.parse(args.expr, args.arity)
@@ -410,9 +401,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="rigorous numerics toolkit: interval inequality proofs, "
                     "certified LP/duality bounds, plane-graph enumeration, "
                     "geometric nonexistence checks")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (execution is sequential; the flag is "
-                             "recorded in the manifest)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--report", type=str, default=None,
                         help="write the structured report here as well as stdout")
@@ -495,6 +483,9 @@ def dispatch(argv: Sequence[str]) -> int:
     except RigorError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_INPUT
+    except Exception as exc:
+        sys.stderr.write(f"error: internal: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -26,6 +26,7 @@ eliminating 0/1 identities: simplification bugs are rigor bugs.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -227,6 +228,7 @@ def depth_of(e: Expr) -> int:
 # ---------------------------------------------------------------------------
 
 _FUNCTIONS = ("sqrt", "atan", "pow")
+_NUMBER_RE = re.compile(r"\d*(?:\.\d*)?(?:[eE][+-]?\d+)?")
 
 
 class _Tokenizer:
@@ -247,26 +249,10 @@ class _Tokenizer:
         return ParseError(f"{message} at offset {self.pos}", position=self.pos)
 
     def take_number(self) -> str:
-        start = self.pos
-        t = self.text
-        n = len(t)
-        p = self.pos
-        while p < n and t[p].isdigit():
-            p += 1
-        if p < n and t[p] == ".":
-            p += 1
-            while p < n and t[p].isdigit():
-                p += 1
-        if p < n and t[p] in "eE":
-            q = p + 1
-            if q < n and t[q] in "+-":
-                q += 1
-            if q < n and t[q].isdigit():
-                p = q
-                while p < n and t[p].isdigit():
-                    p += 1
-        self.pos = p
-        return t[start:p]
+        # An exponent is taken only when digits follow it.
+        m = _NUMBER_RE.match(self.text, self.pos)
+        self.pos = m.end()
+        return m.group()
 
     def take_ident(self) -> str:
         start = self.pos

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import interval as iv
+from . import records as rec
 from .errors import (
     DegenerateAxis,
     DivisionByZeroInterval,
@@ -631,6 +632,10 @@ def iv_add_caps(a: Interval, b: Interval) -> Optional[float]:
 # Distance-spec files
 # ---------------------------------------------------------------------------
 
+_SPEC_FIELDS = {"points": [str], "dmin": (str, str, rec.interval),
+                "dmax": (str, str, rec.interval)}
+
+
 def parse_distance_spec(text: str) -> DistanceSpec:
     """Labeled dmin/dmax tables:
 
@@ -639,29 +644,19 @@ def parse_distance_spec(text: str) -> DistanceSpec:
         dmax 0 q 2.51        # 'inf' allowed
     """
     labels: Optional[tuple[str, ...]] = None
-    dmin: dict = {}
-    dmax: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    bounds: dict = {"dmin": {}, "dmax": {}}
+    for r in rec.read_records(text, _SPEC_FIELDS):
+        if r.keyword == "points":
+            labels = r.values
             continue
-        parts = line.split()
-        kw = parts[0].lower()
-        if kw == "points":
-            labels = tuple(parts[1:])
-            continue
-        if kw not in ("dmin", "dmax"):
-            raise ParseError(f"line {lineno}: unknown keyword {kw!r}", position=lineno)
         if labels is None:
-            raise ParseError(f"line {lineno}: 'points' must come first", position=lineno)
-        try:
-            i = labels.index(parts[1])
-            j = labels.index(parts[2])
-        except ValueError:
-            raise ParseError(f"line {lineno}: unknown point label", position=lineno) from None
-        val = iv.parse_interval_literal(parts[3])
-        key = (min(i, j), max(i, j))
-        (dmin if kw == "dmin" else dmax)[key] = val
+            raise r.error("'points' must come first")
+        a, b, val = r.values
+        for name in (a, b):
+            if name not in labels:
+                raise r.error(f"unknown point label {name!r}")
+        i, j = labels.index(a), labels.index(b)
+        bounds[r.keyword][(min(i, j), max(i, j))] = val
     if labels is None:
         raise ParseError("missing 'points' declaration")
-    return DistanceSpec(labels, dmin, dmax)
+    return DistanceSpec(labels, bounds["dmin"], bounds["dmax"])

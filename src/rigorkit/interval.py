@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (
@@ -468,41 +467,49 @@ def hull(a: Interval, b: Interval) -> Interval:
 # Decimal text conversion
 # ---------------------------------------------------------------------------
 
-_DECIMAL_RE = re.compile(r"^[+-]?(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?$")
+_DECIMAL_RE = re.compile(r"^([+-]?)(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?$")
+
+
+def _round_decimal(s: str) -> tuple[float, int]:
+    """A decimal numeral rounded to the nearest binary64 value (ties to even)
+    by one exact integer division, and the sign of (exact value - result).
+    Exponents far outside binary64 are decided before any power of ten is built."""
+    m = _DECIMAL_RE.match(s.strip())
+    if not m:
+        raise ParseError(f"invalid decimal numeral {s!r}")
+    sign, whole, frac, exp = m.groups(default="")
+    digits = int(sign + whole + frac)
+    if digits == 0:
+        return 0.0, 0
+    scale = int(exp or "0") - len(frac)
+    # 10**(mag - 1) < |value| < 10**(mag + 1)
+    mag = scale + abs(digits).bit_length() * 30103 // 100000
+    if mag > 310:
+        raise ParseError(f"decimal numeral {s!r} overflows binary64")
+    if mag < -330:
+        # Below half the smallest subnormal: rounds to a signed zero.
+        return (-0.0, -1) if digits < 0 else (0.0, 1)
+    num, den = (digits * 10 ** scale, 1) if scale >= 0 else (digits, 10 ** -scale)
+    try:
+        f = num / den
+    except OverflowError:
+        raise ParseError(f"decimal numeral {s!r} overflows binary64") from None
+    fn, fd = f.as_integer_ratio()
+    err = num * fd - fn * den
+    return f, (err > 0) - (err < 0)
 
 
 def from_decimal_string(s: str) -> Interval:
     """Tight enclosure (width <= 1 ulp, exact when representable) of the
-    exact value of a signed decimal numeral.
-
-    The conversion goes through exact rational arithmetic, so it never
-    depends on the platform's decimal-to-binary rounding behaviour.
-    """
-    text = s.strip()
-    if not _DECIMAL_RE.match(text):
-        raise ParseError(f"invalid decimal numeral {s!r}")
-    exact = Fraction(text)
-    try:
-        f = exact.numerator / exact.denominator
-    except OverflowError:
-        raise ParseError(f"decimal numeral {s!r} overflows binary64") from None
-    approx = Fraction(f)
-    if approx == exact:
-        return Interval(f, f)
-    if approx < exact:
-        return Interval(f, next_up(f))
-    return Interval(next_down(f), f)
+    exact value of a signed decimal numeral."""
+    f, err = _round_decimal(s)
+    return Interval(next_down(f) if err < 0 else f, next_up(f) if err > 0 else f)
 
 
 def decimal_to_nearest_float(s: str) -> float:
-    """Correctly-rounded binary64 value of a decimal numeral, computed via
-    exact rational arithmetic (platform-mode independent)."""
-    enclosure = from_decimal_string(s)
-    if enclosure.is_point:
-        return enclosure.lo
-    exact = Fraction(s.strip())
-    lo, hi = enclosure.lo, enclosure.hi
-    return lo if exact - Fraction(lo) <= Fraction(hi) - exact else hi
+    """Correctly rounded (to nearest, ties to even) binary64 value of a
+    decimal numeral."""
+    return _round_decimal(s)[0]
 
 
 def parse_interval_literal(s: str) -> Interval:
@@ -510,31 +517,21 @@ def parse_interval_literal(s: str) -> Interval:
 
     "lo..hi" is an explicit interval; a bare numeral is a tight enclosure
     of that decimal; "inf"/"-inf" endpoints are allowed for bookkeeping.
+    Each endpoint is rounded outward, so the literal's exact value stays inside.
     """
-    text = s.strip()
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo = _parse_endpoint(lo_text, upper=False)
-        hi = _parse_endpoint(hi_text, upper=True)
-        if lo > hi:
-            raise ParseError(f"interval literal {s!r} has lo > hi")
-        return Interval(lo, hi)
-    if text in ("inf", "+inf"):
-        return Interval(_INF, _INF)
-    if text == "-inf":
-        return Interval(-_INF, -_INF)
-    return from_decimal_string(text)
+    lo_text, dots, hi_text = s.strip().partition("..")
+    lo = _parse_endpoint(lo_text)
+    hi = _parse_endpoint(hi_text) if dots else lo
+    if lo.lo > hi.hi:
+        raise ParseError(f"interval literal {s!r} has lo > hi")
+    return Interval(lo.lo, hi.hi)
 
 
-def _parse_endpoint(text: str, upper: bool) -> float:
+def _parse_endpoint(text: str) -> Interval:
     t = text.strip()
-    if t in ("inf", "+inf"):
-        return _INF
-    if t == "-inf":
-        return -_INF
-    enclosure = from_decimal_string(t)
-    # Outward choice keeps the literal's exact decimal value inside.
-    return enclosure.hi if upper else enclosure.lo
+    if t in ("inf", "+inf", "-inf"):
+        return Interval.point(-_INF if t == "-inf" else _INF)
+    return from_decimal_string(t)
 
 
 def format_interval_literal(a: Interval) -> str:
@@ -548,7 +545,7 @@ def format_interval_literal(a: Interval) -> str:
         if x == -_INF:
             return "-inf"
         r = repr(x)
-        if Fraction(r) == Fraction(x):
+        if _round_decimal(r)[1] == 0:
             return r
         from decimal import Decimal
         return format(Decimal(x), "f")

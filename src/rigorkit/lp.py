@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import interval as iv
+from . import records as rec
 from .errors import AugmentationError, NoProgress, ParseError
 from .interval import Interval
 
@@ -283,16 +284,10 @@ def solve_approx(p: LpProblem) -> tuple[Vector, tuple[Vector, Vector], float]:
 # File formats
 # ---------------------------------------------------------------------------
 #
-# Problem file: line-oriented text with sections OBJ / EQ / INEQ / BOUNDS.
-#   vars N
-#   obj j v            objective coefficient (sparse)
-#   eq r j v           equality matrix entry (row r, col j)
-#   eq_rhs r v
-#   ineq r j v         inequality matrix entry (core rows only)
-#   ineq_rhs r v
-#   bound j LITERAL    variable bounds as an interval literal "lo..hi"
-# Decimal entries are parsed through the interval layer's decimal reader,
-# never through platform float().  Bound rows are appended on load.
+# Problem file, in the record syntax of records.py: `vars N`, then sparse
+# entries `obj j v`, `eq r j v` / `ineq r j v` (row r, column j; core
+# inequality rows only), `eq_rhs r v` / `ineq_rhs r v`, and one `bound j
+# lo..hi` per variable.  Bound rows are appended on load.
 
 def problem_to_text(p: LpProblem) -> str:
     lines = ["lp-problem v1", f"vars {p.n}"]
@@ -316,68 +311,30 @@ def problem_to_text(p: LpProblem) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _num(token: str, lineno: int) -> float:
-    try:
-        return iv.decimal_to_nearest_float(token)
-    except ParseError:
-        raise ParseError(f"line {lineno}: bad decimal {token!r}", position=lineno) from None
+_PROBLEM_FIELDS = {
+    "vars": (rec.index,), "bound": (rec.index, rec.interval), "obj": (rec.index, rec.decimal),
+    "eq": (rec.index, rec.index, rec.decimal), "eq_rhs": (rec.index, rec.decimal),
+    "ineq": (rec.index, rec.index, rec.decimal), "ineq_rhs": (rec.index, rec.decimal),
+}
 
 
 def problem_from_text(text: str) -> LpProblem:
-    n = None
-    obj: dict[int, float] = {}
-    eq_entries: dict[tuple[int, int], float] = {}
-    eq_rhs: dict[int, float] = {}
-    ineq_entries: dict[tuple[int, int], float] = {}
-    ineq_rhs: dict[int, float] = {}
-    bounds: dict[int, Interval] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        kw = parts[0].lower()
-        try:
-            if kw == "lp-problem":
-                continue
-            elif kw == "vars":
-                n = int(parts[1])
-            elif kw == "obj":
-                obj[int(parts[1])] = _num(parts[2], lineno)
-            elif kw == "eq":
-                eq_entries[(int(parts[1]), int(parts[2]))] = _num(parts[3], lineno)
-            elif kw == "eq_rhs":
-                eq_rhs[int(parts[1])] = _num(parts[2], lineno)
-            elif kw == "ineq":
-                ineq_entries[(int(parts[1]), int(parts[2]))] = _num(parts[3], lineno)
-            elif kw == "ineq_rhs":
-                ineq_rhs[int(parts[1])] = _num(parts[2], lineno)
-            elif kw == "bound":
-                bounds[int(parts[1])] = iv.parse_interval_literal(parts[2])
-            else:
-                raise ParseError(f"line {lineno}: unknown keyword {kw!r}", position=lineno)
-        except (IndexError, ValueError):
-            raise ParseError(f"line {lineno}: malformed entry {raw!r}", position=lineno) from None
-    if n is None:
+    records = rec.read_records(text, _PROBLEM_FIELDS, header="lp-problem")
+    t = {kw: rec.table(records, kw) for kw in _PROBLEM_FIELDS}
+    if not t["vars"]:
         raise ParseError("missing 'vars N' declaration")
-    if set(bounds) != set(range(n)):
+    n = t["vars"][()]  # a one-field record's key is the empty tuple
+    for r in records:
+        # obj, bound, eq and ineq name their variable in the next-to-last field
+        if r.keyword in ("obj", "bound", "eq", "ineq") and r.values[-2] >= n:
+            raise r.error(f"variable {r.values[-2]} out of range for 'vars {n}'")
+    if len(t["bound"]) != n:
         raise ParseError("every variable needs a bound entry")
-    m_eq = 1 + max((r for r, _ in eq_entries), default=-1)
-    m_eq = max(m_eq, 1 + max(eq_rhs, default=-1))
-    m_ineq = 1 + max((r for r, _ in ineq_entries), default=-1)
-    m_ineq = max(m_ineq, 1 + max(ineq_rhs, default=-1))
-    aeq = [[0.0] * n for _ in range(m_eq)]
-    for (r, j), v in eq_entries.items():
-        aeq[r][j] = v
-    aineq = [[0.0] * n for _ in range(m_ineq)]
-    for (r, j), v in ineq_entries.items():
-        aineq[r][j] = v
-    c = [obj.get(j, 0.0) for j in range(n)]
-    return make_problem(
-        c, [bounds[j] for j in range(n)],
-        aineq=aineq, bineq=[ineq_rhs.get(r, 0.0) for r in range(m_ineq)],
-        aeq=aeq, beq=[eq_rhs.get(r, 0.0) for r in range(m_eq)],
-    )
+    aeq, beq = rec.dense_rows(t["eq"], t["eq_rhs"], n)
+    aineq, bineq = rec.dense_rows(t["ineq"], t["ineq_rhs"], n)
+    return make_problem([t["obj"].get(j, 0.0) for j in range(n)],
+                        [t["bound"][j] for j in range(n)],
+                        aineq=aineq, bineq=bineq, aeq=aeq, beq=beq)
 
 
 def dual_to_text(y: Sequence[float], z: Sequence[float]) -> str:
@@ -387,9 +344,6 @@ def dual_to_text(y: Sequence[float], z: Sequence[float]) -> str:
 
 
 def dual_from_text(text: str) -> tuple[Vector, Vector]:
-    cleaned = [ln.split("#", 1)[0] for ln in text.splitlines()]
-    while len(cleaned) < 2:
-        cleaned.append("")
-    y = tuple(iv.decimal_to_nearest_float(tok) for tok in cleaned[0].split())
-    z = tuple(iv.decimal_to_nearest_float(tok) for tok in cleaned[1].split())
-    return y, z
+    """The y line, then the z line; an empty line is an empty vector."""
+    lines = [rec.strip_comment(raw).split() for raw in text.splitlines()] + [[], []]
+    return tuple(tuple(rec.convert(i + 1, rec.decimal, tok) for tok in lines[i]) for i in (0, 1))

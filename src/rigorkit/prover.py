@@ -4,8 +4,9 @@ Each cell is first *reduced*: every variable whose partial derivative has
 a certified strict sign over the cell is collapsed to the extremal facet
 (sup f over the cell equals sup f over the facet), which removes that
 dimension from further subdivision.  The reduced cell is then bounded by
-the Taylor form; cells whose bound does not certify are bisected along
-their widest non-degenerate component.
+the Taylor form, trusted only if f is certified smooth on the cell (else
+the cell is an evaluation failure); cells whose bound does not certify
+are bisected along their widest non-degenerate component.
 
 Reported cells are always *footprints*: collapsed cells re-inflated to
 their pre-reduction parents, so the leaves of a run exactly tile the
@@ -20,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .errors import BoundUnavailable
 from .expr import Evaluator, Expr, compile_expr
@@ -55,7 +57,6 @@ class ProverConfig:
     max_cells: int = 20000
     max_depth: int = 64
     min_width: float = 1e-6
-    split_rule: str = "widest"
     track_cells: bool = False
 
     def __post_init__(self):
@@ -63,8 +64,6 @@ class ProverConfig:
             raise ValueError("max_cells must be >= 1")
         if not (self.min_width > 0.0):
             raise ValueError("min_width must be > 0")
-        if self.split_rule != "widest":
-            raise ValueError(f"unknown split rule {self.split_rule!r}")
 
 
 class ProofStatus(enum.Enum):
@@ -88,11 +87,12 @@ class ProofReport:
         return self.status is ProofStatus.PROVEN
 
 
-def reduce_cell(ev: Evaluator, cell: Box) -> Box:
+def reduce_cell(ev: Evaluator, cell: Box,
+                signs: Optional[Sequence[PartialSign]] = None) -> Box:
     """Collapse every component with a certified strict derivative sign to
     its extremal endpoint.  sup f over the result equals sup f over the
-    input cell."""
-    signs = partial_signs(ev, cell)
+    input cell.  `signs` are the cell's partial signs if already known."""
+    signs = signs if signs is not None else partial_signs(ev, cell) or ()
     dims = list(cell.dims)
     changed = False
     for i, s in enumerate(signs):
@@ -140,10 +140,12 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
         processed += 1
         max_depth_seen = max(max_depth_seen, depth)
 
-        cell = reduce_cell(ev, cell)
-        eval_failed = False
+        signs = partial_signs(ev, cell)
+        cell = reduce_cell(ev, cell, signs or ())
+        # Without a whole-cell germ, f may have a pole the Taylor bound misses.
+        eval_failed = signs is None
         try:
-            upper = taylor_upper_bound(ev, cell).upper
+            upper = math.inf if eval_failed else taylor_upper_bound(ev, cell).upper
         except BoundUnavailable:
             upper = math.inf
             eval_failed = True

@@ -1,0 +1,111 @@
+"""One reader for the line-oriented input files (`.ineq`, `.lp`, `.asm`,
+`.cert`, `.dspec`): the only code that knows their record syntax.
+
+`#` starts a comment and blank lines are skipped.  A record is a keyword,
+matched case-insensitively, then whitespace-separated fields; a format may
+open with a `<kind> v1` header line.  Each keyword takes a tuple of field
+converters, `[converter]` for one or more fields of one type, or `TEXT` for
+the rest of the line.  Malformed records raise `ParseError("line N: ...")`.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Mapping, NamedTuple, Optional
+
+from . import interval as iv
+from .errors import ParseError
+
+__all__ = ["Record", "TEXT", "read_records", "strip_comment", "line_error", "convert",
+           "table", "decimal", "interval", "index", "dense_rows"]
+
+TEXT = "rest of line"
+
+
+class Record(NamedTuple):
+    line: int
+    keyword: str
+    values: tuple
+
+    def error(self, message: str) -> ParseError:
+        return line_error(self.line, message)
+
+
+def line_error(line: int, message: str) -> ParseError:
+    return ParseError(f"line {line}: {message}", position=line)
+
+
+def strip_comment(raw: str) -> str:
+    return raw.split("#", 1)[0]
+
+
+def convert(line: int, fn: Callable[[str], Any], token: str) -> Any:
+    """`fn(token)`, with a failure reported as a ParseError naming the line."""
+    try:
+        return fn(token)
+    except (ParseError, ValueError) as exc:
+        raise line_error(line, str(exc)) from None
+
+
+def read_records(text: str, fields: Mapping[str, Any],
+                 header: Optional[str] = None) -> list[Record]:
+    """Records in file order.  `fields` maps each keyword to its field spec;
+    `header` is the kind named by an optional `<kind> v1` first line."""
+    out: list[Record] = []
+    for line, raw in enumerate(text.splitlines(), 1):
+        content = strip_comment(raw).strip()
+        if not content:
+            continue
+        words = content.split()
+        kw, args = words[0].lower(), words[1:]
+        if kw == header and not out:
+            if args != ["v1"]:
+                raise line_error(line, f"expected the header '{header} v1'")
+            continue
+        spec = fields.get(kw)
+        if spec is None:
+            raise line_error(line, f"unknown keyword {kw!r}")
+        variadic = not isinstance(spec, tuple)
+        if (not args) if variadic else len(args) != len(spec):
+            raise line_error(line, f"malformed entry {content!r}: wrong number of fields")
+        if spec is TEXT:
+            values = (content.split(None, 1)[1],)
+        else:
+            fns = spec * len(args) if variadic else spec
+            values = tuple([convert(line, fn, tok) for fn, tok in zip(fns, args)])
+        out.append(Record(line, kw, values))
+    return out
+
+
+def table(records: list[Record], keyword: str) -> dict:
+    """{key: last field} over one keyword's records, later ones winning; the
+    key is the first field, or the tuple of all but the last if more."""
+    return {(v[0] if len(v) == 2 else v[:-1]): v[-1]
+            for _, kw, v in records if kw == keyword}
+
+
+def decimal(token: str) -> float:
+    """A decimal numeral, correctly rounded to binary64."""
+    return iv.decimal_to_nearest_float(token)
+
+
+def interval(token: str) -> iv.Interval:
+    """An interval literal `lo..hi`, or a bare numeral's tight enclosure."""
+    return iv.parse_interval_literal(token)
+
+
+def index(token: str) -> int:
+    """A non-negative integer in plain digits."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"expected a non-negative index, got {token!r}")
+    return int(token)
+
+
+def dense_rows(entries: Mapping[tuple[int, int], float], rhs: Mapping[int, float],
+               n: int) -> tuple[list[list[float]], list[float]]:
+    """n-column matrix and right-hand side from sparse (row, column) entries
+    and row values, zero where absent, up to the largest row index in either."""
+    m = 1 + max([r for r, _ in entries] + list(rhs), default=-1)
+    a = [[0.0] * n for _ in range(m)]
+    for (r, j), v in entries.items():
+        a[r][j] = v
+    return a, [rhs.get(r, 0.0) for r in range(m)]

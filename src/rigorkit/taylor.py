@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from . import interval as iv
 from .errors import (
@@ -163,13 +163,14 @@ def taylor_upper_bound(ev: Evaluator, box: Box) -> TaylorBound:
         raise BoundUnavailable(str(exc)) from exc
 
 
-def partial_signs(ev: Evaluator, box: Box) -> list[PartialSign]:
-    """Certified signs of all first partials over the box, from a single
-    forward-mode germ evaluation."""
+def partial_signs(ev: Evaluator, box: Box) -> Optional[list[PartialSign]]:
+    """Certified signs of all first partials over the box from one forward-mode
+    germ, or None if that fails.  A germ certifies f smooth on the box: every
+    denominator (atan's too) excludes zero and every sqrt argument is positive."""
     try:
         germ = ev.germ(box.dims)
     except _EVAL_ERRORS:
-        return [PartialSign.UNKNOWN] * box.n
+        return None
     out = []
     for d in germ.df:
         if d.lo > 0.0:
@@ -184,4 +185,5 @@ def partial_signs(ev: Evaluator, box: Box) -> list[PartialSign]:
 def partial_sign(ev: Evaluator, box: Box, i: int) -> PartialSign:
     """Certified sign of the i-th first partial over the box.  Never
     claims a sign the interval enclosure does not certify."""
-    return partial_signs(ev, box)[i]
+    signs = partial_signs(ev, box)
+    return signs[i] if signs else PartialSign.UNKNOWN

@@ -56,6 +56,18 @@ def test_missing_file_exits_two(capsys):
     assert code == 2
 
 
+def test_internal_error_exits_three(tmp_path, capsys):
+    # 200 nested products exhaust the recursion limit in differentiation;
+    # an uncaught exception would exit 1, which reads as "undecided".
+    task = tmp_path / "deep.ineq"
+    task.write_text("arity 1\nexpr " + "*".join(["x0"] * 200) + " - 2\n"
+                    "domain x0 0..1\n")
+    code, _, err = run(["prove", "--task", str(task)], capsys)
+    assert code == 3
+    assert err.startswith("error: internal: RecursionError: ")
+    assert err.count("\n") == 1
+
+
 def test_reports_reproducible(tmp_path, capsys):
     task = tmp_path / "t.ineq"
     task.write_text("arity 2\nexpr x0*x0 + x1 - 3\ndomain x0 -1..1\ndomain x1 0..1\nmargin 0\n")
@@ -182,7 +194,7 @@ def test_task_file_round_trip():
     task = ProofTask(ex.parse("x0*x1 - 2", 2),
                      Box((Interval(0, 1), Interval(-1, 2))), 0.125)
     text = cli.format_task_file(task)
-    parsed, _ = cli.parse_task_file(text)
+    parsed = cli.parse_task_file(text)
     assert parsed == task
 
 
@@ -205,8 +217,8 @@ def test_shipped_problem_files_round_trip():
         problem, asm.certificate_to_text(problem, cert)) == cert
 
     task_text = (PROBLEMS / "six_squares.ineq").read_text()
-    task, _ = cli.parse_task_file(task_text)
-    reparsed, _ = cli.parse_task_file(cli.format_task_file(task))
+    task = cli.parse_task_file(task_text)
+    reparsed = cli.parse_task_file(cli.format_task_file(task))
     assert reparsed == task
 
 

@@ -111,6 +111,32 @@ def test_from_decimal_string_examples():
         iv.from_decimal_string("3/7")
 
 
+def test_decimal_rounding_ties_to_even():
+    # 2**53 + 3 lies halfway between two binary64 values
+    assert iv.decimal_to_nearest_float("9007199254740995") == 9007199254740996.0
+    assert iv.from_decimal_string("9007199254740995") == I(2.0**53 + 2, 2.0**53 + 4)
+
+
+def test_decimal_exponents_far_outside_binary64():
+    with pytest.raises(ParseError, match="overflows binary64"):
+        iv.from_decimal_string("1e999999999")
+    assert iv.from_decimal_string("1e-999999999") == I(0.0, 5e-324)
+    assert iv.from_decimal_string("-1e-999999999") == I(-5e-324, 0.0)
+
+
+@given(st.from_regex(r"\A[+-]?([0-9]{1,25}(\.[0-9]{0,25})?|\.[0-9]{1,25})"
+                     r"([eE][+-]?[0-9]{1,3})?\Z"))
+def test_decimal_reader_rounds_correctly(s):
+    if math.isinf(float(s)):
+        with pytest.raises(ParseError):
+            iv.from_decimal_string(s)
+        return
+    assert iv.decimal_to_nearest_float(s) == float(s)
+    enc = iv.from_decimal_string(s)
+    assert Fraction(enc.lo) <= Fraction(s) <= Fraction(enc.hi)
+    assert enc.is_point or iv.next_up(enc.lo) == enc.hi
+
+
 @given(st.integers(min_value=-(2**53) + 1, max_value=2**53 - 1))
 def test_integer_decimals_exact(k):
     e = iv.from_decimal_string(str(k))

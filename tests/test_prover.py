@@ -73,6 +73,14 @@ def test_evaluation_failure_reported():
     assert r.failed_cells
 
 
+def test_no_taylor_bound_across_a_pole():
+    # atan(10, x0) jumps by pi at x0 = 0 while its derivatives stay finite,
+    # so only the whole-cell germ sees the pole; f(1) = atan(10) > 0.
+    r = prove_negative(ProofTask(ex.parse("atan(10, x0)"), Box((I(-2, 1),))),
+                       ProverConfig(max_cells=200))
+    assert r.status is not ProofStatus.PROVEN
+
+
 def test_budget_exhaustion_yields_frontier():
     # false inequality, tiny budget: the frontier is reported undecided
     r = prove_negative(ProofTask(ex.parse("x0*x0 - 1"), Box((I(0, 2),))),
