@@ -6,14 +6,17 @@ operations + - * /, integer powers, sqrt, and a binary arctangent
 `atan(num, den)` meaning atan(num/den).  Keeping arctangent binary
 confines the den=0 hazard to a single operation with one error path.
 
-`compile_expr` turns an Expr into an `Evaluator`: a flat evaluation plan
-(one instruction per distinct subexpression) that answers three queries
-over a box of intervals:
+`differentiate` holds the only derivative rules.  It walks the expression
+iteratively and memoises on node identity, so the derivative of a DAG is
+a DAG of linear size.
 
-* interval value,
-* interval value-and-gradient germ (forward-mode recurrences),
-* interval Hessian entries (interval evaluation of the symbolic second
-  partials, derived by differentiating twice).
+`compile_expr` turns an Expr into an `Evaluator`: one flat evaluation plan
+that starts with f's instructions, followed by those of the first partials
+and the second partials (each the `differentiate` of the one before) as
+queries first need them.  Instructions are value-numbered on (op, operand
+slots), so a subexpression shared by f, its gradient and its Hessian
+occupies one slot.  Each query -- interval value, value-and-gradient germ,
+Hessian entries -- evaluates exactly the instructions its outputs depend on.
 
 Constants are stored as decimal text; conversion to binary64 enclosures
 is deferred to the interval layer so no precision is lost before the
@@ -28,8 +31,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import interval as iv
 from .errors import CompileError, ParseError
@@ -55,7 +57,6 @@ __all__ = [
     "make_pow",
     "const_from_float",
     "arity_of",
-    "depth_of",
     "parse",
     "differentiate",
     "to_text",
@@ -128,17 +129,33 @@ ONE = Const("1")
 
 
 def _as_int(e: Expr) -> Optional[int]:
-    if isinstance(e, Const):
-        f = Fraction(e.text)
-        if f.denominator == 1:
-            return f.numerator
-    return None
+    """The value of an integer Const, else None.  Decided from the digits and
+    the exponent, so no power of ten is built for a far exponent."""
+    m = iv._DECIMAL_RE.match(e.text) if isinstance(e, Const) else None
+    if not m:
+        return None
+    sign, whole, frac, exp = m.groups(default="")
+    body = (whole + frac).lstrip("0")
+    digits = body.rstrip("0")
+    if not digits:
+        return 0
+    scale = int(exp or "0") - len(frac) + len(body) - len(digits)
+    # |value| >= 10**(len(digits) + scale - 1), as in interval._round_decimal
+    if scale < 0 or len(digits) + scale > 310:
+        return None
+    return int(sign + digits) * 10**scale
+
+
+def _folded(v: int, unfolded: Expr) -> Expr:
+    # A constant past binary64's range would fail to read in the plan; the
+    # unfolded operation overflows as an interval instead.
+    return Const(str(v)) if v.bit_length() < 1024 else unfolded
 
 
 def make_add(a: Expr, b: Expr) -> Expr:
     ia, ib = _as_int(a), _as_int(b)
     if ia is not None and ib is not None:
-        return Const(str(ia + ib))
+        return _folded(ia + ib, Add(a, b))
     if ia == 0:
         return b
     if ib == 0:
@@ -149,7 +166,7 @@ def make_add(a: Expr, b: Expr) -> Expr:
 def make_sub(a: Expr, b: Expr) -> Expr:
     ia, ib = _as_int(a), _as_int(b)
     if ia is not None and ib is not None:
-        return Const(str(ia - ib))
+        return _folded(ia - ib, Sub(a, b))
     if ib == 0:
         return a
     return Sub(a, b)
@@ -158,7 +175,7 @@ def make_sub(a: Expr, b: Expr) -> Expr:
 def make_mul(a: Expr, b: Expr) -> Expr:
     ia, ib = _as_int(a), _as_int(b)
     if ia is not None and ib is not None:
-        return Const(str(ia * ib))
+        return _folded(ia * ib, Mul(a, b))
     if ia == 0 or ib == 0:
         return ZERO
     if ia == 1:
@@ -184,7 +201,9 @@ def make_pow(a: Expr, k: int) -> Expr:
     if k == 1:
         return a
     ia = _as_int(a)
-    if ia is not None and k > 0:
+    # |ia**k| < 2**(bit_length * k): the bound keeps the power in range
+    # before it is built.
+    if ia is not None and k > 0 and abs(ia).bit_length() * k < 1024:
         return Const(str(ia**k))
     return Pow(a, k)
 
@@ -196,31 +215,40 @@ def const_from_float(v: float) -> Const:
     return Const(repr(v))
 
 
+def _children(e: Expr) -> tuple[Expr, ...]:
+    match e:
+        case Add(left=a, right=b) | Sub(left=a, right=b) | Mul(left=a, right=b) \
+                | Div(left=a, right=b) | Atan(num=a, den=b):
+            return (a, b)
+        case Pow(base=a) | Sqrt(arg=a):
+            return (a,)
+    return ()
+
+
+def _post_order(root: Expr, done: dict) -> Iterator[Expr]:
+    """Yield each node under root whose id is not in `done`, children first
+    and left before right, without recursion.  The caller enters each
+    yielded node in `done` before the walk resumes."""
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        todo = [k for k in reversed(_children(node)) if id(k) not in done]
+        if todo:
+            stack.extend(todo)
+        else:
+            stack.pop()
+            yield node
+
+
 def arity_of(e: Expr) -> int:
     """1 + highest variable index used (0 for constant expressions)."""
-    match e:
-        case Var(index=i):
-            return i + 1
-        case Const():
-            return 0
-        case Add(left=a, right=b) | Sub(left=a, right=b) | Mul(left=a, right=b) \
-                | Div(left=a, right=b) | Atan(num=a, den=b):
-            return max(arity_of(a), arity_of(b))
-        case Pow(base=a) | Sqrt(arg=a):
-            return arity_of(a)
-    raise TypeError(f"not an Expr node: {e!r}")
-
-
-def depth_of(e: Expr) -> int:
-    match e:
-        case Var() | Const():
-            return 1
-        case Add(left=a, right=b) | Sub(left=a, right=b) | Mul(left=a, right=b) \
-                | Div(left=a, right=b) | Atan(num=a, den=b):
-            return 1 + max(depth_of(a), depth_of(b))
-        case Pow(base=a) | Sqrt(arg=a):
-            return 1 + depth_of(a)
-    raise TypeError(f"not an Expr node: {e!r}")
+    seen: dict[int, Expr] = {}
+    for node in _post_order(e, seen):
+        seen[id(node)] = node
+    return 1 + max((n.index for n in seen.values() if isinstance(n, Var)), default=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -424,35 +452,42 @@ def to_text(e: Expr) -> str:
 def differentiate(e: Expr, i: int) -> Expr:
     """Symbolic partial derivative with respect to x_i.
 
-    The arctangent rule is d atan(a/b) = (a'b - b'a)/(a^2 + b^2).
+    The walk is iterative and memoised on node identity (the memo keeps
+    each node alive, so no id is reused), so a DAG's derivative is a DAG of
+    linear size.  The arctangent rule is d atan(a/b) = (a'b - b'a)/(a^2 + b^2).
     """
-    d = lambda sub: differentiate(sub, i)
-    match e:
-        case Const():
-            return ZERO
-        case Var(index=j):
-            return ONE if j == i else ZERO
-        case Add(left=a, right=b):
-            return make_add(d(a), d(b))
-        case Sub(left=a, right=b):
-            return make_sub(d(a), d(b))
-        case Mul(left=a, right=b):
-            return make_add(make_mul(d(a), b), make_mul(a, d(b)))
-        case Div(left=a, right=b):
-            return make_div(
-                make_sub(make_mul(d(a), b), make_mul(d(b), a)),
-                make_mul(b, b),
-            )
-        case Pow(base=u, exponent=k):
-            return make_mul(make_mul(Const(str(k)), make_pow(u, k - 1)), d(u))
-        case Sqrt(arg=u):
-            return make_div(d(u), make_mul(Const("2"), Sqrt(u)))
-        case Atan(num=a, den=b):
-            return make_div(
-                make_sub(make_mul(d(a), b), make_mul(d(b), a)),
-                make_add(make_mul(a, a), make_mul(b, b)),
-            )
-    raise TypeError(f"not an Expr node: {e!r}")
+    memo: dict[int, tuple[Expr, Expr]] = {}
+    d = lambda sub: memo[id(sub)][1]
+    for node in _post_order(e, memo):
+        match node:
+            case Const():
+                r = ZERO
+            case Var(index=j):
+                r = ONE if j == i else ZERO
+            case Add(left=a, right=b):
+                r = make_add(d(a), d(b))
+            case Sub(left=a, right=b):
+                r = make_sub(d(a), d(b))
+            case Mul(left=a, right=b):
+                r = make_add(make_mul(d(a), b), make_mul(a, d(b)))
+            case Div(left=a, right=b):
+                r = make_div(
+                    make_sub(make_mul(d(a), b), make_mul(d(b), a)),
+                    make_mul(b, b),
+                )
+            case Pow(base=u, exponent=k):
+                r = make_mul(make_mul(Const(str(k)), make_pow(u, k - 1)), d(u))
+            case Sqrt(arg=u):
+                r = make_div(d(u), make_mul(Const("2"), node))
+            case Atan(num=a, den=b):
+                r = make_div(
+                    make_sub(make_mul(d(a), b), make_mul(d(b), a)),
+                    make_add(make_mul(a, a), make_mul(b, b)),
+                )
+            case _:
+                raise TypeError(f"not an Expr node: {node!r}")
+        memo[id(node)] = (node, r)
+    return d(e)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +499,7 @@ def evaluate_numeric(e: Expr, point: Sequence[float]) -> float:
     ArithmeticError subclasses on domain violations."""
     match e:
         case Const(text=t):
-            return float(Fraction(t))
+            return iv.decimal_to_nearest_float(t)
         case Var(index=i):
             return point[i]
         case Add(left=a, right=b):
@@ -512,71 +547,86 @@ _OP_NAMES = {
     _ATAN: "atan",
 }
 
+_OPCODES = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV, Sqrt: _SQRT, Atan: _ATAN}
+
 DEFAULT_MAX_DEPTH = 500
 
 
 class Evaluator:
-    """Flat evaluation plan for one expression at a fixed arity.
+    """One flat evaluation plan for an expression at a fixed arity, and for
+    the partial derivatives the queries ask for.
 
-    Immutable after construction apart from internal memo tables for the
-    symbolic second partials (filled deterministically on first use).
+    The plan starts with f's instructions.  A first partial df/dx_i, or a
+    second partial d/dx_j(df/dx_i) with i <= j, is differentiated and its
+    missing instructions appended on first use; apart from that growth
+    (deterministic) the evaluator is immutable.
     """
 
     def __init__(self, expr: Expr, arity: Optional[int] = None,
                  max_depth: int = DEFAULT_MAX_DEPTH):
-        if arity is None:
-            arity = arity_of(expr)
-        if arity_of(expr) > arity:
-            raise CompileError(
-                f"expression uses x{arity_of(expr) - 1} but arity is {arity}"
-            )
-        if depth_of(expr) > max_depth:
-            raise CompileError(f"expression depth exceeds limit {max_depth}")
         self.expr = expr
-        self.arity = arity
-        self._max_depth = max_depth
         self.plan: list[tuple] = []
-        self._slots: dict[Expr, int] = {}
-        self._emit(expr)
-        self._first: dict[int, Expr] = {}
-        self._second: dict[tuple[int, int], "Evaluator"] = {}
+        self._args: list[tuple[int, ...]] = []         # operand slots per instruction
+        self._numbers: dict[tuple, int] = {}           # (op, operand slots) -> slot
+        self._seen: dict[int, tuple[Expr, int]] = {}   # id(node) -> (node, slot)
+        root = self._emit(expr)
+        used = 1 + max((ins[1] for ins in self.plan if ins[0] == _VAR), default=-1)
+        if arity is None:
+            arity = used
+        if used > arity:
+            raise CompileError(f"expression uses x{used - 1} but arity is {arity}")
+        depth: list[int] = []
+        for args in self._args:
+            depth.append(1 + max((depth[a] for a in args), default=0))
+        if depth[root] > max_depth:
+            raise CompileError(f"expression depth exceeds limit {max_depth}")
+        self.arity = arity
+        # derivative index: () is f, (i,) is df/dx_i, (i, j) is d/dx_j(df/dx_i)
+        self._partials: dict[tuple[int, ...], tuple[Expr, int]] = {(): (expr, root)}
+        self._schedules: dict[tuple[int, ...], list[int]] = {}
 
     # -- plan construction ----------------------------------------------
 
-    def _emit(self, e: Expr) -> int:
-        slot = self._slots.get(e)
-        if slot is not None:
-            return slot
-        match e:
-            case Const(text=t):
-                ins = (_CONST, iv.from_decimal_string(t), t)
-            case Var(index=i):
-                ins = (_VAR, i)
-            case Add(left=a, right=b):
-                ins = (_ADD, self._emit(a), self._emit(b))
-            case Sub(left=a, right=b):
-                ins = (_SUB, self._emit(a), self._emit(b))
-            case Mul(left=a, right=b):
-                ins = (_MUL, self._emit(a), self._emit(b))
-            case Div(left=a, right=b):
-                ins = (_DIV, self._emit(a), self._emit(b))
-            case Pow(base=a, exponent=k):
-                ins = (_POW, self._emit(a), k)
-            case Sqrt(arg=a):
-                ins = (_SQRT, self._emit(a))
-            case Atan(num=a, den=b):
-                ins = (_ATAN, self._emit(a), self._emit(b))
-            case _:
-                raise TypeError(f"not an Expr node: {e!r}")
-        self.plan.append(ins)
-        slot = len(self.plan) - 1
-        self._slots[e] = slot
-        return slot
+    def _emit(self, root: Expr) -> int:
+        """Append the instructions root needs that the plan lacks; return
+        root's slot."""
+        seen, numbers = self._seen, self._numbers
+        for node in _post_order(root, seen):
+            args = tuple(seen[id(k)][1] for k in _children(node))
+            match node:
+                case Const(text=t):
+                    key = (_CONST, t)
+                case Var(index=i):
+                    key = (_VAR, i)
+                case Pow(exponent=k):
+                    key = (_POW, args[0], k)
+                case Add() | Sub() | Mul() | Div() | Sqrt() | Atan():
+                    key = (_OPCODES[type(node)], *args)
+                case _:
+                    raise TypeError(f"not an Expr node: {node!r}")
+            slot = numbers.get(key)
+            if slot is None:
+                # Read a constant before numbering it: a failed read leaves no slot.
+                ins = key if key[0] != _CONST else (_CONST, iv.from_decimal_string(t), t)
+                slot = numbers[key] = len(self.plan)
+                self.plan.append(ins)
+                self._args.append(args)
+            seen[id(node)] = (node, slot)
+        return seen[id(root)][1]
+
+    def _slot(self, index: tuple[int, ...]) -> int:
+        """Slot of the partial named by index, emitted on first use."""
+        got = self._partials.get(index)
+        if got is None:
+            self._slot(index[:-1])
+            e = differentiate(self._partials[index[:-1]][0], index[-1])
+            got = self._partials[index] = (e, self._emit(e))
+        return got[1]
 
     def plan_lines(self) -> list[str]:
-        """Human-readable rendering of the evaluation plan."""
+        """Human-readable rendering of f's evaluation plan."""
         lines = []
-        for idx, ins in enumerate(self.plan):
+        for idx, ins in enumerate(self.plan[:self._partials[()][1] + 1]):
             op = _OP_NAMES[ins[0]]
             if ins[0] == _CONST:
                 lines.append(f"t{idx} = const {ins[2]}")
@@ -592,126 +642,62 @@ class Evaluator:
 
     # -- interval queries -------------------------------------------------
 
+    def _run(self, box: Sequence[Interval], outputs: tuple[int, ...]) -> list[Interval]:
+        """Evaluate over the box exactly the instructions the output slots
+        depend on, and no other; return the outputs' values."""
+        order = self._schedules.get(outputs)
+        if order is None:
+            needed = set(outputs)
+            for s in range(max(outputs, default=-1), -1, -1):
+                if s in needed:
+                    needed.update(self._args[s])
+            order = self._schedules[outputs] = sorted(needed)
+        plan = self.plan
+        vals: list = [None] * len(plan)
+        for s in order:
+            ins = plan[s]
+            op = ins[0]
+            if op == _CONST:
+                vals[s] = ins[1]
+            elif op == _VAR:
+                vals[s] = box[ins[1]]
+            elif op == _ADD:
+                vals[s] = iv.add(vals[ins[1]], vals[ins[2]])
+            elif op == _SUB:
+                vals[s] = iv.sub(vals[ins[1]], vals[ins[2]])
+            elif op == _MUL:
+                vals[s] = iv.mul(vals[ins[1]], vals[ins[2]])
+            elif op == _DIV:
+                vals[s] = iv.div(vals[ins[1]], vals[ins[2]])
+            elif op == _POW:
+                vals[s] = iv.pow_int(vals[ins[1]], ins[2])
+            elif op == _SQRT:
+                vals[s] = iv.sqrt_interval(vals[ins[1]]).interval
+            else:
+                vals[s] = iv.atan_interval(iv.div(vals[ins[1]], vals[ins[2]]))
+        return [vals[s] for s in outputs]
+
     def value(self, box: Sequence[Interval]) -> Interval:
         """Containment-sound interval enclosure of the range over the box."""
-        vals: list[Interval] = []
-        for ins in self.plan:
-            op = ins[0]
-            if op == _CONST:
-                vals.append(ins[1])
-            elif op == _VAR:
-                vals.append(box[ins[1]])
-            elif op == _ADD:
-                vals.append(iv.add(vals[ins[1]], vals[ins[2]]))
-            elif op == _SUB:
-                vals.append(iv.sub(vals[ins[1]], vals[ins[2]]))
-            elif op == _MUL:
-                vals.append(iv.mul(vals[ins[1]], vals[ins[2]]))
-            elif op == _DIV:
-                vals.append(iv.div(vals[ins[1]], vals[ins[2]]))
-            elif op == _POW:
-                vals.append(iv.pow_int(vals[ins[1]], ins[2]))
-            elif op == _SQRT:
-                vals.append(iv.sqrt_interval(vals[ins[1]]).interval)
-            else:
-                vals.append(iv.atan_interval(iv.div(vals[ins[1]], vals[ins[2]])))
-        return vals[-1]
+        return self._run(box, (self._slot(()),))[0]
 
     def germ(self, box: Sequence[Interval]) -> TaylorGerm:
-        """Forward-mode interval value-and-gradient over the box."""
-        n = self.arity
-        zeros = tuple(Interval(0.0, 0.0) for _ in range(n))
-        one = Interval(1.0, 1.0)
-        two = Interval(2.0, 2.0)
-        fs: list[Interval] = []
-        dfs: list[tuple[Interval, ...]] = []
-        for ins in self.plan:
-            op = ins[0]
-            if op == _CONST:
-                fs.append(ins[1])
-                dfs.append(zeros)
-            elif op == _VAR:
-                i = ins[1]
-                fs.append(box[i])
-                dfs.append(tuple(one if j == i else zeros[j] for j in range(n)))
-            elif op == _ADD:
-                a, b = ins[1], ins[2]
-                fs.append(iv.add(fs[a], fs[b]))
-                dfs.append(tuple(iv.add(dfs[a][j], dfs[b][j]) for j in range(n)))
-            elif op == _SUB:
-                a, b = ins[1], ins[2]
-                fs.append(iv.sub(fs[a], fs[b]))
-                dfs.append(tuple(iv.sub(dfs[a][j], dfs[b][j]) for j in range(n)))
-            elif op == _MUL:
-                a, b = ins[1], ins[2]
-                fa, fb = fs[a], fs[b]
-                fs.append(iv.mul(fa, fb))
-                dfs.append(tuple(
-                    iv.add(iv.mul(dfs[a][j], fb), iv.mul(dfs[b][j], fa))
-                    for j in range(n)
-                ))
-            elif op == _DIV:
-                a, b = ins[1], ins[2]
-                fa, fb = fs[a], fs[b]
-                fs.append(iv.div(fa, fb))
-                den = iv.mul(fb, fb)
-                dfs.append(tuple(
-                    iv.div(iv.sub(iv.mul(dfs[a][j], fb), iv.mul(dfs[b][j], fa)), den)
-                    for j in range(n)
-                ))
-            elif op == _POW:
-                a, k = ins[1], ins[2]
-                fa = fs[a]
-                fs.append(iv.pow_int(fa, k))
-                kfac = iv.mul(Interval(float(k), float(k)), iv.pow_int(fa, k - 1))
-                dfs.append(tuple(iv.mul(kfac, dfs[a][j]) for j in range(n)))
-            elif op == _SQRT:
-                a = ins[1]
-                root = iv.sqrt_interval(fs[a]).interval
-                fs.append(root)
-                den = iv.mul(two, root)
-                dfs.append(tuple(iv.div(dfs[a][j], den) for j in range(n)))
-            else:  # _ATAN: f = atan(a/b); Df = rden*(a.Df*b.f - b.Df*a.f)
-                a, b = ins[1], ins[2]
-                fa, fb = fs[a], fs[b]
-                fs.append(iv.atan_interval(iv.div(fa, fb)))
-                rden = iv.div(one, iv.add(iv.mul(fa, fa), iv.mul(fb, fb)))
-                dfs.append(tuple(
-                    iv.mul(rden, iv.sub(iv.mul(dfs[a][j], fb), iv.mul(dfs[b][j], fa)))
-                    for j in range(n)
-                ))
-        return TaylorGerm(fs[-1], dfs[-1])
-
-    # -- symbolic second partials ----------------------------------------
-
-    def _first_partial(self, i: int) -> Expr:
-        got = self._first.get(i)
-        if got is None:
-            got = differentiate(self.expr, i)
-            self._first[i] = got
-        return got
-
-    def _second_evaluator(self, i: int, j: int) -> "Evaluator":
-        key = (min(i, j), max(i, j))
-        got = self._second.get(key)
-        if got is None:
-            second = differentiate(self._first_partial(key[0]), key[1])
-            got = Evaluator(second, self.arity, max_depth=4 * self._max_depth + 16)
-            self._second[key] = got
-        return got
+        """Interval value and gradient over the box: f and every first
+        partial, evaluated together."""
+        partials = [self._slot((i,)) for i in range(self.arity)]
+        f, *df = self._run(box, (self._slot(()), *partials))
+        return TaylorGerm(f, tuple(df))
 
     def hessian_entry(self, box: Sequence[Interval], i: int, j: int) -> Interval:
         """Enclosure of the (i,j) second partial over the whole box."""
-        return self._second_evaluator(i, j).value(box)
+        return self._run(box, (self._slot((min(i, j), max(i, j))),))[0]
 
     def hessian(self, box: Sequence[Interval]) -> list[list[Interval]]:
         n = self.arity
+        index = [(i, j) for i in range(n) for j in range(i, n)]
         rows = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                h = self.hessian_entry(box, i, j)
-                rows[i][j] = h
-                rows[j][i] = h
+        for (i, j), h in zip(index, self._run(box, tuple(map(self._slot, index)))):
+            rows[i][j] = rows[j][i] = h
         return rows
 
 

@@ -62,14 +62,8 @@ class Box:
     def __getitem__(self, i: int) -> Interval:
         return self.dims[i]
 
-    def widths(self) -> tuple[float, ...]:
-        return tuple(d.width for d in self.dims)
-
     def midpoint(self) -> tuple[float, ...]:
         return tuple(d.mid for d in self.dims)
-
-    def center_box(self) -> "Box":
-        return Box(tuple(Interval.point(d.mid) for d in self.dims))
 
     def volume(self) -> float:
         v = 1.0
@@ -164,9 +158,10 @@ def taylor_upper_bound(ev: Evaluator, box: Box) -> TaylorBound:
 
 
 def partial_signs(ev: Evaluator, box: Box) -> Optional[list[PartialSign]]:
-    """Certified signs of all first partials over the box from one forward-mode
-    germ, or None if that fails.  A germ certifies f smooth on the box: every
-    denominator (atan's too) excludes zero and every sqrt argument is positive."""
+    """Certified signs of all first partials over the box from one
+    whole-cell germ, or None if that fails.  A germ that succeeds has
+    evaluated f and every first partial over the box, so each denominator
+    they contain (atan's too) excludes zero."""
     try:
         germ = ev.germ(box.dims)
     except _EVAL_ERRORS:

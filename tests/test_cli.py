@@ -1,7 +1,11 @@
 import re
 from pathlib import Path
 
+import pytest
+
 from rigorkit import cli
+from rigorkit import expr as ex
+from rigorkit.interval import Interval
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -56,16 +60,55 @@ def test_missing_file_exits_two(capsys):
     assert code == 2
 
 
-def test_internal_error_exits_three(tmp_path, capsys):
-    # 200 nested products exhaust the recursion limit in differentiation;
-    # an uncaught exception would exit 1, which reads as "undecided".
-    task = tmp_path / "deep.ineq"
-    task.write_text("arity 1\nexpr " + "*".join(["x0"] * 200) + " - 2\n"
-                    "domain x0 0..1\n")
-    code, _, err = run(["prove", "--task", str(task)], capsys)
+def test_internal_error_exits_three(tmp_path, capsys, monkeypatch):
+    # an uncaught exception would exit 1, which reads as "undecided"
+    def broken(task, cfg):
+        raise RuntimeError("broken prover")
+
+    monkeypatch.setattr(cli, "prove_negative", broken)
+    code, _, err = run(["prove", "--task", str(PROBLEMS / "six_squares.ineq")], capsys)
     assert code == 3
-    assert err.startswith("error: internal: RecursionError: ")
+    assert err.startswith("error: internal: RuntimeError: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k", [200, 499])
+def test_deep_product_proves_with_a_linear_plan(tmp_path, capsys, k):
+    # x0*...*x0 - 2 with k factors has depth k + 1
+    text = "*".join(["x0"] * k) + " - 2"
+    task = tmp_path / "deep.ineq"
+    task.write_text(f"arity 1\nexpr {text}\ndomain x0 0..1\n")
+    assert run(["prove", "--task", str(task)], capsys)[0] == 0
+    ev = ex.compile_expr(ex.parse(text, 1), 1)
+    box = [Interval(0.0, 1.0)]
+    ev.germ(box)
+    ev.hessian_entry(box, 0, 0)
+    assert len(ev.plan) <= 8 * k
+
+
+def test_far_exponent_literal_proves_promptly(tmp_path):
+    # 1e-999999999 reads as [0, 5e-324]; folding constants in the
+    # derivatives must not build 10**999999999 either
+    import subprocess
+    import sys
+    task = tmp_path / "far.ineq"
+    task.write_text("arity 1\nexpr x0*1e-999999999 - 1\ndomain x0 0..1\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "rigorkit.cli", "prove", "--task", str(task)],
+        capture_output=True, text=True, cwd=str(ROOT), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "status: proven" in proc.stdout
+
+
+@pytest.mark.parametrize("text", ["1e300*x0*1e300 - 1", "x0 + pow(2, 100000000) - 1"])
+def test_constants_past_binary64_fail_as_intervals(tmp_path, capsys, text):
+    # derivatives fold these into integers past binary64; the folds must not
+    # become constants the plan cannot read (exit 2) or cannot print
+    task = tmp_path / "big.ineq"
+    task.write_text(f"arity 1\nexpr {text}\ndomain x0 0..1\n")
+    code, out, _ = run(["prove", "--task", str(task)], capsys)
+    assert code == 1
+    assert "status: evaluation_failure" in out
 
 
 def test_reports_reproducible(tmp_path, capsys):

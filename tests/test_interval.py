@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,23 @@ def test_atan_endpoint_ordering_against_high_precision():
         mid_ref = float(mp_atan(I(lo, hi).mid))
         assert r.lo <= mid_ref <= r.hi
         assert float(mp_atan(lo)) >= r.lo and float(mp_atan(hi)) <= r.hi
+
+
+def test_atan_within_one_ulp_against_mpmath():
+    # atan_interval trusts libm math.atan to within 1 ulp and widens each
+    # endpoint by 2 ulps; this pins that platform assumption.
+    import mpmath
+    tiny = 5e-324
+    xs = [0.0, tiny, 2 * tiny, 2.2250738585072009e-308, 2.2250738585072014e-308,
+          1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0),
+          sys.float_info.max] + [2.0**k for k in range(-1074, 1001)]
+    with mpmath.workdps(60):
+        for x in xs + [-x for x in xs]:
+            exact = mpmath.atan(mpmath.mpf(x))
+            y = math.atan(x)
+            assert abs(mpmath.mpf(y) - exact) <= math.ulp(y), x
+            r = iv.atan_interval(I.point(x))
+            assert mpmath.mpf(r.lo) <= exact <= mpmath.mpf(r.hi), x
 
 
 def test_sqrt_examples():
