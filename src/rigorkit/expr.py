@@ -139,7 +139,7 @@ def _as_int(e: Expr) -> Optional[int]:
     digits = body.rstrip("0")
     if not digits:
         return 0
-    scale = int(exp or "0") - len(frac) + len(body) - len(digits)
+    scale = iv._decimal_exponent(exp) - len(frac) + len(body) - len(digits)
     # |value| >= 10**(len(digits) + scale - 1), as in interval._round_decimal
     if scale < 0 or len(digits) + scale > 310:
         return None
@@ -256,6 +256,7 @@ def arity_of(e: Expr) -> int:
 # ---------------------------------------------------------------------------
 
 _FUNCTIONS = ("sqrt", "atan", "pow")
+_FLOAT_MAX = int(1.7976931348623157e308)
 _NUMBER_RE = re.compile(r"\d*(?:\.\d*)?(?:[eE][+-]?\d+)?")
 
 
@@ -389,8 +390,14 @@ class _Parser:
             raise ParseError(
                 f"pow exponent must be an integer literal at offset {kpos}", position=kpos
             )
+        # The digit count bounds the magnitude before int() reads the text.
+        digits = num.lstrip("0") or "0"
+        if len(digits) > 309 or int(digits) > _FLOAT_MAX:
+            raise ParseError(
+                f"pow exponent overflows binary64 at offset {kpos}", position=kpos
+            )
         self.expect(")")
-        return Pow(first, sign * int(num))
+        return Pow(first, sign * int(digits))
 
     def expect(self, ch: str):
         if self.tz.peek() != ch:

@@ -19,13 +19,16 @@ has k edges is reached from the k-gon seed, so seeds honour the
 largest-initial-polygon rule via a cheap terminal filter.
 
 Generation deduplicates at every level with a canonical form that is
-invariant under embedding-preserving isomorphism including reflection,
-and includes the face attributes.
+invariant under embedding-preserving isomorphism and includes the face
+attributes.  Reflection is included for undecorated graphs only: under
+reflection the form reads the attribute of the face across an edge, so a
+decorated state and its mirror image can get different forms and states
+that are not isomorphic can share one (see _face_flags).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 __all__ = [
@@ -55,28 +58,29 @@ def _canon_cycle(cycle: list[Dart]) -> FaceKey:
 
 
 def _faces_of_rotation(rot: Sequence[Sequence[int]]) -> list[FaceKey]:
-    index = {}
-    for u, nbrs in enumerate(rot):
-        for pos, v in enumerate(nbrs):
-            index[(u, v)] = pos
-    seen = set()
+    # next(a, b) = (b, w), w immediately preceding a in the rotation at b
+    nxt = {}
+    for b, nbrs in enumerate(rot):
+        for i, a in enumerate(nbrs):
+            nxt[a, b] = (b, nbrs[i - 1])
     faces = []
-    for u in range(len(rot)):
-        for v in rot[u]:
-            start = (u, v)
-            if start in seen:
-                continue
+    for u, nbrs in enumerate(rot):
+        for v in nbrs:
+            cur = (u, v)
             cycle = []
-            cur = start
-            while cur not in seen:
-                seen.add(cur)
+            while cur in nxt:  # a traced dart leaves nxt
                 cycle.append(cur)
-                a, b = cur
-                nbrs = rot[b]
-                w = nbrs[(index[(b, a)] - 1) % len(nbrs)]
-                cur = (b, w)
-            faces.append(_canon_cycle(cycle))
+                cur = nxt.pop(cur)
+            if cycle:
+                faces.append(_canon_cycle(cycle))
     return faces
+
+
+def _check_modifiable(faces: Sequence[FaceKey], modifiable: frozenset) -> None:
+    face_set = set(faces)
+    for key in modifiable:
+        if key not in face_set:
+            raise ValueError(f"modifiable face {key} is not a face")
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,10 +90,12 @@ class DecoratedGraph:
     rot[v] is the cyclic neighbour order at vertex v; modifiable_faces is
     the set of face keys (canonical dart cycles) still open to
     refinement.  All derived structure (faces, Euler check, simplicity)
-    is validated at construction."""
+    is validated at construction; the faces are traced once, there, and
+    kept in _faces (trace order) outside equality, hashing and repr."""
 
     rot: tuple[tuple[int, ...], ...]
     modifiable_faces: frozenset
+    _faces: tuple[FaceKey, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rot = self.rot
@@ -109,7 +115,7 @@ class DecoratedGraph:
         for (u, v) in seen_edges:
             if (v, u) not in seen_edges:
                 raise ValueError(f"dart ({u},{v}) lacks its reverse")
-        faces = _faces_of_rotation(rot)
+        faces = tuple(_faces_of_rotation(rot))
         ne = len(seen_edges) // 2
         if nv - ne + len(faces) != 2:
             raise ValueError(
@@ -120,10 +126,18 @@ class DecoratedGraph:
             verts = [d[0] for d in f]
             if len(set(verts)) != len(verts):
                 raise ValueError(f"face {f} is not a simple polygon")
-        face_set = set(faces)
-        for key in self.modifiable_faces:
-            if key not in face_set:
-                raise ValueError(f"modifiable face {key} is not a face")
+        _check_modifiable(faces, self.modifiable_faces)
+        object.__setattr__(self, "_faces", faces)
+
+    def _with_modifiable(self, modifiable: frozenset) -> DecoratedGraph:
+        """The same rotation with another set of modifiable faces, checked
+        against this graph's traced faces instead of tracing them again."""
+        _check_modifiable(self._faces, modifiable)
+        g = object.__new__(DecoratedGraph)
+        object.__setattr__(g, "rot", self.rot)
+        object.__setattr__(g, "modifiable_faces", modifiable)
+        object.__setattr__(g, "_faces", self._faces)
+        return g
 
     # -- derived structure ------------------------------------------------
 
@@ -136,16 +150,16 @@ class DecoratedGraph:
         return sum(len(nbrs) for nbrs in self.rot) // 2
 
     def faces(self) -> list[FaceKey]:
-        return sorted(_faces_of_rotation(self.rot))
+        return sorted(self._faces)
 
     def face_sizes(self) -> list[int]:
-        return sorted(len(f) for f in _faces_of_rotation(self.rot))
+        return sorted(len(f) for f in self._faces)
 
     def degrees(self) -> list[int]:
         return [len(nbrs) for nbrs in self.rot]
 
     def unmodifiable_faces(self) -> list[FaceKey]:
-        return sorted(set(_faces_of_rotation(self.rot)) - self.modifiable_faces)
+        return sorted(set(self._faces) - self.modifiable_faces)
 
     @property
     def is_terminal(self) -> bool:
@@ -165,9 +179,7 @@ def seed_graph(k: int) -> DecoratedGraph:
     if k < 3:
         raise ValueError("polygon seeds need k >= 3")
     rot = tuple(((i - 1) % k, (i + 1) % k) for i in range(k))
-    faces = _faces_of_rotation(rot)
-    assert len(faces) == 2
-    inner = next(f for f in faces if (0, 1) in f)
+    inner = _canon_cycle([(i, (i + 1) % k) for i in range(k)])
     return DecoratedGraph(rot, frozenset([inner]))
 
 
@@ -270,10 +282,10 @@ def apply_step(g: DecoratedGraph, step: RefinementStep) -> DecoratedGraph:
     if len(step.news) != len(keep) - 1:
         raise ValueError(f"step has {len(step.news)} gaps, expected {len(keep) - 1}")
 
-    old_faces = set(_faces_of_rotation(g.rot))
+    old_faces = set(g._faces)
     if len(keep) == k and sum(step.news) == 0:
         # attribute flip
-        return DecoratedGraph(g.rot, g.modifiable_faces - {face})
+        return g._with_modifiable(g.modifiable_faces - {face})
 
     nv = g.n_vertices
     rot = [list(nbrs) for nbrs in g.rot]
@@ -296,7 +308,6 @@ def apply_step(g: DecoratedGraph, step: RefinementStep) -> DecoratedGraph:
     for v in new_ids:
         rot.append([])
 
-    pos_in_keep = {bverts[idx]: idx for idx in keep}
     succ = {bverts[i]: bverts[(i + 1) % k] for i in range(k)}
     pred = {bverts[i]: bverts[(i - 1) % k] for i in range(k)}
 
@@ -316,9 +327,9 @@ def apply_step(g: DecoratedGraph, step: RefinementStep) -> DecoratedGraph:
         at = rot[vert].index(pred[vert])
         rot[vert][at:at] = inserts
 
-    rot_t = tuple(tuple(nbrs) for nbrs in rot)
+    child = DecoratedGraph(tuple(tuple(nbrs) for nbrs in rot), frozenset())
+    new_faces = child._faces
     q_key = None
-    new_faces = _faces_of_rotation(rot_t)
     qset = set(qcycle)
     for f in new_faces:
         fverts = [d[0] for d in f]
@@ -332,7 +343,7 @@ def apply_step(g: DecoratedGraph, step: RefinementStep) -> DecoratedGraph:
     if not kept_unmod <= survivors:
         raise AssertionError("refinement disturbed an unmodifiable face")
     modifiable = survivors - kept_unmod - {q_key}
-    return DecoratedGraph(rot_t, frozenset(modifiable))
+    return child._with_modifiable(frozenset(modifiable))
 
 
 def refinements_with_steps(g: DecoratedGraph, n_max: int) -> list[tuple[RefinementStep, DecoratedGraph]]:
@@ -365,67 +376,100 @@ def replay_path(path: Sequence) -> DecoratedGraph:
 # Canonical form
 # ---------------------------------------------------------------------------
 
-def _encode_from(rot: Sequence[Sequence[int]], start: Dart, mirror: bool) -> tuple[str, dict]:
+def _encode_from(rot: Sequence[Sequence[int]], start: Dart, mirror: bool,
+                 bound: Optional[str] = None) -> Optional[tuple[str, dict]]:
     """Breadth-first canonical labelling from a root dart; returns the
-    encoding and the old->new label map."""
+    encoding and the old->new label map.
+
+    With a bound (the least candidate string so far), returns None as soon
+    as the encoding's prefix sorts after the bound's prefix of the same
+    length: every string with that prefix sorts after the bound, so the
+    candidate cannot win.  Once a prefix sorts before the bound's, no
+    further comparison is made."""
     label = {start[0]: 0}
     order = [start[0]]
-    first_nbr = {start[0]: start[1]}
+    anchors = [start[1]]  # per labelled vertex, the neighbour its row starts at
     out = []
-    qi = 0
-    while qi < len(order):
-        u = order[qi]
-        qi += 1
+    pos = 0 if bound is not None else -1  # prefix length equal to bound's; -1: decided
+    for u, anchor in zip(order, anchors):  # both grow while they are walked
         nbrs = rot[u]
-        deg = len(nbrs)
-        anchor = first_nbr[u]
         ai = nbrs.index(anchor)
-        seq = [nbrs[(ai + (-(t) if mirror else t)) % deg] for t in range(deg)]
+        seq = nbrs[ai::-1] + nbrs[:ai:-1] if mirror else nbrs[ai:] + nbrs[:ai]
         row = []
         for v in seq:
-            if v not in label:
-                label[v] = len(order)
+            lv = label.get(v)
+            if lv is None:
+                lv = label[v] = len(order)
                 order.append(v)
-                first_nbr[v] = u
-            row.append(label[v])
-        out.append(str(deg) + ":" + ",".join(map(str, row)))
+                anchors.append(u)
+            row.append(lv)
+        piece = str(len(nbrs)) + ":" + ",".join(map(str, row))
+        if out:
+            piece = ";" + piece
+        if pos >= 0:
+            ref = bound[pos:pos + len(piece)]
+            if piece > ref:
+                return None
+            pos = pos + len(piece) if piece == ref else -1
+        out.append(piece)
     if len(order) != len(rot):
         raise ValueError("graph is not connected")
-    return ";".join(out), label
+    return "".join(out), label
+
+
+def _root_row(deg: int) -> str:
+    # The first row of every encoding rooted at a vertex of this degree:
+    # the root's neighbours are labelled 1..deg in rotation order.
+    return str(deg) + ":" + ",".join(map(str, range(1, deg + 1)))
+
+
+def _face_flags(g: DecoratedGraph, flag_of: dict, label: dict, mirror: bool) -> str:
+    """Attribute flags of the relabelled faces in order of their least
+    relabelled dart, read from the cached trace.  A reflection reverses
+    every face, so a dart (a, b) becomes (label[b], label[a])."""
+    keyed = []
+    for f in g._faces:
+        if mirror:
+            key, a, b = min(((label[b], label[a]), a, b) for a, b in f)
+            # Known defect, kept so canonical strings stay as they are: this is
+            # the flag of the face across edge ab, not of f, so a decorated
+            # graph and its mirror image can get different forms
+            # (test_decorated_reflection_invariance).
+            keyed.append((key, flag_of[b, a]))
+        else:
+            keyed.append((min((label[a], label[b]) for a, b in f), flag_of[f[0]]))
+    keyed.sort()
+    return "".join(flag for _key, flag in keyed)
 
 
 def canonical_form(g: DecoratedGraph) -> str:
-    """Label string invariant under embedding-preserving isomorphism,
-    including reflection, and sensitive to face attributes: the
-    lexicographic minimum over all starting darts and both orientations
-    of a rotation-order traversal encoding plus the attribute flags."""
-    faces = _faces_of_rotation(g.rot)
-    dart_face = {}
-    for fi, f in enumerate(faces):
-        for d in f:
-            dart_face[d] = fi
-    flags = ["M" if f in g.modifiable_faces else "U" for f in faces]
+    """Label string invariant under embedding-preserving isomorphism and
+    sensitive to face attributes: the lexicographic minimum over all
+    starting darts and both orientations of a rotation-order traversal
+    encoding plus the attribute flags.  Reflection is included for
+    undecorated graphs only (see _face_flags).
 
+    Only roots whose first row ("<deg>:1,...,<deg>", compared as a string)
+    is the least can win, so other roots are skipped.  Each encoding is
+    abandoned as soon as its prefix sorts after the best candidate so far,
+    and face flags are read from the faces traced at construction."""
+    flag_of = {}
+    for f in g._faces:
+        flag = "M" if f in g.modifiable_faces else "U"
+        for d in f:
+            flag_of[d] = flag
+    root_deg = min({len(nbrs) for nbrs in g.rot}, key=_root_row)
     best = None
-    for u in range(g.n_vertices):
-        for v in g.rot[u]:
+    for u, nbrs in enumerate(g.rot):
+        if len(nbrs) != root_deg:
+            continue
+        for v in nbrs:
             for mirror in (False, True):
-                enc, label = _encode_from(g.rot, (u, v), mirror)
-                inv = {new: old for old, new in label.items()}
-                relabeled_rot = []
-                for new in range(g.n_vertices):
-                    old = inv[new]
-                    nbrs = [label[w] for w in g.rot[old]]
-                    if mirror:
-                        nbrs = nbrs[::-1]
-                    relabeled_rot.append(tuple(nbrs))
-                rel_faces = _faces_of_rotation(relabeled_rot)
-                attr = []
-                for f in sorted(rel_faces):
-                    a, b = f[0]
-                    orig = (inv[a], inv[b])
-                    attr.append(flags[dart_face[orig]])
-                cand = enc + "|" + "".join(attr)
+                found = _encode_from(g.rot, (u, v), mirror, best)
+                if found is None:
+                    continue
+                enc, label = found
+                cand = enc + "|" + _face_flags(g, flag_of, label, mirror)
                 if best is None or cand < best:
                     best = cand
     return best
@@ -487,7 +531,7 @@ def generate(cfg: GeneratorConfig) -> GenerationResult:
         g, seed_k, path = stack.pop()
         states += 1
         if g.is_terminal:
-            if max(len(f) for f in _faces_of_rotation(g.rot)) > seed_k:
+            if max(len(f) for f in g._faces) > seed_k:
                 continue
             canon = canonical_form(g)
             if canon not in terminals:
@@ -554,7 +598,7 @@ def compile_prune_spec(spec: str) -> Callable[[DecoratedGraph], bool]:
                     return False
         if max_degree is not None and any(d > max_degree for d in g.degrees()):
             return False
-        if max_faces is not None and len(_faces_of_rotation(g.rot)) > max_faces:
+        if max_faces is not None and len(g._faces) > max_faces:
             return False
         if triangulation and g.is_terminal and any(d < 3 for d in g.degrees()):
             return False

@@ -470,33 +470,60 @@ def hull(a: Interval, b: Interval) -> Interval:
 _DECIMAL_RE = re.compile(r"^([+-]?)(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?$")
 
 
+def _decimal_exponent(exp: str) -> int:
+    """The exponent field of a decimal numeral ("" reads as 0), clamped to
+    +-10**18.  Past that bound the exponent's sign alone decides the
+    magnitude of any numeral short enough to hold in memory, and int()
+    refuses strings of more than 4300 digits."""
+    sign = -1 if exp.startswith("-") else 1
+    digits = exp.lstrip("+-").lstrip("0") or "0"
+    return sign * (10**18 if len(digits) > 18 else int(digits))
+
+
+# Correct rounding needs at most 768 significant digits (binary64 values and
+# the midpoints between them have no more); the digits past these are
+# replaced by one sticky digit that is nonzero when any of them is.
+_KEPT_DIGITS = 800
+
+
 def _round_decimal(s: str) -> tuple[float, int]:
     """A decimal numeral rounded to the nearest binary64 value (ties to even)
     by one exact integer division, and the sign of (exact value - result).
-    Exponents far outside binary64 are decided before any power of ten is built."""
+    The magnitude is decided from the digit count and the exponent before
+    any integer is built, so far exponents and long numerals cost no more
+    than short ones."""
     m = _DECIMAL_RE.match(s.strip())
     if not m:
-        raise ParseError(f"invalid decimal numeral {s!r}")
+        raise ParseError(f"invalid decimal numeral {_excerpt(s)!r}")
     sign, whole, frac, exp = m.groups(default="")
-    digits = int(sign + whole + frac)
-    if digits == 0:
+    body = (whole + frac).lstrip("0")
+    if not body:
         return 0.0, 0
-    scale = int(exp or "0") - len(frac)
-    # 10**(mag - 1) < |value| < 10**(mag + 1)
-    mag = scale + abs(digits).bit_length() * 30103 // 100000
+    scale = _decimal_exponent(exp) - len(frac)
+    # 10**(mag - 1) <= |value| < 10**mag
+    mag = scale + len(body)
     if mag > 310:
-        raise ParseError(f"decimal numeral {s!r} overflows binary64")
+        raise ParseError(f"decimal numeral {_excerpt(s)!r} overflows binary64")
     if mag < -330:
         # Below half the smallest subnormal: rounds to a signed zero.
-        return (-0.0, -1) if digits < 0 else (0.0, 1)
+        return (-0.0, -1) if sign == "-" else (0.0, 1)
+    if len(body) > _KEPT_DIGITS:
+        sticky = "1" if body[_KEPT_DIGITS:].strip("0") else "0"
+        scale += len(body) - _KEPT_DIGITS - 1
+        body = body[:_KEPT_DIGITS] + sticky
+    digits = int(sign + body)
     num, den = (digits * 10 ** scale, 1) if scale >= 0 else (digits, 10 ** -scale)
     try:
         f = num / den
     except OverflowError:
-        raise ParseError(f"decimal numeral {s!r} overflows binary64") from None
+        raise ParseError(f"decimal numeral {_excerpt(s)!r} overflows binary64") from None
     fn, fd = f.as_integer_ratio()
     err = num * fd - fn * den
     return f, (err > 0) - (err < 0)
+
+
+def _excerpt(s: str) -> str:
+    return s if len(s) <= 60 else f"{s[:40]}...({len(s)} characters)"
 
 
 def from_decimal_string(s: str) -> Interval:

@@ -97,7 +97,10 @@ def index(token: str) -> int:
     """A non-negative integer in plain digits."""
     if not (token.isascii() and token.isdigit()):
         raise ValueError(f"expected a non-negative index, got {token!r}")
-    return int(token)
+    digits = token.lstrip("0") or "0"
+    if len(digits) > 18:  # decided before int() reads the text
+        raise ValueError(f"index of {len(digits)} digits is too large")
+    return int(digits)
 
 
 def dense_rows(entries: Mapping[tuple[int, int], float], rhs: Mapping[int, float],

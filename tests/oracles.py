@@ -307,6 +307,63 @@ def _oracle_faces(rot):
     return faces
 
 
+def _oracle_canon_cycle(cycle):
+    i = cycle.index(min(cycle))
+    return tuple(cycle[i:] + cycle[:i])
+
+
+def _oracle_encode(rot, start, mirror):
+    label = {start[0]: 0}
+    order = [start[0]]
+    first_nbr = {start[0]: start[1]}
+    rows = []
+    qi = 0
+    while qi < len(order):
+        u = order[qi]
+        qi += 1
+        nbrs = rot[u]
+        deg = len(nbrs)
+        ai = nbrs.index(first_nbr[u])
+        row = []
+        for t in range(deg):
+            v = nbrs[(ai - t if mirror else ai + t) % deg]
+            if v not in label:
+                label[v] = len(order)
+                order.append(v)
+                first_nbr[v] = u
+            row.append(label[v])
+        rows.append(str(deg) + ":" + ",".join(map(str, row)))
+    return ";".join(rows), label
+
+
+def reference_canonical_form(g) -> str:
+    """graphgen.canonical_form as it was first written: for every start dart
+    and orientation, relabel the rotation system, re-trace all of its faces
+    and read each face's attribute at the original dart behind the face's
+    least relabelled dart.  Slow (every face traced 4E times), kept as the
+    exactness reference for the library's incremental version."""
+    faces = [_oracle_canon_cycle(f) for f in _oracle_faces(g.rot)]
+    dart_face = {d: fi for fi, f in enumerate(faces) for d in f}
+    flags = ["M" if f in g.modifiable_faces else "U" for f in faces]
+    best = None
+    for u in range(len(g.rot)):
+        for v in g.rot[u]:
+            for mirror in (False, True):
+                enc, label = _oracle_encode(g.rot, (u, v), mirror)
+                inv = {new: old for old, new in label.items()}
+                relabeled = []
+                for new in range(len(g.rot)):
+                    nbrs = [label[w] for w in g.rot[inv[new]]]
+                    relabeled.append(nbrs[::-1] if mirror else nbrs)
+                rel_faces = sorted(_oracle_canon_cycle(f) for f in _oracle_faces(relabeled))
+                attr = "".join(flags[dart_face[(inv[f[0][0]], inv[f[0][1]])]]
+                               for f in rel_faces)
+                cand = enc + "|" + attr
+                if best is None or cand < best:
+                    best = cand
+    return best
+
+
 def _connected(adj, v):
     seen = {0}
     stack = [0]

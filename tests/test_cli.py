@@ -5,6 +5,7 @@ import pytest
 
 from rigorkit import cli
 from rigorkit import expr as ex
+from rigorkit.errors import ParseError
 from rigorkit.interval import Interval
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -286,3 +287,48 @@ def test_cross_process_reports_identical(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outs.append(strip_wall_time(rpt.read_text()))
     assert outs[0] == outs[1]
+
+
+def one_variable_task(expr_text: str, domain: str = "0.5..0.9") -> str:
+    return f"arity 1\nexpr {expr_text}\ndomain x0 {domain}\n"
+
+
+@pytest.mark.parametrize("exponent", ["1" + "0" * 400, "1" + "0" * 5000,
+                                      "0" * 5000 + "1" + "0" * 309,
+                                      str(int(1.7976931348623157e308) + 1)],
+                         ids=["400-zeros", "5000-zeros", "leading-zeros", "max-plus-one"])
+def test_pow_exponent_past_binary64_is_rejected_when_read(tmp_path, capsys, exponent):
+    text = one_variable_task(f"pow(x0, {exponent}) - 2")
+    with pytest.raises(ParseError, match="line 2: pow exponent overflows binary64 at offset 8"):
+        cli.parse_task_file(text)
+    task = tmp_path / "pow.ineq"
+    task.write_text(text)
+    code, out, err = run(["prove", "--task", str(task)], capsys)
+    assert code == 2 and not out
+    assert err.strip() == "error: line 2: pow exponent overflows binary64 at offset 8"
+
+
+def test_pow_exponent_at_binary64_limit_is_read():
+    top = int(1.7976931348623157e308)
+    task = cli.parse_task_file(one_variable_task(f"pow(x0, -{top}) - 2"))
+    assert task.expr.left.exponent == -top
+
+
+@pytest.mark.parametrize("text", [one_variable_task("x0 - 1" + "0" * 5000),
+                                  one_variable_task("x0 - 1e1" + "0" * 5000),
+                                  one_variable_task("x0 - 2", "0.5..1" + "0" * 5000)],
+                         ids=["constant", "exponent", "domain"])
+def test_long_numerals_overflow_binary64(tmp_path, capsys, text):
+    task = tmp_path / "long.ineq"
+    task.write_text(text)
+    code, out, err = run(["prove", "--task", str(task)], capsys)
+    assert code == 2 and not out
+    assert "overflows binary64" in err and "digits" not in err
+    assert len(err) < 200
+
+
+def test_long_domain_numeral_fails_when_read():
+    with pytest.raises(ParseError, match="line 3: decimal numeral .* overflows binary64"):
+        cli.parse_task_file(one_variable_task("x0 - 2", "0.5..1" + "0" * 5000))
+    with pytest.raises(ParseError, match="line 1: index of 5001 digits is too large"):
+        cli.parse_task_file("arity 1" + "0" * 5000 + "\nexpr x0\ndomain x0 0..1\n")

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from fractions import Fraction
 
@@ -140,6 +141,33 @@ def test_decimal_exponents_far_outside_binary64():
         iv.from_decimal_string("1e999999999")
     assert iv.from_decimal_string("1e-999999999") == I(0.0, 5e-324)
     assert iv.from_decimal_string("-1e-999999999") == I(-5e-324, 0.0)
+
+
+def test_long_decimal_numerals_are_decided_from_their_digit_count():
+    # Past 4300 digits int() refuses the text; the magnitude is decided first.
+    with pytest.raises(ParseError, match="overflows binary64"):
+        iv.from_decimal_string("1" + "0" * 5000)
+    with pytest.raises(ParseError, match="overflows binary64"):
+        iv.from_decimal_string("1e1" + "0" * 5000)
+    assert iv.from_decimal_string("1e-1" + "0" * 5000) == I(0.0, 5e-324)
+    assert iv.from_decimal_string("-0." + "0" * 5000 + "1") == I(-5e-324, 0.0)
+    assert iv.from_decimal_string("0" * 5000 + "2.5e0" + "0" * 5000) == I(2.5, 2.5)
+
+
+def test_long_decimal_numerals_round_correctly():
+    from decimal import Decimal
+    rng = random.Random(8)
+    tie = "9007199254740993"  # halfway between two binary64 integers
+    cases = [tie + "." + "0" * 5000, tie + "." + "0" * 5000 + "1",
+             "-" + tie + "0" * 4990 + "e-4990", "0.5" + "0" * 5000 + "1"]
+    for _ in range(40):
+        digits = "".join(rng.choice("0123456789") for _ in range(rng.randrange(700, 6000)))
+        cases.append(f"{digits[:1]}.{digits[1:]}e{rng.randrange(-320, 300)}")
+    for s in cases:
+        assert iv.decimal_to_nearest_float(s) == float(s), s[:40]
+        enc = iv.from_decimal_string(s)
+        assert Decimal(enc.lo) <= Decimal(s) <= Decimal(enc.hi)
+        assert enc.is_point or iv.next_up(enc.lo) == enc.hi
 
 
 @given(st.from_regex(r"\A[+-]?([0-9]{1,25}(\.[0-9]{0,25})?|\.[0-9]{1,25})"
