@@ -17,7 +17,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import __version__
 from . import assembly as asm
@@ -59,20 +59,23 @@ class RunManifest:
         return out
 
 
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def write_report(path: Optional[str], manifest: RunManifest,
-                 body: Sequence[tuple[str, str]]) -> str:
-    lines = manifest.lines()
-    lines.append("---")
-    for key, val in body:
-        lines.append(f"{key}: {val}")
-    text = "\n".join(lines) + "\n"
-    if path:
-        Path(path).write_text(text)
+def _read(path: str, digests: list[tuple[str, str]]) -> str:
+    """Read an input file and record its digest for the report header."""
+    text = Path(path).read_text()
+    digests.append((Path(path).name, hashlib.sha256(text.encode()).hexdigest()))
     return text
+
+
+def _report(args, digests: Sequence[tuple[str, str]],
+            config: Sequence[tuple[str, str]], body: Sequence[tuple[str, str]],
+            wall: float = 0.0) -> None:
+    """Write the report to --report, if given, and to stdout."""
+    manifest = RunManifest(args.command, tuple(digests), tuple(config), wall)
+    lines = [*manifest.lines(), "---", *(f"{key}: {val}" for key, val in body)]
+    text = "\n".join(lines) + "\n"
+    if args.report:
+        Path(args.report).write_text(text)
+    sys.stdout.write(text)
 
 
 def parse_report(text: str) -> tuple[dict, list[tuple[str, str]]]:
@@ -146,147 +149,115 @@ def format_task_file(task: ProofTask) -> str:
 # ---------------------------------------------------------------------------
 
 def _cells_rows(label: str, cells) -> list[tuple[str, str]]:
-    rows = []
-    for cell in cells:
-        rows.append((label, " ".join(iv.format_interval_literal(d) for d in cell.dims)))
-    return rows
+    return [(label, " ".join(iv.format_interval_literal(d) for d in cell.dims))
+            for cell in cells]
 
 
 def _cmd_prove(args) -> int:
-    text = Path(args.task).read_text()
-    task = parse_task_file(text)
+    digests: list[tuple[str, str]] = []
+    task = parse_task_file(_read(args.task, digests))
     cfg = ProverConfig(max_cells=args.max_cells, max_depth=args.max_depth,
                        min_width=args.min_width)
     t0 = time.perf_counter()
     report = prove_negative(task, cfg)
     wall = time.perf_counter() - t0
-    manifest = RunManifest(
-        "prove",
-        ((Path(args.task).name, _digest(text)),),
-        (("max_cells", str(cfg.max_cells)), ("max_depth", str(cfg.max_depth)),
-         ("min_width", repr(cfg.min_width)), ("seed", str(args.seed))),
-        wall)
-    body: list[tuple[str, str]] = [
+    body = [
         ("status", report.status.value),
         ("cells_processed", str(report.cells_processed)),
         ("max_depth_reached", str(report.max_depth_reached)),
         ("best_upper_bound_seen", repr(report.best_upper_bound_seen)),
+        *_cells_rows("undecided_cell", report.undecided_cells),
+        *_cells_rows("failed_cell", report.failed_cells),
     ]
-    body += _cells_rows("undecided_cell", report.undecided_cells)
-    body += _cells_rows("failed_cell", report.failed_cells)
-    text_out = write_report(args.report, manifest, body)
-    sys.stdout.write(text_out)
+    _report(args, digests,
+            (("max_cells", str(cfg.max_cells)), ("max_depth", str(cfg.max_depth)),
+             ("min_width", repr(cfg.min_width)), ("seed", str(args.seed))),
+            body, wall)
     return EXIT_OK if report.status is ProofStatus.PROVEN else EXIT_NEGATIVE
 
 
 def _cmd_lp_certify(args) -> int:
-    ptext = Path(args.problem).read_text()
-    problem = lpmod.problem_from_text(ptext)
-    digests = [(Path(args.problem).name, _digest(ptext))]
+    digests: list[tuple[str, str]] = []
+    problem = lpmod.problem_from_text(_read(args.problem, digests))
     if args.solve:
         try:
             _, (y_raw, z_raw), _ = lpmod.solve_approx(problem)
-        except NoProgress as exc:
+        except NoProgress:
             if not args.dual:
                 raise
-            y_raw, z_raw = lpmod.dual_from_text(Path(args.dual).read_text())
+            y_raw, z_raw = lpmod.dual_from_text(_read(args.dual, digests))
     elif args.dual:
-        dtext = Path(args.dual).read_text()
-        digests.append((Path(args.dual).name, _digest(dtext)))
-        y_raw, z_raw = lpmod.dual_from_text(dtext)
+        y_raw, z_raw = lpmod.dual_from_text(_read(args.dual, digests))
     else:
         raise ParseError("need --dual FILE or --solve")
     dual = lpmod.clamp_dual(y_raw, z_raw)
     t0 = time.perf_counter()
     cert = lpmod.certify_upper_bound(problem, dual)
     wall = time.perf_counter() - t0
-    manifest = RunManifest(
-        "lp-certify", tuple(digests),
-        (("solve", str(bool(args.solve))), ("seed", str(args.seed))),
-        wall)
     residual_norm = max((d.mag for d in cert.residual), default=0.0)
-    body = [
+    _report(args, digests, (("solve", str(bool(args.solve))), ("seed", str(args.seed))), [
         ("bound", repr(cert.bound)),
         ("delta_bound", repr(cert.delta_bound)),
         ("residual_max_norm", repr(residual_norm)),
         ("inputs_digest", cert.inputs_digest),
         ("dual_clamped", str(dual.clamped)),
-    ]
-    out = write_report(args.report, manifest, body)
-    sys.stdout.write(out)
-    if args.certificate:
-        Path(args.certificate).write_text(out)
+    ], wall)
     return EXIT_OK
 
 
-def _cmd_assemble(args) -> int:
-    ptext = Path(args.problem).read_text()
-    problem = asm.problem_from_text(ptext)
-    digests = [(Path(args.problem).name, _digest(ptext))]
-    config_echo = [("mode", args.mode), ("seed", str(args.seed))]
+def _mode_echo(args) -> tuple[tuple[str, str], ...]:
+    return (("mode", args.mode), ("seed", str(args.seed)))
 
-    if args.mode == "fit":
-        if args.bound is None or args.guess is None:
-            raise ParseError("assemble fit needs --bound and --guess")
-        bound = iv.decimal_to_nearest_float(args.bound)
-        guess = tuple(iv.decimal_to_nearest_float(tok) for tok in args.guess.split())
-        tps = asm.default_test_points(problem, seed=args.seed,
-                                      n_random=args.test_points)
-        t0 = time.perf_counter()
-        cert = asm.fit_dual(problem, guess, bound, tps, test_seed=args.seed)
-        wall = time.perf_counter() - t0
-        manifest = RunManifest("assemble", tuple(digests), tuple(config_echo), wall)
-        if cert is None:
-            out = write_report(args.report, manifest, [("candidate", "none")])
-            sys.stdout.write(out)
-            return EXIT_NEGATIVE
-        cert_text = asm.certificate_to_text(problem, cert)
-        if args.certificate:
-            Path(args.certificate).write_text(cert_text)
-        out = write_report(args.report, manifest, [
-            ("candidate", "written"),
-            ("M", repr(cert.m_bound)),
-            ("t0", repr(cert.t0)),
-            ("retained_rows", " ".join(map(str, cert.retained_rows))),
-        ])
-        sys.stdout.write(out)
-        return EXIT_OK
 
-    if args.mode == "verify":
-        if not args.certificate:
-            raise ParseError("assemble verify needs --certificate")
-        ctext = Path(args.certificate).read_text()
-        digests.append((Path(args.certificate).name, _digest(ctext)))
-        cert = asm.certificate_from_text(problem, ctext)
-        cfg = ProverConfig(max_cells=args.max_cells)
-        t0 = time.perf_counter()
-        outcome = asm.verify_duality(problem, cert, cfg)
-        wall = time.perf_counter() - t0
-        manifest = RunManifest("assemble", tuple(digests), tuple(config_echo), wall)
-        body = [("certified", str(outcome.certified))]
-        if not outcome.certified:
-            body.append(("reason", outcome.reason))
-            if outcome.domain_id:
-                body.append(("domain", outcome.domain_id))
-        out = write_report(args.report, manifest, body)
-        sys.stdout.write(out)
-        return EXIT_OK if outcome.certified else EXIT_NEGATIVE
+def _cmd_fit(args) -> int:
+    digests: list[tuple[str, str]] = []
+    problem = asm.problem_from_text(_read(args.problem, digests))
+    bound = iv.decimal_to_nearest_float(args.bound)
+    guess = tuple(iv.decimal_to_nearest_float(tok) for tok in args.guess.split())
+    tps = asm.default_test_points(problem, seed=args.seed, n_random=args.test_points)
+    t0 = time.perf_counter()
+    cert = asm.fit_dual(problem, guess, bound, tps, test_seed=args.seed)
+    wall = time.perf_counter() - t0
+    if cert is None:
+        _report(args, digests, _mode_echo(args), [("candidate", "none")], wall)
+        return EXIT_NEGATIVE
+    if args.certificate:
+        Path(args.certificate).write_text(asm.certificate_to_text(problem, cert))
+    _report(args, digests, _mode_echo(args), [
+        ("candidate", "written"),
+        ("M", repr(cert.m_bound)),
+        ("t0", repr(cert.t0)),
+        ("retained_rows", " ".join(map(str, cert.retained_rows))),
+    ], wall)
+    return EXIT_OK
 
-    if args.mode == "branch":
-        if args.domain is None or args.slot is None or not args.out_prefix:
-            raise ParseError("assemble branch needs --domain, --slot, --out-prefix")
-        lo, hi = asm.branch(problem, args.domain, args.slot)
-        lo_path = args.out_prefix + ".lo.asm"
-        hi_path = args.out_prefix + ".hi.asm"
-        Path(lo_path).write_text(asm.problem_to_text(lo))
-        Path(hi_path).write_text(asm.problem_to_text(hi))
-        manifest = RunManifest("assemble", tuple(digests), tuple(config_echo), 0.0)
-        out = write_report(args.report, manifest,
-                           [("child", lo_path), ("child", hi_path)])
-        sys.stdout.write(out)
-        return EXIT_OK
 
-    raise ParseError(f"unknown assemble mode {args.mode!r}")
+def _cmd_verify(args) -> int:
+    digests: list[tuple[str, str]] = []
+    problem = asm.problem_from_text(_read(args.problem, digests))
+    cert = asm.certificate_from_text(problem, _read(args.certificate, digests))
+    t0 = time.perf_counter()
+    outcome = asm.verify_duality(problem, cert, ProverConfig(max_cells=args.max_cells))
+    wall = time.perf_counter() - t0
+    body = [("certified", str(outcome.certified))]
+    if not outcome.certified:
+        body.append(("reason", outcome.reason))
+        if outcome.domain_id:
+            body.append(("domain", outcome.domain_id))
+    _report(args, digests, _mode_echo(args), body, wall)
+    return EXIT_OK if outcome.certified else EXIT_NEGATIVE
+
+
+def _cmd_branch(args) -> int:
+    digests: list[tuple[str, str]] = []
+    problem = asm.problem_from_text(_read(args.problem, digests))
+    children = asm.branch(problem, args.domain, args.slot)
+    body = []
+    for suffix, child in zip((".lo.asm", ".hi.asm"), children):
+        Path(args.out_prefix + suffix).write_text(asm.problem_to_text(child))
+        body.append(("child", args.out_prefix + suffix))
+    _report(args, digests, _mode_echo(args), body)
+    return EXIT_OK
 
 
 def _cmd_graphs(args) -> int:
@@ -296,13 +267,6 @@ def _cmd_graphs(args) -> int:
     t0 = time.perf_counter()
     result = gg.generate(cfg)
     wall = time.perf_counter() - t0
-    manifest = RunManifest(
-        "graphs", (),
-        (("max_vertices", str(args.max_vertices)),
-         ("prune", args.prune or ""),
-         ("max_states", str(args.max_states)),
-         ("seed", str(args.seed))),
-        wall)
     body = [("complete", str(result.complete)),
             ("classes", str(len(result.terminals))),
             ("states_explored", str(result.states_explored))]
@@ -315,8 +279,10 @@ def _cmd_graphs(args) -> int:
             fname = outdir / f"graph_{i:04d}.txt"
             fname.write_text(_terminal_file(rec))
             body.append(("class_file", str(fname)))
-    out = write_report(args.report, manifest, body)
-    sys.stdout.write(out)
+    _report(args, (),
+            (("max_vertices", str(args.max_vertices)), ("prune", args.prune or ""),
+             ("max_states", str(args.max_states)), ("seed", str(args.seed))),
+            body, wall)
     return EXIT_OK if result.complete else EXIT_NEGATIVE
 
 
@@ -337,57 +303,48 @@ def _terminal_file(rec: gg.TerminalRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _simplex(args, digests) -> geom.CheckResult:
+    edges = [iv.parse_interval_literal(tok) for tok in args.edges]
+    return geom.check_simplex_interior_point(edges, iv.parse_interval_literal(args.r))
+
+
+def _segment(args, digests) -> geom.CheckResult:
+    return geom.check_segment_through_triangle(
+        iv.parse_interval_literal(args.r1),
+        iv.parse_interval_literal(args.r2),
+        iv.parse_interval_literal(args.r3))
+
+
+def _linked(args, digests) -> geom.CheckResult:
+    return geom.check_linked_line(geom.parse_distance_spec(_read(args.spec, digests)))
+
+
 def _cmd_geom(args) -> int:
-    config_echo = [("mode", args.mode), ("seed", str(args.seed))]
     digests: list[tuple[str, str]] = []
     t0 = time.perf_counter()
-    if args.mode == "simplex":
-        if len(args.edges) != 6 or args.r is None:
-            raise ParseError("geom simplex needs --edges e1..e6 and --r")
-        edges = [iv.parse_interval_literal(tok) for tok in args.edges]
-        res = geom.check_simplex_interior_point(edges, iv.parse_interval_literal(args.r))
-    elif args.mode == "segment":
-        if args.r1 is None or args.r2 is None or args.r3 is None:
-            raise ParseError("geom segment needs --r1 --r2 --r3")
-        res = geom.check_segment_through_triangle(
-            iv.parse_interval_literal(args.r1),
-            iv.parse_interval_literal(args.r2),
-            iv.parse_interval_literal(args.r3))
-    elif args.mode == "linked":
-        if not args.spec:
-            raise ParseError("geom linked needs --spec FILE")
-        stext = Path(args.spec).read_text()
-        digests.append((Path(args.spec).name, _digest(stext)))
-        res = geom.check_linked_line(geom.parse_distance_spec(stext))
-    else:
-        raise ParseError(f"unknown geom mode {args.mode!r}")
+    res = args.check(args, digests)
     wall = time.perf_counter() - t0
-    manifest = RunManifest("geom", tuple(digests), tuple(config_echo), wall)
     body = [("verdict", res.verdict.value)]
     if res.reason:
         body.append(("reason", res.reason))
     if res.witness is not None:
         body.append(("witness", iv.format_interval_literal(res.witness)))
-    out = write_report(args.report, manifest, body)
-    sys.stdout.write(out)
+    _report(args, digests, _mode_echo(args), body, wall)
     return EXIT_OK if res.refuted else EXIT_NEGATIVE
 
 
 def _cmd_plan_dump(args) -> int:
+    digests: list[tuple[str, str]] = []
     if args.task:
-        task = parse_task_file(Path(args.task).read_text())
+        task = parse_task_file(_read(args.task, digests))
         e, arity = task.expr, task.domain.n
     elif args.expr is not None and args.arity is not None:
-        e = ex.parse(args.expr, args.arity)
-        arity = args.arity
+        e, arity = ex.parse(args.expr, args.arity), args.arity
     else:
         raise ParseError("plan-dump needs --task FILE or --expr/--arity")
     evaluator = ex.compile_expr(e, arity)
-    manifest = RunManifest("plan-dump", (),
-                           (("arity", str(arity)),), 0.0)
-    body = [("instruction", line) for line in evaluator.plan_lines()]
-    out = write_report(args.report, manifest, body)
-    sys.stdout.write(out)
+    _report(args, digests, (("arity", str(arity)),),
+            [("instruction", line) for line in evaluator.plan_lines()])
     return EXIT_OK
 
 
@@ -404,51 +361,68 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--report", type=str, default=None,
                         help="write the structured report here as well as stdout")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prove", help="prove f < -margin on a box")
+    p.set_defaults(handler=_cmd_prove)
     p.add_argument("--task", required=True)
     p.add_argument("--max-cells", type=int, default=20000)
     p.add_argument("--max-depth", type=int, default=64)
     p.add_argument("--min-width", type=float, default=1e-6)
 
     p = sub.add_parser("lp-certify", help="rigorous LP upper bound from a dual")
+    p.set_defaults(handler=_cmd_lp_certify)
     p.add_argument("--problem", required=True)
     p.add_argument("--dual")
     p.add_argument("--solve", action="store_true",
                    help="obtain duals from the built-in approximate solver")
-    p.add_argument("--certificate")
 
-    p = sub.add_parser("assemble", help="fit/verify/branch duality certificates")
-    p.add_argument("mode", choices=["fit", "verify", "branch"])
+    modes = sub.add_parser("assemble", help="fit/verify/branch duality certificates"
+                           ).add_subparsers(dest="mode", required=True)
+    p = modes.add_parser("fit", help="fit a candidate certificate")
+    p.set_defaults(handler=_cmd_fit)
     p.add_argument("--problem", required=True)
-    p.add_argument("--certificate")
-    p.add_argument("--bound", type=str,
+    p.add_argument("--bound", required=True,
                    help="decimal M, parsed through the exact reader")
-    p.add_argument("--guess", type=str,
+    p.add_argument("--guess", required=True,
                    help="whitespace-separated x* vector (global variable order)")
     p.add_argument("--test-points", type=int, default=16)
+    p.add_argument("--certificate", help="write the fitted certificate here")
+    p = modes.add_parser("verify", help="verify a certificate rigorously")
+    p.set_defaults(handler=_cmd_verify)
+    p.add_argument("--problem", required=True)
+    p.add_argument("--certificate", required=True)
     p.add_argument("--max-cells", type=int, default=20000)
-    p.add_argument("--domain", type=str)
-    p.add_argument("--slot", type=int)
-    p.add_argument("--out-prefix", type=str)
+    p = modes.add_parser("branch", help="bisect one domain box component")
+    p.set_defaults(handler=_cmd_branch)
+    p.add_argument("--problem", required=True)
+    p.add_argument("--domain", required=True)
+    p.add_argument("--slot", type=int, required=True)
+    p.add_argument("--out-prefix", required=True)
 
     p = sub.add_parser("graphs", help="enumerate decorated sphere graphs")
+    p.set_defaults(handler=_cmd_graphs)
     p.add_argument("--max-vertices", type=int, required=True)
     p.add_argument("--prune", type=str, default="")
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--max-states", type=int, default=500000)
 
-    p = sub.add_parser("geom", help="geometric nonexistence checks")
-    p.add_argument("mode", choices=["simplex", "segment", "linked"])
-    p.add_argument("--edges", nargs=6)
-    p.add_argument("--r")
-    p.add_argument("--r1")
-    p.add_argument("--r2")
-    p.add_argument("--r3")
-    p.add_argument("--spec")
+    modes = sub.add_parser("geom", help="geometric nonexistence checks"
+                           ).add_subparsers(dest="mode", required=True)
+    p = modes.add_parser("simplex", help="capped simplex, point far from every vertex")
+    p.set_defaults(handler=_cmd_geom, check=_simplex)
+    p.add_argument("--edges", nargs=6, required=True)
+    p.add_argument("--r", required=True)
+    p = modes.add_parser("segment", help="segment through a triangle")
+    p.set_defaults(handler=_cmd_geom, check=_segment)
+    for name in ("--r1", "--r2", "--r3"):
+        p.add_argument(name, required=True)
+    p = modes.add_parser("linked", help="line linking a triangle, from a .dspec file")
+    p.set_defaults(handler=_cmd_geom, check=_linked)
+    p.add_argument("--spec", required=True)
 
     p = sub.add_parser("plan-dump", help="dump a compiled evaluation plan")
+    p.set_defaults(handler=_cmd_plan_dump)
     p.add_argument("--task")
     p.add_argument("--expr")
     p.add_argument("--arity", type=int)
@@ -456,27 +430,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "prove": _cmd_prove,
-    "lp-certify": _cmd_lp_certify,
-    "assemble": _cmd_assemble,
-    "graphs": _cmd_graphs,
-    "geom": _cmd_geom,
-    "plan-dump": _cmd_plan_dump,
-}
+_PARSER = _build_parser()
 
 
 def dispatch(argv: Sequence[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    if not args.command:
-        parser.print_usage(sys.stderr)
-        return EXIT_INPUT
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except (ParseError, FileNotFoundError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

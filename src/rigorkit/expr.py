@@ -6,9 +6,11 @@ operations + - * /, integer powers, sqrt, and a binary arctangent
 `atan(num, den)` meaning atan(num/den).  Keeping arctangent binary
 confines the den=0 hazard to a single operation with one error path.
 
-`differentiate` holds the only derivative rules.  It walks the expression
-iteratively and memoises on node identity, so the derivative of a DAG is
-a DAG of linear size.
+`differentiate`, `to_text` and `evaluate_numeric` walk the expression
+iteratively and memoise on node identity, so a long expression does not
+reach the recursion limit and the derivative of a DAG is a DAG of linear
+size.
+`differentiate` holds the only derivative rules.
 
 `compile_expr` turns an Expr into an `Evaluator`: one flat evaluation plan
 that starts with f's instructions, followed by those of the first partials
@@ -16,7 +18,8 @@ and the second partials (each the `differentiate` of the one before) as
 queries first need them.  Instructions are value-numbered on (op, operand
 slots), so a subexpression shared by f, its gradient and its Hessian
 occupies one slot.  Each query -- interval value, value-and-gradient germ,
-Hessian entries -- evaluates exactly the instructions its outputs depend on.
+the listed Hessian entries -- evaluates exactly the instructions its
+outputs depend on, in one pass.
 
 Constants are stored as decimal text; conversion to binary64 enclosures
 is deferred to the interval layer so no precision is lost before the
@@ -414,42 +417,46 @@ def parse(text: str, arity: Optional[int] = None) -> Expr:
         raise ParseError("expression too deeply nested") from None
 
 
+_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2}   # every other node binds tightest (3)
+
+
 def to_text(e: Expr) -> str:
-    """Render an Expr in the same grammar `parse` accepts."""
+    """Render an Expr in the same grammar `parse` accepts.  The walk is
+    iterative and memoised on node identity, as in `differentiate`."""
+    memo: dict[int, tuple[Expr, str]] = {}
 
-    def prec(node: Expr) -> int:
-        if isinstance(node, (Add, Sub)):
-            return 1
-        if isinstance(node, (Mul, Div)):
-            return 2
-        return 3
+    def sub(node: Expr, parent_prec: int) -> str:
+        s = memo[id(node)][1]
+        if isinstance(node, Const):
+            wrap = s.startswith("-") and parent_prec >= 2
+        else:
+            wrap = _PREC.get(type(node), 3) < parent_prec
+        return f"({s})" if wrap else s
 
-    def render(node: Expr, parent_prec: int) -> str:
+    for node in _post_order(e, memo):
         match node:
             case Const(text=t):
                 s = t
-                return f"({s})" if s.startswith("-") and parent_prec >= 2 else s
             case Var(index=i):
-                return f"x{i}"
+                s = f"x{i}"
             case Add(left=a, right=b):
-                s = f"{render(a, 1)} + {render(b, 2)}"
+                s = f"{sub(a, 1)} + {sub(b, 2)}"
             case Sub(left=a, right=b):
-                s = f"{render(a, 1)} - {render(b, 2)}"
+                s = f"{sub(a, 1)} - {sub(b, 2)}"
             case Mul(left=a, right=b):
-                s = f"{render(a, 2)}*{render(b, 3)}"
+                s = f"{sub(a, 2)}*{sub(b, 3)}"
             case Div(left=a, right=b):
-                s = f"{render(a, 2)}/{render(b, 3)}"
+                s = f"{sub(a, 2)}/{sub(b, 3)}"
             case Pow(base=a, exponent=k):
-                return f"pow({render(a, 0)}, {k})"
+                s = f"pow({sub(a, 0)}, {k})"
             case Sqrt(arg=a):
-                return f"sqrt({render(a, 0)})"
+                s = f"sqrt({sub(a, 0)})"
             case Atan(num=a, den=b):
-                return f"atan({render(a, 0)}, {render(b, 0)})"
+                s = f"atan({sub(a, 0)}, {sub(b, 0)})"
             case _:
                 raise TypeError(f"not an Expr node: {node!r}")
-        return f"({s})" if prec(node) < parent_prec else s
-
-    return render(e, 0)
+        memo[id(node)] = (node, s)
+    return sub(e, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -503,27 +510,34 @@ def differentiate(e: Expr, i: int) -> Expr:
 
 def evaluate_numeric(e: Expr, point: Sequence[float]) -> float:
     """Plain binary64 evaluation at a point.  No rigor claim; raises
-    ArithmeticError subclasses on domain violations."""
-    match e:
-        case Const(text=t):
-            return iv.decimal_to_nearest_float(t)
-        case Var(index=i):
-            return point[i]
-        case Add(left=a, right=b):
-            return evaluate_numeric(a, point) + evaluate_numeric(b, point)
-        case Sub(left=a, right=b):
-            return evaluate_numeric(a, point) - evaluate_numeric(b, point)
-        case Mul(left=a, right=b):
-            return evaluate_numeric(a, point) * evaluate_numeric(b, point)
-        case Div(left=a, right=b):
-            return evaluate_numeric(a, point) / evaluate_numeric(b, point)
-        case Pow(base=a, exponent=k):
-            return evaluate_numeric(a, point) ** k
-        case Sqrt(arg=a):
-            return math.sqrt(evaluate_numeric(a, point))
-        case Atan(num=a, den=b):
-            return math.atan(evaluate_numeric(a, point) / evaluate_numeric(b, point))
-    raise TypeError(f"not an Expr node: {e!r}")
+    ArithmeticError subclasses on domain violations.  Iterative, children
+    left to right, memoised on node identity."""
+    memo: dict[int, tuple[Expr, float]] = {}
+    v = lambda sub: memo[id(sub)][1]
+    for node in _post_order(e, memo):
+        match node:
+            case Const(text=t):
+                r = iv.decimal_to_nearest_float(t)
+            case Var(index=i):
+                r = point[i]
+            case Add(left=a, right=b):
+                r = v(a) + v(b)
+            case Sub(left=a, right=b):
+                r = v(a) - v(b)
+            case Mul(left=a, right=b):
+                r = v(a) * v(b)
+            case Div(left=a, right=b):
+                r = v(a) / v(b)
+            case Pow(base=a, exponent=k):
+                r = v(a) ** k
+            case Sqrt(arg=a):
+                r = math.sqrt(v(a))
+            case Atan(num=a, den=b):
+                r = math.atan(v(a) / v(b))
+            case _:
+                raise TypeError(f"not an Expr node: {node!r}")
+        memo[id(node)] = (node, r)
+    return v(e)
 
 
 # ---------------------------------------------------------------------------
@@ -695,17 +709,15 @@ class Evaluator:
         f, *df = self._run(box, (self._slot(()), *partials))
         return TaylorGerm(f, tuple(df))
 
+    def hessian(self, box: Sequence[Interval],
+                entries: Sequence[tuple[int, int]]) -> list[Interval]:
+        """Enclosures of the listed second partials (i, j) over the whole
+        box, from one pass over the instructions they need."""
+        return self._run(box, tuple(self._slot((min(i, j), max(i, j))) for i, j in entries))
+
     def hessian_entry(self, box: Sequence[Interval], i: int, j: int) -> Interval:
         """Enclosure of the (i,j) second partial over the whole box."""
-        return self._run(box, (self._slot((min(i, j), max(i, j))),))[0]
-
-    def hessian(self, box: Sequence[Interval]) -> list[list[Interval]]:
-        n = self.arity
-        index = [(i, j) for i in range(n) for j in range(i, n)]
-        rows = [[None] * n for _ in range(n)]
-        for (i, j), h in zip(index, self._run(box, tuple(map(self._slot, index)))):
-            rows[i][j] = rows[j][i] = h
-        return rows
+        return self.hessian(box, ((i, j),))[0]
 
 
 def compile_expr(e: Expr, arity: Optional[int] = None,

@@ -375,28 +375,24 @@ def div(a: Interval, b: Interval) -> Interval:
     return Interval(_div_down(ah, bh), _div_up(al, bh))
 
 
-def _pow_nonneg_down(x: float, k: int) -> float:
-    # x >= 0, k >= 1: square-and-multiply, rounding every step down.
+def _pow_nonneg(x: float, k: int, mul) -> float:
+    # x >= 0, k >= 1: square-and-multiply, every step rounded by mul
+    # (_mul_down or _mul_up).
     acc = None
     base = x
     while k:
         if k & 1:
-            acc = base if acc is None else _mul_down(acc, base)
+            acc = base if acc is None else mul(acc, base)
         k >>= 1
         if k:
-            base = _mul_down(base, base)
-    return acc
-
-
-def _pow_nonneg_up(x: float, k: int) -> float:
-    acc = None
-    base = x
-    while k:
-        if k & 1:
-            acc = base if acc is None else _mul_up(acc, base)
-        k >>= 1
-        if k:
-            base = _mul_up(base, base)
+            square = mul(base, base)
+            if square == base:
+                # A fixed point of rounded squaring (0 or 1; rounding up, the
+                # least subnormal, 1 - 2**-53 or inf; rounding down, the
+                # largest float): every later base equals it, and products
+                # by it after the first change nothing.
+                return base if acc is None else mul(acc, base)
+            base = square
     return acc
 
 
@@ -413,12 +409,10 @@ def pow_int(a: Interval, k: int) -> Interval:
     if k == 1:
         return a
     if k % 2 == 1:
-        lo = -_pow_nonneg_up(-a.lo, k) if a.lo < 0 else _pow_nonneg_down(a.lo, k)
-        hi = -_pow_nonneg_down(-a.hi, k) if a.hi < 0 else _pow_nonneg_up(a.hi, k)
+        lo = -_pow_nonneg(-a.lo, k, _mul_up) if a.lo < 0 else _pow_nonneg(a.lo, k, _mul_down)
+        hi = -_pow_nonneg(-a.hi, k, _mul_down) if a.hi < 0 else _pow_nonneg(a.hi, k, _mul_up)
         return Interval(lo, hi)
-    lo_mag = a.mig
-    hi_mag = a.mag
-    return Interval(_pow_nonneg_down(lo_mag, k), _pow_nonneg_up(hi_mag, k))
+    return Interval(_pow_nonneg(a.mig, k, _mul_down), _pow_nonneg(a.mag, k, _mul_up))
 
 
 class SqrtResult(NamedTuple):

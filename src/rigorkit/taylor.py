@@ -93,13 +93,9 @@ class PartialSign(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class TaylorBound:
-    """Certified upper bound of a function over a box.  Only `upper` is
-    contractual; the other fields are the audit trail."""
+    """Certified upper bound of a function over a box."""
 
     upper: float
-    center_value: Interval
-    gradient_at_center: tuple[Interval, ...]
-    hessian_norm_bound: float
 
 
 def _half_widths(box: Box, center: tuple[float, ...]) -> tuple[float, ...]:
@@ -126,33 +122,18 @@ def taylor_upper_bound(ev: Evaluator, box: Box) -> TaylorBound:
         w = _half_widths(box, center)
         center_box = tuple(Interval.point(c) for c in center)
         germ = ev.germ(center_box)
+        live = [i for i in range(box.n) if w[i] != 0.0]
         total = germ.f
-        for i in range(box.n):
-            if w[i] != 0.0:
-                total = iv.add(total, iv.mul(
-                    Interval.point(germ.df[i].mag), Interval.point(w[i])))
+        for i in live:
+            total = iv.add(total, iv.mul(
+                Interval.point(germ.df[i].mag), Interval.point(w[i])))
+        entries = [(i, j) for i in live for j in live if i <= j]
         half = Interval(0.5, 0.5)
-        hess_norm = 0.0
-        for i in range(box.n):
-            if w[i] == 0.0:
-                continue
-            for j in range(i, box.n):
-                if w[j] == 0.0:
-                    continue
-                h = ev.hessian_entry(box.dims, i, j)
-                hess_norm = max(hess_norm, h.mag)
-                term = iv.mul(Interval.point(h.mag),
-                              iv.mul(Interval.point(w[i]), Interval.point(w[j])))
-                if i != j:
-                    total = iv.add(total, term)
-                else:
-                    total = iv.add(total, iv.mul(half, term))
-        return TaylorBound(
-            upper=total.hi,
-            center_value=germ.f,
-            gradient_at_center=germ.df,
-            hessian_norm_bound=hess_norm,
-        )
+        for (i, j), h in zip(entries, ev.hessian(box.dims, entries)):
+            term = iv.mul(Interval.point(h.mag),
+                          iv.mul(Interval.point(w[i]), Interval.point(w[j])))
+            total = iv.add(total, term if i != j else iv.mul(half, term))
+        return TaylorBound(total.hi)
     except _EVAL_ERRORS as exc:
         raise BoundUnavailable(str(exc)) from exc
 

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from pathlib import Path
 
@@ -5,7 +6,8 @@ import pytest
 
 from rigorkit import cli
 from rigorkit import expr as ex
-from rigorkit.errors import ParseError
+from rigorkit import lp as lpmod
+from rigorkit.errors import NoProgress, ParseError
 from rigorkit.interval import Interval
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -228,6 +230,73 @@ def test_plan_dump(capsys):
     _, body = cli.parse_report(out)
     instructions = [v for k, v in body if k == "instruction"]
     assert instructions == ["t0 = load x0", "t1 = const 1", "t2 = atan t0, t1"]
+
+
+def digest_line(path: Path) -> str:
+    return f"{path.name} {hashlib.sha256(path.read_text().encode()).hexdigest()}"
+
+
+def test_plan_dump_task_is_digested(capsys):
+    task = PROBLEMS / "six_squares.ineq"
+    code, out, _ = run(["plan-dump", "--task", str(task)], capsys)
+    assert code == 0
+    header, _ = cli.parse_report(out)
+    assert header["input_digest"] == [digest_line(task)]
+
+
+def test_dual_read_after_no_progress_is_digested(tmp_path, capsys, monkeypatch):
+    def stalled(problem):
+        raise NoProgress("solver stalled")
+
+    monkeypatch.setattr(lpmod, "solve_approx", stalled)
+    problem = tmp_path / "p.lp"
+    problem.write_text("vars 1\nobj 0 1\nineq 0 0 1\nineq_rhs 0 1\nbound 0 0..2\n")
+    dual = tmp_path / "d.dual"
+    dual.write_text("\n1.0 0 0\n")
+    code, out, _ = run(["lp-certify", "--problem", str(problem), "--solve",
+                        "--dual", str(dual)], capsys)
+    assert code == 0
+    header, body = cli.parse_report(out)
+    assert header["input_digest"] == [digest_line(problem), digest_line(dual)]
+    assert abs(float(dict(body)["bound"]) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("argv", [
+    ["assemble", "fit", "--problem", str(PROBLEMS / "toy_duality.asm"), "--guess", "1.0"],
+    ["assemble", "verify", "--problem", str(PROBLEMS / "toy_duality.asm")],
+    ["geom", "simplex", "--edges", "2", "2", "2", "2", "2", "2"],
+    ["assemble", "verify", "--problem", str(PROBLEMS / "toy_duality.asm"),
+     "--certificate", str(PROBLEMS / "voronoi2d.cert"), "--bound", "1"],
+    ["lp-certify", "--problem", "p.lp", "--solve", "--certificate", "out.txt"],
+], ids=["fit-without-bound", "verify-without-certificate", "simplex-without-r",
+        "verify-with-bound", "lp-certify-certificate"])
+def test_missing_or_misplaced_options_are_usage_errors(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and not out
+    assert err.startswith("usage: rigorkit ")
+
+
+def long_flat_phi_problem(tmp_path) -> tuple[Path, str]:
+    phi = "1" + " - 0.001*x0 + 0.001*x0" * 750
+    path = tmp_path / "flat.asm"
+    path.write_text((PROBLEMS / "toy_duality.asm").read_text().replace("x0 - x0*x0", phi))
+    return path, phi
+
+
+def test_long_flat_phi_fits(tmp_path, capsys):
+    problem, _ = long_flat_phi_problem(tmp_path)
+    code, _, err = run(["assemble", "fit", "--problem", str(problem),
+                        "--bound", "1.0", "--guess", "1.0"], capsys)
+    assert code in (0, 1), err
+
+
+def test_long_flat_phi_branches(tmp_path, capsys):
+    problem, phi = long_flat_phi_problem(tmp_path)
+    prefix = str(tmp_path / "child")
+    code, _, err = run(["assemble", "branch", "--problem", str(problem),
+                        "--domain", "d0", "--slot", "0", "--out-prefix", prefix], capsys)
+    assert code == 0, err
+    assert f"  phi {phi}\n" in Path(prefix + ".lo.asm").read_text()
 
 
 def test_task_file_round_trip():

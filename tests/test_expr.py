@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import random_expr
 from rigorkit import expr as ex
-from rigorkit.errors import CompileError, ParseError
+from rigorkit.errors import CompileError, ParseError, RigorError
 from rigorkit.interval import Interval
 
 I = Interval
@@ -81,6 +81,38 @@ def test_random_expr_text_round_trip(seed):
     rng = random.Random(seed)
     e = random_expr(rng, arity=3, depth=5)
     assert ex.parse(ex.to_text(e), 3) == e
+
+
+def test_long_flat_sum_renders_and_evaluates():
+    # the parser builds the chain iteratively; rendering and evaluation
+    # must not recurse along it either
+    text = "1" + " - 0.001*x0 + 0.001*x0" * 750
+    e = ex.parse(text, 1)
+    assert ex.to_text(e) == text
+    expected = 1.0
+    for _ in range(750):
+        expected = expected - 0.001 * 0.5 + 0.001 * 0.5
+    assert ex.evaluate_numeric(e, [0.5]) == expected
+
+
+def test_hessian_entries_in_one_pass_equal_single_entries():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        arity = rng.randint(1, 4)
+        e = random_expr(rng, arity, rng.randint(2, 5))
+        box = []
+        for _ in range(arity):
+            lo = rng.uniform(-2.0, 1.0)
+            box.append(I(lo, lo + rng.uniform(0.0, 2.0)))
+        entries = [(rng.randrange(arity), rng.randrange(arity))
+                   for _ in range(rng.randint(0, 6))]
+        try:
+            single = [ex.compile_expr(e, arity).hessian_entry(box, i, j) for i, j in entries]
+        except (RigorError, OverflowError):
+            with pytest.raises((RigorError, OverflowError)):
+                ex.compile_expr(e, arity).hessian(box, entries)
+            continue
+        assert ex.compile_expr(e, arity).hessian(box, entries) == single
 
 
 def _fd_gradient(e, pt, i, h=1e-5):

@@ -230,6 +230,46 @@ def test_pow_int():
         iv.pow_int(I(-1, 1), -2)
 
 
+def _reference_pow(x, k, mul):
+    # plain square-and-multiply, squaring until the exponent runs out
+    acc, base = None, x
+    while k:
+        if k & 1:
+            acc = base if acc is None else mul(acc, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return acc
+
+
+def test_pow_kernels_match_plain_square_and_multiply():
+    # bases at or near the fixed points of rounded squaring, subnormals and
+    # bases whose powers overflow
+    top = sys.float_info.max
+    bases = [0.0, 5e-324, 1e-323, 2.2250738585072014e-308, 1e-160, 0.5, 0.9,
+             1 - 2**-53, 1 - 2**-52, 1.0, 1 + 2**-52, 2.0, 1e154, 1e155,
+             math.nextafter(top, 0.0), top]
+    rng = random.Random(20261018)
+    bases += [rng.uniform(0.0, 2.0) for _ in range(20)]
+    bases += [10.0 ** rng.uniform(-320, 308) for _ in range(20)]
+    ks = list(range(1, 40)) + [2**j + d for j in range(6, 80, 9) for d in (-1, 0, 1)]
+    ks += [rng.randrange(1, 2**80) for _ in range(30)]
+    for x in bases:
+        for k in ks:
+            for mul in (iv._mul_down, iv._mul_up):
+                assert iv._pow_nonneg(x, k, mul) == _reference_pow(x, k, mul), (x, k, mul)
+
+
+def test_pow_with_a_huge_exponent_stops_at_a_fixed_point(monkeypatch):
+    calls = []
+    for name in ("_mul_down", "_mul_up"):
+        kernel = getattr(iv, name)
+        monkeypatch.setattr(iv, name, lambda x, y, kernel=kernel: calls.append(1) or kernel(x, y))
+    assert iv.pow_int(I(0.5, 0.9), 10**300) == I(0.0, 5e-324)
+    # the exponent has 997 bits; the bases reach 0 and 5e-324 within 14 squarings
+    assert len(calls) < 60
+
+
 def test_intersect_and_hull():
     assert iv.intersect(I(0, 2), I(1, 3)) == I(1, 2)
     with pytest.raises(EmptyIntersection):
