@@ -166,6 +166,8 @@ def _cmd_prove(args) -> int:
         ("cells_processed", str(report.cells_processed)),
         ("max_depth_reached", str(report.max_depth_reached)),
         ("best_upper_bound_seen", repr(report.best_upper_bound_seen)),
+        ("cells_certified_by_germ", str(report.cells_certified_by_germ)),
+        ("cells_certified_by_taylor", str(report.cells_certified_by_taylor)),
         *_cells_rows("undecided_cell", report.undecided_cells),
         *_cells_rows("failed_cell", report.failed_cells),
     ]

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from . import interval as iv
-from .errors import CompileError, ParseError
+from .errors import CompileError, DomainError, ParseError
 from .interval import Interval
 
 __all__ = [
@@ -693,7 +693,13 @@ class Evaluator:
             elif op == _POW:
                 vals[s] = iv.pow_int(vals[ins[1]], ins[2])
             elif op == _SQRT:
-                vals[s] = iv.sqrt_interval(vals[ins[1]]).interval
+                # sqrt_interval clamps a negative lower end; here it would
+                # bound a value that is undefined for part of the box.
+                arg = vals[ins[1]]
+                if arg.lo < 0.0:
+                    raise DomainError(
+                        f"sqrt of possibly-negative interval [{arg.lo}, {arg.hi}]")
+                vals[s] = iv.sqrt_interval(arg)
             else:
                 vals[s] = iv.atan_interval(iv.div(vals[ins[1]], vals[ins[2]]))
         return [vals[s] for s in outputs]

@@ -94,7 +94,7 @@ def _dist2(a: Vec3, b: Vec3) -> Interval:
 
 
 def _dist(a: Vec3, b: Vec3) -> Interval:
-    return iv.sqrt_interval(_dist2(a, b)).interval
+    return iv.sqrt_interval(_dist2(a, b))
 
 
 class _Straddle(Exception):
@@ -107,7 +107,7 @@ def _sqrt_nonneg(x: Interval, what: str) -> Interval:
     clamps (sound: real solutions, if any, are inside)."""
     if x.hi < 0.0:
         raise PivotInfeasible(f"{what} is certainly negative ({x.lo}, {x.hi})")
-    return iv.sqrt_interval(x).interval
+    return iv.sqrt_interval(x)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +305,7 @@ def pivot(config: PointConfig, axis: tuple[int, int], moving: int,
     if not (h_sq.lo > 0.0):
         raise DegenerateAxis(
             f"moving point not certainly off the axis (h^2 in [{h_sq.lo}, {h_sq.hi}])")
-    h = iv.sqrt_interval(h_sq).interval
+    h = iv.sqrt_interval(h_sq)
 
     v = _v_sub(p3, p1)
     beta = iv.div(_v_dot(v, u), l2)
@@ -321,13 +321,13 @@ def pivot(config: PointConfig, axis: tuple[int, int], moving: int,
     gamma_sq = iv.sub(_ONE, iv.div(_sq_i(s_val), w2))
     if gamma_sq.hi < 0.0:
         raise PivotInfeasible("target distance unreachable on the pivot circle")
-    gamma = iv.sqrt_interval(gamma_sq).interval
+    gamma = iv.sqrt_interval(gamma_sq)
 
     cvec = _v_cross(u, w)
     c2 = _v_dot(cvec, cvec)
     if not (c2.lo > 0.0):
         raise DegenerateAxis("axis and target direction certainly collinear")
-    coef = iv.div(iv.mul(h, gamma), iv.sqrt_interval(c2).interval)
+    coef = iv.div(iv.mul(h, gamma), iv.sqrt_interval(c2))
     if side < 0:
         coef = iv.neg(coef)
 
@@ -477,7 +477,7 @@ def check_segment_through_triangle(r1: Interval, r2: Interval,
     if h_sq.lo < 0.0:
         return CheckResult(Verdict.INCONCLUSIVE,
                            reason="axis height straddles zero")
-    h = iv.sqrt_interval(h_sq).interval
+    h = iv.sqrt_interval(h_sq)
     min_len = iv.mul(Interval(2.0, 2.0), h)
     if min_len.lo > r2.hi:
         return CheckResult(Verdict.NO_SUCH_CONFIGURATION,
@@ -571,7 +571,7 @@ def check_linked_line(spec: DistanceSpec, sweep_cells: int = 256) -> CheckResult
     if h_sq.lo <= 0.0:
         return CheckResult(Verdict.INCONCLUSIVE,
                            reason="bound circle for q degenerates")
-    h = iv.sqrt_interval(h_sq).interval
+    h = iv.sqrt_interval(h_sq)
 
     # orthonormal-ish frame perpendicular to u (built from p2's offset)
     v = _v_sub(p2, origin)
@@ -580,10 +580,10 @@ def check_linked_line(spec: DistanceSpec, sweep_cells: int = 256) -> CheckResult
     w2 = _v_dot(w, w)
     if not (w2.lo > 0.0):
         return CheckResult(Verdict.INCONCLUSIVE, reason="degenerate sweep frame")
-    w_unit = _v_scale(iv.div(_ONE, iv.sqrt_interval(w2).interval), w)
+    w_unit = _v_scale(iv.div(_ONE, iv.sqrt_interval(w2)), w)
     cvec = _v_cross(u, w)
     c2 = _v_dot(cvec, cvec)
-    c_unit = _v_scale(iv.div(_ONE, iv.sqrt_interval(c2).interval), cvec)
+    c_unit = _v_scale(iv.div(_ONE, iv.sqrt_interval(c2)), cvec)
     base = _v_scale(alpha, u)
 
     pairs_to_check = [(2, p2), (3, p3)]
@@ -591,7 +591,7 @@ def check_linked_line(spec: DistanceSpec, sweep_cells: int = 256) -> CheckResult
     def cell_refuted(c_iv: Interval, s_sign: int) -> bool:
         s_sq = iv.sub(_ONE, _sq_i(c_iv))
         s_sq = Interval(max(s_sq.lo, 0.0), max(s_sq.hi, 0.0))
-        s_iv = iv.sqrt_interval(s_sq).interval
+        s_iv = iv.sqrt_interval(s_sq)
         if s_sign < 0:
             s_iv = iv.neg(s_iv)
         q = _v_add(base, _v_add(_v_scale(iv.mul(h, c_iv), w_unit),

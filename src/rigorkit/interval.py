@@ -6,12 +6,15 @@ image of its operand sets.
 
 Outward rounding is implemented by computing endpoints in the default
 round-to-nearest mode and then nudging them outward *only when the
-computed endpoint is provably inexact*.  Exactness is decided with the
-TwoSum trick for addition and exact integer-ratio comparisons for
-multiplication, division and square root, so exactly representable
-results keep exact endpoints ([1,2]+[3,4] is [4,6], not a widened box).
-No hardware rounding mode is ever switched: all operations are pure
-functions and freely shareable between threads.
+computed endpoint is provably inexact*.  The sign of the rounding error is
+decided exactly in float arithmetic: by TwoSum for addition, and by
+Dekker's TwoProduct for multiplication, division (the residual x - q*y)
+and square root (x - s*s).  Operands outside TwoProduct's safe range
+(factors near 2**995, products near underflow) fall back to exact
+integer-ratio comparisons.  Exactly representable results keep exact
+endpoints ([1,2]+[3,4] is [4,6], not a widened box).  No hardware rounding
+mode is ever switched: all operations are pure functions and freely
+shareable between threads.
 
 Infinite endpoints are permitted for constraint-bound bookkeeping only
 (a distance cap of +inf); arithmetic on non-finite intervals raises
@@ -23,7 +26,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import (
     DivisionByZeroInterval,
@@ -35,7 +37,6 @@ from .errors import (
 
 __all__ = [
     "Interval",
-    "SqrtResult",
     "add",
     "sub",
     "mul",
@@ -64,6 +65,10 @@ def next_down(x: float) -> float:
     return math.nextafter(x, -_INF)
 
 
+# The kernels call nextafter directly, saving a Python call per step.
+_nextafter = math.nextafter
+
+
 # ---------------------------------------------------------------------------
 # Directed-rounding scalar kernels.
 #
@@ -78,7 +83,7 @@ def _add_down(x: float, y: float) -> float:
         return next_down(s) if s > 0 else s
     bb = s - x
     err = (x - (s - bb)) + (y - bb)
-    return next_down(s) if err < 0.0 else s
+    return _nextafter(s, -_INF) if err < 0.0 else s
 
 
 def _add_up(x: float, y: float) -> float:
@@ -87,83 +92,138 @@ def _add_up(x: float, y: float) -> float:
         return next_up(s) if s < 0 else s
     bb = s - x
     err = (x - (s - bb)) + (y - bb)
-    return next_up(s) if err > 0.0 else s
+    return _nextafter(s, _INF) if err > 0.0 else s
 
 
-def _sub_down(x: float, y: float) -> float:
-    return _add_down(x, -y)
+# Multiplication, division and square root decide the sign of their
+# rounding error with Dekker's TwoProduct: Veltkamp's split cuts each factor
+# into two halves of at most 26 bits whose partial products are exact, so
+# x*y = p + err exactly, with p = fl(x*y) and err a float (Dekker, Numer.
+# Math. 18, 1971; Ogita, Rump & Oishi, SIAM J. Sci. Comput. 26, 2005).
+# That holds while no step overflows (factors below _SPLIT_MAX, |p| below
+# _PROD_MAX) and no partial product underflows (|p| at least _PROD_MIN, so
+# that ulp(x)*ulp(y) >= 2**-1074).  Outside that range the sign comes from
+# exact integer ratios.  Python 3.11 has no math.fma to do this in one step.
+# _mul_down and _mul_up, the most frequent kernels, inline the split: a
+# function call would cost about a fifth of the kernel.
+
+_SPLIT = 134217729.0      # 2**27 + 1
+_SPLIT_MAX = 2.0 ** 995   # |x| below this: _SPLIT * x does not overflow
+_PROD_MIN = 2.0 ** -968
+_PROD_MAX = 2.0 ** 1023
+# x in [_RESIDUAL_MIN, _RESIDUAL_MAX) keeps fl(q*y), within a factor two of
+# x in _residual_sign, in [_PROD_MIN, _PROD_MAX).
+_RESIDUAL_MIN = 2.0 ** -967
+_RESIDUAL_MAX = 2.0 ** 1022
 
 
-def _sub_up(x: float, y: float) -> float:
-    return _add_up(x, -y)
-
-
-def _mul_err_sign(x: float, y: float, p: float) -> int:
-    # sign of exact(x*y) - p, all arguments finite
+def _exact_product_sign(x: float, y: float, t: float) -> int:
+    # sign of exact(x*y) - t, all arguments finite
     nx, dx = x.as_integer_ratio()
     ny, dy = y.as_integer_ratio()
-    np_, dp = p.as_integer_ratio()
-    lhs = nx * ny * dp
-    rhs = np_ * dx * dy
+    nt, dt = t.as_integer_ratio()
+    lhs = nx * ny * dt
+    rhs = nt * dx * dy
     return (lhs > rhs) - (lhs < rhs)
 
 
 def _mul_down(x: float, y: float) -> float:
     p = x * y
+    if (-_SPLIT_MAX < x < _SPLIT_MAX and -_SPLIT_MAX < y < _SPLIT_MAX
+            and _PROD_MIN <= abs(p) < _PROD_MAX):
+        c = _SPLIT * x
+        xh = c - (c - x)
+        xl = x - xh
+        c = _SPLIT * y
+        yh = c - (c - y)
+        yl = y - yh
+        if ((xh * yh - p) + xh * yl + xl * yh) + xl * yl < 0.0:
+            return _nextafter(p, -_INF)
+        return p
     if math.isinf(p):
         return next_down(p) if p > 0 else p
-    return next_down(p) if _mul_err_sign(x, y, p) < 0 else p
+    if x == 0.0 or y == 0.0:
+        return p
+    return next_down(p) if _exact_product_sign(x, y, p) < 0 else p
 
 
 def _mul_up(x: float, y: float) -> float:
     p = x * y
+    if (-_SPLIT_MAX < x < _SPLIT_MAX and -_SPLIT_MAX < y < _SPLIT_MAX
+            and _PROD_MIN <= abs(p) < _PROD_MAX):
+        c = _SPLIT * x
+        xh = c - (c - x)
+        xl = x - xh
+        c = _SPLIT * y
+        yh = c - (c - y)
+        yl = y - yh
+        if ((xh * yh - p) + xh * yl + xl * yh) + xl * yl > 0.0:
+            return _nextafter(p, _INF)
+        return p
     if math.isinf(p):
         return next_up(p) if p < 0 else p
-    return next_up(p) if _mul_err_sign(x, y, p) > 0 else p
+    if x == 0.0 or y == 0.0:
+        return p
+    return next_up(p) if _exact_product_sign(x, y, p) > 0 else p
+
+
+def _residual_sign(x: float, q: float, y: float) -> int:
+    """Sign of exact(x - q*y) for x != 0, where q = x/y or q = y = sqrt(x),
+    rounded to nearest.  Then q*y is within a factor two of x (a subnormal
+    q is the multiple of 2**-1074 nearest x/y, so q*y is between 2x/3 and
+    2x, or q = 0), so x - fl(q*y) is exact (Sterbenz).  With
+    q*y = p + e by TwoProduct, x - q*y has the sign of (x - p) - e."""
+    if (_RESIDUAL_MIN <= abs(x) < _RESIDUAL_MAX and -_SPLIT_MAX < q < _SPLIT_MAX
+            and -_SPLIT_MAX < y < _SPLIT_MAX):
+        p = q * y
+        c = _SPLIT * q
+        qh = c - (c - q)
+        ql = q - qh
+        c = _SPLIT * y
+        yh = c - (c - y)
+        yl = y - yh
+        e = ((qh * yh - p) + qh * yl + ql * yh) + ql * yl
+        r = x - p
+        return (r > e) - (r < e)
+    return -_exact_product_sign(q, y, x)
 
 
 def _div_err_sign(x: float, y: float, q: float) -> int:
-    # sign of exact(x/y) - q; y != 0, all finite
-    nx, dx = x.as_integer_ratio()
-    ny, dy = y.as_integer_ratio()
-    nq, dq = q.as_integer_ratio()
-    num = nx * dy * dq - nq * dx * ny
-    if ny < 0:
-        num = -num
-    return (num > 0) - (num < 0)
+    # sign of exact(x/y) - q for q = x/y, y != 0, all finite: the sign of
+    # x - q*y, times the sign of y
+    if x == 0.0:
+        return 0
+    s = _residual_sign(x, q, y)
+    return s if y > 0.0 else -s
 
 
 def _div_down(x: float, y: float) -> float:
     q = x / y
     if math.isinf(q):
         return next_down(q) if q > 0 else q
-    return next_down(q) if _div_err_sign(x, y, q) < 0 else q
+    return _nextafter(q, -_INF) if _div_err_sign(x, y, q) < 0 else q
 
 
 def _div_up(x: float, y: float) -> float:
     q = x / y
     if math.isinf(q):
         return next_up(q) if q < 0 else q
-    return next_up(q) if _div_err_sign(x, y, q) > 0 else q
+    return _nextafter(q, _INF) if _div_err_sign(x, y, q) > 0 else q
 
 
 def _sqrt_err_sign(x: float, s: float) -> int:
-    # sign of sqrt(x) - s for x >= 0, s >= 0: same as sign of x - s*s
-    nx, dx = x.as_integer_ratio()
-    ns, ds = s.as_integer_ratio()
-    lhs = nx * ds * ds
-    rhs = ns * ns * dx
-    return (lhs > rhs) - (lhs < rhs)
+    # sign of sqrt(x) - s for x >= 0, s = sqrt(x): the sign of x - s*s
+    return _residual_sign(x, s, s) if x != 0.0 else 0
 
 
 def _sqrt_down(x: float) -> float:
     s = math.sqrt(x)
-    return next_down(s) if _sqrt_err_sign(x, s) < 0 else s
+    return _nextafter(s, -_INF) if _sqrt_err_sign(x, s) < 0 else s
 
 
 def _sqrt_up(x: float) -> float:
     s = math.sqrt(x)
-    return next_up(s) if _sqrt_err_sign(x, s) > 0 else s
+    return _nextafter(s, _INF) if _sqrt_err_sign(x, s) > 0 else s
 
 
 # atan clamps: the result must stay inside (-pi/2, pi/2) widened outward.
@@ -299,13 +359,31 @@ def _coerce(v) -> Interval:
     raise TypeError(f"cannot use {type(v).__name__} as an interval operand")
 
 
-def _require_finite(*intervals: Interval) -> None:
-    for a in intervals:
-        if not a.is_finite:
-            raise NonFiniteOperand(
-                f"arithmetic on non-finite interval [{a.lo}, {a.hi}]; "
-                "infinite endpoints are bookkeeping-only"
-            )
+_new = object.__new__
+_set_lo = Interval.lo.__set__
+_set_hi = Interval.hi.__set__
+
+
+def _make(lo: float, hi: float) -> Interval:
+    """Interval from float endpoints already known to satisfy its invariant
+    (no NaN, lo <= hi), without __post_init__'s checks: every kernel result
+    on finite operands does."""
+    r = _new(Interval)
+    _set_lo(r, lo)
+    _set_hi(r, hi)
+    return r
+
+
+# Each operation tests its operands' endpoints inline: an interval is finite
+# exactly when -inf < lo and hi < inf, since lo <= hi.  On failure it raises
+# the error _non_finite builds for the first non-finite operand.
+
+def _non_finite(*intervals: Interval) -> NonFiniteOperand:
+    a = next(a for a in intervals if not a.is_finite)
+    return NonFiniteOperand(
+        f"arithmetic on non-finite interval [{a.lo}, {a.hi}]; "
+        "infinite endpoints are bookkeeping-only"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -313,66 +391,70 @@ def _require_finite(*intervals: Interval) -> None:
 # ---------------------------------------------------------------------------
 
 def add(a: Interval, b: Interval) -> Interval:
-    _require_finite(a, b)
-    return Interval(_add_down(a.lo, b.lo), _add_up(a.hi, b.hi))
+    if not (-_INF < a.lo and a.hi < _INF and -_INF < b.lo and b.hi < _INF):
+        raise _non_finite(a, b)
+    return _make(_add_down(a.lo, b.lo), _add_up(a.hi, b.hi))
 
 
 def sub(a: Interval, b: Interval) -> Interval:
-    _require_finite(a, b)
-    return Interval(_sub_down(a.lo, b.hi), _sub_up(a.hi, b.lo))
+    if not (-_INF < a.lo and a.hi < _INF and -_INF < b.lo and b.hi < _INF):
+        raise _non_finite(a, b)
+    return _make(_add_down(a.lo, -b.hi), _add_up(a.hi, -b.lo))
 
 
 def neg(a: Interval) -> Interval:
     # Exact; permitted even on semi-infinite bookkeeping intervals.
-    return Interval(-a.hi, -a.lo)
+    return _make(-a.hi, -a.lo)
 
 
 def mul(a: Interval, b: Interval) -> Interval:
-    _require_finite(a, b)
     al, ah, bl, bh = a.lo, a.hi, b.lo, b.hi
+    if not (-_INF < al and ah < _INF and -_INF < bl and bh < _INF):
+        raise _non_finite(a, b)
     # Sign-case analysis keeps the number of directed roundings at two
     # except in the mixed*mixed case.
     if al >= 0.0:
         if bl >= 0.0:
-            return Interval(_mul_down(al, bl), _mul_up(ah, bh))
+            return _make(_mul_down(al, bl), _mul_up(ah, bh))
         if bh <= 0.0:
-            return Interval(_mul_down(ah, bl), _mul_up(al, bh))
-        return Interval(_mul_down(ah, bl), _mul_up(ah, bh))
+            return _make(_mul_down(ah, bl), _mul_up(al, bh))
+        return _make(_mul_down(ah, bl), _mul_up(ah, bh))
     if ah <= 0.0:
         if bl >= 0.0:
-            return Interval(_mul_down(al, bh), _mul_up(ah, bl))
+            return _make(_mul_down(al, bh), _mul_up(ah, bl))
         if bh <= 0.0:
-            return Interval(_mul_down(ah, bh), _mul_up(al, bl))
-        return Interval(_mul_down(al, bh), _mul_up(al, bl))
+            return _make(_mul_down(ah, bh), _mul_up(al, bl))
+        return _make(_mul_down(al, bh), _mul_up(al, bl))
     if bl >= 0.0:
-        return Interval(_mul_down(al, bh), _mul_up(ah, bh))
+        return _make(_mul_down(al, bh), _mul_up(ah, bh))
     if bh <= 0.0:
-        return Interval(_mul_down(ah, bl), _mul_up(al, bl))
-    return Interval(
+        return _make(_mul_down(ah, bl), _mul_up(al, bl))
+    return _make(
         min(_mul_down(al, bh), _mul_down(ah, bl)),
         max(_mul_up(al, bl), _mul_up(ah, bh)),
     )
 
 
 def div(a: Interval, b: Interval) -> Interval:
-    _require_finite(a, b)
-    if b.lo <= 0.0 <= b.hi:
-        raise DivisionByZeroInterval(
-            f"denominator [{b.lo}, {b.hi}] contains zero"
-        )
     al, ah, bl, bh = a.lo, a.hi, b.lo, b.hi
+    if not (-_INF < al and ah < _INF and -_INF < bl and bh < _INF):
+        raise _non_finite(a, b)
+    if bl <= 0.0 <= bh:
+        raise DivisionByZeroInterval(
+            f"denominator [{bl}, {bh}] contains zero"
+        )
     if bl > 0.0:
         if al >= 0.0:
-            return Interval(_div_down(al, bh), _div_up(ah, bl))
+            return _make(_div_down(al, bh), _div_up(ah, bl))
         if ah <= 0.0:
-            return Interval(_div_down(al, bl), _div_up(ah, bh))
-        return Interval(_div_down(al, bl), _div_up(ah, bl))
+            return _make(_div_down(al, bl), _div_up(ah, bh))
+        return _make(_div_down(al, bl), _div_up(ah, bl))
     # bh < 0
     if al >= 0.0:
-        return Interval(_div_down(ah, bh), _div_up(al, bl))
+        return _make(_div_down(ah, bh), _div_up(al, bl))
     if ah <= 0.0:
-        return Interval(_div_down(ah, bl), _div_up(al, bh))
-    return Interval(_div_down(ah, bh), _div_up(al, bh))
+        return _make(_div_down(ah, bl), _div_up(al, bh))
+    return _make(_div_down(ah, bh), _div_up(al, bh))
 
 
 def _pow_nonneg(x: float, k: int, mul) -> float:
@@ -402,41 +484,38 @@ def pow_int(a: Interval, k: int) -> Interval:
     if not isinstance(k, int):
         raise TypeError("exponent must be an integer")
     if k == 0:
-        return Interval(1.0, 1.0)
+        return _make(1.0, 1.0)
     if k < 0:
-        return div(Interval(1.0, 1.0), pow_int(a, -k))
-    _require_finite(a)
+        return div(_make(1.0, 1.0), pow_int(a, -k))
+    if not (-_INF < a.lo and a.hi < _INF):
+        raise _non_finite(a)
     if k == 1:
         return a
     if k % 2 == 1:
         lo = -_pow_nonneg(-a.lo, k, _mul_up) if a.lo < 0 else _pow_nonneg(a.lo, k, _mul_down)
         hi = -_pow_nonneg(-a.hi, k, _mul_down) if a.hi < 0 else _pow_nonneg(a.hi, k, _mul_up)
-        return Interval(lo, hi)
-    return Interval(_pow_nonneg(a.mig, k, _mul_down), _pow_nonneg(a.mag, k, _mul_up))
+        return _make(lo, hi)
+    return _make(_pow_nonneg(a.mig, k, _mul_down), _pow_nonneg(a.mag, k, _mul_up))
 
 
-class SqrtResult(NamedTuple):
-    """sqrt enclosure plus a flag recording whether a slightly-negative
-    lower endpoint had to be clamped to zero."""
-
-    interval: Interval
-    clamped: bool
-
-
-def sqrt_interval(a: Interval) -> SqrtResult:
-    _require_finite(a)
-    if a.hi < 0.0:
-        raise DomainError(f"sqrt of certainly-negative interval [{a.lo}, {a.hi}]")
-    clamped = a.lo < 0.0
-    lo = 0.0 if clamped else _sqrt_down(a.lo)
-    hi = _sqrt_up(a.hi)
-    return SqrtResult(Interval(lo, hi), clamped)
+def sqrt_interval(a: Interval) -> Interval:
+    """sqrt enclosure.  A negative lower endpoint is clamped to zero: the
+    result encloses sqrt over the nonnegative part of a only, so callers
+    for whom a negative argument means an undefined value must reject it
+    first."""
+    lo, hi = a.lo, a.hi
+    if not (-_INF < lo and hi < _INF):
+        raise _non_finite(a)
+    if hi < 0.0:
+        raise DomainError(f"sqrt of certainly-negative interval [{lo}, {hi}]")
+    return _make(0.0 if lo < 0.0 else _sqrt_down(lo), _sqrt_up(hi))
 
 
 def atan_interval(a: Interval) -> Interval:
     """Enclosure of arctangent; monotone, so endpoint evaluation suffices."""
-    _require_finite(a)
-    return Interval(_atan_down(a.lo), _atan_up(a.hi))
+    if not (-_INF < a.lo and a.hi < _INF):
+        raise _non_finite(a)
+    return _make(_atan_down(a.lo), _atan_up(a.hi))
 
 
 # ---------------------------------------------------------------------------

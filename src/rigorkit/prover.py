@@ -1,12 +1,16 @@
 """Adaptive-subdivision proof engine for f < 0 (or f <= 0) over a box.
 
-Each cell is first *reduced*: every variable whose partial derivative has
-a certified strict sign over the cell is collapsed to the extremal facet
-(sup f over the cell equals sup f over the facet), which removes that
-dimension from further subdivision.  The reduced cell is then bounded by
-the Taylor form, trusted only if f is certified smooth on the cell (else
-the cell is an evaluation failure); cells whose bound does not certify
-are bisected along their widest non-degenerate component.
+Each cell is evaluated once as a whole: the whole-cell germ encloses f and
+every first partial over it.  A germ that fails means f may not be smooth
+on the cell (an evaluation failure).  Otherwise the cell is *reduced*:
+every variable whose partial derivative has a certified strict sign is
+collapsed to the extremal facet (sup f over the cell equals sup f over the
+facet), which removes that dimension from further subdivision.  The
+germ's f.hi bounds f over the whole cell, so it bounds the reduced cell
+too; only when it does not certify is the reduced cell bounded by the
+Taylor form as well, and the smaller of the two bounds is used.  Cells
+whose bound does not certify are bisected along their widest
+non-degenerate component.
 
 Reported cells are always *footprints*: collapsed cells re-inflated to
 their pre-reduction parents, so the leaves of a run exactly tile the
@@ -26,7 +30,8 @@ from typing import Optional, Sequence
 from .errors import BoundUnavailable
 from .expr import Evaluator, Expr, compile_expr
 from .interval import Interval
-from .taylor import Box, PartialSign, partial_signs, taylor_upper_bound
+from .taylor import (Box, PartialSign, cell_germ, germ_signs, partial_signs,
+                     taylor_upper_bound)
 
 __all__ = [
     "ProofTask",
@@ -78,6 +83,9 @@ class ProofReport:
     cells_processed: int
     max_depth_reached: int
     best_upper_bound_seen: float
+    # certified cells, by the bound that certified them
+    cells_certified_by_germ: int = 0
+    cells_certified_by_taylor: int = 0
     undecided_cells: tuple[Box, ...] = ()
     failed_cells: tuple[Box, ...] = ()
     certified_cells: tuple[Box, ...] = ()
@@ -122,6 +130,7 @@ def _pick_split_dim(cell: Box, min_width: float) -> int:
 def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
          cfg: ProverConfig) -> ProofReport:
     limit = -margin
+    certifies = (lambda u: u < limit) if strict else (lambda u: u <= limit)
     # Work items: (footprint, reduced-or-original cell, depth, parent_upper)
     stack = [(domain, domain, 0, math.inf)]
     processed = 0
@@ -130,6 +139,7 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
     undecided: list[Box] = []
     failed: list[Box] = []
     certified: list[Box] = []
+    by_germ_count = by_taylor_count = 0
     exhausted = False
 
     while stack:
@@ -140,19 +150,22 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
         processed += 1
         max_depth_seen = max(max_depth_seen, depth)
 
-        signs = partial_signs(ev, cell)
-        cell = reduce_cell(ev, cell, signs or ())
+        germ = cell_germ(ev, cell)
+        cell = reduce_cell(ev, cell, germ_signs(germ) if germ is not None else ())
         # Without a whole-cell germ, f may have a pole the Taylor bound misses.
-        eval_failed = signs is None
-        try:
-            upper = math.inf if eval_failed else taylor_upper_bound(ev, cell).upper
-        except BoundUnavailable:
-            upper = math.inf
-            eval_failed = True
+        eval_failed = germ is None
+        upper = math.inf if eval_failed else germ.f.hi
+        by_germ = certifies(upper)
+        if not (by_germ or eval_failed):
+            try:
+                upper = min(taylor_upper_bound(ev, cell).upper, upper)
+            except BoundUnavailable:
+                eval_failed = True
 
-        ok = (upper < limit) if strict else (upper <= limit)
-        if ok:
+        if certifies(upper):
             best_upper = max(best_upper, upper)
+            by_germ_count += by_germ
+            by_taylor_count += not by_germ
             if cfg.track_cells:
                 certified.append(footprint)
             continue
@@ -188,6 +201,8 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
         cells_processed=processed,
         max_depth_reached=max_depth_seen,
         best_upper_bound_seen=best_upper,
+        cells_certified_by_germ=by_germ_count,
+        cells_certified_by_taylor=by_taylor_count,
         undecided_cells=tuple(sorted(undecided, key=cell_key)),
         failed_cells=tuple(sorted(failed, key=cell_key)),
         certified_cells=tuple(certified),

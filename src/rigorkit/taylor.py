@@ -25,11 +25,11 @@ from .errors import (
     EmptyIntersection,
     NonFiniteOperand,
 )
-from .expr import Evaluator
+from .expr import Evaluator, TaylorGerm
 from .interval import Interval
 
 __all__ = ["Box", "TaylorBound", "PartialSign", "taylor_upper_bound",
-           "partial_sign", "partial_signs"]
+           "cell_germ", "germ_signs", "partial_sign", "partial_signs"]
 
 _EVAL_ERRORS = (DivisionByZeroInterval, DomainError, NonFiniteOperand,
                 EmptyIntersection, OverflowError)
@@ -138,15 +138,19 @@ def taylor_upper_bound(ev: Evaluator, box: Box) -> TaylorBound:
         raise BoundUnavailable(str(exc)) from exc
 
 
-def partial_signs(ev: Evaluator, box: Box) -> Optional[list[PartialSign]]:
-    """Certified signs of all first partials over the box from one
-    whole-cell germ, or None if that fails.  A germ that succeeds has
-    evaluated f and every first partial over the box, so each denominator
-    they contain (atan's too) excludes zero."""
+def cell_germ(ev: Evaluator, box: Box) -> Optional[TaylorGerm]:
+    """The whole-cell germ: f and every first partial over the box, or None
+    if interval evaluation fails.  A germ that succeeds has evaluated f and
+    every first partial over the box, so each denominator they contain
+    (atan's too) excludes zero, and its f.hi bounds f over the box."""
     try:
-        germ = ev.germ(box.dims)
+        return ev.germ(box.dims)
     except _EVAL_ERRORS:
         return None
+
+
+def germ_signs(germ: TaylorGerm) -> list[PartialSign]:
+    """Certified signs of the first partials of a whole-cell germ."""
     out = []
     for d in germ.df:
         if d.lo > 0.0:
@@ -156,6 +160,13 @@ def partial_signs(ev: Evaluator, box: Box) -> Optional[list[PartialSign]]:
         else:
             out.append(PartialSign.UNKNOWN)
     return out
+
+
+def partial_signs(ev: Evaluator, box: Box) -> Optional[list[PartialSign]]:
+    """Certified signs of all first partials over the box from one
+    whole-cell germ, or None if that fails."""
+    germ = cell_germ(ev, box)
+    return None if germ is None else germ_signs(germ)
 
 
 def partial_sign(ev: Evaluator, box: Box, i: int) -> PartialSign:

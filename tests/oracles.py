@@ -3,12 +3,14 @@
 Everything here is deliberately separate from the library's own code
 paths: an exact rational simplex for LP optima, dense numpy grid search
 for function maxima and assembly feasibility, a rotation-system brute
-force for small sphere graphs, and mpmath for high-precision scalar
-references.  None of it is shipped.
+force for small sphere graphs, mpmath for high-precision scalar
+references, and directed-rounding kernels that decide every rounding by
+exact integer ratios.  None of it is shipped.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -233,6 +235,87 @@ def mp_sqrt(x: float, dps: int = 50):
     import mpmath
     with mpmath.workdps(dps):
         return mpmath.sqrt(x)
+
+
+# ---------------------------------------------------------------------------
+# Directed-rounding reference kernels: every error sign decided by exact
+# integer-ratio products (the library's kernels before TwoProduct).
+# ---------------------------------------------------------------------------
+
+def _mul_err_sign(x: float, y: float, p: float) -> int:
+    # sign of exact(x*y) - p, all arguments finite
+    nx, dx = x.as_integer_ratio()
+    ny, dy = y.as_integer_ratio()
+    np_, dp = p.as_integer_ratio()
+    lhs = nx * ny * dp
+    rhs = np_ * dx * dy
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def _div_err_sign(x: float, y: float, q: float) -> int:
+    # sign of exact(x/y) - q; y != 0, all finite
+    nx, dx = x.as_integer_ratio()
+    ny, dy = y.as_integer_ratio()
+    nq, dq = q.as_integer_ratio()
+    num = nx * dy * dq - nq * dx * ny
+    if ny < 0:
+        num = -num
+    return (num > 0) - (num < 0)
+
+
+def _sqrt_err_sign(x: float, s: float) -> int:
+    # sign of sqrt(x) - s for x >= 0, s >= 0: same as sign of x - s*s
+    nx, dx = x.as_integer_ratio()
+    ns, ds = s.as_integer_ratio()
+    lhs = nx * ds * ds
+    rhs = ns * ns * dx
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def _next_up(x: float) -> float:
+    return math.nextafter(x, math.inf)
+
+
+def _next_down(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
+def reference_mul_down(x: float, y: float) -> float:
+    p = x * y
+    if math.isinf(p):
+        return _next_down(p) if p > 0 else p
+    return _next_down(p) if _mul_err_sign(x, y, p) < 0 else p
+
+
+def reference_mul_up(x: float, y: float) -> float:
+    p = x * y
+    if math.isinf(p):
+        return _next_up(p) if p < 0 else p
+    return _next_up(p) if _mul_err_sign(x, y, p) > 0 else p
+
+
+def reference_div_down(x: float, y: float) -> float:
+    q = x / y
+    if math.isinf(q):
+        return _next_down(q) if q > 0 else q
+    return _next_down(q) if _div_err_sign(x, y, q) < 0 else q
+
+
+def reference_div_up(x: float, y: float) -> float:
+    q = x / y
+    if math.isinf(q):
+        return _next_up(q) if q < 0 else q
+    return _next_up(q) if _div_err_sign(x, y, q) > 0 else q
+
+
+def reference_sqrt_down(x: float) -> float:
+    s = math.sqrt(x)
+    return _next_down(s) if _sqrt_err_sign(x, s) < 0 else s
+
+
+def reference_sqrt_up(x: float) -> float:
+    s = math.sqrt(x)
+    return _next_up(s) if _sqrt_err_sign(x, s) > 0 else s
 
 
 # ---------------------------------------------------------------------------

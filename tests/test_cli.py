@@ -32,6 +32,27 @@ def test_prove_six_squares_exits_zero(capsys):
     assert ("status", "proven") in body
 
 
+def test_prove_body_counts_cells_by_certifying_bound(capsys):
+    code, out, _ = run(["prove", "--task", str(PROBLEMS / "six_squares.ineq")], capsys)
+    assert code == 0
+    _, body = cli.parse_report(out)
+    assert ("cells_processed", "1") in body
+    assert ("cells_certified_by_germ", "1") in body
+    assert ("cells_certified_by_taylor", "0") in body
+
+
+def test_sqrt_of_a_negative_constant_is_not_proven(tmp_path, capsys):
+    # The sqrt argument is exactly -1e-22, so f is defined nowhere; its
+    # enclosure straddles zero, and a clamped sqrt once made it proven.
+    task = tmp_path / "neg.ineq"
+    task.write_text("arity 1\nexpr sqrt(0.1 - 0.1000000000000000000001) + x0 - 2\n"
+                    "domain x0 0..1\n")
+    code, out, _ = run(["prove", "--task", str(task), "--max-cells", "50"], capsys)
+    assert code == 1
+    _, body = cli.parse_report(out)
+    assert ("status", "evaluation_failure") in body
+
+
 def test_prove_false_inequality_exits_one(tmp_path, capsys):
     task = tmp_path / "false.ineq"
     task.write_text("arity 1\nexpr x0*x0 - 1\ndomain x0 0..2\nmargin 0\n")

@@ -10,13 +10,13 @@ from rigorkit.errors import PivotInfeasible
 from rigorkit.interval import Interval
 
 I = Interval
-SQRT8 = iv.sqrt_interval(I(8, 8)).interval
+SQRT8 = iv.sqrt_interval(I(8, 8))
 
 
 def equilateral_with_apex(side=2.0):
     s = I(side, side)
     half = I(side / 2, side / 2)
-    height = iv.sqrt_interval(iv.sub(iv.pow_int(s, 2), iv.pow_int(half, 2))).interval
+    height = iv.sqrt_interval(iv.sub(iv.pow_int(s, 2), iv.pow_int(half, 2)))
     apex_y = iv.div(half, height)  # arbitrary interior-ish offset
     return geom.PointConfig((
         (I(0, 0), I(0, 0), I(0, 0)),

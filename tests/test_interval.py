@@ -103,17 +103,15 @@ def test_atan_within_one_ulp_against_mpmath():
 
 def test_sqrt_examples():
     r = iv.sqrt_interval(I(4, 4))
-    assert r.interval.lo <= 2.0 <= r.interval.hi
-    assert r.interval.hi - r.interval.lo <= 2 * math.ulp(2.0)
-    assert not r.clamped
+    assert r == I(2, 2)
     from oracles import mp_sqrt
-    r8 = iv.sqrt_interval(I(8, 8)).interval
+    r8 = iv.sqrt_interval(I(8, 8))
     ref = mp_sqrt(8.0, dps=60)
     assert r8.lo <= float(ref) <= r8.hi
     with pytest.raises(DomainError):
         iv.sqrt_interval(I(-1, -0.5))
-    clamped = iv.sqrt_interval(I(-0.5, 4))
-    assert clamped.clamped and clamped.interval.lo == 0.0
+    # a negative lower end is clamped to zero
+    assert iv.sqrt_interval(I(-0.5, 4)) == I(0, 2)
 
 
 def test_from_decimal_string_examples():
@@ -342,3 +340,88 @@ def test_directed_rounding_on_adversarial_bit_patterns():
         if x >= 0.0:
             lo, hi = _sqrt_down(x), _sqrt_up(x)
             assert Fraction(lo) ** 2 <= fx <= Fraction(hi) ** 2
+
+
+# ---------------------------------------------------------------------------
+# TwoProduct kernels against the integer-ratio reference kernels
+# ---------------------------------------------------------------------------
+
+def _same_bits(a: float, b: float) -> bool:
+    # float.hex tells -0.0 from 0.0
+    return a.hex() == b.hex()
+
+
+def _assert_kernels_match_reference(x: float, y: float) -> None:
+    import oracles
+    pairs = [(iv._mul_down, oracles.reference_mul_down),
+             (iv._mul_up, oracles.reference_mul_up)]
+    if y != 0.0:
+        pairs += [(iv._div_down, oracles.reference_div_down),
+                  (iv._div_up, oracles.reference_div_up)]
+    for kernel, reference in pairs:
+        got, want = kernel(x, y), reference(x, y)
+        assert _same_bits(got, want), (kernel.__name__, x, y, got, want)
+    if x >= 0.0:
+        for kernel, reference in ((iv._sqrt_down, oracles.reference_sqrt_down),
+                                  (iv._sqrt_up, oracles.reference_sqrt_up)):
+            got, want = kernel(x), reference(x)
+            assert _same_bits(got, want), (kernel.__name__, x, got, want)
+
+
+def _adversarial_floats() -> list[float]:
+    top = sys.float_info.max
+    tiny = 5e-324
+    mags = [tiny, 2 * tiny, 3 * tiny, 2.2250738585072009e-308,
+            1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0),
+            top, math.nextafter(top, 0.0)]
+    # Both edges of TwoProduct's safe range (factors near 2**995, products
+    # near 2**-968 and 2**1023, quotients near the least normal) and
+    # operands whose products and quotients overflow or underflow.
+    rng = random.Random(20261018)
+    for k in (-1074, -1073, -1060, -1022, -1021, -1014, -1000, -969, -968, -967,
+              -485, -484, -483, -100, 100, 483, 484, 511, 512, 994, 995, 996,
+              1022, 1023):
+        base = 2.0 ** k
+        mags += [base, math.nextafter(base, 0.0), math.nextafter(base, math.inf),
+                 1.5 * base, (4 / 3) * base, (2 - 2**-52) * base,
+                 rng.randrange(2**52, 2**53) * 2.0 ** -52 * base]
+    mags = sorted({m for m in mags if m > 0.0 and math.isfinite(m)})
+    return [0.0, -0.0] + mags + [-m for m in mags]
+
+
+def test_kernels_match_reference_on_adversarial_operands():
+    values = _adversarial_floats()
+    for x in values:
+        for y in values:
+            _assert_kernels_match_reference(x, y)
+
+
+_any_finite = st.floats(allow_nan=False, allow_infinity=False)
+# full 53-bit significands at every binary exponent, subnormal results included
+_full_significand = st.builds(
+    lambda m, k, negative: -math.ldexp(m, k) if negative else math.ldexp(m, k),
+    st.integers(2**52, 2**53 - 1), st.integers(-1130, 970), st.booleans())
+_kernel_operands = st.one_of(_any_finite, _full_significand)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_kernel_operands, _kernel_operands)
+def test_kernels_match_reference(x, y):
+    _assert_kernels_match_reference(x, y)
+    _assert_kernels_match_reference(x, x)  # squares, as in pow_int
+
+
+@pytest.mark.parametrize("bad", [I(-math.inf, 1.0), I(0.0, math.inf),
+                                 I(math.inf, math.inf), I(-math.inf, math.inf)])
+def test_operations_reject_an_infinite_endpoint(bad):
+    ok = I(1.0, 2.0)
+    calls = [lambda: iv.add(bad, ok), lambda: iv.add(ok, bad),
+             lambda: iv.sub(bad, ok), lambda: iv.sub(ok, bad),
+             lambda: iv.mul(bad, ok), lambda: iv.mul(ok, bad),
+             lambda: iv.div(bad, ok), lambda: iv.div(ok, bad),
+             lambda: iv.pow_int(bad, 2), lambda: iv.pow_int(bad, 3),
+             lambda: iv.pow_int(bad, -1),
+             lambda: iv.sqrt_interval(bad), lambda: iv.atan_interval(bad)]
+    for call in calls:
+        with pytest.raises(NonFiniteOperand, match="non-finite interval"):
+            call()

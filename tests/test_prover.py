@@ -1,9 +1,13 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import grid_max, random_expr
 from rigorkit import expr as ex
+from rigorkit import prover
 from rigorkit.interval import Interval
 from rigorkit.prover import (ProofStatus, ProofTask, ProverConfig,
                              prove_negative, prove_nonpositive, reduce_cell)
@@ -143,3 +147,58 @@ def test_completeness_on_margin():
             ProofTask(task_expr, Box.from_bounds(bounds), margin=1e-3),
             ProverConfig(max_cells=20000, max_depth=40, min_width=1e-5))
         assert report.status is ProofStatus.PROVEN, ex.to_text(task_expr)
+
+
+def test_root_germ_certifies_without_a_taylor_bound(monkeypatch):
+    calls = []
+    original = prover.taylor_upper_bound
+    monkeypatch.setattr(prover, "taylor_upper_bound",
+                        lambda ev, box: calls.append(box) or original(ev, box))
+    e6 = ex.parse("x0*x0 + x1*x1 + x2*x2 + x3*x3 + x4*x4 + x5*x5 - 7", 6)
+    r = prove_negative(ProofTask(e6, Box(tuple(I(0, 1) for _ in range(6)))))
+    assert r.status is ProofStatus.PROVEN
+    assert r.cells_processed == 1
+    assert r.cells_certified_by_germ == 1 and r.cells_certified_by_taylor == 0
+    assert r.best_upper_bound_seen == -1.0
+    assert calls == []
+
+
+def test_only_the_taylor_bound_certifies():
+    # the germ evaluates x0 - x0 over [0, 1] as [-1, 1]; the Taylor form
+    # sees a zero gradient and the exact centre value
+    r = prove_negative(ProofTask(ex.parse("x0 - x0 - 0.5"), Box((I(0, 1),))))
+    assert r.status is ProofStatus.PROVEN
+    assert r.cells_processed == 1
+    assert r.cells_certified_by_germ == 0 and r.cells_certified_by_taylor == 1
+    assert r.best_upper_bound_seen == -0.5
+
+
+def test_certified_counters_add_up():
+    cfg = ProverConfig(max_cells=400, track_cells=True)
+    for text, bounds in [("x0*(1 - x0) - 0.3", [(0, 1)]),
+                         ("x0*x0*x1 - x1 + x0 - 1", [(-1, 1), (0, 1)]),
+                         ("x0*x0 - 1", [(0, 2)])]:
+        r = prove_negative(ProofTask(ex.parse(text), Box.from_bounds(bounds)), cfg)
+        assert (r.cells_certified_by_germ + r.cells_certified_by_taylor
+                == len(r.certified_cells)), text
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_proven_reports_hold_at_corners_and_sampled_points(seed):
+    rng = random.Random(seed)
+    arity = rng.randint(1, 3)
+    e = random_expr(rng, arity, rng.randint(2, 4))
+    bounds = [(rng.uniform(-1.5, 0.0), rng.uniform(0.1, 1.5)) for _ in range(arity)]
+    corners = list(itertools.product(*bounds))
+    samples = [tuple(rng.uniform(lo, hi) for lo, hi in bounds) for _ in range(200)]
+    rough = max(ex.evaluate_numeric(e, p) for p in corners + samples[:20])
+    margin = rng.choice([0.0, 1e-3])
+    shift = rough + rng.choice([0.5, 0.05, 0.0, -0.1]) * (1 + abs(rough))
+    task_expr = ex.Sub(e, ex.const_from_float(shift))
+    report = prove_negative(ProofTask(task_expr, Box.from_bounds(bounds), margin),
+                            ProverConfig(max_cells=200, min_width=1e-4))
+    if report.status is ProofStatus.PROVEN:
+        assert report.cells_certified_by_germ + report.cells_certified_by_taylor > 0
+        for p in corners + samples:
+            assert ex.evaluate_numeric(task_expr, p) < -margin, (ex.to_text(task_expr), p)
