@@ -588,6 +588,7 @@ class Evaluator:
         self.expr = expr
         self.plan: list[tuple] = []
         self._args: list[tuple[int, ...]] = []         # operand slots per instruction
+        self._varying: list[bool] = []                 # per slot: reads some variable
         self._numbers: dict[tuple, int] = {}           # (op, operand slots) -> slot
         self._seen: dict[int, tuple[Expr, int]] = {}   # id(node) -> (node, slot)
         root = self._emit(expr)
@@ -632,6 +633,7 @@ class Evaluator:
                 slot = numbers[key] = len(self.plan)
                 self.plan.append(ins)
                 self._args.append(args)
+                self._varying.append(key[0] == _VAR or any(self._varying[a] for a in args))
             seen[id(node)] = (node, slot)
         return seen[id(root)][1]
 
@@ -663,9 +665,8 @@ class Evaluator:
 
     # -- interval queries -------------------------------------------------
 
-    def _run(self, box: Sequence[Interval], outputs: tuple[int, ...]) -> list[Interval]:
-        """Evaluate over the box exactly the instructions the output slots
-        depend on, and no other; return the outputs' values."""
+    def _schedule(self, outputs: tuple[int, ...]) -> list[int]:
+        """The slots the outputs depend on, in plan order."""
         order = self._schedules.get(outputs)
         if order is None:
             needed = set(outputs)
@@ -673,6 +674,12 @@ class Evaluator:
                 if s in needed:
                     needed.update(self._args[s])
             order = self._schedules[outputs] = sorted(needed)
+        return order
+
+    def _run(self, box: Sequence[Interval], outputs: tuple[int, ...]) -> list[Interval]:
+        """Evaluate over the box exactly the instructions the output slots
+        depend on, and no other; return the outputs' values."""
+        order = self._schedules.get(outputs) or self._schedule(outputs)
         plan = self.plan
         vals: list = [None] * len(plan)
         for s in order:
@@ -714,6 +721,13 @@ class Evaluator:
         partials = [self._slot((i,)) for i in range(self.arity)]
         f, *df = self._run(box, (self._slot(()), *partials))
         return TaylorGerm(f, tuple(df))
+
+    def germ_constants(self) -> None:
+        """Evaluate the germ's instructions that read no variable.  They
+        give the same values over every box, so an error raised here is
+        raised by germ over every box."""
+        outputs = (self._slot(()), *(self._slot((i,)) for i in range(self.arity)))
+        self._run((), tuple(s for s in self._schedule(outputs) if not self._varying[s]))
 
     def hessian(self, box: Sequence[Interval],
                 entries: Sequence[tuple[int, int]]) -> list[Interval]:

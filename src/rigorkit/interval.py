@@ -26,6 +26,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter, truediv
+from typing import Optional
 
 from .errors import (
     DivisionByZeroInterval,
@@ -559,19 +562,21 @@ def _decimal_exponent(exp: str) -> int:
 _KEPT_DIGITS = 800
 
 
-def _round_decimal(s: str) -> tuple[float, int]:
-    """A decimal numeral rounded to the nearest binary64 value (ties to even)
-    by one exact integer division, and the sign of (exact value - result).
-    The magnitude is decided from the digit count and the exponent before
-    any integer is built, so far exponents and long numerals cost no more
-    than short ones."""
+def _round_decimal(s: str) -> tuple[float, int, int]:
+    """A decimal numeral rounded to the nearest binary64 value f (ties to
+    even) by one exact integer division, with integers num and den > 0
+    such that num/den - f has the sign of (exact value - f): num/den is the
+    value itself, or a stand-in of the same sign when the value rounds to
+    zero from below half the smallest subnormal.  The magnitude is decided
+    from the digit count and the exponent before any integer is built, so
+    far exponents and long numerals cost no more than short ones."""
     m = _DECIMAL_RE.match(s.strip())
     if not m:
         raise ParseError(f"invalid decimal numeral {_excerpt(s)!r}")
     sign, whole, frac, exp = m.groups(default="")
     body = (whole + frac).lstrip("0")
     if not body:
-        return 0.0, 0
+        return 0.0, 0, 1
     scale = _decimal_exponent(exp) - len(frac)
     # 10**(mag - 1) <= |value| < 10**mag
     mag = scale + len(body)
@@ -579,7 +584,7 @@ def _round_decimal(s: str) -> tuple[float, int]:
         raise ParseError(f"decimal numeral {_excerpt(s)!r} overflows binary64")
     if mag < -330:
         # Below half the smallest subnormal: rounds to a signed zero.
-        return (-0.0, -1) if sign == "-" else (0.0, 1)
+        return (-0.0, -1, 1) if sign == "-" else (0.0, 1, 1)
     if len(body) > _KEPT_DIGITS:
         sticky = "1" if body[_KEPT_DIGITS:].strip("0") else "0"
         scale += len(body) - _KEPT_DIGITS - 1
@@ -587,12 +592,64 @@ def _round_decimal(s: str) -> tuple[float, int]:
     digits = int(sign + body)
     num, den = (digits * 10 ** scale, 1) if scale >= 0 else (digits, 10 ** -scale)
     try:
-        f = num / den
+        return num / den, num, den
     except OverflowError:
         raise ParseError(f"decimal numeral {_excerpt(s)!r} overflows binary64") from None
-    fn, fd = f.as_integer_ratio()
-    err = num * fd - fn * den
-    return f, (err > 0) - (err < 0)
+
+
+# Clinger's fast path ("How to read floating point numbers accurately", PLDI
+# 1990): a numeral of at most 15 significant digits is an integer N below
+# 2**53, exact as a float, and 10**k is exact for k <= 22, so N / 10**k is
+# one correctly rounded division.
+_POW10 = tuple(10.0 ** k for k in range(23))
+
+
+def _short_decimal(s: str) -> Optional[tuple[float, float]]:
+    """(N, 10**k) as floats, the numeral's value being N / 10**k, when s is
+    a plain ASCII numeral [+-]digits[.digits] of at most 15 significant
+    digits and k <= 22 fraction digits; None for any other text."""
+    body = s[1:] if s[:1] in ("+", "-") else s
+    whole, dot, frac = body.partition(".")
+    if not (whole.isdigit() and whole.isascii() and len(frac) <= 22
+            and (not dot or (frac.isdigit() and frac.isascii()))):
+        return None
+    digits = (whole + frac).lstrip("0")
+    if not digits:
+        return 0.0, 1.0  # every zero numeral reads as +0.0
+    if len(digits) > 15:
+        return None
+    n = float(int(digits))
+    return (-n if s[0] == "-" else n), _POW10[len(frac)]
+
+
+_NOT_NUMERAL = str.maketrans("", "", "+-.0123456789")
+_after = itemgetter(2)
+
+
+def _nearest_floats(tokens: list[str]) -> list[float]:
+    """decimal_to_nearest_float of each token.  Clinger's fast path runs
+    over the whole list at once; the tokens it cannot take (other
+    characters than signs, dots and digits, more than 15 significant digits
+    or 22 fraction digits) are then read one at a time."""
+    slow = set()
+    if "".join(tokens).translate(_NOT_NUMERAL):
+        slow.update(i for i, rest in enumerate(map(str.translate, tokens, repeat(_NOT_NUMERAL)))
+                    if rest)
+    plain = [("0" if i in slow else t) for i, t in enumerate(tokens)] if slow else tokens
+    try:
+        # int() checks that the one dot and the sign are in place
+        n = list(map(int, map(str.replace, plain, repeat("."), repeat(""), repeat(1))))
+    except ValueError:
+        return list(map(decimal_to_nearest_float, tokens))
+    k = list(map(len, map(_after, map(str.partition, plain, repeat(".")))))
+    if max(k, default=0) > 22 or max(map(abs, n), default=0) >= 10 ** 15:
+        slow.update(i for i, (ni, ki) in enumerate(zip(n, k)) if ki > 22 or abs(ni) >= 10 ** 15)
+    for i in slow:
+        n[i] = k[i] = 0
+    out = list(map(truediv, map(float, n), map(_POW10.__getitem__, k)))
+    for i in slow:
+        out[i] = decimal_to_nearest_float(tokens[i])
+    return out
 
 
 def _excerpt(s: str) -> str:
@@ -602,13 +659,25 @@ def _excerpt(s: str) -> str:
 def from_decimal_string(s: str) -> Interval:
     """Tight enclosure (width <= 1 ulp, exact when representable) of the
     exact value of a signed decimal numeral."""
-    f, err = _round_decimal(s)
-    return Interval(next_down(f) if err < 0 else f, next_up(f) if err > 0 else f)
+    short = _short_decimal(s)
+    if short is not None:
+        n, p = short
+        f = n / p
+        # N/10**k - f has the sign of N - f*10**k
+        err = _residual_sign(n, f, p) if n else 0
+    else:
+        f, num, den = _round_decimal(s)
+        fn, fd = f.as_integer_ratio()
+        err = num * fd - fn * den
+    return _make(_nextafter(f, -_INF) if err < 0 else f, _nextafter(f, _INF) if err > 0 else f)
 
 
 def decimal_to_nearest_float(s: str) -> float:
     """Correctly rounded (to nearest, ties to even) binary64 value of a
     decimal numeral."""
+    short = _short_decimal(s)
+    if short is not None:
+        return short[0] / short[1]
     return _round_decimal(s)[0]
 
 
@@ -645,7 +714,7 @@ def format_interval_literal(a: Interval) -> str:
         if x == -_INF:
             return "-inf"
         r = repr(x)
-        if _round_decimal(r)[1] == 0:
+        if from_decimal_string(r).is_point:
             return r
         from decimal import Decimal
         return format(Decimal(x), "f")

@@ -30,7 +30,11 @@ dual-file interface instead.
 from __future__ import annotations
 
 import hashlib
+import math
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from . import interval as iv
@@ -52,6 +56,8 @@ __all__ = [
     "dual_to_text",
     "dual_from_text",
 ]
+
+_INF = math.inf
 
 Matrix = tuple[tuple[float, ...], ...]
 Vector = tuple[float, ...]
@@ -173,32 +179,18 @@ def certify_upper_bound(p: LpProblem, d: DualSolution) -> BoundCertificate:
         if v < 0.0:
             raise ValueError("z must be componentwise nonnegative; clamp_dual first")
 
-    n = p.n
-    # delta = c - y Aeq - z Aineq, in interval arithmetic
-    delta = [Interval.point(p.c[j]) for j in range(n)]
-    for i, yi in enumerate(d.y):
-        if yi == 0.0:
-            continue
-        yi_iv = Interval.point(yi)
-        row = p.aeq[i]
-        for j in range(n):
-            if row[j] != 0.0:
-                delta[j] = iv.sub(delta[j], iv.mul(yi_iv, Interval.point(row[j])))
-    for i, zi in enumerate(d.z):
-        if zi == 0.0:
-            continue
-        zi_iv = Interval.point(zi)
-        row = p.aineq[i]
-        for j in range(n):
-            if row[j] != 0.0:
-                delta[j] = iv.sub(delta[j], iv.mul(zi_iv, Interval.point(row[j])))
+    # delta = c - y Aeq - z Aineq, as endpoint lists: each nonzero is the
+    # sub(delta_j, mul(point, point)) of interval arithmetic, spelled out.
+    lo = [Interval.point(v).lo for v in p.c]  # a NaN raises here, as before
+    hi = list(lo)
+    _subtract_products(lo, hi, d.y, p.aeq)
+    _subtract_products(lo, hi, d.z, p.aineq)
+    delta = [Interval(a, b) for a, b in zip(lo, hi)]
 
     # D = sum_j sup(|delta_j| * max(|lo_j|, |hi_j|))
     d_total = Interval.point(0.0)
-    for j in range(n):
-        mag_bound = p.var_bounds[j].mag
-        term = iv.mul(Interval.point(delta[j].mag), Interval.point(mag_bound))
-        d_total = iv.add(d_total, term)
+    for dj, b in zip(delta, p.var_bounds):
+        d_total = iv.add(d_total, iv.mul(Interval.point(dj.mag), Interval.point(b.mag)))
 
     bound_total = d_total
     for i, yi in enumerate(d.y):
@@ -206,15 +198,54 @@ def certify_upper_bound(p: LpProblem, d: DualSolution) -> BoundCertificate:
     for i, zi in enumerate(d.z):
         bound_total = iv.add(bound_total, iv.mul(Interval.point(zi), Interval.point(p.bineq[i])))
 
-    digest = hashlib.sha256(
-        (problem_to_text(p) + "\n" + dual_to_text(d.y, d.z)).encode()
-    ).hexdigest()
+    digest = _inputs_digest(p, d)
     return BoundCertificate(
         bound=bound_total.hi,
         delta_bound=d_total.hi,
         residual=tuple(delta),
         inputs_digest=digest,
     )
+
+
+def _subtract_products(lo: list[float], hi: list[float], mult: Vector,
+                       rows: Matrix) -> None:
+    """[lo_j, hi_j] -= mult_i * rows[i][j] over every nonzero, in row order,
+    rounded as iv.sub(delta_j, iv.mul(point, point)) rounds.  A step on a
+    NaN entry, or whose result is not finite, is replayed on Interval
+    objects, which raise NonFiniteOperand exactly where interval arithmetic
+    would."""
+    mul_down, mul_up = iv._mul_down, iv._mul_up
+    add_down, add_up = iv._add_down, iv._add_up
+    for m, row in zip(mult, rows):
+        if m == 0.0:
+            continue
+        if m != m:
+            Interval.point(m)  # raises: an interval endpoint may not be NaN
+        for j, a in enumerate(row):
+            if a != 0.0:
+                if a == a:
+                    pl, ph = mul_down(m, a), mul_up(m, a)
+                    l, h = add_down(lo[j], -ph), add_up(hi[j], -pl)
+                    if -_INF < l and h < _INF:
+                        lo[j], hi[j] = l, h
+                        continue
+                r = iv.sub(Interval(lo[j], hi[j]), iv.mul(Interval.point(m), Interval.point(a)))
+                lo[j], hi[j] = r.lo, r.hi
+
+
+def _inputs_digest(p: LpProblem, d: DualSolution) -> str:
+    """SHA-256 of the dimensions (n, m_eq, core inequality rows, m_ineq) as
+    little-endian int64, then as little-endian binary64 c, Aeq, beq, the
+    core Aineq rows and bineq, each variable's bound endpoints, y and z."""
+    core = p.n_core_ineq
+    values = array("d", chain(p.c, *p.aeq, p.beq, *p.aineq[:core], p.bineq[:core],
+                              chain.from_iterable((b.lo, b.hi) for b in p.var_bounds),
+                              d.y, d.z))
+    dims = array("q", (p.n, p.m_eq, core, p.m_ineq))
+    if sys.byteorder == "big":
+        dims.byteswap()
+        values.byteswap()
+    return hashlib.sha256(dims.tobytes() + values.tobytes()).hexdigest()
 
 
 def augment_with_t(p: LpProblem, k: float) -> LpProblem:
@@ -319,15 +350,18 @@ _PROBLEM_FIELDS = {
 
 
 def problem_from_text(text: str) -> LpProblem:
-    records = rec.read_records(text, _PROBLEM_FIELDS, header="lp-problem")
-    t = {kw: rec.table(records, kw) for kw in _PROBLEM_FIELDS}
-    if not t["vars"]:
+    cols = rec.read_columns(text, _PROBLEM_FIELDS, header="lp-problem")
+    if "vars" not in cols:
         raise ParseError("missing 'vars N' declaration")
-    n = t["vars"][()]  # a one-field record's key is the empty tuple
-    for r in records:
-        # obj, bound, eq and ineq name their variable in the next-to-last field
-        if r.keyword in ("obj", "bound", "eq", "ineq") and r.values[-2] >= n:
-            raise r.error(f"variable {r.values[-2]} out of range for 'vars {n}'")
+    n = cols["vars"].fields[0][-1]  # the last declaration wins
+    # obj, bound, eq and ineq name their variable in the next-to-last field
+    named = [cols[kw] for kw in ("obj", "bound", "eq", "ineq") if kw in cols]
+    if any(max(c.fields[-2]) >= n for c in named):
+        line, j = min((line, j) for c in named for line, j in zip(c.lines, c.fields[-2])
+                      if j >= n)
+        raise rec.line_error(line, f"variable {j} out of range for 'vars {n}'")
+    t = {kw: cols[kw].table() if kw in cols else {}
+         for kw in ("obj", "bound", "eq", "eq_rhs", "ineq", "ineq_rhs")}
     if len(t["bound"]) != n:
         raise ParseError("every variable needs a bound entry")
     aeq, beq = rec.dense_rows(t["eq"], t["eq_rhs"], n)

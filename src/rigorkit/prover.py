@@ -30,8 +30,8 @@ from typing import Optional, Sequence
 from .errors import BoundUnavailable
 from .expr import Evaluator, Expr, compile_expr
 from .interval import Interval
-from .taylor import (Box, PartialSign, cell_germ, germ_signs, partial_signs,
-                     taylor_upper_bound)
+from .taylor import (Box, PartialSign, cell_germ, germ_fails_everywhere, germ_signs,
+                     partial_signs, taylor_upper_bound)
 
 __all__ = [
     "ProofTask",
@@ -154,6 +154,9 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
         cell = reduce_cell(ev, cell, germ_signs(germ) if germ is not None else ())
         # Without a whole-cell germ, f may have a pole the Taylor bound misses.
         eval_failed = germ is None
+        # A failure that reads no variable recurs on every cell, so it ends
+        # the run at the first cell.
+        hopeless = eval_failed and germ_fails_everywhere(ev)
         upper = math.inf if eval_failed else germ.f.hi
         by_germ = certifies(upper)
         if not (by_germ or eval_failed):
@@ -171,9 +174,11 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
             continue
 
         k = _pick_split_dim(cell, cfg.min_width)
-        if k < 0 or depth >= cfg.max_depth:
+        if k < 0 or depth >= cfg.max_depth or hopeless:
             best_upper = max(best_upper, upper)
             (failed if eval_failed else undecided).append(footprint)
+            if hopeless:
+                break
             continue
 
         lo_cell, hi_cell = cell.split(k)

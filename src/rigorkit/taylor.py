@@ -29,7 +29,8 @@ from .expr import Evaluator, TaylorGerm
 from .interval import Interval
 
 __all__ = ["Box", "TaylorBound", "PartialSign", "taylor_upper_bound",
-           "cell_germ", "germ_signs", "partial_sign", "partial_signs"]
+           "cell_germ", "germ_fails_everywhere", "germ_signs", "partial_sign",
+           "partial_signs"]
 
 _EVAL_ERRORS = (DivisionByZeroInterval, DomainError, NonFiniteOperand,
                 EmptyIntersection, OverflowError)
@@ -147,6 +148,16 @@ def cell_germ(ev: Evaluator, box: Box) -> Optional[TaylorGerm]:
         return ev.germ(box.dims)
     except _EVAL_ERRORS:
         return None
+
+
+def germ_fails_everywhere(ev: Evaluator) -> bool:
+    """Whether the germ fails in an instruction that reads no variable, and
+    so fails over every box alike."""
+    try:
+        ev.germ_constants()
+    except _EVAL_ERRORS:
+        return True
+    return False
 
 
 def germ_signs(germ: TaylorGerm) -> list[PartialSign]:

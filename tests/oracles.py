@@ -17,7 +17,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from rigorkit import expr as ex
-from rigorkit.lp import LpProblem
+from rigorkit import interval as iv
+from rigorkit.interval import Interval
+from rigorkit.lp import DualSolution, LpProblem
 
 
 class OracleInfeasible(Exception):
@@ -180,6 +182,32 @@ def exact_lp_optimum(p: LpProblem) -> tuple[Fraction, list[Fraction]]:
     beq = [Fraction(v) for v in p.beq]
     c = [Fraction(v) for v in p.c]
     return simplex_max(aineq, bineq, aeq, beq, c)
+
+
+def reference_certify(p: LpProblem, d: DualSolution
+                      ) -> tuple[float, float, tuple[Interval, ...]]:
+    """(bound, delta_bound, residual) of lp.certify_upper_bound, computed
+    one interval object at a time: delta = c - y Aeq - z Aineq by iv.sub
+    and iv.mul on point intervals, in row order, then D and the bound.  Any
+    NonFiniteOperand is raised where that sequence first meets a
+    non-finite operand."""
+    delta = [Interval.point(v) for v in p.c]
+    for mult, rows in ((d.y, p.aeq), (d.z, p.aineq)):
+        for yi, row in zip(mult, rows):
+            if yi == 0.0:
+                continue
+            yi_iv = Interval.point(yi)
+            for j, a in enumerate(row):
+                if a != 0.0:
+                    delta[j] = iv.sub(delta[j], iv.mul(yi_iv, Interval.point(a)))
+    d_total = Interval.point(0.0)
+    for dj, b in zip(delta, p.var_bounds):
+        d_total = iv.add(d_total, iv.mul(Interval.point(dj.mag), Interval.point(b.mag)))
+    total = d_total
+    for mult, rhs in ((d.y, p.beq), (d.z, p.bineq)):
+        for yi, b in zip(mult, rhs):
+            total = iv.add(total, iv.mul(Interval.point(yi), Interval.point(b)))
+    return total.hi, d_total.hi, tuple(delta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,6 +54,20 @@ def test_sqrt_of_a_negative_constant_is_not_proven(tmp_path, capsys):
     assert code == 1
     _, body = cli.parse_report(out)
     assert ("status", "evaluation_failure") in body
+
+
+def test_failure_that_depends_on_no_variable_stops_at_the_first_cell(tmp_path, capsys):
+    # The failing sqrt reads constants only, so it fails on every cell alike:
+    # subdividing cannot help, and once ran the whole 20,000-cell budget.
+    task = tmp_path / "neg.ineq"
+    task.write_text("arity 1\nexpr sqrt(0.1 - 0.1000000000000000000001) + x0 - 2\n"
+                    "domain x0 0..1\n")
+    code, out, _ = run(["prove", "--task", str(task)], capsys)
+    assert code == 1
+    _, body = cli.parse_report(out)
+    assert ("status", "evaluation_failure") in body
+    assert ("cells_processed", "1") in body
+    assert [v for k, v in body if k == "failed_cell"] == ["0.0..1.0"]
 
 
 def test_prove_false_inequality_exits_one(tmp_path, capsys):
@@ -156,6 +173,19 @@ def test_lp_certify_with_dual_file(tmp_path, capsys):
     _, body = cli.parse_report(out)
     bound = float(dict(body)["bound"])
     assert abs(bound - 1.0) < 1e-9
+
+
+def test_lp_certify_overflowing_product_is_an_input_error(tmp_path, capsys):
+    # 1e308 * 10 overflows: the product's enclosure is [max float, inf], and
+    # subtracting it from the residual is arithmetic on a non-finite interval.
+    problem = tmp_path / "p.lp"
+    problem.write_text("vars 1\nobj 0 1\nineq 0 0 10\nineq_rhs 0 1\nbound 0 0..2\n")
+    dual = tmp_path / "d.dual"
+    dual.write_text("\n1e308 0 0\n")
+    code, out, err = run(["lp-certify", "--problem", str(problem), "--dual", str(dual)], capsys)
+    assert code == 2 and out == ""
+    assert err == ("error: NonFiniteOperand: arithmetic on non-finite interval "
+                   "[1.7976931348623157e+308, inf]; infinite endpoints are bookkeeping-only\n")
 
 
 def test_lp_certify_solve_flag(tmp_path, capsys):
@@ -354,6 +384,16 @@ def test_shipped_problem_files_round_trip():
     task = cli.parse_task_file(task_text)
     reparsed = cli.parse_task_file(cli.format_task_file(task))
     assert reparsed == task
+
+
+def test_cli_import_loads_neither_numpy_nor_scipy():
+    # Every CLI invocation pays for what `import rigorkit.cli` loads; only
+    # the LP solver needs scipy, and it imports it when called.
+    probe = "import sys, rigorkit.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def test_help_exits_zero(capsys):

@@ -181,6 +181,93 @@ def test_decimal_reader_rounds_correctly(s):
     assert enc.is_point or iv.next_up(enc.lo) == enc.hi
 
 
+def _exact_decimal(s):
+    """The exact path's float and error sign for s, or ParseError."""
+    try:
+        f, num, den = iv._round_decimal(s)
+    except ParseError:
+        return ParseError
+    err = Fraction(num, den) - Fraction(f)
+    return f.hex(), (err > 0) - (err < 0)
+
+
+def _read_decimal(s):
+    """decimal_to_nearest_float and from_decimal_string on s, as the float
+    and the sign of the error that the enclosure records, or ParseError."""
+    try:
+        f = iv.decimal_to_nearest_float(s)
+        enc = iv.from_decimal_string(s)
+    except ParseError:
+        return ParseError
+    assert f in (enc.lo, enc.hi)
+    sign = 0 if enc.is_point else (1 if enc.lo == f else -1)
+    assert sign == 0 or iv.next_up(enc.lo) == enc.hi
+    return (enc.lo if sign >= 0 else enc.hi).hex(), sign
+
+
+# (text, takes the short path): signs, empty parts, non-ASCII digits and
+# underscores (which int() accepts), 15 and 16 significant digits, 22 and
+# 23 fraction digits, and an exponent.
+DECIMAL_EDGES = [
+    ("-0", True), ("-0.000", True), ("+0", True), ("0", True), ("+1.5", True),
+    (".5", False), ("5.", False), ("-.5", False), (".", False), ("-", False),
+    ("+", False), ("", False), ("1_0", False), ("1.0_0", False), ("\u0663", False),
+    ("\u00b2", False), ("1\u0663", False), ("+-1", False), ("--1", False), (" 1", False),
+    ("123456789012345", True), ("-0.123456789012345", True),
+    ("000000000000000000000000123456789012345", True),
+    ("1234567890123456", False), ("9007199254740993", False), ("0.1234567890123456", False),
+    ("0." + "0" * 21 + "7", True), ("-0." + "0" * 19 + "123", True),
+    ("0." + "0" * 22 + "7", False), ("1." + "0" * 22, False),
+    ("1e5", False), ("1E-5", False), ("0.1", True), ("0.3", True), ("2.5", True),
+    ("-999999999999999", True), ("999999999999999e0", False),
+    # 17 digits: float(N) / 10**k would round twice and miss
+    ("6.5778491027943236", False), ("-393822778.01338157", False),
+]
+
+
+@pytest.mark.parametrize("s, short", DECIMAL_EDGES)
+def test_short_decimal_path_agrees_with_exact_path_on_edges(s, short):
+    assert (iv._short_decimal(s) is not None) == short
+    assert _read_decimal(s) == _exact_decimal(s)
+    assert _whole_list([s, "0.5"]) == _one_at_a_time([s, "0.5"])
+
+
+def test_zero_numerals_read_as_positive_zero():
+    for s in ("-0", "-0.0", "-0.000", "+0", "0.0"):
+        assert iv.decimal_to_nearest_float(s).hex() == "0x0.0p+0"
+        enc = iv.from_decimal_string(s)
+        assert enc.lo.hex() == enc.hi.hex() == "0x0.0p+0"
+
+
+@settings(max_examples=500)
+@given(st.from_regex(r"\A[+-]?0{0,3}[0-9]{1,17}(\.[0-9]{0,24})?\Z"))
+def test_short_decimal_path_agrees_with_exact_path(s):
+    assert _read_decimal(s) == _exact_decimal(s)
+
+
+def _one_at_a_time(tokens):
+    try:
+        return [iv.decimal_to_nearest_float(t).hex() for t in tokens]
+    except ParseError:
+        return ParseError
+
+
+def _whole_list(tokens):
+    try:
+        return [f.hex() for f in iv._nearest_floats(tokens)]
+    except ParseError:
+        return ParseError
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(
+    st.from_regex(r"\A[+-]?0{0,3}[0-9]{1,17}(\.[0-9]{0,24})?\Z"),
+    st.sampled_from([s for s, _ in DECIMAL_EDGES] + ["1e-5", "-2.5E3", "0." + "0" * 30 + "1",
+                                                    "1" * 400, "12.5.", "1-2"]))))
+def test_decimal_list_agrees_with_one_at_a_time(tokens):
+    assert _whole_list(tokens) == _one_at_a_time(tokens)
+
+
 @given(st.integers(min_value=-(2**53) + 1, max_value=2**53 - 1))
 def test_integer_decimals_exact(k):
     e = iv.from_decimal_string(str(k))

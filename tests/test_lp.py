@@ -1,11 +1,15 @@
+import hashlib
+import math
 import random
+import struct
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from oracles import exact_lp_optimum
+from oracles import exact_lp_optimum, reference_certify
 from rigorkit import lp
-from rigorkit.errors import AugmentationError, ParseError
+from rigorkit.errors import AugmentationError, NonFiniteOperand, ParseError
 from rigorkit.interval import Interval
 
 I = Interval
@@ -146,9 +150,96 @@ def test_dual_file_round_trip():
     assert y2 == () and z2 == (1.5, 2.5)
 
 
+def test_digest_covers_every_input_of_the_bound():
+    p = lp.make_problem([1.0, -0.5], [I(0, 2), I(-1, 1)],
+                        aineq=[[1.0, 2.0]], bineq=[1.5], aeq=[[0.5, 0.5]], beq=[0.25])
+    d = lp.clamp_dual([0.25], [0.5, 0.125, 0.0, 0.0, 0.0])
+    digest = lp.certify_upper_bound(p, d).inputs_digest
+    # dimensions, then c, Aeq, beq, core Aineq and bineq, bounds, y, z
+    values = [1.0, -0.5, 0.5, 0.5, 0.25, 1.0, 2.0, 1.5, 0.0, 2.0, -1.0, 1.0,
+              0.25, 0.5, 0.125, 0.0, 0.0, 0.0]
+    layout = struct.pack("<4q", 2, 1, 1, 5) + struct.pack(f"<{len(values)}d", *values)
+    assert digest == hashlib.sha256(layout).hexdigest()
+    # the same on every run and platform
+    assert digest == "e82fe06a3a1a1762a2efbc98765c6de910e89eebb26030a4212151abc9d4c646"
+
+    up = lambda v: math.nextafter(v, math.inf)
+    bumped = lambda vec, i: vec[:i] + (up(vec[i]),) + vec[i + 1:]
+    variants = [
+        (replace(p, c=bumped(p.c, 1)), d),
+        (replace(p, aeq=(bumped(p.aeq[0], 0),)), d),
+        (replace(p, beq=bumped(p.beq, 0)), d),
+        (replace(p, aineq=(bumped(p.aineq[0], 1),) + p.aineq[1:]), d),
+        (replace(p, bineq=bumped(p.bineq, 0)), d),
+        (replace(p, var_bounds=(I(0, 2), I(-1, up(1.0)))), d),
+        (replace(p, var_bounds=(I(up(0.0), 2), I(-1, 1))), d),
+        (p, replace(d, y=bumped(d.y, 0))),
+        (p, replace(d, z=bumped(d.z, 1))),
+    ]
+    digests = {lp.certify_upper_bound(q, e).inputs_digest for q, e in variants}
+    assert len(digests) == len(variants) and digest not in digests
+
+
 def test_digest_is_stable():
     p = toy_max_x()
     d = lp.clamp_dual([], [1.0, 0.0, 0.0])
     c1 = lp.certify_upper_bound(p, d)
     c2 = lp.certify_upper_bound(p, d)
     assert c1.inputs_digest == c2.inputs_digest
+
+
+def _wild(rng, regime):
+    """A float for one LP entry or multiplier.  'big' reaches factors at or
+    above 2**995 and 'tiny' products below 2**-968, where the product
+    kernels take their integer fallback; 'mixed' also overflows, and draws
+    an occasional NaN."""
+    kind = rng.randrange(4)
+    if regime == "mixed" and rng.random() < 0.01:
+        return math.nan
+    if kind == 0:
+        return 0.0
+    if kind == 1:
+        return rng.randint(-8, 8) / 4
+    if regime == "plain" or kind == 2:
+        return rng.uniform(-2.0, 2.0)
+    if regime == "big" or (regime == "mixed" and rng.random() < 0.5):
+        return math.ldexp(rng.uniform(-2.0, 2.0), rng.randint(990, 1022))
+    return math.ldexp(rng.uniform(-2.0, 2.0), rng.randint(-560, -480))
+
+
+def _outcome(fn):
+    try:
+        bound, delta_bound, residual = fn()
+    except NonFiniteOperand as exc:
+        return ("NonFiniteOperand", str(exc))
+    return (bound.hex(), delta_bound.hex(), [(d.lo.hex(), d.hi.hex()) for d in residual])
+
+
+def test_certify_is_bit_identical_to_the_interval_reference():
+    rng = random.Random(2004)
+    raised = finished = 0
+    for trial in range(400):
+        regime = ("plain", "big", "tiny", "mixed")[trial % 4]
+        n, m, m_eq = rng.randint(1, 6), rng.randint(0, 5), rng.randint(0, 3)
+        draw = lambda: _wild(rng, regime)
+        p = lp.make_problem([draw() for _ in range(n)],
+                            [I(-rng.randint(0, 8) / 2, rng.randint(0, 8) / 2) for _ in range(n)],
+                            aineq=[[draw() for _ in range(n)] for _ in range(m)],
+                            bineq=[draw() for _ in range(m)],
+                            aeq=[[draw() for _ in range(n)] for _ in range(m_eq)],
+                            beq=[draw() for _ in range(m_eq)])
+        if regime == "big":  # multipliers near 1, so most products stay finite
+            d = lp.clamp_dual([rng.uniform(-1, 1) for _ in range(m_eq)],
+                              [rng.choice((0.0, rng.random())) for _ in range(p.m_ineq)])
+        else:
+            d = lp.clamp_dual([draw() for _ in range(m_eq)], [draw() for _ in range(p.m_ineq)])
+
+        def library():
+            cert = lp.certify_upper_bound(p, d)
+            return cert.bound, cert.delta_bound, cert.residual
+
+        got, want = _outcome(library), _outcome(lambda: reference_certify(p, d))
+        assert got == want, (trial, regime)
+        raised += want[0] == "NonFiniteOperand"
+        finished += want[0] != "NonFiniteOperand"
+    assert raised >= 10 and finished >= 300

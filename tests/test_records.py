@@ -8,6 +8,7 @@ import pytest
 from rigorkit import assembly as asm
 from rigorkit import cli, geom
 from rigorkit import lp
+from rigorkit import records as rec
 from rigorkit.errors import ParseError
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -127,3 +128,55 @@ def test_malformed_line_is_a_numbered_input_error(fmt, line, replacement, tmp_pa
     path.write_text(text)
     assert cli.dispatch(_argv(fmt, path, tmp_path)) == 2
     assert f"line {where}: " in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize("earlier, later", [("obj 0 one", "ineq 0 1 two"),
+                                            ("ineq 0 1 two", "obj 0 one")])
+def test_first_of_two_malformed_lines_is_reported(earlier, later):
+    # Two bad lines under different keywords: the one earlier in the file is
+    # named, whichever keyword it has.
+    lines = BASE["lp"].splitlines()
+    lines[2], lines[5] = earlier, later
+    with pytest.raises(ParseError, match="^line 3: "):
+        lp.problem_from_text("\n".join(lines) + "\n")
+
+
+def _long_lp(bad_line=None, bad_text=""):
+    """An LP file with more ineq records than one conversion batch, with
+    numerals off the short path among them, and optionally one line
+    replaced."""
+    n, rows = 40, 60
+    lines = ["lp-problem v1", f"vars {n}"]
+    lines += [f"bound {j} -1..1.5" for j in range(n)]
+    coefs = ["0.25", "-1e-5", "3.000000000000000000000001", "-0.1", "17", "1.5E2", ".5"]
+    lines += [f"ineq {r} {j} {coefs[(r + j) % len(coefs)]}" for r in range(rows) for j in range(n)]
+    lines += [f"ineq_rhs {r} 1" for r in range(rows)] + ["obj 3 2.5", "obj 3 -2.5"]
+    if bad_line is not None:
+        lines[bad_line - 1] = bad_text
+    return "\n".join(lines) + "\n"
+
+
+def test_columns_hold_what_records_hold():
+    text = _long_lp()
+    records = rec.read_records(text, lp._PROBLEM_FIELDS, header="lp-problem")
+    cols = rec.read_columns(text, lp._PROBLEM_FIELDS, header="lp-problem")
+    for kw, c in cols.items():
+        mine = [r for r in records if r.keyword == kw]
+        assert c.lines == [r.line for r in mine]
+        assert [tuple(v) for v in zip(*c.fields)] == [r.values for r in mine]
+        if len(c.fields) > 1:
+            assert c.table() == rec.table(records, kw)
+    assert sorted(cols) == sorted({r.keyword for r in records})
+
+
+@pytest.mark.parametrize("line, bad", [(1500, "ineq 3 4 0x10"), (2000, "ineq 3 4"),
+                                       (1500, "ineq 3 -4 1"), (2000, "ineqs 3 4 1"),
+                                       (2000, "lp-problem v1"), (2424, "ineq_rhs 2 1_0")])
+def test_column_reader_names_the_first_bad_line(line, bad):
+    text = _long_lp(line, bad)
+    with pytest.raises(ParseError) as want:
+        rec.read_records(text, lp._PROBLEM_FIELDS, header="lp-problem")
+    with pytest.raises(ParseError) as got:
+        lp.problem_from_text(text)
+    assert str(got.value) == str(want.value) and str(got.value).startswith(f"line {line}: ")
