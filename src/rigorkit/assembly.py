@@ -1,6 +1,6 @@
 """Linear assembly problems: local nonlinear domains linked by global
-linear constraints, with linear relaxation, nonlinear-duality certificate
-fitting and verification, and box branching.
+linear constraints, with nonlinear-duality certificate fitting and
+verification, and box branching.
 
 The problem is  max c.x  subject to  A x <= b  and, per local domain D,
 phi(x_D) >= 0 for every phi in Phi_D, with x_D ranging over a finite box.
@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 from . import interval as iv
 from . import lp as lpmod
 from . import records as rec
-from .errors import BranchError, CutRejected, NoProgress, ParseError
+from .errors import BranchError, NoProgress, ParseError
 from .expr import Expr, Var, const_from_float, make_add, make_mul, make_sub, parse, to_text
 from .interval import Interval
 from .prover import ProofTask, ProofReport, ProverConfig, prove_nonpositive
@@ -48,8 +48,6 @@ __all__ = [
     "AssemblyProblem",
     "DualityCertificate",
     "VerifyOutcome",
-    "Cut",
-    "relax_linear",
     "fit_dual",
     "verify_duality",
     "branch",
@@ -64,6 +62,8 @@ __all__ = [
 ]
 
 BINDING_TOLERANCE = 1e-8
+# Bound on |t| and on every multiplier in the fitting LPs.
+_MULTIPLIER_CAP = 1e6
 
 
 @dataclass(frozen=True, slots=True)
@@ -161,75 +161,19 @@ class VerifyOutcome:
     reason: str = ""
 
 
-@dataclass(frozen=True, slots=True)
-class Cut:
-    """Candidate linear cut  coeffs . x_D <= offset  for one domain."""
-
-    domain_id: str
-    coeffs: tuple[float, ...]
-    offset: float
-
-
-# ---------------------------------------------------------------------------
-# Linear relaxation
-# ---------------------------------------------------------------------------
-
-def _domain_by_id(p: AssemblyProblem, domain_id: str) -> int:
-    for i, d in enumerate(p.domains):
-        if d.id == domain_id:
-            return i
-    raise KeyError(f"no domain {domain_id!r}")
-
-
-def _cut_expr(cut: Cut) -> Expr:
-    # coeffs . x - offset
-    e: Expr = const_from_float(-cut.offset)
-    for slot, coef in enumerate(cut.coeffs):
-        e = make_add(e, make_mul(const_from_float(coef), Var(slot)))
-    return e
-
-
-def relax_linear(p: AssemblyProblem, cuts: Sequence[Cut] = (),
-                 cfg: ProverConfig = ProverConfig(max_cells=4000)) -> lpmod.LpProblem:
-    """LP relaxation of the assembly: box bounds, the global rows, and any
-    supplied cuts, each admitted only after the prover certifies
-    coeffs.x_D - offset <= 0 over the domain box.  The LP feasible set
-    contains the assembly feasible set, so a certified LP bound dominates
-    the assembly optimum."""
-    rows = [list(row) for row in p.a]
-    rhs = list(p.b)
-    for idx, cut in enumerate(cuts):
-        d_idx = _domain_by_id(p, cut.domain_id)
-        dom = p.domains[d_idx]
-        if len(cut.coeffs) != dom.n:
-            raise ValueError(f"cut {idx}: coefficient arity mismatch")
-        report = prove_nonpositive(ProofTask(_cut_expr(cut), dom.box, 0.0), cfg)
-        if not report.proven:
-            raise CutRejected((cut.domain_id, idx), report)
-        row = [0.0] * p.n
-        for slot, g in enumerate(p.globals_of_domain(d_idx)):
-            row[g] = cut.coeffs[slot]
-        rows.append(row)
-        rhs.append(cut.offset)
-    bounds = [None] * p.n
-    for g, (d_idx, slot) in enumerate(p.var_map):
-        bounds[g] = p.domains[d_idx].box[slot]
-    return lpmod.make_problem(p.c, bounds, aineq=rows, bineq=rhs)
-
-
 # ---------------------------------------------------------------------------
 # Duality certificates
 # ---------------------------------------------------------------------------
 
-def binding_rows(p: AssemblyProblem, x_star: Sequence[float],
-                 tolerance: float = BINDING_TOLERANCE) -> list[int]:
-    """Rows with |A x* - b| <= tolerance * (1 + |b|)."""
-    out = []
-    for k, row in enumerate(p.a):
-        resid = sum(row[j] * x_star[j] for j in range(p.n)) - p.b[k]
-        if abs(resid) <= tolerance * (1.0 + abs(p.b[k])):
-            out.append(k)
-    return out
+def _binds(p: AssemblyProblem, x_star: Sequence[float], k: int) -> bool:
+    """|A_k x* - b_k| <= BINDING_TOLERANCE * (1 + |b_k|)."""
+    resid = sum(p.a[k][j] * x_star[j] for j in range(p.n)) - p.b[k]
+    return abs(resid) <= BINDING_TOLERANCE * (1.0 + abs(p.b[k]))
+
+
+def binding_rows(p: AssemblyProblem, x_star: Sequence[float]) -> list[int]:
+    """The rows x* binds (to BINDING_TOLERANCE)."""
+    return [k for k in range(len(p.a)) if _binds(p, x_star, k)]
 
 
 def _row_residual_interval(p: AssemblyProblem, k: int,
@@ -316,8 +260,7 @@ def default_test_points(p: AssemblyProblem, seed: int = 0,
 
 def fit_dual(p: AssemblyProblem, x_star: Sequence[float], m_bound: float,
              test_points: Sequence[Sequence[Sequence[float]]],
-             test_seed: Optional[int] = None,
-             multiplier_cap: float = 1e6) -> Optional[DualityCertificate]:
+             test_seed: Optional[int] = None) -> Optional[DualityCertificate]:
     """Fit candidate multipliers on a finite test-point relaxation.
 
     Maximizes t subject to the per-test-point inequalities and the side
@@ -380,8 +323,8 @@ def fit_dual(p: AssemblyProblem, x_star: Sequence[float], m_bound: float,
     rows.append(side)
     rhs.append(m_bound - c_dot)
 
-    bounds = [Interval(-multiplier_cap, multiplier_cap)]
-    bounds += [Interval(0.0, multiplier_cap)] * (n_vars - 1)
+    bounds = [Interval(-_MULTIPLIER_CAP, _MULTIPLIER_CAP)]
+    bounds += [Interval(0.0, _MULTIPLIER_CAP)] * (n_vars - 1)
     objective = [0.0] * n_vars
     objective[0] = 1.0
     stage1 = lpmod.make_problem(objective, bounds, aineq=rows, bineq=rhs)
@@ -473,8 +416,7 @@ def verify_duality(p: AssemblyProblem, cert: DualityCertificate,
     for k in cert.retained_rows:
         if not (0 <= k < len(p.a)):
             return VerifyOutcome(False, reason=f"retained row {k} out of range")
-        resid = sum(p.a[k][j] * cert.x_star[j] for j in range(p.n)) - p.b[k]
-        if abs(resid) > BINDING_TOLERANCE * (1.0 + abs(p.b[k])):
+        if not _binds(p, cert.x_star, k):
             return VerifyOutcome(
                 False, reason=f"retained row {k} not binding at x*")
 
@@ -491,6 +433,13 @@ def verify_duality(p: AssemblyProblem, cert: DualityCertificate,
             return VerifyOutcome(False, domain_id=dom.id, report=report,
                                  reason="domain inequality not certified")
     return VerifyOutcome(True)
+
+
+def _domain_by_id(p: AssemblyProblem, domain_id: str) -> int:
+    for i, d in enumerate(p.domains):
+        if d.id == domain_id:
+            return i
+    raise KeyError(f"no domain {domain_id!r}")
 
 
 def branch(p: AssemblyProblem, domain_id: str, slot: int) -> tuple[AssemblyProblem, AssemblyProblem]:
@@ -584,7 +533,8 @@ def problem_from_text(text: str) -> AssemblyProblem:
     if block is not None:
         raise ParseError("unterminated domain block")
     rows = {(k, names[name]): v for (k, name), v in rec.table(records, "row").items()}
-    a, b = rec.dense_rows(rows, rec.table(records, "rhs"), len(names))
+    a, b = rec.dense_rows(rows, rec.table(records, "rhs"), len(names),
+                          ((r.line, r.values[0]) for r in records if r.keyword in ("row", "rhs")))
     obj = {names[name]: v for name, v in rec.table(records, "obj").items()}
     var_map = tuple((d, slot) for d, dom in enumerate(domains) for slot in range(dom.n))
     return AssemblyProblem(tuple(domains), var_map, tuple(tuple(row) for row in a),

@@ -26,11 +26,6 @@ class DomainError(RigorError):
     certainly-negative interval)."""
 
 
-class EmptyIntersection(RigorError):
-    """Interval intersection is empty.  Empty intervals are not
-    representable, so this is signalled explicitly."""
-
-
 class ParseError(RigorError):
     """Malformed textual input.  `position` is a character offset when the
     input is a single expression/numeral, or a line number for files."""
@@ -58,23 +53,11 @@ class BranchError(RigorError):
     """Branching was requested on a degenerate box component."""
 
 
-class CutRejected(RigorError):
-    """A proposed linearization cut failed prover verification."""
-
-    def __init__(self, cut_id, report):
-        super().__init__(f"cut {cut_id!r} failed prover verification")
-        self.cut_id = cut_id
-        self.report = report
-
-
 class NoProgress(RigorError):
     """The approximate LP solver stalled or reported failure; certify with
     externally supplied duals instead."""
 
 
 class PivotInfeasible(RigorError):
-    """No point on the pivot circle achieves the target distance."""
-
-
-class DegenerateAxis(RigorError):
-    """Pivot axis and moving point are (possibly) collinear."""
+    """An extremal configuration cannot be built: a squared distance or
+    height it needs is certainly negative."""

@@ -570,7 +570,8 @@ _OP_NAMES = {
 
 _OPCODES = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV, Sqrt: _SQRT, Atan: _ATAN}
 
-DEFAULT_MAX_DEPTH = 500
+# Deepest expression (in plan instructions) that compiles.
+MAX_DEPTH = 500
 
 
 class Evaluator:
@@ -583,8 +584,7 @@ class Evaluator:
     (deterministic) the evaluator is immutable.
     """
 
-    def __init__(self, expr: Expr, arity: Optional[int] = None,
-                 max_depth: int = DEFAULT_MAX_DEPTH):
+    def __init__(self, expr: Expr, arity: Optional[int] = None):
         self.expr = expr
         self.plan: list[tuple] = []
         self._args: list[tuple[int, ...]] = []         # operand slots per instruction
@@ -600,8 +600,8 @@ class Evaluator:
         depth: list[int] = []
         for args in self._args:
             depth.append(1 + max((depth[a] for a in args), default=0))
-        if depth[root] > max_depth:
-            raise CompileError(f"expression depth exceeds limit {max_depth}")
+        if depth[root] > MAX_DEPTH:
+            raise CompileError(f"expression depth exceeds limit {MAX_DEPTH}")
         self.arity = arity
         # derivative index: () is f, (i,) is df/dx_i, (i, j) is d/dx_j(df/dx_i)
         self._partials: dict[tuple[int, ...], tuple[Expr, int]] = {(): (expr, root)}
@@ -740,7 +740,6 @@ class Evaluator:
         return self.hessian(box, ((i, j),))[0]
 
 
-def compile_expr(e: Expr, arity: Optional[int] = None,
-                 max_depth: int = DEFAULT_MAX_DEPTH) -> Evaluator:
+def compile_expr(e: Expr, arity: Optional[int] = None) -> Evaluator:
     """Generate the evaluation plan for an expression."""
-    return Evaluator(e, arity, max_depth=max_depth)
+    return Evaluator(e, arity)

@@ -1,12 +1,13 @@
-"""Pivot-based preprocessing and rigorous coordinate checks for point
-configurations with distance constraints.
+"""Rigorous coordinate checks for point configurations with distance
+constraints, by the pivot argument: each check binds the constraints at
+their extremes and decides only the resulting extremal configuration.
 
 All coordinates are interval triples, so every derived quantity is an
 enclosure.  The module certifies only what interval arithmetic proves
-about the final extremal configuration of each reduction: a verdict of
+about the extremal configuration of each check: a verdict of
 NoSuchConfiguration means the extremal configuration rigorously violates
 a constraint; everything else is Inconclusive.  Whether the pivot
-reduction applies in a given parameter regime is the caller's
+argument applies in a given parameter regime is the caller's
 responsibility.
 
 The coordinate gauge is fixed throughout: first point at the origin,
@@ -24,7 +25,6 @@ from typing import Optional, Sequence
 from . import interval as iv
 from . import records as rec
 from .errors import (
-    DegenerateAxis,
     DivisionByZeroInterval,
     DomainError,
     NonFiniteOperand,
@@ -43,12 +43,10 @@ __all__ = [
     "CheckResult",
     "LinkStatus",
     "linked_line_model",
-    "pivot",
     "rigid_realization",
     "cayley_menger_det",
     "line_links_triangle",
     "check_simplex_interior_point",
-    "check_face_escape",
     "check_segment_through_triangle",
     "check_linked_line",
     "parse_distance_spec",
@@ -95,10 +93,6 @@ def _dist2(a: Vec3, b: Vec3) -> Interval:
 
 def _dist(a: Vec3, b: Vec3) -> Interval:
     return iv.sqrt_interval(_dist2(a, b))
-
-
-class _Straddle(Exception):
-    """A sign decision straddled zero: no verdict may be claimed."""
 
 
 def _sqrt_nonneg(x: Interval, what: str) -> Interval:
@@ -155,11 +149,6 @@ class PointConfig:
 
     def distance(self, i: int, j: int) -> Interval:
         return _dist(self.points[i], self.points[j])
-
-    def replace(self, i: int, p: Vec3) -> "PointConfig":
-        pts = list(self.points)
-        pts[i] = p
-        return PointConfig(tuple(pts))
 
 
 class Verdict(enum.Enum):
@@ -276,73 +265,6 @@ def _det(rows: list[list[Interval]]) -> Interval:
 
 
 # ---------------------------------------------------------------------------
-# Pivot
-# ---------------------------------------------------------------------------
-
-def pivot(config: PointConfig, axis: tuple[int, int], moving: int,
-          target: tuple[int, Interval], side: int = 1) -> PointConfig:
-    """Reposition the moving point on its pivot circle (the circle in the
-    perpendicular bisecting plane of the axis points, at constant
-    distances to both) so that its distance to the target point equals
-    the target enclosure.
-
-    `side` selects which of the two intersection points to take (+1 / -1
-    with respect to the oriented axis-target frame)."""
-    i1, i2 = axis
-    p1, p2 = config.points[i1], config.points[i2]
-    q = config.points[moving]
-    i3, t_dist = target
-    p3 = config.points[i3]
-
-    u = _v_sub(p2, p1)
-    l2 = _v_dot(u, u)
-    if l2.lo <= 0.0:
-        raise DegenerateAxis("axis points may coincide")
-    r1_sq = _dist2(q, p1)
-    r2_sq = _dist2(q, p2)
-    alpha = iv.div(iv.add(iv.sub(r1_sq, r2_sq), l2), iv.mul(Interval(2.0, 2.0), l2))
-    h_sq = iv.sub(r1_sq, iv.mul(_sq_i(alpha), l2))
-    if not (h_sq.lo > 0.0):
-        raise DegenerateAxis(
-            f"moving point not certainly off the axis (h^2 in [{h_sq.lo}, {h_sq.hi}])")
-    h = iv.sqrt_interval(h_sq)
-
-    v = _v_sub(p3, p1)
-    beta = iv.div(_v_dot(v, u), l2)
-    w = _v_sub(v, _v_scale(beta, u))
-    w2 = _v_dot(w, w)
-    if not (w2.lo > 0.0):
-        raise DegenerateAxis("target point not certainly off the axis")
-
-    diff = iv.sub(alpha, beta)
-    s_num = iv.sub(iv.add(iv.add(iv.mul(_sq_i(diff), l2), h_sq), w2), _sq(t_dist))
-    s_val = iv.div(s_num, iv.mul(Interval(2.0, 2.0), h))
-
-    gamma_sq = iv.sub(_ONE, iv.div(_sq_i(s_val), w2))
-    if gamma_sq.hi < 0.0:
-        raise PivotInfeasible("target distance unreachable on the pivot circle")
-    gamma = iv.sqrt_interval(gamma_sq)
-
-    cvec = _v_cross(u, w)
-    c2 = _v_dot(cvec, cvec)
-    if not (c2.lo > 0.0):
-        raise DegenerateAxis("axis and target direction certainly collinear")
-    coef = iv.div(iv.mul(h, gamma), iv.sqrt_interval(c2))
-    if side < 0:
-        coef = iv.neg(coef)
-
-    q_new = _v_add(
-        _v_add(p1, _v_scale(alpha, u)),
-        _v_add(_v_scale(iv.div(iv.mul(h, s_val), w2), w), _v_scale(coef, cvec)),
-    )
-    return config.replace(moving, q_new)
-
-
-def _sq_i(x: Interval) -> Interval:
-    return iv.pow_int(x, 2)
-
-
-# ---------------------------------------------------------------------------
 # Linking
 # ---------------------------------------------------------------------------
 
@@ -416,39 +338,6 @@ def check_simplex_interior_point(edge_bounds: Sequence[Interval],
 
 
 # ---------------------------------------------------------------------------
-# Problem 1, 2D sub-verification: no escape through a face
-# ---------------------------------------------------------------------------
-
-def check_face_escape(edge_bounds: Sequence[Interval], r: Interval) -> CheckResult:
-    """Planar analog: triangle edges capped (order d01, d02, d12), point
-    in the triangle's plane at distance exactly r from two vertices on
-    the interior side; verdict from the rigorous distance to the third."""
-    if len(edge_bounds) != 3:
-        raise ValueError("need 3 edge bounds: d01 d02 d12")
-    if not (r.lo > 0.0):
-        return CheckResult(Verdict.INCONCLUSIVE, reason="r must be positive")
-    d01, d02, d12 = edge_bounds
-    try:
-        p0, p1, p2 = _place_third(d01, d02, d12)
-        x = iv.div(_sq(d01), iv.mul(Interval(2.0, 2.0), d01))  # = d01/2 for equal radii
-        y_sq = iv.sub(_sq(r), _sq_i(x))
-        y = _sqrt_nonneg(y_sq, "planar point height squared")
-    except PivotInfeasible as exc:
-        return CheckResult(Verdict.INCONCLUSIVE,
-                           reason=f"extremal configuration not constructible: {exc}")
-    except (DivisionByZeroInterval, DomainError, NonFiniteOperand) as exc:
-        return CheckResult(Verdict.INCONCLUSIVE, reason=str(exc))
-    q = _pt(x, y, _ZERO)
-    third = _dist(q, p2)
-    if third.hi < r.lo:
-        return CheckResult(Verdict.NO_SUCH_CONFIGURATION,
-                           reason="planar point at distance r from two vertices is "
-                                  "rigorously closer than r to the third",
-                           witness=third)
-    return CheckResult(Verdict.INCONCLUSIVE, witness=third)
-
-
-# ---------------------------------------------------------------------------
 # Problem 2: segment through a triangle, endpoints far from vertices
 # ---------------------------------------------------------------------------
 
@@ -491,7 +380,11 @@ def check_segment_through_triangle(r1: Interval, r2: Interval,
 # Problem 3: five points with a linking condition
 # ---------------------------------------------------------------------------
 
-def check_linked_line(spec: DistanceSpec, sweep_cells: int = 256) -> CheckResult:
+# Cells per half of the circle that check_linked_line sweeps for q.
+_SWEEP_CELLS = 256
+
+
+def check_linked_line(spec: DistanceSpec) -> CheckResult:
     """Five points 0, p1, p2, p3, q with pairwise distance bounds; the
     line (0, q) must link the triangle (p1, p2, p3).
 
@@ -564,7 +457,7 @@ def check_linked_line(spec: DistanceSpec, sweep_cells: int = 256) -> CheckResult
     l2 = _v_dot(u, u)
     alpha = iv.div(iv.sub(iv.add(_sq(big_r), l2), _sq(q_floor)),
                    iv.mul(Interval(2.0, 2.0), l2))
-    h_sq = iv.sub(_sq(big_r), iv.mul(_sq_i(alpha), l2))
+    h_sq = iv.sub(_sq(big_r), iv.mul(_sq(alpha), l2))
     if h_sq.hi < 0.0:
         return CheckResult(Verdict.NO_SUCH_CONFIGURATION,
                            reason="bound circle for q is empty")
@@ -589,7 +482,7 @@ def check_linked_line(spec: DistanceSpec, sweep_cells: int = 256) -> CheckResult
     pairs_to_check = [(2, p2), (3, p3)]
 
     def cell_refuted(c_iv: Interval, s_sign: int) -> bool:
-        s_sq = iv.sub(_ONE, _sq_i(c_iv))
+        s_sq = iv.sub(_ONE, _sq(c_iv))
         s_sq = Interval(max(s_sq.lo, 0.0), max(s_sq.hi, 0.0))
         s_iv = iv.sqrt_interval(s_sq)
         if s_sign < 0:
@@ -607,10 +500,9 @@ def check_linked_line(spec: DistanceSpec, sweep_cells: int = 256) -> CheckResult
         status = line_links_triangle(q, p1, p2, p3)
         return status is LinkStatus.NOT_LINKED
 
+    grid = [Interval(-1.0 + 2.0 * t / _SWEEP_CELLS, -1.0 + 2.0 * (t + 1) / _SWEEP_CELLS)
+            for t in range(_SWEEP_CELLS)]
     for s_sign in (1, -1):
-        grid = [Interval(-1.0 + 2.0 * t / sweep_cells,
-                         -1.0 + 2.0 * (t + 1) / sweep_cells)
-                for t in range(sweep_cells)]
         for cell in grid:
             if not cell_refuted(cell, s_sign):
                 return CheckResult(Verdict.INCONCLUSIVE,
@@ -647,6 +539,10 @@ def parse_distance_spec(text: str) -> DistanceSpec:
     bounds: dict = {"dmin": {}, "dmax": {}}
     for r in rec.read_records(text, _SPEC_FIELDS):
         if r.keyword == "points":
+            if labels is not None:
+                raise r.error("second 'points' declaration")
+            if len(set(r.values)) != len(r.values):
+                raise r.error("repeated point label")
             labels = r.values
             continue
         if labels is None:
@@ -655,6 +551,8 @@ def parse_distance_spec(text: str) -> DistanceSpec:
         for name in (a, b):
             if name not in labels:
                 raise r.error(f"unknown point label {name!r}")
+        if a == b:
+            raise r.error(f"pair names {a!r} twice")
         i, j = labels.index(a), labels.index(b)
         bounds[r.keyword][(min(i, j), max(i, j))] = val
     if labels is None:

@@ -39,7 +39,6 @@ __all__ = [
     "RefinementStep",
     "seed_graph",
     "seed_graphs",
-    "admissible_refinements",
     "refinements_with_steps",
     "apply_step",
     "replay_path",
@@ -351,16 +350,6 @@ def refinements_with_steps(g: DecoratedGraph, n_max: int) -> list[tuple[Refineme
     out = []
     for step in _enumerate_steps(g, budget):
         out.append((step, apply_step(g, step)))
-    return out
-
-
-def admissible_refinements(g: DecoratedGraph, cfg: "GeneratorConfig") -> list[DecoratedGraph]:
-    """Every compatibly decorated refinement through the canonical
-    modifiable face and edge, within the vertex budget, pruned."""
-    out = []
-    for _step, child in refinements_with_steps(g, cfg.n_max):
-        if cfg.prune(child):
-            out.append(child)
     return out
 
 

@@ -33,7 +33,6 @@ from typing import Optional
 from .errors import (
     DivisionByZeroInterval,
     DomainError,
-    EmptyIntersection,
     NonFiniteOperand,
     ParseError,
 )
@@ -51,8 +50,6 @@ __all__ = [
     "from_decimal_string",
     "parse_interval_literal",
     "format_interval_literal",
-    "intersect",
-    "hull",
     "next_up",
     "next_down",
 ]
@@ -519,24 +516,6 @@ def atan_interval(a: Interval) -> Interval:
     if not (-_INF < a.lo and a.hi < _INF):
         raise _non_finite(a)
     return _make(_atan_down(a.lo), _atan_up(a.hi))
-
-
-# ---------------------------------------------------------------------------
-# Set operations
-# ---------------------------------------------------------------------------
-
-def intersect(a: Interval, b: Interval) -> Interval:
-    lo = max(a.lo, b.lo)
-    hi = min(a.hi, b.hi)
-    if lo > hi:
-        raise EmptyIntersection(
-            f"[{a.lo}, {a.hi}] and [{b.lo}, {b.hi}] do not intersect"
-        )
-    return Interval(lo, hi)
-
-
-def hull(a: Interval, b: Interval) -> Interval:
-    return Interval(min(a.lo, b.lo), max(a.hi, b.hi))
 
 
 # ---------------------------------------------------------------------------

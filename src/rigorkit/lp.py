@@ -364,8 +364,13 @@ def problem_from_text(text: str) -> LpProblem:
          for kw in ("obj", "bound", "eq", "eq_rhs", "ineq", "ineq_rhs")}
     if len(t["bound"]) != n:
         raise ParseError("every variable needs a bound entry")
-    aeq, beq = rec.dense_rows(t["eq"], t["eq_rhs"], n)
-    aineq, bineq = rec.dense_rows(t["ineq"], t["ineq_rhs"], n)
+
+    def named(*kws):  # (line, row) of each record of these keywords
+        return ((line, r) for kw in kws if kw in cols
+                for line, r in zip(cols[kw].lines, cols[kw].fields[0]))
+
+    aeq, beq = rec.dense_rows(t["eq"], t["eq_rhs"], n, named("eq", "eq_rhs"))
+    aineq, bineq = rec.dense_rows(t["ineq"], t["ineq_rhs"], n, named("ineq", "ineq_rhs"))
     return make_problem([t["obj"].get(j, 0.0) for j in range(n)],
                         [t["bound"][j] for j in range(n)],
                         aineq=aineq, bineq=bineq, aeq=aeq, beq=beq)

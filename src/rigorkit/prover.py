@@ -25,13 +25,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import BoundUnavailable
-from .expr import Evaluator, Expr, compile_expr
+from .expr import Evaluator, Expr, TaylorGerm, compile_expr
 from .interval import Interval
-from .taylor import (Box, PartialSign, cell_germ, germ_fails_everywhere, germ_signs,
-                     partial_signs, taylor_upper_bound)
+from .taylor import Box, cell_germ, germ_fails_everywhere, taylor_upper_bound
 
 __all__ = [
     "ProofTask",
@@ -95,22 +94,23 @@ class ProofReport:
         return self.status is ProofStatus.PROVEN
 
 
-def reduce_cell(ev: Evaluator, cell: Box,
-                signs: Optional[Sequence[PartialSign]] = None) -> Box:
-    """Collapse every component with a certified strict derivative sign to
-    its extremal endpoint.  sup f over the result equals sup f over the
-    input cell.  `signs` are the cell's partial signs if already known."""
-    signs = signs if signs is not None else partial_signs(ev, cell) or ()
+# `ev` is unused; it keeps the cell second, where the benchmark's tracer reads it.
+def reduce_cell(ev: Evaluator, cell: Box, germ: Optional[TaylorGerm]) -> Box:
+    """Collapse every component whose partial in the cell's germ has a
+    certified strict sign to its extremal endpoint (no collapse without a
+    germ).  sup f over the result equals sup f over the input cell."""
+    if germ is None:
+        return cell
     dims = list(cell.dims)
     changed = False
-    for i, s in enumerate(signs):
+    for i, df in enumerate(germ.df):
         d = dims[i]
         if d.lo == d.hi:
             continue
-        if s is PartialSign.STRICTLY_POSITIVE:
+        if df.lo > 0.0:
             dims[i] = Interval.point(d.hi)
             changed = True
-        elif s is PartialSign.STRICTLY_NEGATIVE:
+        elif df.hi < 0.0:
             dims[i] = Interval.point(d.lo)
             changed = True
     return Box(tuple(dims)) if changed else cell
@@ -151,7 +151,7 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
         max_depth_seen = max(max_depth_seen, depth)
 
         germ = cell_germ(ev, cell)
-        cell = reduce_cell(ev, cell, germ_signs(germ) if germ is not None else ())
+        cell = reduce_cell(ev, cell, germ)
         # Without a whole-cell germ, f may have a pole the Taylor bound misses.
         eval_failed = germ is None
         # A failure that reads no variable recurs on every cell, so it ends
@@ -161,7 +161,7 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
         by_germ = certifies(upper)
         if not (by_germ or eval_failed):
             try:
-                upper = min(taylor_upper_bound(ev, cell).upper, upper)
+                upper = min(taylor_upper_bound(ev, cell), upper)
             except BoundUnavailable:
                 eval_failed = True
 
@@ -229,8 +229,7 @@ def prove_nonpositive(task: ProofTask, cfg: ProverConfig = ProverConfig()) -> Pr
     """Prove f <= -margin on the domain (non-strict variant of
     prove_negative; certified upper bounds may touch the limit).
 
-    This is the check used for linearization-cut admission and duality
-    certificate verification, where the inequality may bind at the
-    optimum."""
+    This is the check used for duality certificate verification, where
+    the inequality may bind at the optimum."""
     ev = compile_expr(task.expr, task.domain.n)
     return _run(ev, task.domain, task.margin, strict=False, cfg=cfg)

@@ -17,7 +17,7 @@ any defect goes back through `read_records` for its error.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Callable, Mapping, NamedTuple, Optional
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional
 
 from . import interval as iv
 from .errors import ParseError
@@ -191,10 +191,19 @@ def index(token: str) -> int:
 
 
 def dense_rows(entries: Mapping[tuple[int, int], float], rhs: Mapping[int, float],
-               n: int) -> tuple[list[list[float]], list[float]]:
+               n: int, named: Iterable[tuple[int, int]]) -> tuple[list[list[float]], list[float]]:
     """n-column matrix and right-hand side from sparse (row, column) entries
-    and row values, zero where absent, up to the largest row index in either."""
-    m = 1 + max([r for r, _ in entries] + list(rhs), default=-1)
+    and row values, zero where absent.  Every row up to the largest must be
+    named by some record, so the file's length, not one index in it, sizes
+    the matrix.  `named` yields (line, row) for each record that names a
+    row; it is read only to place the error when a row is missing."""
+    rows = {r for r, _ in entries}
+    rows.update(rhs)
+    m = len(rows)
+    if rows and max(rows) >= m:
+        gap = next(r for r in range(m) if r not in rows)
+        line, r = min((line, r) for line, r in named if r > gap)
+        raise line_error(line, f"row {r} is given but row {gap} is not")
     a = [[0.0] * n for _ in range(m)]
     for (r, j), v in entries.items():
         a[r][j] = v

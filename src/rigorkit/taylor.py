@@ -1,5 +1,6 @@
 """Rigorous upper bounds over boxes via degree-1 Taylor expansion with an
-interval second-derivative remainder, plus derivative sign determination.
+interval second-derivative remainder, and the whole-cell germ whose
+partials give the prover its derivative signs.
 
 The bound for a box with center c and half-widths w is
 
@@ -13,7 +14,6 @@ adaptive subdivision in the prover.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -22,18 +22,14 @@ from .errors import (
     BoundUnavailable,
     DivisionByZeroInterval,
     DomainError,
-    EmptyIntersection,
     NonFiniteOperand,
 )
 from .expr import Evaluator, TaylorGerm
 from .interval import Interval
 
-__all__ = ["Box", "TaylorBound", "PartialSign", "taylor_upper_bound",
-           "cell_germ", "germ_fails_everywhere", "germ_signs", "partial_sign",
-           "partial_signs"]
+__all__ = ["Box", "taylor_upper_bound", "cell_germ", "germ_fails_everywhere"]
 
-_EVAL_ERRORS = (DivisionByZeroInterval, DomainError, NonFiniteOperand,
-                EmptyIntersection, OverflowError)
+_EVAL_ERRORS = (DivisionByZeroInterval, DomainError, NonFiniteOperand, OverflowError)
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,19 +82,6 @@ class Box:
         return all(d.contains(x) for d, x in zip(self.dims, point))
 
 
-class PartialSign(enum.Enum):
-    STRICTLY_POSITIVE = "strictly_positive"
-    STRICTLY_NEGATIVE = "strictly_negative"
-    UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True, slots=True)
-class TaylorBound:
-    """Certified upper bound of a function over a box."""
-
-    upper: float
-
-
 def _half_widths(box: Box, center: tuple[float, ...]) -> tuple[float, ...]:
     # Upward-rounded radius around the (possibly off-center) midpoint, so
     # |x_i - c_i| <= w_i holds for every x in the box.
@@ -110,8 +93,8 @@ def _half_widths(box: Box, center: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(out)
 
 
-def taylor_upper_bound(ev: Evaluator, box: Box) -> TaylorBound:
-    """Upper bound of the compiled function over the box.
+def taylor_upper_bound(ev: Evaluator, box: Box) -> float:
+    """Certified upper bound of the compiled function over the box.
 
     Raises BoundUnavailable if interval evaluation fails anywhere in the
     chain (callers treat that as bound = +inf).
@@ -134,7 +117,7 @@ def taylor_upper_bound(ev: Evaluator, box: Box) -> TaylorBound:
             term = iv.mul(Interval.point(h.mag),
                           iv.mul(Interval.point(w[i]), Interval.point(w[j])))
             total = iv.add(total, term if i != j else iv.mul(half, term))
-        return TaylorBound(total.hi)
+        return total.hi
     except _EVAL_ERRORS as exc:
         raise BoundUnavailable(str(exc)) from exc
 
@@ -158,30 +141,3 @@ def germ_fails_everywhere(ev: Evaluator) -> bool:
     except _EVAL_ERRORS:
         return True
     return False
-
-
-def germ_signs(germ: TaylorGerm) -> list[PartialSign]:
-    """Certified signs of the first partials of a whole-cell germ."""
-    out = []
-    for d in germ.df:
-        if d.lo > 0.0:
-            out.append(PartialSign.STRICTLY_POSITIVE)
-        elif d.hi < 0.0:
-            out.append(PartialSign.STRICTLY_NEGATIVE)
-        else:
-            out.append(PartialSign.UNKNOWN)
-    return out
-
-
-def partial_signs(ev: Evaluator, box: Box) -> Optional[list[PartialSign]]:
-    """Certified signs of all first partials over the box from one
-    whole-cell germ, or None if that fails."""
-    germ = cell_germ(ev, box)
-    return None if germ is None else germ_signs(germ)
-
-
-def partial_sign(ev: Evaluator, box: Box, i: int) -> PartialSign:
-    """Certified sign of the i-th first partial over the box.  Never
-    claims a sign the interval enclosure does not certify."""
-    signs = partial_signs(ev, box)
-    return signs[i] if signs else PartialSign.UNKNOWN

@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import rigorkit
 from rigorkit import cli
 from rigorkit import expr as ex
 from rigorkit import lp as lpmod
@@ -394,6 +397,16 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+def test_every_exported_name_exists():
+    # the benchmark's tracer looks up each name in a module's __all__
+    names = [m.name for m in pkgutil.iter_modules(rigorkit.__path__)]
+    assert len(names) >= 11
+    for name in names:
+        mod = importlib.import_module(f"rigorkit.{name}")
+        missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+        assert not missing, (name, missing)
 
 
 def test_help_exits_zero(capsys):

@@ -61,10 +61,11 @@ def test_compile_examples():
 
 def test_compile_depth_limit():
     deep = ex.Var(0)
-    for _ in range(40):
+    for _ in range(ex.MAX_DEPTH - 1):
         deep = ex.Add(deep, ex.Const("1"))
+    ex.compile_expr(deep, 1)  # depth MAX_DEPTH compiles
     with pytest.raises(CompileError):
-        ex.compile_expr(deep, 1, max_depth=10)
+        ex.compile_expr(ex.Add(deep, ex.Const("1")), 1)
     with pytest.raises(CompileError):
         ex.compile_expr(ex.Var(3), arity=2)
 

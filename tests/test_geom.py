@@ -13,60 +13,6 @@ I = Interval
 SQRT8 = iv.sqrt_interval(I(8, 8))
 
 
-def equilateral_with_apex(side=2.0):
-    s = I(side, side)
-    half = I(side / 2, side / 2)
-    height = iv.sqrt_interval(iv.sub(iv.pow_int(s, 2), iv.pow_int(half, 2)))
-    apex_y = iv.div(half, height)  # arbitrary interior-ish offset
-    return geom.PointConfig((
-        (I(0, 0), I(0, 0), I(0, 0)),
-        (s, I(0, 0), I(0, 0)),
-        (half, height, I(0, 0)),
-        (half, apex_y, I(1, 1)),
-    ))
-
-
-def test_pivot_preserves_axis_distances():
-    cfg = equilateral_with_apex()
-    before = (cfg.distance(3, 0), cfg.distance(3, 1))
-    moved = geom.pivot(cfg, (0, 1), 3, (2, I(2, 2)))
-    after = (moved.distance(3, 0), moved.distance(3, 1))
-    for b, a in zip(before, after):
-        assert a.lo <= b.hi and b.lo <= a.hi  # containment up to widening
-    d3 = moved.distance(3, 2)
-    assert d3.lo <= 2.0 <= d3.hi
-
-
-def test_pivot_random_isometry():
-    rng = random.Random(12)
-    for _ in range(50):
-        pts = []
-        for _ in range(4):
-            pts.append(tuple(I.point(rng.uniform(-2, 2)) for _ in range(3)))
-        cfg = geom.PointConfig(tuple(pts))
-        r1 = cfg.distance(3, 0)
-        r2 = cfg.distance(3, 1)
-        d_now = cfg.distance(3, 2)
-        target = I.point(min(max(d_now.mid + rng.uniform(-0.2, 0.2), 0.3), 5.0))
-        try:
-            moved = geom.pivot(cfg, (0, 1), 3, (2, target),
-                               side=rng.choice([1, -1]))
-        except (PivotInfeasible, geom.DegenerateAxis):
-            continue
-        a1 = moved.distance(3, 0)
-        a2 = moved.distance(3, 1)
-        assert a1.lo <= r1.hi and r1.lo <= a1.hi
-        assert a2.lo <= r2.hi and r2.lo <= a2.hi
-        d_t = moved.distance(3, 2)
-        assert d_t.lo <= target.hi and target.lo <= d_t.hi
-
-
-def test_pivot_unreachable_target():
-    cfg = equilateral_with_apex()
-    with pytest.raises(PivotInfeasible):
-        geom.pivot(cfg, (0, 1), 3, (2, I(50, 50)))
-
-
 def test_simplex_example_sqrt8():
     res = geom.check_simplex_interior_point([SQRT8] * 6, I(2, 2))
     assert res.refuted
@@ -112,19 +58,6 @@ def test_simplex_soundness_vs_random_search():
     interior = np.einsum("nk,nkd->nd", weights, pts)
     dists = np.linalg.norm(pts - interior[:, None, :], axis=2)
     assert float(dists.min(axis=1).max()) < 2.0
-
-
-def test_face_escape_examples():
-    res = geom.check_face_escape([SQRT8] * 3, I(2, 2))
-    assert res.refuted
-    ref = math.sqrt(6) - math.sqrt(2)
-    assert res.witness.lo <= ref <= res.witness.hi
-
-    res2 = geom.check_face_escape([I(2, 2)] * 3, I(2, 2))
-    assert res2.refuted
-
-    res3 = geom.check_face_escape([I(2, 2)] * 3, I(0, 0))
-    assert not res3.refuted
 
 
 def test_segment_examples():
@@ -268,7 +201,7 @@ def test_rigid_realization_contains_specified_distances():
             continue
         try:
             cfg = geom.rigid_realization(d)
-        except (PivotInfeasible, geom.DegenerateAxis):
+        except PivotInfeasible:
             continue
         for i in range(4):
             for j in range(i + 1, 4):

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigorkit import interval as iv
-from rigorkit.errors import (DivisionByZeroInterval, DomainError,
-                             EmptyIntersection, NonFiniteOperand, ParseError)
+from rigorkit.errors import DivisionByZeroInterval, DomainError, NonFiniteOperand, ParseError
 from rigorkit.interval import Interval
 
 I = Interval
@@ -353,13 +352,6 @@ def test_pow_with_a_huge_exponent_stops_at_a_fixed_point(monkeypatch):
     assert iv.pow_int(I(0.5, 0.9), 10**300) == I(0.0, 5e-324)
     # the exponent has 997 bits; the bases reach 0 and 5e-324 within 14 squarings
     assert len(calls) < 60
-
-
-def test_intersect_and_hull():
-    assert iv.intersect(I(0, 2), I(1, 3)) == I(1, 2)
-    with pytest.raises(EmptyIntersection):
-        iv.intersect(I(0, 1), I(2, 3))
-    assert iv.hull(I(0, 1), I(2, 3)) == I(0, 3)
 
 
 def test_interval_invariants():

@@ -11,7 +11,7 @@ from rigorkit import prover
 from rigorkit.interval import Interval
 from rigorkit.prover import (ProofStatus, ProofTask, ProverConfig,
                              prove_negative, prove_nonpositive, reduce_cell)
-from rigorkit.taylor import Box
+from rigorkit.taylor import Box, cell_germ
 
 I = Interval
 
@@ -59,15 +59,21 @@ def test_margin():
 
 
 def test_reduce_cell_examples():
+    def reduced(ev, cell):
+        return reduce_cell(ev, cell, cell_germ(ev, cell)).dims
+
     bi = ex.compile_expr(ex.parse("x0*x1", 2), 2)
-    red = reduce_cell(bi, Box((I(1, 2), I(3, 4))))
-    assert red.dims == (I(2, 2), I(4, 4))
+    assert reduced(bi, Box((I(1, 2), I(3, 4)))) == (I(2, 2), I(4, 4))
 
     sq = ex.compile_expr(ex.parse("x0*x0"), 1)
-    assert reduce_cell(sq, Box((I(-1, 1),))).dims == (I(-1, 1),)
+    assert reduced(sq, Box((I(-1, 1),))) == (I(-1, 1),)
 
     neg = ex.compile_expr(ex.parse("0 - x0"), 1)
-    assert reduce_cell(neg, Box((I(0, 1),))).dims == (I(0, 0),)
+    assert reduced(neg, Box((I(0, 1),))) == (I(0, 0),)
+
+    # no germ: nothing collapses
+    cell = Box((I(-1, 1),))
+    assert reduce_cell(neg, cell, None) is cell
 
 
 def test_evaluation_failure_reported():

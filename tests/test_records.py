@@ -70,6 +70,13 @@ CASES = [
     ("dspec", 3, "dmin p1 q 2.x"),
     ("dspec", 1, "points"),
     ("dspec", 4, "dmid 0 q 1"),
+    ("dspec", 1, "points 0 p1 p1 p3 q"),           # repeated label
+    ("dspec", 3, "points 0 p1 p2 p3 q"),           # used to re-label earlier bounds
+    ("dspec", 3, "dmin p1 p1 5"),                  # a pair of one point
+    # a row index past the rows named used to size the matrix
+    ("lp", 7, "ineq_rhs 100000 1.0"),
+    ("lp", 4, "eq 100000 0 1.0"),
+    ("asm", 8, "rhs 100000 1.0"),
 ]
 
 # A defect found when its domain block closes is reported there.
@@ -140,6 +147,16 @@ def test_first_of_two_malformed_lines_is_reported(earlier, later):
     lines[2], lines[5] = earlier, later
     with pytest.raises(ParseError, match="^line 3: "):
         lp.problem_from_text("\n".join(lines) + "\n")
+
+
+def test_every_row_up_to_the_largest_is_named():
+    text = BASE["lp"].replace("ineq_rhs 0 1.0", "ineq_rhs 0 1.0\nineq_rhs 2 1.0")
+    with pytest.raises(ParseError, match="line 8: row 2 is given but row 1 is not"):
+        lp.problem_from_text(text)
+    # a row named only by its right-hand side is a zero row
+    text = BASE["lp"].replace("ineq_rhs 0 1.0", "ineq_rhs 0 1.0\nineq_rhs 1 2.0")
+    p = lp.problem_from_text(text)
+    assert p.n_core_ineq == 2 and p.aineq[1] == (0.0, 0.0) and p.bineq[1] == 2.0
 
 
 def _long_lp(bad_line=None, bad_text=""):

@@ -7,8 +7,7 @@ from oracles import evaluate_on_arrays, random_expr
 from rigorkit import expr as ex
 from rigorkit.errors import BoundUnavailable
 from rigorkit.interval import Interval
-from rigorkit.taylor import (Box, PartialSign, partial_sign, partial_signs,
-                             taylor_upper_bound)
+from rigorkit.taylor import Box, cell_germ, taylor_upper_bound
 
 I = Interval
 
@@ -16,15 +15,15 @@ I = Interval
 def test_upper_bound_examples():
     ev = ex.compile_expr(ex.parse("x0*x0"), 1)
     tb = taylor_upper_bound(ev, Box((I(1, 2),)))
-    assert abs(tb.upper - 4.0) <= 4 * math.ulp(4.0)
+    assert abs(tb - 4.0) <= 4 * math.ulp(4.0)
 
     const = ex.compile_expr(ex.parse("1"), 1)
     tb1 = taylor_upper_bound(const, Box((I(-3, 9),)))
-    assert abs(tb1.upper - 1.0) <= 2 * math.ulp(1.0)
+    assert abs(tb1 - 1.0) <= 2 * math.ulp(1.0)
 
     lin = ex.compile_expr(ex.parse("x0"), 1)
     tb2 = taylor_upper_bound(lin, Box((I(0, 1),)))
-    assert abs(tb2.upper - 1.0) <= 4 * math.ulp(1.0)
+    assert abs(tb2 - 1.0) <= 4 * math.ulp(1.0)
 
 
 def test_bound_unavailable_is_a_value():
@@ -32,18 +31,19 @@ def test_bound_unavailable_is_a_value():
     with pytest.raises(BoundUnavailable):
         taylor_upper_bound(ev, Box((I(-1, 1),)))
     # and after subdivision it becomes available again
-    tb = taylor_upper_bound(ev, Box((I(0.5, 1),)))
-    assert tb.upper >= 2.0
+    assert taylor_upper_bound(ev, Box((I(0.5, 1),))) >= 2.0
 
 
 def test_partial_sign_examples():
+    # the prover collapses a variable whose germ partial has a strict sign
     sq = ex.compile_expr(ex.parse("x0*x0"), 1)
-    assert partial_sign(sq, Box((I(1, 2),)), 0) is PartialSign.STRICTLY_POSITIVE
-    assert partial_sign(sq, Box((I(-1, 1),)), 0) is PartialSign.UNKNOWN
+    assert cell_germ(sq, Box((I(1, 2),))).df[0].lo > 0.0
+    d = cell_germ(sq, Box((I(-1, 1),))).df[0]
+    assert d.lo < 0.0 < d.hi
     bi = ex.compile_expr(ex.parse("x0*x1", 2), 2)
-    assert partial_sign(bi, Box((I(1, 2), I(3, 4))), 0) is PartialSign.STRICTLY_POSITIVE
+    assert cell_germ(bi, Box((I(1, 2), I(3, 4)))).df[0].lo > 0.0
     inv = ex.compile_expr(ex.parse("1/x0"), 1)
-    assert partial_sign(inv, Box((I(-1, 1),)), 0) is PartialSign.UNKNOWN
+    assert cell_germ(inv, Box((I(-1, 1),))) is None
 
 
 def test_partial_sign_soundness_via_finite_differences():
@@ -56,9 +56,10 @@ def test_partial_sign_soundness_via_finite_differences():
             continue
         box = Box(tuple(I(rng.uniform(-2, 0), rng.uniform(0.1, 2)) for _ in range(arity)))
         ev = ex.compile_expr(e, arity)
-        signs = partial_signs(ev, box)
-        for i, s in enumerate(signs):
-            if s is PartialSign.UNKNOWN:
+        # a strict sign of a whole-cell germ's partial is what the prover
+        # collapses on; polynomials never fail to give a germ
+        for i, d in enumerate(cell_germ(ev, box).df):
+            if not (d.lo > 0.0 or d.hi < 0.0):
                 continue
             claims += 1
             for _ in range(100):
@@ -71,7 +72,7 @@ def test_partial_sign_soundness_via_finite_differences():
                 if up[i] == dn[i]:
                     continue
                 slope = (ex.evaluate_numeric(e, up) - ex.evaluate_numeric(e, dn)) / (up[i] - dn[i])
-                if s is PartialSign.STRICTLY_POSITIVE:
+                if d.lo > 0.0:
                     assert slope > -1e-9, (ex.to_text(e), box, i)
                 else:
                     assert slope < 1e-9, (ex.to_text(e), box, i)
@@ -93,7 +94,7 @@ def test_domination_random_polynomials():
         pts = [np.random.default_rng(trials).uniform(box[j].lo, box[j].hi, 40)
                for j in range(arity)]
         vals = evaluate_on_arrays(e, pts)
-        assert float(vals.max()) <= tb.upper + 1e-9 * (1 + abs(tb.upper)), ex.to_text(e)
+        assert float(vals.max()) <= tb + 1e-9 * (1 + abs(tb)), ex.to_text(e)
         trials += 1
 
 
@@ -106,11 +107,10 @@ def test_monotone_refinement():
         box = Box(tuple(I(rng.uniform(-1.5, 0), rng.uniform(0.1, 1.5)) for _ in range(arity)))
         ev = ex.compile_expr(e, arity)
         try:
-            parent = taylor_upper_bound(ev, box).upper
+            parent = taylor_upper_bound(ev, box)
             k = max(range(arity), key=lambda i: box[i].width)
             lo_child, hi_child = box.split(k)
-            child = max(taylor_upper_bound(ev, lo_child).upper,
-                        taylor_upper_bound(ev, hi_child).upper)
+            child = max(taylor_upper_bound(ev, lo_child), taylor_upper_bound(ev, hi_child))
         except BoundUnavailable:
             continue
         slack = 8 * math.ulp(max(abs(parent), 1.0))
