@@ -40,7 +40,7 @@ from . import records as rec
 from .errors import BranchError, NoProgress, ParseError
 from .expr import Expr, Var, const_from_float, make_add, make_mul, make_sub, parse, to_text
 from .interval import Interval
-from .prover import ProofTask, ProofReport, ProverConfig, prove_nonpositive
+from .prover import ProofTask, ProverConfig, prove_nonpositive
 from .taylor import Box
 
 __all__ = [
@@ -138,9 +138,6 @@ class AssemblyProblem:
                 out[slot] = g
         return out
 
-    def project(self, x: Sequence[float], d_idx: int) -> list[float]:
-        return [x[g] for g in self.globals_of_domain(d_idx)]
-
 
 @dataclass(frozen=True, slots=True)
 class DualityCertificate:
@@ -157,7 +154,6 @@ class DualityCertificate:
 class VerifyOutcome:
     certified: bool
     domain_id: Optional[str] = None
-    report: Optional[ProofReport] = None
     reason: str = ""
 
 
@@ -430,23 +426,20 @@ def verify_duality(p: AssemblyProblem, cert: DualityCertificate,
         e = _domain_inequality_expr(p, cert, d_idx)
         report = prove_nonpositive(ProofTask(e, dom.box, 0.0), cfg)
         if not report.proven:
-            return VerifyOutcome(False, domain_id=dom.id, report=report,
+            return VerifyOutcome(False, domain_id=dom.id,
                                  reason="domain inequality not certified")
     return VerifyOutcome(True)
-
-
-def _domain_by_id(p: AssemblyProblem, domain_id: str) -> int:
-    for i, d in enumerate(p.domains):
-        if d.id == domain_id:
-            return i
-    raise KeyError(f"no domain {domain_id!r}")
 
 
 def branch(p: AssemblyProblem, domain_id: str, slot: int) -> tuple[AssemblyProblem, AssemblyProblem]:
     """Bisect one domain box component.  Certifying a bound M on both
     children certifies M on the parent."""
-    d_idx = _domain_by_id(p, domain_id)
+    d_idx = next((i for i, d in enumerate(p.domains) if d.id == domain_id), None)
+    if d_idx is None:
+        raise BranchError(f"no domain {domain_id!r}")
     dom = p.domains[d_idx]
+    if not 0 <= slot < dom.n:
+        raise BranchError(f"domain {domain_id} has no slot {slot} (slots 0..{dom.n - 1})")
     comp = dom.box[slot]
     if comp.lo == comp.hi:
         raise BranchError(f"domain {domain_id} slot {slot} is degenerate")

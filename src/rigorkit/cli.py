@@ -2,11 +2,14 @@
 emission.
 
 Exit codes: 0 for Proven/Certified/complete enumeration, 1 for
-Undecided/Refuted/Inconclusive/Incomplete, 2 for input errors, 3 for
-internal errors (any other exception, reported on one stderr line).  Reports
-are written even on exit 1 and re-parse under `parse_report`; apart from
-the wall-time field they are byte-identical across reruns with the same
-inputs, flags and seeds.
+Undecided/Refuted/Inconclusive/Incomplete, 2 for input errors (malformed
+input, arguments out of range, and paths that cannot be read or written:
+any OSError), 3 for internal errors (any other exception, reported on one
+stderr line).  `_report` writes every report: a header of schema,
+subcommand, version, input digests, config echo and wall time, then the
+body.  Reports are written even on exit 1 and re-parse under
+`parse_report`; apart from the wall-time field they are byte-identical
+across reruns with the same inputs, flags and seeds.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import argparse
 import hashlib
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -31,32 +33,12 @@ from .errors import NoProgress, ParseError, RigorError
 from .prover import (ProofStatus, ProofTask, ProverConfig, prove_negative)
 from .taylor import Box
 
-__all__ = ["main", "dispatch", "RunManifest", "parse_report", "parse_task_file"]
+__all__ = ["main", "dispatch", "parse_report", "parse_task_file"]
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
-
-
-@dataclass(frozen=True, slots=True)
-class RunManifest:
-    subcommand: str
-    input_digests: tuple[tuple[str, str], ...]
-    config_echo: tuple[tuple[str, str], ...]
-    wall_time_s: float
-    toolkit_version: str = __version__
-
-    def lines(self) -> list[str]:
-        out = ["rigorkit-report v1",
-               f"subcommand: {self.subcommand}",
-               f"toolkit_version: {self.toolkit_version}"]
-        for name, digest in self.input_digests:
-            out.append(f"input_digest: {name} {digest}")
-        for key, val in self.config_echo:
-            out.append(f"config: {key} {val}")
-        out.append(f"wall_time_s: {self.wall_time_s!r}")
-        return out
 
 
 def _read(path: str, digests: list[tuple[str, str]]) -> str:
@@ -70,8 +52,12 @@ def _report(args, digests: Sequence[tuple[str, str]],
             config: Sequence[tuple[str, str]], body: Sequence[tuple[str, str]],
             wall: float = 0.0) -> None:
     """Write the report to --report, if given, and to stdout."""
-    manifest = RunManifest(args.command, tuple(digests), tuple(config), wall)
-    lines = [*manifest.lines(), "---", *(f"{key}: {val}" for key, val in body)]
+    lines = ["rigorkit-report v1", f"subcommand: {args.command}",
+             f"toolkit_version: {__version__}",
+             *(f"input_digest: {name} {digest}" for name, digest in digests),
+             *(f"config: {key} {val}" for key, val in config),
+             f"wall_time_s: {wall!r}", "---",
+             *(f"{key}: {val}" for key, val in body)]
     text = "\n".join(lines) + "\n"
     if args.report:
         Path(args.report).write_text(text)
@@ -266,15 +252,15 @@ def _cmd_graphs(args) -> int:
     prune = gg.compile_prune_spec(args.prune) if args.prune else gg._accept_all
     cfg = gg.GeneratorConfig(n_max=args.max_vertices, prune=prune,
                              max_states=args.max_states)
+    outdir = Path(args.out) if args.out else None
+    if outdir:
+        outdir.mkdir(parents=True, exist_ok=True)   # an unusable --out fails first
     t0 = time.perf_counter()
     result = gg.generate(cfg)
     wall = time.perf_counter() - t0
     body = [("complete", str(result.complete)),
             ("classes", str(len(result.terminals))),
             ("states_explored", str(result.states_explored))]
-    outdir = Path(args.out) if args.out else None
-    if outdir:
-        outdir.mkdir(parents=True, exist_ok=True)
     for i, rec in enumerate(result.terminals):
         body.append(("class", rec.canonical))
         if outdir:
@@ -344,7 +330,7 @@ def _cmd_plan_dump(args) -> int:
         e, arity = ex.parse(args.expr, args.arity), args.arity
     else:
         raise ParseError("plan-dump needs --task FILE or --expr/--arity")
-    evaluator = ex.compile_expr(e, arity)
+    evaluator = ex.Evaluator(e, arity)
     _report(args, digests, (("arity", str(arity)),),
             [("instruction", line) for line in evaluator.plan_lines()])
     return EXIT_OK
@@ -442,7 +428,7 @@ def dispatch(argv: Sequence[str]) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.handler(args)
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except RigorError as exc:

@@ -50,7 +50,8 @@ class AugmentationError(RigorError):
 
 
 class BranchError(RigorError):
-    """Branching was requested on a degenerate box component."""
+    """Branching was requested on an unknown domain, a slot out of range,
+    or a degenerate box component."""
 
 
 class NoProgress(RigorError):

@@ -6,20 +6,23 @@ operations + - * /, integer powers, sqrt, and a binary arctangent
 `atan(num, den)` meaning atan(num/den).  Keeping arctangent binary
 confines the den=0 hazard to a single operation with one error path.
 
+Nodes are hash-consed: constructing a node returns the one live node with
+the same class and fields, kept in a weak-valued table, so structurally
+equal expressions are the same object and `==` and `hash` are O(1)
+identity checks.
+
 `differentiate`, `to_text` and `evaluate_numeric` walk the expression
-iteratively and memoise on node identity, so a long expression does not
-reach the recursion limit and the derivative of a DAG is a DAG of linear
-size.
+iteratively and memoise on nodes, so a long expression does not reach the
+recursion limit and the derivative of a DAG is a DAG of linear size.
 `differentiate` holds the only derivative rules.
 
-`compile_expr` turns an Expr into an `Evaluator`: one flat evaluation plan
-that starts with f's instructions, followed by those of the first partials
-and the second partials (each the `differentiate` of the one before) as
-queries first need them.  Instructions are value-numbered on (op, operand
-slots), so a subexpression shared by f, its gradient and its Hessian
-occupies one slot.  Each query -- interval value, value-and-gradient germ,
-the listed Hessian entries -- evaluates exactly the instructions its
-outputs depend on, in one pass.
+`Evaluator(e, arity)` compiles an Expr into one flat evaluation plan that
+starts with f's instructions, followed by those of the first partials and
+the second partials (each the `differentiate` of the one before) as
+queries first need them.  Each node occupies one slot, so a subexpression
+shared by f, its gradient and its Hessian is evaluated once.  Each query --
+interval value, value-and-gradient germ, the listed Hessian entries --
+evaluates exactly the instructions its outputs depend on, in one pass.
 
 Constants are stored as decimal text; conversion to binary64 enclosures
 is deferred to the interval layer so no precision is lost before the
@@ -33,7 +36,9 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator, Optional, Sequence
 
 from . import interval as iv
@@ -59,69 +64,85 @@ __all__ = [
     "make_div",
     "make_pow",
     "const_from_float",
-    "arity_of",
     "parse",
     "differentiate",
     "to_text",
     "evaluate_numeric",
     "TaylorGerm",
     "Evaluator",
-    "compile_expr",
 ]
 
+# (node class, *fields) -> weak reference to the live node with those
+# fields.  The reference's callback, the C-level dict.pop, drops the entry
+# as the node dies (before any new node can take the key), for less than a
+# WeakValueDictionary's Python-level bookkeeping costs.
+_NODES: dict[tuple, weakref.ref] = {}
 
-class Expr:
-    """Base class; concrete nodes are the frozen dataclasses below."""
 
-    __slots__ = ()
+class _Interned(type):
+    def __call__(cls, *fields):
+        key = (cls, *fields)
+        ref = _NODES.get(key)
+        node = ref() if ref is not None else None
+        if node is None:
+            node = super().__call__(*fields)
+            _NODES[key] = weakref.ref(node, partial(_NODES.pop, key))
+        return node
 
 
-@dataclass(frozen=True, slots=True)
+class Expr(metaclass=_Interned):
+    """Base class; concrete nodes are the frozen dataclasses below, built
+    positionally and interned, so node identity is structural equality."""
+
+    __slots__ = ("__weakref__",)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Const(Expr):
     text: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Var(Expr):
     index: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Pow(Expr):
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Sqrt(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Atan(Expr):
     num: Expr
     den: Expr
@@ -149,16 +170,16 @@ def _as_int(e: Expr) -> Optional[int]:
     return int(sign + digits) * 10**scale
 
 
-def _folded(v: int, unfolded: Expr) -> Expr:
+def _folded(v: int, op: type, a: Expr, b: Expr) -> Expr:
     # A constant past binary64's range would fail to read in the plan; the
-    # unfolded operation overflows as an interval instead.
-    return Const(str(v)) if v.bit_length() < 1024 else unfolded
+    # unfolded operation op(a, b) overflows as an interval instead.
+    return Const(str(v)) if v.bit_length() < 1024 else op(a, b)
 
 
 def make_add(a: Expr, b: Expr) -> Expr:
     ia, ib = _as_int(a), _as_int(b)
     if ia is not None and ib is not None:
-        return _folded(ia + ib, Add(a, b))
+        return _folded(ia + ib, Add, a, b)
     if ia == 0:
         return b
     if ib == 0:
@@ -169,7 +190,7 @@ def make_add(a: Expr, b: Expr) -> Expr:
 def make_sub(a: Expr, b: Expr) -> Expr:
     ia, ib = _as_int(a), _as_int(b)
     if ia is not None and ib is not None:
-        return _folded(ia - ib, Sub(a, b))
+        return _folded(ia - ib, Sub, a, b)
     if ib == 0:
         return a
     return Sub(a, b)
@@ -178,7 +199,7 @@ def make_sub(a: Expr, b: Expr) -> Expr:
 def make_mul(a: Expr, b: Expr) -> Expr:
     ia, ib = _as_int(a), _as_int(b)
     if ia is not None and ib is not None:
-        return _folded(ia * ib, Mul(a, b))
+        return _folded(ia * ib, Mul, a, b)
     if ia == 0 or ib == 0:
         return ZERO
     if ia == 1:
@@ -229,29 +250,21 @@ def _children(e: Expr) -> tuple[Expr, ...]:
 
 
 def _post_order(root: Expr, done: dict) -> Iterator[Expr]:
-    """Yield each node under root whose id is not in `done`, children first
+    """Yield each node under root that is not in `done`, children first
     and left before right, without recursion.  The caller enters each
     yielded node in `done` before the walk resumes."""
     stack = [root]
     while stack:
         node = stack[-1]
-        if id(node) in done:
+        if node in done:
             stack.pop()
             continue
-        todo = [k for k in reversed(_children(node)) if id(k) not in done]
+        todo = [k for k in reversed(_children(node)) if k not in done]
         if todo:
             stack.extend(todo)
         else:
             stack.pop()
             yield node
-
-
-def arity_of(e: Expr) -> int:
-    """1 + highest variable index used (0 for constant expressions)."""
-    seen: dict[int, Expr] = {}
-    for node in _post_order(e, seen):
-        seen[id(node)] = node
-    return 1 + max((n.index for n in seen.values() if isinstance(n, Var)), default=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +435,11 @@ _PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2}   # every other node binds tightest (3)
 
 def to_text(e: Expr) -> str:
     """Render an Expr in the same grammar `parse` accepts.  The walk is
-    iterative and memoised on node identity, as in `differentiate`."""
-    memo: dict[int, tuple[Expr, str]] = {}
+    iterative and memoised on nodes, as in `differentiate`."""
+    memo: dict[Expr, str] = {}
 
     def sub(node: Expr, parent_prec: int) -> str:
-        s = memo[id(node)][1]
+        s = memo[node]
         if isinstance(node, Const):
             wrap = s.startswith("-") and parent_prec >= 2
         else:
@@ -455,7 +468,7 @@ def to_text(e: Expr) -> str:
                 s = f"atan({sub(a, 0)}, {sub(b, 0)})"
             case _:
                 raise TypeError(f"not an Expr node: {node!r}")
-        memo[id(node)] = (node, s)
+        memo[node] = s
     return sub(e, 0)
 
 
@@ -466,12 +479,12 @@ def to_text(e: Expr) -> str:
 def differentiate(e: Expr, i: int) -> Expr:
     """Symbolic partial derivative with respect to x_i.
 
-    The walk is iterative and memoised on node identity (the memo keeps
-    each node alive, so no id is reused), so a DAG's derivative is a DAG of
-    linear size.  The arctangent rule is d atan(a/b) = (a'b - b'a)/(a^2 + b^2).
+    The walk is iterative and memoised on nodes, so a DAG's derivative is a
+    DAG of linear size.  The arctangent rule is
+    d atan(a/b) = (a'b - b'a)/(a^2 + b^2).
     """
-    memo: dict[int, tuple[Expr, Expr]] = {}
-    d = lambda sub: memo[id(sub)][1]
+    memo: dict[Expr, Expr] = {}
+    d = memo.__getitem__
     for node in _post_order(e, memo):
         match node:
             case Const():
@@ -500,7 +513,7 @@ def differentiate(e: Expr, i: int) -> Expr:
                 )
             case _:
                 raise TypeError(f"not an Expr node: {node!r}")
-        memo[id(node)] = (node, r)
+        memo[node] = r
     return d(e)
 
 
@@ -511,9 +524,9 @@ def differentiate(e: Expr, i: int) -> Expr:
 def evaluate_numeric(e: Expr, point: Sequence[float]) -> float:
     """Plain binary64 evaluation at a point.  No rigor claim; raises
     ArithmeticError subclasses on domain violations.  Iterative, children
-    left to right, memoised on node identity."""
-    memo: dict[int, tuple[Expr, float]] = {}
-    v = lambda sub: memo[id(sub)][1]
+    left to right, memoised on nodes."""
+    memo: dict[Expr, float] = {}
+    v = memo.__getitem__
     for node in _post_order(e, memo):
         match node:
             case Const(text=t):
@@ -536,7 +549,7 @@ def evaluate_numeric(e: Expr, point: Sequence[float]) -> float:
                 r = math.atan(v(a) / v(b))
             case _:
                 raise TypeError(f"not an Expr node: {node!r}")
-        memo[id(node)] = (node, r)
+        memo[node] = r
     return v(e)
 
 
@@ -585,12 +598,10 @@ class Evaluator:
     """
 
     def __init__(self, expr: Expr, arity: Optional[int] = None):
-        self.expr = expr
         self.plan: list[tuple] = []
-        self._args: list[tuple[int, ...]] = []         # operand slots per instruction
-        self._varying: list[bool] = []                 # per slot: reads some variable
-        self._numbers: dict[tuple, int] = {}           # (op, operand slots) -> slot
-        self._seen: dict[int, tuple[Expr, int]] = {}   # id(node) -> (node, slot)
+        self._args: list[tuple[int, ...]] = []   # operand slots per instruction
+        self._varying: list[bool] = []           # per slot: reads some variable
+        self._seen: dict[Expr, int] = {}         # node -> slot
         root = self._emit(expr)
         used = 1 + max((ins[1] for ins in self.plan if ins[0] == _VAR), default=-1)
         if arity is None:
@@ -612,30 +623,26 @@ class Evaluator:
     def _emit(self, root: Expr) -> int:
         """Append the instructions root needs that the plan lacks; return
         root's slot."""
-        seen, numbers = self._seen, self._numbers
+        seen = self._seen
         for node in _post_order(root, seen):
-            args = tuple(seen[id(k)][1] for k in _children(node))
+            args = tuple(seen[k] for k in _children(node))
             match node:
                 case Const(text=t):
-                    key = (_CONST, t)
+                    # Read before the slot is taken: a failed read leaves none.
+                    ins = (_CONST, iv.from_decimal_string(t), t)
                 case Var(index=i):
-                    key = (_VAR, i)
+                    ins = (_VAR, i)
                 case Pow(exponent=k):
-                    key = (_POW, args[0], k)
+                    ins = (_POW, args[0], k)
                 case Add() | Sub() | Mul() | Div() | Sqrt() | Atan():
-                    key = (_OPCODES[type(node)], *args)
+                    ins = (_OPCODES[type(node)], *args)
                 case _:
                     raise TypeError(f"not an Expr node: {node!r}")
-            slot = numbers.get(key)
-            if slot is None:
-                # Read a constant before numbering it: a failed read leaves no slot.
-                ins = key if key[0] != _CONST else (_CONST, iv.from_decimal_string(t), t)
-                slot = numbers[key] = len(self.plan)
-                self.plan.append(ins)
-                self._args.append(args)
-                self._varying.append(key[0] == _VAR or any(self._varying[a] for a in args))
-            seen[id(node)] = (node, slot)
-        return seen[id(root)][1]
+            seen[node] = len(self.plan)
+            self.plan.append(ins)
+            self._args.append(args)
+            self._varying.append(ins[0] == _VAR or any(self._varying[a] for a in args))
+        return seen[root]
 
     def _slot(self, index: tuple[int, ...]) -> int:
         """Slot of the partial named by index, emitted on first use."""
@@ -738,8 +745,3 @@ class Evaluator:
     def hessian_entry(self, box: Sequence[Interval], i: int, j: int) -> Interval:
         """Enclosure of the (i,j) second partial over the whole box."""
         return self.hessian(box, ((i, j),))[0]
-
-
-def compile_expr(e: Expr, arity: Optional[int] = None) -> Evaluator:
-    """Generate the evaluation plan for an expression."""
-    return Evaluator(e, arity)

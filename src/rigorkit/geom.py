@@ -1,9 +1,11 @@
 """Rigorous coordinate checks for point configurations with distance
 constraints, by the pivot argument: each check binds the constraints at
 their extremes and decides only the resulting extremal configuration.
+`check_linked_line` binds one fixed pattern: every frame pair and (0, q)
+at its cap, and (p1, q) at its floor.
 
-All coordinates are interval triples, so every derived quantity is an
-enclosure.  The module certifies only what interval arithmetic proves
+Points are plain (x, y, z) tuples of intervals, so every derived quantity
+is an enclosure.  The module certifies only what interval arithmetic proves
 about the extremal configuration of each check: a verdict of
 NoSuchConfiguration means the extremal configuration rigorously violates
 a constraint; everything else is Inconclusive.  Whether the pivot
@@ -12,7 +14,7 @@ responsibility.
 
 The coordinate gauge is fixed throughout: first point at the origin,
 second on the positive x axis, third in the upper half of the xy plane,
-fourth (when placed) with z >= 0.
+fourth with z >= 0.
 """
 
 from __future__ import annotations
@@ -36,13 +38,9 @@ from .interval import Interval
 __all__ = [
     "Vec3",
     "DistanceSpec",
-    "EdgeMark",
-    "Model",
-    "PointConfig",
     "Verdict",
     "CheckResult",
     "LinkStatus",
-    "linked_line_model",
     "rigid_realization",
     "cayley_menger_det",
     "line_links_triangle",
@@ -56,10 +54,6 @@ Vec3 = tuple[Interval, Interval, Interval]
 
 _ZERO = Interval(0.0, 0.0)
 _ONE = Interval(1.0, 1.0)
-
-
-def _pt(x: Interval, y: Interval, z: Interval) -> Vec3:
-    return (x, y, z)
 
 
 def _v_add(a: Vec3, b: Vec3) -> Vec3:
@@ -108,23 +102,6 @@ def _sqrt_nonneg(x: Interval, what: str) -> Interval:
 # Domain types
 # ---------------------------------------------------------------------------
 
-class EdgeMark(enum.Enum):
-    CABLE = "cable"      # upper distance bound, pivot outward to the cap
-    STRUT = "strut"      # lower distance bound, pivot inward to the floor
-    UNMARKED = "unmarked"
-
-
-@dataclass(frozen=True, slots=True)
-class Model:
-    """Edge marks guiding pivot directions; marks only on pairs present
-    in the accompanying distance spec."""
-
-    marks: dict
-
-    def mark(self, i: int, j: int) -> EdgeMark:
-        return self.marks.get((min(i, j), max(i, j)), EdgeMark.UNMARKED)
-
-
 @dataclass(frozen=True, slots=True)
 class DistanceSpec:
     """Pairwise lower/upper distance thresholds; +inf upper caps allowed."""
@@ -138,17 +115,6 @@ class DistanceSpec:
 
     def upper(self, i: int, j: int) -> Interval:
         return self.dmax.get((min(i, j), max(i, j)), Interval(math.inf, math.inf))
-
-    def n(self) -> int:
-        return len(self.labels)
-
-
-@dataclass(frozen=True, slots=True)
-class PointConfig:
-    points: tuple[Vec3, ...]
-
-    def distance(self, i: int, j: int) -> Interval:
-        return _dist(self.points[i], self.points[j])
 
 
 class Verdict(enum.Enum):
@@ -173,17 +139,6 @@ class LinkStatus(enum.Enum):
     UNKNOWN = "unknown"
 
 
-def linked_line_model() -> Model:
-    """The pivot model used by check_linked_line on points (0, p1, p2,
-    p3, q): cables (pivot outward to the cap) on every frame pair and on
-    (0, q); a strut (pivot inward to the floor) on (q, p1)."""
-    marks = {}
-    for pair in [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4)]:
-        marks[pair] = EdgeMark.CABLE
-    marks[(1, 4)] = EdgeMark.STRUT
-    return Model(marks)
-
-
 # ---------------------------------------------------------------------------
 # Coordinate realization
 # ---------------------------------------------------------------------------
@@ -194,13 +149,13 @@ def _sq(d: Interval) -> Interval:
 
 def _place_third(d01: Interval, d02: Interval, d12: Interval) -> tuple[Vec3, Vec3, Vec3]:
     """p0 at origin, p1 on +x at distance d01, p2 in the upper xy plane."""
-    p0 = _pt(_ZERO, _ZERO, _ZERO)
-    p1 = _pt(d01, _ZERO, _ZERO)
+    p0 = (_ZERO, _ZERO, _ZERO)
+    p1 = (d01, _ZERO, _ZERO)
     x2 = iv.div(iv.sub(iv.add(_sq(d01), _sq(d02)), _sq(d12)),
                 iv.mul(Interval(2.0, 2.0), d01))
     y2sq = iv.sub(_sq(d02), _sq(x2))
     y2 = _sqrt_nonneg(y2sq, "triangle height squared")
-    p2 = _pt(x2, y2, _ZERO)
+    p2 = (x2, y2, _ZERO)
     return p0, p1, p2
 
 
@@ -216,23 +171,15 @@ def _place_apex(p0: Vec3, p1: Vec3, p2: Vec3, d01: Interval,
     y = iv.div(num, iv.mul(Interval(2.0, 2.0), y2))
     z_sq = iv.sub(iv.sub(_sq(r0), _sq(x)), _sq(y))
     z = _sqrt_nonneg(z_sq, "apex height squared")
-    return _pt(x, y, z)
+    return (x, y, z)
 
 
-def rigid_realization(d: Sequence[Sequence[Interval]]) -> PointConfig:
-    """Coordinates for up to 4 points with prescribed pairwise distance
-    enclosures, in the fixed gauge.  Raises PivotInfeasible when a height
-    is certainly negative (unrealizable)."""
-    m = len(d)
-    if m < 2 or m > 4:
-        raise ValueError("rigid_realization supports 2..4 points")
-    if m == 2:
-        return PointConfig((_pt(_ZERO, _ZERO, _ZERO), _pt(d[0][1], _ZERO, _ZERO)))
+def rigid_realization(d: Sequence[Sequence[Interval]]) -> tuple[Vec3, Vec3, Vec3, Vec3]:
+    """Coordinates for 4 points with prescribed pairwise distance
+    enclosures d[i][j] (i < j), in the fixed gauge.  Raises PivotInfeasible
+    when a height is certainly negative (unrealizable)."""
     p0, p1, p2 = _place_third(d[0][1], d[0][2], d[1][2])
-    if m == 3:
-        return PointConfig((p0, p1, p2))
-    p3 = _place_apex(p0, p1, p2, d[0][1], d[0][3], d[1][3], d[2][3])
-    return PointConfig((p0, p1, p2, p3))
+    return p0, p1, p2, _place_apex(p0, p1, p2, d[0][1], d[0][3], d[1][3], d[2][3])
 
 
 def cayley_menger_det(d: Sequence[Sequence[Interval]]) -> Interval:
@@ -382,6 +329,9 @@ def check_segment_through_triangle(r1: Interval, r2: Interval,
 
 # Cells per half of the circle that check_linked_line sweeps for q.
 _SWEEP_CELLS = 256
+# The pairs check_linked_line binds at their caps, in the order their caps
+# are checked: every frame pair and (0, q).  (q, p1) is bound at its floor.
+_CABLES = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3))
 
 
 def check_linked_line(spec: DistanceSpec) -> CheckResult:
@@ -394,7 +344,7 @@ def check_linked_line(spec: DistanceSpec) -> CheckResult:
     configuration down to one circle for q, and sweeps that circle by
     interval subdivision: NoSuchConfiguration only if every cell
     rigorously violates a distance bound or the linking sign test."""
-    if spec.n() != 5:
+    if len(spec.labels) != 5:
         raise ValueError("spec must cover exactly 5 points: 0 p1 p2 p3 q")
 
     # Stage 1: pair and triangle-inequality accounting on the caps.
@@ -412,20 +362,17 @@ def check_linked_line(spec: DistanceSpec) -> CheckResult:
                 if len({i, j, k}) < 3:
                     continue
                 need = spec.lower(i, k)
-                via = iv_add_caps(spec.upper(i, j), spec.upper(j, k))
+                via = _cap_sum(spec.upper(i, j), spec.upper(j, k))
                 if via is not None and need.lo > via:
                     return CheckResult(
                         Verdict.NO_SUCH_CONFIGURATION,
                         reason=f"triangle inequality: dmin({i},{k}) > "
                                f"dmax({i},{j}) + dmax({j},{k})")
 
-    # Stage 2 binds the marked edges of the model: cables need finite
-    # caps, the strut needs a positive floor.
-    model = linked_line_model()
-    frame_pairs = [p for p, m in sorted(model.marks.items())
-                   if m is EdgeMark.CABLE]
+    # Stage 2 binds the cables at their caps, which must be finite, and the
+    # strut at its floor, which must be positive.
     caps = {}
-    for (i, j) in frame_pairs:
+    for (i, j) in _CABLES:
         cap = spec.upper(i, j)
         if not cap.is_finite:
             return CheckResult(Verdict.INCONCLUSIVE,
@@ -437,7 +384,7 @@ def check_linked_line(spec: DistanceSpec) -> CheckResult:
                            reason="dmin(p1,q) must be positive to bind the strut")
 
     try:
-        frame = rigid_realization([
+        origin, p1, p2, p3 = rigid_realization([
             [None, caps[(0, 1)], caps[(0, 2)], caps[(0, 3)]],
             [None, None, caps[(1, 2)], caps[(1, 3)]],
             [None, None, None, caps[(2, 3)]],
@@ -448,7 +395,6 @@ def check_linked_line(spec: DistanceSpec) -> CheckResult:
                            reason="bound frame is unrealizable")
     except (DivisionByZeroInterval, DomainError, NonFiniteOperand) as exc:
         return CheckResult(Verdict.INCONCLUSIVE, reason=str(exc))
-    origin, p1, p2, p3 = frame.points
 
     # q lives on the circle |q| = cap(0,q), |q - p1| = floor(q,p1):
     # q = alpha u + h (c w_hat + s c_hat),  c^2 + s^2 = 1.
@@ -510,10 +456,10 @@ def check_linked_line(spec: DistanceSpec) -> CheckResult:
     return CheckResult(Verdict.NO_SUCH_CONFIGURATION,
                        reason="every cell of the cable/strut-bound sweep violates "
                               "a distance bound or the linking test (verdict is "
-                              "relative to the pivot binding; see linked_line_model)")
+                              "relative to the pivot binding)")
 
 
-def iv_add_caps(a: Interval, b: Interval) -> Optional[float]:
+def _cap_sum(a: Interval, b: Interval) -> Optional[float]:
     """Upper end of a cap sum, or None when either cap is infinite."""
     if not (a.is_finite and b.is_finite):
         return None

@@ -38,7 +38,6 @@ __all__ = [
     "TerminalRecord",
     "RefinementStep",
     "seed_graph",
-    "seed_graphs",
     "refinements_with_steps",
     "apply_step",
     "replay_path",
@@ -180,14 +179,6 @@ def seed_graph(k: int) -> DecoratedGraph:
     rot = tuple(((i - 1) % k, (i + 1) % k) for i in range(k))
     inner = _canon_cycle([(i, (i + 1) % k) for i in range(k)])
     return DecoratedGraph(rot, frozenset([inner]))
-
-
-def seed_graphs(n_max: int) -> list[DecoratedGraph]:
-    """One seed per polygon size 3..N (the initial polygon is the face
-    with the most edges of whatever terminal it leads to)."""
-    if n_max < 3:
-        raise ValueError("N must be >= 3")
-    return [seed_graph(k) for k in range(3, n_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +467,6 @@ def _accept_all(_g: DecoratedGraph) -> bool:
 class GeneratorConfig:
     n_max: int
     prune: Callable[[DecoratedGraph], bool] = _accept_all
-    collect: Optional[Callable[["TerminalRecord"], None]] = None
     max_states: int = 500_000
 
     def __post_init__(self):
@@ -524,10 +514,7 @@ def generate(cfg: GeneratorConfig) -> GenerationResult:
                 continue
             canon = canonical_form(g)
             if canon not in terminals:
-                rec = TerminalRecord(g, canon, path)
-                terminals[canon] = rec
-                if cfg.collect is not None:
-                    cfg.collect(rec)
+                terminals[canon] = TerminalRecord(g, canon, path)
             continue
         for step, child in refinements_with_steps(g, cfg.n_max):
             if not cfg.prune(child):

@@ -321,43 +321,6 @@ class Interval:
     def __repr__(self) -> str:
         return f"Interval({self.lo!r}, {self.hi!r})"
 
-    # -- operators (delegate to the module-level ops) -------------------
-
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-
-def _coerce(v) -> Interval:
-    if isinstance(v, Interval):
-        return v
-    if isinstance(v, (int, float)):
-        return Interval(float(v), float(v))
-    raise TypeError(f"cannot use {type(v).__name__} as an interval operand")
-
 
 _new = object.__new__
 _set_lo = Interval.lo.__set__

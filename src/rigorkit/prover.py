@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BoundUnavailable
-from .expr import Evaluator, Expr, TaylorGerm, compile_expr
+from .expr import Evaluator, Expr, TaylorGerm
 from .interval import Interval
 from .taylor import Box, cell_germ, germ_fails_everywhere, taylor_upper_bound
 
@@ -221,7 +221,7 @@ def prove_negative(task: ProofTask, cfg: ProverConfig = ProverConfig()) -> Proof
     strict certified upper bound below -margin on each.  Equality-touching
     inequalities come back UNDECIDED, never PROVEN.
     """
-    ev = compile_expr(task.expr, task.domain.n)
+    ev = Evaluator(task.expr, task.domain.n)
     return _run(ev, task.domain, task.margin, strict=True, cfg=cfg)
 
 
@@ -231,5 +231,5 @@ def prove_nonpositive(task: ProofTask, cfg: ProverConfig = ProverConfig()) -> Pr
 
     This is the check used for duality certificate verification, where
     the inequality may bind at the optimum."""
-    ev = compile_expr(task.expr, task.domain.n)
+    ev = Evaluator(task.expr, task.domain.n)
     return _run(ev, task.domain, task.margin, strict=False, cfg=cfg)

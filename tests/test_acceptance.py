@@ -108,12 +108,12 @@ def test_criterion_02_gradient_hessian_soundness():
     while accepted < 1000:
         arity = rng.randint(1, 6)
         e = random_expr(rng, arity, rng.randint(2, 6))
-        if ex.arity_of(e) == 0:
+        if ex.Evaluator(e).arity == 0:
             continue
         pt = [rng.uniform(-1.5, 1.5) for _ in range(arity)]
         box = [I.point(v) for v in pt]
         try:
-            ev = ex.compile_expr(e, arity)
+            ev = ex.Evaluator(e, arity)
             germ = ev.germ(box)
         except Exception:
             continue

@@ -254,7 +254,7 @@ def pick_guess_and_bound(p, rng, samples=4000):
             x += [rng.uniform(dom.box[s].lo, dom.box[s].hi) for s in range(dom.n)]
         ok = True
         for d_idx, dom in enumerate(p.domains):
-            pt = p.project(x, d_idx)
+            pt = [x[g] for g in p.globals_of_domain(d_idx)]
             for phi in dom.constraints:
                 if ex.evaluate_numeric(phi, pt) < 0.0:
                     ok = False

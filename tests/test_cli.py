@@ -123,7 +123,7 @@ def test_deep_product_proves_with_a_linear_plan(tmp_path, capsys, k):
     task = tmp_path / "deep.ineq"
     task.write_text(f"arity 1\nexpr {text}\ndomain x0 0..1\n")
     assert run(["prove", "--task", str(task)], capsys)[0] == 0
-    ev = ex.compile_expr(ex.parse(text, 1), 1)
+    ev = ex.Evaluator(ex.parse(text, 1), 1)
     box = [Interval(0.0, 1.0)]
     ev.germ(box)
     ev.hessian_entry(box, 0, 0)
@@ -241,6 +241,31 @@ def test_assemble_branch_writes_children(tmp_path, capsys):
     from rigorkit import assembly as asm
     lo = asm.problem_from_text(Path(prefix + ".lo.asm").read_text())
     assert lo.domains[0].box[0].hi == 0.5
+
+
+@pytest.mark.parametrize("domain, slot", [("nope", "0"), ("d0", "99"), ("d0", "-1")])
+def test_assemble_branch_rejects_unknown_domain_or_slot(tmp_path, capsys, domain, slot):
+    # a negative slot once indexed from the end and bisected the last slot
+    code, out, err = run(["assemble", "branch",
+                          "--problem", str(PROBLEMS / "toy_duality.asm"),
+                          "--domain", domain, "--slot", slot,
+                          "--out-prefix", str(tmp_path / "child")], capsys)
+    assert code == 2
+    assert err.startswith("error: BranchError: ") and not out
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["prove", "--task", "{dir}"],
+    ["lp-certify", "--problem", "{dir}", "--solve"],
+    ["graphs", "--max-vertices", "4", "--out", "{file}"],
+])
+def test_unusable_paths_exit_two(tmp_path, capsys, argv):
+    (tmp_path / "taken").write_text("")
+    code, _, err = run([a.format(dir=tmp_path, file=tmp_path / "taken") for a in argv],
+                       capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "internal" not in err
 
 
 def test_graphs_all_triangles_single_file(tmp_path, capsys):

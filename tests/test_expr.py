@@ -46,15 +46,15 @@ def test_differentiate_basics():
 
 
 def test_compile_examples():
-    ev = ex.compile_expr(ex.parse("x0"), 1)
+    ev = ex.Evaluator(ex.parse("x0"), 1)
     g = ev.germ([I(0, 1)])
     assert g.f == I(0, 1) and g.df[0] == I(1, 1)
 
-    ev2 = ex.compile_expr(ex.parse("x0*x0"), 1)
+    ev2 = ex.Evaluator(ex.parse("x0*x0"), 1)
     h = ev2.hessian_entry([I(-7, 3)], 0, 0)
     assert h.contains_interval(I(2, 2))
 
-    ev3 = ex.compile_expr(ex.parse("atan(x0, 1)"), 1)
+    ev3 = ex.Evaluator(ex.parse("atan(x0, 1)"), 1)
     g3 = ev3.germ([I(1, 1)])
     assert g3.df[0].contains(0.5)
 
@@ -63,16 +63,16 @@ def test_compile_depth_limit():
     deep = ex.Var(0)
     for _ in range(ex.MAX_DEPTH - 1):
         deep = ex.Add(deep, ex.Const("1"))
-    ex.compile_expr(deep, 1)  # depth MAX_DEPTH compiles
+    ex.Evaluator(deep, 1)  # depth MAX_DEPTH compiles
     with pytest.raises(CompileError):
-        ex.compile_expr(ex.Add(deep, ex.Const("1")), 1)
+        ex.Evaluator(ex.Add(deep, ex.Const("1")), 1)
     with pytest.raises(CompileError):
-        ex.compile_expr(ex.Var(3), arity=2)
+        ex.Evaluator(ex.Var(3), arity=2)
 
 
 def test_plan_shares_subexpressions():
     e = ex.parse("sqrt(x0 + 1) * sqrt(x0 + 1)", 1)
-    ev = ex.compile_expr(e, 1)
+    ev = ex.Evaluator(e, 1)
     assert sum("sqrt" in line for line in ev.plan_lines()) == 1
 
 
@@ -96,6 +96,34 @@ def test_long_flat_sum_renders_and_evaluates():
     assert ex.evaluate_numeric(e, [0.5]) == expected
 
 
+def test_long_expressions_compare_and_hash_without_recursion():
+    # structural equality and hashing used to recurse along the chain
+    text = "1" + " - 0.001*x0 + 0.001*x0" * 750
+    assert ex.parse(text, 1) == ex.parse(text, 1)
+    assert hash(ex.parse(text, 1)) == hash(ex.parse(text, 1))
+    assert ex.parse(text, 1) != ex.parse(text + " + x0", 1)
+
+
+def test_equal_structure_is_one_node():
+    assert ex.parse("x0*x0 + atan(x1, 2)", 2) is ex.parse("(x0*x0) + atan(x1, 2)", 2)
+    assert ex.Const("1") is ex.ONE and ex.Pow(ex.Var(0), 2) is ex.Pow(ex.Var(0), 2)
+    assert ex.Const("1") is not ex.Const("1.0")
+    assert {ex.Var(0): 1}[ex.Var(0)] == 1
+
+
+def test_node_table_drops_unused_nodes():
+    import gc
+
+    gc.collect()
+    before = len(ex._NODES)
+    e = ex.parse("1" + " - 0.25*x0*x1 + sqrt(x1)" * 200, 2)
+    d = ex.differentiate(ex.differentiate(e, 0), 1)
+    assert len(ex._NODES) > before
+    del e, d
+    gc.collect()
+    assert len(ex._NODES) == before
+
+
 def test_hessian_entries_in_one_pass_equal_single_entries():
     rng = random.Random(20261018)
     for _ in range(150):
@@ -108,12 +136,12 @@ def test_hessian_entries_in_one_pass_equal_single_entries():
         entries = [(rng.randrange(arity), rng.randrange(arity))
                    for _ in range(rng.randint(0, 6))]
         try:
-            single = [ex.compile_expr(e, arity).hessian_entry(box, i, j) for i, j in entries]
+            single = [ex.Evaluator(e, arity).hessian_entry(box, i, j) for i, j in entries]
         except (RigorError, OverflowError):
             with pytest.raises((RigorError, OverflowError)):
-                ex.compile_expr(e, arity).hessian(box, entries)
+                ex.Evaluator(e, arity).hessian(box, entries)
             continue
-        assert ex.compile_expr(e, arity).hessian(box, entries) == single
+        assert ex.Evaluator(e, arity).hessian(box, entries) == single
 
 
 def _fd_gradient(e, pt, i, h=1e-5):
@@ -142,11 +170,11 @@ def test_gradient_and_hessian_soundness_sample():
     while checked < 60:
         arity = rng.randint(1, 4)
         e = random_expr(rng, arity, rng.randint(2, 6))
-        if ex.arity_of(e) == 0:
+        if ex.Evaluator(e).arity == 0:
             continue
         pt = [rng.uniform(-1.5, 1.5) for _ in range(arity)]
         box = [I.point(v) for v in pt]
-        ev = ex.compile_expr(e, arity)
+        ev = ex.Evaluator(e, arity)
         try:
             germ = ev.germ(box)
         except Exception:
@@ -186,11 +214,11 @@ def test_commutation_over_boxes():
         for _ in range(arity):
             lo = rng.uniform(-1.0, 0.5)
             box.append(I(lo, lo + rng.uniform(0.01, 0.8)))
-        ev = ex.compile_expr(e, arity)
+        ev = ex.Evaluator(e, arity)
         for i in range(arity):
             try:
                 germ_component = ev.germ(box).df[i]
-                symbolic = ex.compile_expr(ex.differentiate(e, i), arity).value(box)
+                symbolic = ex.Evaluator(ex.differentiate(e, i), arity).value(box)
             except Exception:
                 continue
             # both enclose the same function: intersection nonempty
@@ -209,7 +237,7 @@ def test_germ_over_box_contains_pointwise_derivatives():
         for _ in range(arity):
             lo = rng.uniform(-1.0, 0.3)
             box.append(I(lo, lo + rng.uniform(0.05, 1.0)))
-        ev = ex.compile_expr(e, arity)
+        ev = ex.Evaluator(e, arity)
         try:
             germ = ev.germ(box)
         except Exception:
@@ -236,6 +264,6 @@ def test_germ_over_box_contains_pointwise_derivatives():
 def test_constant_deferred_to_interval_layer():
     e = ex.parse("0.1", 1)
     assert e == ex.Const("0.1")
-    v = ex.compile_expr(e, 1).value([I(0, 1)])
+    v = ex.Evaluator(e, 1).value([I(0, 1)])
     from fractions import Fraction
     assert Fraction(v.lo) <= Fraction(1, 10) <= Fraction(v.hi)

@@ -205,7 +205,7 @@ def test_rigid_realization_contains_specified_distances():
             continue
         for i in range(4):
             for j in range(i + 1, 4):
-                enc = cfg.distance(i, j)
+                enc = geom._dist(cfg[i], cfg[j])
                 assert enc.lo <= d[i][j].lo + 1e-9 and enc.hi >= d[i][j].hi - 1e-9
 
 
@@ -223,13 +223,6 @@ def test_cayley_menger_sign():
     d[1][3] = d[3][1] = I(1, 1)
     cm2 = geom.cayley_menger_det(d)
     assert cm2.hi < 0
-
-
-def test_linked_line_model_marks():
-    model = geom.linked_line_model()
-    assert model.mark(0, 4) is geom.EdgeMark.CABLE
-    assert model.mark(4, 1) is geom.EdgeMark.STRUT
-    assert model.mark(2, 4) is geom.EdgeMark.UNMARKED
 
 
 def test_parse_distance_spec_errors():

@@ -375,13 +375,6 @@ def test_literal_round_trips():
         assert back.contains_interval(box)
 
 
-def test_operator_sugar():
-    assert (I(1, 2) + I(3, 4)) == I(4, 6)
-    assert (I(1, 2) * 2) == I(2, 4)
-    assert (-I(1, 2)) == I(-2, -1)
-    assert (1 / I(2, 4)) == I(0.25, 0.5)
-
-
 def test_directed_rounding_on_adversarial_bit_patterns():
     # random 64-bit patterns: subnormals, extreme exponents, signed zeros
     import random

@@ -62,13 +62,13 @@ def test_reduce_cell_examples():
     def reduced(ev, cell):
         return reduce_cell(ev, cell, cell_germ(ev, cell)).dims
 
-    bi = ex.compile_expr(ex.parse("x0*x1", 2), 2)
+    bi = ex.Evaluator(ex.parse("x0*x1", 2), 2)
     assert reduced(bi, Box((I(1, 2), I(3, 4)))) == (I(2, 2), I(4, 4))
 
-    sq = ex.compile_expr(ex.parse("x0*x0"), 1)
+    sq = ex.Evaluator(ex.parse("x0*x0"), 1)
     assert reduced(sq, Box((I(-1, 1),))) == (I(-1, 1),)
 
-    neg = ex.compile_expr(ex.parse("0 - x0"), 1)
+    neg = ex.Evaluator(ex.parse("0 - x0"), 1)
     assert reduced(neg, Box((I(0, 1),))) == (I(0, 0),)
 
     # no germ: nothing collapses

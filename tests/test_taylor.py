@@ -13,21 +13,21 @@ I = Interval
 
 
 def test_upper_bound_examples():
-    ev = ex.compile_expr(ex.parse("x0*x0"), 1)
+    ev = ex.Evaluator(ex.parse("x0*x0"), 1)
     tb = taylor_upper_bound(ev, Box((I(1, 2),)))
     assert abs(tb - 4.0) <= 4 * math.ulp(4.0)
 
-    const = ex.compile_expr(ex.parse("1"), 1)
+    const = ex.Evaluator(ex.parse("1"), 1)
     tb1 = taylor_upper_bound(const, Box((I(-3, 9),)))
     assert abs(tb1 - 1.0) <= 2 * math.ulp(1.0)
 
-    lin = ex.compile_expr(ex.parse("x0"), 1)
+    lin = ex.Evaluator(ex.parse("x0"), 1)
     tb2 = taylor_upper_bound(lin, Box((I(0, 1),)))
     assert abs(tb2 - 1.0) <= 4 * math.ulp(1.0)
 
 
 def test_bound_unavailable_is_a_value():
-    ev = ex.compile_expr(ex.parse("1/x0"), 1)
+    ev = ex.Evaluator(ex.parse("1/x0"), 1)
     with pytest.raises(BoundUnavailable):
         taylor_upper_bound(ev, Box((I(-1, 1),)))
     # and after subdivision it becomes available again
@@ -36,13 +36,13 @@ def test_bound_unavailable_is_a_value():
 
 def test_partial_sign_examples():
     # the prover collapses a variable whose germ partial has a strict sign
-    sq = ex.compile_expr(ex.parse("x0*x0"), 1)
+    sq = ex.Evaluator(ex.parse("x0*x0"), 1)
     assert cell_germ(sq, Box((I(1, 2),))).df[0].lo > 0.0
     d = cell_germ(sq, Box((I(-1, 1),))).df[0]
     assert d.lo < 0.0 < d.hi
-    bi = ex.compile_expr(ex.parse("x0*x1", 2), 2)
+    bi = ex.Evaluator(ex.parse("x0*x1", 2), 2)
     assert cell_germ(bi, Box((I(1, 2), I(3, 4)))).df[0].lo > 0.0
-    inv = ex.compile_expr(ex.parse("1/x0"), 1)
+    inv = ex.Evaluator(ex.parse("1/x0"), 1)
     assert cell_germ(inv, Box((I(-1, 1),))) is None
 
 
@@ -52,10 +52,10 @@ def test_partial_sign_soundness_via_finite_differences():
     while claims < 30:
         arity = rng.randint(1, 3)
         e = random_expr(rng, arity, 4, polynomial=True)
-        if ex.arity_of(e) == 0:
+        if ex.Evaluator(e).arity == 0:
             continue
         box = Box(tuple(I(rng.uniform(-2, 0), rng.uniform(0.1, 2)) for _ in range(arity)))
-        ev = ex.compile_expr(e, arity)
+        ev = ex.Evaluator(e, arity)
         # a strict sign of a whole-cell germ's partial is what the prover
         # collapses on; polynomials never fail to give a germ
         for i, d in enumerate(cell_germ(ev, box).df):
@@ -86,7 +86,7 @@ def test_domination_random_polynomials():
         arity = rng.randint(1, 3)
         e = random_expr(rng, arity, rng.randint(2, 5), polynomial=True)
         box = Box(tuple(I(rng.uniform(-2, 0.5), rng.uniform(0.6, 2)) for _ in range(arity)))
-        ev = ex.compile_expr(e, arity)
+        ev = ex.Evaluator(e, arity)
         try:
             tb = taylor_upper_bound(ev, box)
         except BoundUnavailable:
@@ -105,7 +105,7 @@ def test_monotone_refinement():
         arity = rng.randint(1, 3)
         e = random_expr(rng, arity, rng.randint(2, 5), polynomial=True)
         box = Box(tuple(I(rng.uniform(-1.5, 0), rng.uniform(0.1, 1.5)) for _ in range(arity)))
-        ev = ex.compile_expr(e, arity)
+        ev = ex.Evaluator(e, arity)
         try:
             parent = taylor_upper_bound(ev, box)
             k = max(range(arity), key=lambda i: box[i].width)
