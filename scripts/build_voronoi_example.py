@@ -86,7 +86,6 @@ def build_problem() -> asm.AssemblyProblem:
     domains = tuple(
         asm.LocalDomain(f"sector{i}", ("A", "y_a", "y_b", "alpha"), box, (phi1, phi2))
         for i in range(N_SECTORS))
-    var_map = tuple((i, s) for i in range(N_SECTORS) for s in range(4))
 
     def g(i, name):
         return 4 * i + {"A": 0, "y_a": 1, "y_b": 2, "alpha": 3}[name]
@@ -115,7 +114,7 @@ def build_problem() -> asm.AssemblyProblem:
     c = [0.0] * n
     for i in range(N_SECTORS):
         c[g(i, "A")] = -1.0
-    return asm.AssemblyProblem(domains, var_map, tuple(rows), tuple(rhs), tuple(c))
+    return asm.AssemblyProblem(domains, tuple(rows), tuple(rhs), tuple(c))
 
 
 def main():

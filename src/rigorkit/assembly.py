@@ -4,6 +4,8 @@ verification, and box branching.
 
 The problem is  max c.x  subject to  A x <= b  and, per local domain D,
 phi(x_D) >= 0 for every phi in Phi_D, with x_D ranging over a finite box.
+The global variables x are the domains' variables in order, domain 0's
+first, so x_D is a contiguous block of x.
 
 A duality certificate (M, x*, r, w, t0) is *verified* by proving, for
 every domain D over its whole box,
@@ -30,6 +32,7 @@ sup c.x <= M.
 
 from __future__ import annotations
 
+import contextlib
 import random
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -87,56 +90,36 @@ class LocalDomain:
 
 @dataclass(frozen=True, slots=True)
 class AssemblyProblem:
-    """Domains plus the global linear layer.  var_map[j] = (domain index,
-    slot) houses the projections: global variable j is the slot-th
-    variable of that domain, and every (domain, slot) pair appears exactly
-    once."""
+    """Domains plus the global linear layer.  Global variable j is the j-th
+    of the domains' variables taken in order, domain 0's slots first."""
 
     domains: tuple[LocalDomain, ...]
-    var_map: tuple[tuple[int, int], ...]
     a: tuple[tuple[float, ...], ...]
     b: tuple[float, ...]
     c: tuple[float, ...]
 
     def __post_init__(self):
-        n = len(self.var_map)
-        seen = set()
-        for d_idx, slot in self.var_map:
-            if not (0 <= d_idx < len(self.domains)):
-                raise ValueError(f"var_map references unknown domain {d_idx}")
-            if not (0 <= slot < self.domains[d_idx].n):
-                raise ValueError(f"var_map references bad slot {slot}")
-            if (d_idx, slot) in seen:
-                raise ValueError(f"domain slot {(d_idx, slot)} mapped twice")
-            seen.add((d_idx, slot))
-        for d_idx, dom in enumerate(self.domains):
-            for slot in range(dom.n):
-                if (d_idx, slot) not in seen:
-                    raise ValueError(
-                        f"domain {dom.id} slot {slot} has no global variable")
+        n = self.n
         if len(self.c) != n:
-            raise ValueError("objective length must match var_map")
+            raise ValueError("objective length must match the variable count")
         for row in self.a:
             if len(row) != n:
-                raise ValueError("linear row length must match var_map")
+                raise ValueError("linear row length must match the variable count")
         if len(self.a) != len(self.b):
             raise ValueError("a/b length mismatch")
 
     @property
     def n(self) -> int:
-        return len(self.var_map)
+        return sum(dom.n for dom in self.domains)
 
     @property
     def n_domains(self) -> int:
         return len(self.domains)
 
-    def globals_of_domain(self, d_idx: int) -> list[int]:
+    def globals_of_domain(self, d_idx: int) -> range:
         """Global indices of a domain's variables, ordered by slot."""
-        out = [-1] * self.domains[d_idx].n
-        for g, (di, slot) in enumerate(self.var_map):
-            if di == d_idx:
-                out[slot] = g
-        return out
+        start = sum(dom.n for dom in self.domains[:d_idx])
+        return range(start, start + self.domains[d_idx].n)
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,44 +155,37 @@ def binding_rows(p: AssemblyProblem, x_star: Sequence[float]) -> list[int]:
     return [k for k in range(len(p.a)) if _binds(p, x_star, k)]
 
 
-def _row_residual_interval(p: AssemblyProblem, k: int,
-                           x_star: Sequence[float]) -> Interval:
-    # enclosure of b_k - A_k . x*
-    total = Interval.point(p.b[k])
-    row = p.a[k]
-    for j in range(p.n):
-        if row[j] != 0.0:
-            total = iv.sub(total, iv.mul(Interval.point(row[j]),
-                                         Interval.point(x_star[j])))
-    return total
+def _side_terms(p: AssemblyProblem, x_star: Sequence[float], w: Sequence[float],
+                rows: Sequence[int]) -> tuple[Interval, Interval]:
+    """Enclosures of c.x* and w.(b_R - A_R x*), skipping zero coefficients."""
+    point = Interval.point
+    obj = point(0.0)
+    for c_j, x_j in zip(p.c, x_star):
+        if c_j != 0.0:
+            obj = iv.add(obj, iv.mul(point(c_j), point(x_j)))
+    retained = point(0.0)
+    for w_k, k in zip(w, rows):
+        resid = point(p.b[k])
+        for a_kj, x_j in zip(p.a[k], x_star):
+            if a_kj != 0.0:
+                resid = iv.sub(resid, iv.mul(point(a_kj), point(x_j)))
+        retained = iv.add(retained, iv.mul(point(w_k), resid))
+    return obj, retained
 
 
-def _objective_at(p: AssemblyProblem, x_star: Sequence[float]) -> Interval:
-    total = Interval.point(0.0)
-    for j in range(p.n):
-        if p.c[j] != 0.0:
-            total = iv.add(total, iv.mul(Interval.point(p.c[j]),
-                                         Interval.point(x_star[j])))
-    return total
-
-
-def _retained_residual_interval(p: AssemblyProblem, cert: DualityCertificate) -> Interval:
-    total = Interval.point(0.0)
-    for w_k, k in zip(cert.w, cert.retained_rows):
-        total = iv.add(total, iv.mul(Interval.point(w_k),
-                                     _row_residual_interval(p, k, cert.x_star)))
-    return total
+def _side(p: AssemblyProblem, m_bound: float, t0: float, obj: Interval,
+          retained: Interval) -> Interval:
+    """Enclosure of M + d t0 - obj - retained."""
+    total = iv.add(Interval.point(m_bound),
+                   iv.mul(Interval.point(float(p.n_domains)), Interval.point(t0)))
+    return iv.sub(iv.sub(total, obj), retained)
 
 
 def mx_check_interval(p: AssemblyProblem, cert: DualityCertificate) -> Interval:
     """Enclosure of M + d t0 - c.x* - w.(b_R - A_R x*); certification
     requires its lower end to be >= 0."""
-    d = float(p.n_domains)
-    total = Interval.point(cert.m_bound)
-    total = iv.add(total, iv.mul(Interval.point(d), Interval.point(cert.t0)))
-    total = iv.sub(total, _objective_at(p, cert.x_star))
-    total = iv.sub(total, _retained_residual_interval(p, cert))
-    return total
+    obj, retained = _side_terms(p, cert.x_star, cert.w, cert.retained_rows)
+    return _side(p, cert.m_bound, cert.t0, obj, retained)
 
 
 def _compute_t0(p: AssemblyProblem, m_bound: float, x_star: Sequence[float],
@@ -219,14 +195,11 @@ def _compute_t0(p: AssemblyProblem, m_bound: float, x_star: Sequence[float],
 
     With an exactly binding x* the residual term vanishes and this reduces
     to the textbook substitution t0 = (-M + c.x*)/d."""
-    probe = DualityCertificate(
-        m_bound=m_bound, x_star=tuple(x_star), r=(), w=tuple(w),
-        t0=0.0, retained_rows=tuple(retained_rows))
-    num = iv.add(iv.sub(_objective_at(p, x_star), Interval.point(m_bound)),
-                 _retained_residual_interval(p, probe))
+    obj, retained = _side_terms(p, x_star, w, retained_rows)
+    num = iv.add(iv.sub(obj, Interval.point(m_bound)), retained)
     t0 = iv.div(num, Interval.point(float(p.n_domains))).hi
     for _ in range(128):
-        if mx_check_interval(p, replace(probe, t0=t0)).lo >= 0.0:
+        if _side(p, m_bound, t0, obj, retained).lo >= 0.0:
             return t0
         t0 = iv.next_up(t0) if t0 != 0.0 else 5e-324
     raise ArithmeticError("could not stabilize t0; data badly scaled")
@@ -270,23 +243,21 @@ def fit_dual(p: AssemblyProblem, x_star: Sequence[float], m_bound: float,
 
     if len(x_star) != p.n:
         raise ValueError("x_star length mismatch")
-    for g, (d_idx, slot) in enumerate(p.var_map):
-        if not p.domains[d_idx].box[slot].contains(x_star[g]):
+    for g, comp in enumerate(comp for dom in p.domains for comp in dom.box.dims):
+        if not comp.contains(x_star[g]):
             raise ValueError(f"x_star[{g}] outside its domain box")
     if len(test_points) != p.n_domains or any(len(tp) == 0 for tp in test_points):
         return None
 
     retained = binding_rows(p, x_star)
     d_count = p.n_domains
-    # LP variables: [t] + [r_phi ...] + [w_k ...]
-    r_index: dict[tuple[int, int], int] = {}
-    idx = 1
-    for d_idx, dom in enumerate(p.domains):
-        for c_idx in range(len(dom.constraints)):
-            r_index[(d_idx, c_idx)] = idx
-            idx += 1
-    w_index = {k: idx + i for i, k in enumerate(retained)}
-    n_vars = idx + len(retained)
+    # LP variables: [t] + [r_phi ...] + [w_k ...]; r_start[d] is domain d's
+    # first r column, and r_start[-1] the first w column
+    r_start = [1]
+    for dom in p.domains:
+        r_start.append(r_start[-1] + len(dom.constraints))
+    w_start = r_start[-1]
+    n_vars = w_start + len(retained)
 
     rows: list[list[float]] = []
     rhs: list[float] = []
@@ -302,12 +273,10 @@ def fit_dual(p: AssemblyProblem, x_star: Sequence[float], m_bound: float,
                 continue  # test point outside a phi's numeric domain
             row = [0.0] * n_vars
             row[0] = 1.0
-            for c_idx, val in enumerate(phis):
-                row[r_index[(d_idx, c_idx)]] = val
-            for k in retained:
+            row[r_start[d_idx]:r_start[d_idx + 1]] = phis
+            for i, k in enumerate(retained, w_start):
                 grow = p.a[k]
-                row[w_index[k]] = sum(
-                    grow[g] * (xs_d[s] - pt[s]) for s, g in enumerate(gl))
+                row[i] = sum(grow[g] * (xs_d[s] - pt[s]) for s, g in enumerate(gl))
             rows.append(row)
             rhs.append(-sum(c_d[s] * (pt[s] - xs_d[s]) for s in range(dom.n)))
     if not rows:
@@ -321,37 +290,23 @@ def fit_dual(p: AssemblyProblem, x_star: Sequence[float], m_bound: float,
 
     bounds = [Interval(-_MULTIPLIER_CAP, _MULTIPLIER_CAP)]
     bounds += [Interval(0.0, _MULTIPLIER_CAP)] * (n_vars - 1)
-    objective = [0.0] * n_vars
-    objective[0] = 1.0
-    stage1 = lpmod.make_problem(objective, bounds, aineq=rows, bineq=rhs)
+    stage1 = lpmod.make_problem([1.0] + [0.0] * (n_vars - 1), bounds,
+                                aineq=rows, bineq=rhs)
     try:
-        x1, _, t_opt = lpmod.solve_approx(stage1)
+        sol, _, t_opt = lpmod.solve_approx(stage1)
     except NoProgress:
         return None
 
     # Stage 2: hold t at its optimum, minimize total multiplier mass.
-    rows2 = list(rows)
-    rhs2 = list(rhs)
-    hold = [0.0] * n_vars
-    hold[0] = -1.0
-    rows2.append(hold)
-    rhs2.append(-(t_opt - 1e-9))
-    objective2 = [0.0] * n_vars
-    objective2[0] = 0.0
-    for j in range(1, n_vars):
-        objective2[j] = -1.0
-    stage2 = lpmod.make_problem(objective2, bounds, aineq=rows2, bineq=rhs2)
-    try:
-        x2, _, _ = lpmod.solve_approx(stage2)
-        sol = x2
-    except NoProgress:
-        sol = x1
+    hold = [-1.0] + [0.0] * (n_vars - 1)
+    stage2 = lpmod.make_problem([0.0] + [-1.0] * (n_vars - 1), bounds,
+                                aineq=rows + [hold], bineq=rhs + [-(t_opt - 1e-9)])
+    with contextlib.suppress(NoProgress):
+        sol, _, _ = lpmod.solve_approx(stage2)
 
-    r_vals = tuple(
-        tuple(max(0.0, sol[r_index[(d_idx, c_idx)]])
-              for c_idx in range(len(dom.constraints)))
-        for d_idx, dom in enumerate(p.domains))
-    w_vals = tuple(max(0.0, sol[w_index[k]]) for k in retained)
+    r_vals = tuple(tuple(max(0.0, v) for v in sol[r_start[d]:r_start[d + 1]])
+                   for d in range(d_count))
+    w_vals = tuple(max(0.0, v) for v in sol[w_start:])
     t0 = _compute_t0(p, m_bound, x_star, w_vals, retained)
     return DualityCertificate(
         m_bound=float(m_bound),
@@ -467,10 +422,7 @@ def problem_to_text(p: AssemblyProblem) -> str:
         for phi in dom.constraints:
             lines.append("  phi " + to_text(phi))
         lines.append("end")
-    names = []
-    for d_idx, slot in p.var_map:
-        dom = p.domains[d_idx]
-        names.append(f"{dom.id}.{dom.var_names[slot]}")
+    names = [f"{dom.id}.{name}" for dom in p.domains for name in dom.var_names]
     for k, row in enumerate(p.a):
         for j, v in enumerate(row):
             if v != 0.0:
@@ -529,8 +481,7 @@ def problem_from_text(text: str) -> AssemblyProblem:
     a, b = rec.dense_rows(rows, rec.table(records, "rhs"), len(names),
                           ((r.line, r.values[0]) for r in records if r.keyword in ("row", "rhs")))
     obj = {names[name]: v for name, v in rec.table(records, "obj").items()}
-    var_map = tuple((d, slot) for d, dom in enumerate(domains) for slot in range(dom.n))
-    return AssemblyProblem(tuple(domains), var_map, tuple(tuple(row) for row in a),
+    return AssemblyProblem(tuple(domains), tuple(tuple(row) for row in a),
                            tuple(b), tuple(obj.get(g, 0.0) for g in range(len(names))))
 
 
@@ -562,16 +513,20 @@ _CERTIFICATE_FIELDS = {
 def certificate_from_text(p: AssemblyProblem, text: str) -> DualityCertificate:
     records = rec.read_records(text, _CERTIFICATE_FIELDS, header="duality-certificate")
     n_constraints = {dom.id: len(dom.constraints) for dom in p.domains}
+    last = {r.keyword: r.values for r in records}
+    retained = last.get("retained", ())
     for r in records:
         if r.keyword == "x_star" and r.values[0] >= p.n:
             raise r.error(f"variable {r.values[0]} out of range for {p.n} variables")
         if r.keyword == "r" and r.values[1] >= n_constraints.get(r.values[0], 0):
             raise r.error(f"domain {r.values[0]!r} has no constraint {r.values[1]}")
-    last = {r.keyword: r.values for r in records}
+        if r.keyword == "w" and r.values[0] not in retained:
+            raise r.error(f"w names row {r.values[0]}, which is not retained")
+        if r.keyword == "retained" and len(set(r.values)) != len(r.values):
+            raise r.error("retained names a row twice")
     if "m" not in last or "t0" not in last:
         raise ParseError("certificate missing M or t0")
     x_star, r_entries, w = (rec.table(records, kw) for kw in ("x_star", "r", "w"))
-    retained = last.get("retained", ())
     return DualityCertificate(
         m_bound=last["m"][0],
         x_star=tuple(x_star.get(j, 0.0) for j in range(p.n)),

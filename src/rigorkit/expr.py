@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import re
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterator, Optional, Sequence
 
@@ -100,6 +100,11 @@ class Expr(metaclass=_Interned):
 @dataclass(frozen=True, slots=True, eq=False)
 class Const(Expr):
     text: str
+    # The integer the text denotes, else None; read once, as nodes are immutable.
+    _int_value: Optional[int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_int_value", _read_int(self.text))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -148,14 +153,11 @@ class Atan(Expr):
     den: Expr
 
 
-ZERO = Const("0")
-ONE = Const("1")
-
-
-def _as_int(e: Expr) -> Optional[int]:
-    """The value of an integer Const, else None.  Decided from the digits and
-    the exponent, so no power of ten is built for a far exponent."""
-    m = iv._DECIMAL_RE.match(e.text) if isinstance(e, Const) else None
+def _read_int(text: str) -> Optional[int]:
+    """The value of a decimal numeral if it is an integer, else None.
+    Decided from the digits and the exponent, so no power of ten is built
+    for a far exponent."""
+    m = iv._DECIMAL_RE.match(text)
     if not m:
         return None
     sign, whole, frac, exp = m.groups(default="")
@@ -168,6 +170,15 @@ def _as_int(e: Expr) -> Optional[int]:
     if scale < 0 or len(digits) + scale > 310:
         return None
     return int(sign + digits) * 10**scale
+
+
+ZERO = Const("0")
+ONE = Const("1")
+
+
+def _as_int(e: Expr) -> Optional[int]:
+    """The value of an integer Const, else None."""
+    return e._int_value if isinstance(e, Const) else None
 
 
 def _folded(v: int, op: type, a: Expr, b: Expr) -> Expr:

@@ -5,12 +5,13 @@ their extremes and decides only the resulting extremal configuration.
 at its cap, and (p1, q) at its floor.
 
 Points are plain (x, y, z) tuples of intervals, so every derived quantity
-is an enclosure.  The module certifies only what interval arithmetic proves
-about the extremal configuration of each check: a verdict of
-NoSuchConfiguration means the extremal configuration rigorously violates
-a constraint; everything else is Inconclusive.  Whether the pivot
-argument applies in a given parameter regime is the caller's
-responsibility.
+is an enclosure.  Four points' six distances are passed in one order,
+d01 d02 d03 d12 d13 d23, the order `geom simplex --edges` takes them in.
+The module certifies only what interval arithmetic proves about the
+extremal configuration of each check: a verdict of NoSuchConfiguration
+means the extremal configuration rigorously violates a constraint;
+everything else is Inconclusive.  Whether the pivot argument applies in
+a given parameter regime is the caller's responsibility.
 
 The coordinate gauge is fixed throughout: first point at the origin,
 second on the positive x axis, third in the upper half of the xy plane,
@@ -143,6 +144,10 @@ class LinkStatus(enum.Enum):
 # Coordinate realization
 # ---------------------------------------------------------------------------
 
+# The pairs of four points, in the order their six distances are passed.
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
 def _sq(d: Interval) -> Interval:
     return iv.pow_int(d, 2)
 
@@ -174,28 +179,22 @@ def _place_apex(p0: Vec3, p1: Vec3, p2: Vec3, d01: Interval,
     return (x, y, z)
 
 
-def rigid_realization(d: Sequence[Sequence[Interval]]) -> tuple[Vec3, Vec3, Vec3, Vec3]:
-    """Coordinates for 4 points with prescribed pairwise distance
-    enclosures d[i][j] (i < j), in the fixed gauge.  Raises PivotInfeasible
+def rigid_realization(d: Sequence[Interval]) -> tuple[Vec3, Vec3, Vec3, Vec3]:
+    """Coordinates for 4 points with the six pairwise distance enclosures
+    d01 d02 d03 d12 d13 d23, in the fixed gauge.  Raises PivotInfeasible
     when a height is certainly negative (unrealizable)."""
-    p0, p1, p2 = _place_third(d[0][1], d[0][2], d[1][2])
-    return p0, p1, p2, _place_apex(p0, p1, p2, d[0][1], d[0][3], d[1][3], d[2][3])
+    d01, d02, d03, d12, d13, d23 = d
+    p0, p1, p2 = _place_third(d01, d02, d12)
+    return p0, p1, p2, _place_apex(p0, p1, p2, d01, d03, d13, d23)
 
 
-def cayley_menger_det(d: Sequence[Sequence[Interval]]) -> Interval:
-    """Bordered Cayley-Menger determinant of an m-point distance matrix;
-    for 4 points it equals 288 V^2, so a certainly negative enclosure
-    certifies non-realizability in R^3."""
-    m = len(d)
-    size = m + 1
-    rows: list[list[Interval]] = [[_ZERO] * size for _ in range(size)]
-    for j in range(1, size):
-        rows[0][j] = _ONE
-        rows[j][0] = _ONE
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                rows[i + 1][j + 1] = _sq(d[min(i, j)][max(i, j)])
+def cayley_menger_det(d: Sequence[Interval]) -> Interval:
+    """Bordered Cayley-Menger determinant of 4 points with the six pairwise
+    distance enclosures d01 d02 d03 d12 d13 d23.  It equals 288 V^2, so a
+    certainly negative enclosure certifies non-realizability in R^3."""
+    rows = [[_ZERO] + [_ONE] * 4] + [[_ONE] + [_ZERO] * 4 for _ in range(4)]
+    for (i, j), dij in zip(_PAIRS, d, strict=True):
+        rows[i + 1][j + 1] = rows[j + 1][i + 1] = _sq(dij)
     return _det(rows)
 
 
@@ -253,12 +252,7 @@ def check_simplex_interior_point(edge_bounds: Sequence[Interval],
         raise ValueError("need 6 edge bounds: d01 d02 d03 d12 d13 d23")
     if not (r.lo > 0.0):
         return CheckResult(Verdict.INCONCLUSIVE, reason="r must be positive")
-    d01, d02, d03, d12, d13, d23 = edge_bounds
-    cm = cayley_menger_det([[None, d01, d02, d03],
-                            [d01, None, d12, d13],
-                            [d02, d12, None, d23],
-                            [d03, d13, d23, None]])
-    # use entries symmetrically: cayley_menger_det reads d[min][max]
+    cm = cayley_menger_det(edge_bounds)
     if cm.hi < 0.0:
         return CheckResult(Verdict.NO_SUCH_CONFIGURATION,
                            reason="unrealizable simplex (Cayley-Menger negative)",
@@ -267,9 +261,8 @@ def check_simplex_interior_point(edge_bounds: Sequence[Interval],
         return CheckResult(Verdict.INCONCLUSIVE,
                            reason="realizability undecided (Cayley-Menger straddles zero)")
     try:
-        p0, p1, p2 = _place_third(d01, d02, d12)
-        p3 = _place_apex(p0, p1, p2, d01, d03, d13, d23)
-        q = _place_apex(p0, p1, p2, d01, r, r, r)
+        p0, p1, p2, p3 = rigid_realization(edge_bounds)
+        q = _place_apex(p0, p1, p2, edge_bounds[0], r, r, r)
     except PivotInfeasible as exc:
         return CheckResult(Verdict.INCONCLUSIVE,
                            reason=f"extremal configuration not constructible: {exc}")
@@ -384,12 +377,7 @@ def check_linked_line(spec: DistanceSpec) -> CheckResult:
                            reason="dmin(p1,q) must be positive to bind the strut")
 
     try:
-        origin, p1, p2, p3 = rigid_realization([
-            [None, caps[(0, 1)], caps[(0, 2)], caps[(0, 3)]],
-            [None, None, caps[(1, 2)], caps[(1, 3)]],
-            [None, None, None, caps[(2, 3)]],
-            [None, None, None, None],
-        ])
+        origin, p1, p2, p3 = rigid_realization([caps[pair] for pair in _PAIRS])
     except PivotInfeasible:
         return CheckResult(Verdict.NO_SUCH_CONFIGURATION,
                            reason="bound frame is unrealizable")

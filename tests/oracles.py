@@ -563,8 +563,8 @@ def assembly_grid_max(problem, points_per_domain: int = 10**6,
     if count == 0:
         return None
     x = np.empty((count, problem.n))
-    for g, (d_idx, slot) in enumerate(problem.var_map):
-        x[:, g] = cols[d_idx][1][:count, slot]
+    for d_idx, (_, samples) in enumerate(cols):
+        x[:, problem.globals_of_domain(d_idx)] = samples[:count]
     keep = np.ones(count, dtype=bool)
     a = np.array(problem.a, dtype=float)
     b = np.array(problem.b, dtype=float)

@@ -16,7 +16,7 @@ I = Interval
 
 def toy_problem():
     dom = asm.LocalDomain("d0", ("x",), Box((I(0, 1),)), (parse("x0 - x0*x0", 1),))
-    return asm.AssemblyProblem((dom,), ((0, 0),), ((1.0,),), (1.0,), (1.0,))
+    return asm.AssemblyProblem((dom,), ((1.0,),), (1.0,), (1.0,))
 
 
 def two_domain_problem():
@@ -26,7 +26,7 @@ def two_domain_problem():
     d2 = asm.LocalDomain("d2", ("y",), Box((I(0, 1),)), (parse("x0 - x0*x0", 1),))
     a = ((1.0, -1.0), (-1.0, 1.0), (1.0, 1.0))
     b = (0.0, 0.0, 1.2)
-    return asm.AssemblyProblem((d1, d2), ((0, 0), (1, 0)), a, b, (1.0, 1.0))
+    return asm.AssemblyProblem((d1, d2), a, b, (1.0, 1.0))
 
 
 def test_toy_certifies_m1_and_refutes_m09():
@@ -113,8 +113,7 @@ def test_branch_examples():
     assert hi.domains[0].box[0] == I(0.5, 1)
 
     degenerate = asm.AssemblyProblem(
-        (asm.LocalDomain("d", ("x",), Box((I(1, 1),)), ()),),
-        ((0, 0),), (), (), (1.0,))
+        (asm.LocalDomain("d", ("x",), Box((I(1, 1),)), ()),), (), (), (1.0,))
     with pytest.raises(BranchError):
         asm.branch(degenerate, "d", 0)
 
@@ -143,7 +142,7 @@ def test_assembly_without_linking_rows():
     # pure nonlinear case: no global rows at all, bound from phi alone
     dom = asm.LocalDomain("solo", ("x",), Box((I(0, 2),)),
                           (parse("1 - x0*x0", 1),))  # feasible set [0, 1]
-    p = asm.AssemblyProblem((dom,), ((0, 0),), (), (), (1.0,))
+    p = asm.AssemblyProblem((dom,), (), (), (1.0,))
     tps = asm.default_test_points(p, seed=4)
     cert = asm.fit_dual(p, [1.0], 1.25, tps, test_seed=4)
     assert cert is not None and cert.retained_rows == ()
@@ -157,7 +156,7 @@ def test_fit_linear_domain_recovers_dual_structure():
     # at the true argmax needs no phi multipliers, and the hand-built
     # certificate with w = 1 on the binding row (the LP dual) verifies
     dom = asm.LocalDomain("lin", ("x",), Box((I(0, 1),)), ())
-    p = asm.AssemblyProblem((dom,), ((0, 0),), ((1.0,),), (1.0,), (1.0,))
+    p = asm.AssemblyProblem((dom,), ((1.0,),), (1.0,), (1.0,))
     tps = asm.default_test_points(p, seed=2)
     cand = asm.fit_dual(p, [1.0], 1.0, tps, test_seed=2)
     assert cand is not None
@@ -215,7 +214,6 @@ def random_assembly(rng):
 
     n_domains = rng.randint(1, 2)
     domains = []
-    var_map = []
     for d_idx in range(n_domains):
         nv = rng.randint(1, 3)
         box = Box(tuple(I(0.0, rng.choice([0.5, 1.0])) for _ in range(nv)))
@@ -228,8 +226,7 @@ def random_assembly(rng):
             phis.append(ex.make_sub(e, ex.const_from_float(val - 0.25)))
         domains.append(asm.LocalDomain(f"d{d_idx}", tuple(f"v{k}" for k in range(nv)),
                                        box, tuple(phis)))
-        var_map += [(d_idx, s) for s in range(nv)]
-    n = len(var_map)
+    n = sum(dom.n for dom in domains)
     rows = []
     rhs = []
     for _ in range(rng.randint(1, 3)):
@@ -237,8 +234,7 @@ def random_assembly(rng):
         rows.append(tuple(row))
         rhs.append(rng.choice([0.5, 1.0, 1.5]))
     c = [rng.choice([1.0, 0.5, -0.5]) for _ in range(n)]
-    p = asm.AssemblyProblem(tuple(domains), tuple(var_map), tuple(rows),
-                            tuple(rhs), tuple(c))
+    p = asm.AssemblyProblem(tuple(domains), tuple(rows), tuple(rhs), tuple(c))
     return p, None
 
 

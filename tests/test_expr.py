@@ -111,6 +111,17 @@ def test_equal_structure_is_one_node():
     assert {ex.Var(0): 1}[ex.Var(0)] == 1
 
 
+@pytest.mark.parametrize("text, value", [("15", 15), ("1.50e1", 15), ("-0", 0), ("1e-1", None),
+                                         ("12e2", 1200), ("1e999999999", None)])
+def test_integer_constants_are_read_once_per_node(text, value):
+    const = ex.Const(text)
+    assert ex._as_int(const) == value
+    assert repr(const) == f"Const(text={text!r})"
+    match const:
+        case ex.Const(t):
+            assert t == text
+
+
 def test_node_table_drops_unused_nodes():
     import gc
 

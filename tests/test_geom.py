@@ -189,38 +189,28 @@ def test_rigid_realization_contains_specified_distances():
     for _ in range(50):
         # realizable spec: distances of a random embedded 4-point set
         pts = [tuple(rng.uniform(-2, 2) for _ in range(3)) for _ in range(4)]
-        d = [[None] * 4 for _ in range(4)]
-        degenerate = False
-        for i in range(4):
-            for j in range(i + 1, 4):
-                val = math.dist(pts[i], pts[j])
-                if val < 0.2:
-                    degenerate = True
-                d[i][j] = I.point(val)
-        if degenerate:
+        d = [I.point(math.dist(pts[i], pts[j])) for i, j in geom._PAIRS]
+        if any(dij.lo < 0.2 for dij in d):
             continue
         try:
             cfg = geom.rigid_realization(d)
         except PivotInfeasible:
             continue
-        for i in range(4):
-            for j in range(i + 1, 4):
-                enc = geom._dist(cfg[i], cfg[j])
-                assert enc.lo <= d[i][j].lo + 1e-9 and enc.hi >= d[i][j].hi - 1e-9
+        for (i, j), dij in zip(geom._PAIRS, d):
+            enc = geom._dist(cfg[i], cfg[j])
+            assert enc.lo <= dij.lo + 1e-9 and enc.hi >= dij.hi - 1e-9
 
 
 def test_cayley_menger_sign():
     # regular tetrahedron side 1: positive volume
-    d = [[None, I(1, 1), I(1, 1), I(1, 1)],
-         [I(1, 1), None, I(1, 1), I(1, 1)],
-         [I(1, 1), I(1, 1), None, I(1, 1)],
-         [I(1, 1), I(1, 1), I(1, 1), None]]
+    # six distances in the order d01 d02 d03 d12 d13 d23
+    d = [I(1, 1)] * 6
     cm = geom.cayley_menger_det(d)
     # det = 288 V^2, V = 1/(6 sqrt(2))
     assert cm.lo <= 288 / 72 <= cm.hi
     # impossible distances: negative
-    d[0][3] = d[3][0] = I(10, 10)
-    d[1][3] = d[3][1] = I(1, 1)
+    d[2] = I(10, 10)  # d03
+    d[4] = I(1, 1)    # d13
     cm2 = geom.cayley_menger_det(d)
     assert cm2.hi < 0
 

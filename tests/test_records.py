@@ -64,6 +64,9 @@ CASES = [
     ("cert", 2, "M 1.0e"),
     ("cert", 8, "seed x"),
     ("cert", 7, "z 0 1.0"),
+    ("cert", 6, "w 7 3.0"),                        # a row not retained; used to be ignored
+    ("cert", 7, "# retained 0"),                   # w 0 then names no retained row
+    ("cert", 7, "retained 0 0"),                   # a row retained twice
     ("dspec", 3, "dmin 0 p1"),                     # used to raise IndexError
     ("dspec", 2, "dmax 0 p1 2.0 3.0"),
     ("dspec", 4, "dmax 0 p9 2.0"),
@@ -80,7 +83,7 @@ CASES = [
 ]
 
 # A defect found when its domain block closes is reported there.
-REPORTED_AT = {("asm", 4, "  box 0..1 0..1"): 6}
+REPORTED_AT = {("asm", 4, "  box 0..1 0..1"): 6, ("cert", 7, "# retained 0"): 6}
 
 
 def _parse(fmt: str, text: str):
