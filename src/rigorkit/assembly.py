@@ -41,7 +41,8 @@ from . import interval as iv
 from . import lp as lpmod
 from . import records as rec
 from .errors import BranchError, NoProgress, ParseError
-from .expr import Expr, Var, const_from_float, make_add, make_mul, make_sub, parse, to_text
+from .expr import (Expr, FloatPlan, Var, const_from_float, make_add, make_mul, make_sub,
+                   parse, to_text)
 from .interval import Interval
 from .prover import ProofTask, ProverConfig, prove_nonpositive
 from .taylor import Box
@@ -239,8 +240,6 @@ def fit_dual(p: AssemblyProblem, x_star: Sequence[float], m_bound: float,
 
     Returns None when the finite LP is infeasible or degenerate (callers
     should branch or enlarge the test set)."""
-    from .expr import evaluate_numeric
-
     if len(x_star) != p.n:
         raise ValueError("x_star length mismatch")
     for g, comp in enumerate(comp for dom in p.domains for comp in dom.box.dims):
@@ -265,10 +264,11 @@ def fit_dual(p: AssemblyProblem, x_star: Sequence[float], m_bound: float,
         gl = p.globals_of_domain(d_idx)
         xs_d = [x_star[g] for g in gl]
         c_d = [p.c[g] for g in gl]
+        phis_at = FloatPlan(dom.constraints)
         for pt in test_points[d_idx]:
             pt = tuple(float(v) for v in pt)
             try:
-                phis = [evaluate_numeric(phi, pt) for phi in dom.constraints]
+                phis = phis_at(pt)
             except (ArithmeticError, ValueError):
                 continue  # test point outside a phi's numeric domain
             row = [0.0] * n_vars
@@ -441,6 +441,14 @@ _PROBLEM_FIELDS = {
 }
 
 
+def _read_phi(text: str, arity: int) -> Expr:
+    """A phi, its constants read as fit_dual's float plan reads them, so
+    one past binary64 is an input error of its line."""
+    phi = parse(text, arity=arity)
+    FloatPlan((phi,))
+    return phi
+
+
 def problem_from_text(text: str) -> AssemblyProblem:
     records = rec.read_records(text, _PROBLEM_FIELDS, header="assembly-problem")
     domains: list[LocalDomain] = []
@@ -458,7 +466,7 @@ def problem_from_text(text: str) -> AssemblyProblem:
             block[kw] = v
         elif kw == "phi":
             arity = len(block["vars"])
-            block["phi"].append(rec.convert(r.line, lambda t: parse(t, arity=arity), v[0]))
+            block["phi"].append(rec.convert(r.line, lambda t: _read_phi(t, arity), v[0]))
         elif kw == "end":
             if not block["vars"]:
                 raise r.error(f"domain {block['id']!r} has no vars")

@@ -317,6 +317,8 @@ def _cmd_geom(args) -> int:
         body.append(("reason", res.reason))
     if res.witness is not None:
         body.append(("witness", iv.format_interval_literal(res.witness)))
+    if res.sweep_cells is not None:
+        body.append(("sweep_cells", str(res.sweep_cells)))
     _report(args, digests, _mode_echo(args), body, wall)
     return EXIT_OK if res.refuted else EXIT_NEGATIVE
 

@@ -11,10 +11,14 @@ the same class and fields, kept in a weak-valued table, so structurally
 equal expressions are the same object and `==` and `hash` are O(1)
 identity checks.
 
-`differentiate`, `to_text` and `evaluate_numeric` walk the expression
+`differentiate`, `to_text` and `FloatPlan` walk the expression
 iteratively and memoise on nodes, so a long expression does not reach the
 recursion limit and the derivative of a DAG is a DAG of linear size.
 `differentiate` holds the only derivative rules.
+
+`FloatPlan(exprs)` compiles expressions once into a flat plan of plain
+binary64 operations, for fitting at test points; `evaluate_numeric` runs
+a one-expression plan at one point.
 
 `Evaluator(e, arity)` compiles an Expr into one flat evaluation plan that
 starts with f's instructions, followed by those of the first partials and
@@ -35,6 +39,7 @@ eliminating 0/1 identities: simplification bugs are rigor bugs.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import weakref
 from dataclasses import dataclass, field
@@ -67,6 +72,7 @@ __all__ = [
     "parse",
     "differentiate",
     "to_text",
+    "FloatPlan",
     "evaluate_numeric",
     "TaylorGerm",
     "Evaluator",
@@ -532,36 +538,69 @@ def differentiate(e: Expr, i: int) -> Expr:
 # Numeric (non-rigorous) evaluation, used for test points and oracles
 # ---------------------------------------------------------------------------
 
+def _sqrt(a: float, _: float) -> float:
+    return math.sqrt(a)
+
+
+def _atan(a: float, b: float) -> float:
+    return math.atan(a / b)
+
+
+_FLOAT_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+              Div: operator.truediv, Pow: operator.pow, Sqrt: _sqrt, Atan: _atan}
+
+
+class FloatPlan:
+    """Plain binary64 evaluation of several expressions, compiled once and
+    run at any number of points.  No rigor claim; a run raises
+    ArithmeticError or ValueError subclasses on domain violations.
+
+    Slots hold the variables x0.. first, then the constants, then one
+    value per operation, computed in the iterative post-order of the roots
+    (children left to right, a shared node once), as `op(slot a, slot b)`:
+    `x + y`, `x - y`, `x * y`, `x / y`, `x ** k` with the integer k in a
+    constant slot, `math.sqrt(x)` and `math.atan(x / y)`.  Constants are
+    read by `decimal_to_nearest_float` as the plan compiles, so one past
+    binary64 raises ParseError here, not at a point."""
+
+    def __init__(self, roots: Sequence[Expr]):
+        order: dict[Expr, None] = {}   # every node, in post-order
+        for root in roots:
+            for node in _post_order(root, order):
+                order[node] = None
+        self.arity = 1 + max((n.index for n in order if isinstance(n, Var)), default=-1)
+        slot: dict = {n: n.index for n in order if isinstance(n, Var)}
+        self._consts: list = []
+        for leaf in [n for n in order if isinstance(n, Const)] + sorted(
+                {n.exponent for n in order if isinstance(n, Pow)}):
+            slot[leaf] = self.arity + len(self._consts)
+            self._consts.append(iv.decimal_to_nearest_float(leaf.text)
+                                if isinstance(leaf, Const) else leaf)
+        self._code: list[tuple] = []
+        for node in order:
+            kids = _children(node)
+            if kids:
+                b = node.exponent if isinstance(node, Pow) else kids[-1]
+                slot[node] = self.arity + len(self._consts) + len(self._code)
+                self._code.append((_FLOAT_OPS[type(node)], slot[kids[0]], slot[b]))
+        self._outputs = [slot[root] for root in roots]
+
+    def __call__(self, point: Sequence[float]) -> list:
+        """The roots' values at the point (coordinates past the arity are
+        ignored)."""
+        if len(point) < self.arity:
+            raise IndexError(f"point has {len(point)} coordinates, the plan reads {self.arity}")
+        vals = [*point[:self.arity], *self._consts]
+        append = vals.append
+        for op, a, b in self._code:
+            append(op(vals[a], vals[b]))
+        return [vals[s] for s in self._outputs]
+
+
 def evaluate_numeric(e: Expr, point: Sequence[float]) -> float:
-    """Plain binary64 evaluation at a point.  No rigor claim; raises
-    ArithmeticError subclasses on domain violations.  Iterative, children
-    left to right, memoised on nodes."""
-    memo: dict[Expr, float] = {}
-    v = memo.__getitem__
-    for node in _post_order(e, memo):
-        match node:
-            case Const(text=t):
-                r = iv.decimal_to_nearest_float(t)
-            case Var(index=i):
-                r = point[i]
-            case Add(left=a, right=b):
-                r = v(a) + v(b)
-            case Sub(left=a, right=b):
-                r = v(a) - v(b)
-            case Mul(left=a, right=b):
-                r = v(a) * v(b)
-            case Div(left=a, right=b):
-                r = v(a) / v(b)
-            case Pow(base=a, exponent=k):
-                r = v(a) ** k
-            case Sqrt(arg=a):
-                r = math.sqrt(v(a))
-            case Atan(num=a, den=b):
-                r = math.atan(v(a) / v(b))
-            case _:
-                raise TypeError(f"not an Expr node: {node!r}")
-        memo[node] = r
-    return v(e)
+    """Plain binary64 evaluation of one expression at one point, by its
+    FloatPlan."""
+    return FloatPlan((e,))(point)[0]
 
 
 # ---------------------------------------------------------------------------

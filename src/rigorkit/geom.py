@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence
 
 from . import interval as iv
 from . import records as rec
@@ -128,6 +128,8 @@ class CheckResult:
     verdict: Verdict
     reason: str = ""
     witness: Optional[Interval] = None
+    # Sweep cells tested; None for the checks that sweep nothing.
+    sweep_cells: Optional[int] = None
 
     @property
     def refuted(self) -> bool:
@@ -320,8 +322,9 @@ def check_segment_through_triangle(r1: Interval, r2: Interval,
 # Problem 3: five points with a linking condition
 # ---------------------------------------------------------------------------
 
-# Cells per half of the circle that check_linked_line sweeps for q.
-_SWEEP_CELLS = 256
+# Bisections from [-1, 1] down to the finest sweep cell, of width 2**-7:
+# 256 cells per half of the circle that check_linked_line sweeps for q.
+_SWEEP_DEPTH = 8
 # The pairs check_linked_line binds at their caps, in the order their caps
 # are checked: every frame pair and (0, q).  (q, p1) is bound at its floor.
 _CABLES = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3))
@@ -336,7 +339,41 @@ def check_linked_line(spec: DistanceSpec) -> CheckResult:
     their caps, |0 q| at its cap, |q p1| at its floor), which pins the
     configuration down to one circle for q, and sweeps that circle by
     interval subdivision: NoSuchConfiguration only if every cell
-    rigorously violates a distance bound or the linking sign test."""
+    rigorously violates a distance bound or the linking sign test.
+
+    The sweep is dyadic and depth first: for each sign of s it tests the
+    whole of c in [-1, 1] and bisects a cell only while it is not refuted,
+    down to cells of width 2**-7.  A cell's enclosure covers every
+    configuration in it, so refuting a coarse cell refutes all of its
+    sub-cells.  `sweep_cells` counts the cells tested, over both signs."""
+    refuted = _bind_linked_line(spec)
+    if isinstance(refuted, CheckResult):
+        return replace(refuted, sweep_cells=0)
+    tested = 0
+    for s_sign in (1, -1):
+        stack = [(Interval(-1.0, 1.0), 0)]
+        while stack:
+            cell, depth = stack.pop()
+            tested += 1
+            if refuted(cell, s_sign):
+                continue
+            if depth == _SWEEP_DEPTH:
+                return CheckResult(Verdict.INCONCLUSIVE,
+                                   reason="a sweep cell could not be refuted",
+                                   sweep_cells=tested)
+            mid = 0.5 * (cell.lo + cell.hi)
+            stack += [(Interval(mid, cell.hi), depth + 1), (Interval(cell.lo, mid), depth + 1)]
+    return CheckResult(Verdict.NO_SUCH_CONFIGURATION,
+                       reason="every cell of the cable/strut-bound sweep violates "
+                              "a distance bound or the linking test (verdict is "
+                              "relative to the pivot binding)",
+                       sweep_cells=tested)
+
+
+def _bind_linked_line(spec: DistanceSpec) -> CheckResult | Callable[[Interval, int], bool]:
+    """Stage 1 and the binding of check_linked_line: the verdict when they
+    decide it, else the test `refuted(c, s_sign)` of one sweep cell, c an
+    interval in [-1, 1] and s = s_sign sqrt(1 - c^2)."""
     if len(spec.labels) != 5:
         raise ValueError("spec must cover exactly 5 points: 0 p1 p2 p3 q")
 
@@ -434,17 +471,7 @@ def check_linked_line(spec: DistanceSpec) -> CheckResult:
         status = line_links_triangle(q, p1, p2, p3)
         return status is LinkStatus.NOT_LINKED
 
-    grid = [Interval(-1.0 + 2.0 * t / _SWEEP_CELLS, -1.0 + 2.0 * (t + 1) / _SWEEP_CELLS)
-            for t in range(_SWEEP_CELLS)]
-    for s_sign in (1, -1):
-        for cell in grid:
-            if not cell_refuted(cell, s_sign):
-                return CheckResult(Verdict.INCONCLUSIVE,
-                                   reason="a sweep cell could not be refuted")
-    return CheckResult(Verdict.NO_SUCH_CONFIGURATION,
-                       reason="every cell of the cable/strut-bound sweep violates "
-                              "a distance bound or the linking test (verdict is "
-                              "relative to the pivot binding)")
+    return cell_refuted
 
 
 def _cap_sum(a: Interval, b: Interval) -> Optional[float]:

@@ -1,7 +1,8 @@
 """Independent test oracles.
 
 Everything here is deliberately separate from the library's own code
-paths: an exact rational simplex for LP optima, dense numpy grid search
+paths: LP optima proved exact in rationals (from the float solver's basis,
+else by an exact rational simplex), dense numpy grid search
 for function maxima and assembly feasibility, a rotation-system brute
 force for small sphere graphs, mpmath for high-precision scalar
 references, and directed-rounding kernels that decide every rounding by
@@ -17,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from rigorkit import expr as ex
+from rigorkit import geom
 from rigorkit import interval as iv
 from rigorkit.interval import Interval
 from rigorkit.lp import DualSolution, LpProblem
@@ -181,7 +183,116 @@ def exact_lp_optimum(p: LpProblem) -> tuple[Fraction, list[Fraction]]:
     aeq = [[Fraction(v) for v in row] for row in p.aeq]
     beq = [Fraction(v) for v in p.beq]
     c = [Fraction(v) for v in p.c]
-    return simplex_max(aineq, bineq, aeq, beq, c)
+    return (basis_optimum(aineq, bineq, aeq, beq, c)
+            or simplex_max(aineq, bineq, aeq, beq, c))
+
+
+# A float value at most this much, relative to 1 + the largest |x_j|, is
+# read as zero when the float solution names its basis.
+_BASIS_TOL = 1e-9
+
+
+def basis_optimum(aineq: Sequence[Sequence[Fraction]],
+                  bineq: Sequence[Fraction],
+                  aeq: Sequence[Sequence[Fraction]],
+                  beq: Sequence[Fraction],
+                  c: Sequence[Fraction]) -> Optional[tuple[Fraction, list[Fraction]]]:
+    """max c.x s.t. Aineq x <= bineq, Aeq x = beq, x >= 0, as (optimum,
+    primal solution), from the float solver's optimal basis proved optimal
+    in rationals (Applegate, Cook, Dash & Espinoza, "Exact solutions to
+    linear programming problems", Oper. Res. Lett. 35 (2007)).
+
+    The basic columns S are the variables the float solution puts above
+    zero.  The basis rows are picked from the equalities and then the
+    tight inequalities, by decreasing float dual, each kept if independent
+    of those before, until there are |S|.  x_S solves the basis system and
+    y its transpose with right-hand side c_S, both in Fractions.  If x is
+    primal feasible (x >= 0, every row held) and y dual feasible (y >= 0
+    on inequality rows, c_j <= y.A_j for every column), weak duality and
+    c.x = y.b prove c.x optimal.  None when the solver fails or a check
+    does not hold."""
+    import numpy as np
+    from scipy.optimize import linprog
+
+    n, m1 = len(c), len(aineq)
+    a, b = [*aineq, *aeq], [*bineq, *beq]
+
+    def dense(rows):
+        return np.array(rows, dtype=float).reshape(len(rows), n) if rows else None
+
+    res = linprog(-np.array(c, dtype=float), A_ub=dense(aineq),
+                  b_ub=np.array(bineq, dtype=float) if m1 else None,
+                  A_eq=dense(aeq), b_eq=np.array(beq, dtype=float) if aeq else None,
+                  bounds=(0, None), method="highs")
+    if res.status != 0:
+        return None
+    tol = _BASIS_TOL * (1.0 + max(map(abs, res.x), default=0.0))
+    cols = [j for j in range(n) if res.x[j] > tol]
+    tight = sorted((i for i in range(m1) if res.ineqlin.residual[i] <= tol),
+                   key=lambda i: res.ineqlin.marginals[i])   # -dual, most negative first
+    candidates = [*range(m1, len(a)), *tight]
+    rows = [candidates[k] for k in
+            _independent_rows([[a[i][j] for j in cols] for i in candidates], len(cols))]
+    if len(rows) != len(cols):
+        return None
+    basis = [[a[i][j] for j in cols] for i in rows]
+    x_s = _solve(basis, [b[i] for i in rows])
+    y_r = _solve([list(col) for col in zip(*basis)], [c[j] for j in cols])
+    if x_s is None or y_r is None or any(v < 0 for v in x_s):
+        return None
+    x = [Fraction(0)] * n
+    for j, v in zip(cols, x_s):
+        x[j] = v
+    for i, row in enumerate(a):
+        ax = sum(aij * xj for aij, xj in zip(row, x) if xj)
+        if ax > b[i] or (i >= m1 and ax != b[i]):
+            return None
+    if any(v < 0 for i, v in zip(rows, y_r) if i < m1):
+        return None
+    for j in range(n):
+        if sum(y * a[i][j] for i, y in zip(rows, y_r)) < c[j]:
+            return None
+    return sum(cj * xj for cj, xj in zip(c, x)), x
+
+
+def _independent_rows(rows: Sequence[Sequence[Fraction]], limit: int) -> list[int]:
+    """Indices of the rows that are independent of the rows before them,
+    in order, up to `limit` of them (exact elimination)."""
+    echelon: list[tuple[int, list[Fraction]]] = []   # (pivot column, reduced row)
+    picked = []
+    for idx, row in enumerate(rows):
+        if len(picked) == limit:
+            break
+        r = list(row)
+        for col, e in echelon:
+            if r[col]:
+                f = r[col] / e[col]
+                r = [u - f * v for u, v in zip(r, e)]
+        col = next((j for j, v in enumerate(r) if v), None)
+        if col is not None:
+            echelon.append((col, r))
+            picked.append(idx)
+    return picked
+
+
+def _solve(m: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+           ) -> Optional[list[Fraction]]:
+    """The solution of the square system m z = rhs by exact Gauss-Jordan
+    elimination, or None when m is singular."""
+    k = len(m)
+    t = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(m, rhs)]
+    for col in range(k):
+        piv = next((r for r in range(col, k) if t[r][col]), None)
+        if piv is None:
+            return None
+        t[col], t[piv] = t[piv], t[col]
+        inv = 1 / t[col][col]
+        t[col] = [v * inv for v in t[col]]
+        for r in range(k):
+            if r != col and t[r][col]:
+                f = t[r][col]
+                t[r] = [u - f * v for u, v in zip(t[r], t[col])]
+    return [row[k] for row in t]
 
 
 def reference_certify(p: LpProblem, d: DualSolution
@@ -388,6 +499,61 @@ def random_expr(rng, arity: int, depth: int, polynomial: bool = False) -> ex.Exp
     den = ex.Add(ex.Const("1"),
                  ex.Pow(random_expr(rng, arity, depth - 2 or 1, polynomial), 2))
     return ex.Atan(random_expr(rng, arity, depth - 1, polynomial), den)
+
+
+def reference_evaluate_numeric(e: ex.Expr, point: Sequence[float]) -> float:
+    """Plain binary64 evaluation by walking the expression: iterative,
+    children left to right, memoised on nodes, constants read by
+    decimal_to_nearest_float when the walk reaches them.  This is how
+    `expr.evaluate_numeric` worked before it ran a FloatPlan."""
+    memo: dict = {}
+    v = memo.__getitem__
+    for node in ex._post_order(e, memo):
+        match node:
+            case ex.Const(text=t):
+                r = iv.decimal_to_nearest_float(t)
+            case ex.Var(index=i):
+                r = point[i]
+            case ex.Add(left=a, right=b):
+                r = v(a) + v(b)
+            case ex.Sub(left=a, right=b):
+                r = v(a) - v(b)
+            case ex.Mul(left=a, right=b):
+                r = v(a) * v(b)
+            case ex.Div(left=a, right=b):
+                r = v(a) / v(b)
+            case ex.Pow(base=a, exponent=k):
+                r = v(a) ** k
+            case ex.Sqrt(arg=a):
+                r = math.sqrt(v(a))
+            case ex.Atan(num=a, den=b):
+                r = math.atan(v(a) / v(b))
+        memo[node] = r
+    return v(e)
+
+
+# ---------------------------------------------------------------------------
+# The linked-line check's fixed sweep
+# ---------------------------------------------------------------------------
+
+def reference_linked_sweep(spec: geom.DistanceSpec) -> geom.CheckResult:
+    """Verdict and reason of geom.check_linked_line by the sweep it used
+    before the dyadic one: c in [-1, 1] cut into 256 equal cells for each
+    sign of s, every cell tested in order, inconclusive at the first cell
+    not refuted.  Stage 1 and the binding are the library's."""
+    refuted = geom._bind_linked_line(spec)
+    if isinstance(refuted, geom.CheckResult):
+        return refuted
+    grid = [Interval(-1.0 + 2.0 * t / 256, -1.0 + 2.0 * (t + 1) / 256) for t in range(256)]
+    for s_sign in (1, -1):
+        for cell in grid:
+            if not refuted(cell, s_sign):
+                return geom.CheckResult(geom.Verdict.INCONCLUSIVE,
+                                        reason="a sweep cell could not be refuted")
+    return geom.CheckResult(geom.Verdict.NO_SUCH_CONFIGURATION,
+                            reason="every cell of the cable/strut-bound sweep violates "
+                                   "a distance bound or the linking test (verdict is "
+                                   "relative to the pivot binding)")
 
 
 # ---------------------------------------------------------------------------

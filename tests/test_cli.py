@@ -255,6 +255,28 @@ def test_assemble_branch_rejects_unknown_domain_or_slot(tmp_path, capsys, domain
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("subcommand", ["fit", "verify", "branch"])
+@pytest.mark.parametrize("phi", [
+    "x0 - x0*x0 + 0*1e999",
+    # the walk that read constants at test points stopped at the pole first,
+    # so fit ended `candidate: none`, exit 1
+    "1/(x0-x0) + 1e999",
+])
+def test_phi_constant_past_binary64_is_an_input_error(tmp_path, capsys, phi, subcommand):
+    problem = tmp_path / "big.asm"
+    problem.write_text((PROBLEMS / "toy_duality.asm").read_text().replace("x0 - x0*x0", phi))
+    cert = tmp_path / "toy.cert"
+    cert.write_text("duality-certificate v1\nM 1.0\nt0 0.0\nx_star 0 1.0\nr d0 0 1.0\n")
+    extra = {"fit": ["--bound", "1.0", "--guess", "1.0"],
+             "verify": ["--certificate", str(cert)],
+             "branch": ["--domain", "d0", "--slot", "0",
+                        "--out-prefix", str(tmp_path / "child")]}[subcommand]
+    code, out, err = run(["assemble", subcommand, "--problem", str(problem), *extra], capsys)
+    assert code == 2 and not out
+    assert err == "error: line 6: decimal numeral '1e999' overflows binary64\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["big.asm", "toy.cert"]
+
+
 @pytest.mark.parametrize("argv", [
     ["prove", "--task", "{dir}"],
     ["lp-certify", "--problem", "{dir}", "--solve"],
@@ -298,9 +320,13 @@ def test_geom_modes(tmp_path, capsys):
                           "--r3", "2"], capsys)
     assert code2 == 0
 
-    code3, _, _ = run(["geom", "linked", "--spec",
-                       str(PROBLEMS / "linked_line_refuted.dspec")], capsys)
+    code3, out3, _ = run(["geom", "linked", "--spec",
+                          str(PROBLEMS / "linked_line_refuted.dspec")], capsys)
     assert code3 == 0
+    _, body3 = cli.parse_report(out3)
+    # stage 1 decides this spec, so the sweep tests no cell
+    assert ("verdict", "no_such_configuration") in body3 and ("sweep_cells", "0") in body3
+    assert not any(key == "sweep_cells" for key, _ in body)   # simplex sweeps nothing
 
 
 def test_plan_dump(capsys):

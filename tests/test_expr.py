@@ -1,10 +1,11 @@
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_expr
+from oracles import random_expr, reference_evaluate_numeric
 from rigorkit import expr as ex
 from rigorkit.errors import CompileError, ParseError, RigorError
 from rigorkit.interval import Interval
@@ -94,6 +95,56 @@ def test_long_flat_sum_renders_and_evaluates():
     for _ in range(750):
         expected = expected - 0.001 * 0.5 + 0.001 * 0.5
     assert ex.evaluate_numeric(e, [0.5]) == expected
+
+
+def _float_or_error(fn, *args):
+    """fn's value, or list of values, as binary64 bytes, or the class of
+    what it raised."""
+    try:
+        v = fn(*args)
+    except Exception as exc:   # compared, not swallowed
+        return type(exc)
+    return struct.pack(f"<{len(v)}d", *v) if isinstance(v, list) else struct.pack("<d", v)
+
+
+# Coordinates that reach zero denominators, negative square roots and
+# overflowing powers in the random expressions below.
+_POINT_COORDS = (0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e-300, 1e155, -1e200)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_float_plan_matches_the_walker_bit_for_bit(seed):
+    rng = random.Random(7100 + seed)
+    for _ in range(60):
+        arity = rng.randint(1, 3)
+        a, b = random_expr(rng, arity, 5), random_expr(rng, arity, 4)
+        # random_expr keeps denominators and sqrt arguments safe; these
+        # wrappers make them fail at some points
+        e = rng.choice([a, ex.Div(a, b), ex.Sqrt(b), ex.Atan(a, b), ex.Pow(b, -1)])
+        plan = ex.FloatPlan((e, a, b))
+        for _ in range(8):
+            point = [rng.choice(_POINT_COORDS) for _ in range(arity)]
+            want = [_float_or_error(reference_evaluate_numeric, r, point) for r in (e, a, b)]
+            assert _float_or_error(ex.evaluate_numeric, e, point) == want[0], (ex.to_text(e), point)
+            got = _float_or_error(plan, point)
+            if all(isinstance(w, bytes) for w in want):
+                assert got == b"".join(want)
+            else:   # the first root to raise in walk order decides the class
+                assert got == next(w for w in want if not isinstance(w, bytes))
+
+
+def test_float_plan_reads_constants_when_it_compiles():
+    # a constant the points never reach still fails, at compile time
+    e = ex.parse("1/(x0 - x0) + 1e999", 1)
+    with pytest.raises(ZeroDivisionError):
+        reference_evaluate_numeric(e, [0.5])
+    with pytest.raises(ParseError):
+        ex.FloatPlan((e,))
+    plan = ex.FloatPlan((ex.parse("x0 - x1"), ex.parse("x1*x1")))
+    assert plan([3.0, 2.0, 99.0]) == [1.0, 4.0]   # coordinates past the arity ignored
+    with pytest.raises(IndexError):
+        plan([3.0])
+    assert ex.FloatPlan(())([]) == []
 
 
 def test_long_expressions_compare_and_hash_without_recursion():

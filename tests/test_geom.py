@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import mp_sqrt
+from oracles import mp_sqrt, reference_linked_sweep
 from rigorkit import geom
 from rigorkit import interval as iv
 from rigorkit.errors import PivotInfeasible
@@ -121,6 +121,7 @@ dmin p1 q 1.0
 """)
     res = geom.check_linked_line(refuted_spec)
     assert res.refuted
+    assert res.sweep_cells == 0   # decided by the triangle inequality
 
     free_spec = geom.parse_distance_spec("points 0 p1 p2 p3 q")
     assert not geom.check_linked_line(free_spec).refuted
@@ -158,6 +159,8 @@ dmin p1 q 3.8
     res = geom.check_linked_line(spec)
     assert res.refuted
     assert "pivot binding" in res.reason
+    # 14 cells per sign of s, where the fixed grid tested 2 x 256
+    assert res.sweep_cells == 28
 
     # loosening the strut so the circle reaches the cone stays inconclusive
     feasible = geom.parse_distance_spec("""
@@ -172,6 +175,61 @@ dmax 0 q 2.0
 dmin p1 q 0.5
 """)
     assert not geom.check_linked_line(feasible).refuted
+
+
+def random_linked_spec(rng) -> geom.DistanceSpec:
+    """Caps and floors around the bound family above: about 40% of these
+    are refuted by the sweep and 40% stay inconclusive there; the rest are
+    decided by stage 1 or the binding."""
+    def d(lo, hi):
+        return f"{rng.uniform(lo, hi):.3f}"
+
+    lines = ["points 0 p1 p2 p3 q"]
+    lines += [f"dmax 0 {p} {d(1.5, 2.5)}" for p in ("p1", "p2", "p3")]
+    lines += [f"dmax {a} {b} {d(0.8, 2.5)}" for a, b in (("p1", "p2"), ("p1", "p3"), ("p2", "p3"))]
+    lines += [f"dmax 0 q {d(1.5, 2.5)}", f"dmin p1 q {d(0.3, 4.0)}"]
+    if rng.random() < 0.5:
+        lines.append(f"dmax p2 q {d(0.5, 4.0)}")
+    if rng.random() < 0.3:
+        lines.append(f"dmin p3 q {d(0.5, 3.0)}")
+    return geom.parse_distance_spec("\n".join(lines))
+
+
+def test_linked_line_cell_refutation_is_inclusion_isotone():
+    # The dyadic sweep stops bisecting at a refuted cell; it returns the
+    # fixed grid's verdict only if every sub-cell of a refuted cell, down to
+    # the finest, is refuted too.
+    rng = random.Random(611)
+    swept = 0
+    while swept < 12:
+        refuted = geom._bind_linked_line(random_linked_spec(rng))
+        if isinstance(refuted, geom.CheckResult):
+            continue
+        swept += 1
+        for s_sign in (1, -1):
+            level = [I(-1.0, 1.0)]
+            for _ in range(geom._SWEEP_DEPTH):
+                children = []
+                for cell in level:
+                    mid = 0.5 * (cell.lo + cell.hi)
+                    halves = [I(cell.lo, mid), I(mid, cell.hi)]
+                    if refuted(cell, s_sign):
+                        assert all(refuted(h, s_sign) for h in halves), (cell, s_sign)
+                    children += halves
+                level = children
+            assert len(level) == 256
+
+
+def test_linked_line_sweep_matches_fixed_grid():
+    rng = random.Random(612)
+    outcomes = set()
+    for _ in range(60):
+        spec = random_linked_spec(rng)
+        res, ref = geom.check_linked_line(spec), reference_linked_sweep(spec)
+        assert (res.verdict, res.reason) == (ref.verdict, ref.reason)
+        if res.sweep_cells:
+            outcomes.add(res.verdict)
+    assert outcomes == set(geom.Verdict)   # both verdicts reached by a sweep
 
 
 def test_linking_sign_test_on_symmetric_example():

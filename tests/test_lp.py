@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from oracles import exact_lp_optimum, reference_certify
 from rigorkit import lp
 from rigorkit.errors import AugmentationError, NonFiniteOperand, ParseError
@@ -120,6 +121,27 @@ def test_certificate_soundness_and_fuzz_small_batch():
     gaps.sort()
     median = gaps[len(gaps) // 2]
     assert median <= 1e-6
+
+
+def test_basis_oracle_agrees_with_the_rational_simplex():
+    # exact_lp_optimum takes the float solver's basis and proves it optimal
+    # in rationals; the rational simplex is the independent check of that
+    rng = random.Random(911)
+    proved = 0
+    for trial in range(60):
+        p = random_problem(rng, n_max=10, m_max=10, with_eq=(trial % 3 == 0))
+        args = ([[Fraction(v) for v in row] for row in p.aineq], [Fraction(v) for v in p.bineq],
+                [[Fraction(v) for v in row] for row in p.aeq], [Fraction(v) for v in p.beq],
+                [Fraction(v) for v in p.c])
+        got = oracles.basis_optimum(*args)
+        if got is not None:
+            proved += 1
+            assert got[0] == oracles.simplex_max(*args)[0], trial
+    assert proved >= 55
+    # an infeasible problem has no basis to prove; the simplex says why
+    infeasible = lp.make_problem([1.0], [I(0, 2)], aineq=[[-1.0]], bineq=[-3.0])
+    with pytest.raises(oracles.OracleInfeasible):
+        exact_lp_optimum(infeasible)
 
 
 def test_problem_file_round_trip():
