@@ -11,22 +11,25 @@ the same class and fields, kept in a weak-valued table, so structurally
 equal expressions are the same object and `==` and `hash` are O(1)
 identity checks.
 
-`differentiate`, `to_text` and `FloatPlan` walk the expression
+`differentiate`, `to_text` and the plan lowering walk the expression
 iteratively and memoise on nodes, so a long expression does not reach the
 recursion limit and the derivative of a DAG is a DAG of linear size.
 `differentiate` holds the only derivative rules.
 
-`FloatPlan(exprs)` compiles expressions once into a flat plan of plain
-binary64 operations, for fitting at test points; `evaluate_numeric` runs
-a one-expression plan at one point.
+One lowering compiles expressions into a flat plan with one slot per node:
+a leaf (a constant, read as the plan compiles, or a variable) or one
+`(op, a, b)` instruction.  One loop runs the instructions.  The two plans
+differ only in their table of ops and their constant reader:
 
-`Evaluator(e, arity)` compiles an Expr into one flat evaluation plan that
-starts with f's instructions, followed by those of the first partials and
-the second partials (each the `differentiate` of the one before) as
-queries first need them.  Each node occupies one slot, so a subexpression
-shared by f, its gradient and its Hessian is evaluated once.  Each query --
-interval value, value-and-gradient germ, the listed Hessian entries --
-evaluates exactly the instructions its outputs depend on, in one pass.
+* `FloatPlan(exprs)` does plain binary64 operations, for fitting at test
+  points; `evaluate_numeric` runs a one-expression plan at one point.
+* `Evaluator(e, arity)` calls the interval kernels.  Its plan starts with
+  f's slots, followed by those of the first partials and the second
+  partials (each the `differentiate` of the one before) as queries first
+  need them, so a subexpression shared by f, its gradient and its Hessian
+  is evaluated once.  Each query -- interval value, value-and-gradient
+  germ, the listed Hessian entries -- evaluates exactly the instructions
+  its outputs depend on, in one pass.
 
 Constants are stored as decimal text; conversion to binary64 enclosures
 is deferred to the interval layer so no precision is lost before the
@@ -44,7 +47,7 @@ import re
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import interval as iv
 from .errors import CompileError, DomainError, ParseError
@@ -535,66 +538,101 @@ def differentiate(e: Expr, i: int) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Numeric (non-rigorous) evaluation, used for test points and oracles
+# Evaluation plans
 # ---------------------------------------------------------------------------
 
-def _sqrt(a: float, _: float) -> float:
+class _Plan:
+    """Expressions lowered to one slot per node, in the iterative
+    post-order of each root as it is added (children left to right, a
+    shared node once).  A constant's slot is preloaded with `read(text)`
+    as the plan compiles, a variable's is loaded from the point at each
+    run, and every other slot holds one instruction `(op, a, b)`, run as
+    `vals[s] = op(vals[a], vals[b])` with `op = ops[type(node)]`.  A unary
+    op ignores b, which is a; a power's slot is preloaded with its integer
+    exponent, so its b is the slot itself."""
+
+    def __init__(self, ops: dict[type, Callable], read: Callable[[str], object]):
+        self.plan: list[Expr] = []                # slot -> node
+        self._code: list[Optional[tuple]] = []    # slot -> (op, a, b); None for a leaf
+        self._preload: list = []                  # slot -> constant, exponent or None
+        self._loads: list[tuple[int, int]] = []   # (slot, index) per variable
+        self._slots: dict[Expr, int] = {}         # node -> slot
+        self._ops, self._read = ops, read
+
+    def _lower(self, root: Expr) -> int:
+        """Append the slots root needs that the plan lacks; return root's
+        slot."""
+        slots = self._slots
+        for node in _post_order(root, slots):
+            s = len(self.plan)
+            ins, pre = None, None
+            match node:
+                case Const(text=t):
+                    # Read before the slot is taken: a failed read leaves none.
+                    pre = self._read(t)
+                case Var(index=i):
+                    self._loads.append((s, i))
+                case Pow(base=a, exponent=k):
+                    ins, pre = (self._ops[Pow], slots[a], s), k
+                case Add() | Sub() | Mul() | Div() | Sqrt() | Atan():
+                    kids = _children(node)
+                    ins = (self._ops[type(node)], slots[kids[0]], slots[kids[-1]])
+                case _:
+                    raise TypeError(f"not an Expr node: {node!r}")
+            slots[node] = s
+            self.plan.append(node)
+            self._code.append(ins)
+            self._preload.append(pre)
+        return slots[root]
+
+    def _execute(self, point: Sequence, order: Sequence[int],
+                 outputs: Sequence[int]) -> list:
+        """Run the instructions of the slots in order, with the variables
+        read from point; return the outputs' values."""
+        vals = self._preload.copy()
+        for s, i in self._loads:
+            vals[s] = point[i]
+        code = self._code
+        for s in order:
+            op, a, b = code[s]
+            vals[s] = op(vals[a], vals[b])
+        return [vals[s] for s in outputs]
+
+
+# Numeric (non-rigorous) evaluation, used for test points and oracles.
+
+def _float_sqrt(a: float, _: float) -> float:
     return math.sqrt(a)
 
 
-def _atan(a: float, b: float) -> float:
+def _float_atan(a: float, b: float) -> float:
     return math.atan(a / b)
 
 
 _FLOAT_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
-              Div: operator.truediv, Pow: operator.pow, Sqrt: _sqrt, Atan: _atan}
+              Div: operator.truediv, Pow: operator.pow, Sqrt: _float_sqrt,
+              Atan: _float_atan}
 
 
-class FloatPlan:
+class FloatPlan(_Plan):
     """Plain binary64 evaluation of several expressions, compiled once and
     run at any number of points.  No rigor claim; a run raises
     ArithmeticError or ValueError subclasses on domain violations.
 
-    Slots hold the variables x0.. first, then the constants, then one
-    value per operation, computed in the iterative post-order of the roots
-    (children left to right, a shared node once), as `op(slot a, slot b)`:
-    `x + y`, `x - y`, `x * y`, `x / y`, `x ** k` with the integer k in a
-    constant slot, `math.sqrt(x)` and `math.atan(x / y)`.  Constants are
-    read by `decimal_to_nearest_float` as the plan compiles, so one past
-    binary64 raises ParseError here, not at a point."""
+    The ops are `x + y`, `x - y`, `x * y`, `x / y`, `x ** k`,
+    `math.sqrt(x)` and `math.atan(x / y)`.  Constants are read by
+    `decimal_to_nearest_float` as the plan compiles, so one past binary64
+    raises ParseError here, not at a point."""
 
     def __init__(self, roots: Sequence[Expr]):
-        order: dict[Expr, None] = {}   # every node, in post-order
-        for root in roots:
-            for node in _post_order(root, order):
-                order[node] = None
-        self.arity = 1 + max((n.index for n in order if isinstance(n, Var)), default=-1)
-        slot: dict = {n: n.index for n in order if isinstance(n, Var)}
-        self._consts: list = []
-        for leaf in [n for n in order if isinstance(n, Const)] + sorted(
-                {n.exponent for n in order if isinstance(n, Pow)}):
-            slot[leaf] = self.arity + len(self._consts)
-            self._consts.append(iv.decimal_to_nearest_float(leaf.text)
-                                if isinstance(leaf, Const) else leaf)
-        self._code: list[tuple] = []
-        for node in order:
-            kids = _children(node)
-            if kids:
-                b = node.exponent if isinstance(node, Pow) else kids[-1]
-                slot[node] = self.arity + len(self._consts) + len(self._code)
-                self._code.append((_FLOAT_OPS[type(node)], slot[kids[0]], slot[b]))
-        self._outputs = [slot[root] for root in roots]
+        super().__init__(_FLOAT_OPS, iv.decimal_to_nearest_float)
+        self._outputs = [self._lower(root) for root in roots]
+        self._order = [s for s, ins in enumerate(self._code) if ins is not None]
 
     def __call__(self, point: Sequence[float]) -> list:
-        """The roots' values at the point (coordinates past the arity are
-        ignored)."""
-        if len(point) < self.arity:
-            raise IndexError(f"point has {len(point)} coordinates, the plan reads {self.arity}")
-        vals = [*point[:self.arity], *self._consts]
-        append = vals.append
-        for op, a, b in self._code:
-            append(op(vals[a], vals[b]))
-        return [vals[s] for s in self._outputs]
+        """The roots' values at the point.  Coordinates past the highest
+        variable are ignored; a point without it raises IndexError."""
+        return self._execute(point, self._order, self._outputs)
 
 
 def evaluate_numeric(e: Expr, point: Sequence[float]) -> float:
@@ -603,9 +641,7 @@ def evaluate_numeric(e: Expr, point: Sequence[float]) -> float:
     return FloatPlan((e,))(point)[0]
 
 
-# ---------------------------------------------------------------------------
-# Compiled evaluation plans
-# ---------------------------------------------------------------------------
+# Rigorous interval evaluation.
 
 @dataclass(frozen=True, slots=True)
 class TaylorGerm:
@@ -616,51 +652,52 @@ class TaylorGerm:
     df: tuple[Interval, ...]
 
 
-# opcode constants for the evaluation plan
-_CONST, _VAR, _ADD, _SUB, _MUL, _DIV, _POW, _SQRT, _ATAN = range(9)
+def _interval_ops() -> dict:
+    """The interval ops, with the kernels rigorkit.interval binds now: a
+    kernel rebound after import (as perfbench/trace.py does to count calls)
+    is the one a plan compiled later calls."""
+    div, sqrt, atan = iv.div, iv.sqrt_interval, iv.atan_interval
 
-_OP_NAMES = {
-    _CONST: "const",
-    _VAR: "load",
-    _ADD: "add",
-    _SUB: "sub",
-    _MUL: "mul",
-    _DIV: "div",
-    _POW: "pow",
-    _SQRT: "sqrt",
-    _ATAN: "atan",
-}
+    def checked_sqrt(a: Interval, _: Interval) -> Interval:
+        # sqrt_interval clamps a negative lower end; here it would bound a
+        # value that is undefined for part of the box.
+        if a.lo < 0.0:
+            raise DomainError(f"sqrt of possibly-negative interval [{a.lo}, {a.hi}]")
+        return sqrt(a)
 
-_OPCODES = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV, Sqrt: _SQRT, Atan: _ATAN}
+    def atan_of_ratio(a: Interval, b: Interval) -> Interval:
+        return atan(div(a, b))
+
+    return {Add: iv.add, Sub: iv.sub, Mul: iv.mul, Div: div, Pow: iv.pow_int,
+            Sqrt: checked_sqrt, Atan: atan_of_ratio}
+
 
 # Deepest expression (in plan instructions) that compiles.
 MAX_DEPTH = 500
 
 
-class Evaluator:
-    """One flat evaluation plan for an expression at a fixed arity, and for
-    the partial derivatives the queries ask for.
+class Evaluator(_Plan):
+    """One flat interval evaluation plan for an expression at a fixed
+    arity, and for the partial derivatives the queries ask for.
 
-    The plan starts with f's instructions.  A first partial df/dx_i, or a
-    second partial d/dx_j(df/dx_i) with i <= j, is differentiated and its
-    missing instructions appended on first use; apart from that growth
-    (deterministic) the evaluator is immutable.
+    The plan starts with f's slots.  A first partial df/dx_i, or a second
+    partial d/dx_j(df/dx_i) with i <= j, is differentiated and its missing
+    slots appended on first use; apart from that growth (deterministic)
+    the evaluator is immutable.  Constants are read by
+    `interval.from_decimal_string`.
     """
 
     def __init__(self, expr: Expr, arity: Optional[int] = None):
-        self.plan: list[tuple] = []
-        self._args: list[tuple[int, ...]] = []   # operand slots per instruction
-        self._varying: list[bool] = []           # per slot: reads some variable
-        self._seen: dict[Expr, int] = {}         # node -> slot
-        root = self._emit(expr)
-        used = 1 + max((ins[1] for ins in self.plan if ins[0] == _VAR), default=-1)
+        super().__init__(_interval_ops(), iv.from_decimal_string)
+        root = self._lower(expr)
+        used = 1 + max((i for _, i in self._loads), default=-1)
         if arity is None:
             arity = used
         if used > arity:
             raise CompileError(f"expression uses x{used - 1} but arity is {arity}")
-        depth: list[int] = []
-        for args in self._args:
-            depth.append(1 + max((depth[a] for a in args), default=0))
+        depth = [0] * len(self.plan)   # a power's b, its own slot, reads 0
+        for s, ins in enumerate(self._code):
+            depth[s] = 1 + (max(depth[ins[1]], depth[ins[2]]) if ins else 0)
         if depth[root] > MAX_DEPTH:
             raise CompileError(f"expression depth exceeds limit {MAX_DEPTH}")
         self.arity = arity
@@ -668,105 +705,50 @@ class Evaluator:
         self._partials: dict[tuple[int, ...], tuple[Expr, int]] = {(): (expr, root)}
         self._schedules: dict[tuple[int, ...], list[int]] = {}
 
-    # -- plan construction ----------------------------------------------
-
-    def _emit(self, root: Expr) -> int:
-        """Append the instructions root needs that the plan lacks; return
-        root's slot."""
-        seen = self._seen
-        for node in _post_order(root, seen):
-            args = tuple(seen[k] for k in _children(node))
-            match node:
-                case Const(text=t):
-                    # Read before the slot is taken: a failed read leaves none.
-                    ins = (_CONST, iv.from_decimal_string(t), t)
-                case Var(index=i):
-                    ins = (_VAR, i)
-                case Pow(exponent=k):
-                    ins = (_POW, args[0], k)
-                case Add() | Sub() | Mul() | Div() | Sqrt() | Atan():
-                    ins = (_OPCODES[type(node)], *args)
-                case _:
-                    raise TypeError(f"not an Expr node: {node!r}")
-            seen[node] = len(self.plan)
-            self.plan.append(ins)
-            self._args.append(args)
-            self._varying.append(ins[0] == _VAR or any(self._varying[a] for a in args))
-        return seen[root]
-
     def _slot(self, index: tuple[int, ...]) -> int:
-        """Slot of the partial named by index, emitted on first use."""
+        """Slot of the partial named by index, lowered on first use."""
         got = self._partials.get(index)
         if got is None:
             self._slot(index[:-1])
             e = differentiate(self._partials[index[:-1]][0], index[-1])
-            got = self._partials[index] = (e, self._emit(e))
+            got = self._partials[index] = (e, self._lower(e))
         return got[1]
 
     def plan_lines(self) -> list[str]:
         """Human-readable rendering of f's evaluation plan."""
         lines = []
-        for idx, ins in enumerate(self.plan[:self._partials[()][1] + 1]):
-            op = _OP_NAMES[ins[0]]
-            if ins[0] == _CONST:
-                lines.append(f"t{idx} = const {ins[2]}")
-            elif ins[0] == _VAR:
-                lines.append(f"t{idx} = load x{ins[1]}")
-            elif ins[0] == _POW:
-                lines.append(f"t{idx} = pow t{ins[1]}, {ins[2]}")
-            elif ins[0] == _SQRT:
-                lines.append(f"t{idx} = sqrt t{ins[1]}")
-            else:
-                lines.append(f"t{idx} = {op} t{ins[1]}, t{ins[2]}")
+        for s, node in enumerate(self.plan[:self._partials[()][1] + 1]):
+            match node:
+                case Const(text=t):
+                    rhs = f"const {t}"
+                case Var(index=i):
+                    rhs = f"load x{i}"
+                case Pow(base=a, exponent=k):
+                    rhs = f"pow t{self._slots[a]}, {k}"
+                case _:
+                    args = ", ".join(f"t{self._slots[k]}" for k in _children(node))
+                    rhs = f"{type(node).__name__.lower()} {args}"
+            lines.append(f"t{s} = {rhs}")
         return lines
 
     # -- interval queries -------------------------------------------------
 
     def _schedule(self, outputs: tuple[int, ...]) -> list[int]:
-        """The slots the outputs depend on, in plan order."""
+        """The instruction slots the outputs depend on, in plan order."""
         order = self._schedules.get(outputs)
         if order is None:
-            needed = set(outputs)
+            code, needed = self._code, set(outputs)
             for s in range(max(outputs, default=-1), -1, -1):
-                if s in needed:
-                    needed.update(self._args[s])
-            order = self._schedules[outputs] = sorted(needed)
+                if s in needed and code[s] is not None:
+                    needed.update(code[s][1:])
+            order = self._schedules[outputs] = [s for s in sorted(needed)
+                                                if code[s] is not None]
         return order
 
     def _run(self, box: Sequence[Interval], outputs: tuple[int, ...]) -> list[Interval]:
         """Evaluate over the box exactly the instructions the output slots
         depend on, and no other; return the outputs' values."""
-        order = self._schedules.get(outputs) or self._schedule(outputs)
-        plan = self.plan
-        vals: list = [None] * len(plan)
-        for s in order:
-            ins = plan[s]
-            op = ins[0]
-            if op == _CONST:
-                vals[s] = ins[1]
-            elif op == _VAR:
-                vals[s] = box[ins[1]]
-            elif op == _ADD:
-                vals[s] = iv.add(vals[ins[1]], vals[ins[2]])
-            elif op == _SUB:
-                vals[s] = iv.sub(vals[ins[1]], vals[ins[2]])
-            elif op == _MUL:
-                vals[s] = iv.mul(vals[ins[1]], vals[ins[2]])
-            elif op == _DIV:
-                vals[s] = iv.div(vals[ins[1]], vals[ins[2]])
-            elif op == _POW:
-                vals[s] = iv.pow_int(vals[ins[1]], ins[2])
-            elif op == _SQRT:
-                # sqrt_interval clamps a negative lower end; here it would
-                # bound a value that is undefined for part of the box.
-                arg = vals[ins[1]]
-                if arg.lo < 0.0:
-                    raise DomainError(
-                        f"sqrt of possibly-negative interval [{arg.lo}, {arg.hi}]")
-                vals[s] = iv.sqrt_interval(arg)
-            else:
-                vals[s] = iv.atan_interval(iv.div(vals[ins[1]], vals[ins[2]]))
-        return [vals[s] for s in outputs]
+        return self._execute(box, self._schedule(outputs), outputs)
 
     def value(self, box: Sequence[Interval]) -> Interval:
         """Containment-sound interval enclosure of the range over the box."""
@@ -784,7 +766,12 @@ class Evaluator:
         give the same values over every box, so an error raised here is
         raised by germ over every box."""
         outputs = (self._slot(()), *(self._slot((i,)) for i in range(self.arity)))
-        self._run((), tuple(s for s in self._schedule(outputs) if not self._varying[s]))
+        varying = {s for s, _ in self._loads}
+        for s, ins in enumerate(self._code):
+            if ins is not None and (ins[1] in varying or ins[2] in varying):
+                varying.add(s)
+        order = [s for s in self._schedule(outputs) if s not in varying]
+        self._execute([None] * self.arity, order, ())
 
     def hessian(self, box: Sequence[Interval],
                 entries: Sequence[tuple[int, int]]) -> list[Interval]:

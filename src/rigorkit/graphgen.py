@@ -250,9 +250,7 @@ def _enumerate_steps(g: DecoratedGraph, budget: int) -> list[RefinementStep]:
                 if ok:
                     steps.append(RefinementStep(kt, nt))
                 return
-            a, b = gaps[t]
-            limit = remaining
-            for j in range(limit + 1):
+            for j in range(remaining + 1):
                 news.append(j)
                 rec(t + 1, remaining - j, news)
                 news.pop()

@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter, truediv
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import (
     DivisionByZeroInterval,
@@ -47,6 +47,7 @@ __all__ = [
     "pow_int",
     "sqrt_interval",
     "atan_interval",
+    "subtract_products",
     "from_decimal_string",
     "parse_interval_literal",
     "format_interval_literal",
@@ -479,6 +480,32 @@ def atan_interval(a: Interval) -> Interval:
     if not (-_INF < a.lo and a.hi < _INF):
         raise _non_finite(a)
     return _make(_atan_down(a.lo), _atan_up(a.hi))
+
+
+def subtract_products(lo: list[float], hi: list[float], mult: Sequence[float],
+                      rows: Sequence[Sequence[float]]) -> None:
+    """In place, [lo_j, hi_j] -= mult_i * rows[i][j] over every nonzero
+    rows[i][j] with mult_i nonzero, in row order: the residual of a dot
+    product with a matrix, on endpoint lists rather than Interval objects.
+    Each step rounds as sub([lo_j, hi_j], mul(point(mult_i),
+    point(rows[i][j]))) rounds.  A step on a NaN entry, or whose result is
+    not finite, is replayed on Interval objects, which raise
+    NonFiniteOperand exactly where those operations would."""
+    for m, row in zip(mult, rows):
+        if m == 0.0:
+            continue
+        if m != m:
+            Interval.point(m)  # raises: an interval endpoint may not be NaN
+        for j, a in enumerate(row):
+            if a != 0.0:
+                if a == a:
+                    pl, ph = _mul_down(m, a), _mul_up(m, a)
+                    l, h = _add_down(lo[j], -ph), _add_up(hi[j], -pl)
+                    if -_INF < l and h < _INF:
+                        lo[j], hi[j] = l, h
+                        continue
+                r = sub(Interval(lo[j], hi[j]), mul(Interval.point(m), Interval.point(a)))
+                lo[j], hi[j] = r.lo, r.hi
 
 
 # ---------------------------------------------------------------------------

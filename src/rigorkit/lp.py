@@ -30,7 +30,6 @@ dual-file interface instead.
 from __future__ import annotations
 
 import hashlib
-import math
 import sys
 from array import array
 from dataclasses import dataclass
@@ -56,8 +55,6 @@ __all__ = [
     "dual_to_text",
     "dual_from_text",
 ]
-
-_INF = math.inf
 
 Matrix = tuple[tuple[float, ...], ...]
 Vector = tuple[float, ...]
@@ -179,12 +176,12 @@ def certify_upper_bound(p: LpProblem, d: DualSolution) -> BoundCertificate:
         if v < 0.0:
             raise ValueError("z must be componentwise nonnegative; clamp_dual first")
 
-    # delta = c - y Aeq - z Aineq, as endpoint lists: each nonzero is the
-    # sub(delta_j, mul(point, point)) of interval arithmetic, spelled out.
+    # delta = c - y Aeq - z Aineq, on endpoint lists, each nonzero rounded
+    # as the sub(delta_j, mul(point, point)) of interval arithmetic.
     lo = [Interval.point(v).lo for v in p.c]  # a NaN raises here, as before
     hi = list(lo)
-    _subtract_products(lo, hi, d.y, p.aeq)
-    _subtract_products(lo, hi, d.z, p.aineq)
+    iv.subtract_products(lo, hi, d.y, p.aeq)
+    iv.subtract_products(lo, hi, d.z, p.aineq)
     delta = [Interval(a, b) for a, b in zip(lo, hi)]
 
     # D = sum_j sup(|delta_j| * max(|lo_j|, |hi_j|))
@@ -205,32 +202,6 @@ def certify_upper_bound(p: LpProblem, d: DualSolution) -> BoundCertificate:
         residual=tuple(delta),
         inputs_digest=digest,
     )
-
-
-def _subtract_products(lo: list[float], hi: list[float], mult: Vector,
-                       rows: Matrix) -> None:
-    """[lo_j, hi_j] -= mult_i * rows[i][j] over every nonzero, in row order,
-    rounded as iv.sub(delta_j, iv.mul(point, point)) rounds.  A step on a
-    NaN entry, or whose result is not finite, is replayed on Interval
-    objects, which raise NonFiniteOperand exactly where interval arithmetic
-    would."""
-    mul_down, mul_up = iv._mul_down, iv._mul_up
-    add_down, add_up = iv._add_down, iv._add_up
-    for m, row in zip(mult, rows):
-        if m == 0.0:
-            continue
-        if m != m:
-            Interval.point(m)  # raises: an interval endpoint may not be NaN
-        for j, a in enumerate(row):
-            if a != 0.0:
-                if a == a:
-                    pl, ph = mul_down(m, a), mul_up(m, a)
-                    l, h = add_down(lo[j], -ph), add_up(hi[j], -pl)
-                    if -_INF < l and h < _INF:
-                        lo[j], hi[j] = l, h
-                        continue
-                r = iv.sub(Interval(lo[j], hi[j]), iv.mul(Interval.point(m), Interval.point(a)))
-                lo[j], hi[j] = r.lo, r.hi
 
 
 def _inputs_digest(p: LpProblem, d: DualSolution) -> str:

@@ -335,6 +335,15 @@ def test_plan_dump(capsys):
     _, body = cli.parse_report(out)
     instructions = [v for k, v in body if k == "instruction"]
     assert instructions == ["t0 = load x0", "t1 = const 1", "t2 = atan t0, t1"]
+    # every node kind, and x0*x1 shared by sqrt and atan: one slot each
+    code, out, _ = run(["plan-dump", "--expr", "sqrt(x0*x1 + 2) - atan(x0*x1, pow(x1, 3)) / 0.5",
+                        "--arity", "2"], capsys)
+    assert code == 0
+    _, body = cli.parse_report(out)
+    assert [v for k, v in body if k == "instruction"] == [
+        "t0 = load x0", "t1 = load x1", "t2 = mul t0, t1", "t3 = const 2",
+        "t4 = add t2, t3", "t5 = sqrt t4", "t6 = pow t1, 3", "t7 = atan t2, t6",
+        "t8 = const 0.5", "t9 = div t7, t8", "t10 = sub t5, t9"]
 
 
 def digest_line(path: Path) -> str:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import random_expr, reference_evaluate_numeric
 from rigorkit import expr as ex
+from rigorkit import interval as iv
 from rigorkit.errors import CompileError, ParseError, RigorError
 from rigorkit.interval import Interval
 
@@ -75,6 +76,22 @@ def test_plan_shares_subexpressions():
     e = ex.parse("sqrt(x0 + 1) * sqrt(x0 + 1)", 1)
     ev = ex.Evaluator(e, 1)
     assert sum("sqrt" in line for line in ev.plan_lines()) == 1
+
+
+def test_plan_calls_the_kernels_bound_when_it_compiles(monkeypatch):
+    # perfbench/trace.py counts interval kernel calls by rebinding the
+    # functions of rigorkit.interval after import; a plan that held the
+    # kernels bound at import would bypass the counting wrappers.
+    calls = []
+    mul = iv.mul
+
+    def counting_mul(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(iv, "mul", counting_mul)
+    ex.Evaluator(ex.parse("x0*x1", 2), 2).germ([I(1, 2), I(3, 4)])
+    assert calls
 
 
 @settings(max_examples=60, deadline=None)
