@@ -210,6 +210,8 @@ def default_test_points(p: AssemblyProblem, seed: int = 0,
                         n_random: int = 16) -> list[list[tuple[float, ...]]]:
     """Corners of each domain box, plus the center, plus seeded uniform
     random points.  The seed is recorded in fitted certificates."""
+    if n_random < 0:
+        raise ValueError("n_random must be >= 0")
     out = []
     for dom in p.domains:
         rng = random.Random(f"{seed}:{dom.id}")

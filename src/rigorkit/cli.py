@@ -249,9 +249,8 @@ def _cmd_branch(args) -> int:
 
 
 def _cmd_graphs(args) -> int:
-    prune = gg.compile_prune_spec(args.prune) if args.prune else gg._accept_all
-    cfg = gg.GeneratorConfig(n_max=args.max_vertices, prune=prune,
-                             max_states=args.max_states)
+    cfg = gg.GeneratorConfig(n_max=args.max_vertices, max_states=args.max_states,
+                             prune=gg.compile_prune_spec(args.prune))
     outdir = Path(args.out) if args.out else None
     if outdir:
         outdir.mkdir(parents=True, exist_ok=True)   # an unusable --out fails first
@@ -261,29 +260,29 @@ def _cmd_graphs(args) -> int:
     body = [("complete", str(result.complete)),
             ("classes", str(len(result.terminals))),
             ("states_explored", str(result.states_explored))]
-    for i, rec in enumerate(result.terminals):
-        body.append(("class", rec.canonical))
+    for i, term in enumerate(result.terminals):
+        body.append(("class", term.canonical))
         if outdir:
             fname = outdir / f"graph_{i:04d}.txt"
-            fname.write_text(_terminal_file(rec))
+            fname.write_text(_terminal_file(term))
             body.append(("class_file", str(fname)))
     _report(args, (),
-            (("max_vertices", str(args.max_vertices)), ("prune", args.prune or ""),
+            (("max_vertices", str(args.max_vertices)), ("prune", args.prune),
              ("max_states", str(args.max_states)), ("seed", str(args.seed))),
             body, wall)
     return EXIT_OK if result.complete else EXIT_NEGATIVE
 
 
-def _terminal_file(rec: gg.TerminalRecord) -> str:
-    g = rec.graph
+def _terminal_file(term: gg.TerminalRecord) -> str:
+    g = term.graph
     lines = [f"vertices {g.n_vertices}"]
     for u, nbrs in enumerate(g.rot):
         lines.append(f"rot {u} " + " ".join(map(str, nbrs)))
     for f in g.faces():
         lines.append("face " + " ".join(f"{a}-{b}" for a, b in f))
-    lines.append(f"canonical {rec.canonical}")
-    path_parts = [str(rec.path[0])]
-    for step in rec.path[1:]:
+    lines.append(f"canonical {term.canonical}")
+    path_parts = [str(term.path[0])]
+    for step in term.path[1:]:
         path_parts.append(
             "keep=" + ",".join(map(str, step.keep))
             + ";new=" + ",".join(map(str, step.news)))

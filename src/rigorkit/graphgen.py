@@ -10,13 +10,18 @@ on every constructed graph.
 Each face carries an attribute: Modifiable (still under construction) or
 Unmodifiable (committed).  A refinement step fixes, per graph, the
 lexicographically least modifiable face P and its least edge, then
-inserts every admissible polygon Q through that edge: Q's vertices are
-vertices of P or new interior vertices, Q shares the fixed edge, the
-inserted Q becomes Unmodifiable and the remaining pieces of P become
-Modifiable.  The P = Q case just flips the attribute.  Fixing the face
-and edge loses no terminal classes, and every graph whose largest face
-has k edges is reached from the k-gon seed, so seeds honour the
-largest-initial-polygon rule via a cheap terminal filter.
+inserts every admissible polygon Q through that edge.  Q keeps the
+edge's two ends and any further vertices of P, and puts a run of new
+interior vertices (perhaps none) in each gap after a kept vertex; a gap
+crossed directly reuses P's edge or adds a chord not there yet.  In the
+child, Q is the face that holds P's least dart; it becomes Unmodifiable
+and the remaining pieces of P become Modifiable.  The P = Q case just
+flips the attribute.  Fixing the face and edge loses no terminal
+classes, and every graph whose largest face has k edges is reached from
+the k-gon seed, so seeds honour the largest-initial-polygon rule via a
+cheap terminal filter.  A prune predicate (compile_prune_spec) sees each
+candidate: face-size caps combine by min, a later max-degree or
+max-faces replaces an earlier one.
 
 Generation deduplicates at every level with a canonical form that is
 invariant under embedding-preserving isomorphism and includes the face
@@ -29,6 +34,7 @@ that are not isomorphic can share one (see _face_flags).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, product
 from typing import Callable, Optional, Sequence
 
 __all__ = [
@@ -212,49 +218,18 @@ def _enumerate_steps(g: DecoratedGraph, budget: int) -> list[RefinementStep]:
     k = len(face)
     bverts = [d[0] for d in face]
     steps = []
-
-    def gaps_of(keep: tuple[int, ...]) -> list[tuple[int, int]]:
-        # vertex-index pairs (a, b) for each gap: after keep[1], ..., closing
-        out = []
-        for t in range(1, len(keep)):
-            out.append((keep[t], keep[(t + 1) % len(keep)] if t + 1 < len(keep) else keep[0]))
-        return out
-
-    def chord_ok(a_idx: int, b_idx: int) -> bool:
-        # a gap crossed directly: adjacent boundary positions reuse the
-        # existing edge; otherwise a new chord must not already exist
-        if (a_idx + 1) % k == b_idx:
-            return True
-        return not g.has_edge(bverts[a_idx], bverts[b_idx])
-
-    # choose keep = (0, 1, then any subset of 2..k-1)
-    rest = list(range(2, k))
-    for mask in range(1 << len(rest)):
-        keep = [0, 1] + [rest[i] for i in range(len(rest)) if (mask >> i) & 1]
-        gaps = gaps_of(tuple(keep))
-        # distribute new vertices: news[t] >= 0 per gap, sum <= budget
-        def rec(t: int, remaining: int, news: list[int]):
-            if t == len(gaps):
-                kt = tuple(keep)
-                nt = tuple(news)
-                if len(keep) == k and sum(news) == 0:
-                    steps.append(RefinementStep(kt, nt))  # P = Q flip
-                    return
-                if len(keep) + sum(news) < 3:
-                    return  # Q must be a simple polygon
-                ok = True
-                for (a, b), j in zip(gaps, news):
-                    if j == 0 and not chord_ok(a, b):
-                        ok = False
-                        break
-                if ok:
-                    steps.append(RefinementStep(kt, nt))
-                return
-            for j in range(remaining + 1):
-                news.append(j)
-                rec(t + 1, remaining - j, news)
-                news.pop()
-        rec(0, budget, [])
+    for size in range(k - 1):
+        for rest in combinations(range(2, k), size):
+            keep = (0, 1, *rest)
+            # the gap after keep[t], t >= 1, ends at the next kept vertex
+            gaps = list(zip(keep[1:], keep[2:] + (0,)))
+            for news in product(range(budget + 1), repeat=len(gaps)):
+                # Q has >= 3 vertices, and a gap crossed directly reuses P's
+                # edge or adds a chord not there yet; the P = Q flip passes
+                if sum(news) <= budget and len(keep) + sum(news) >= 3 and all(
+                        j or (a + 1) % k == b or not g.has_edge(bverts[a], bverts[b])
+                        for (a, b), j in zip(gaps, news)):
+                    steps.append(RefinementStep(keep, news))
     steps.sort(key=lambda s: (len(s.keep), s.keep, s.news))
     return steps
 
@@ -269,32 +244,19 @@ def apply_step(g: DecoratedGraph, step: RefinementStep) -> DecoratedGraph:
         raise ValueError(f"malformed step {step}")
     if len(step.news) != len(keep) - 1:
         raise ValueError(f"step has {len(step.news)} gaps, expected {len(keep) - 1}")
-
-    old_faces = set(g._faces)
     if len(keep) == k and sum(step.news) == 0:
         # attribute flip
         return g._with_modifiable(g.modifiable_faces - {face})
 
-    nv = g.n_vertices
-    rot = [list(nbrs) for nbrs in g.rot]
-
-    # Build Q's vertex cycle: kept boundary vertices with new-vertex runs
-    # in each gap, consistent with P's boundary orientation.
-    qcycle: list[int] = [bverts[0], bverts[1]]
-    new_ids: list[int] = []
-    next_id = nv
-    for t in range(1, len(keep)):
-        for _ in range(step.news[t - 1]):
-            qcycle.append(next_id)
-            new_ids.append(next_id)
-            next_id += 1
-        if t + 1 < len(keep):
-            qcycle.append(bverts[keep[t + 1]])
-    # trailing run of the closing gap was appended above when t+1 == len(keep)
+    # Q's vertex cycle in P's orientation: each kept vertex, then its gap's
+    # run of new vertices
+    nv = next_id = g.n_vertices
+    qcycle = [bverts[0]]
+    for i, j in zip(keep[1:], step.news):
+        qcycle += [bverts[i], *range(next_id, next_id + j)]
+        next_id += j
     m = len(qcycle)
-
-    for v in new_ids:
-        rot.append([])
+    rot = [list(nbrs) for nbrs in g.rot]
 
     succ = {bverts[i]: bverts[(i + 1) % k] for i in range(k)}
     pred = {bverts[i]: bverts[(i - 1) % k] for i in range(k)}
@@ -302,44 +264,28 @@ def apply_step(g: DecoratedGraph, step: RefinementStep) -> DecoratedGraph:
     for t, vert in enumerate(qcycle):
         qprev = qcycle[(t - 1) % m]
         qnext = qcycle[(t + 1) % m]
-        if vert >= nv:
-            rot[vert] = [qprev, qnext]
+        if vert >= nv:  # new vertices come in id order
+            rot.append([qprev, qnext])
             continue
-        inserts = []
-        if qnext != succ[vert]:
-            inserts.append(qnext)
-        if qprev != pred[vert]:
-            inserts.append(qprev)
-        if not inserts:
-            continue
+        # Q's edges that are not P's go in just after P's pred at vert
         at = rot[vert].index(pred[vert])
-        rot[vert][at:at] = inserts
+        rot[vert][at:at] = [w for w, p_nbr in ((qnext, succ[vert]), (qprev, pred[vert]))
+                            if w != p_nbr]
 
     child = DecoratedGraph(tuple(tuple(nbrs) for nbrs in rot), frozenset())
-    new_faces = child._faces
-    q_key = None
-    qset = set(qcycle)
-    for f in new_faces:
-        fverts = [d[0] for d in f]
-        if len(fverts) == m and set(fverts) == qset and f not in old_faces:
-            q_key = f
-            break
-    if q_key is None:
-        raise AssertionError(f"inserted polygon not found as a face ({step})")
-    survivors = set(new_faces)
-    kept_unmod = {f for f in old_faces - g.modifiable_faces}
+    # Q is the child's face on the fixed edge's side of P
+    q_key = next(f for f in child._faces if face[0] in f)
+    if q_key != _canon_cycle(list(zip(qcycle, qcycle[1:] + qcycle[:1]))):
+        raise AssertionError(f"inserted polygon is not the face on the fixed edge ({step})")
+    survivors = set(child._faces)
+    kept_unmod = set(g._faces) - g.modifiable_faces
     if not kept_unmod <= survivors:
         raise AssertionError("refinement disturbed an unmodifiable face")
-    modifiable = survivors - kept_unmod - {q_key}
-    return child._with_modifiable(frozenset(modifiable))
+    return child._with_modifiable(frozenset(survivors - kept_unmod - {q_key}))
 
 
 def refinements_with_steps(g: DecoratedGraph, n_max: int) -> list[tuple[RefinementStep, DecoratedGraph]]:
-    budget = n_max - g.n_vertices
-    out = []
-    for step in _enumerate_steps(g, budget):
-        out.append((step, apply_step(g, step)))
-    return out
+    return [(step, apply_step(g, step)) for step in _enumerate_steps(g, n_max - g.n_vertices)]
 
 
 def replay_path(path: Sequence) -> DecoratedGraph:
@@ -470,6 +416,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n_max < 3:
             raise ValueError("N must be >= 3")
+        if self.max_states < 1:
+            raise ValueError("max_states must be >= 1")
 
 
 @dataclass(frozen=True, slots=True)
@@ -541,29 +489,31 @@ def compile_prune_spec(spec: str) -> Callable[[DecoratedGraph], bool]:
       max-degree=K       vertex degrees stay <= K
       max-faces=K        total face count stays <= K
 
+    Empty clauses are skipped, so the empty spec accepts every graph.
+    Face-size caps combine by min (all-triangles counts as
+    max-face-size=3); a later max-degree or max-faces replaces an earlier
+    one.  An unknown clause or a bad integer raises ValueError.
+
     All clauses are monotone along refinement paths (a violating graph
     has no clean descendants), so pruning mid-generation is safe.
     """
-    max_face: Optional[int] = None
-    max_degree: Optional[int] = None
-    max_faces: Optional[int] = None
+    caps: dict[str, int] = {}
     triangulation = False
     for clause in spec.split(","):
         clause = clause.strip()
-        if not clause:
-            continue
+        name, eq, value = clause.partition("=")
         if clause == "all-triangles":
             triangulation = True
-            max_face = 3 if max_face is None else min(max_face, 3)
-        elif clause.startswith("max-face-size="):
-            max_face_val = int(clause.split("=", 1)[1])
-            max_face = max_face_val if max_face is None else min(max_face, max_face_val)
-        elif clause.startswith("max-degree="):
-            max_degree = int(clause.split("=", 1)[1])
-        elif clause.startswith("max-faces="):
-            max_faces = int(clause.split("=", 1)[1])
-        else:
+            name, value = "max-face-size", "3"
+        elif not clause:
+            continue
+        elif not eq or name not in ("max-face-size", "max-degree", "max-faces"):
             raise ValueError(f"unknown prune clause {clause!r}")
+        cap = int(value)
+        caps[name] = min(cap, caps.get(name, cap)) if name == "max-face-size" else cap
+    max_face = caps.get("max-face-size")
+    max_degree = caps.get("max-degree")
+    max_faces = caps.get("max-faces")
 
     def predicate(g: DecoratedGraph) -> bool:
         if max_face is not None:

@@ -66,6 +66,8 @@ class ProverConfig:
     def __post_init__(self):
         if self.max_cells < 1:
             raise ValueError("max_cells must be >= 1")
+        if self.max_depth < 0:
+            raise ValueError("max_depth must be >= 0")
         if not (self.min_width > 0.0):
             raise ValueError("min_width must be > 0")
 

@@ -4,7 +4,8 @@ Everything here is deliberately separate from the library's own code
 paths: LP optima proved exact in rationals (from the float solver's basis,
 else by an exact rational simplex), dense numpy grid search
 for function maxima and assembly feasibility, a rotation-system brute
-force for small sphere graphs, mpmath for high-precision scalar
+force for small sphere graphs, the refinement step enumerator as first
+written, mpmath for high-precision scalar
 references, and directed-rounding kernels that decide every rounding by
 exact integer ratios.  None of it is shipped.
 """
@@ -554,6 +555,67 @@ def reference_linked_sweep(spec: geom.DistanceSpec) -> geom.CheckResult:
                             reason="every cell of the cable/strut-bound sweep violates "
                                    "a distance bound or the linking test (verdict is "
                                    "relative to the pivot binding)")
+
+
+# ---------------------------------------------------------------------------
+# Refinement steps as first written
+# ---------------------------------------------------------------------------
+
+def reference_enumerate_steps(g, budget: int) -> list:
+    """graphgen._enumerate_steps as it was first written (a subset bitmask
+    and a recursive gap distribution): the admissible steps through the
+    fixed face and edge, in the order generate() pushes their children."""
+    from rigorkit import graphgen as gg
+
+    face = gg._fixed_face_and_edge(g)
+    k = len(face)
+    bverts = [d[0] for d in face]
+    steps = []
+
+    def gaps_of(keep: tuple[int, ...]) -> list[tuple[int, int]]:
+        # vertex-index pairs (a, b) for each gap: after keep[1], ..., closing
+        out = []
+        for t in range(1, len(keep)):
+            out.append((keep[t], keep[(t + 1) % len(keep)] if t + 1 < len(keep) else keep[0]))
+        return out
+
+    def chord_ok(a_idx: int, b_idx: int) -> bool:
+        # a gap crossed directly: adjacent boundary positions reuse the
+        # existing edge; otherwise a new chord must not already exist
+        if (a_idx + 1) % k == b_idx:
+            return True
+        return not g.has_edge(bverts[a_idx], bverts[b_idx])
+
+    # choose keep = (0, 1, then any subset of 2..k-1)
+    rest = list(range(2, k))
+    for mask in range(1 << len(rest)):
+        keep = [0, 1] + [rest[i] for i in range(len(rest)) if (mask >> i) & 1]
+        gaps = gaps_of(tuple(keep))
+        # distribute new vertices: news[t] >= 0 per gap, sum <= budget
+        def rec(t: int, remaining: int, news: list[int]):
+            if t == len(gaps):
+                kt = tuple(keep)
+                nt = tuple(news)
+                if len(keep) == k and sum(news) == 0:
+                    steps.append(gg.RefinementStep(kt, nt))  # P = Q flip
+                    return
+                if len(keep) + sum(news) < 3:
+                    return  # Q must be a simple polygon
+                ok = True
+                for (a, b), j in zip(gaps, news):
+                    if j == 0 and not chord_ok(a, b):
+                        ok = False
+                        break
+                if ok:
+                    steps.append(gg.RefinementStep(kt, nt))
+                return
+            for j in range(remaining + 1):
+                news.append(j)
+                rec(t + 1, remaining - j, news)
+                news.pop()
+        rec(0, budget, [])
+    steps.sort(key=lambda s: (len(s.keep), s.keep, s.news))
+    return steps
 
 
 # ---------------------------------------------------------------------------

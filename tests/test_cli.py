@@ -290,6 +290,21 @@ def test_unusable_paths_exit_two(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "internal" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["prove", "--task", str(PROBLEMS / "six_squares.ineq"), "--max-depth", "-1"],
+     "max_depth must be >= 0"),
+    (["graphs", "--max-vertices", "5", "--max-states", "0"], "max_states must be >= 1"),
+    (["graphs", "--max-vertices", "5", "--max-states", "-1"], "max_states must be >= 1"),
+    (["assemble", "fit", "--problem", str(PROBLEMS / "toy_duality.asm"),
+      "--bound", "1.0", "--guess", "1.0", "--test-points", "-3"],
+     "n_random must be >= 0"),
+])
+def test_out_of_range_budgets_exit_two(capsys, argv, message):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and not out
+    assert err == f"error: {message}\n"
+
+
 def test_graphs_all_triangles_single_file(tmp_path, capsys):
     outdir = tmp_path / "classes"
     code, out, _ = run(["graphs", "--max-vertices", "4",

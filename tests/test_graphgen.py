@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from oracles import brute_force_sphere_classes, reference_canonical_form
+from oracles import (brute_force_sphere_classes, reference_canonical_form,
+                     reference_enumerate_steps)
 from rigorkit import graphgen as gg
 
 # Frozen 11-step derivation from the square seed to the graph dual to the
@@ -248,8 +249,67 @@ def test_euler_holds_for_every_enqueued_graph():
 
 
 def test_prune_spec_errors():
-    with pytest.raises(ValueError):
-        gg.compile_prune_spec("frobnicate=3")
+    for spec, message in [
+            ("max-degree", "unknown prune clause 'max-degree'"),
+            ("all-triangles=3", "unknown prune clause 'all-triangles=3'"),
+            ("max-face-size=x", "invalid literal for int() with base 10: 'x'"),
+            ("frobnicate=3", "unknown prune clause 'frobnicate=3'")]:
+        with pytest.raises(ValueError) as info:
+            gg.compile_prune_spec(spec)
+        assert str(info.value) == message
+
+
+def wheel(spokes: int) -> gg.DecoratedGraph:
+    """Hub 0 joined to the rim cycle 1..spokes: the hub has degree spokes."""
+    rot = [tuple(range(1, spokes + 1))]
+    for i in range(1, spokes + 1):
+        rot.append((0, i - 1 if i > 1 else spokes, i % spokes + 1))
+    return gg.DecoratedGraph(tuple(rot), frozenset())
+
+
+def test_prune_spec_combining_rules():
+    # seed_graph(k) commits its outer k-gon and leaves the inner one open
+    def accepts(spec, *graphs):
+        predicate = gg.compile_prune_spec(spec)
+        return [predicate(g) for g in graphs]
+
+    seeds = [gg.seed_graph(k) for k in (3, 4, 5)]
+    # face-size caps combine by min, in either order
+    assert accepts("all-triangles,max-face-size=5", *seeds) == [True, False, False]
+    assert accepts("max-face-size=5,all-triangles", *seeds) == [True, False, False]
+    assert accepts("max-face-size=5,max-face-size=4", *seeds) == [True, True, False]
+    assert accepts("max-face-size=4,max-face-size=5", *seeds) == [True, True, False]
+    # a later max-degree or max-faces replaces an earlier one
+    assert accepts("max-degree=3,max-degree=5", wheel(5), wheel(6)) == [True, False]
+    assert accepts("max-degree=5,max-degree=3", wheel(5)) == [False]
+    assert accepts("max-faces=5,max-faces=6", wheel(5), wheel(6)) == [True, False]
+    assert accepts("max-faces=6,max-faces=5", wheel(5)) == [False]
+    # empty clauses are skipped; the empty spec accepts everything
+    assert accepts(" ,max-face-size=4,, ", *seeds) == [True, True, False]
+    assert accepts("", *seeds, wheel(6)) == [True] * 4
+    # all-triangles also asks terminal graphs for minimum degree 3
+    flat = gg.DecoratedGraph(seeds[0].rot, frozenset())
+    assert accepts("all-triangles", flat, wheel(3)) == [False, True]
+    assert accepts("max-face-size=3", flat) == [True]
+
+
+@pytest.mark.parametrize("n_max, spec", [
+    (6, ""), (7, "max-faces=8,max-degree=5"), (8, "all-triangles")])
+def test_steps_match_reference_order(monkeypatch, n_max, spec):
+    # every state generate() refines gets the reference's steps, in order
+    original = gg.refinements_with_steps
+    refined = []
+
+    def recording(g, n):
+        out = original(g, n)
+        refined.append((g, [step for step, _child in out]))
+        return out
+
+    monkeypatch.setattr(gg, "refinements_with_steps", recording)
+    gg.generate(gg.GeneratorConfig(n_max=n_max, prune=gg.compile_prune_spec(spec)))
+    assert refined
+    for g, steps in refined:
+        assert steps == reference_enumerate_steps(g, n_max - g.n_vertices)
 
 
 def test_cuboctahedron_eleven_step_derivation():
