@@ -2,21 +2,23 @@
 
 The primal form is
 
-    max c.x   subject to   Aeq x = beq,  Aineq x <= bineq,  x free,
+    max c.x   subject to   Aeq x = beq,  Aineq x <= bineq,  lo <= x <= hi,
 
-where every variable additionally has finite lower/upper bounds whose
-rows are part of Aineq (this keeps both the primal and the dual feasible
-and bounded for the problems we care about).
+with finite bounds (this keeps both the primal and the dual feasible and
+bounded for the problems we care about), kept only in `var_bounds`.  z
+lists the Aineq rows' multipliers, then those of x_j <= hi_j and
+-x_j <= -lo_j for each j: A and b below are Aineq and bineq with these
+2n bound rows appended.
 
 `certify_upper_bound` turns *any* approximate dual vector (y free,
 z >= 0) into a rigorous bound: the residual row vector
 
-    delta = c - y Aeq - z Aineq
+    delta = c - y Aeq - z A
 
 is computed in interval arithmetic, |delta . x| is bounded over the
 variable box by D, and
 
-    c.x <= D + y.beq + z.bineq
+    c.x <= D + y.beq + z.b
 
 holds for every feasible x no matter how bad the dual approximation was.
 A bad dual just yields a loose bound.
@@ -62,9 +64,9 @@ Vector = tuple[float, ...]
 
 @dataclass(frozen=True, slots=True)
 class LpProblem:
-    """Immutable LP data.  `aineq` includes the 2n variable-bound rows;
-    `n_core_ineq` is the number of rows that precede them (used only by
-    the serializer so files do not duplicate bound rows)."""
+    """Immutable LP data.  `aineq` holds the explicit rows only; the
+    variable bounds are `var_bounds`.  `m_ineq` is the length of z: the
+    rows plus two bound multipliers per variable."""
 
     aeq: Matrix
     beq: Vector
@@ -72,7 +74,6 @@ class LpProblem:
     bineq: Vector
     c: Vector
     var_bounds: tuple[Interval, ...]
-    n_core_ineq: int
 
     @property
     def n(self) -> int:
@@ -84,7 +85,12 @@ class LpProblem:
 
     @property
     def m_ineq(self) -> int:
-        return len(self.bineq)
+        return len(self.bineq) + 2 * self.n
+
+
+def _bound_rhs(p: LpProblem) -> Vector:
+    """hi_j, -lo_j for each j: the bound rows' right-hand sides."""
+    return tuple(chain.from_iterable((b.hi, -b.lo) for b in p.var_bounds))
 
 
 def make_problem(c: Sequence[float],
@@ -93,8 +99,8 @@ def make_problem(c: Sequence[float],
                  bineq: Sequence[float] = (),
                  aeq: Sequence[Sequence[float]] = (),
                  beq: Sequence[float] = ()) -> LpProblem:
-    """Build an LpProblem, appending the variable-bound rows
-    x_i <= ub_i and -x_i <= -lb_i to the inequality block."""
+    """Build an LpProblem from float-convertible data, checking shapes
+    and that every bound is finite."""
     n = len(c)
     bounds = tuple(var_bounds)
     if len(bounds) != n:
@@ -113,23 +119,8 @@ def make_problem(c: Sequence[float],
     for row in rows + erows:
         if len(row) != n:
             raise ValueError("constraint row length must match objective length")
-    n_core = len(rows)
-    for i, b in enumerate(bounds):
-        upper = [0.0] * n
-        upper[i] = 1.0
-        rows.append(tuple(upper))
-        rhs.append(b.hi)
-        lower = [0.0] * n
-        lower[i] = -1.0
-        rows.append(tuple(lower))
-        rhs.append(-b.lo)
-    return LpProblem(
-        aeq=tuple(erows), beq=tuple(erhs),
-        aineq=tuple(rows), bineq=tuple(rhs),
-        c=tuple(float(v) for v in c),
-        var_bounds=bounds,
-        n_core_ineq=n_core,
-    )
+    return LpProblem(aeq=tuple(erows), beq=tuple(erhs), aineq=tuple(rows), bineq=tuple(rhs),
+                     c=tuple(float(v) for v in c), var_bounds=bounds)
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,12 +167,18 @@ def certify_upper_bound(p: LpProblem, d: DualSolution) -> BoundCertificate:
         if v < 0.0:
             raise ValueError("z must be componentwise nonnegative; clamp_dual first")
 
-    # delta = c - y Aeq - z Aineq, on endpoint lists, each nonzero rounded
-    # as the sub(delta_j, mul(point, point)) of interval arithmetic.
+    # delta = c - y Aeq - z A, on endpoint lists, each nonzero rounded as
+    # the sub(delta_j, mul(point, point)) of interval arithmetic.  x_j's
+    # bound rows touch delta_j alone, so they run on that one entry.
     lo = [Interval.point(v).lo for v in p.c]  # a NaN raises here, as before
     hi = list(lo)
     iv.subtract_products(lo, hi, d.y, p.aeq)
     iv.subtract_products(lo, hi, d.z, p.aineq)
+    z_bounds = d.z[len(p.bineq):]
+    for j in range(p.n):
+        lo_j, hi_j = [lo[j]], [hi[j]]
+        iv.subtract_products(lo_j, hi_j, z_bounds[2 * j:2 * j + 2], ((1.0,), (-1.0,)))
+        lo[j], hi[j] = lo_j[0], hi_j[0]
     delta = [Interval(a, b) for a, b in zip(lo, hi)]
 
     # D = sum_j sup(|delta_j| * max(|lo_j|, |hi_j|))
@@ -190,29 +187,20 @@ def certify_upper_bound(p: LpProblem, d: DualSolution) -> BoundCertificate:
         d_total = iv.add(d_total, iv.mul(Interval.point(dj.mag), Interval.point(b.mag)))
 
     bound_total = d_total
-    for i, yi in enumerate(d.y):
-        bound_total = iv.add(bound_total, iv.mul(Interval.point(yi), Interval.point(p.beq[i])))
-    for i, zi in enumerate(d.z):
-        bound_total = iv.add(bound_total, iv.mul(Interval.point(zi), Interval.point(p.bineq[i])))
-
-    digest = _inputs_digest(p, d)
-    return BoundCertificate(
-        bound=bound_total.hi,
-        delta_bound=d_total.hi,
-        residual=tuple(delta),
-        inputs_digest=digest,
-    )
+    for mi, bi in zip(d.y + d.z, p.beq + p.bineq + _bound_rhs(p)):
+        bound_total = iv.add(bound_total, iv.mul(Interval.point(mi), Interval.point(bi)))
+    return BoundCertificate(bound=bound_total.hi, delta_bound=d_total.hi,
+                            residual=tuple(delta), inputs_digest=_inputs_digest(p, d))
 
 
 def _inputs_digest(p: LpProblem, d: DualSolution) -> str:
-    """SHA-256 of the dimensions (n, m_eq, core inequality rows, m_ineq) as
-    little-endian int64, then as little-endian binary64 c, Aeq, beq, the
-    core Aineq rows and bineq, each variable's bound endpoints, y and z."""
-    core = p.n_core_ineq
-    values = array("d", chain(p.c, *p.aeq, p.beq, *p.aineq[:core], p.bineq[:core],
+    """SHA-256 of the dimensions (n, m_eq, Aineq rows, m_ineq) as
+    little-endian int64, then as little-endian binary64 c, Aeq, beq, Aineq,
+    bineq, each variable's bound endpoints, y and z."""
+    values = array("d", chain(p.c, *p.aeq, p.beq, *p.aineq, p.bineq,
                               chain.from_iterable((b.lo, b.hi) for b in p.var_bounds),
                               d.y, d.z))
-    dims = array("q", (p.n, p.m_eq, core, p.m_ineq))
+    dims = array("q", (p.n, p.m_eq, len(p.bineq), p.m_ineq))
     if sys.byteorder == "big":
         dims.byteswap()
         values.byteswap()
@@ -222,8 +210,10 @@ def _inputs_digest(p: LpProblem, d: DualSolution) -> str:
 def augment_with_t(p: LpProblem, k: float) -> LpProblem:
     """K-t augmentation: add a variable t with objective weight K, column
     bineq on the inequality block (and beq on the equality block), and
-    bounds 0 <= t <= 1.  The result is feasible at (x=0, t=1) provided 0
-    lies within every variable's bounds, which is validated here.
+    bounds 0 <= t <= 1.  x's bounds, scaled by 1 - t, become rows after
+    the given ones; its box stays, redundant as 0 lies in it, so z grows
+    by 2n + 2.  The result is feasible at (x=0, t=1) provided 0 lies
+    within every variable's bounds, which is validated here.
 
     If the original optimum M exceeds K, the augmented optimum is still M
     and is attained with t = 0."""
@@ -233,25 +223,15 @@ def augment_with_t(p: LpProblem, k: float) -> LpProblem:
                 f"variable x{i} bounds [{b.lo}, {b.hi}] exclude 0; translate "
                 "variables before augmenting"
             )
-    rows = [row + (p.bineq[i],) for i, row in enumerate(p.aineq)]
-    rhs = list(p.bineq)
-    n_core = len(rows)
-    t_col = p.n
-    upper = [0.0] * (p.n + 1)
-    upper[t_col] = 1.0
-    rows.append(tuple(upper))
-    rhs.append(1.0)
-    lower = [0.0] * (p.n + 1)
-    lower[t_col] = -1.0
-    rows.append(tuple(lower))
-    rhs.append(0.0)
-    erows = tuple(row + (p.beq[i],) for i, row in enumerate(p.aeq))
+    bound_rows = (tuple(s if i == j else 0.0 for i in range(p.n))
+                  for j in range(p.n) for s in (1.0, -1.0))
+    rhs = p.bineq + _bound_rhs(p)
     return LpProblem(
-        aeq=erows, beq=p.beq,
-        aineq=tuple(rows), bineq=tuple(rhs),
+        aeq=tuple(row + (b,) for row, b in zip(p.aeq, p.beq)), beq=p.beq,
+        aineq=tuple(row + (b,) for row, b in zip(chain(p.aineq, bound_rows), rhs)),
+        bineq=rhs,
         c=p.c + (float(k),),
         var_bounds=p.var_bounds + (Interval(0.0, 1.0),),
-        n_core_ineq=n_core,
     )
 
 
@@ -265,8 +245,10 @@ def solve_approx(p: LpProblem) -> tuple[Vector, tuple[Vector, Vector], float]:
     import numpy as np
     from scipy.optimize import linprog
 
-    a_ub = np.array(p.aineq, dtype=float) if p.m_ineq else None
-    b_ub = np.array(p.bineq, dtype=float) if p.m_ineq else None
+    # HiGHS gets the bounds as rows, so that ineqlin carries their duals
+    a_ub = np.vstack([np.array(p.aineq, dtype=float).reshape(len(p.aineq), p.n),
+                      np.kron(np.eye(p.n), [[1.0], [-1.0]])]) if p.m_ineq else None
+    b_ub = np.array(p.bineq + _bound_rhs(p), dtype=float) if p.m_ineq else None
     a_eq = np.array(p.aeq, dtype=float) if p.m_eq else None
     b_eq = np.array(p.beq, dtype=float) if p.m_eq else None
     res = linprog(
@@ -287,9 +269,9 @@ def solve_approx(p: LpProblem) -> tuple[Vector, tuple[Vector, Vector], float]:
 # ---------------------------------------------------------------------------
 #
 # Problem file, in the record syntax of records.py: `vars N`, then sparse
-# entries `obj j v`, `eq r j v` / `ineq r j v` (row r, column j; core
-# inequality rows only), `eq_rhs r v` / `ineq_rhs r v`, and one `bound j
-# lo..hi` per variable.  Bound rows are appended on load.
+# entries `obj j v`, `eq r j v` / `ineq r j v` (row r, column j),
+# `eq_rhs r v` / `ineq_rhs r v`, and one `bound j lo..hi` per variable.
+# Bounds stay bounds, so a problem read back equals the one written.
 
 def problem_to_text(p: LpProblem) -> str:
     lines = ["lp-problem v1", f"vars {p.n}"]
@@ -302,12 +284,12 @@ def problem_to_text(p: LpProblem) -> str:
                 lines.append(f"eq {r} {j} {v!r}")
     for r, v in enumerate(p.beq):
         lines.append(f"eq_rhs {r} {v!r}")
-    for r in range(p.n_core_ineq):
-        for j, v in enumerate(p.aineq[r]):
+    for r, row in enumerate(p.aineq):
+        for j, v in enumerate(row):
             if v != 0.0:
                 lines.append(f"ineq {r} {j} {v!r}")
-    for r in range(p.n_core_ineq):
-        lines.append(f"ineq_rhs {r} {p.bineq[r]!r}")
+    for r, v in enumerate(p.bineq):
+        lines.append(f"ineq_rhs {r} {v!r}")
     for j, b in enumerate(p.var_bounds):
         lines.append(f"bound {j} {iv.format_interval_literal(b)}")
     return "\n".join(lines) + "\n"
@@ -354,6 +336,10 @@ def dual_to_text(y: Sequence[float], z: Sequence[float]) -> str:
 
 
 def dual_from_text(text: str) -> tuple[Vector, Vector]:
-    """The y line, then the z line; an empty line is an empty vector."""
+    """The y line, then the z line; an empty line is an empty vector.  Any
+    later line must be blank or a comment."""
     lines = [rec.strip_comment(raw).split() for raw in text.splitlines()] + [[], []]
+    for line, tokens in enumerate(lines[2:], start=3):
+        if tokens:
+            raise rec.line_error(line, "unexpected text after the z line")
     return tuple(tuple(rec.convert(i + 1, rec.decimal, tok) for tok in lines[i]) for i in (0, 1))

@@ -165,6 +165,18 @@ def simplex_max(aineq: Sequence[Sequence[Fraction]],
     return opt, x
 
 
+def inequality_rows(p: LpProblem) -> tuple[list[tuple[float, ...]], list[float]]:
+    """Every inequality of p as an explicit dense row, with right-hand
+    sides: the rows of p.aineq, then x_j <= hi_j and -x_j <= -lo_j for each
+    variable j in turn, the order the dual vector z follows."""
+    rows, rhs = list(p.aineq), list(p.bineq)
+    for j, b in enumerate(p.var_bounds):
+        for sign, bound in ((1.0, b.hi), (-1.0, -b.lo)):
+            rows.append(tuple(sign if i == j else 0.0 for i in range(p.n)))
+            rhs.append(bound)
+    return rows, rhs
+
+
 def exact_lp_optimum(p: LpProblem) -> tuple[Fraction, list[Fraction]]:
     """Exact optimum of an LpProblem whose variables all have lower bound
     exactly 0 (the form our random generators produce).  Redundant
@@ -175,7 +187,7 @@ def exact_lp_optimum(p: LpProblem) -> tuple[Fraction, list[Fraction]]:
             raise ValueError("oracle expects variables with lower bound 0")
     aineq = []
     bineq = []
-    for row, rhs in zip(p.aineq, p.bineq):
+    for row, rhs in zip(*inequality_rows(p)):
         nz = [(j, v) for j, v in enumerate(row) if v != 0.0]
         if len(nz) == 1 and nz[0][1] == -1.0 and rhs == 0.0:
             continue  # -x_j <= 0, implied by the x >= 0 domain
@@ -299,12 +311,14 @@ def _solve(m: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 def reference_certify(p: LpProblem, d: DualSolution
                       ) -> tuple[float, float, tuple[Interval, ...]]:
     """(bound, delta_bound, residual) of lp.certify_upper_bound, computed
-    one interval object at a time: delta = c - y Aeq - z Aineq by iv.sub
-    and iv.mul on point intervals, in row order, then D and the bound.  Any
+    one interval object at a time: delta = c - y Aeq - z A by iv.sub and
+    iv.mul on point intervals, in row order, where A is every inequality as
+    an explicit row (inequality_rows), then D and the bound.  Any
     NonFiniteOperand is raised where that sequence first meets a
     non-finite operand."""
+    rows_ineq, rhs_ineq = inequality_rows(p)
     delta = [Interval.point(v) for v in p.c]
-    for mult, rows in ((d.y, p.aeq), (d.z, p.aineq)):
+    for mult, rows in ((d.y, p.aeq), (d.z, rows_ineq)):
         for yi, row in zip(mult, rows):
             if yi == 0.0:
                 continue
@@ -316,7 +330,7 @@ def reference_certify(p: LpProblem, d: DualSolution
     for dj, b in zip(delta, p.var_bounds):
         d_total = iv.add(d_total, iv.mul(Interval.point(dj.mag), Interval.point(b.mag)))
     total = d_total
-    for mult, rhs in ((d.y, p.beq), (d.z, p.bineq)):
+    for mult, rhs in ((d.y, p.beq), (d.z, rhs_ineq)):
         for yi, b in zip(mult, rhs):
             total = iv.add(total, iv.mul(Interval.point(yi), Interval.point(b)))
     return total.hi, d_total.hi, tuple(delta)

@@ -390,6 +390,16 @@ def test_dual_read_after_no_progress_is_digested(tmp_path, capsys, monkeypatch):
     assert abs(float(dict(body)["bound"]) - 1.0) < 1e-9
 
 
+def test_dual_file_with_a_third_vector_exits_two(tmp_path, capsys):
+    problem = tmp_path / "p.lp"
+    problem.write_text("vars 1\nobj 0 1\nineq 0 0 1\nineq_rhs 0 1\nbound 0 0..2\n")
+    dual = tmp_path / "d.dual"
+    dual.write_text("\n1 0 0\n99 99\n")
+    code, out, err = run(["lp-certify", "--problem", str(problem), "--dual", str(dual)], capsys)
+    assert code == 2 and out == ""
+    assert "line 3: " in err
+
+
 @pytest.mark.parametrize("argv", [
     ["assemble", "fit", "--problem", str(PROBLEMS / "toy_duality.asm"), "--guess", "1.0"],
     ["assemble", "verify", "--problem", str(PROBLEMS / "toy_duality.asm")],

@@ -82,9 +82,11 @@ def test_augment_examples():
     opt5, x5 = exact_lp_optimum(pa5)
     assert opt5 == 5 and x5[-1] == 1 and x5[0] == 0
 
-    # generated problem has rows t <= 1 and t >= 0
-    assert pa.aineq[-2][-1] == 1.0 and pa.bineq[-2] == 1.0
-    assert pa.aineq[-1][-1] == -1.0 and pa.bineq[-1] == 0.0
+    # x's bounds become rows scaled by 1 - t, x + 2t <= 2 and -x - 0t <= -0,
+    # after the given row; t's own 0 <= t <= 1 is a bound
+    assert pa.aineq == ((1.0, 1.0), (1.0, 2.0), (-1.0, -0.0))
+    assert pa.bineq == (1.0, 2.0, -0.0)
+    assert pa.var_bounds[-1] == I(0, 1)
 
     shifted = lp.make_problem([1.0], [I(1, 2)], aineq=[[1.0]], bineq=[1.5])
     with pytest.raises(AugmentationError):
@@ -130,7 +132,8 @@ def test_basis_oracle_agrees_with_the_rational_simplex():
     proved = 0
     for trial in range(60):
         p = random_problem(rng, n_max=10, m_max=10, with_eq=(trial % 3 == 0))
-        args = ([[Fraction(v) for v in row] for row in p.aineq], [Fraction(v) for v in p.bineq],
+        rows, rhs = oracles.inequality_rows(p)
+        args = ([[Fraction(v) for v in row] for row in rows], [Fraction(v) for v in rhs],
                 [[Fraction(v) for v in row] for row in p.aeq], [Fraction(v) for v in p.beq],
                 [Fraction(v) for v in p.c])
         got = oracles.basis_optimum(*args)
@@ -156,6 +159,21 @@ def test_problem_file_round_trip():
     assert parsed.c[0] == 0.1
 
 
+def test_augmented_problem_file_round_trip():
+    # bound rows are never written as rows, so an augmented problem read
+    # back keeps its own z layout and certifies with its own dual
+    rng = random.Random(1414)
+    for p in (toy_max_x(), random_problem(rng, n_max=6, m_max=6, with_eq=True)):
+        pa = lp.augment_with_t(p, 0.5)
+        back = lp.problem_from_text(lp.problem_to_text(pa))
+        assert back == pa
+        _, (y, z), _ = lp.solve_approx(pa)
+        d = lp.clamp_dual(y, z)
+        got, want = lp.certify_upper_bound(back, d), lp.certify_upper_bound(pa, d)
+        assert (got.bound, got.delta_bound, got.residual) == (
+            want.bound, want.delta_bound, want.residual)
+
+
 def test_problem_file_errors():
     with pytest.raises(ParseError):
         lp.problem_from_text("vars oops\n")
@@ -170,6 +188,15 @@ def test_dual_file_round_trip():
     assert y == (0.25, -1.5) and z == (1.0, 0.0)
     y2, z2 = lp.dual_from_text("\n1.5 2.5\n")
     assert y2 == () and z2 == (1.5, 2.5)
+    # blank and comment-only lines may follow z
+    assert lp.dual_from_text("\n1.5 2.5\n\n  # done\n\t\n") == ((), (1.5, 2.5))
+
+
+def test_dual_file_rejects_text_after_the_z_line():
+    with pytest.raises(ParseError, match="^line 3: "):
+        lp.dual_from_text("\n1 0 0\n99 99\n")
+    with pytest.raises(ParseError, match="^line 5: "):
+        lp.dual_from_text("0.5\n1 0\n\n# note\n7  # a third vector\n")
 
 
 def test_digest_covers_every_input_of_the_bound():

@@ -159,7 +159,7 @@ def test_every_row_up_to_the_largest_is_named():
     # a row named only by its right-hand side is a zero row
     text = BASE["lp"].replace("ineq_rhs 0 1.0", "ineq_rhs 0 1.0\nineq_rhs 1 2.0")
     p = lp.problem_from_text(text)
-    assert p.n_core_ineq == 2 and p.aineq[1] == (0.0, 0.0) and p.bineq[1] == 2.0
+    assert len(p.aineq) == 2 and p.aineq[1] == (0.0, 0.0) and p.bineq[1] == 2.0
 
 
 def _long_lp(bad_line=None, bad_text=""):
