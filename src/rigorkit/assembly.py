@@ -487,8 +487,9 @@ def problem_from_text(text: str) -> AssemblyProblem:
             raise r.error(f"unknown variable {v[-2]!r}")
     if block is not None:
         raise ParseError("unterminated domain block")
-    rows = {(k, names[name]): v for (k, name), v in rec.table(records, "row").items()}
-    a, b = rec.dense_rows(rows, rec.table(records, "rhs"), len(names),
+    rows = rec.table(records, "row")
+    entries = ([k for k, _ in rows], [names[name] for _, name in rows], rows.values())
+    a, b = rec.dense_rows(entries, rec.table(records, "rhs"), len(names),
                           ((r.line, r.values[0]) for r in records if r.keyword in ("row", "rhs")))
     obj = {names[name]: v for name, v in rec.table(records, "obj").items()}
     return AssemblyProblem(tuple(domains), tuple(tuple(row) for row in a),

@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 from . import interval as iv
@@ -201,15 +202,21 @@ def cayley_menger_det(d: Sequence[Interval]) -> Interval:
 
 
 def _det(rows: list[list[Interval]]) -> Interval:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = _ZERO
-    for j in range(n):
-        minor = [[rows[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
-        term = iv.mul(rows[0][j], _det(minor))
-        total = iv.add(total, term) if j % 2 == 0 else iv.sub(total, term)
-    return total
+    """Laplace expansion along the first row, each minor (the last k rows,
+    k kept columns) computed once: the operations, operands and order of
+    the plain recursion, less its repeats, so the same result and errors."""
+
+    @cache
+    def minor(cols: tuple[int, ...]) -> Interval:
+        if len(cols) == 1:
+            return rows[-1][cols[0]]
+        total = _ZERO
+        for i, j in enumerate(cols):
+            term = iv.mul(rows[-len(cols)][j], minor(cols[:i] + cols[i + 1:]))
+            total = iv.add(total, term) if i % 2 == 0 else iv.sub(total, term)
+        return total
+
+    return minor(tuple(range(len(rows))))
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
-from itertools import repeat
-from operator import itemgetter, truediv
 from typing import Optional, Sequence
 
 from .errors import (
@@ -591,34 +590,30 @@ def _short_decimal(s: str) -> Optional[tuple[float, float]]:
     return (-n if s[0] == "-" else n), _POW10[len(frac)]
 
 
-_NOT_NUMERAL = str.maketrans("", "", "+-.0123456789")
-_after = itemgetter(2)
+_NOT_NUMERAL = str.maketrans("", "", "+-.0123456789eE")
 
 
 def _nearest_floats(tokens: list[str]) -> list[float]:
-    """decimal_to_nearest_float of each token.  Clinger's fast path runs
-    over the whole list at once; the tokens it cannot take (other
-    characters than signs, dots and digits, more than 15 significant digits
-    or 22 fraction digits) are then read one at a time."""
-    slow = set()
-    if "".join(tokens).translate(_NOT_NUMERAL):
-        slow.update(i for i, rest in enumerate(map(str.translate, tokens, repeat(_NOT_NUMERAL)))
-                    if rest)
-    plain = [("0" if i in slow else t) for i, t in enumerate(tokens)] if slow else tokens
-    try:
-        # int() checks that the one dot and the sign are in place
-        n = list(map(int, map(str.replace, plain, repeat("."), repeat(""), repeat(1))))
-    except ValueError:
-        return list(map(decimal_to_nearest_float, tokens))
-    k = list(map(len, map(_after, map(str.partition, plain, repeat(".")))))
-    if max(k, default=0) > 22 or max(map(abs, n), default=0) >= 10 ** 15:
-        slow.update(i for i, (ni, ki) in enumerate(zip(n, k)) if ki > 22 or abs(ni) >= 10 ** 15)
-    for i in slow:
-        n[i] = k[i] = 0
-    out = list(map(truediv, map(float, n), map(_POW10.__getitem__, k)))
-    for i in slow:
-        out[i] = decimal_to_nearest_float(tokens[i])
-    return out
+    """decimal_to_nearest_float of each token.  When sys.float_repr_style is
+    "short", float() is CPython's correctly rounded reader (Gay's algorithm
+    in its dtoa.c, never the C library's strtod); over signs, digits, dots
+    and exponent letters it accepts what the exact reader accepts and
+    rounds alike.  Such a column is read by float(), and its zeros (every
+    zero numeral reads as +0.0) and infinities (an overflow is a
+    ParseError) again one at a time.  Other columns, and those float()
+    rejects, are read one token at a time."""
+    if sys.float_repr_style == "short" and not "".join(tokens).translate(_NOT_NUMERAL):
+        try:
+            out = list(map(float, tokens))
+        except ValueError:
+            return list(map(decimal_to_nearest_float, tokens))
+        # all() finds a zero; the sum is not finite when an entry is not (or
+        # when it overflows, which costs only this pass)
+        if not all(out) or not math.isfinite(sum(out)):
+            out = [f if f and -_INF < f < _INF else decimal_to_nearest_float(t)
+                   for f, t in zip(out, tokens)]
+        return out
+    return list(map(decimal_to_nearest_float, tokens))
 
 
 def _excerpt(s: str) -> str:

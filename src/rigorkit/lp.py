@@ -108,11 +108,11 @@ def make_problem(c: Sequence[float],
     for b in bounds:
         if not b.is_finite:
             raise ValueError("every variable must have finite bounds")
-    rows = [tuple(float(v) for v in row) for row in aineq]
+    rows = [tuple(map(float, row)) for row in aineq]
     rhs = [float(v) for v in bineq]
     if len(rows) != len(rhs):
         raise ValueError("aineq/bineq length mismatch")
-    erows = [tuple(float(v) for v in row) for row in aeq]
+    erows = [tuple(map(float, row)) for row in aeq]
     erhs = [float(v) for v in beq]
     if len(erows) != len(erhs):
         raise ValueError("aeq/beq length mismatch")
@@ -225,7 +225,7 @@ def augment_with_t(p: LpProblem, k: float) -> LpProblem:
             )
     bound_rows = (tuple(s if i == j else 0.0 for i in range(p.n))
                   for j in range(p.n) for s in (1.0, -1.0))
-    rhs = p.bineq + _bound_rhs(p)
+    rhs = p.bineq + tuple(v + 0.0 for v in _bound_rhs(p))  # -lo of 0 reads back as +0.0
     return LpProblem(
         aeq=tuple(row + (b,) for row, b in zip(p.aeq, p.beq)), beq=p.beq,
         aineq=tuple(row + (b,) for row, b in zip(chain(p.aineq, bound_rows), rhs)),
@@ -314,16 +314,18 @@ def problem_from_text(text: str) -> LpProblem:
                       if j >= n)
         raise rec.line_error(line, f"variable {j} out of range for 'vars {n}'")
     t = {kw: cols[kw].table() if kw in cols else {}
-         for kw in ("obj", "bound", "eq", "eq_rhs", "ineq", "ineq_rhs")}
+         for kw in ("obj", "bound", "eq_rhs", "ineq_rhs")}
     if len(t["bound"]) != n:
         raise ParseError("every variable needs a bound entry")
 
-    def named(*kws):  # (line, row) of each record of these keywords
-        return ((line, r) for kw in kws if kw in cols
-                for line, r in zip(cols[kw].lines, cols[kw].fields[0]))
+    def dense(kw):  # kw's rows; named yields (line, row) for each of its records
+        named = ((line, r) for k in (kw, kw + "_rhs") if k in cols
+                 for line, r in zip(cols[k].lines, cols[k].fields[0]))
+        entries = cols[kw].fields if kw in cols else ((), (), ())
+        return rec.dense_rows(entries, t[kw + "_rhs"], n, named)
 
-    aeq, beq = rec.dense_rows(t["eq"], t["eq_rhs"], n, named("eq", "eq_rhs"))
-    aineq, bineq = rec.dense_rows(t["ineq"], t["ineq_rhs"], n, named("ineq", "ineq_rhs"))
+    aeq, beq = dense("eq")
+    aineq, bineq = dense("ineq")
     return make_problem([t["obj"].get(j, 0.0) for j in range(n)],
                         [t["bound"][j] for j in range(n)],
                         aineq=aineq, bineq=bineq, aeq=aeq, beq=beq)

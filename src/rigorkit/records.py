@@ -17,7 +17,7 @@ any defect goes back through `read_records` for its error.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import interval as iv
 from .errors import ParseError
@@ -44,10 +44,10 @@ class Columns(NamedTuple):
     fields: list[list]
 
     def table(self) -> dict:
-        """{key: last field} as `table` builds it for records of two or more
-        fields, later records winning."""
-        keys = self.fields[0] if len(self.fields) == 2 else zip(*self.fields[:-1])
-        return dict(zip(keys, self.fields[-1]))
+        """{first field: second field} as `table` builds it for records of
+        two fields, later records winning."""
+        first, second = self.fields
+        return dict(zip(first, second))
 
 
 def line_error(line: int, message: str) -> ParseError:
@@ -190,14 +190,15 @@ def index(token: str) -> int:
     return int(digits)
 
 
-def dense_rows(entries: Mapping[tuple[int, int], float], rhs: Mapping[int, float],
+def dense_rows(entries: Sequence[Sequence], rhs: Mapping[int, float],
                n: int, named: Iterable[tuple[int, int]]) -> tuple[list[list[float]], list[float]]:
-    """n-column matrix and right-hand side from sparse (row, column) entries
-    and row values, zero where absent.  Every row up to the largest must be
-    named by some record, so the file's length, not one index in it, sizes
-    the matrix.  `named` yields (line, row) for each record that names a
-    row; it is read only to place the error when a row is missing."""
-    rows = {r for r, _ in entries}
+    """n-column matrix and right-hand side from sparse entries, the columns
+    (rows, columns, values), written in order so a later entry for a cell
+    wins, and row values, zero where absent.  Every row up to the largest
+    must be named by some record, so the file's length, not one index in
+    it, sizes the matrix.  `named` yields (line, row) for each record that
+    names a row; it is read only to place the error when a row is missing."""
+    rows = set(entries[0])
     rows.update(rhs)
     m = len(rows)
     if rows and max(rows) >= m:
@@ -205,6 +206,6 @@ def dense_rows(entries: Mapping[tuple[int, int], float], rhs: Mapping[int, float
         line, r = min((line, r) for line, r in named if r > gap)
         raise line_error(line, f"row {r} is given but row {gap} is not")
     a = [[0.0] * n for _ in range(m)]
-    for (r, j), v in entries.items():
+    for r, j, v in zip(*entries):
         a[r][j] = v
     return a, [rhs.get(r, 0.0) for r in range(m)]

@@ -4,8 +4,8 @@ Everything here is deliberately separate from the library's own code
 paths: LP optima proved exact in rationals (from the float solver's basis,
 else by an exact rational simplex), dense numpy grid search
 for function maxima and assembly feasibility, a rotation-system brute
-force for small sphere graphs, the refinement step enumerator as first
-written, mpmath for high-precision scalar
+force for small sphere graphs, the refinement step enumerator, the
+Cayley-Menger recursion and the `.lp` record reader as first written, mpmath for high-precision scalar
 references, and directed-rounding kernels that decide every rounding by
 exact integer ratios.  None of it is shipped.
 """
@@ -21,6 +21,9 @@ import numpy as np
 from rigorkit import expr as ex
 from rigorkit import geom
 from rigorkit import interval as iv
+from rigorkit import lp
+from rigorkit import records as rec
+from rigorkit.errors import ParseError
 from rigorkit.interval import Interval
 from rigorkit.lp import DualSolution, LpProblem
 
@@ -336,6 +339,44 @@ def reference_certify(p: LpProblem, d: DualSolution
     return total.hi, d_total.hi, tuple(delta)
 
 
+def reference_lp_from_records(text: str) -> LpProblem:
+    """lp.problem_from_text as first written: every record through
+    records.read_records, {key: last value} tables keyed by row and column,
+    and the dense rows filled from those tables, with the same errors."""
+    records = rec.read_records(text, lp._PROBLEM_FIELDS, header="lp-problem")
+    decls = [v[0] for _, kw, v in records if kw == "vars"]
+    if not decls:
+        raise ParseError("missing 'vars N' declaration")
+    n = decls[-1]
+    for line, kw, v in records:
+        if kw in ("obj", "bound", "eq", "ineq") and v[-2] >= n:
+            raise rec.line_error(line, f"variable {v[-2]} out of range for 'vars {n}'")
+    t = {kw: rec.table(records, kw)
+         for kw in ("obj", "bound", "eq", "eq_rhs", "ineq", "ineq_rhs")}
+    if len(t["bound"]) != n:
+        raise ParseError("every variable needs a bound entry")
+
+    def dense(kw):
+        entries, rhs = t[kw], t[kw + "_rhs"]
+        rows = {r for r, _ in entries} | set(rhs)
+        m = len(rows)
+        if rows and max(rows) >= m:
+            gap = next(r for r in range(m) if r not in rows)
+            line, r = min((line, v[0]) for line, k, v in records
+                          if k in (kw, kw + "_rhs") and v[0] > gap)
+            raise rec.line_error(line, f"row {r} is given but row {gap} is not")
+        a = [[0.0] * n for _ in range(m)]
+        for (r, j), v in entries.items():
+            a[r][j] = v
+        return a, [rhs.get(r, 0.0) for r in range(m)]
+
+    aeq, beq = dense("eq")
+    aineq, bineq = dense("ineq")
+    return lp.make_problem([t["obj"].get(j, 0.0) for j in range(n)],
+                           [t["bound"][j] for j in range(n)],
+                           aineq=aineq, bineq=bineq, aeq=aeq, beq=beq)
+
+
 # ---------------------------------------------------------------------------
 # Dense numeric evaluation of Expr over numpy grids
 # ---------------------------------------------------------------------------
@@ -569,6 +610,33 @@ def reference_linked_sweep(spec: geom.DistanceSpec) -> geom.CheckResult:
                             reason="every cell of the cable/strut-bound sweep violates "
                                    "a distance bound or the linking test (verdict is "
                                    "relative to the pivot binding)")
+
+
+# ---------------------------------------------------------------------------
+# The Cayley-Menger determinant by plain recursion
+# ---------------------------------------------------------------------------
+
+def reference_cayley_menger_det(d: Sequence[Interval]) -> Interval:
+    """geom.cayley_menger_det as first written: the bordered matrix of the
+    squared distances d01 d02 d03 d12 d13 d23, expanded along the first
+    row by a recursion that recomputes every minor wherever it occurs."""
+    zero, one = Interval(0.0, 0.0), Interval(1.0, 1.0)
+    rows = [[zero] + [one] * 4] + [[one] + [zero] * 4 for _ in range(4)]
+    for (i, j), dij in zip(((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)), d, strict=True):
+        rows[i + 1][j + 1] = rows[j + 1][i + 1] = iv.pow_int(dij, 2)
+
+    def det(rows):
+        n = len(rows)
+        if n == 1:
+            return rows[0][0]
+        total = zero
+        for j in range(n):
+            minor = [[rows[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
+            term = iv.mul(rows[0][j], det(minor))
+            total = iv.add(total, term) if j % 2 == 0 else iv.sub(total, term)
+        return total
+
+    return det(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from oracles import mp_sqrt, reference_linked_sweep
+from oracles import mp_sqrt, reference_cayley_menger_det, reference_linked_sweep
 from rigorkit import geom
 from rigorkit import interval as iv
-from rigorkit.errors import PivotInfeasible
+from rigorkit.errors import NonFiniteOperand, PivotInfeasible
 from rigorkit.interval import Interval
 
 I = Interval
@@ -271,6 +271,56 @@ def test_cayley_menger_sign():
     d[4] = I(1, 1)    # d13
     cm2 = geom.cayley_menger_det(d)
     assert cm2.hi < 0
+
+
+def _cm_outcome(det, d):
+    try:
+        cm = det(d)
+    except NonFiniteOperand as exc:
+        return str(exc)
+    return cm.lo.hex(), cm.hi.hex()
+
+
+def _edge(rng):
+    """A distance enclosure: random, a point, straddling zero, or near the
+    factors (2**995) and squares (2**511) past which products overflow."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        lo = rng.uniform(0.1, 3.0)
+        return I(lo, lo + rng.uniform(0.0, 1.0))
+    if kind == 1:
+        return I.point(rng.choice([1.0, 2.0, 0.1, rng.uniform(0.0, 5.0)]))
+    if kind == 2:
+        return I(-rng.uniform(0.0, 1.0), rng.uniform(0.0, 2.0))
+    big = 2.0 ** rng.choice([995, 511, 510])
+    return I(big * rng.uniform(0.5, 1.0), big * rng.uniform(1.0, 1.5))
+
+
+def test_cayley_menger_det_matches_the_plain_recursion():
+    rng = random.Random(1990)
+    outcomes = set()
+    for trial in range(300):
+        d = [_edge(rng) if rng.random() < 0.4 else I.point(rng.uniform(0.5, 2.0))
+             for _ in range(6)]
+        got = _cm_outcome(geom.cayley_menger_det, d)
+        assert got == _cm_outcome(reference_cayley_menger_det, d), (trial, d)
+        outcomes.add(type(got))
+    assert outcomes == {tuple, str}  # both results and errors were compared
+
+
+def test_cayley_menger_det_computes_each_minor_once(monkeypatch):
+    calls = {"mul": 0, "add": 0, "sub": 0}
+    for name in calls:
+        def counted(a, b, _op=getattr(iv, name), _name=name):
+            calls[_name] += 1
+            return _op(a, b)
+        monkeypatch.setattr(iv, name, counted)
+    d = [I(1.0, 1.25)] * 6
+    geom.cayley_menger_det(d)
+    assert calls == {"mul": 75, "add": 43, "sub": 32}
+    calls.update(mul=0, add=0, sub=0)
+    reference_cayley_menger_det(d)
+    assert calls == {"mul": 205, "add": 113, "sub": 92}
 
 
 def test_parse_distance_spec_errors():

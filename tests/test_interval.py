@@ -247,24 +247,68 @@ def test_short_decimal_path_agrees_with_exact_path(s):
 def _one_at_a_time(tokens):
     try:
         return [iv.decimal_to_nearest_float(t).hex() for t in tokens]
-    except ParseError:
-        return ParseError
+    except ParseError as exc:
+        return str(exc)
 
 
 def _whole_list(tokens):
     try:
         return [f.hex() for f in iv._nearest_floats(tokens)]
-    except ParseError:
-        return ParseError
+    except ParseError as exc:
+        return str(exc)
+
+
+@st.composite
+def long_numerals(draw):
+    """Numerals of 790 to 1,200 digits, past the 800 the exact reader
+    keeps, with any sign and an exponent that may push them out of range."""
+    digits = draw(st.text("0123456789", min_size=790, max_size=1200))
+    cut = draw(st.integers(0, len(digits)))
+    exp = draw(st.one_of(st.just(""), st.integers(-1600, 400).map(lambda e: f"e{e}")))
+    return draw(st.sampled_from(["", "+", "-"])) + digits[:cut] + "." + digits[cut:] + exp
+
+
+# Signed zeros, underflow to a signed zero, and the least subnormal, the
+# least normal and the largest finite value by their rounding boundaries.
+NUMERAL_EDGES = [
+    "-0", "+0.0e5", "-0.000e-999", "0e99999999999999999999", "-.0", "0.",
+    "1e-400", "-1e-400", "-2e-999999999999", "2.4703282292062327e-324",
+    "2.4703282292062328e-324", "-4.9406564584124654e-324", "2.2250738585072011e-308",
+    "1.7976931348623157e308", "1.7976931348623158e308",
+]
+OVERFLOWS = ["-1.7976931348623159e308", "1e309", "-1e400", "9" * 320, "1e99999999999999999999"]
 
 
 @settings(max_examples=300)
 @given(st.lists(st.one_of(
     st.from_regex(r"\A[+-]?0{0,3}[0-9]{1,17}(\.[0-9]{0,24})?\Z"),
-    st.sampled_from([s for s, _ in DECIMAL_EDGES] + ["1e-5", "-2.5E3", "0." + "0" * 30 + "1",
-                                                    "1" * 400, "12.5.", "1-2"]))))
+    st.from_regex(r"\A[+-]?[0-9]{0,20}(\.[0-9]{0,20})?([eE][+-]?[0-9]{1,4})?\Z"),
+    st.builds("{}e{}".format, st.floats(allow_nan=False, allow_infinity=False),
+              st.integers(-345, 345)),
+    st.text("+-.0123456789eE", max_size=12),
+    long_numerals(),
+    st.sampled_from([s for s, _ in DECIMAL_EDGES] + NUMERAL_EDGES + OVERFLOWS
+                    + ["1e-5", "-2.5E3", "0." + "0" * 30 + "1", "1" * 400, "12.5.", "1-2"]))))
 def test_decimal_list_agrees_with_one_at_a_time(tokens):
     assert _whole_list(tokens) == _one_at_a_time(tokens)
+
+
+@pytest.mark.parametrize("odd", ["\u0663", "1\u0663", "\u00b2", "1_0", "1.0_0", "inf", "-inf",
+                                 "Infinity", "nan", "-NaN", " 1", "1\t", "1\n", "\u20001",
+                                 "0x10", "1e5j"])
+def test_decimal_list_outside_the_numeral_alphabet(odd):
+    for tokens in ([odd], ["0.5", odd, "-2"], ["1e400", odd], [odd, "-0"]):
+        assert _whole_list(tokens) == _one_at_a_time(tokens)
+
+
+def test_decimal_list_without_short_float_repr(monkeypatch):
+    tokens = ([s for s, _ in DECIMAL_EDGES if iv._short_decimal(s) is not None] + NUMERAL_EDGES
+              + ["1e-5", "-2.5E3", "6.5778491027943236", "1" * 900 + "e-900"])
+    columns = [tokens] + [[t, "0.5"] for t in OVERFLOWS + ["1_0", "inf", ".", "1e"]]
+    want = [_whole_list(c) for c in columns]
+    assert isinstance(want[0], list) and all(isinstance(w, str) for w in want[1:])
+    monkeypatch.setattr(sys, "float_repr_style", "legacy")
+    assert [_whole_list(c) for c in columns] == want
 
 
 @given(st.integers(min_value=-(2**53) + 1, max_value=2**53 - 1))

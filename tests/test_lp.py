@@ -174,6 +174,19 @@ def test_augmented_problem_file_round_trip():
             want.bound, want.delta_bound, want.residual)
 
 
+def test_augmented_problem_read_back_keeps_its_digest():
+    # -lo of the zero lower bound was -0.0 in bineq and in the t column, and
+    # the file reads a zero back as +0.0, so the digests differed
+    pa = lp.augment_with_t(toy_max_x(), 0.5)
+    back = lp.problem_from_text(lp.problem_to_text(pa))
+    _, (y, z), _ = lp.solve_approx(pa)
+    d = lp.clamp_dual(y, z)
+    assert back == pa
+    assert (lp.certify_upper_bound(back, d).inputs_digest
+            == lp.certify_upper_bound(pa, d).inputs_digest)
+    assert all(math.copysign(1.0, v) == 1.0 for v in pa.bineq)
+
+
 def test_problem_file_errors():
     with pytest.raises(ParseError):
         lp.problem_from_text("vars oops\n")

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import reference_lp_from_records
 from rigorkit import assembly as asm
 from rigorkit import cli, geom
 from rigorkit import lp
@@ -185,9 +186,33 @@ def test_columns_hold_what_records_hold():
         mine = [r for r in records if r.keyword == kw]
         assert c.lines == [r.line for r in mine]
         assert [tuple(v) for v in zip(*c.fields)] == [r.values for r in mine]
-        if len(c.fields) > 1:
+        if len(c.fields) == 2:
             assert c.table() == rec.table(records, kw)
     assert sorted(cols) == sorted({r.keyword for r in records})
+
+
+def _messy(text):
+    """The same records with CRLF line ends, tabs, upper-case keywords,
+    comments, repeated cells and a row named only by its right-hand side."""
+    lines = text.splitlines()
+    out = ["# an LP written by hand"]
+    for k, line in enumerate(lines):
+        kw, _, rest = line.partition(" ")
+        line = (kw.upper() if k % 3 else kw) + ("\t" if k % 2 else " ") + rest
+        out.append(line + ("  # note" if k % 5 == 0 else ""))
+        if kw == "ineq" and k % 7 == 0:
+            out.append(f"{line[:-1]}9  # a later value for the same cell wins")
+    out += ["ineq_rhs 60 2.5", "INEQ 3 4 -0.0", "eq_rhs 0 0", "Eq 0 5 +.5", "eq 0 5 5."]
+    return "\r\n".join(out) + "\r\n"
+
+
+@pytest.mark.parametrize("variant", ["plain", "messy", "repeated"])
+def test_lp_reader_agrees_with_the_record_reader(variant):
+    text = {"plain": _long_lp(), "messy": _messy(_long_lp()),
+            "repeated": _long_lp() + _long_lp().split("\n", 1)[1]}[variant]
+    got, want = lp.problem_from_text(text), reference_lp_from_records(text)
+    assert got == want and repr(got) == repr(want)  # repr tells -0.0 from 0.0
+    assert len(got.aineq) == (61 if variant == "messy" else 60)
 
 
 @pytest.mark.parametrize("line, bad", [(1500, "ineq 3 4 0x10"), (2000, "ineq 3 4"),
