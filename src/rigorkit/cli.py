@@ -42,10 +42,11 @@ EXIT_INTERNAL = 3
 
 
 def _read(path: str, digests: list[tuple[str, str]]) -> str:
-    """Read an input file and record its digest for the report header."""
-    text = Path(path).read_text()
-    digests.append((Path(path).name, hashlib.sha256(text.encode()).hexdigest()))
-    return text
+    """Read an input file, as UTF-8, and record the SHA-256 of its bytes for
+    the report header."""
+    data = Path(path).read_bytes()
+    digests.append((Path(path).name, hashlib.sha256(data).hexdigest()))
+    return data.decode()
 
 
 def _report(args, digests: Sequence[tuple[str, str]],

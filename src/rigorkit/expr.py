@@ -164,21 +164,20 @@ class Atan(Expr):
 
 def _read_int(text: str) -> Optional[int]:
     """The value of a decimal numeral if it is an integer, else None.
-    Decided from the digits and the exponent, so no power of ten is built
-    for a far exponent."""
-    m = iv._DECIMAL_RE.match(text)
-    if not m:
+    Decided from interval's split of the numeral into digits and a power of
+    ten, so no power of ten is built for a far exponent."""
+    try:
+        sign, body, k = iv._split_decimal(text)
+    except ParseError:
         return None
-    sign, whole, frac, exp = m.groups(default="")
-    body = (whole + frac).lstrip("0")
     digits = body.rstrip("0")
     if not digits:
         return 0
-    scale = iv._decimal_exponent(exp) - len(frac) + len(body) - len(digits)
-    # |value| >= 10**(len(digits) + scale - 1), as in interval._round_decimal
-    if scale < 0 or len(digits) + scale > 310:
+    k += len(body) - len(digits)
+    # |value| >= 10**(len(digits) + k - 1): past 310, past binary64 too
+    if k < 0 or len(digits) + k > 310:
         return None
-    return int(sign + digits) * 10**scale
+    return int(sign + digits) * 10**k
 
 
 ZERO = Const("0")

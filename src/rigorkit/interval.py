@@ -27,7 +27,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     DivisionByZeroInterval,
@@ -53,6 +53,12 @@ __all__ = [
     "next_up",
     "next_down",
 ]
+
+# TwoSum, TwoProduct and the decimal reader assume binary64 rounded to nearest;
+# CPython's float_repr_style is "short" exactly where that holds.
+if sys.float_repr_style != "short":
+    raise ImportError("rigorkit.interval needs IEEE 754 binary64 arithmetic rounded "
+                      "to nearest (sys.float_repr_style == 'short')")
 
 _INF = math.inf
 
@@ -513,107 +519,73 @@ def subtract_products(lo: list[float], hi: list[float], mult: Sequence[float],
 
 _DECIMAL_RE = re.compile(r"^([+-]?)(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?$")
 
-
-def _decimal_exponent(exp: str) -> int:
-    """The exponent field of a decimal numeral ("" reads as 0), clamped to
-    +-10**18.  Past that bound the exponent's sign alone decides the
-    magnitude of any numeral short enough to hold in memory, and int()
-    refuses strings of more than 4300 digits."""
-    sign = -1 if exp.startswith("-") else 1
-    digits = exp.lstrip("+-").lstrip("0") or "0"
-    return sign * (10**18 if len(digits) > 18 else int(digits))
-
-
 # Correct rounding needs at most 768 significant digits (binary64 values and
 # the midpoints between them have no more); the digits past these are
 # replaced by one sticky digit that is nonzero when any of them is.
 _KEPT_DIGITS = 800
 
 
-def _round_decimal(s: str) -> tuple[float, int, int]:
-    """A decimal numeral rounded to the nearest binary64 value f (ties to
-    even) by one exact integer division, with integers num and den > 0
-    such that num/den - f has the sign of (exact value - f): num/den is the
-    value itself, or a stand-in of the same sign when the value rounds to
-    zero from below half the smallest subnormal.  The magnitude is decided
-    from the digit count and the exponent before any integer is built, so
-    far exponents and long numerals cost no more than short ones."""
-    m = _DECIMAL_RE.match(s.strip())
+def _split_decimal(s: str) -> tuple[str, str, int]:
+    """A decimal numeral as (sign, digits, k), its value being
+    int(sign + digits) * 10**k: digits are ASCII with no leading zero ("" for
+    a zero numeral), cut to _KEPT_DIGITS and one sticky digit.  k is clamped
+    to +-10**18, past which the exponent's sign alone decides the magnitude
+    of any numeral short enough to hold in memory (and int() refuses strings
+    of more than 4300 digits).  Other text is a ParseError."""
+    t = s.strip()
+    if not t.isascii():
+        # \d, like float() and int(), accepts every Unicode decimal digit
+        t = "".join(str(int(c)) if c.isdecimal() else c for c in t)
+    m = _DECIMAL_RE.match(t)
     if not m:
         raise ParseError(f"invalid decimal numeral {_excerpt(s)!r}")
-    sign, whole, frac, exp = m.groups(default="")
-    body = (whole + frac).lstrip("0")
-    if not body:
-        return 0.0, 0, 1
-    scale = _decimal_exponent(exp) - len(frac)
-    # 10**(mag - 1) <= |value| < 10**mag
-    mag = scale + len(body)
-    if mag > 310:
-        raise ParseError(f"decimal numeral {_excerpt(s)!r} overflows binary64")
-    if mag < -330:
-        # Below half the smallest subnormal: rounds to a signed zero.
-        return (-0.0, -1, 1) if sign == "-" else (0.0, 1, 1)
-    if len(body) > _KEPT_DIGITS:
-        sticky = "1" if body[_KEPT_DIGITS:].strip("0") else "0"
-        scale += len(body) - _KEPT_DIGITS - 1
-        body = body[:_KEPT_DIGITS] + sticky
-    digits = int(sign + body)
-    num, den = (digits * 10 ** scale, 1) if scale >= 0 else (digits, 10 ** -scale)
-    try:
-        return num / den, num, den
-    except OverflowError:
-        raise ParseError(f"decimal numeral {_excerpt(s)!r} overflows binary64") from None
-
-
-# Clinger's fast path ("How to read floating point numbers accurately", PLDI
-# 1990): a numeral of at most 15 significant digits is an integer N below
-# 2**53, exact as a float, and 10**k is exact for k <= 22, so N / 10**k is
-# one correctly rounded division.
-_POW10 = tuple(10.0 ** k for k in range(23))
-
-
-def _short_decimal(s: str) -> Optional[tuple[float, float]]:
-    """(N, 10**k) as floats, the numeral's value being N / 10**k, when s is
-    a plain ASCII numeral [+-]digits[.digits] of at most 15 significant
-    digits and k <= 22 fraction digits; None for any other text."""
-    body = s[1:] if s[:1] in ("+", "-") else s
-    whole, dot, frac = body.partition(".")
-    if not (whole.isdigit() and whole.isascii() and len(frac) <= 22
-            and (not dot or (frac.isdigit() and frac.isascii()))):
-        return None
+    sign, whole, frac, exp = m.groups("")
     digits = (whole + frac).lstrip("0")
-    if not digits:
-        return 0.0, 1.0  # every zero numeral reads as +0.0
-    if len(digits) > 15:
-        return None
-    n = float(int(digits))
-    return (-n if s[0] == "-" else n), _POW10[len(frac)]
+    k = -len(frac)
+    if exp:
+        e = exp.lstrip("+-").lstrip("0")
+        k += (10**18 if len(e) > 18 else int(e or "0")) * (-1 if exp[0] == "-" else 1)
+    if len(digits) > _KEPT_DIGITS:
+        sticky = "1" if digits[_KEPT_DIGITS:].strip("0") else "0"
+        k += len(digits) - _KEPT_DIGITS - 1
+        digits = digits[:_KEPT_DIGITS] + sticky
+    return sign, digits, k
+
+
+def _read_decimal(s: str) -> tuple[float, str, str, int]:
+    """(f, sign, digits, k): the split of the numeral s and f, its nearest
+    binary64 value, ties to even, from float(): CPython's correctly rounded
+    converter (Gay's algorithm in its dtoa.c, never the C library's strtod).
+    A zero numeral reads as +0.0, an underflow keeps its sign, and an
+    overflow is a ParseError."""
+    sign, digits, k = _split_decimal(s)
+    f = float(f"{sign}{digits}e{k}") if digits else 0.0
+    if -_INF < f < _INF:
+        return f, sign, digits, k
+    raise ParseError(f"decimal numeral {_excerpt(s)!r} overflows binary64")
 
 
 _NOT_NUMERAL = str.maketrans("", "", "+-.0123456789eE")
 
 
 def _nearest_floats(tokens: list[str]) -> list[float]:
-    """decimal_to_nearest_float of each token.  When sys.float_repr_style is
-    "short", float() is CPython's correctly rounded reader (Gay's algorithm
-    in its dtoa.c, never the C library's strtod); over signs, digits, dots
-    and exponent letters it accepts what the exact reader accepts and
-    rounds alike.  Such a column is read by float(), and its zeros (every
-    zero numeral reads as +0.0) and infinities (an overflow is a
-    ParseError) again one at a time.  Other columns, and those float()
-    rejects, are read one token at a time."""
-    if sys.float_repr_style == "short" and not "".join(tokens).translate(_NOT_NUMERAL):
-        try:
-            out = list(map(float, tokens))
-        except ValueError:
-            return list(map(decimal_to_nearest_float, tokens))
-        # all() finds a zero; the sum is not finite when an entry is not (or
-        # when it overflows, which costs only this pass)
-        if not all(out) or not math.isfinite(sum(out)):
-            out = [f if f and -_INF < f < _INF else decimal_to_nearest_float(t)
-                   for f, t in zip(out, tokens)]
+    """decimal_to_nearest_float of each token, as a column.  Over signs,
+    digits, dots and exponent letters float() accepts what the reader
+    accepts, so such a column is read by float() in one pass and only its
+    zeros and infinities again one token at a time.  A column with other
+    characters, or one float() rejects, is read one token at a time."""
+    if "".join(tokens).translate(_NOT_NUMERAL):
+        return list(map(decimal_to_nearest_float, tokens))
+    try:
+        out = list(map(float, tokens))
+    except ValueError:
+        return list(map(decimal_to_nearest_float, tokens))
+    # all() finds a zero; the sum is not finite when an entry is not (or
+    # when it overflows, which costs only this pass)
+    if all(out) and math.isfinite(sum(out)):
         return out
-    return list(map(decimal_to_nearest_float, tokens))
+    return [f if f and -_INF < f < _INF else decimal_to_nearest_float(t)
+            for f, t in zip(out, tokens)]
 
 
 def _excerpt(s: str) -> str:
@@ -622,27 +594,24 @@ def _excerpt(s: str) -> str:
 
 def from_decimal_string(s: str) -> Interval:
     """Tight enclosure (width <= 1 ulp, exact when representable) of the
-    exact value of a signed decimal numeral."""
-    short = _short_decimal(s)
-    if short is not None:
-        n, p = short
-        f = n / p
-        # N/10**k - f has the sign of N - f*10**k
-        err = _residual_sign(n, f, p) if n else 0
+    exact value of a signed decimal numeral: its nearest binary64 value f,
+    widened by one step toward the value when the value is not f."""
+    f, sign, digits, k = _read_decimal(s)
+    if f:
+        # sign of int(sign + digits) * 10**k - n/d, by one integer comparison
+        n, d = f.as_integer_ratio()
+        v = int(sign + digits)
+        err = v * 10**k * d - n if k >= 0 else v * d - n * 10**-k
     else:
-        f, num, den = _round_decimal(s)
-        fn, fd = f.as_integer_ratio()
-        err = num * fd - fn * den
+        # a zero numeral is exact; an underflow lies on its sign's side of f
+        err = 0 if not digits else -1 if sign == "-" else 1
     return _make(_nextafter(f, -_INF) if err < 0 else f, _nextafter(f, _INF) if err > 0 else f)
 
 
 def decimal_to_nearest_float(s: str) -> float:
     """Correctly rounded (to nearest, ties to even) binary64 value of a
-    decimal numeral."""
-    short = _short_decimal(s)
-    if short is not None:
-        return short[0] / short[1]
-    return _round_decimal(s)[0]
+    decimal numeral; a zero numeral reads as +0.0."""
+    return _read_decimal(s)[0]
 
 
 def parse_interval_literal(s: str) -> Interval:

@@ -344,4 +344,4 @@ def dual_from_text(text: str) -> tuple[Vector, Vector]:
     for line, tokens in enumerate(lines[2:], start=3):
         if tokens:
             raise rec.line_error(line, "unexpected text after the z line")
-    return tuple(tuple(rec.convert(i + 1, rec.decimal, tok) for tok in lines[i]) for i in (0, 1))
+    return tuple(tuple(rec.convert(i + 1, iv._nearest_floats, lines[i])) for i in (0, 1))

@@ -58,10 +58,10 @@ def strip_comment(raw: str) -> str:
     return raw.split("#", 1)[0]
 
 
-def convert(line: int, fn: Callable[[str], Any], token: str) -> Any:
-    """`fn(token)`, with a failure reported as a ParseError naming the line."""
+def convert(line: int, fn: Callable[[Any], Any], arg: Any) -> Any:
+    """`fn(arg)`, with a failure reported as a ParseError naming the line."""
     try:
-        return fn(token)
+        return fn(arg)
     except (ParseError, ValueError) as exc:
         raise line_error(line, str(exc)) from None
 

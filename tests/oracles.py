@@ -6,8 +6,10 @@ else by an exact rational simplex), dense numpy grid search
 for function maxima and assembly feasibility, a rotation-system brute
 force for small sphere graphs, the refinement step enumerator, the
 Cayley-Menger recursion and the `.lp` record reader as first written, mpmath for high-precision scalar
-references, and directed-rounding kernels that decide every rounding by
-exact integer ratios.  None of it is shipped.
+references, directed-rounding kernels that decide every rounding by
+exact integer ratios, and a decimal reader that rounds by one exact
+integer division, with Clinger's float-division case beside it.  None of
+it is shipped.
 """
 
 from __future__ import annotations
@@ -511,6 +513,63 @@ def reference_sqrt_down(x: float) -> float:
 def reference_sqrt_up(x: float) -> float:
     s = math.sqrt(x)
     return _next_up(s) if _sqrt_err_sign(x, s) > 0 else s
+
+
+def reference_round_decimal(s: str) -> tuple[float, int, int]:
+    """A decimal numeral rounded to the nearest binary64 value f (ties to
+    even) by one exact integer division, with integers num and den > 0
+    such that num/den - f has the sign of (exact value - f): num/den is the
+    value itself, or a stand-in of the same sign when the value rounds to
+    zero from below half the smallest subnormal.  Raises the reader's
+    ParseError for text that is not a numeral and for an overflow."""
+    m = iv._DECIMAL_RE.match(s.strip())
+    if not m:
+        raise ParseError(f"invalid decimal numeral {iv._excerpt(s)!r}")
+    sign, whole, frac, exp = m.groups(default="")
+    body = (whole + frac).lstrip("0")
+    if not body:
+        return 0.0, 0, 1
+    e = exp.lstrip("+-").lstrip("0") or "0"
+    scale = (-1 if exp.startswith("-") else 1) * (10**18 if len(e) > 18 else int(e)) - len(frac)
+    # 10**(mag - 1) <= |value| < 10**mag
+    mag = scale + len(body)
+    if mag > 310:
+        raise ParseError(f"decimal numeral {iv._excerpt(s)!r} overflows binary64")
+    if mag < -330:
+        # Below half the smallest subnormal: rounds to a signed zero.
+        return (-0.0, -1, 1) if sign == "-" else (0.0, 1, 1)
+    if len(body) > 800:
+        # 768 significant digits decide any rounding; one sticky digit
+        # stands for the rest
+        sticky = "1" if body[800:].strip("0") else "0"
+        scale += len(body) - 801
+        body = body[:800] + sticky
+    digits = int(sign + body)
+    num, den = (digits * 10 ** scale, 1) if scale >= 0 else (digits, 10 ** -scale)
+    try:
+        return num / den, num, den
+    except OverflowError:
+        raise ParseError(f"decimal numeral {iv._excerpt(s)!r} overflows binary64") from None
+
+
+def short_decimal(s: str) -> Optional[float]:
+    """Clinger's exact case ("How to read floating point numbers
+    accurately", PLDI 1990): a plain ASCII numeral [+-]digits[.digits] of at
+    most 15 significant digits and k <= 22 fraction digits is N / 10**k with
+    N and 10**k exact floats, so one float division rounds it correctly.
+    None for any other text."""
+    body = s[1:] if s[:1] in ("+", "-") else s
+    whole, dot, frac = body.partition(".")
+    if not (whole.isdigit() and whole.isascii() and len(frac) <= 22
+            and (not dot or (frac.isdigit() and frac.isascii()))):
+        return None
+    digits = (whole + frac).lstrip("0")
+    if not digits:
+        return 0.0  # every zero numeral reads as +0.0
+    if len(digits) > 15:
+        return None
+    n = float(int(digits)) / 10.0 ** len(frac)
+    return -n if s[0] == "-" else n
 
 
 # ---------------------------------------------------------------------------

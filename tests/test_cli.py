@@ -362,7 +362,7 @@ def test_plan_dump(capsys):
 
 
 def digest_line(path: Path) -> str:
-    return f"{path.name} {hashlib.sha256(path.read_text().encode()).hexdigest()}"
+    return f"{path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}"
 
 
 def test_plan_dump_task_is_digested(capsys):
@@ -371,6 +371,24 @@ def test_plan_dump_task_is_digested(capsys):
     assert code == 0
     header, _ = cli.parse_report(out)
     assert header["input_digest"] == [digest_line(task)]
+
+
+def test_crlf_input_digest_is_the_sha256_of_its_bytes(tmp_path, capsys):
+    # the CRLF twin reads as the same task but is a different file
+    lf = tmp_path / "lf.ineq"
+    lf.write_bytes((PROBLEMS / "six_squares.ineq").read_bytes())
+    crlf = tmp_path / "crlf.ineq"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    assert b"\r\n" in crlf.read_bytes()
+    reports = []
+    for task in (lf, crlf):
+        code, out, _ = run(["plan-dump", "--task", str(task)], capsys)
+        assert code == 0
+        header, body = cli.parse_report(out)
+        assert header["input_digest"] == [digest_line(task)]
+        reports.append(body)
+    assert reports[0] == reports[1]
+    assert digest_line(lf).split()[1] != digest_line(crlf).split()[1]
 
 
 def test_dual_read_after_no_progress_is_digested(tmp_path, capsys, monkeypatch):
@@ -476,8 +494,10 @@ def test_shipped_problem_files_round_trip():
 
 def test_cli_import_loads_neither_numpy_nor_scipy():
     # Every CLI invocation pays for what `import rigorkit.cli` loads; only
-    # the LP solver needs scipy, and it imports it when called.
-    probe = "import sys, rigorkit.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    # the LP solver needs scipy, and it imports it when called.  decimal
+    # loads only where an endpoint is written as its exact expansion.
+    probe = ("import sys, rigorkit.cli; "
+             "print(sorted({'decimal', 'numpy', 'scipy'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout

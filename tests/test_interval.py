@@ -1,12 +1,17 @@
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_round_decimal, short_decimal
+from rigorkit import expr as ex
 from rigorkit import interval as iv
 from rigorkit.errors import DivisionByZeroInterval, DomainError, NonFiniteOperand, ParseError
 from rigorkit.interval import Interval
@@ -180,31 +185,62 @@ def test_decimal_reader_rounds_correctly(s):
     assert enc.is_point or iv.next_up(enc.lo) == enc.hi
 
 
-def _exact_decimal(s):
-    """The exact path's float and error sign for s, or ParseError."""
+def _reference(s):
+    """The reference reader's float for s and the sign of its error, or its
+    ParseError message."""
     try:
-        f, num, den = iv._round_decimal(s)
-    except ParseError:
-        return ParseError
-    err = Fraction(num, den) - Fraction(f)
+        f, num, den = reference_round_decimal(s)
+    except ParseError as exc:
+        return str(exc)
+    fn, fd = f.as_integer_ratio()
+    err = num * fd - fn * den
     return f.hex(), (err > 0) - (err < 0)
 
 
-def _read_decimal(s):
+def _read(s):
     """decimal_to_nearest_float and from_decimal_string on s, as the float
-    and the sign of the error that the enclosure records, or ParseError."""
+    and the sign of the error the enclosure records, or the ParseError
+    message, which both must give alike."""
     try:
         f = iv.decimal_to_nearest_float(s)
-        enc = iv.from_decimal_string(s)
-    except ParseError:
-        return ParseError
-    assert f in (enc.lo, enc.hi)
-    sign = 0 if enc.is_point else (1 if enc.lo == f else -1)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as again:
+            iv.from_decimal_string(s)
+        assert str(again.value) == str(exc)
+        return str(exc)
+    enc = iv.from_decimal_string(s)
+    sign = 0 if enc.is_point else (1 if enc.lo.hex() == f.hex() else -1)
+    assert (enc.lo if sign >= 0 else enc.hi).hex() == f.hex()
     assert sign == 0 or iv.next_up(enc.lo) == enc.hi
-    return (enc.lo if sign >= 0 else enc.hi).hex(), sign
+    return f.hex(), sign
 
 
-# (text, takes the short path): signs, empty parts, non-ASCII digits and
+def _column(tokens):
+    try:
+        return [f.hex() for f in iv._nearest_floats(tokens)]
+    except ParseError as exc:
+        return str(exc)
+
+
+def _one_at_a_time(tokens):
+    try:
+        return [iv.decimal_to_nearest_float(t).hex() for t in tokens]
+    except ParseError as exc:
+        return str(exc)
+
+
+def _reference_column(tokens):
+    """The reference's floats for a column, or the first token's error."""
+    out = []
+    for t in tokens:
+        r = _reference(t)
+        if isinstance(r, str):
+            return r
+        out.append(r[0])
+    return out
+
+
+# (text, in Clinger's exact case): signs, empty parts, non-ASCII digits and
 # underscores (which int() accepts), 15 and 16 significant digits, 22 and
 # 23 fraction digits, and an exponent.
 DECIMAL_EDGES = [
@@ -222,52 +258,7 @@ DECIMAL_EDGES = [
     # 17 digits: float(N) / 10**k would round twice and miss
     ("6.5778491027943236", False), ("-393822778.01338157", False),
 ]
-
-
-@pytest.mark.parametrize("s, short", DECIMAL_EDGES)
-def test_short_decimal_path_agrees_with_exact_path_on_edges(s, short):
-    assert (iv._short_decimal(s) is not None) == short
-    assert _read_decimal(s) == _exact_decimal(s)
-    assert _whole_list([s, "0.5"]) == _one_at_a_time([s, "0.5"])
-
-
-def test_zero_numerals_read_as_positive_zero():
-    for s in ("-0", "-0.0", "-0.000", "+0", "0.0"):
-        assert iv.decimal_to_nearest_float(s).hex() == "0x0.0p+0"
-        enc = iv.from_decimal_string(s)
-        assert enc.lo.hex() == enc.hi.hex() == "0x0.0p+0"
-
-
-@settings(max_examples=500)
-@given(st.from_regex(r"\A[+-]?0{0,3}[0-9]{1,17}(\.[0-9]{0,24})?\Z"))
-def test_short_decimal_path_agrees_with_exact_path(s):
-    assert _read_decimal(s) == _exact_decimal(s)
-
-
-def _one_at_a_time(tokens):
-    try:
-        return [iv.decimal_to_nearest_float(t).hex() for t in tokens]
-    except ParseError as exc:
-        return str(exc)
-
-
-def _whole_list(tokens):
-    try:
-        return [f.hex() for f in iv._nearest_floats(tokens)]
-    except ParseError as exc:
-        return str(exc)
-
-
-@st.composite
-def long_numerals(draw):
-    """Numerals of 790 to 1,200 digits, past the 800 the exact reader
-    keeps, with any sign and an exponent that may push them out of range."""
-    digits = draw(st.text("0123456789", min_size=790, max_size=1200))
-    cut = draw(st.integers(0, len(digits)))
-    exp = draw(st.one_of(st.just(""), st.integers(-1600, 400).map(lambda e: f"e{e}")))
-    return draw(st.sampled_from(["", "+", "-"])) + digits[:cut] + "." + digits[cut:] + exp
-
-
+EDGE_TEXTS = [s for s, _ in DECIMAL_EDGES]
 # Signed zeros, underflow to a signed zero, and the least subnormal, the
 # least normal and the largest finite value by their rounding boundaries.
 NUMERAL_EDGES = [
@@ -277,20 +268,87 @@ NUMERAL_EDGES = [
     "1.7976931348623157e308", "1.7976931348623158e308",
 ]
 OVERFLOWS = ["-1.7976931348623159e308", "1e309", "-1e400", "9" * 320, "1e99999999999999999999"]
+MORE_EDGES = ["1e-5", "-2.5E3", "0." + "0" * 30 + "1", "1" * 400, "12.5.", "1-2", "1e",
+              "1" * 900 + "e-900"]
 
 
-@settings(max_examples=300)
-@given(st.lists(st.one_of(
+def _check_edge(s):
+    assert _read(s) == _reference(s)
+    for tokens in ([s], ["0.5", s, "-2"], [s, "1e400"]):
+        assert _column(tokens) == _reference_column(tokens)
+
+
+@pytest.mark.parametrize("s, short", DECIMAL_EDGES)
+def test_short_decimal_path_agrees_with_exact_path_on_edges(s, short):
+    # Clinger's float division and the exact reference are two oracles;
+    # where the first applies, both must give the reader's value
+    value = short_decimal(s)
+    assert (value is not None) == short
+    _check_edge(s)
+    if short:
+        assert _read(s)[0] == value.hex()
+
+
+@pytest.mark.parametrize("s", [s for s in dict.fromkeys(NUMERAL_EDGES + OVERFLOWS + MORE_EDGES)
+                               if s not in EDGE_TEXTS])
+def test_decimal_reader_matches_the_reference_on_edges(s):
+    _check_edge(s)
+
+
+def test_zero_numerals_read_as_positive_zero():
+    for s in ("-0", "-0.0", "-0.000", "+0", "0.0"):
+        assert iv.decimal_to_nearest_float(s).hex() == "0x0.0p+0"
+        enc = iv.from_decimal_string(s)
+        assert enc.lo.hex() == enc.hi.hex() == "0x0.0p+0"
+
+
+def test_unicode_digits_read_as_their_ascii_twins():
+    # Unicode decimal digits are read by their values, zeros included
+    for s, twin in [("-\u0660", "-0"), ("\u0660.\u0660", "0.0"), ("-\u0660e-400", "-0e-400"),
+                    ("\u0660" * 400 + "1", "1"), ("1e" + "\u0660" * 20 + "5", "1e5"),
+                    ("\u0661\u0660", "10"), ("1" + "\u0660" * 900 + "e-900", "1")]:
+        assert _read(s) == _read(twin)
+        assert ex._read_int(s) == ex._read_int(twin)
+
+
+@st.composite
+def long_numerals(draw):
+    """Numerals of 790 to 1,200 digits, past the 800 the reader keeps, with
+    any sign and an exponent that may push them out of range."""
+    digits = draw(st.text("0123456789", min_size=790, max_size=1200))
+    cut = draw(st.integers(0, len(digits)))
+    exp = draw(st.one_of(st.just(""), st.integers(-1600, 400).map(lambda e: f"e{e}")))
+    return draw(st.sampled_from(["", "+", "-"])) + digits[:cut] + "." + digits[cut:] + exp
+
+
+numerals = st.one_of(
     st.from_regex(r"\A[+-]?0{0,3}[0-9]{1,17}(\.[0-9]{0,24})?\Z"),
     st.from_regex(r"\A[+-]?[0-9]{0,20}(\.[0-9]{0,20})?([eE][+-]?[0-9]{1,4})?\Z"),
     st.builds("{}e{}".format, st.floats(allow_nan=False, allow_infinity=False),
               st.integers(-345, 345)),
     st.text("+-.0123456789eE", max_size=12),
     long_numerals(),
-    st.sampled_from([s for s, _ in DECIMAL_EDGES] + NUMERAL_EDGES + OVERFLOWS
-                    + ["1e-5", "-2.5E3", "0." + "0" * 30 + "1", "1" * 400, "12.5.", "1-2"]))))
+    st.sampled_from(EDGE_TEXTS + NUMERAL_EDGES + OVERFLOWS + MORE_EDGES))
+
+
+@settings(max_examples=500)
+@given(numerals)
+def test_decimal_reader_matches_the_reference(s):
+    assert _read(s) == _reference(s)
+
+
+@settings(max_examples=500)
+@given(st.from_regex(r"\A[+-]?0{0,3}[0-9]{1,17}(\.[0-9]{0,24})?\Z"))
+def test_short_decimal_path_agrees_with_exact_path(s):
+    value = short_decimal(s)
+    assert _read(s) == _reference(s)
+    assert value is None or _read(s)[0] == value.hex()
+
+
+@settings(max_examples=300)
+@given(st.lists(numerals))
 def test_decimal_list_agrees_with_one_at_a_time(tokens):
-    assert _whole_list(tokens) == _one_at_a_time(tokens)
+    assert _column(tokens) == _one_at_a_time(tokens) == _reference_column(tokens)
 
 
 @pytest.mark.parametrize("odd", ["\u0663", "1\u0663", "\u00b2", "1_0", "1.0_0", "inf", "-inf",
@@ -298,17 +356,19 @@ def test_decimal_list_agrees_with_one_at_a_time(tokens):
                                  "0x10", "1e5j"])
 def test_decimal_list_outside_the_numeral_alphabet(odd):
     for tokens in ([odd], ["0.5", odd, "-2"], ["1e400", odd], [odd, "-0"]):
-        assert _whole_list(tokens) == _one_at_a_time(tokens)
+        assert _column(tokens) == _one_at_a_time(tokens) == _reference_column(tokens)
 
 
-def test_decimal_list_without_short_float_repr(monkeypatch):
-    tokens = ([s for s, _ in DECIMAL_EDGES if iv._short_decimal(s) is not None] + NUMERAL_EDGES
-              + ["1e-5", "-2.5E3", "6.5778491027943236", "1" * 900 + "e-900"])
-    columns = [tokens] + [[t, "0.5"] for t in OVERFLOWS + ["1_0", "inf", ".", "1e"]]
-    want = [_whole_list(c) for c in columns]
-    assert isinstance(want[0], list) and all(isinstance(w, str) for w in want[1:])
-    monkeypatch.setattr(sys, "float_repr_style", "legacy")
-    assert [_whole_list(c) for c in columns] == want
+def test_import_needs_binary64_rounded_to_nearest():
+    # CPython's float_repr_style is "legacy" only where doubles are not IEEE
+    # 754 or x87 double rounding cannot be switched off
+    probe = "import sys; sys.float_repr_style = 'legacy'; import rigorkit.interval"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1] == (
+        "ImportError: rigorkit.interval needs IEEE 754 binary64 arithmetic rounded "
+        "to nearest (sys.float_repr_style == 'short')")
 
 
 @given(st.integers(min_value=-(2**53) + 1, max_value=2**53 - 1))

@@ -212,6 +212,17 @@ def test_dual_file_rejects_text_after_the_z_line():
         lp.dual_from_text("0.5\n1 0\n\n# note\n7  # a third vector\n")
 
 
+def test_dual_file_error_names_its_line_and_first_bad_token():
+    with pytest.raises(ParseError, match=r"^line 2: decimal numeral '1e400' overflows binary64$"):
+        lp.dual_from_text("0.5\n1 1e400 x\n")
+    with pytest.raises(ParseError, match=r"^line 2: decimal numeral '1e400' overflows binary64$"):
+        lp.dual_from_text("0.5\n1 1e400 1e\n")
+    with pytest.raises(ParseError, match=r"^line 1: invalid decimal numeral 'x'$"):
+        lp.dual_from_text("0.5 x 1e400\n1\n")
+    assert lp.dual_from_text("-0 1e-400\n-1e-400\n") == ((0.0, 0.0), (-0.0,))
+    assert str(lp.dual_from_text("-0\n-1e-400\n")) == "((0.0,), (-0.0,))"
+
+
 def test_digest_covers_every_input_of_the_bound():
     p = lp.make_problem([1.0, -0.5], [I(0, 2), I(-1, 1)],
                         aineq=[[1.0, 2.0]], bineq=[1.5], aeq=[[0.5, 0.5]], beq=[0.25])
