@@ -14,7 +14,9 @@ identity checks.
 `differentiate`, `to_text` and the plan lowering walk the expression
 iteratively and memoise on nodes, so a long expression does not reach the
 recursion limit and the derivative of a DAG is a DAG of linear size.
-`differentiate` holds the only derivative rules.
+`differentiate` holds the only derivative rules, and one table the binary
+operators' symbols and precedences, which `parse` and `to_text` share.
+`parse` recurses once per nesting level: too deep a text is a ParseError.
 
 One lowering compiles expressions into a flat plan with one slot per node:
 a leaf (a constant, read as the plan compiles, or a variable) or one
@@ -287,169 +289,137 @@ def _post_order(root: Expr, done: dict) -> Iterator[Expr]:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Parsing and printing
 # ---------------------------------------------------------------------------
 
-_FUNCTIONS = ("sqrt", "atan", "pow")
+# Binary operator node -> (printed symbol, precedence).  `parse` groups by
+# these precedences and `to_text` brackets by them; every other node binds
+# tightest, at 3.
+_BINARY = {Add: (" + ", 1), Sub: (" - ", 1), Mul: ("*", 2), Div: ("/", 2)}
+_BY_SYMBOL = {sym.strip(): (cls, prec) for cls, (sym, prec) in _BINARY.items()}
+
+_FUNCTIONS = {"sqrt": Sqrt, "atan": Atan, "pow": Pow}
 _FLOAT_MAX = int(1.7976931348623157e308)
-_NUMBER_RE = re.compile(r"\d*(?:\.\d*)?(?:[eE][+-]?\d+)?")
-
-
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def error(self, message: str) -> ParseError:
-        self.skip_ws()
-        return ParseError(f"{message} at offset {self.pos}", position=self.pos)
-
-    def take_number(self) -> str:
-        # An exponent is taken only when digits follow it.
-        m = _NUMBER_RE.match(self.text, self.pos)
-        self.pos = m.end()
-        return m.group()
-
-    def take_ident(self) -> str:
-        start = self.pos
-        t = self.text
-        while self.pos < len(t) and (t[self.pos].isalnum() or t[self.pos] == "_"):
-            self.pos += 1
-        return t[start:self.pos]
+_IDENT_RE = re.compile(r"\w*")
+_NUMBER_RE = re.compile(r"\d*(?:\.\d*)?(?:[eE][+-]?\d+)?")   # an exponent only with digits
 
 
 class _Parser:
-    def __init__(self, text: str, arity: Optional[int]):
-        self.tz = _Tokenizer(text)
-        self.arity = arity
+    """Recursive descent over one text from the cursor `pos`; `peek` skips
+    the whitespace before a token."""
 
-    def parse(self) -> Expr:
-        e = self.expr()
-        self.tz.skip_ws()
-        if self.tz.pos != len(self.tz.text):
-            raise self.tz.error("unexpected trailing input")
-        return e
+    def __init__(self, text: str, arity: Optional[int]):
+        self.text, self.pos, self.arity = text, 0, arity
+
+    def peek(self) -> str:
+        """Skip whitespace; the next character, or "" at the end."""
+        text, pos = self.text, self.pos
+        while text[pos:pos + 1].isspace():
+            pos += 1
+        self.pos = pos
+        return text[pos:pos + 1]
+
+    def take(self, pattern: re.Pattern) -> str:
+        m = pattern.match(self.text, self.pos)
+        self.pos = m.end()
+        return m.group()
+
+    def error(self, message: str, at: Optional[int] = None) -> ParseError:
+        """ParseError at offset `at`, by default that of the next token."""
+        if at is None:
+            self.peek()
+            at = self.pos
+        return ParseError(f"{message} at offset {at}", position=at)
+
+    def expect(self, ch: str):
+        if self.peek() != ch:
+            raise self.error(f"expected {ch!r}")
+        self.pos += 1
 
     def expr(self) -> Expr:
-        e = self.term()
+        """Operands joined by binary operators: a tighter precedence binds
+        first, and equal ones group left to right."""
+        operands, pending = [self.operand()], []
         while True:
-            c = self.tz.peek()
-            if c == "+":
-                self.tz.pos += 1
-                e = Add(e, self.term())
-            elif c == "-":
-                self.tz.pos += 1
-                e = Sub(e, self.term())
-            else:
-                return e
+            op = _BY_SYMBOL.get(self.peek())
+            while pending and (op is None or pending[-1][1] >= op[1]):
+                operands[-2:] = [pending.pop()[0](*operands[-2:])]
+            if op is None:
+                return operands[0]
+            self.pos += 1
+            pending.append(op)
+            operands.append(self.operand())
 
-    def term(self) -> Expr:
-        e = self.unary()
-        while True:
-            c = self.tz.peek()
-            if c == "*":
-                self.tz.pos += 1
-                e = Mul(e, self.unary())
-            elif c == "/":
-                self.tz.pos += 1
-                e = Div(e, self.unary())
-            else:
-                return e
-
-    def unary(self) -> Expr:
-        if self.tz.peek() == "-":
-            self.tz.pos += 1
-            inner = self.unary()
+    def operand(self) -> Expr:
+        c = self.peek()
+        if c == "-":
+            self.pos += 1
+            inner = self.operand()
             if isinstance(inner, Const):
-                text = inner.text
-                return Const(text[1:]) if text.startswith("-") else Const("-" + text)
+                t = inner.text
+                return Const(t[1:] if t.startswith("-") else "-" + t)
             return Sub(ZERO, inner)
-        return self.atom()
-
-    def atom(self) -> Expr:
-        c = self.tz.peek()
         if c == "(":
-            self.tz.pos += 1
+            self.pos += 1
             e = self.expr()
             self.expect(")")
             return e
         if c.isdigit() or c == ".":
-            num = self.tz.take_number()
+            num = self.take(_NUMBER_RE)
             if not num or num == ".":
-                raise self.tz.error("malformed number")
+                raise self.error("malformed number")
             return Const(num)
-        if c.isalpha():
-            start = self.tz.pos
-            name = self.tz.take_ident()
-            if name in _FUNCTIONS:
-                return self.call(name)
-            if name.startswith("x") and name[1:].isdigit():
-                idx = int(name[1:])
-                if self.arity is not None and idx >= self.arity:
-                    raise ParseError(
-                        f"undeclared variable {name} (arity {self.arity}) at offset {start}",
-                        position=start,
-                    )
-                return Var(idx)
-            raise ParseError(f"unknown identifier {name!r} at offset {start}", position=start)
-        raise self.tz.error("expected operand")
+        if not c.isalpha():
+            raise self.error("expected operand")
+        start = self.pos
+        name = self.take(_IDENT_RE)
+        call = _FUNCTIONS.get(name)
+        if call is not None:
+            self.expect("(")
+            args = [self.expr()]
+            if call is not Sqrt:
+                self.expect(",")
+                args.append(self.expr() if call is Atan else self.pow_exponent())
+            self.expect(")")
+            return call(*args)
+        index = name[1:]
+        if name[0] != "x" or not index.isdecimal():
+            raise self.error(f"unknown identifier {name!r}", start)
+        if len(index) > 4300:   # int() refuses longer decimal text by default
+            raise self.error(f"variable index of {len(index)} digits is too large", start)
+        i = int(index)
+        if self.arity is not None and i >= self.arity:
+            raise self.error(f"undeclared variable {name} (arity {self.arity})", start)
+        return Var(i)
 
-    def call(self, name: str) -> Expr:
-        self.expect("(")
-        first = self.expr()
-        if name == "sqrt":
-            self.expect(")")
-            return Sqrt(first)
-        self.expect(",")
-        if name == "atan":
-            second = self.expr()
-            self.expect(")")
-            return Atan(first, second)
-        # pow(e, k): k must be an integer literal, optionally negated
-        self.tz.skip_ws()
+    def pow_exponent(self) -> int:
+        """pow's second argument: an integer literal, optionally negated."""
         sign = 1
-        if self.tz.peek() == "-":
-            self.tz.pos += 1
+        if self.peek() == "-":
+            self.pos += 1
             sign = -1
-        kpos = self.tz.pos
-        num = self.tz.take_number()
+        kpos = self.pos
+        num = self.take(_NUMBER_RE)
         if not num or any(ch in num for ch in ".eE"):
-            raise ParseError(
-                f"pow exponent must be an integer literal at offset {kpos}", position=kpos
-            )
+            raise self.error("pow exponent must be an integer literal", kpos)
         # The digit count bounds the magnitude before int() reads the text.
         digits = num.lstrip("0") or "0"
         if len(digits) > 309 or int(digits) > _FLOAT_MAX:
-            raise ParseError(
-                f"pow exponent overflows binary64 at offset {kpos}", position=kpos
-            )
-        self.expect(")")
-        return Pow(first, sign * int(digits))
-
-    def expect(self, ch: str):
-        if self.tz.peek() != ch:
-            raise self.tz.error(f"expected {ch!r}")
-        self.tz.pos += 1
+            raise self.error("pow exponent overflows binary64", kpos)
+        return sign * int(digits)
 
 
 def parse(text: str, arity: Optional[int] = None) -> Expr:
-    """Parse an expression; variable indices are validated against the
-    declared arity when one is given."""
+    """Parse an expression; a variable's index, x{i} with i in decimal
+    digits, is validated against the declared arity when one is given."""
+    p = _Parser(text, arity)
     try:
-        return _Parser(text, arity).parse()
+        e = p.expr()
     except RecursionError:
         raise ParseError("expression too deeply nested") from None
-
-
-_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2}   # every other node binds tightest (3)
+    if p.peek():
+        raise p.error("unexpected trailing input")
+    return e
 
 
 def to_text(e: Expr) -> str:
@@ -457,12 +427,12 @@ def to_text(e: Expr) -> str:
     iterative and memoised on nodes, as in `differentiate`."""
     memo: dict[Expr, str] = {}
 
-    def sub(node: Expr, parent_prec: int) -> str:
+    def sub(node: Expr, floor: int) -> str:
         s = memo[node]
         if isinstance(node, Const):
-            wrap = s.startswith("-") and parent_prec >= 2
+            wrap = s.startswith("-") and floor >= 2
         else:
-            wrap = _PREC.get(type(node), 3) < parent_prec
+            wrap = _BINARY.get(type(node), ("", 3))[1] < floor
         return f"({s})" if wrap else s
 
     for node in _post_order(e, memo):
@@ -471,14 +441,9 @@ def to_text(e: Expr) -> str:
                 s = t
             case Var(index=i):
                 s = f"x{i}"
-            case Add(left=a, right=b):
-                s = f"{sub(a, 1)} + {sub(b, 2)}"
-            case Sub(left=a, right=b):
-                s = f"{sub(a, 1)} - {sub(b, 2)}"
-            case Mul(left=a, right=b):
-                s = f"{sub(a, 2)}*{sub(b, 3)}"
-            case Div(left=a, right=b):
-                s = f"{sub(a, 2)}/{sub(b, 3)}"
+            case Add() | Sub() | Mul() | Div():
+                sym, prec = _BINARY[type(node)]
+                s = f"{sub(node.left, prec)}{sym}{sub(node.right, prec + 1)}"
             case Pow(base=a, exponent=k):
                 s = f"pow({sub(a, 0)}, {k})"
             case Sqrt(arg=a):

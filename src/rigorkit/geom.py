@@ -10,7 +10,9 @@ d01 d02 d03 d12 d13 d23, the order `geom simplex --edges` takes them in.
 The module certifies only what interval arithmetic proves about the
 extremal configuration of each check: a verdict of NoSuchConfiguration
 means the extremal configuration rigorously violates a constraint;
-everything else is Inconclusive.  Whether the pivot argument applies in
+everything else is Inconclusive, including a check whose interval
+arithmetic raises (an overflow, a zero divisor, a domain violation),
+with the error as its reason.  Whether the pivot argument applies in
 a given parameter regime is the caller's responsibility.
 
 The coordinate gauge is fixed throughout: first point at the origin,
@@ -56,6 +58,9 @@ Vec3 = tuple[Interval, Interval, Interval]
 
 _ZERO = Interval(0.0, 0.0)
 _ONE = Interval(1.0, 1.0)
+# What interval arithmetic raises on overflow, a zero divisor or a domain
+# violation; each check ends inconclusive when its arithmetic raises one.
+_ARITHMETIC_ERRORS = (DivisionByZeroInterval, DomainError, NonFiniteOperand)
 
 
 def _v_add(a: Vec3, b: Vec3) -> Vec3:
@@ -261,23 +266,23 @@ def check_simplex_interior_point(edge_bounds: Sequence[Interval],
         raise ValueError("need 6 edge bounds: d01 d02 d03 d12 d13 d23")
     if not (r.lo > 0.0):
         return CheckResult(Verdict.INCONCLUSIVE, reason="r must be positive")
-    cm = cayley_menger_det(edge_bounds)
-    if cm.hi < 0.0:
-        return CheckResult(Verdict.NO_SUCH_CONFIGURATION,
-                           reason="unrealizable simplex (Cayley-Menger negative)",
-                           witness=cm)
-    if cm.lo < 0.0:
-        return CheckResult(Verdict.INCONCLUSIVE,
-                           reason="realizability undecided (Cayley-Menger straddles zero)")
     try:
+        cm = cayley_menger_det(edge_bounds)
+        if cm.hi < 0.0:
+            return CheckResult(Verdict.NO_SUCH_CONFIGURATION,
+                               reason="unrealizable simplex (Cayley-Menger negative)",
+                               witness=cm)
+        if cm.lo < 0.0:
+            return CheckResult(Verdict.INCONCLUSIVE,
+                               reason="realizability undecided (Cayley-Menger straddles zero)")
         p0, p1, p2, p3 = rigid_realization(edge_bounds)
         q = _place_apex(p0, p1, p2, edge_bounds[0], r, r, r)
+        fourth = _dist(q, p3)
     except PivotInfeasible as exc:
         return CheckResult(Verdict.INCONCLUSIVE,
                            reason=f"extremal configuration not constructible: {exc}")
-    except (DivisionByZeroInterval, DomainError, NonFiniteOperand) as exc:
+    except _ARITHMETIC_ERRORS as exc:
         return CheckResult(Verdict.INCONCLUSIVE, reason=str(exc))
-    fourth = _dist(q, p3)
     if fourth.hi < r.lo:
         return CheckResult(Verdict.NO_SUCH_CONFIGURATION,
                            reason="distance from the pivoted interior point to the "
@@ -308,15 +313,17 @@ def check_segment_through_triangle(r1: Interval, r2: Interval,
     for name, val in (("r1", r1), ("r3", r3)):
         if not (val.lo > 0.0):
             return CheckResult(Verdict.INCONCLUSIVE, reason=f"{name} must be positive")
-    h_sq = iv.sub(_sq(r3), _sq(r1))
-    if h_sq.hi <= 0.0:
-        return CheckResult(Verdict.INCONCLUSIVE,
-                           reason="endpoints may reach the triangle plane (r3 <= r1)")
-    if h_sq.lo < 0.0:
-        return CheckResult(Verdict.INCONCLUSIVE,
-                           reason="axis height straddles zero")
-    h = iv.sqrt_interval(h_sq)
-    min_len = iv.mul(Interval(2.0, 2.0), h)
+    try:
+        h_sq = iv.sub(_sq(r3), _sq(r1))
+        if h_sq.hi <= 0.0:
+            return CheckResult(Verdict.INCONCLUSIVE,
+                               reason="endpoints may reach the triangle plane (r3 <= r1)")
+        if h_sq.lo < 0.0:
+            return CheckResult(Verdict.INCONCLUSIVE,
+                               reason="axis height straddles zero")
+        min_len = iv.mul(Interval(2.0, 2.0), iv.sqrt_interval(h_sq))
+    except _ARITHMETIC_ERRORS as exc:
+        return CheckResult(Verdict.INCONCLUSIVE, reason=str(exc))
     if min_len.lo > r2.hi:
         return CheckResult(Verdict.NO_SUCH_CONFIGURATION,
                            reason="minimal achievable segment length rigorously "
@@ -353,23 +360,27 @@ def check_linked_line(spec: DistanceSpec) -> CheckResult:
     down to cells of width 2**-7.  A cell's enclosure covers every
     configuration in it, so refuting a coarse cell refutes all of its
     sub-cells.  `sweep_cells` counts the cells tested, over both signs."""
-    refuted = _bind_linked_line(spec)
-    if isinstance(refuted, CheckResult):
-        return replace(refuted, sweep_cells=0)
     tested = 0
-    for s_sign in (1, -1):
-        stack = [(Interval(-1.0, 1.0), 0)]
-        while stack:
-            cell, depth = stack.pop()
-            tested += 1
-            if refuted(cell, s_sign):
-                continue
-            if depth == _SWEEP_DEPTH:
-                return CheckResult(Verdict.INCONCLUSIVE,
-                                   reason="a sweep cell could not be refuted",
-                                   sweep_cells=tested)
-            mid = 0.5 * (cell.lo + cell.hi)
-            stack += [(Interval(mid, cell.hi), depth + 1), (Interval(cell.lo, mid), depth + 1)]
+    try:
+        refuted = _bind_linked_line(spec)
+        if isinstance(refuted, CheckResult):
+            return replace(refuted, sweep_cells=0)
+        for s_sign in (1, -1):
+            stack = [(Interval(-1.0, 1.0), 0)]
+            while stack:
+                cell, depth = stack.pop()
+                tested += 1
+                if refuted(cell, s_sign):
+                    continue
+                if depth == _SWEEP_DEPTH:
+                    return CheckResult(Verdict.INCONCLUSIVE,
+                                       reason="a sweep cell could not be refuted",
+                                       sweep_cells=tested)
+                mid = 0.5 * (cell.lo + cell.hi)
+                stack += [(Interval(mid, cell.hi), depth + 1),
+                          (Interval(cell.lo, mid), depth + 1)]
+    except _ARITHMETIC_ERRORS as exc:
+        return CheckResult(Verdict.INCONCLUSIVE, reason=str(exc), sweep_cells=tested)
     return CheckResult(Verdict.NO_SUCH_CONFIGURATION,
                        reason="every cell of the cable/strut-bound sweep violates "
                               "a distance bound or the linking test (verdict is "
@@ -380,7 +391,8 @@ def check_linked_line(spec: DistanceSpec) -> CheckResult:
 def _bind_linked_line(spec: DistanceSpec) -> CheckResult | Callable[[Interval, int], bool]:
     """Stage 1 and the binding of check_linked_line: the verdict when they
     decide it, else the test `refuted(c, s_sign)` of one sweep cell, c an
-    interval in [-1, 1] and s = s_sign sqrt(1 - c^2)."""
+    interval in [-1, 1] and s = s_sign sqrt(1 - c^2).  Errors of the
+    interval arithmetic, here or in the test, reach the caller."""
     if len(spec.labels) != 5:
         raise ValueError("spec must cover exactly 5 points: 0 p1 p2 p3 q")
 
@@ -425,8 +437,6 @@ def _bind_linked_line(spec: DistanceSpec) -> CheckResult | Callable[[Interval, i
     except PivotInfeasible:
         return CheckResult(Verdict.NO_SUCH_CONFIGURATION,
                            reason="bound frame is unrealizable")
-    except (DivisionByZeroInterval, DomainError, NonFiniteOperand) as exc:
-        return CheckResult(Verdict.INCONCLUSIVE, reason=str(exc))
 
     # q lives on the circle |q| = cap(0,q), |q - p1| = floor(q,p1):
     # q = alpha u + h (c w_hat + s c_hat),  c^2 + s^2 = 1.

@@ -646,11 +646,9 @@ def format_interval_literal(a: Interval) -> str:
             return "inf"
         if x == -_INF:
             return "-inf"
-        r = repr(x)
-        if from_decimal_string(r).is_point:
-            return r
-        from decimal import Decimal
-        return format(Decimal(x), "f")
+        from decimal import Decimal   # loaded on first use, not by `import rigorkit.cli`
+        r, exact = repr(x), Decimal(x)
+        return r if Decimal(r) == exact else format(exact, "f")
 
     if a.lo == a.hi and a.is_finite:
         return fmt(a.lo)

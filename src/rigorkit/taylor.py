@@ -82,17 +82,6 @@ class Box:
         return all(d.contains(x) for d, x in zip(self.dims, point))
 
 
-def _half_widths(box: Box, center: tuple[float, ...]) -> tuple[float, ...]:
-    # Upward-rounded radius around the (possibly off-center) midpoint, so
-    # |x_i - c_i| <= w_i holds for every x in the box.
-    out = []
-    for d, c in zip(box.dims, center):
-        left = iv.sub(Interval.point(c), Interval.point(d.lo)).hi
-        right = iv.sub(Interval.point(d.hi), Interval.point(c)).hi
-        out.append(max(left, right, 0.0))
-    return tuple(out)
-
-
 def taylor_upper_bound(ev: Evaluator, box: Box) -> float:
     """Certified upper bound of the compiled function over the box.
 
@@ -102,9 +91,10 @@ def taylor_upper_bound(ev: Evaluator, box: Box) -> float:
     if ev.arity != box.n:
         raise ValueError(f"evaluator arity {ev.arity} != box dimension {box.n}")
     try:
-        center = box.midpoint()
-        w = _half_widths(box, center)
-        center_box = tuple(Interval.point(c) for c in center)
+        center_box = tuple(Interval.point(c) for c in box.midpoint())
+        # Upward-rounded radius around the (possibly off-center) midpoint, so
+        # |x_i - c_i| <= w_i holds for every x in the box.
+        w = [iv.sub(d, c).mag for d, c in zip(box.dims, center_box)]
         germ = ev.germ(center_box)
         live = [i for i in range(box.n) if w[i] != 0.0]
         total = germ.f

@@ -344,6 +344,27 @@ def test_geom_modes(tmp_path, capsys):
     assert not any(key == "sweep_cells" for key, _ in body)   # simplex sweeps nothing
 
 
+@pytest.mark.parametrize("argv", [
+    ["simplex", "--edges", *["1e308"] * 6, "--r", "1"],
+    ["segment", "--r1", "1e200", "--r2", "1", "--r3", "1e300"],
+    ["linked", "0 q"],
+    ["linked", "0 p1"],
+], ids=["simplex", "segment", "linked-q-cap", "linked-frame-cap"])
+def test_geom_overflow_is_inconclusive(tmp_path, capsys, argv):
+    if argv[0] == "linked":
+        # every frame pair and (0, q) capped at 2, but the named pair at 1e200
+        pairs = ("0 p1", "0 p2", "0 p3", "p1 p2", "p1 p3", "p2 p3", "0 q")
+        spec = tmp_path / "big.dspec"
+        spec.write_text("points 0 p1 p2 p3 q\ndmin p1 q 1\n" + "".join(
+            f"dmax {pair} {'1e200' if pair == argv[1] else 2}\n" for pair in pairs))
+        argv = ["linked", "--spec", str(spec)]
+    code, out, err = run(["geom", *argv], capsys)
+    assert code == 1 and not err
+    _, body = cli.parse_report(out)
+    assert ("verdict", "inconclusive") in body
+    assert dict(body)["reason"].startswith("arithmetic on non-finite interval")
+
+
 def test_plan_dump(capsys):
     code, out, _ = run(["plan-dump", "--expr", "atan(x0, 1)", "--arity", "1"], capsys)
     assert code == 0
@@ -554,6 +575,16 @@ def test_pow_exponent_past_binary64_is_rejected_when_read(tmp_path, capsys, expo
     code, out, err = run(["prove", "--task", str(task)], capsys)
     assert code == 2 and not out
     assert err.strip() == "error: line 2: pow exponent overflows binary64 at offset 8"
+
+
+def test_malformed_variable_name_is_an_input_error_at_its_offset(tmp_path, capsys):
+    task = tmp_path / "sq.ineq"
+    task.write_text(one_variable_task("x²"))
+    code, out, err = run(["prove", "--task", str(task)], capsys)
+    assert (code, out, err) == (2, "", "error: line 2: unknown identifier 'x²' at offset 0\n")
+    code, out, err = run(["plan-dump", "--expr", "x" + "9" * 5000, "--arity", "1"], capsys)
+    assert (code, out, err) == (2, "", "error: variable index of 5000 digits is too large "
+                                       "at offset 0\n")
 
 
 def test_pow_exponent_at_binary64_limit_is_read():

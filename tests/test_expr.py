@@ -35,6 +35,48 @@ def test_parse_misc_grammar():
     assert ex.parse("(x0 + 1)*x0", 1) == ex.Mul(ex.Add(ex.Var(0), ex.Const("1")), ex.Var(0))
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("x0 x0", "unexpected trailing input at offset 3", 3),
+    ("x0 + .", "malformed number at offset 6", 6),
+    ("x0 + x2", "undeclared variable x2 (arity 2) at offset 5", 5),
+    ("foo(x0)", "unknown identifier 'foo' at offset 0", 0),
+    ("x0 *\t)", "expected operand at offset 5", 5),
+    ("pow(x0, 2.5)", "pow exponent must be an integer literal at offset 8", 8),
+    ("pow(x0, - 2)", "pow exponent must be an integer literal at offset 9", 9),
+    ("pow(x0, 1" + "0" * 400 + ")", "pow exponent overflows binary64 at offset 8", 8),
+    ("sqrt x0", "expected '(' at offset 5", 5),
+    ("(x0 ", "expected ')' at offset 4", 4),
+    ("atan(x0)", "expected ',' at offset 7", 7),
+    ("(" * 2000 + "x0" + ")" * 2000, "expression too deeply nested", None),
+], ids=["trailing", "number", "undeclared", "unknown", "operand", "pow-integer",
+        "pow-sign", "pow-overflow", "open", "close", "comma", "nesting"])
+def test_parse_error_messages_and_positions(text, message, position):
+    with pytest.raises(ParseError) as err:
+        ex.parse(text, arity=2)
+    assert str(err.value) == message and err.value.position == position
+
+
+@pytest.mark.parametrize("name", ["x²", "x" + "9" * 5000], ids=["superscript", "5000-digits"])
+def test_malformed_variable_name_is_a_parse_error(name):
+    # a superscript digit is a digit but not a decimal one, and int() reads
+    # neither it nor more than a few thousand digits
+    with pytest.raises(ParseError) as err:
+        ex.parse(f"1 + {name}")
+    assert err.value.position == 4 and str(err.value).endswith("at offset 4")
+
+
+def test_variable_index_in_unicode_decimal_digits():
+    assert ex.parse("x٣ + x0٣") == ex.Add(ex.Var(3), ex.Var(3))
+
+
+@pytest.mark.parametrize("opening, closing", [("(", ")"), ("-", ""), ("sqrt(", ")")],
+                         ids=["parentheses", "minus", "sqrt"])
+def test_nesting_depth(opening, closing):
+    assert ex.parse(opening * 150 + "x0" + closing * 150, 1)
+    with pytest.raises(ParseError, match="too deeply nested"):
+        ex.parse(opening * 2000 + "x0" + closing * 2000, 1)
+
+
 def test_differentiate_atan_rule_structure():
     d = ex.differentiate(ex.parse("atan(x0, 1)"), 0)
     assert d == ex.Div(ex.Const("1"),

@@ -177,6 +177,48 @@ dmin p1 q 0.5
     assert not geom.check_linked_line(feasible).refuted
 
 
+_FRAME_CAPS = "points 0 p1 p2 p3 q\n" + "".join(
+    f"dmax {a} {b} 2\n" for a, b in (("0", "p1"), ("0", "p2"), ("0", "p3"),
+                                     ("p1", "p2"), ("p1", "p3"), ("p2", "p3")))
+
+
+@pytest.mark.parametrize("check", [
+    lambda: geom.check_simplex_interior_point([I(1e308, 1e308)] * 6, I(1, 1)),
+    lambda: geom.check_segment_through_triangle(I(1e200, 1e200), I(1, 1), I(1e300, 1e300)),
+    lambda: geom.check_linked_line(geom.parse_distance_spec(
+        _FRAME_CAPS + "dmax 0 q 1e200\ndmin p1 q 1\n")),
+    lambda: geom.check_linked_line(geom.parse_distance_spec(
+        _FRAME_CAPS.replace("dmax 0 p1 2", "dmax 0 p1 1e200") + "dmax 0 q 2\ndmin p1 q 1\n")),
+], ids=["simplex-cayley-menger", "segment", "linked-binding", "linked-realization"])
+def test_overflow_anywhere_in_a_check_is_inconclusive(check):
+    res = check()
+    assert res.verdict is geom.Verdict.INCONCLUSIVE
+    assert res.reason.startswith("arithmetic on non-finite interval")
+    assert res.sweep_cells in (None, 0)
+
+
+def test_arithmetic_error_in_the_sweep_is_inconclusive(monkeypatch):
+    # the bound family above: every cell reaches the linking test, so its
+    # error in the first cell ends the check there
+    def overflow(*points):
+        raise NonFiniteOperand("overflow in the linking test")
+
+    monkeypatch.setattr(geom, "line_links_triangle", overflow)
+    res = geom.check_linked_line(geom.parse_distance_spec("""
+points 0 p1 p2 p3 q
+dmax 0 p1 2.0
+dmax 0 p2 2.0
+dmax 0 p3 2.0
+dmax p1 p2 1.0
+dmax p1 p3 1.0
+dmax p2 p3 1.0
+dmax 0 q 2.0
+dmin p1 q 3.8
+"""))
+    assert (res.verdict, res.reason, res.sweep_cells) == (
+        geom.Verdict.INCONCLUSIVE, "overflow in the linking test", 1)
+
+
 def random_linked_spec(rng) -> geom.DistanceSpec:
     """Caps and floors around the bound family above: about 40% of these
     are refuted by the sweep and 40% stay inconclusive there; the rest are
