@@ -402,7 +402,10 @@ class _Parser:
         num = self.take(_NUMBER_RE)
         if not num or any(ch in num for ch in ".eE"):
             raise self.error("pow exponent must be an integer literal", kpos)
-        # The digit count bounds the magnitude before int() reads the text.
+        # The digit count bounds the magnitude before int() reads the text;
+        # a leading zero may be any Unicode zero digit, as int() reads it.
+        if not num.isascii():
+            num = "".join(str(int(ch)) for ch in num)
         digits = num.lstrip("0") or "0"
         if len(digits) > 309 or int(digits) > _FLOAT_MAX:
             raise self.error("pow exponent overflows binary64", kpos)

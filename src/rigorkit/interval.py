@@ -27,7 +27,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     DivisionByZeroInterval,
@@ -47,6 +47,7 @@ __all__ = [
     "sqrt_interval",
     "atan_interval",
     "subtract_products",
+    "add_products",
     "from_decimal_string",
     "parse_interval_literal",
     "format_interval_literal",
@@ -488,29 +489,105 @@ def atan_interval(a: Interval) -> Interval:
 
 
 def subtract_products(lo: list[float], hi: list[float], mult: Sequence[float],
-                      rows: Sequence[Sequence[float]]) -> None:
+                      rows: Sequence[Sequence[float]],
+                      cols: Optional[Sequence[Sequence[int]]] = None) -> None:
     """In place, [lo_j, hi_j] -= mult_i * rows[i][j] over every nonzero
     rows[i][j] with mult_i nonzero, in row order: the residual of a dot
     product with a matrix, on endpoint lists rather than Interval objects.
-    Each step rounds as sub([lo_j, hi_j], mul(point(mult_i),
-    point(rows[i][j]))) rounds.  A step on a NaN entry, or whose result is
-    not finite, is replayed on Interval objects, which raise
-    NonFiniteOperand exactly where those operations would."""
-    for m, row in zip(mult, rows):
+    Rows are dense unless `cols` is given, when rows[i][k] sits in column
+    cols[i][k].  Each step rounds as sub([lo_j, hi_j], mul(point(mult_i),
+    point(rows[i][j]))) rounds.  A step on a NaN or infinite operand, or
+    whose sum overflows, is replayed on Interval objects, which raise
+    NonFiniteOperand exactly where those operations would.
+
+    The kernels are fused: one TwoProduct error term gives both rounded
+    products, mult_i is split once per row, and the two TwoSums run inline;
+    an entry outside TwoProduct's safe range takes _mul_down and _mul_up."""
+    # the inner loop runs once per nonzero: its constants are locals
+    split_max, prod_min, prod_max, splitter = _SPLIT_MAX, _PROD_MIN, _PROD_MAX, _SPLIT
+    inf, nextafter = _INF, _nextafter
+    for i, (m, row) in enumerate(zip(mult, rows)):
         if m == 0.0:
             continue
         if m != m:
             Interval.point(m)  # raises: an interval endpoint may not be NaN
-        for j, a in enumerate(row):
-            if a != 0.0:
-                if a == a:
-                    pl, ph = _mul_down(m, a), _mul_up(m, a)
-                    l, h = _add_down(lo[j], -ph), _add_up(hi[j], -pl)
-                    if -_INF < l and h < _INF:
-                        lo[j], hi[j] = l, h
-                        continue
-                r = sub(Interval(lo[j], hi[j]), mul(Interval.point(m), Interval.point(a)))
-                lo[j], hi[j] = r.lo, r.hi
+        split = -split_max < m < split_max
+        if split:
+            c = splitter * m
+            mh = c - (c - m)
+            ml = m - mh
+        for j, a in (enumerate(row) if cols is None else zip(cols[i], row)):
+            if a == 0.0:
+                continue
+            p = m * a
+            if split and -split_max < a < split_max and prod_min <= abs(p) < prod_max:
+                c = splitter * a
+                ah = c - (c - a)
+                al = a - ah
+                e = ((mh * ah - p) + mh * al + ml * ah) + ml * al
+                pl = nextafter(p, -inf) if e < 0.0 else p
+                ph = nextafter(p, inf) if e > 0.0 else p
+            elif a == a:
+                pl, ph = _mul_down(m, a), _mul_up(m, a)
+            else:
+                pl = ph = math.nan  # a NaN entry fails the test below and is replayed
+            # _add_down(x, -ph) and _add_up(y, -pl), their error terms
+            # (x - (s - bb)) + (-ph - bb) written (x - (s - bb)) - (ph + bb),
+            # equal but for the sign of a zero.  Finite sums mean finite
+            # operands, on which sub() would not raise; other steps replay.
+            x, y = lo[j], hi[j]
+            s, t = x - ph, y - pl
+            if -inf < s < inf and -inf < t < inf:
+                bb = s - x
+                if (x - (s - bb)) - (ph + bb) < 0.0:
+                    s = nextafter(s, -inf)
+                bb = t - y
+                if (y - (t - bb)) - (pl + bb) > 0.0:
+                    t = nextafter(t, inf)
+                lo[j], hi[j] = s, t
+                continue
+            r = sub(Interval(x, y), mul(Interval.point(m), Interval.point(a)))
+            lo[j], hi[j] = r.lo, r.hi
+
+
+def add_products(xs: Sequence[float], ys: Sequence[float],
+                 lo: float = 0.0, hi: float = 0.0) -> tuple[float, float]:
+    """[lo, hi] + sum x_i * y_i, accumulated in order on endpoint floats.
+    Each step rounds as add([lo, hi], mul(point(x_i), point(y_i))) rounds,
+    with subtract_products' fused kernels.  A step on a factor outside
+    TwoProduct's safe range (a NaN or infinite one included), or whose sum
+    is not finite, is replayed on Interval objects, which raise
+    NonFiniteOperand exactly where those operations would."""
+    for x, y in zip(xs, ys):
+        if -_SPLIT_MAX < x < _SPLIT_MAX and -_SPLIT_MAX < y < _SPLIT_MAX:
+            p = x * y
+            if _PROD_MIN <= abs(p) < _PROD_MAX:
+                c = _SPLIT * x
+                xh = c - (c - x)
+                xl = x - xh
+                c = _SPLIT * y
+                yh = c - (c - y)
+                yl = y - yh
+                e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+                pl = _nextafter(p, -_INF) if e < 0.0 else p
+                ph = _nextafter(p, _INF) if e > 0.0 else p
+            elif x == 0.0 or y == 0.0:
+                pl = ph = p  # exact
+            else:  # an underflow or an overflow
+                pl, ph = _mul_down(x, y), _mul_up(x, y)
+            s, t = lo + pl, hi + ph
+            if -_INF < s < _INF and -_INF < t < _INF:
+                bb = s - lo
+                if (lo - (s - bb)) + (pl - bb) < 0.0:
+                    s = _nextafter(s, -_INF)
+                bb = t - hi
+                if (hi - (t - bb)) + (ph - bb) > 0.0:
+                    t = _nextafter(t, _INF)
+                lo, hi = s, t
+                continue
+        r = add(Interval(lo, hi), mul(Interval.point(x), Interval.point(y)))
+        lo, hi = r.lo, r.hi
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

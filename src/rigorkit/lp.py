@@ -25,8 +25,10 @@ A bad dual just yields a loose bound.
 
 `solve_approx` is a stand-in for an industrial solver: a dense
 floating-point solve with no rigor claim, used only to produce candidate
-duals for certification.  External duals can be supplied through the
-dual-file interface instead.
+duals for certification.  HiGHS (through scipy's `linprog`) gets the
+explicit rows as rows and the variable bounds as bounds; the bound
+multipliers in z are its upper- and lower-bound marginals.  External
+duals can be supplied through the dual-file interface instead.
 """
 
 from __future__ import annotations
@@ -169,28 +171,22 @@ def certify_upper_bound(p: LpProblem, d: DualSolution) -> BoundCertificate:
 
     # delta = c - y Aeq - z A, on endpoint lists, each nonzero rounded as
     # the sub(delta_j, mul(point, point)) of interval arithmetic.  x_j's
-    # bound rows touch delta_j alone, so they run on that one entry.
+    # bound rows are 1 and -1 in column j alone, so they run as one-entry
+    # rows, both of x_j's before x_{j+1}'s.
     lo = [Interval.point(v).lo for v in p.c]  # a NaN raises here, as before
     hi = list(lo)
     iv.subtract_products(lo, hi, d.y, p.aeq)
     iv.subtract_products(lo, hi, d.z, p.aineq)
-    z_bounds = d.z[len(p.bineq):]
-    for j in range(p.n):
-        lo_j, hi_j = [lo[j]], [hi[j]]
-        iv.subtract_products(lo_j, hi_j, z_bounds[2 * j:2 * j + 2], ((1.0,), (-1.0,)))
-        lo[j], hi[j] = lo_j[0], hi_j[0]
-    delta = [Interval(a, b) for a, b in zip(lo, hi)]
+    iv.subtract_products(lo, hi, d.z[len(p.bineq):], ((1.0,), (-1.0,)) * p.n,
+                         [(j,) for j in range(p.n) for _ in (0, 1)])
+    delta = tuple(Interval(a, b) for a, b in zip(lo, hi))
 
-    # D = sum_j sup(|delta_j| * max(|lo_j|, |hi_j|))
-    d_total = Interval.point(0.0)
-    for dj, b in zip(delta, p.var_bounds):
-        d_total = iv.add(d_total, iv.mul(Interval.point(dj.mag), Interval.point(b.mag)))
-
-    bound_total = d_total
-    for mi, bi in zip(d.y + d.z, p.beq + p.bineq + _bound_rhs(p)):
-        bound_total = iv.add(bound_total, iv.mul(Interval.point(mi), Interval.point(bi)))
-    return BoundCertificate(bound=bound_total.hi, delta_bound=d_total.hi,
-                            residual=tuple(delta), inputs_digest=_inputs_digest(p, d))
+    # D = sum_j sup(|delta_j| * max(|lo_j|, |hi_j|)), then D + y.beq + z.b,
+    # each term rounded as add(total, mul(point, point))
+    d_lo, d_hi = iv.add_products([dj.mag for dj in delta], [b.mag for b in p.var_bounds])
+    _, bound = iv.add_products(d.y + d.z, p.beq + p.bineq + _bound_rhs(p), d_lo, d_hi)
+    return BoundCertificate(bound=bound, delta_bound=d_hi,
+                            residual=delta, inputs_digest=_inputs_digest(p, d))
 
 
 def _inputs_digest(p: LpProblem, d: DualSolution) -> str:
@@ -245,22 +241,24 @@ def solve_approx(p: LpProblem) -> tuple[Vector, tuple[Vector, Vector], float]:
     import numpy as np
     from scipy.optimize import linprog
 
-    # HiGHS gets the bounds as rows, so that ineqlin carries their duals
-    a_ub = np.vstack([np.array(p.aineq, dtype=float).reshape(len(p.aineq), p.n),
-                      np.kron(np.eye(p.n), [[1.0], [-1.0]])]) if p.m_ineq else None
-    b_ub = np.array(p.bineq + _bound_rhs(p), dtype=float) if p.m_ineq else None
+    # HiGHS gets the bounds as bounds; z takes their multipliers from
+    # res.upper and res.lower, x_j <= hi_j's then -x_j <= -lo_j's, and
+    # `+ 0.0` writes each zero as +0.0
+    a_ub = np.array(p.aineq, dtype=float) if p.aineq else None
+    b_ub = np.array(p.bineq, dtype=float) if p.aineq else None
     a_eq = np.array(p.aeq, dtype=float) if p.m_eq else None
     b_eq = np.array(p.beq, dtype=float) if p.m_eq else None
     res = linprog(
         -np.array(p.c, dtype=float),
         A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-        bounds=[(None, None)] * p.n,
+        bounds=[(b.lo, b.hi) for b in p.var_bounds],
         method="highs",
     )
     if res.status != 0 or res.x is None:
         raise NoProgress(f"approximate LP solve failed: {res.message}")
     y = tuple(float(-v) for v in res.eqlin.marginals) if p.m_eq else ()
-    z = tuple(float(-v) for v in res.ineqlin.marginals) if p.m_ineq else ()
+    pairs = np.column_stack([-res.upper.marginals, res.lower.marginals])
+    z = tuple(map(float, np.concatenate([-res.ineqlin.marginals, pairs.ravel()]) + 0.0))
     return tuple(float(v) for v in res.x), (y, z), float(-res.fun)
 
 

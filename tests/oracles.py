@@ -341,6 +341,39 @@ def reference_certify(p: LpProblem, d: DualSolution
     return total.hi, d_total.hi, tuple(delta)
 
 
+def reference_subtract_products(lo: list[float], hi: list[float], mult: Sequence[float],
+                                rows: Sequence[Sequence[float]]) -> None:
+    """iv.subtract_products on dense rows as a per-entry loop over the
+    scalar kernels: [lo_j, hi_j] -= mult_i * rows[i][j] by _mul_down,
+    _mul_up, _add_down and _add_up, replayed on Interval objects where an
+    entry is NaN or the step's result is not finite."""
+    for m, row in zip(mult, rows):
+        if m == 0.0:
+            continue
+        if m != m:
+            Interval.point(m)
+        for j, a in enumerate(row):
+            if a != 0.0:
+                if a == a:
+                    pl, ph = iv._mul_down(m, a), iv._mul_up(m, a)
+                    l, h = iv._add_down(lo[j], -ph), iv._add_up(hi[j], -pl)
+                    if -math.inf < l and h < math.inf:
+                        lo[j], hi[j] = l, h
+                        continue
+                r = iv.sub(Interval(lo[j], hi[j]), iv.mul(Interval.point(m), Interval.point(a)))
+                lo[j], hi[j] = r.lo, r.hi
+
+
+def reference_add_products(xs: Sequence[float], ys: Sequence[float],
+                           lo: float = 0.0, hi: float = 0.0) -> tuple[float, float]:
+    """iv.add_products as the interval chain it replaces:
+    acc = add(acc, mul(point(x_i), point(y_i))) from acc = [lo, hi]."""
+    acc = Interval(lo, hi)
+    for x, y in zip(xs, ys):
+        acc = iv.add(acc, iv.mul(Interval.point(x), Interval.point(y)))
+    return acc.lo, acc.hi
+
+
 def reference_lp_from_records(text: str) -> LpProblem:
     """lp.problem_from_text as first written: every record through
     records.read_records, {key: last value} tables keyed by row and column,

@@ -69,6 +69,16 @@ def test_variable_index_in_unicode_decimal_digits():
     assert ex.parse("x٣ + x0٣") == ex.Add(ex.Var(3), ex.Var(3))
 
 
+@pytest.mark.parametrize("zero", ["0", "٠", "０"], ids=["ascii", "arabic-indic", "fullwidth"])
+def test_pow_exponent_leading_zeros_in_any_script(zero):
+    # the bound on the exponent's digit count must not count leading zeros,
+    # whatever script they are written in
+    assert ex.parse(f"pow(x0, {zero * 400}2)", 1) == ex.Pow(ex.Var(0), 2)
+    assert ex.parse(f"pow(x0, -{zero * 400}٣)", 1) == ex.Pow(ex.Var(0), -3)
+    with pytest.raises(ParseError, match="^pow exponent overflows binary64 at offset 8$"):
+        ex.parse(f"pow(x0, 1{zero * 400})", 1)
+
+
 @pytest.mark.parametrize("opening, closing", [("(", ")"), ("-", ""), ("sqrt(", ")")],
                          ids=["parentheses", "minus", "sqrt"])
 def test_nesting_depth(opening, closing):

@@ -105,6 +105,44 @@ def test_solve_approx():
     assert abs(obj2 - 1.0) < 1e-9
 
 
+def _positive(vec):
+    # math.copysign tells -0.0 from 0.0
+    return all(math.copysign(1.0, v) == 1.0 for v in vec)
+
+
+def test_solver_bound_multipliers_keep_the_z_layout():
+    # HiGHS gets the bounds as bounds; z still lists the rows' multipliers,
+    # then x_j <= hi_j's and -x_j <= -lo_j's for each j, every zero +0.0
+    _, (y, z), _ = lp.solve_approx(toy_max_x())
+    assert y == () and z == (1.0, 0.0, 0.0) and _positive(z)
+    rowless = lp.problem_from_text(
+        "vars 2\nobj 0 1\nobj 1 -0.5\nbound 0 0..1\nbound 1 -1..2\n")
+    _, (y, z), obj = lp.solve_approx(rowless)
+    assert y == () and z == (1.0, 0.0, 0.0, 0.5) and _positive(z) and obj == 1.5
+    assert lp.certify_upper_bound(rowless, lp.clamp_dual(y, z)).bound == 1.5
+
+
+def test_solver_duals_certify_optima_pinned_on_bounds():
+    # few rows, so most variables sit on a bound at the optimum and z's
+    # bound multipliers carry the bound; and one K-t augmented problem,
+    # pinned on t's bound
+    rng = random.Random(1818)
+    problems = [random_problem(rng, n_max=10, m_max=4, with_eq=(k % 2 == 1)) for k in range(16)]
+    problems.append(lp.augment_with_t(random_problem(rng, n_max=6, m_max=6, with_eq=True), 0.5))
+    gaps, pinned = [], 0
+    for p in problems:
+        _, (y, z), _ = lp.solve_approx(p)
+        d = lp.clamp_dual(y, z)
+        assert len(z) == p.m_ineq and _positive(d.z)
+        pinned += any(v > 0.0 for v in d.z[len(p.bineq):])
+        opt, _ = exact_lp_optimum(p)
+        cert = lp.certify_upper_bound(p, d)
+        assert Fraction(cert.bound) >= opt
+        gaps.append(float(Fraction(cert.bound) - opt))
+    assert pinned >= len(problems) - 2
+    assert sorted(gaps)[len(gaps) // 2] <= 1e-6
+
+
 def test_certificate_soundness_and_fuzz_small_batch():
     rng = random.Random(909)
     gaps = []
