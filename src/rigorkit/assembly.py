@@ -158,12 +158,9 @@ def binding_rows(p: AssemblyProblem, x_star: Sequence[float]) -> list[int]:
 
 def _side_terms(p: AssemblyProblem, x_star: Sequence[float], w: Sequence[float],
                 rows: Sequence[int]) -> tuple[Interval, Interval]:
-    """Enclosures of c.x* and w.(b_R - A_R x*), skipping zero coefficients."""
+    """Enclosures of c.x* and w.(b_R - A_R x*), skipping zero A entries."""
     point = Interval.point
-    obj = point(0.0)
-    for c_j, x_j in zip(p.c, x_star):
-        if c_j != 0.0:
-            obj = iv.add(obj, iv.mul(point(c_j), point(x_j)))
+    obj = Interval(*iv.add_products(p.c, x_star))
     retained = point(0.0)
     for w_k, k in zip(w, rows):
         resid = point(p.b[k])

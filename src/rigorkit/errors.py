@@ -36,7 +36,7 @@ class ParseError(RigorError):
 
 
 class CompileError(RigorError):
-    """Expression cannot be compiled (e.g. depth limit exceeded)."""
+    """Expression uses a variable past the evaluator's arity."""
 
 
 class BoundUnavailable(RigorError):

@@ -639,10 +639,6 @@ def _interval_ops() -> dict:
             Sqrt: checked_sqrt, Atan: atan_of_ratio}
 
 
-# Deepest expression (in plan instructions) that compiles.
-MAX_DEPTH = 500
-
-
 class Evaluator(_Plan):
     """One flat interval evaluation plan for an expression at a fixed
     arity, and for the partial derivatives the queries ask for.
@@ -662,11 +658,6 @@ class Evaluator(_Plan):
             arity = used
         if used > arity:
             raise CompileError(f"expression uses x{used - 1} but arity is {arity}")
-        depth = [0] * len(self.plan)   # a power's b, its own slot, reads 0
-        for s, ins in enumerate(self._code):
-            depth[s] = 1 + (max(depth[ins[1]], depth[ins[2]]) if ins else 0)
-        if depth[root] > MAX_DEPTH:
-            raise CompileError(f"expression depth exceeds limit {MAX_DEPTH}")
         self.arity = arity
         # derivative index: () is f, (i,) is df/dx_i, (i, j) is d/dx_j(df/dx_i)
         self._partials: dict[tuple[int, ...], tuple[Expr, int]] = {(): (expr, root)}

@@ -23,7 +23,8 @@ cheap terminal filter.  A prune predicate (compile_prune_spec) sees each
 candidate: face-size caps combine by min, a later max-degree or
 max-faces replaces an earlier one.
 
-Generation deduplicates at every level with a canonical form that is
+Generation runs the seeds in increasing size, each depth first to the
+end, and deduplicates each seed's states with a canonical form that is
 invariant under embedding-preserving isomorphism and includes the face
 attributes.  Reflection is included for undecorated graphs only: under
 reflection the form reads the attribute of the face across an edge, so a
@@ -230,7 +231,6 @@ def _enumerate_steps(g: DecoratedGraph, budget: int) -> list[RefinementStep]:
                         j or (a + 1) % k == b or not g.has_edge(bverts[a], bverts[b])
                         for (a, b), j in zip(gaps, news)):
                     steps.append(RefinementStep(keep, news))
-    steps.sort(key=lambda s: (len(s.keep), s.keep, s.news))
     return steps
 
 
@@ -439,39 +439,36 @@ class GenerationResult:
 
 def generate(cfg: GeneratorConfig) -> GenerationResult:
     """Exhaustive set of terminal isomorphism classes with <= N vertices
-    surviving pruning.  Deterministic: output sorted by canonical string."""
-    stack = []
-    seen: set[tuple[str, int]] = set()
-    for seed_k in range(cfg.n_max, 2, -1):
-        g = seed_graph(seed_k)
-        if cfg.prune(g):
-            stack.append((g, seed_k, (seed_k,)))
+    surviving pruning.  Seeds run in increasing size, each depth first to
+    the end.  Deterministic: output sorted by canonical string."""
     terminals: dict[str, TerminalRecord] = {}
     states = 0
-    complete = True
-    while stack:
-        if states >= cfg.max_states:
-            complete = False
+    for seed_k in range(3, cfg.n_max + 1):
+        g = seed_graph(seed_k)
+        stack = [(g, (seed_k,))] if cfg.prune(g) else []
+        seen: set[str] = set()
+        while stack and states < cfg.max_states:
+            g, path = stack.pop()
+            states += 1
+            if g.is_terminal:
+                if max(len(f) for f in g._faces) > seed_k:
+                    continue
+                canon = canonical_form(g)
+                if canon not in terminals:
+                    terminals[canon] = TerminalRecord(g, canon, path)
+                continue
+            for step, child in refinements_with_steps(g, cfg.n_max):
+                if not cfg.prune(child):
+                    continue
+                canon = canonical_form(child)
+                if canon in seen:
+                    continue
+                seen.add(canon)
+                stack.append((child, path + (step,)))
+        if stack:  # the budget ran out
             break
-        g, seed_k, path = stack.pop()
-        states += 1
-        if g.is_terminal:
-            if max(len(f) for f in g._faces) > seed_k:
-                continue
-            canon = canonical_form(g)
-            if canon not in terminals:
-                terminals[canon] = TerminalRecord(g, canon, path)
-            continue
-        for step, child in refinements_with_steps(g, cfg.n_max):
-            if not cfg.prune(child):
-                continue
-            key = (canonical_form(child), seed_k)
-            if key in seen:
-                continue
-            seen.add(key)
-            stack.append((child, seed_k, path + (step,)))
     ordered = tuple(terminals[k] for k in sorted(terminals))
-    return GenerationResult(ordered, complete, states)
+    return GenerationResult(ordered, not stack, states)
 
 
 # ---------------------------------------------------------------------------

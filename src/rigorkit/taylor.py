@@ -97,10 +97,8 @@ def taylor_upper_bound(ev: Evaluator, box: Box) -> float:
         w = [iv.sub(d, c).mag for d, c in zip(box.dims, center_box)]
         germ = ev.germ(center_box)
         live = [i for i in range(box.n) if w[i] != 0.0]
-        total = germ.f
-        for i in live:
-            total = iv.add(total, iv.mul(
-                Interval.point(germ.df[i].mag), Interval.point(w[i])))
+        total = Interval(*iv.add_products([germ.df[i].mag for i in live],
+                                          [w[i] for i in live], germ.f.lo, germ.f.hi))
         entries = [(i, j) for i in live for j in live if i <= j]
         half = Interval(0.5, 0.5)
         for (i, j), h in zip(entries, ev.hessian(box.dims, entries)):

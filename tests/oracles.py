@@ -5,11 +5,11 @@ paths: LP optima proved exact in rationals (from the float solver's basis,
 else by an exact rational simplex), dense numpy grid search
 for function maxima and assembly feasibility, a rotation-system brute
 force for small sphere graphs, the refinement step enumerator, the
-Cayley-Menger recursion and the `.lp` record reader as first written, mpmath for high-precision scalar
-references, directed-rounding kernels that decide every rounding by
-exact integer ratios, and a decimal reader that rounds by one exact
-integer division, with Clinger's float-division case beside it.  None of
-it is shipped.
+Cayley-Menger recursion, the `.lp` record reader and the Taylor bound as
+first written, mpmath for high-precision scalar references,
+directed-rounding kernels that decide every rounding by exact integer
+ratios, and a decimal reader that rounds by one exact integer division,
+with Clinger's float-division case beside it.  None of it is shipped.
 """
 
 from __future__ import annotations
@@ -25,7 +25,13 @@ from rigorkit import geom
 from rigorkit import interval as iv
 from rigorkit import lp
 from rigorkit import records as rec
-from rigorkit.errors import ParseError
+from rigorkit.errors import (
+    BoundUnavailable,
+    DivisionByZeroInterval,
+    DomainError,
+    NonFiniteOperand,
+    ParseError,
+)
 from rigorkit.interval import Interval
 from rigorkit.lp import DualSolution, LpProblem
 
@@ -372,6 +378,32 @@ def reference_add_products(xs: Sequence[float], ys: Sequence[float],
     for x, y in zip(xs, ys):
         acc = iv.add(acc, iv.mul(Interval.point(x), Interval.point(y)))
     return acc.lo, acc.hi
+
+
+def reference_taylor_upper_bound(ev: ex.Evaluator, box) -> float:
+    """taylor.taylor_upper_bound as the interval chain it was first written
+    as: every gradient and Hessian term added to f(c) by iv.add and iv.mul
+    on point intervals, with the same errors."""
+    if ev.arity != box.n:
+        raise ValueError(f"evaluator arity {ev.arity} != box dimension {box.n}")
+    try:
+        center_box = tuple(Interval.point(c) for c in box.midpoint())
+        w = [iv.sub(d, c).mag for d, c in zip(box.dims, center_box)]
+        germ = ev.germ(center_box)
+        live = [i for i in range(box.n) if w[i] != 0.0]
+        total = germ.f
+        for i in live:
+            total = iv.add(total, iv.mul(
+                Interval.point(germ.df[i].mag), Interval.point(w[i])))
+        entries = [(i, j) for i in live for j in live if i <= j]
+        half = Interval(0.5, 0.5)
+        for (i, j), h in zip(entries, ev.hessian(box.dims, entries)):
+            term = iv.mul(Interval.point(h.mag),
+                          iv.mul(Interval.point(w[i]), Interval.point(w[j])))
+            total = iv.add(total, term if i != j else iv.mul(half, term))
+        return total.hi
+    except (DivisionByZeroInterval, DomainError, NonFiniteOperand, OverflowError) as exc:
+        raise BoundUnavailable(str(exc)) from exc
 
 
 def reference_lp_from_records(text: str) -> LpProblem:

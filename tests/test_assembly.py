@@ -5,6 +5,7 @@ import pytest
 
 from oracles import assembly_grid_max
 from rigorkit import assembly as asm
+from rigorkit import cli
 from rigorkit.errors import BranchError
 from rigorkit.expr import parse
 from rigorkit.interval import Interval
@@ -149,6 +150,24 @@ def test_assembly_without_linking_rows():
     assert asm.verify_duality(p, cert).certified
     brute = assembly_grid_max(p, points_per_domain=20000, seed=2)
     assert brute is not None and brute <= 1.25
+
+
+def test_many_constraints_verify_through_the_cli(tmp_path, capsys):
+    # E_D is a left-deep sum with one term per constraint, so 600
+    # constraints make it over 600 plan levels deep
+    phis = tuple(parse(f"1 - x0*{1 + i / 1000!r}", 1) for i in range(600))
+    dom = asm.LocalDomain("d0", ("x",), Box((I(0, 0.5),)), phis)
+    p = asm.AssemblyProblem((dom,), (), (), (1.0,))
+    t0 = asm._compute_t0(p, 0.6, [0.5], [], [])
+    cert = asm.DualityCertificate(0.6, (0.5,), ((1e-6,) * 600,), (), t0, ())
+    problem, certificate = tmp_path / "many.asm", tmp_path / "many.cert"
+    problem.write_text(asm.problem_to_text(p))
+    certificate.write_text(asm.certificate_to_text(p, cert))
+    code = cli.dispatch(["assemble", "verify", "--problem", str(problem),
+                         "--certificate", str(certificate)])
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    assert ("certified", "True") in cli.parse_report(out.out)[1]
 
 
 def test_fit_linear_domain_recovers_dual_structure():

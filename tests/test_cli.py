@@ -130,6 +130,17 @@ def test_deep_product_proves_with_a_linear_plan(tmp_path, capsys, k):
     assert len(ev.plan) <= 8 * k
 
 
+def test_long_sum_compiles_past_any_depth(tmp_path, capsys):
+    # a left-deep sum of 600 terms is over 600 plan levels deep
+    text = " + ".join(["0.001*x0*x1"] * 600) + " - 1"
+    task = tmp_path / "long.ineq"
+    task.write_text(f"arity 2\nexpr {text}\ndomain x0 0..1\ndomain x1 0..1\n")
+    code, out, err = run(["prove", "--task", str(task)], capsys)
+    assert code == 0, err
+    _, body = cli.parse_report(out)
+    assert ("status", "proven") in body
+
+
 def test_far_exponent_literal_proves_promptly(tmp_path):
     # 1e-999999999 reads as [0, 5e-324]; folding constants in the
     # derivatives must not build 10**999999999 either

@@ -113,13 +113,14 @@ def test_compile_examples():
     assert g3.df[0].contains(0.5)
 
 
-def test_compile_depth_limit():
+def test_compile_takes_any_depth():
+    # every compiler pass is iterative, so depth is limited by memory only
     deep = ex.Var(0)
-    for _ in range(ex.MAX_DEPTH - 1):
+    for _ in range(4999):
         deep = ex.Add(deep, ex.Const("1"))
-    ex.Evaluator(deep, 1)  # depth MAX_DEPTH compiles
-    with pytest.raises(CompileError):
-        ex.Evaluator(ex.Add(deep, ex.Const("1")), 1)
+    germ = ex.Evaluator(deep, 1).germ([I(0, 1)])
+    assert germ == ex.TaylorGerm(I(4999, 5000), (I(1, 1),))
+    # an undeclared variable is the one compile error
     with pytest.raises(CompileError):
         ex.Evaluator(ex.Var(3), arity=2)
 

@@ -234,6 +234,23 @@ def test_budget_flags_incomplete():
     assert not r.complete
 
 
+@pytest.mark.parametrize("spec, total, first", [
+    ("", 68, (12, 28, 31, 38, 41, 44, 46, 48, 50, 53, 57, 62, 64, 67)),
+    # all-triangles prunes every seed but the triangle, so a budget that
+    # stops the triangle's search leaves generation incomplete
+    ("all-triangles", 9, (4, 7)),
+])
+def test_budget_stops_generation_at_the_same_state(spec, total, first):
+    # N = 5 explores `total` states; the k-th class is found within the
+    # first first[k - 1] of them (triangle seed first, each seed's search
+    # run to the end before the next)
+    prune = gg.compile_prune_spec(spec)
+    for m in range(1, total + 2):
+        r = gg.generate(gg.GeneratorConfig(n_max=5, prune=prune, max_states=m))
+        assert (r.complete, r.states_explored, len(r.terminals)) == (
+            m >= total, min(m, total), sum(k <= m for k in first)), m
+
+
 def test_euler_holds_for_every_enqueued_graph():
     # the DecoratedGraph constructor enforces the sphere relation; a prune
     # hook observing every candidate proves each one passed construction

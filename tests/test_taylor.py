@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import evaluate_on_arrays, random_expr
+from oracles import evaluate_on_arrays, random_expr, reference_taylor_upper_bound
 from rigorkit import expr as ex
 from rigorkit.errors import BoundUnavailable
 from rigorkit.interval import Interval
@@ -126,3 +126,41 @@ def test_box_type():
     assert b.contains_point([0.5, 2.5])
     with pytest.raises(Exception):
         Box((I(0, math.inf),))
+
+
+def _bound_or_error(f, ev, box):
+    try:
+        return f(ev, box).hex()  # tells -0.0 from 0.0
+    except BoundUnavailable as exc:
+        return type(exc.__cause__), str(exc)
+
+
+def test_bound_matches_the_interval_chain_bit_for_bit():
+    # the bound's float, or its error's cause and message, is the reference's
+    rng = random.Random(29)
+    outcomes = []
+    for _ in range(400):
+        arity = rng.randint(1, 4)
+        e = random_expr(rng, arity, rng.randint(2, 4))
+        ev = ex.Evaluator(e, arity)
+        dims = []
+        for _ in range(arity):
+            scale = 10.0 ** rng.choice([0, 0, 1, 50, 150, 300])
+            lo = rng.uniform(-1.5, 1.5) * scale
+            hi = lo if rng.random() < 0.25 else lo + rng.uniform(0, 2) * scale
+            dims.append(I(lo, min(hi, 1.7e308)))
+        box = Box(tuple(dims))
+        got = _bound_or_error(taylor_upper_bound, ev, box)
+        assert got == _bound_or_error(reference_taylor_upper_bound, ev, box), (ex.to_text(e), box)
+        outcomes.append(got)
+    # gradient terms that overflow as a product and as a sum, and a
+    # Hessian w_i * w_j that overflows
+    for text, box in (("x0*x1", Box((I(-1e300, 1e300), I(1e10, 1e10)))),
+                      ("x0 + x1", Box((I(-1.7e308, 1.7e308), I(-1.7e308, 1.7e308)))),
+                      ("x0 - x1", Box((I(0, 0), I(-1e308, 1e308))))):
+        ev = ex.Evaluator(ex.parse(text, 2), 2)
+        got = _bound_or_error(taylor_upper_bound, ev, box)
+        assert got == _bound_or_error(reference_taylor_upper_bound, ev, box), text
+        outcomes.append(got)
+    bounds = [o for o in outcomes if isinstance(o, str)]
+    assert len(bounds) > 100 and len(outcomes) - len(bounds) > 50
