@@ -426,37 +426,36 @@ def parse(text: str, arity: Optional[int] = None) -> Expr:
 
 
 def to_text(e: Expr) -> str:
-    """Render an Expr in the same grammar `parse` accepts.  The walk is
-    iterative and memoised on nodes, as in `differentiate`."""
-    memo: dict[Expr, str] = {}
-
-    def sub(node: Expr, floor: int) -> str:
-        s = memo[node]
-        if isinstance(node, Const):
-            wrap = s.startswith("-") and floor >= 2
-        else:
-            wrap = _BINARY.get(type(node), ("", 3))[1] < floor
-        return f"({s})" if wrap else s
-
-    for node in _post_order(e, memo):
+    """Render an Expr in the same grammar `parse` accepts.  A stack of
+    pending pieces, each a string or a (node, floor) pair, emits the text
+    left to right into one list, so no subtree's text is built apart."""
+    out: list[str] = []
+    stack: list = [(e, 0)]
+    while stack:
+        piece = stack.pop()
+        if isinstance(piece, str):
+            out.append(piece)
+            continue
+        node, floor = piece  # parenthesised if it binds looser than floor
         match node:
             case Const(text=t):
-                s = t
+                pieces = ["(", t, ")"] if t.startswith("-") and floor >= 2 else [t]
             case Var(index=i):
-                s = f"x{i}"
+                pieces = [f"x{i}"]
             case Add() | Sub() | Mul() | Div():
                 sym, prec = _BINARY[type(node)]
-                s = f"{sub(node.left, prec)}{sym}{sub(node.right, prec + 1)}"
+                pieces = [(node.left, prec), sym, (node.right, prec + 1)]
+                pieces = ["(", *pieces, ")"] if prec < floor else pieces
             case Pow(base=a, exponent=k):
-                s = f"pow({sub(a, 0)}, {k})"
+                pieces = ["pow(", (a, 0), f", {k})"]
             case Sqrt(arg=a):
-                s = f"sqrt({sub(a, 0)})"
+                pieces = ["sqrt(", (a, 0), ")"]
             case Atan(num=a, den=b):
-                s = f"atan({sub(a, 0)}, {sub(b, 0)})"
+                pieces = ["atan(", (a, 0), ", ", (b, 0), ")"]
             case _:
                 raise TypeError(f"not an Expr node: {node!r}")
-        memo[node] = s
-    return sub(e, 0)
+        stack += reversed(pieces)
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

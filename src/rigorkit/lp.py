@@ -311,7 +311,7 @@ def problem_from_text(text: str) -> LpProblem:
         line, j = min((line, j) for c in named for line, j in zip(c.lines, c.fields[-2])
                       if j >= n)
         raise rec.line_error(line, f"variable {j} out of range for 'vars {n}'")
-    t = {kw: cols[kw].table() if kw in cols else {}
+    t = {kw: dict(zip(*cols[kw].fields)) if kw in cols else {}  # later records win
          for kw in ("obj", "bound", "eq_rhs", "ineq_rhs")}
     if len(t["bound"]) != n:
         raise ParseError("every variable needs a bound entry")

@@ -5,18 +5,20 @@
 matched case-insensitively, then whitespace-separated fields; a format may
 open with a `<kind> v1` header line.  Each keyword takes a tuple of field
 converters, `[converter]` for one or more fields of one type, or `TEXT` for
-the rest of the line.  Malformed records raise `ParseError("line N: ...")`,
-naming the first bad line of the file.
+the rest of the line.
 
-`read_records` returns the records in file order.  `read_columns` reads a
-format whose keywords all take fixed field tuples (`.lp`) a whole field
-column at a time, which costs a fraction of the per-record loop; a file with
-any defect goes back through `read_records` for its error.
+One loop, `read_columns`, reads every format: it checks each line's keyword
+and field count there, and converts each keyword's fields a column of up to
+1,024 records at a time.  A batch that fails is converted again a token at
+a time, with every other pending batch, so the `ParseError("line N: ...")`
+names the first bad line of the file.  `read_records` lists the records in
+file order.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from itertools import islice
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import interval as iv
@@ -39,15 +41,9 @@ class Record(NamedTuple):
 
 class Columns(NamedTuple):
     """One keyword's records in file order: their line numbers, and
-    fields[k][i], the k-th field of the i-th record."""
+    fields[k][i], the k-th field of the i-th record (a tuple for `[conv]`)."""
     lines: list[int]
     fields: list[list]
-
-    def table(self) -> dict:
-        """{first field: second field} as `table` builds it for records of
-        two fields, later records winning."""
-        first, second = self.fields
-        return dict(zip(first, second))
 
 
 def line_error(line: int, message: str) -> ParseError:
@@ -68,35 +64,12 @@ def convert(line: int, fn: Callable[[Any], Any], arg: Any) -> Any:
 
 def read_records(text: str, fields: Mapping[str, Any],
                  header: Optional[str] = None) -> list[Record]:
-    """Records in file order.  `fields` maps each keyword to its field spec;
-    `header` is the kind named by an optional `<kind> v1` first line."""
-    out: list[Record] = []
-    for line, raw in enumerate(text.splitlines(), 1):
-        content = strip_comment(raw).strip()
-        if not content:
-            continue
-        words = content.split()
-        kw, args = words[0].lower(), words[1:]
-        if kw == header and not out:
-            if args != ["v1"]:
-                raise line_error(line, f"expected the header '{header} v1'")
-            continue
-        spec = fields.get(kw)
-        if spec is None:
-            raise line_error(line, f"unknown keyword {kw!r}")
-        variadic = not isinstance(spec, tuple)
-        if (not args) if variadic else len(args) != len(spec):
-            raise line_error(line, f"malformed entry {content!r}: wrong number of fields")
-        if spec is TEXT:
-            values = (content.split(None, 1)[1],)
-        else:
-            fns = spec * len(args) if variadic else spec
-            try:
-                values = tuple([fn(tok) for fn, tok in zip(fns, args)])
-            except (ParseError, ValueError) as exc:
-                raise line_error(line, str(exc)) from None
-        out.append(Record(line, kw, values))
-    return out
+    """The records `read_columns` reads, in file order."""
+    records: list[Record] = []
+    for kw, c in read_columns(text, fields, header).items():
+        one = isinstance(fields[kw], list)  # one column, of value tuples
+        records += [Record(t[0], kw, t[1] if one else t[1:]) for t in zip(c.lines, *c.fields)]
+    return sorted(records, key=itemgetter(0))
 
 
 # Records whose fields are converted in one batch: enough to make the
@@ -104,51 +77,80 @@ def read_records(text: str, fields: Mapping[str, Any],
 _BATCH = 1024
 
 
-def read_columns(text: str, fields: Mapping[str, tuple],
+def read_columns(text: str, fields: Mapping[str, Any],
                  header: Optional[str] = None) -> dict[str, Columns]:
-    """What `read_records` reads, as one Columns per keyword present, for a
-    format whose keywords each take a fixed tuple of field converters.  The
-    fields are converted a column of records at a time; on any defect the
-    file is read again by `read_records`, which raises at its first bad
-    line."""
+    """One Columns per keyword present: `fields` maps each keyword to its
+    field spec, `header` names the kind of an optional `<kind> v1` line."""
     out: dict[str, Columns] = {}
-    pending: dict[str, list[list[str]]] = {}  # words of records not yet converted
-    try:
-        for line, raw in enumerate(text.splitlines(), 1):
-            words = (strip_comment(raw) if "#" in raw else raw).split()
-            if not words:
+    # keyword -> (words per record or 0 for any, its lines, unconverted words)
+    pending: dict[str, tuple[int, list[int], list[list[str]]]] = {}
+
+    def fail(*errors: ParseError) -> None:
+        """Raise the first of `errors` and of the pending batches' errors."""
+        for kw, (_, lines, batch) in pending.items():
+            try:
+                _convert_each(fields[kw], batch, lines[-len(batch):])
+            except ParseError as exc:
+                errors += (exc,)
+        raise min(errors, key=attrgetter("position"))
+
+    def flush(kw: str) -> None:
+        try:
+            _convert_batch(fields[kw], pending[kw][2], out[kw].fields)
+        except (ParseError, ValueError):
+            fail()
+
+    for line, raw in enumerate(text.splitlines(), 1):
+        words = (strip_comment(raw) if "#" in raw else raw).split()
+        if not words:
+            continue
+        kw = words[0].lower()
+        state = pending.get(kw)
+        if state is None:
+            if kw == header and not out:
+                if words[1:] != ["v1"]:
+                    fail(line_error(line, f"expected the header '{header} v1'"))
                 continue
-            kw = words[0].lower()
-            if kw == header and not out and words[1:] == ["v1"]:
+            spec = fields.get(kw)
+            if spec is None:
+                fail(line_error(line, f"unknown keyword {kw!r}"))
+            fixed = isinstance(spec, tuple)
+            out[kw] = c = Columns([], [[] for _ in spec] if fixed else [[]])
+            state = pending[kw] = (1 + len(spec) if fixed else 0, c.lines, [])
+        n, lines, batch = state
+        if len(words) != n:  # a wrong count, or n == 0: one field or more
+            if n or len(words) == 1:
+                content = strip_comment(raw).strip()
+                fail(line_error(line, f"malformed entry {content!r}: wrong number of fields"))
+            if fields[kw] is TEXT:
+                lines.append(line)
+                out[kw].fields[0].append(strip_comment(raw).strip()[len(words[0]):].lstrip())
                 continue
-            batch = pending.get(kw)
-            if batch is None:
-                if kw not in fields:
-                    raise ValueError(f"unknown keyword {kw!r}")
-                batch = pending[kw] = []
-                out[kw] = Columns([], [[] for _ in fields[kw]])
-            out[kw].lines.append(line)
-            batch.append(words)
-            if len(batch) == _BATCH:
-                _convert_batch(fields[kw], batch, out[kw].fields)
-        for kw, batch in pending.items():
-            _convert_batch(fields[kw], batch, out[kw].fields)
-        return out
-    except (ParseError, ValueError):
-        read_records(text, fields, header)  # raises at the first bad line
-        raise
+        lines.append(line)
+        batch.append(words)
+        if len(batch) == _BATCH:
+            flush(kw)
+    for kw in pending:
+        flush(kw)
+    return out
 
 
-def _convert_batch(spec: tuple, batch: list[list[str]], columns: list[list]) -> None:
-    """Append the converted fields of a batch of records to their columns,
-    and empty the batch."""
-    if not batch:
-        return
-    if set(map(len, batch)) != {1 + len(spec)}:
-        raise ValueError("wrong number of fields")
-    for k, (fn, column) in enumerate(zip(spec, columns), 1):
-        column += _convert_column(fn, list(map(itemgetter(k), batch)))
+def _convert_batch(spec: Any, batch: list[list[str]], columns: list[list]) -> None:
+    """Append a batch's converted fields to their columns; empty the batch."""
+    if isinstance(spec, tuple):
+        for k, (fn, column) in enumerate(zip(spec, columns), 1):
+            column += _convert_column(fn, list(map(itemgetter(k), batch)))
+    elif batch:
+        values = iter(_convert_column(spec[0], [tok for words in batch for tok in words[1:]]))
+        columns[0] += [tuple(islice(values, len(words) - 1)) for words in batch]
     batch.clear()
+
+
+def _convert_each(spec: Any, batch: list[list[str]], lines: list[int]) -> None:
+    """Convert a batch one token at a time, so a failure names its line."""
+    for line, (_, *tokens) in zip(lines, batch):
+        for fn, token in zip(spec if isinstance(spec, tuple) else spec * len(tokens), tokens):
+            convert(line, fn, token)
 
 
 def _convert_column(fn: Callable[[str], Any], tokens: list[str]) -> list:
@@ -180,8 +182,6 @@ def interval(token: str) -> iv.Interval:
 
 def index(token: str) -> int:
     """A non-negative integer in plain digits."""
-    if len(token) <= 18 and token.isdigit() and token.isascii():
-        return int(token)
     if not (token.isascii() and token.isdigit()):
         raise ValueError(f"expected a non-negative index, got {token!r}")
     digits = token.lstrip("0") or "0"

@@ -5,11 +5,12 @@ paths: LP optima proved exact in rationals (from the float solver's basis,
 else by an exact rational simplex), dense numpy grid search
 for function maxima and assembly feasibility, a rotation-system brute
 force for small sphere graphs, the refinement step enumerator, the
-Cayley-Menger recursion, the `.lp` record reader and the Taylor bound as
-first written, mpmath for high-precision scalar references,
-directed-rounding kernels that decide every rounding by exact integer
-ratios, and a decimal reader that rounds by one exact integer division,
-with Clinger's float-division case beside it.  None of it is shipped.
+Cayley-Menger recursion, the record reader and the `.lp` reader built on
+it, the Taylor bound as first written, mpmath for high-precision scalar
+references, directed-rounding kernels that decide every rounding by exact
+integer ratios, and a decimal reader that rounds by one exact integer
+division, with Clinger's float-division case beside it.  None of it is
+shipped.
 """
 
 from __future__ import annotations
@@ -406,11 +407,45 @@ def reference_taylor_upper_bound(ev: ex.Evaluator, box) -> float:
         raise BoundUnavailable(str(exc)) from exc
 
 
+def reference_read_records(text: str, fields, header: Optional[str] = None) -> list[rec.Record]:
+    """records.read_records as first written: one record at a time, each
+    line's fields converted as the line is read, so the first bad line is
+    the first one met."""
+    out: list[rec.Record] = []
+    for line, raw in enumerate(text.splitlines(), 1):
+        content = rec.strip_comment(raw).strip()
+        if not content:
+            continue
+        words = content.split()
+        kw, args = words[0].lower(), words[1:]
+        if kw == header and not out:
+            if args != ["v1"]:
+                raise rec.line_error(line, f"expected the header '{header} v1'")
+            continue
+        spec = fields.get(kw)
+        if spec is None:
+            raise rec.line_error(line, f"unknown keyword {kw!r}")
+        variadic = not isinstance(spec, tuple)
+        if (not args) if variadic else len(args) != len(spec):
+            raise rec.line_error(line, f"malformed entry {content!r}: wrong number of fields")
+        if spec is rec.TEXT:
+            values = (content.split(None, 1)[1],)
+        else:
+            fns = spec * len(args) if variadic else spec
+            try:
+                values = tuple([fn(tok) for fn, tok in zip(fns, args)])
+            except (ParseError, ValueError) as exc:
+                raise rec.line_error(line, str(exc)) from None
+        out.append(rec.Record(line, kw, values))
+    return out
+
+
 def reference_lp_from_records(text: str) -> LpProblem:
     """lp.problem_from_text as first written: every record through
-    records.read_records, {key: last value} tables keyed by row and column,
-    and the dense rows filled from those tables, with the same errors."""
-    records = rec.read_records(text, lp._PROBLEM_FIELDS, header="lp-problem")
+    reference_read_records, {key: last value} tables keyed by row and
+    column, and the dense rows filled from those tables, with the same
+    errors."""
+    records = reference_read_records(text, lp._PROBLEM_FIELDS, header="lp-problem")
     decls = [v[0] for _, kw, v in records if kw == "vars"]
     if not decls:
         raise ParseError("missing 'vars N' declaration")

@@ -1,5 +1,6 @@
 import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +166,20 @@ def test_long_flat_sum_renders_and_evaluates():
     for _ in range(750):
         expected = expected - 0.001 * 0.5 + 0.001 * 0.5
     assert ex.evaluate_numeric(e, [0.5]) == expected
+
+
+def test_rendering_a_long_sum_holds_memory_linear_in_its_text():
+    # each subtree's text used to be kept whole, O(k^2) characters for a
+    # sum of k terms: 4,800 times this text's length at its peak
+    text = " + ".join(["0.001*x0*x1"] * 9600) + " - 1"
+    e = ex.parse(text, 2)
+    tracemalloc.start()
+    try:
+        assert ex.to_text(e) == text
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * len(text)
 
 
 def _float_or_error(fn, *args):

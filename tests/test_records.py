@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import reference_lp_from_records
+from oracles import reference_lp_from_records, reference_read_records
 from rigorkit import assembly as asm
 from rigorkit import cli, geom
 from rigorkit import lp
@@ -180,14 +180,14 @@ def _long_lp(bad_line=None, bad_text=""):
 
 def test_columns_hold_what_records_hold():
     text = _long_lp()
-    records = rec.read_records(text, lp._PROBLEM_FIELDS, header="lp-problem")
+    records = reference_read_records(text, lp._PROBLEM_FIELDS, header="lp-problem")
     cols = rec.read_columns(text, lp._PROBLEM_FIELDS, header="lp-problem")
     for kw, c in cols.items():
         mine = [r for r in records if r.keyword == kw]
         assert c.lines == [r.line for r in mine]
         assert [tuple(v) for v in zip(*c.fields)] == [r.values for r in mine]
         if len(c.fields) == 2:
-            assert c.table() == rec.table(records, kw)
+            assert dict(zip(*c.fields)) == rec.table(records, kw)
     assert sorted(cols) == sorted({r.keyword for r in records})
 
 
@@ -221,7 +221,110 @@ def test_lp_reader_agrees_with_the_record_reader(variant):
 def test_column_reader_names_the_first_bad_line(line, bad):
     text = _long_lp(line, bad)
     with pytest.raises(ParseError) as want:
-        rec.read_records(text, lp._PROBLEM_FIELDS, header="lp-problem")
+        reference_read_records(text, lp._PROBLEM_FIELDS, header="lp-problem")
     with pytest.raises(ParseError) as got:
         lp.problem_from_text(text)
     assert str(got.value) == str(want.value) and str(got.value).startswith(f"line {line}: ")
+
+
+# Every keyword set the consumers read, with the header its files may open with.
+FORMATS = {"ineq": (cli._TASK_FIELDS, None), "lp": (lp._PROBLEM_FIELDS, "lp-problem"),
+           "asm": (asm._PROBLEM_FIELDS, "assembly-problem"),
+           "cert": (asm._CERTIFICATE_FIELDS, "duality-certificate"),
+           "dspec": (geom._SPEC_FIELDS, None)}
+
+
+def _long_asm(box="box 0..1", phi="phi x0 - 1", row="row 0 d0.x 1.0", count=1100,
+              bad_at=None, bad="", tail=()):
+    """An assembly problem with `count` phi and row records (more than one
+    conversion batch), the box on line 4, record `bad_at` of each replaced
+    by `bad`, and `tail` lines appended."""
+    phis = [phi] * count
+    rows = [row] * count
+    if bad_at is not None:
+        phis[bad_at] = rows[bad_at] = bad
+    lines = ["assembly-problem v1", "domain d0", "vars x", box, *phis, "end", *rows,
+             "rhs 0 1.0", *tail]
+    return "\n".join(lines) + "\n"
+
+
+def _long_cert(m="M 1.0", count=1100, bad_at=None, bad=""):
+    """A certificate with `count` retained records (more than one
+    conversion batch), M on line 2 and retained record `bad_at` replaced."""
+    retained = [f"retained {k} {k + 1}" for k in range(count)]
+    if bad_at is not None:
+        retained[bad_at] = bad
+    return "\n".join(["duality-certificate v1", m, "t0 0.0", *retained]) + "\n"
+
+
+def _first_error(fmt, text):
+    fields, header = FORMATS[fmt]
+    with pytest.raises(ParseError) as want:
+        reference_read_records(text, fields, header)
+    with pytest.raises(ParseError) as got:
+        rec.read_records(text, fields, header)
+    assert str(got.value) == str(want.value)
+    return str(got.value)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_records_in_file_order_are_the_reference_records(fmt):
+    fields, header = FORMATS[fmt]
+    texts = [BASE[fmt]] + [p.read_text() for p in sorted(PROBLEMS.glob(f"*.{fmt}"))]
+    texts += {"lp": [_long_lp(), _messy(_long_lp())], "asm": [_long_asm()],
+              "cert": [_long_cert()]}.get(fmt, [])
+    for text in texts:
+        assert rec.read_records(text, fields, header) == reference_read_records(text, fields,
+                                                                                header)
+
+
+def test_a_pending_batch_is_named_before_a_later_full_batch_fails():
+    # line 3's bound batch is still pending when the second full batch of
+    # ineq records, holding line 1500, fails to convert
+    lines = _long_lp(1500, "ineq 3 4 0x10").splitlines()
+    lines[2] = "bound 0 x..1"
+    text = "\n".join(lines) + "\n"
+    assert _first_error("lp", text).startswith("line 3: ")
+    with pytest.raises(ParseError, match="^line 3: "):
+        lp.problem_from_text(text)
+
+
+@pytest.mark.parametrize("text, line", [
+    (_long_cert("M 1.0e", bad_at=500, bad="retained 0 x"), 2),  # the full retained batch fails
+    (_long_cert(bad_at=500, bad="retained 0 x"), 504),
+    (_long_cert(bad_at=1090, bad="retained 0 1 -2"), 1094),      # in the last, short batch
+    (_long_cert("M 1.0e", bad_at=1090, bad="retained"), 2),      # a later field count
+], ids=["pending", "alone", "short-batch", "count"])
+def test_variadic_fields_past_one_batch(text, line):
+    assert _first_error("cert", text).startswith(f"line {line}: ")
+    p = asm.problem_from_text(TOY.read_text())
+    with pytest.raises(ParseError, match=f"^line {line}: "):
+        asm.certificate_from_text(p, text)
+
+
+@pytest.mark.parametrize("text, line", [
+    (_long_asm("box x..1", tail=["phi"]), 4),              # a later field count
+    (_long_asm("box x..1", bad_at=600, bad="row 0 d0.x one"), 4),
+    (_long_asm("box 0..1 2..x", bad_at=600, bad="phi"), 4),
+    (_long_asm(bad_at=600, bad="phi"), 605),
+    (_long_asm(tail=["phi"]), 2207),
+], ids=["count", "row", "phi", "phi-alone", "tail"])
+def test_text_fields_past_one_batch(text, line):
+    assert _first_error("asm", text).startswith(f"line {line}: ")
+    with pytest.raises(ParseError, match=f"^line {line}: "):
+        asm.problem_from_text(text)
+
+
+def test_text_fields_keep_the_rest_of_the_line():
+    text = _long_asm(phi="phi  x0 -\t1   # spacing kept", count=1500)
+    phis = [r.values for r in rec.read_records(text, *FORMATS["asm"]) if r.keyword == "phi"]
+    assert phis == [("x0 -\t1",)] * 1500
+
+
+@pytest.mark.parametrize("line", [3, 1500])
+def test_the_first_of_two_bad_fields_is_named(line):
+    text = _long_lp(line, "ineq 3 x 0x10")
+    message = _first_error("lp", text)
+    assert message == f"line {line}: expected a non-negative index, got 'x'"
+    with pytest.raises(ParseError, match=f"^{message}$"):
+        lp.problem_from_text(text)
