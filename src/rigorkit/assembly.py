@@ -35,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import random
 from dataclasses import dataclass, replace
+from itertools import compress
 from typing import Optional, Sequence
 
 from . import interval as iv
@@ -158,16 +159,15 @@ def binding_rows(p: AssemblyProblem, x_star: Sequence[float]) -> list[int]:
 
 def _side_terms(p: AssemblyProblem, x_star: Sequence[float], w: Sequence[float],
                 rows: Sequence[int]) -> tuple[Interval, Interval]:
-    """Enclosures of c.x* and w.(b_R - A_R x*), skipping zero A entries."""
-    point = Interval.point
+    """Enclosures of c.x* and w.(b_R - A_R x*), skipping zero A entries:
+    each b_k - A_k x* is b_k plus the products (-a_kj) * x_j."""
     obj = Interval(*iv.add_products(p.c, x_star))
-    retained = point(0.0)
+    retained = Interval.point(0.0)
     for w_k, k in zip(w, rows):
-        resid = point(p.b[k])
-        for a_kj, x_j in zip(p.a[k], x_star):
-            if a_kj != 0.0:
-                resid = iv.sub(resid, iv.mul(point(a_kj), point(x_j)))
-        retained = iv.add(retained, iv.mul(point(w_k), resid))
+        row = p.a[k]
+        resid = Interval(*iv.add_products([-a for a in row if a != 0.0],
+                                          list(compress(x_star, row)), p.b[k], p.b[k]))
+        retained = iv.add(retained, iv.mul(Interval.point(w_k), resid))
     return obj, retained
 
 

@@ -213,7 +213,7 @@ def _cmd_fit(args) -> int:
     if args.certificate:
         Path(args.certificate).write_text(asm.certificate_to_text(problem, cert))
     _report(args, digests, _mode_echo(args), [
-        ("candidate", "written"),
+        ("candidate", "written" if args.certificate else "found"),
         ("M", repr(cert.m_bound)),
         ("t0", repr(cert.t0)),
         ("retained_rows", " ".join(map(str, cert.retained_rows))),

@@ -27,7 +27,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     DivisionByZeroInterval,
@@ -46,7 +46,6 @@ __all__ = [
     "pow_int",
     "sqrt_interval",
     "atan_interval",
-    "subtract_products",
     "add_products",
     "from_decimal_string",
     "parse_interval_literal",
@@ -488,76 +487,16 @@ def atan_interval(a: Interval) -> Interval:
     return _make(_atan_down(a.lo), _atan_up(a.hi))
 
 
-def subtract_products(lo: list[float], hi: list[float], mult: Sequence[float],
-                      rows: Sequence[Sequence[float]],
-                      cols: Optional[Sequence[Sequence[int]]] = None) -> None:
-    """In place, [lo_j, hi_j] -= mult_i * rows[i][j] over every nonzero
-    rows[i][j] with mult_i nonzero, in row order: the residual of a dot
-    product with a matrix, on endpoint lists rather than Interval objects.
-    Rows are dense unless `cols` is given, when rows[i][k] sits in column
-    cols[i][k].  Each step rounds as sub([lo_j, hi_j], mul(point(mult_i),
-    point(rows[i][j]))) rounds.  A step on a NaN or infinite operand, or
-    whose sum overflows, is replayed on Interval objects, which raise
-    NonFiniteOperand exactly where those operations would.
-
-    The kernels are fused: one TwoProduct error term gives both rounded
-    products, mult_i is split once per row, and the two TwoSums run inline;
-    an entry outside TwoProduct's safe range takes _mul_down and _mul_up."""
-    # the inner loop runs once per nonzero: its constants are locals
-    split_max, prod_min, prod_max, splitter = _SPLIT_MAX, _PROD_MIN, _PROD_MAX, _SPLIT
-    inf, nextafter = _INF, _nextafter
-    for i, (m, row) in enumerate(zip(mult, rows)):
-        if m == 0.0:
-            continue
-        if m != m:
-            Interval.point(m)  # raises: an interval endpoint may not be NaN
-        split = -split_max < m < split_max
-        if split:
-            c = splitter * m
-            mh = c - (c - m)
-            ml = m - mh
-        for j, a in (enumerate(row) if cols is None else zip(cols[i], row)):
-            if a == 0.0:
-                continue
-            p = m * a
-            if split and -split_max < a < split_max and prod_min <= abs(p) < prod_max:
-                c = splitter * a
-                ah = c - (c - a)
-                al = a - ah
-                e = ((mh * ah - p) + mh * al + ml * ah) + ml * al
-                pl = nextafter(p, -inf) if e < 0.0 else p
-                ph = nextafter(p, inf) if e > 0.0 else p
-            elif a == a:
-                pl, ph = _mul_down(m, a), _mul_up(m, a)
-            else:
-                pl = ph = math.nan  # a NaN entry fails the test below and is replayed
-            # _add_down(x, -ph) and _add_up(y, -pl), their error terms
-            # (x - (s - bb)) + (-ph - bb) written (x - (s - bb)) - (ph + bb),
-            # equal but for the sign of a zero.  Finite sums mean finite
-            # operands, on which sub() would not raise; other steps replay.
-            x, y = lo[j], hi[j]
-            s, t = x - ph, y - pl
-            if -inf < s < inf and -inf < t < inf:
-                bb = s - x
-                if (x - (s - bb)) - (ph + bb) < 0.0:
-                    s = nextafter(s, -inf)
-                bb = t - y
-                if (y - (t - bb)) - (pl + bb) > 0.0:
-                    t = nextafter(t, inf)
-                lo[j], hi[j] = s, t
-                continue
-            r = sub(Interval(x, y), mul(Interval.point(m), Interval.point(a)))
-            lo[j], hi[j] = r.lo, r.hi
-
-
 def add_products(xs: Sequence[float], ys: Sequence[float],
                  lo: float = 0.0, hi: float = 0.0) -> tuple[float, float]:
-    """[lo, hi] + sum x_i * y_i, accumulated in order on endpoint floats.
-    Each step rounds as add([lo, hi], mul(point(x_i), point(y_i))) rounds,
-    with subtract_products' fused kernels.  A step on a factor outside
-    TwoProduct's safe range (a NaN or infinite one included), or whose sum
-    is not finite, is replayed on Interval objects, which raise
-    NonFiniteOperand exactly where those operations would."""
+    """[lo, hi] + sum x_i * y_i, accumulated in order on endpoint floats:
+    the one dot-product kernel on endpoint lists.  Each step rounds as
+    add([lo, hi], mul(point(x_i), point(y_i))) rounds, fused: one
+    TwoProduct error term gives both rounded products, and the two TwoSums
+    run inline.  A step on a factor outside TwoProduct's safe range (a NaN
+    or infinite one included), or whose sum is not finite, is replayed on
+    Interval objects, which raise NonFiniteOperand exactly where those
+    operations would."""
     for x, y in zip(xs, ys):
         if -_SPLIT_MAX < x < _SPLIT_MAX and -_SPLIT_MAX < y < _SPLIT_MAX:
             p = x * y

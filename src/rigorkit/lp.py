@@ -37,7 +37,7 @@ import hashlib
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from typing import Sequence
 
 from . import interval as iv
@@ -169,17 +169,26 @@ def certify_upper_bound(p: LpProblem, d: DualSolution) -> BoundCertificate:
         if v < 0.0:
             raise ValueError("z must be componentwise nonnegative; clamp_dual first")
 
-    # delta = c - y Aeq - z A, on endpoint lists, each nonzero rounded as
-    # the sub(delta_j, mul(point, point)) of interval arithmetic.  x_j's
-    # bound rows are 1 and -1 in column j alone, so they run as one-entry
-    # rows, both of x_j's before x_{j+1}'s.
-    lo = [Interval.point(v).lo for v in p.c]  # a NaN raises here, as before
-    hi = list(lo)
-    iv.subtract_products(lo, hi, d.y, p.aeq)
-    iv.subtract_products(lo, hi, d.z, p.aineq)
-    iv.subtract_products(lo, hi, d.z[len(p.bineq):], ((1.0,), (-1.0,)) * p.n,
-                         [(j,) for j in range(p.n) for _ in (0, 1)])
-    delta = tuple(Interval(a, b) for a, b in zip(lo, hi))
+    # delta = c - y Aeq - z A, a column at a time: A stacks Aeq above Aineq
+    # and m runs over y, then z.  delta_j adds to c_j the products
+    # (-m_i) * A_ij over nonzero m_i and A_ij in row order, then x_j's bound
+    # rows, 1 and -1 in column j alone: (-z_hi, 1.0) and (-z_lo, -1.0), each
+    # where its multiplier is nonzero.  Each step rounds as add(delta_j,
+    # mul(point(-m_i), point(A_ij))), to the bits of sub(delta_j,
+    # mul(point(m_i), point(A_ij))).
+    live = [(m, row) for m, row in zip(chain(d.y, d.z), chain(p.aeq, p.aineq)) if m != 0.0]
+    neg_m = [-m for m, _ in live]
+    cols = list(zip(*(row for _, row in live))) or [()] * p.n
+    first = len(p.bineq)
+    delta = []
+    for c_j, col, z_hi, z_lo in zip(p.c, cols, d.z[first::2], d.z[first + 1::2]):
+        xs, ys = list(compress(neg_m, col)), list(compress(col, col))
+        for m, a in ((z_hi, 1.0), (z_lo, -1.0)):
+            if m != 0.0:
+                xs.append(-m)
+                ys.append(a)
+        delta.append(Interval(*iv.add_products(xs, ys, c_j, c_j)))
+    delta = tuple(delta)
 
     # D = sum_j sup(|delta_j| * max(|lo_j|, |hi_j|)), then D + y.beq + z.b,
     # each term rounded as add(total, mul(point, point))

@@ -154,13 +154,12 @@ def _convert_each(spec: Any, batch: list[list[str]], lines: list[int]) -> None:
 
 
 def _convert_column(fn: Callable[[str], Any], tokens: list[str]) -> list:
+    """fn over a column: decimals through _nearest_floats, any other
+    converter once per distinct token."""
     if fn is decimal:
         return iv._nearest_floats(tokens)
-    if fn is index:
-        joined = "".join(tokens)
-        if joined.isdigit() and joined.isascii() and max(map(len, tokens)) <= 18:
-            return list(map(int, tokens))
-    return list(map(fn, tokens))
+    table = {t: fn(t) for t in dict.fromkeys(tokens)}
+    return list(map(table.__getitem__, tokens))
 
 
 def table(records: list[Record], keyword: str) -> dict:

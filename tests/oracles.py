@@ -323,21 +323,20 @@ def _solve(m: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
 def reference_certify(p: LpProblem, d: DualSolution
                       ) -> tuple[float, float, tuple[Interval, ...]]:
     """(bound, delta_bound, residual) of lp.certify_upper_bound, computed
-    one interval object at a time: delta = c - y Aeq - z A by iv.sub and
-    iv.mul on point intervals, in row order, where A is every inequality as
-    an explicit row (inequality_rows), then D and the bound.  Any
+    one interval object at a time.  Each delta_j = c_j - (y Aeq + z A)_j is
+    reference_add_products from c_j over the pairs (-m_i, A_ij) with m_i
+    and A_ij nonzero, in row order, where A is every inequality as an
+    explicit row (inequality_rows) and m runs over y, then z; then D and
+    the bound by iv.add and iv.mul on point intervals.  Any
     NonFiniteOperand is raised where that sequence first meets a
     non-finite operand."""
     rows_ineq, rhs_ineq = inequality_rows(p)
-    delta = [Interval.point(v) for v in p.c]
-    for mult, rows in ((d.y, p.aeq), (d.z, rows_ineq)):
-        for yi, row in zip(mult, rows):
-            if yi == 0.0:
-                continue
-            yi_iv = Interval.point(yi)
-            for j, a in enumerate(row):
-                if a != 0.0:
-                    delta[j] = iv.sub(delta[j], iv.mul(yi_iv, Interval.point(a)))
+    live = [(-m, row) for m, row in zip((*d.y, *d.z), (*p.aeq, *rows_ineq)) if m != 0.0]
+    delta = []
+    for j, c_j in enumerate(p.c):
+        pairs = [(m, row[j]) for m, row in live if row[j] != 0.0]
+        delta.append(Interval(*reference_add_products([m for m, _ in pairs],
+                                                      [a for _, a in pairs], c_j, c_j)))
     d_total = Interval.point(0.0)
     for dj, b in zip(delta, p.var_bounds):
         d_total = iv.add(d_total, iv.mul(Interval.point(dj.mag), Interval.point(b.mag)))
@@ -346,29 +345,6 @@ def reference_certify(p: LpProblem, d: DualSolution
         for yi, b in zip(mult, rhs):
             total = iv.add(total, iv.mul(Interval.point(yi), Interval.point(b)))
     return total.hi, d_total.hi, tuple(delta)
-
-
-def reference_subtract_products(lo: list[float], hi: list[float], mult: Sequence[float],
-                                rows: Sequence[Sequence[float]]) -> None:
-    """iv.subtract_products on dense rows as a per-entry loop over the
-    scalar kernels: [lo_j, hi_j] -= mult_i * rows[i][j] by _mul_down,
-    _mul_up, _add_down and _add_up, replayed on Interval objects where an
-    entry is NaN or the step's result is not finite."""
-    for m, row in zip(mult, rows):
-        if m == 0.0:
-            continue
-        if m != m:
-            Interval.point(m)
-        for j, a in enumerate(row):
-            if a != 0.0:
-                if a == a:
-                    pl, ph = iv._mul_down(m, a), iv._mul_up(m, a)
-                    l, h = iv._add_down(lo[j], -ph), iv._add_up(hi[j], -pl)
-                    if -math.inf < l and h < math.inf:
-                        lo[j], hi[j] = l, h
-                        continue
-                r = iv.sub(Interval(lo[j], hi[j]), iv.mul(Interval.point(m), Interval.point(a)))
-                lo[j], hi[j] = r.lo, r.hi
 
 
 def reference_add_products(xs: Sequence[float], ys: Sequence[float],

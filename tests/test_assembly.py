@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from oracles import assembly_grid_max
+from oracles import assembly_grid_max, reference_add_products
 from rigorkit import assembly as asm
 from rigorkit import cli
-from rigorkit.errors import BranchError
+from rigorkit import interval as iv
+from rigorkit.errors import BranchError, NonFiniteOperand
 from rigorkit.expr import parse
 from rigorkit.interval import Interval
 from rigorkit.prover import ProverConfig
@@ -191,6 +192,68 @@ def test_binding_rows():
     assert rows == [0, 1, 2]
     rows2 = asm.binding_rows(p, [0.3, 0.3])
     assert rows2 == [0, 1]
+
+
+def _reference_mx_check(p, cert):
+    """mx_check_interval as an interval chain: c.x* and each retained
+    b_k - A_k x* through reference_add_products, the latter over the
+    nonzero a_kj, then iv.add, iv.mul and iv.sub as _side does it."""
+    point = Interval.point
+    obj = I(*reference_add_products(p.c, cert.x_star))
+    retained = point(0.0)
+    for w_k, k in zip(cert.w, cert.retained_rows):
+        live = [(a, x) for a, x in zip(p.a[k], cert.x_star) if a != 0.0]
+        resid = I(*reference_add_products([-a for a, _ in live], [x for _, x in live],
+                                          p.b[k], p.b[k]))
+        retained = iv.add(retained, iv.mul(point(w_k), resid))
+    total = iv.add(point(cert.m_bound), iv.mul(point(float(p.n_domains)), point(cert.t0)))
+    return iv.sub(iv.sub(total, obj), retained)
+
+
+def _endpoints_or_message(fn):
+    try:
+        r = fn()
+    except NonFiniteOperand as exc:
+        return str(exc)
+    return r.lo.hex(), r.hi.hex()
+
+
+def test_mx_check_interval_matches_the_interval_chain():
+    rng = random.Random(968)
+
+    def draw(regime):
+        kind = rng.randrange(4)
+        if kind == 0:
+            return rng.choice((0.0, -0.0))
+        if kind == 1 or regime == "plain":
+            return rng.uniform(-4.0, 4.0)
+        if regime == "huge" or (regime == "mixed" and kind == 2):
+            return math.ldexp(rng.uniform(-2.0, 2.0), rng.randint(990, 1022))
+        return math.ldexp(rng.uniform(-2.0, 2.0), rng.randint(-1074, -969))
+
+    raised = finished = 0
+    for trial in range(400):
+        regime = ("plain", "huge", "tiny", "mixed")[trial % 4]
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        domains = tuple(asm.LocalDomain(f"d{i}", tuple(f"v{k}" for k in range(k_n)),
+                                        Box((I(-1, 1),) * k_n), ())
+                        for i, k_n in enumerate(sizes))
+        n, m = sum(sizes), rng.randint(0, 4)
+        p = asm.AssemblyProblem(domains, tuple(tuple(draw(regime) for _ in range(n))
+                                               for _ in range(m)),
+                                tuple(draw(regime) for _ in range(m)),
+                                tuple(draw(regime) for _ in range(n)))
+        rows = tuple(sorted(rng.sample(range(m), rng.randint(0, m))))
+        cert = asm.DualityCertificate(draw(regime), tuple(draw(regime) for _ in range(n)),
+                                      tuple(() for _ in sizes),
+                                      tuple(abs(draw(regime)) for _ in rows),
+                                      draw(regime), rows)
+        got = _endpoints_or_message(lambda: asm.mx_check_interval(p, cert))
+        want = _endpoints_or_message(lambda: _reference_mx_check(p, cert))
+        assert got == want, (trial, p, cert)
+        raised += isinstance(want, str)
+        finished += not isinstance(want, str)
+    assert raised >= 20 and finished >= 200
 
 
 def test_file_round_trips():

@@ -190,8 +190,8 @@ def test_lp_certify_with_dual_file(tmp_path, capsys):
 
 
 def test_lp_certify_overflowing_product_is_an_input_error(tmp_path, capsys):
-    # 1e308 * 10 overflows: the product's enclosure is [max float, inf], and
-    # subtracting it from the residual is arithmetic on a non-finite interval.
+    # (-1e308) * 10 overflows: the product's enclosure is [-inf, -max float],
+    # and adding it to the residual is arithmetic on a non-finite interval.
     problem = tmp_path / "p.lp"
     problem.write_text("vars 1\nobj 0 1\nineq 0 0 10\nineq_rhs 0 1\nbound 0 0..2\n")
     dual = tmp_path / "d.dual"
@@ -199,7 +199,7 @@ def test_lp_certify_overflowing_product_is_an_input_error(tmp_path, capsys):
     code, out, err = run(["lp-certify", "--problem", str(problem), "--dual", str(dual)], capsys)
     assert code == 2 and out == ""
     assert err == ("error: NonFiniteOperand: arithmetic on non-finite interval "
-                   "[1.7976931348623157e+308, inf]; infinite endpoints are bookkeeping-only\n")
+                   "[-inf, -1.7976931348623157e+308]; infinite endpoints are bookkeeping-only\n")
 
 
 def test_lp_certify_solve_flag(tmp_path, capsys):
@@ -225,6 +225,19 @@ def test_assemble_fit_verify_round_trip(tmp_path, capsys):
     assert code2 == 0
     _, body = cli.parse_report(out2)
     assert ("certified", "True") in body
+    _, body = cli.parse_report(out)
+    assert dict(body)["candidate"] == "written"
+
+
+def test_assemble_fit_without_certificate_reports_found(tmp_path, capsys, monkeypatch):
+    # with no --certificate path nothing is written, so nothing is reported written
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(["assemble", "fit", "--problem", str(PROBLEMS / "toy_duality.asm"),
+                        "--bound", "1.0", "--guess", "1.0"], capsys)
+    assert code == 0
+    _, body = cli.parse_report(out)
+    assert dict(body)["candidate"] == "found"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_assemble_verify_refutes_bad_bound(tmp_path, capsys):

@@ -605,31 +605,19 @@ def _same_outcome(got, want) -> bool:
     return len(got) == len(want) and all(map(_same_bits, got, want))
 
 
-def _subtracted(kernel, lo, hi, *args):
-    lo, hi = list(lo), list(hi)
-    kernel(lo, hi, *args)
-    return lo + hi
-
-
-def _check_subtract(lo, hi, mult, rows):
-    import oracles
-    want = _outcome(lambda: _subtracted(oracles.reference_subtract_products, lo, hi, mult, rows))
-    got = _outcome(lambda: _subtracted(iv.subtract_products, lo, hi, mult, rows))
-    assert _same_outcome(got, want), (lo, hi, mult, rows, got, want)
-    # the same rows given entry by entry, with their columns, as certify
-    # gives its bound rows
-    entries = [(m, (a,), (j,)) for m, row in zip(mult, rows) for j, a in enumerate(row)]
-    got = _outcome(lambda: _subtracted(
-        iv.subtract_products, lo, hi, [m for m, _, _ in entries], [r for _, r, _ in entries],
-        [c for _, _, c in entries]))
-    assert _same_outcome(got, want), (lo, hi, mult, rows, got, want)
-
-
 def _check_add(xs, ys, lo=0.0, hi=0.0):
     import oracles
     got = _outcome(lambda: iv.add_products(xs, ys, lo, hi))
     want = _outcome(lambda: oracles.reference_add_products(xs, ys, lo, hi))
     assert _same_outcome(got, want), (xs, ys, lo, hi, got, want)
+
+
+def _check_columns(start, mult, rows):
+    # start - mult A a column at a time, as the LP residual accumulates it:
+    # from the point start_j, the pairs (-m_i, A_ij) over nonzero m_i, A_ij
+    for j, s in enumerate(start):
+        pairs = [(-m, row[j]) for m, row in zip(mult, rows) if m != 0.0 and row[j] != 0.0]
+        _check_add([m for m, _ in pairs], [a for _, a in pairs], s, s)
 
 
 _NON_FINITE = [math.inf, -math.inf, math.nan]
@@ -638,28 +626,26 @@ _NON_FINITE = [math.inf, -math.inf, math.nan]
 def test_product_sum_kernels_match_scalar_kernels_on_adversarial_operands():
     # every pair of adversarial operands, from accumulators that are
     # adversarial too: subnormal and overflowing products, both edges of
-    # TwoProduct's safe range, sums that overflow
+    # TwoProduct's safe range, sums that overflow; from a point, as the LP
+    # residual starts each column at c_j, and from a box
     values = _adversarial_floats()
     starts = values[len(values) // 3:] + values[:len(values) // 3]
     for m in values:
-        # one row: each column meets m once, from its own start
-        _check_subtract(starts, starts, [m], [values])
         for y, start in zip(values, starts):
+            _check_add([m], [y], start, start)
             _check_add([m], [y], -abs(start), abs(start))
-    # infinite and NaN multipliers, entries, factors and accumulators
+    # infinite and NaN factors and accumulators
     for special in _NON_FINITE:
         for v in values[::7]:
-            _check_subtract([v, 1.0], [v, 1.0], [special], [[1.0, v]])
-            _check_subtract([v, 1.0], [v, 1.0], [v, 2.0], [[special, 1.0], [1.0, special]])
             _check_add([special, v], [v, 1.0])
             _check_add([v, 1.0], [1.0, special])
             if special == special:
-                _check_subtract([special, 0.0], [special, 0.0], [v], [[1.0, 1.0]])
                 _check_add([v], [1.0], min(special, 0.0), max(special, 0.0))
 
 
 def test_product_sum_kernels_accumulate_as_scalar_kernels_do():
-    # many rows on one residual: a step may meet an earlier step's overflow
+    # many rows on one residual column: a step may meet an earlier step's
+    # overflow
     rng = random.Random(1804)
     values = _adversarial_floats() + _NON_FINITE
     for trial in range(300):
@@ -669,7 +655,7 @@ def test_product_sum_kernels_accumulate_as_scalar_kernels_do():
         start = [v if v == v else 0.0 for v in start]
         mult = [rng.choice((0.0, pick())) for _ in range(m)]
         rows = [[rng.choice((0.0, pick(), pick())) for _ in range(n)] for _ in range(m)]
-        _check_subtract(start, start, mult, rows)
+        _check_columns(start, mult, rows)
         _check_add(mult, [pick() for _ in range(m)])
 
 
@@ -683,7 +669,7 @@ _sum_operands = st.one_of(_kernel_operands, st.sampled_from(_NON_FINITE),
        st.lists(_kernel_operands, min_size=3, max_size=3))
 def test_product_sum_kernels_match_scalar_kernels(rows, start):
     mult = [m for m, _ in rows]
-    _check_subtract(start, start, mult, [row for _, row in rows])
+    _check_columns(start, mult, [row for _, row in rows])
     _check_add(mult, [row[0] for _, row in rows], min(start[:2]), max(start[:2]))
 
 
