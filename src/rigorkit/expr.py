@@ -25,7 +25,8 @@ differ only in their table of ops and their constant reader:
 
 * `FloatPlan(exprs)` does plain binary64 operations, for fitting at test
   points; `evaluate_numeric` runs a one-expression plan at one point.
-* `Evaluator(e, arity)` calls the interval kernels.  Its plan starts with
+* `Evaluator(e, arity)` calls the interval pair kernels on plain (lo, hi)
+  tuples, and types only its outputs as Interval.  Its plan starts with
   f's slots, followed by those of the first partials and the second
   partials (each the `differentiate` of the one before) as queries first
   need them, so a subexpression shared by f, its gradient and its Hessian
@@ -53,7 +54,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from . import interval as iv
 from .errors import CompileError, DomainError, ParseError
-from .interval import Interval
+from .interval import Interval, Pair
 
 __all__ = [
     "Expr",
@@ -619,23 +620,33 @@ class TaylorGerm:
 
 
 def _interval_ops() -> dict:
-    """The interval ops, with the kernels rigorkit.interval binds now: a
-    kernel rebound after import (as perfbench/trace.py does to count calls)
-    is the one a plan compiled later calls."""
-    div, sqrt, atan = iv.div, iv.sqrt_interval, iv.atan_interval
+    """The interval ops on (lo, hi) pairs, with the pair kernels
+    rigorkit.interval binds now: a kernel rebound after import (as
+    perfbench/trace.py does to count calls) is the one a plan compiled
+    later calls."""
+    div, sqrt, atan = iv.div_pair, iv.sqrt_pair, iv.atan_pair
 
-    def checked_sqrt(a: Interval, _: Interval) -> Interval:
-        # sqrt_interval clamps a negative lower end; here it would bound a
+    def checked_sqrt(a: Pair, _: Pair) -> Pair:
+        # sqrt_pair clamps a negative lower end; here it would bound a
         # value that is undefined for part of the box.
-        if a.lo < 0.0:
-            raise DomainError(f"sqrt of possibly-negative interval [{a.lo}, {a.hi}]")
+        lo, hi = a
+        if lo < 0.0:
+            raise DomainError(f"sqrt of possibly-negative interval [{lo}, {hi}]")
         return sqrt(a)
 
-    def atan_of_ratio(a: Interval, b: Interval) -> Interval:
+    def atan_of_ratio(a: Pair, b: Pair) -> Pair:
         return atan(div(a, b))
 
-    return {Add: iv.add, Sub: iv.sub, Mul: iv.mul, Div: div, Pow: iv.pow_int,
-            Sqrt: checked_sqrt, Atan: atan_of_ratio}
+    return {Add: iv.add_pair, Sub: iv.sub_pair, Mul: iv.mul_pair, Div: div,
+            Pow: iv.pow_pair, Sqrt: checked_sqrt, Atan: atan_of_ratio}
+
+
+def _decimal_pair(text: str) -> Pair:
+    """A constant's enclosure as a plain (lo, hi) tuple."""
+    return tuple(iv.from_decimal_string(text))
+
+
+_new = tuple.__new__
 
 
 class Evaluator(_Plan):
@@ -647,10 +658,16 @@ class Evaluator(_Plan):
     slots appended on first use; apart from that growth (deterministic)
     the evaluator is immutable.  Constants are read by
     `interval.from_decimal_string`.
+
+    The plan runs on plain (lo, hi) tuples through the pair kernels: the
+    constants are preloaded as pairs, the box is loaded as pairs, and only
+    the outputs of a query are typed as Interval.  A box is a sequence of
+    (lo, hi) pairs, Intervals or plain tuples that would make valid
+    Intervals.
     """
 
     def __init__(self, expr: Expr, arity: Optional[int] = None):
-        super().__init__(_interval_ops(), iv.from_decimal_string)
+        super().__init__(_interval_ops(), _decimal_pair)
         root = self._lower(expr)
         used = 1 + max((i for _, i in self._loads), default=-1)
         if arity is None:
@@ -702,16 +719,17 @@ class Evaluator(_Plan):
                                                 if code[s] is not None]
         return order
 
-    def _run(self, box: Sequence[Interval], outputs: tuple[int, ...]) -> list[Interval]:
+    def _run(self, box: Sequence[Pair], outputs: tuple[int, ...]) -> list[Interval]:
         """Evaluate over the box exactly the instructions the output slots
         depend on, and no other; return the outputs' values."""
-        return self._execute(box, self._schedule(outputs), outputs)
+        vals = self._execute([(lo, hi) for lo, hi in box], self._schedule(outputs), outputs)
+        return [_new(Interval, v) for v in vals]
 
-    def value(self, box: Sequence[Interval]) -> Interval:
+    def value(self, box: Sequence[Pair]) -> Interval:
         """Containment-sound interval enclosure of the range over the box."""
         return self._run(box, (self._slot(()),))[0]
 
-    def germ(self, box: Sequence[Interval]) -> TaylorGerm:
+    def germ(self, box: Sequence[Pair]) -> TaylorGerm:
         """Interval value and gradient over the box: f and every first
         partial, evaluated together."""
         partials = [self._slot((i,)) for i in range(self.arity)]
@@ -730,12 +748,12 @@ class Evaluator(_Plan):
         order = [s for s in self._schedule(outputs) if s not in varying]
         self._execute([None] * self.arity, order, ())
 
-    def hessian(self, box: Sequence[Interval],
+    def hessian(self, box: Sequence[Pair],
                 entries: Sequence[tuple[int, int]]) -> list[Interval]:
         """Enclosures of the listed second partials (i, j) over the whole
         box, from one pass over the instructions they need."""
         return self._run(box, tuple(self._slot((min(i, j), max(i, j))) for i, j in entries))
 
-    def hessian_entry(self, box: Sequence[Interval], i: int, j: int) -> Interval:
+    def hessian_entry(self, box: Sequence[Pair], i: int, j: int) -> Interval:
         """Enclosure of the (i,j) second partial over the whole box."""
         return self.hessian(box, ((i, j),))[0]

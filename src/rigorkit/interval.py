@@ -16,6 +16,14 @@ endpoints ([1,2]+[3,4] is [4,6], not a widened box).  No hardware rounding
 mode is ever switched: all operations are pure functions and freely
 shareable between threads.
 
+`Interval` is the immutable pair (lo, hi), a tuple.  One set of pair
+kernels (`add_pair` ... `atan_pair`) holds the case analysis and the
+rounding: each takes (lo, hi) operands, a plain tuple or an Interval, and
+returns a plain (lo, hi) tuple, so a loop over many operations (the
+expression plans, the Taylor sum) builds no Interval per step.  The
+Interval operations (`add` ... `atan_interval`) are those kernels with the
+result typed as an Interval.
+
 Infinite endpoints are permitted for constraint-bound bookkeeping only
 (a distance cap of +inf); arithmetic on non-finite intervals raises
 NonFiniteOperand.
@@ -26,7 +34,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Sequence
 
 from .errors import (
@@ -46,6 +54,13 @@ __all__ = [
     "pow_int",
     "sqrt_interval",
     "atan_interval",
+    "add_pair",
+    "sub_pair",
+    "mul_pair",
+    "div_pair",
+    "pow_pair",
+    "sqrt_pair",
+    "atan_pair",
     "add_products",
     "from_decimal_string",
     "parse_interval_literal",
@@ -61,6 +76,10 @@ if sys.float_repr_style != "short":
                       "to nearest (sys.float_repr_style == 'short')")
 
 _INF = math.inf
+
+# An interval as the pair kernels take and return it: (lo, hi), a plain
+# tuple or an Interval.
+Pair = tuple[float, float]
 
 
 def next_up(x: float) -> float:
@@ -252,32 +271,37 @@ def _atan_up(x: float) -> float:
 # The Interval type
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Interval:
-    """Closed interval [lo, hi] of binary64 values, lo <= hi, never NaN."""
+class Interval(namedtuple("_Endpoints", ("lo", "hi"))):
+    """Closed interval [lo, hi] of binary64 values, lo <= hi, never NaN:
+    the immutable pair (lo, hi), which compares, hashes, orders and unpacks
+    as that tuple does."""
 
-    lo: float
-    hi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        lo = self.lo
-        hi = self.hi
+    def __new__(cls, lo: float, hi: float) -> "Interval":
         if not isinstance(lo, float):
             lo = float(lo)
-            object.__setattr__(self, "lo", lo)
         if not isinstance(hi, float):
             hi = float(hi)
-            object.__setattr__(self, "hi", hi)
         if math.isnan(lo) or math.isnan(hi):
             raise NonFiniteOperand("interval endpoints may not be NaN")
         if lo > hi:
             raise ValueError(f"interval lower endpoint {lo!r} exceeds upper {hi!r}")
+        return _new(cls, (lo, hi))
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def point(cls, v: float) -> "Interval":
         return cls(v, v)
+
+    # namedtuple's own versions of these would skip __new__'s checks
+    @classmethod
+    def _make(cls, iterable) -> "Interval":
+        return cls(*iterable)
+
+    def _replace(self, **fields) -> "Interval":
+        return type(self)(fields.pop("lo", self.lo), fields.pop("hi", self.hi), **fields)
 
     # -- queries -------------------------------------------------------
 
@@ -328,84 +352,79 @@ class Interval:
         return f"Interval({self.lo!r}, {self.hi!r})"
 
 
-_new = object.__new__
-_set_lo = Interval.lo.__set__
-_set_hi = Interval.hi.__set__
+_new = tuple.__new__
 
 
 def _make(lo: float, hi: float) -> Interval:
     """Interval from float endpoints already known to satisfy its invariant
-    (no NaN, lo <= hi), without __post_init__'s checks: every kernel result
-    on finite operands does."""
-    r = _new(Interval)
-    _set_lo(r, lo)
-    _set_hi(r, hi)
-    return r
+    (no NaN, lo <= hi), without __new__'s checks: every kernel result on
+    finite operands does."""
+    return _new(Interval, (lo, hi))
 
 
-# Each operation tests its operands' endpoints inline: an interval is finite
-# exactly when -inf < lo and hi < inf, since lo <= hi.  On failure it raises
-# the error _non_finite builds for the first non-finite operand.
+# Each pair kernel tests its operands' endpoints inline: an interval is
+# finite exactly when -inf < lo and hi < inf, since lo <= hi.  On failure it
+# raises the error _non_finite builds for the first non-finite operand.
 
-def _non_finite(*intervals: Interval) -> NonFiniteOperand:
-    a = next(a for a in intervals if not a.is_finite)
+def _non_finite(*pairs: Pair) -> NonFiniteOperand:
+    lo, hi = next((lo, hi) for lo, hi in pairs
+                  if not (math.isfinite(lo) and math.isfinite(hi)))
     return NonFiniteOperand(
-        f"arithmetic on non-finite interval [{a.lo}, {a.hi}]; "
+        f"arithmetic on non-finite interval [{lo}, {hi}]; "
         "infinite endpoints are bookkeeping-only"
     )
 
 
 # ---------------------------------------------------------------------------
-# Arithmetic
+# The pair kernels: the one home of the case analysis and the rounding
 # ---------------------------------------------------------------------------
 
-def add(a: Interval, b: Interval) -> Interval:
-    if not (-_INF < a.lo and a.hi < _INF and -_INF < b.lo and b.hi < _INF):
+def add_pair(a: Pair, b: Pair) -> Pair:
+    al, ah = a
+    bl, bh = b
+    if not (-_INF < al and ah < _INF and -_INF < bl and bh < _INF):
         raise _non_finite(a, b)
-    return _make(_add_down(a.lo, b.lo), _add_up(a.hi, b.hi))
+    return _add_down(al, bl), _add_up(ah, bh)
 
 
-def sub(a: Interval, b: Interval) -> Interval:
-    if not (-_INF < a.lo and a.hi < _INF and -_INF < b.lo and b.hi < _INF):
+def sub_pair(a: Pair, b: Pair) -> Pair:
+    al, ah = a
+    bl, bh = b
+    if not (-_INF < al and ah < _INF and -_INF < bl and bh < _INF):
         raise _non_finite(a, b)
-    return _make(_add_down(a.lo, -b.hi), _add_up(a.hi, -b.lo))
+    return _add_down(al, -bh), _add_up(ah, -bl)
 
 
-def neg(a: Interval) -> Interval:
-    # Exact; permitted even on semi-infinite bookkeeping intervals.
-    return _make(-a.hi, -a.lo)
-
-
-def mul(a: Interval, b: Interval) -> Interval:
-    al, ah, bl, bh = a.lo, a.hi, b.lo, b.hi
+def mul_pair(a: Pair, b: Pair) -> Pair:
+    al, ah = a
+    bl, bh = b
     if not (-_INF < al and ah < _INF and -_INF < bl and bh < _INF):
         raise _non_finite(a, b)
     # Sign-case analysis keeps the number of directed roundings at two
     # except in the mixed*mixed case.
     if al >= 0.0:
         if bl >= 0.0:
-            return _make(_mul_down(al, bl), _mul_up(ah, bh))
+            return _mul_down(al, bl), _mul_up(ah, bh)
         if bh <= 0.0:
-            return _make(_mul_down(ah, bl), _mul_up(al, bh))
-        return _make(_mul_down(ah, bl), _mul_up(ah, bh))
+            return _mul_down(ah, bl), _mul_up(al, bh)
+        return _mul_down(ah, bl), _mul_up(ah, bh)
     if ah <= 0.0:
         if bl >= 0.0:
-            return _make(_mul_down(al, bh), _mul_up(ah, bl))
+            return _mul_down(al, bh), _mul_up(ah, bl)
         if bh <= 0.0:
-            return _make(_mul_down(ah, bh), _mul_up(al, bl))
-        return _make(_mul_down(al, bh), _mul_up(al, bl))
+            return _mul_down(ah, bh), _mul_up(al, bl)
+        return _mul_down(al, bh), _mul_up(al, bl)
     if bl >= 0.0:
-        return _make(_mul_down(al, bh), _mul_up(ah, bh))
+        return _mul_down(al, bh), _mul_up(ah, bh)
     if bh <= 0.0:
-        return _make(_mul_down(ah, bl), _mul_up(al, bl))
-    return _make(
-        min(_mul_down(al, bh), _mul_down(ah, bl)),
-        max(_mul_up(al, bl), _mul_up(ah, bh)),
-    )
+        return _mul_down(ah, bl), _mul_up(al, bl)
+    return (min(_mul_down(al, bh), _mul_down(ah, bl)),
+            max(_mul_up(al, bl), _mul_up(ah, bh)))
 
 
-def div(a: Interval, b: Interval) -> Interval:
-    al, ah, bl, bh = a.lo, a.hi, b.lo, b.hi
+def div_pair(a: Pair, b: Pair) -> Pair:
+    al, ah = a
+    bl, bh = b
     if not (-_INF < al and ah < _INF and -_INF < bl and bh < _INF):
         raise _non_finite(a, b)
     if bl <= 0.0 <= bh:
@@ -414,16 +433,16 @@ def div(a: Interval, b: Interval) -> Interval:
         )
     if bl > 0.0:
         if al >= 0.0:
-            return _make(_div_down(al, bh), _div_up(ah, bl))
+            return _div_down(al, bh), _div_up(ah, bl)
         if ah <= 0.0:
-            return _make(_div_down(al, bl), _div_up(ah, bh))
-        return _make(_div_down(al, bl), _div_up(ah, bl))
+            return _div_down(al, bl), _div_up(ah, bh)
+        return _div_down(al, bl), _div_up(ah, bl)
     # bh < 0
     if al >= 0.0:
-        return _make(_div_down(ah, bh), _div_up(al, bl))
+        return _div_down(ah, bh), _div_up(al, bl)
     if ah <= 0.0:
-        return _make(_div_down(ah, bl), _div_up(al, bh))
-    return _make(_div_down(ah, bh), _div_up(al, bh))
+        return _div_down(ah, bl), _div_up(al, bh)
+    return _div_down(ah, bh), _div_up(al, bh)
 
 
 def _pow_nonneg(x: float, k: int, mul) -> float:
@@ -447,44 +466,91 @@ def _pow_nonneg(x: float, k: int, mul) -> float:
     return acc
 
 
-def pow_int(a: Interval, k: int) -> Interval:
+_ONE = (1.0, 1.0)
+
+
+def pow_pair(a: Pair, k: int) -> Pair:
     """a**k with integer exponent; handles even/odd monotonicity so the
     dependency problem of repeated multiplication is avoided."""
     if not isinstance(k, int):
         raise TypeError("exponent must be an integer")
     if k == 0:
-        return _make(1.0, 1.0)
+        return _ONE
     if k < 0:
-        return div(_make(1.0, 1.0), pow_int(a, -k))
-    if not (-_INF < a.lo and a.hi < _INF):
+        return div_pair(_ONE, pow_pair(a, -k))
+    al, ah = a
+    if not (-_INF < al and ah < _INF):
         raise _non_finite(a)
     if k == 1:
         return a
     if k % 2 == 1:
-        lo = -_pow_nonneg(-a.lo, k, _mul_up) if a.lo < 0 else _pow_nonneg(a.lo, k, _mul_down)
-        hi = -_pow_nonneg(-a.hi, k, _mul_down) if a.hi < 0 else _pow_nonneg(a.hi, k, _mul_up)
-        return _make(lo, hi)
-    return _make(_pow_nonneg(a.mig, k, _mul_down), _pow_nonneg(a.mag, k, _mul_up))
+        return (-_pow_nonneg(-al, k, _mul_up) if al < 0 else _pow_nonneg(al, k, _mul_down),
+                -_pow_nonneg(-ah, k, _mul_down) if ah < 0 else _pow_nonneg(ah, k, _mul_up))
+    mig = 0.0 if al <= 0.0 <= ah else min(abs(al), abs(ah))
+    return _pow_nonneg(mig, k, _mul_down), _pow_nonneg(max(abs(al), abs(ah)), k, _mul_up)
 
 
-def sqrt_interval(a: Interval) -> Interval:
+def sqrt_pair(a: Pair) -> Pair:
     """sqrt enclosure.  A negative lower endpoint is clamped to zero: the
     result encloses sqrt over the nonnegative part of a only, so callers
     for whom a negative argument means an undefined value must reject it
     first."""
-    lo, hi = a.lo, a.hi
+    lo, hi = a
     if not (-_INF < lo and hi < _INF):
         raise _non_finite(a)
     if hi < 0.0:
         raise DomainError(f"sqrt of certainly-negative interval [{lo}, {hi}]")
-    return _make(0.0 if lo < 0.0 else _sqrt_down(lo), _sqrt_up(hi))
+    return (0.0 if lo < 0.0 else _sqrt_down(lo)), _sqrt_up(hi)
+
+
+def atan_pair(a: Pair) -> Pair:
+    """Enclosure of arctangent; monotone, so endpoint evaluation suffices."""
+    lo, hi = a
+    if not (-_INF < lo and hi < _INF):
+        raise _non_finite(a)
+    return _atan_down(lo), _atan_up(hi)
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic on Interval: each operation is its pair kernel, with the result
+# typed as an Interval
+# ---------------------------------------------------------------------------
+
+def add(a: Interval, b: Interval) -> Interval:
+    return _new(Interval, add_pair(a, b))
+
+
+def sub(a: Interval, b: Interval) -> Interval:
+    return _new(Interval, sub_pair(a, b))
+
+
+def neg(a: Interval) -> Interval:
+    # Exact; permitted even on semi-infinite bookkeeping intervals.
+    return _make(-a.hi, -a.lo)
+
+
+def mul(a: Interval, b: Interval) -> Interval:
+    return _new(Interval, mul_pair(a, b))
+
+
+def div(a: Interval, b: Interval) -> Interval:
+    return _new(Interval, div_pair(a, b))
+
+
+def pow_int(a: Interval, k: int) -> Interval:
+    """a**k with integer exponent (pow_pair)."""
+    return _new(Interval, pow_pair(a, k))
+
+
+def sqrt_interval(a: Interval) -> Interval:
+    """sqrt enclosure (sqrt_pair): a negative lower endpoint is clamped to
+    zero."""
+    return _new(Interval, sqrt_pair(a))
 
 
 def atan_interval(a: Interval) -> Interval:
-    """Enclosure of arctangent; monotone, so endpoint evaluation suffices."""
-    if not (-_INF < a.lo and a.hi < _INF):
-        raise _non_finite(a)
-    return _make(_atan_down(a.lo), _atan_up(a.hi))
+    """Enclosure of arctangent (atan_pair)."""
+    return _new(Interval, atan_pair(a))
 
 
 def add_products(xs: Sequence[float], ys: Sequence[float],

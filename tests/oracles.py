@@ -6,11 +6,12 @@ else by an exact rational simplex), dense numpy grid search
 for function maxima and assembly feasibility, a rotation-system brute
 force for small sphere graphs, the refinement step enumerator, the
 Cayley-Menger recursion, the record reader and the `.lp` reader built on
-it, the Taylor bound as first written, mpmath for high-precision scalar
-references, directed-rounding kernels that decide every rounding by exact
-integer ratios, and a decimal reader that rounds by one exact integer
-division, with Clinger's float-division case beside it.  None of it is
-shipped.
+it, the Taylor bound as first written, an interval walk of an expression
+and its partials with the public Interval functions, mpmath for
+high-precision scalar references, directed-rounding kernels that decide
+every rounding by exact integer ratios, and a decimal reader that rounds
+by one exact integer division, with Clinger's float-division case beside
+it.  None of it is shipped.
 """
 
 from __future__ import annotations
@@ -381,6 +382,79 @@ def reference_taylor_upper_bound(ev: ex.Evaluator, box) -> float:
         return total.hi
     except (DivisionByZeroInterval, DomainError, NonFiniteOperand, OverflowError) as exc:
         raise BoundUnavailable(str(exc)) from exc
+
+
+def _reference_interval_walk(roots: Sequence[ex.Expr], outputs: Sequence[ex.Expr],
+                             box: Sequence[Interval]) -> list[Interval]:
+    """The outputs' enclosures over the box, by walking the roots in
+    post-order (children left to right, a shared node once) with the
+    public Interval functions.  Only the nodes the outputs depend on are
+    evaluated, in the order the walk of all the roots meets them, so the
+    first node to raise is the one an Evaluator that lowered the same
+    roots in the same order meets first."""
+    needed: dict = {}
+    for out in outputs:
+        for node in ex._post_order(out, needed):
+            needed[node] = None
+    walk: dict = {}
+    order = []
+    for root in roots:
+        for node in ex._post_order(root, walk):
+            walk[node] = None
+            order.append(node)
+    vals: dict = {}
+    v = vals.__getitem__
+    for node in order:
+        if node not in needed:
+            continue
+        match node:
+            case ex.Const(text=t):
+                r = iv.from_decimal_string(t)
+            case ex.Var(index=i):
+                r = box[i]
+            case ex.Add(left=a, right=b):
+                r = iv.add(v(a), v(b))
+            case ex.Sub(left=a, right=b):
+                r = iv.sub(v(a), v(b))
+            case ex.Mul(left=a, right=b):
+                r = iv.mul(v(a), v(b))
+            case ex.Div(left=a, right=b):
+                r = iv.div(v(a), v(b))
+            case ex.Pow(base=a, exponent=k):
+                r = iv.pow_int(v(a), k)
+            case ex.Sqrt(arg=a):
+                # the value is undefined where the argument is negative
+                if v(a).lo < 0.0:
+                    raise DomainError(f"sqrt of possibly-negative interval "
+                                      f"[{v(a).lo}, {v(a).hi}]")
+                r = iv.sqrt_interval(v(a))
+            case ex.Atan(num=a, den=b):
+                r = iv.atan_interval(iv.div(v(a), v(b)))
+        vals[node] = r
+    return [v(e) for e in outputs]
+
+
+def reference_germ(e: ex.Expr, arity: int, box: Sequence[Interval]) -> list[Interval]:
+    """[f, df/dx0, ..., df/dx{arity-1}] over the box, as a fresh
+    Evaluator's germ lowers them: f, then each first partial of
+    ex.differentiate in turn."""
+    partials = [ex.differentiate(e, i) for i in range(arity)]
+    roots = [e, *partials]
+    return _reference_interval_walk(roots, roots, box)
+
+
+def reference_hessian(e: ex.Expr, box: Sequence[Interval],
+                      entries: Sequence[tuple[int, int]]) -> list[Interval]:
+    """The second partials (i, j) over the box, as a fresh Evaluator's
+    hessian lowers them: f, then for each entry d/dx_max(df/dx_min) after
+    df/dx_min."""
+    roots, outputs = [e], []
+    for i, j in entries:
+        first = ex.differentiate(e, min(i, j))
+        second = ex.differentiate(first, max(i, j))
+        roots += [first, second]
+        outputs.append(second)
+    return _reference_interval_walk(roots, outputs, box)
 
 
 def reference_read_records(text: str, fields, header: Optional[str] = None) -> list[rec.Record]:

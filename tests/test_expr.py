@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_expr, reference_evaluate_numeric
+from oracles import random_expr, reference_evaluate_numeric, reference_germ, reference_hessian
 from rigorkit import expr as ex
 from rigorkit import interval as iv
 from rigorkit.errors import CompileError, ParseError, RigorError
@@ -137,13 +137,13 @@ def test_plan_calls_the_kernels_bound_when_it_compiles(monkeypatch):
     # functions of rigorkit.interval after import; a plan that held the
     # kernels bound at import would bypass the counting wrappers.
     calls = []
-    mul = iv.mul
+    mul = iv.mul_pair
 
     def counting_mul(a, b):
         calls.append((a, b))
         return mul(a, b)
 
-    monkeypatch.setattr(iv, "mul", counting_mul)
+    monkeypatch.setattr(iv, "mul_pair", counting_mul)
     ex.Evaluator(ex.parse("x0*x1", 2), 2).germ([I(1, 2), I(3, 4)])
     assert calls
 
@@ -216,6 +216,45 @@ def test_float_plan_matches_the_walker_bit_for_bit(seed):
                 assert got == b"".join(want)
             else:   # the first root to raise in walk order decides the class
                 assert got == next(w for w in want if not isinstance(w, bytes))
+
+
+def _intervals_or_error(fn, *args):
+    """The endpoints of the Intervals fn returns, as binary64 bytes (so
+    the sign of zero counts), or the class and message of what it raised."""
+    try:
+        vs = fn(*args)
+    except Exception as exc:   # compared, not swallowed
+        return type(exc), str(exc)
+    assert all(type(v) is Interval for v in vs)
+    return b"".join(struct.pack("<2d", *v) for v in vs)
+
+
+def _germ(e, arity, box):
+    g = ex.Evaluator(e, arity).germ(box)
+    return [g.f, *g.df]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 4), st.booleans())
+def test_plan_matches_an_independent_interval_walk(seed, arity, point):
+    # The plan runs on plain pairs through the pair kernels; the reference
+    # walks each expression from ex.differentiate with the Interval
+    # functions.  Boxes straddle zero, or are points at coordinates that
+    # reach zero denominators, negative square roots and overflows.
+    rng = random.Random(seed)
+    a, b = random_expr(rng, arity, 4), random_expr(rng, arity, 3)
+    e = rng.choice([a, ex.Div(a, b), ex.Sqrt(b), ex.Atan(a, b), ex.Pow(b, -1)])
+    if point:
+        box = [I.point(rng.choice(_POINT_COORDS)) for _ in range(arity)]
+    else:
+        box = [I(-rng.choice((0.0, rng.uniform(0.0, 2.0))), rng.uniform(0.0, 2.0))
+               for _ in range(arity)]
+    entries = [(rng.randrange(arity), rng.randrange(arity)) for _ in range(rng.randint(1, 4))]
+    text = ex.to_text(e)
+    assert (_intervals_or_error(_germ, e, arity, box)
+            == _intervals_or_error(reference_germ, e, arity, box)), (text, box)
+    assert (_intervals_or_error(ex.Evaluator(e, arity).hessian, box, entries)
+            == _intervals_or_error(reference_hessian, e, box, entries)), (text, box, entries)
 
 
 def test_float_plan_reads_constants_when_it_compiles():

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 from fractions import Fraction
@@ -459,10 +460,32 @@ def test_pow_with_a_huge_exponent_stops_at_a_fixed_point(monkeypatch):
 
 
 def test_interval_invariants():
-    with pytest.raises(ValueError):
+    # Interval is the immutable pair (lo, hi), checked as it is built
+    for lo, hi in ((math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(NonFiniteOperand) as err:
+            I(lo, hi)
+        assert str(err.value) == "interval endpoints may not be NaN"
+    with pytest.raises(ValueError) as err:
         I(2, 1)
+    assert str(err.value) == "interval lower endpoint 2.0 exceeds upper 1.0"
+    # namedtuple's other constructors check as __new__ does
+    with pytest.raises(ValueError):
+        I(1, 2)._replace(lo=3)
     with pytest.raises(NonFiniteOperand):
-        I(math.nan, 1)
+        I._make([math.nan, 1.0])
+    assert I(1, 2)._replace(hi=True) == I(1.0, 1.0) and I._make((0, 1)) == I(0.0, 1.0)
+    # int and bool endpoints become floats
+    a = I(1, True)
+    assert type(a.lo) is float and type(a.hi) is float and a == I(1.0, 1.0)
+    assert type(I(False, 2).lo) is float
+    with pytest.raises(AttributeError):
+        a.lo = 0.0
+    assert a == I(1.0, 1.0)
+    assert repr(I(-0.5, 2)) == "Interval(-0.5, 2.0)"
+    assert I(1, 2) == I(1.0, 2.0) and hash(I(1, 2)) == hash(I(1.0, 2.0))
+    assert I(-0.0, 0.0) == I(0.0, 0.0) and hash(I(-0.0, 0.0)) == hash(I(0.0, 0.0))
+    lo, hi = I(1, 2)
+    assert (lo, hi) == (1.0, 2.0)
     # infinite endpoints allowed for bookkeeping
     cap = I(math.inf, math.inf)
     assert not cap.is_finite
@@ -482,7 +505,6 @@ def test_literal_round_trips():
 def test_directed_rounding_on_adversarial_bit_patterns():
     # random 64-bit patterns: subnormals, extreme exponents, signed zeros
     import random
-    import struct
     from rigorkit.interval import (_add_down, _add_up, _div_down, _div_up,
                                    _mul_down, _mul_up, _sqrt_down, _sqrt_up)
 
@@ -565,11 +587,52 @@ def _adversarial_floats() -> list[float]:
     return [0.0, -0.0] + mags + [-m for m in mags]
 
 
+def _pair_outcome(fn, args, result_type):
+    """The endpoints fn returns on args, as binary64 bytes (so the sign of
+    zero counts), or the class and message of the error it raises."""
+    try:
+        r = fn(*args)
+    except (NonFiniteOperand, DivisionByZeroInterval, DomainError) as exc:
+        return type(exc), str(exc)
+    assert type(r) is result_type, (fn.__name__, args, r)
+    return struct.pack("<2d", *r)
+
+
+_BINARY_PAIR_KERNELS = [(iv.add_pair, iv.add), (iv.sub_pair, iv.sub),
+                        (iv.mul_pair, iv.mul), (iv.div_pair, iv.div)]
+_UNARY_PAIR_KERNELS = [(iv.sqrt_pair, iv.sqrt_interval), (iv.atan_pair, iv.atan_interval),
+                       *((lambda a, k=k: iv.pow_pair(a, k), lambda a, k=k: iv.pow_int(a, k))
+                         for k in (2, 3, -1))]
+
+
+def _assert_pair_kernel_matches(kernel, fn, *operands: Interval) -> None:
+    # the kernel on plain tuples, the Interval function on Intervals
+    got = _pair_outcome(kernel, [tuple(a) for a in operands], tuple)
+    want = _pair_outcome(fn, operands, Interval)
+    assert got == want, (kernel.__name__, operands, got, want)
+
+
+def _assert_pair_kernels_match(x: float, y: float) -> None:
+    """Each pair kernel against its Interval function, on the points x and
+    y and on the interval between them: every sign case of mul and div,
+    with y = 0 for a denominator that contains zero."""
+    p, q, r = I(x, x), I(y, y), I(min(x, y), max(x, y))
+    for a, b in ((p, q), (r, q), (r, r)):
+        for kernel, fn in _BINARY_PAIR_KERNELS:
+            _assert_pair_kernel_matches(kernel, fn, a, b)
+    for kernel, fn in _UNARY_PAIR_KERNELS:
+        _assert_pair_kernel_matches(kernel, fn, r)
+
+
 def test_kernels_match_reference_on_adversarial_operands():
     values = _adversarial_floats()
     for x in values:
         for y in values:
             _assert_kernels_match_reference(x, y)
+        # the pair kernels' case analysis over the scalar kernels checked
+        # above, on every fourth y
+        for y in values[::4]:
+            _assert_pair_kernels_match(x, y)
 
 
 _any_finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -585,6 +648,7 @@ _kernel_operands = st.one_of(_any_finite, _full_significand)
 def test_kernels_match_reference(x, y):
     _assert_kernels_match_reference(x, y)
     _assert_kernels_match_reference(x, x)  # squares, as in pow_int
+    _assert_pair_kernels_match(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -687,3 +751,9 @@ def test_operations_reject_an_infinite_endpoint(bad):
     for call in calls:
         with pytest.raises(NonFiniteOperand, match="non-finite interval"):
             call()
+    # each pair kernel raises as its Interval function does, on either operand
+    for kernel, fn in _BINARY_PAIR_KERNELS:
+        _assert_pair_kernel_matches(kernel, fn, bad, ok)
+        _assert_pair_kernel_matches(kernel, fn, ok, bad)
+    for kernel, fn in _UNARY_PAIR_KERNELS:
+        _assert_pair_kernel_matches(kernel, fn, bad)
