@@ -44,7 +44,7 @@ from . import records as rec
 from .errors import BranchError, NoProgress, ParseError
 from .expr import (Expr, FloatPlan, Var, const_from_float, make_add, make_mul, make_sub,
                    parse, to_text)
-from .interval import Interval
+from .interval import Interval, Pair
 from .prover import ProofTask, ProverConfig, prove_nonpositive
 from .taylor import Box
 
@@ -158,21 +158,21 @@ def binding_rows(p: AssemblyProblem, x_star: Sequence[float]) -> list[int]:
 
 
 def _side_terms(p: AssemblyProblem, x_star: Sequence[float], w: Sequence[float],
-                rows: Sequence[int]) -> tuple[Interval, Interval]:
+                rows: Sequence[int]) -> tuple[Pair, Pair]:
     """Enclosures of c.x* and w.(b_R - A_R x*), skipping zero A entries:
     each b_k - A_k x* is b_k plus the products (-a_kj) * x_j."""
-    obj = Interval(*iv.add_products(p.c, x_star))
-    retained = Interval.point(0.0)
+    obj = iv.add_products(p.c, x_star)
+    retained = (0.0, 0.0)
     for w_k, k in zip(w, rows):
         row = p.a[k]
-        resid = Interval(*iv.add_products([-a for a in row if a != 0.0],
-                                          list(compress(x_star, row)), p.b[k], p.b[k]))
+        resid = iv.add_products([-a for a in row if a != 0.0],
+                                list(compress(x_star, row)), p.b[k], p.b[k])
         retained = iv.add(retained, iv.mul(Interval.point(w_k), resid))
     return obj, retained
 
 
-def _side(p: AssemblyProblem, m_bound: float, t0: float, obj: Interval,
-          retained: Interval) -> Interval:
+def _side(p: AssemblyProblem, m_bound: float, t0: float, obj: Pair,
+          retained: Pair) -> Pair:
     """Enclosure of M + d t0 - obj - retained."""
     total = iv.add(Interval.point(m_bound),
                    iv.mul(Interval.point(float(p.n_domains)), Interval.point(t0)))
@@ -183,7 +183,7 @@ def mx_check_interval(p: AssemblyProblem, cert: DualityCertificate) -> Interval:
     """Enclosure of M + d t0 - c.x* - w.(b_R - A_R x*); certification
     requires its lower end to be >= 0."""
     obj, retained = _side_terms(p, cert.x_star, cert.w, cert.retained_rows)
-    return _side(p, cert.m_bound, cert.t0, obj, retained)
+    return Interval(*_side(p, cert.m_bound, cert.t0, obj, retained))
 
 
 def _compute_t0(p: AssemblyProblem, m_bound: float, x_star: Sequence[float],
@@ -195,9 +195,10 @@ def _compute_t0(p: AssemblyProblem, m_bound: float, x_star: Sequence[float],
     to the textbook substitution t0 = (-M + c.x*)/d."""
     obj, retained = _side_terms(p, x_star, w, retained_rows)
     num = iv.add(iv.sub(obj, Interval.point(m_bound)), retained)
-    t0 = iv.div(num, Interval.point(float(p.n_domains))).hi
+    _, t0 = iv.div(num, Interval.point(float(p.n_domains)))
     for _ in range(128):
-        if _side(p, m_bound, t0, obj, retained).lo >= 0.0:
+        lo, _ = _side(p, m_bound, t0, obj, retained)
+        if lo >= 0.0:
             return t0
         t0 = iv.next_up(t0) if t0 != 0.0 else 5e-324
     raise ArithmeticError("could not stabilize t0; data badly scaled")

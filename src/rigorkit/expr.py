@@ -25,7 +25,7 @@ differ only in their table of ops and their constant reader:
 
 * `FloatPlan(exprs)` does plain binary64 operations, for fitting at test
   points; `evaluate_numeric` runs a one-expression plan at one point.
-* `Evaluator(e, arity)` calls the interval pair kernels on plain (lo, hi)
+* `Evaluator(e, arity)` calls the interval operations on plain (lo, hi)
   tuples, and types only its outputs as Interval.  Its plan starts with
   f's slots, followed by those of the first partials and the second
   partials (each the `differentiate` of the one before) as queries first
@@ -620,14 +620,14 @@ class TaylorGerm:
 
 
 def _interval_ops() -> dict:
-    """The interval ops on (lo, hi) pairs, with the pair kernels
-    rigorkit.interval binds now: a kernel rebound after import (as
+    """The interval ops on (lo, hi) pairs, with the operations
+    rigorkit.interval binds now: an operation rebound after import (as
     perfbench/trace.py does to count calls) is the one a plan compiled
     later calls."""
-    div, sqrt, atan = iv.div_pair, iv.sqrt_pair, iv.atan_pair
+    div, sqrt, atan = iv.div, iv.sqrt_interval, iv.atan_interval
 
     def checked_sqrt(a: Pair, _: Pair) -> Pair:
-        # sqrt_pair clamps a negative lower end; here it would bound a
+        # sqrt_interval clamps a negative lower end; here it would bound a
         # value that is undefined for part of the box.
         lo, hi = a
         if lo < 0.0:
@@ -637,8 +637,8 @@ def _interval_ops() -> dict:
     def atan_of_ratio(a: Pair, b: Pair) -> Pair:
         return atan(div(a, b))
 
-    return {Add: iv.add_pair, Sub: iv.sub_pair, Mul: iv.mul_pair, Div: div,
-            Pow: iv.pow_pair, Sqrt: checked_sqrt, Atan: atan_of_ratio}
+    return {Add: iv.add, Sub: iv.sub, Mul: iv.mul, Div: div,
+            Pow: iv.pow_int, Sqrt: checked_sqrt, Atan: atan_of_ratio}
 
 
 def _decimal_pair(text: str) -> Pair:
@@ -659,11 +659,11 @@ class Evaluator(_Plan):
     the evaluator is immutable.  Constants are read by
     `interval.from_decimal_string`.
 
-    The plan runs on plain (lo, hi) tuples through the pair kernels: the
-    constants are preloaded as pairs, the box is loaded as pairs, and only
-    the outputs of a query are typed as Interval.  A box is a sequence of
-    (lo, hi) pairs, Intervals or plain tuples that would make valid
-    Intervals.
+    The plan runs on plain (lo, hi) tuples through the interval
+    operations: the constants are preloaded as pairs, the box is loaded as
+    pairs, and only the outputs of a query are typed as Interval.  A box is
+    a sequence of (lo, hi) pairs, Intervals or plain tuples that would make
+    valid Intervals.
     """
 
     def __init__(self, expr: Expr, arity: Optional[int] = None):

@@ -4,9 +4,10 @@ their extremes and decides only the resulting extremal configuration.
 `check_linked_line` binds one fixed pattern: every frame pair and (0, q)
 at its cap, and (p1, q) at its floor.
 
-Points are plain (x, y, z) tuples of intervals, so every derived quantity
-is an enclosure.  Four points' six distances are passed in one order,
-d01 d02 d03 d12 d13 d23, the order `geom simplex --edges` takes them in.
+Points are plain (x, y, z) tuples of (lo, hi) pairs, as the interval
+operations return them, so every derived quantity is an enclosure.  Four
+points' six distances are passed in one order, d01 d02 d03 d12 d13 d23,
+the order `geom simplex --edges` takes them in.
 The module certifies only what interval arithmetic proves about the
 extremal configuration of each check: a verdict of NoSuchConfiguration
 means the extremal configuration rigorously violates a constraint;
@@ -37,7 +38,7 @@ from .errors import (
     ParseError,
     PivotInfeasible,
 )
-from .interval import Interval
+from .interval import Interval, Pair
 
 __all__ = [
     "Vec3",
@@ -54,10 +55,11 @@ __all__ = [
     "parse_distance_spec",
 ]
 
-Vec3 = tuple[Interval, Interval, Interval]
+Vec3 = tuple[Pair, Pair, Pair]
 
 _ZERO = Interval(0.0, 0.0)
 _ONE = Interval(1.0, 1.0)
+_TWO = Interval(2.0, 2.0)
 # What interval arithmetic raises on overflow, a zero divisor or a domain
 # violation; each check ends inconclusive when its arithmetic raises one.
 _ARITHMETIC_ERRORS = (DivisionByZeroInterval, DomainError, NonFiniteOperand)
@@ -71,11 +73,11 @@ def _v_sub(a: Vec3, b: Vec3) -> Vec3:
     return (iv.sub(a[0], b[0]), iv.sub(a[1], b[1]), iv.sub(a[2], b[2]))
 
 
-def _v_scale(s: Interval, a: Vec3) -> Vec3:
+def _v_scale(s: Pair, a: Vec3) -> Vec3:
     return (iv.mul(s, a[0]), iv.mul(s, a[1]), iv.mul(s, a[2]))
 
 
-def _v_dot(a: Vec3, b: Vec3) -> Interval:
+def _v_dot(a: Vec3, b: Vec3) -> Pair:
     return iv.add(iv.add(iv.mul(a[0], b[0]), iv.mul(a[1], b[1])), iv.mul(a[2], b[2]))
 
 
@@ -87,21 +89,22 @@ def _v_cross(a: Vec3, b: Vec3) -> Vec3:
     )
 
 
-def _dist2(a: Vec3, b: Vec3) -> Interval:
+def _dist2(a: Vec3, b: Vec3) -> Pair:
     d = _v_sub(a, b)
     return _v_dot(d, d)
 
 
-def _dist(a: Vec3, b: Vec3) -> Interval:
+def _dist(a: Vec3, b: Vec3) -> Pair:
     return iv.sqrt_interval(_dist2(a, b))
 
 
-def _sqrt_nonneg(x: Interval, what: str) -> Interval:
+def _sqrt_nonneg(x: Pair, what: str) -> Pair:
     """sqrt of a quantity that must be >= 0 for the configuration to
     exist: certainly negative raises PivotInfeasible, straddling zero
     clamps (sound: real solutions, if any, are inside)."""
-    if x.hi < 0.0:
-        raise PivotInfeasible(f"{what} is certainly negative ({x.lo}, {x.hi})")
+    lo, hi = x
+    if hi < 0.0:
+        raise PivotInfeasible(f"{what} is certainly negative ({lo}, {hi})")
     return iv.sqrt_interval(x)
 
 
@@ -156,32 +159,32 @@ class LinkStatus(enum.Enum):
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
-def _sq(d: Interval) -> Interval:
+def _sq(d: Pair) -> Pair:
     return iv.pow_int(d, 2)
 
 
-def _place_third(d01: Interval, d02: Interval, d12: Interval) -> tuple[Vec3, Vec3, Vec3]:
+def _place_third(d01: Pair, d02: Pair, d12: Pair) -> tuple[Vec3, Vec3, Vec3]:
     """p0 at origin, p1 on +x at distance d01, p2 in the upper xy plane."""
     p0 = (_ZERO, _ZERO, _ZERO)
     p1 = (d01, _ZERO, _ZERO)
     x2 = iv.div(iv.sub(iv.add(_sq(d01), _sq(d02)), _sq(d12)),
-                iv.mul(Interval(2.0, 2.0), d01))
+                iv.mul(_TWO, d01))
     y2sq = iv.sub(_sq(d02), _sq(x2))
     y2 = _sqrt_nonneg(y2sq, "triangle height squared")
     p2 = (x2, y2, _ZERO)
     return p0, p1, p2
 
 
-def _place_apex(p0: Vec3, p1: Vec3, p2: Vec3, d01: Interval,
-                r0: Interval, r1: Interval, r2: Interval) -> Vec3:
+def _place_apex(p0: Vec3, p1: Vec3, p2: Vec3, d01: Pair,
+                r0: Pair, r1: Pair, r2: Pair) -> Vec3:
     """Point at distances r0, r1, r2 from p0, p1, p2, on the z >= 0 side.
     Assumes the base triangle is in the gauge position."""
     x2, y2 = p2[0], p2[1]
     x = iv.div(iv.sub(iv.add(_sq(d01), _sq(r0)), _sq(r1)),
-               iv.mul(Interval(2.0, 2.0), d01))
+               iv.mul(_TWO, d01))
     num = iv.sub(iv.sub(iv.add(iv.add(_sq(x2), _sq(y2)), _sq(r0)), _sq(r2)),
-                 iv.mul(iv.mul(Interval(2.0, 2.0), x2), x))
-    y = iv.div(num, iv.mul(Interval(2.0, 2.0), y2))
+                 iv.mul(iv.mul(_TWO, x2), x))
+    y = iv.div(num, iv.mul(_TWO, y2))
     z_sq = iv.sub(iv.sub(_sq(r0), _sq(x)), _sq(y))
     z = _sqrt_nonneg(z_sq, "apex height squared")
     return (x, y, z)
@@ -189,8 +192,9 @@ def _place_apex(p0: Vec3, p1: Vec3, p2: Vec3, d01: Interval,
 
 def rigid_realization(d: Sequence[Interval]) -> tuple[Vec3, Vec3, Vec3, Vec3]:
     """Coordinates for 4 points with the six pairwise distance enclosures
-    d01 d02 d03 d12 d13 d23, in the fixed gauge.  Raises PivotInfeasible
-    when a height is certainly negative (unrealizable)."""
+    d01 d02 d03 d12 d13 d23, in the fixed gauge, each coordinate a (lo, hi)
+    pair.  Raises PivotInfeasible when a height is certainly negative
+    (unrealizable)."""
     d01, d02, d03, d12, d13, d23 = d
     p0, p1, p2 = _place_third(d01, d02, d12)
     return p0, p1, p2, _place_apex(p0, p1, p2, d01, d03, d13, d23)
@@ -203,16 +207,16 @@ def cayley_menger_det(d: Sequence[Interval]) -> Interval:
     rows = [[_ZERO] + [_ONE] * 4] + [[_ONE] + [_ZERO] * 4 for _ in range(4)]
     for (i, j), dij in zip(_PAIRS, d, strict=True):
         rows[i + 1][j + 1] = rows[j + 1][i + 1] = _sq(dij)
-    return _det(rows)
+    return Interval(*_det(rows))
 
 
-def _det(rows: list[list[Interval]]) -> Interval:
+def _det(rows: list[list[Pair]]) -> Pair:
     """Laplace expansion along the first row, each minor (the last k rows,
     k kept columns) computed once: the operations, operands and order of
     the plain recursion, less its repeats, so the same result and errors."""
 
     @cache
-    def minor(cols: tuple[int, ...]) -> Interval:
+    def minor(cols: tuple[int, ...]) -> Pair:
         if len(cols) == 1:
             return rows[-1][cols[0]]
         total = _ZERO
@@ -239,10 +243,10 @@ def line_links_triangle(q: Vec3, p1: Vec3, p2: Vec3, p3: Vec3) -> LinkStatus:
         _v_dot(_v_cross(p2, p3), q),
         _v_dot(_v_cross(p3, p1), q),
     ]
-    if all(d.lo > 0.0 for d in dets) or all(d.hi < 0.0 for d in dets):
+    if all(lo > 0.0 for lo, _ in dets) or all(hi < 0.0 for _, hi in dets):
         return LinkStatus.LINKED
-    pos = any(d.lo > 0.0 for d in dets)
-    neg = any(d.hi < 0.0 for d in dets)
+    pos = any(lo > 0.0 for lo, _ in dets)
+    neg = any(hi < 0.0 for _, hi in dets)
     if pos and neg:
         return LinkStatus.NOT_LINKED
     return LinkStatus.UNKNOWN
@@ -277,7 +281,7 @@ def check_simplex_interior_point(edge_bounds: Sequence[Interval],
                                reason="realizability undecided (Cayley-Menger straddles zero)")
         p0, p1, p2, p3 = rigid_realization(edge_bounds)
         q = _place_apex(p0, p1, p2, edge_bounds[0], r, r, r)
-        fourth = _dist(q, p3)
+        fourth = Interval(*_dist(q, p3))
     except PivotInfeasible as exc:
         return CheckResult(Verdict.INCONCLUSIVE,
                            reason=f"extremal configuration not constructible: {exc}")
@@ -315,13 +319,14 @@ def check_segment_through_triangle(r1: Interval, r2: Interval,
             return CheckResult(Verdict.INCONCLUSIVE, reason=f"{name} must be positive")
     try:
         h_sq = iv.sub(_sq(r3), _sq(r1))
-        if h_sq.hi <= 0.0:
+        h_lo, h_hi = h_sq
+        if h_hi <= 0.0:
             return CheckResult(Verdict.INCONCLUSIVE,
                                reason="endpoints may reach the triangle plane (r3 <= r1)")
-        if h_sq.lo < 0.0:
+        if h_lo < 0.0:
             return CheckResult(Verdict.INCONCLUSIVE,
                                reason="axis height straddles zero")
-        min_len = iv.mul(Interval(2.0, 2.0), iv.sqrt_interval(h_sq))
+        min_len = Interval(*iv.mul(_TWO, iv.sqrt_interval(h_sq)))
     except _ARITHMETIC_ERRORS as exc:
         return CheckResult(Verdict.INCONCLUSIVE, reason=str(exc))
     if min_len.lo > r2.hi:
@@ -444,12 +449,13 @@ def _bind_linked_line(spec: DistanceSpec) -> CheckResult | Callable[[Interval, i
     u = _v_sub(p1, origin)
     l2 = _v_dot(u, u)
     alpha = iv.div(iv.sub(iv.add(_sq(big_r), l2), _sq(q_floor)),
-                   iv.mul(Interval(2.0, 2.0), l2))
+                   iv.mul(_TWO, l2))
     h_sq = iv.sub(_sq(big_r), iv.mul(_sq(alpha), l2))
-    if h_sq.hi < 0.0:
+    h_lo, h_hi = h_sq
+    if h_hi < 0.0:
         return CheckResult(Verdict.NO_SUCH_CONFIGURATION,
                            reason="bound circle for q is empty")
-    if h_sq.lo <= 0.0:
+    if h_lo <= 0.0:
         return CheckResult(Verdict.INCONCLUSIVE,
                            reason="bound circle for q degenerates")
     h = iv.sqrt_interval(h_sq)
@@ -459,7 +465,8 @@ def _bind_linked_line(spec: DistanceSpec) -> CheckResult | Callable[[Interval, i
     beta = iv.div(_v_dot(v, u), l2)
     w = _v_sub(v, _v_scale(beta, u))
     w2 = _v_dot(w, w)
-    if not (w2.lo > 0.0):
+    w2_lo, _ = w2
+    if not (w2_lo > 0.0):
         return CheckResult(Verdict.INCONCLUSIVE, reason="degenerate sweep frame")
     w_unit = _v_scale(iv.div(_ONE, iv.sqrt_interval(w2)), w)
     cvec = _v_cross(u, w)
@@ -470,20 +477,19 @@ def _bind_linked_line(spec: DistanceSpec) -> CheckResult | Callable[[Interval, i
     pairs_to_check = [(2, p2), (3, p3)]
 
     def cell_refuted(c_iv: Interval, s_sign: int) -> bool:
-        s_sq = iv.sub(_ONE, _sq(c_iv))
-        s_sq = Interval(max(s_sq.lo, 0.0), max(s_sq.hi, 0.0))
-        s_iv = iv.sqrt_interval(s_sq)
+        s_lo, s_hi = iv.sub(_ONE, _sq(c_iv))
+        s_iv = iv.sqrt_interval((max(s_lo, 0.0), max(s_hi, 0.0)))
         if s_sign < 0:
             s_iv = iv.neg(s_iv)
         q = _v_add(base, _v_add(_v_scale(iv.mul(h, c_iv), w_unit),
                                 _v_scale(iv.mul(h, s_iv), c_unit)))
         for idx, pt in pairs_to_check:
-            d = _dist(q, pt)
+            d_lo, d_hi = _dist(q, pt)
             lo_req = spec.lower(idx, 4)
             hi_req = spec.upper(idx, 4)
-            if d.hi < lo_req.lo:
+            if d_hi < lo_req.lo:
                 return True
-            if hi_req.is_finite and d.lo > hi_req.hi:
+            if hi_req.is_finite and d_lo > hi_req.hi:
                 return True
         status = line_links_triangle(q, p1, p2, p3)
         return status is LinkStatus.NOT_LINKED
@@ -495,7 +501,8 @@ def _cap_sum(a: Interval, b: Interval) -> Optional[float]:
     """Upper end of a cap sum, or None when either cap is infinite."""
     if not (a.is_finite and b.is_finite):
         return None
-    return iv.add(a, b).hi
+    _, hi = iv.add(a, b)
+    return hi
 
 
 # ---------------------------------------------------------------------------

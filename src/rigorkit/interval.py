@@ -16,13 +16,13 @@ endpoints ([1,2]+[3,4] is [4,6], not a widened box).  No hardware rounding
 mode is ever switched: all operations are pure functions and freely
 shareable between threads.
 
-`Interval` is the immutable pair (lo, hi), a tuple.  One set of pair
-kernels (`add_pair` ... `atan_pair`) holds the case analysis and the
-rounding: each takes (lo, hi) operands, a plain tuple or an Interval, and
-returns a plain (lo, hi) tuple, so a loop over many operations (the
-expression plans, the Taylor sum) builds no Interval per step.  The
-Interval operations (`add` ... `atan_interval`) are those kernels with the
-result typed as an Interval.
+One rule: operations return pairs.  Each operation (`add` ...
+`atan_interval`) takes (lo, hi) operands, a plain tuple or an Interval,
+and returns a plain (lo, hi) tuple, so a loop over many operations (the
+expression plans, the Taylor sum) builds no Interval per step.  `Interval`
+is the checked pair, an immutable (lo, hi) tuple, that stored values hold:
+parsed input, records and reports.  A caller wraps a result once, with
+`Interval(*r)`, where it stores it.
 
 Infinite endpoints are permitted for constraint-bound bookkeeping only
 (a distance cap of +inf); arithmetic on non-finite intervals raises
@@ -54,13 +54,6 @@ __all__ = [
     "pow_int",
     "sqrt_interval",
     "atan_interval",
-    "add_pair",
-    "sub_pair",
-    "mul_pair",
-    "div_pair",
-    "pow_pair",
-    "sqrt_pair",
-    "atan_pair",
     "add_products",
     "from_decimal_string",
     "parse_interval_literal",
@@ -77,7 +70,7 @@ if sys.float_repr_style != "short":
 
 _INF = math.inf
 
-# An interval as the pair kernels take and return it: (lo, hi), a plain
+# An interval as the operations take and return it: (lo, hi), a plain
 # tuple or an Interval.
 Pair = tuple[float, float]
 
@@ -357,12 +350,11 @@ _new = tuple.__new__
 
 def _make(lo: float, hi: float) -> Interval:
     """Interval from float endpoints already known to satisfy its invariant
-    (no NaN, lo <= hi), without __new__'s checks: every kernel result on
-    finite operands does."""
+    (no NaN, lo <= hi), without __new__'s checks."""
     return _new(Interval, (lo, hi))
 
 
-# Each pair kernel tests its operands' endpoints inline: an interval is
+# Each operation but neg tests its operands' endpoints inline: an interval is
 # finite exactly when -inf < lo and hi < inf, since lo <= hi.  On failure it
 # raises the error _non_finite builds for the first non-finite operand.
 
@@ -376,10 +368,10 @@ def _non_finite(*pairs: Pair) -> NonFiniteOperand:
 
 
 # ---------------------------------------------------------------------------
-# The pair kernels: the one home of the case analysis and the rounding
+# The operations: the one home of the case analysis and the rounding
 # ---------------------------------------------------------------------------
 
-def add_pair(a: Pair, b: Pair) -> Pair:
+def add(a: Pair, b: Pair) -> Pair:
     al, ah = a
     bl, bh = b
     if not (-_INF < al and ah < _INF and -_INF < bl and bh < _INF):
@@ -387,7 +379,7 @@ def add_pair(a: Pair, b: Pair) -> Pair:
     return _add_down(al, bl), _add_up(ah, bh)
 
 
-def sub_pair(a: Pair, b: Pair) -> Pair:
+def sub(a: Pair, b: Pair) -> Pair:
     al, ah = a
     bl, bh = b
     if not (-_INF < al and ah < _INF and -_INF < bl and bh < _INF):
@@ -395,7 +387,13 @@ def sub_pair(a: Pair, b: Pair) -> Pair:
     return _add_down(al, -bh), _add_up(ah, -bl)
 
 
-def mul_pair(a: Pair, b: Pair) -> Pair:
+def neg(a: Pair) -> Pair:
+    # Exact; permitted even on semi-infinite bookkeeping pairs.
+    lo, hi = a
+    return -hi, -lo
+
+
+def mul(a: Pair, b: Pair) -> Pair:
     al, ah = a
     bl, bh = b
     if not (-_INF < al and ah < _INF and -_INF < bl and bh < _INF):
@@ -422,7 +420,7 @@ def mul_pair(a: Pair, b: Pair) -> Pair:
             max(_mul_up(al, bl), _mul_up(ah, bh)))
 
 
-def div_pair(a: Pair, b: Pair) -> Pair:
+def div(a: Pair, b: Pair) -> Pair:
     al, ah = a
     bl, bh = b
     if not (-_INF < al and ah < _INF and -_INF < bl and bh < _INF):
@@ -445,23 +443,23 @@ def div_pair(a: Pair, b: Pair) -> Pair:
     return _div_down(ah, bh), _div_up(al, bh)
 
 
-def _pow_nonneg(x: float, k: int, mul) -> float:
-    # x >= 0, k >= 1: square-and-multiply, every step rounded by mul
+def _pow_nonneg(x: float, k: int, times) -> float:
+    # x >= 0, k >= 1: square-and-multiply, every step rounded by times
     # (_mul_down or _mul_up).
     acc = None
     base = x
     while k:
         if k & 1:
-            acc = base if acc is None else mul(acc, base)
+            acc = base if acc is None else times(acc, base)
         k >>= 1
         if k:
-            square = mul(base, base)
+            square = times(base, base)
             if square == base:
                 # A fixed point of rounded squaring (0 or 1; rounding up, the
                 # least subnormal, 1 - 2**-53 or inf; rounding down, the
                 # largest float): every later base equals it, and products
                 # by it after the first change nothing.
-                return base if acc is None else mul(acc, base)
+                return base if acc is None else times(acc, base)
             base = square
     return acc
 
@@ -469,7 +467,7 @@ def _pow_nonneg(x: float, k: int, mul) -> float:
 _ONE = (1.0, 1.0)
 
 
-def pow_pair(a: Pair, k: int) -> Pair:
+def pow_int(a: Pair, k: int) -> Pair:
     """a**k with integer exponent; handles even/odd monotonicity so the
     dependency problem of repeated multiplication is avoided."""
     if not isinstance(k, int):
@@ -477,12 +475,12 @@ def pow_pair(a: Pair, k: int) -> Pair:
     if k == 0:
         return _ONE
     if k < 0:
-        return div_pair(_ONE, pow_pair(a, -k))
+        return div(_ONE, pow_int(a, -k))
     al, ah = a
     if not (-_INF < al and ah < _INF):
         raise _non_finite(a)
     if k == 1:
-        return a
+        return al, ah
     if k % 2 == 1:
         return (-_pow_nonneg(-al, k, _mul_up) if al < 0 else _pow_nonneg(al, k, _mul_down),
                 -_pow_nonneg(-ah, k, _mul_down) if ah < 0 else _pow_nonneg(ah, k, _mul_up))
@@ -490,7 +488,7 @@ def pow_pair(a: Pair, k: int) -> Pair:
     return _pow_nonneg(mig, k, _mul_down), _pow_nonneg(max(abs(al), abs(ah)), k, _mul_up)
 
 
-def sqrt_pair(a: Pair) -> Pair:
+def sqrt_interval(a: Pair) -> Pair:
     """sqrt enclosure.  A negative lower endpoint is clamped to zero: the
     result encloses sqrt over the nonnegative part of a only, so callers
     for whom a negative argument means an undefined value must reject it
@@ -503,54 +501,12 @@ def sqrt_pair(a: Pair) -> Pair:
     return (0.0 if lo < 0.0 else _sqrt_down(lo)), _sqrt_up(hi)
 
 
-def atan_pair(a: Pair) -> Pair:
+def atan_interval(a: Pair) -> Pair:
     """Enclosure of arctangent; monotone, so endpoint evaluation suffices."""
     lo, hi = a
     if not (-_INF < lo and hi < _INF):
         raise _non_finite(a)
     return _atan_down(lo), _atan_up(hi)
-
-
-# ---------------------------------------------------------------------------
-# Arithmetic on Interval: each operation is its pair kernel, with the result
-# typed as an Interval
-# ---------------------------------------------------------------------------
-
-def add(a: Interval, b: Interval) -> Interval:
-    return _new(Interval, add_pair(a, b))
-
-
-def sub(a: Interval, b: Interval) -> Interval:
-    return _new(Interval, sub_pair(a, b))
-
-
-def neg(a: Interval) -> Interval:
-    # Exact; permitted even on semi-infinite bookkeeping intervals.
-    return _make(-a.hi, -a.lo)
-
-
-def mul(a: Interval, b: Interval) -> Interval:
-    return _new(Interval, mul_pair(a, b))
-
-
-def div(a: Interval, b: Interval) -> Interval:
-    return _new(Interval, div_pair(a, b))
-
-
-def pow_int(a: Interval, k: int) -> Interval:
-    """a**k with integer exponent (pow_pair)."""
-    return _new(Interval, pow_pair(a, k))
-
-
-def sqrt_interval(a: Interval) -> Interval:
-    """sqrt enclosure (sqrt_pair): a negative lower endpoint is clamped to
-    zero."""
-    return _new(Interval, sqrt_pair(a))
-
-
-def atan_interval(a: Interval) -> Interval:
-    """Enclosure of arctangent (atan_pair)."""
-    return _new(Interval, atan_pair(a))
 
 
 def add_products(xs: Sequence[float], ys: Sequence[float],
@@ -560,9 +516,9 @@ def add_products(xs: Sequence[float], ys: Sequence[float],
     add([lo, hi], mul(point(x_i), point(y_i))) rounds, fused: one
     TwoProduct error term gives both rounded products, and the two TwoSums
     run inline.  A step on a factor outside TwoProduct's safe range (a NaN
-    or infinite one included), or whose sum is not finite, is replayed on
-    Interval objects, which raise NonFiniteOperand exactly where those
-    operations would."""
+    or infinite one included), or whose sum is not finite, is replayed by
+    add and mul on Interval operands, which raise NonFiniteOperand exactly
+    where those operations would, with a NaN's own message."""
     for x, y in zip(xs, ys):
         if -_SPLIT_MAX < x < _SPLIT_MAX and -_SPLIT_MAX < y < _SPLIT_MAX:
             p = x * y
@@ -590,8 +546,7 @@ def add_products(xs: Sequence[float], ys: Sequence[float],
                     t = _nextafter(t, _INF)
                 lo, hi = s, t
                 continue
-        r = add(Interval(lo, hi), mul(Interval.point(x), Interval.point(y)))
-        lo, hi = r.lo, r.hi
+        lo, hi = add(Interval(lo, hi), mul(Interval.point(x), Interval.point(y)))
     return lo, hi
 
 

@@ -91,13 +91,13 @@ def taylor_upper_bound(ev: Evaluator, box: Box) -> float:
     if ev.arity != box.n:
         raise ValueError(f"evaluator arity {ev.arity} != box dimension {box.n}")
     try:
-        # The sum runs on plain (lo, hi) pairs through the pair kernels.
+        # The sum runs on plain (lo, hi) pairs.
         center_box = [(c, c) for c in box.midpoint()]
         # Upward-rounded radius around the (possibly off-center) midpoint, so
         # |x_i - c_i| <= w_i holds for every x in the box.
         w = []
         for d, c in zip(box.dims, center_box):
-            lo, hi = iv.sub_pair(d, c)
+            lo, hi = iv.sub(d, c)
             w.append(max(abs(lo), abs(hi)))
         germ = ev.germ(center_box)
         live = [i for i in range(box.n) if w[i] != 0.0]
@@ -107,8 +107,8 @@ def taylor_upper_bound(ev: Evaluator, box: Box) -> float:
         half = (0.5, 0.5)
         for (i, j), h in zip(entries, ev.hessian(box.dims, entries)):
             m, wi, wj = h.mag, w[i], w[j]
-            term = iv.mul_pair((m, m), iv.mul_pair((wi, wi), (wj, wj)))
-            total = iv.add_pair(total, term if i != j else iv.mul_pair(half, term))
+            term = iv.mul((m, m), iv.mul((wi, wi), (wj, wj)))
+            total = iv.add(total, term if i != j else iv.mul(half, term))
         return total[1]
     except _EVAL_ERRORS as exc:
         raise BoundUnavailable(str(exc)) from exc

@@ -7,7 +7,7 @@ for function maxima and assembly feasibility, a rotation-system brute
 force for small sphere graphs, the refinement step enumerator, the
 Cayley-Menger recursion, the record reader and the `.lp` reader built on
 it, the Taylor bound as first written, an interval walk of an expression
-and its partials with the public Interval functions, mpmath for
+and its partials with the public interval operations, mpmath for
 high-precision scalar references, directed-rounding kernels that decide
 every rounding by exact integer ratios, and a decimal reader that rounds
 by one exact integer division, with Clinger's float-division case beside
@@ -340,11 +340,12 @@ def reference_certify(p: LpProblem, d: DualSolution
                                                       [a for _, a in pairs], c_j, c_j)))
     d_total = Interval.point(0.0)
     for dj, b in zip(delta, p.var_bounds):
-        d_total = iv.add(d_total, iv.mul(Interval.point(dj.mag), Interval.point(b.mag)))
+        d_total = Interval(*iv.add(d_total, iv.mul(Interval.point(dj.mag),
+                                                   Interval.point(b.mag))))
     total = d_total
     for mult, rhs in ((d.y, p.beq), (d.z, rhs_ineq)):
         for yi, b in zip(mult, rhs):
-            total = iv.add(total, iv.mul(Interval.point(yi), Interval.point(b)))
+            total = Interval(*iv.add(total, iv.mul(Interval.point(yi), Interval.point(b))))
     return total.hi, d_total.hi, tuple(delta)
 
 
@@ -354,7 +355,7 @@ def reference_add_products(xs: Sequence[float], ys: Sequence[float],
     acc = add(acc, mul(point(x_i), point(y_i))) from acc = [lo, hi]."""
     acc = Interval(lo, hi)
     for x, y in zip(xs, ys):
-        acc = iv.add(acc, iv.mul(Interval.point(x), Interval.point(y)))
+        acc = Interval(*iv.add(acc, iv.mul(Interval.point(x), Interval.point(y))))
     return acc.lo, acc.hi
 
 
@@ -366,19 +367,19 @@ def reference_taylor_upper_bound(ev: ex.Evaluator, box) -> float:
         raise ValueError(f"evaluator arity {ev.arity} != box dimension {box.n}")
     try:
         center_box = tuple(Interval.point(c) for c in box.midpoint())
-        w = [iv.sub(d, c).mag for d, c in zip(box.dims, center_box)]
+        w = [Interval(*iv.sub(d, c)).mag for d, c in zip(box.dims, center_box)]
         germ = ev.germ(center_box)
         live = [i for i in range(box.n) if w[i] != 0.0]
         total = germ.f
         for i in live:
-            total = iv.add(total, iv.mul(
-                Interval.point(germ.df[i].mag), Interval.point(w[i])))
+            total = Interval(*iv.add(total, iv.mul(
+                Interval.point(germ.df[i].mag), Interval.point(w[i]))))
         entries = [(i, j) for i in live for j in live if i <= j]
         half = Interval(0.5, 0.5)
         for (i, j), h in zip(entries, ev.hessian(box.dims, entries)):
             term = iv.mul(Interval.point(h.mag),
                           iv.mul(Interval.point(w[i]), Interval.point(w[j])))
-            total = iv.add(total, term if i != j else iv.mul(half, term))
+            total = Interval(*iv.add(total, term if i != j else iv.mul(half, term)))
         return total.hi
     except (DivisionByZeroInterval, DomainError, NonFiniteOperand, OverflowError) as exc:
         raise BoundUnavailable(str(exc)) from exc
@@ -388,7 +389,7 @@ def _reference_interval_walk(roots: Sequence[ex.Expr], outputs: Sequence[ex.Expr
                              box: Sequence[Interval]) -> list[Interval]:
     """The outputs' enclosures over the box, by walking the roots in
     post-order (children left to right, a shared node once) with the
-    public Interval functions.  Only the nodes the outputs depend on are
+    public interval operations, each value kept as an Interval.  Only the nodes the outputs depend on are
     evaluated, in the order the walk of all the roots meets them, so the
     first node to raise is the one an Evaluator that lowered the same
     roots in the same order meets first."""
@@ -430,7 +431,7 @@ def _reference_interval_walk(roots: Sequence[ex.Expr], outputs: Sequence[ex.Expr
                 r = iv.sqrt_interval(v(a))
             case ex.Atan(num=a, den=b):
                 r = iv.atan_interval(iv.div(v(a), v(b)))
-        vals[node] = r
+        vals[node] = Interval(*r)
     return [v(e) for e in outputs]
 
 
@@ -845,7 +846,7 @@ def reference_cayley_menger_det(d: Sequence[Interval]) -> Interval:
             total = iv.add(total, term) if j % 2 == 0 else iv.sub(total, term)
         return total
 
-    return det(rows)
+    return Interval(*det(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -53,22 +53,22 @@ def test_criterion_01_interval_containment_fuzz():
             b = I(bl, bh)
             y = rng.uniform(bl, bh)
             if op == 0:
-                ok = iv.add(a, b).contains(x + y)
+                ok = I(*iv.add(a, b)).contains(x + y)
             elif op == 1:
-                ok = iv.sub(a, b).contains(x - y)
+                ok = I(*iv.sub(a, b)).contains(x - y)
             elif op == 2:
-                ok = iv.mul(a, b).contains(x * y)
+                ok = I(*iv.mul(a, b)).contains(x * y)
             else:
                 if b.contains_zero():
                     continue
-                ok = iv.div(a, b).contains(x / y)
+                ok = I(*iv.div(a, b)).contains(x / y)
         elif op == 4:
-            ok = iv.atan_interval(a).contains(math.atan(x))
+            ok = I(*iv.atan_interval(a)).contains(math.atan(x))
         else:
             if a.hi < 0:
                 continue
             xs = max(x, 0.0)
-            ok = iv.sqrt_interval(a).contains(math.sqrt(xs))
+            ok = I(*iv.sqrt_interval(a)).contains(math.sqrt(xs))
         if not ok:
             violations += 1
     elapsed = time.perf_counter() - t0
@@ -445,7 +445,7 @@ def test_criterion_10_geometry_example():
     import mpmath
 
     t0 = time.perf_counter()
-    sqrt8 = iv.sqrt_interval(I(8, 8))
+    sqrt8 = I(*iv.sqrt_interval(I(8, 8)))
     res = geom.check_simplex_interior_point([sqrt8] * 6, I(2, 2))
     assert res.refuted
     with mpmath.workdps(50):

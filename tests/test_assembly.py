@@ -207,7 +207,7 @@ def _reference_mx_check(p, cert):
                                           p.b[k], p.b[k]))
         retained = iv.add(retained, iv.mul(point(w_k), resid))
     total = iv.add(point(cert.m_bound), iv.mul(point(float(p.n_domains)), point(cert.t0)))
-    return iv.sub(iv.sub(total, obj), retained)
+    return I(*iv.sub(iv.sub(total, obj), retained))
 
 
 def _endpoints_or_message(fn):

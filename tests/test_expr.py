@@ -1,18 +1,23 @@
 import random
 import struct
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import random_expr, reference_evaluate_numeric, reference_germ, reference_hessian
+from rigorkit import assembly as asm
 from rigorkit import expr as ex
+from rigorkit import geom
 from rigorkit import interval as iv
 from rigorkit.errors import CompileError, ParseError, RigorError
 from rigorkit.interval import Interval
+from rigorkit.taylor import Box, taylor_upper_bound
 
 I = Interval
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def test_parse_examples():
@@ -132,20 +137,48 @@ def test_plan_shares_subexpressions():
     assert sum("sqrt" in line for line in ev.plan_lines()) == 1
 
 
+def _plan_compiled_after_the_patch():
+    return lambda: ex.Evaluator(ex.parse("x0*x1", 2), 2).germ([I(1, 2), I(3, 4)])
+
+
+def _taylor_sum():
+    # compiled before the patch: only the Taylor sum's own products count
+    ev = ex.Evaluator(ex.parse("x0*x1", 2), 2)
+    box = Box.from_bounds([(1, 2), (3, 4)])
+    return lambda: taylor_upper_bound(ev, box)
+
+
+def _geom_check():
+    edges = [I(*iv.sqrt_interval(I(8, 8)))] * 6
+    return lambda: geom.check_simplex_interior_point(edges, I(2, 2))
+
+
+def _assembly_side_condition():
+    p = asm.problem_from_text((PROBLEMS / "voronoi2d.asm").read_text())
+    cert = asm.certificate_from_text(p, (PROBLEMS / "voronoi2d.cert").read_text())
+    return lambda: asm.mx_check_interval(p, cert)
+
+
 def test_plan_calls_the_kernels_bound_when_it_compiles(monkeypatch):
-    # perfbench/trace.py counts interval kernel calls by rebinding the
+    # perfbench/trace.py counts interval operations by rebinding the
     # functions of rigorkit.interval after import; a plan that held the
-    # kernels bound at import would bypass the counting wrappers.
+    # operations bound at import, or a caller that used another name for
+    # them, would bypass the counting wrappers.
+    callers = [_plan_compiled_after_the_patch, _taylor_sum, _geom_check,
+               _assembly_side_condition]
+    runs = [(caller.__name__, caller()) for caller in callers]
     calls = []
-    mul = iv.mul_pair
+    mul = iv.mul
 
     def counting_mul(a, b):
         calls.append((a, b))
         return mul(a, b)
 
-    monkeypatch.setattr(iv, "mul_pair", counting_mul)
-    ex.Evaluator(ex.parse("x0*x1", 2), 2).germ([I(1, 2), I(3, 4)])
-    assert calls
+    monkeypatch.setattr(iv, "mul", counting_mul)
+    for name, run in runs:
+        calls.clear()
+        run()
+        assert calls, name
 
 
 @settings(max_examples=60, deadline=None)
@@ -237,10 +270,11 @@ def _germ(e, arity, box):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 10**9), st.integers(1, 4), st.booleans())
 def test_plan_matches_an_independent_interval_walk(seed, arity, point):
-    # The plan runs on plain pairs through the pair kernels; the reference
-    # walks each expression from ex.differentiate with the Interval
-    # functions.  Boxes straddle zero, or are points at coordinates that
-    # reach zero denominators, negative square roots and overflows.
+    # The plan runs on plain pairs through the interval operations; the
+    # reference walks each expression from ex.differentiate with the same
+    # operations, keeping each value as an Interval.  Boxes straddle zero,
+    # or are points at coordinates that reach zero denominators, negative
+    # square roots and overflows.
     rng = random.Random(seed)
     a, b = random_expr(rng, arity, 4), random_expr(rng, arity, 3)
     e = rng.choice([a, ex.Div(a, b), ex.Sqrt(b), ex.Atan(a, b), ex.Pow(b, -1)])

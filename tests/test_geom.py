@@ -10,7 +10,7 @@ from rigorkit.errors import NonFiniteOperand, PivotInfeasible
 from rigorkit.interval import Interval
 
 I = Interval
-SQRT8 = iv.sqrt_interval(I(8, 8))
+SQRT8 = I(*iv.sqrt_interval(I(8, 8)))
 
 
 def test_simplex_example_sqrt8():
@@ -297,7 +297,7 @@ def test_rigid_realization_contains_specified_distances():
         except PivotInfeasible:
             continue
         for (i, j), dij in zip(geom._PAIRS, d):
-            enc = geom._dist(cfg[i], cfg[j])
+            enc = I(*geom._dist(cfg[i], cfg[j]))
             assert enc.lo <= dij.lo + 1e-9 and enc.hi >= dij.hi - 1e-9
 
 
