@@ -2,6 +2,9 @@
 
 Every failure mode that callers are expected to branch on gets its own
 class; anything else is a plain ValueError/TypeError programming error.
+Interval arithmetic fails in one way, an IntervalError; the places that
+turn such a failure into a verdict (the prover's cell step and the geom
+checks) catch that one class.
 """
 
 
@@ -9,7 +12,16 @@ class RigorError(Exception):
     """Base class for all toolkit-specific errors."""
 
 
-class NonFiniteOperand(RigorError):
+class IntervalError(RigorError):
+    """Interval arithmetic could not enclose a result, so no claim is made.
+
+    The interval operations, and the evaluation plans built on them, raise
+    only its three subclasses: NonFiniteOperand, DivisionByZeroInterval and
+    DomainError.
+    """
+
+
+class NonFiniteOperand(IntervalError):
     """Arithmetic was attempted on an interval with an infinite endpoint.
 
     Infinite endpoints are allowed only for constraint-bound bookkeeping;
@@ -17,11 +29,11 @@ class NonFiniteOperand(RigorError):
     """
 
 
-class DivisionByZeroInterval(RigorError):
+class DivisionByZeroInterval(IntervalError):
     """The denominator interval contains zero."""
 
 
-class DomainError(RigorError):
+class DomainError(IntervalError):
     """Operand lies outside the mathematical domain (e.g. sqrt of a
     certainly-negative interval)."""
 
@@ -37,11 +49,6 @@ class ParseError(RigorError):
 
 class CompileError(RigorError):
     """Expression uses a variable past the evaluator's arity."""
-
-
-class BoundUnavailable(RigorError):
-    """Interval evaluation failed over this box (e.g. a denominator
-    straddles zero).  Callers treat the bound as +inf."""
 
 
 class AugmentationError(RigorError):

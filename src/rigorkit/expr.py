@@ -667,6 +667,8 @@ class Evaluator(_Plan):
     """
 
     def __init__(self, expr: Expr, arity: Optional[int] = None):
+        if arity is not None and arity < 0:
+            raise ValueError(f"arity must be >= 0, got {arity}")
         super().__init__(_interval_ops(), _decimal_pair)
         root = self._lower(expr)
         used = 1 + max((i for _, i in self._loads), default=-1)

@@ -12,9 +12,10 @@ The module certifies only what interval arithmetic proves about the
 extremal configuration of each check: a verdict of NoSuchConfiguration
 means the extremal configuration rigorously violates a constraint;
 everything else is Inconclusive, including a check whose interval
-arithmetic raises (an overflow, a zero divisor, a domain violation),
-with the error as its reason.  Whether the pivot argument applies in
-a given parameter regime is the caller's responsibility.
+arithmetic raises an IntervalError (an overflow, a zero divisor, a
+domain violation), with the error as its reason.  Whether the pivot
+argument applies in a given parameter regime is the caller's
+responsibility.
 
 The coordinate gauge is fixed throughout: first point at the origin,
 second on the positive x axis, third in the upper half of the xy plane,
@@ -31,13 +32,7 @@ from typing import Callable, Optional, Sequence
 
 from . import interval as iv
 from . import records as rec
-from .errors import (
-    DivisionByZeroInterval,
-    DomainError,
-    NonFiniteOperand,
-    ParseError,
-    PivotInfeasible,
-)
+from .errors import IntervalError, ParseError, PivotInfeasible
 from .interval import Interval, Pair
 
 __all__ = [
@@ -60,9 +55,6 @@ Vec3 = tuple[Pair, Pair, Pair]
 _ZERO = Interval(0.0, 0.0)
 _ONE = Interval(1.0, 1.0)
 _TWO = Interval(2.0, 2.0)
-# What interval arithmetic raises on overflow, a zero divisor or a domain
-# violation; each check ends inconclusive when its arithmetic raises one.
-_ARITHMETIC_ERRORS = (DivisionByZeroInterval, DomainError, NonFiniteOperand)
 
 
 def _v_add(a: Vec3, b: Vec3) -> Vec3:
@@ -285,7 +277,7 @@ def check_simplex_interior_point(edge_bounds: Sequence[Interval],
     except PivotInfeasible as exc:
         return CheckResult(Verdict.INCONCLUSIVE,
                            reason=f"extremal configuration not constructible: {exc}")
-    except _ARITHMETIC_ERRORS as exc:
+    except IntervalError as exc:
         return CheckResult(Verdict.INCONCLUSIVE, reason=str(exc))
     if fourth.hi < r.lo:
         return CheckResult(Verdict.NO_SUCH_CONFIGURATION,
@@ -327,7 +319,7 @@ def check_segment_through_triangle(r1: Interval, r2: Interval,
             return CheckResult(Verdict.INCONCLUSIVE,
                                reason="axis height straddles zero")
         min_len = Interval(*iv.mul(_TWO, iv.sqrt_interval(h_sq)))
-    except _ARITHMETIC_ERRORS as exc:
+    except IntervalError as exc:
         return CheckResult(Verdict.INCONCLUSIVE, reason=str(exc))
     if min_len.lo > r2.hi:
         return CheckResult(Verdict.NO_SUCH_CONFIGURATION,
@@ -384,7 +376,7 @@ def check_linked_line(spec: DistanceSpec) -> CheckResult:
                 mid = 0.5 * (cell.lo + cell.hi)
                 stack += [(Interval(mid, cell.hi), depth + 1),
                           (Interval(cell.lo, mid), depth + 1)]
-    except _ARITHMETIC_ERRORS as exc:
+    except IntervalError as exc:
         return CheckResult(Verdict.INCONCLUSIVE, reason=str(exc), sweep_cells=tested)
     return CheckResult(Verdict.NO_SUCH_CONFIGURATION,
                        reason="every cell of the cable/strut-bound sweep violates "

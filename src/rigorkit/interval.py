@@ -26,7 +26,9 @@ parsed input, records and reports.  A caller wraps a result once, with
 
 Infinite endpoints are permitted for constraint-bound bookkeeping only
 (a distance cap of +inf); arithmetic on non-finite intervals raises
-NonFiniteOperand.
+NonFiniteOperand.  An operation that cannot enclose its result raises an
+IntervalError (NonFiniteOperand, DivisionByZeroInterval or DomainError)
+and nothing else; the callers that decide verdicts catch that one class.
 """
 
 from __future__ import annotations
@@ -485,7 +487,10 @@ def pow_int(a: Pair, k: int) -> Pair:
         return (-_pow_nonneg(-al, k, _mul_up) if al < 0 else _pow_nonneg(al, k, _mul_down),
                 -_pow_nonneg(-ah, k, _mul_down) if ah < 0 else _pow_nonneg(ah, k, _mul_up))
     mig = 0.0 if al <= 0.0 <= ah else min(abs(al), abs(ah))
-    return _pow_nonneg(mig, k, _mul_down), _pow_nonneg(max(abs(al), abs(ah)), k, _mul_up)
+    mag = max(abs(al), abs(ah))
+    if k == 2:
+        return _mul_down(mig, mig), _mul_up(mag, mag)
+    return _pow_nonneg(mig, k, _mul_down), _pow_nonneg(mag, k, _mul_up)
 
 
 def sqrt_interval(a: Pair) -> Pair:

@@ -27,10 +27,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BoundUnavailable
+from .errors import IntervalError
 from .expr import Evaluator, Expr, TaylorGerm
 from .interval import Interval
-from .taylor import Box, cell_germ, germ_fails_everywhere, taylor_upper_bound
+from .taylor import Box, taylor_upper_bound
 
 __all__ = [
     "ProofTask",
@@ -143,6 +143,9 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
     certified: list[Box] = []
     by_germ_count = by_taylor_count = 0
     exhausted = False
+    # Decided at the first cell whose germ fails: whether the failure is in
+    # an instruction that reads no variable, and so recurs on every cell.
+    hopeless = None
 
     while stack:
         if processed >= cfg.max_cells:
@@ -152,19 +155,25 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
         processed += 1
         max_depth_seen = max(max_depth_seen, depth)
 
-        germ = cell_germ(ev, cell)
+        try:
+            germ = ev.germ(cell.dims)
+        except IntervalError:
+            germ = None
         cell = reduce_cell(ev, cell, germ)
         # Without a whole-cell germ, f may have a pole the Taylor bound misses.
         eval_failed = germ is None
-        # A failure that reads no variable recurs on every cell, so it ends
-        # the run at the first cell.
-        hopeless = eval_failed and germ_fails_everywhere(ev)
+        if eval_failed and hopeless is None:
+            try:
+                ev.germ_constants()
+                hopeless = False
+            except IntervalError:
+                hopeless = True  # ends the run at this, the first cell
         upper = math.inf if eval_failed else germ.f.hi
         by_germ = certifies(upper)
         if not (by_germ or eval_failed):
             try:
                 upper = min(taylor_upper_bound(ev, cell), upper)
-            except BoundUnavailable:
+            except IntervalError:
                 eval_failed = True
 
         if certifies(upper):

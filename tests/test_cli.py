@@ -322,6 +322,7 @@ def test_unusable_paths_exit_two(tmp_path, capsys, argv):
     (["assemble", "fit", "--problem", str(PROBLEMS / "toy_duality.asm"),
       "--bound", "1.0", "--guess", "1.0", "--test-points", "-3"],
      "n_random must be >= 0"),
+    (["plan-dump", "--expr", "1", "--arity", "-1"], "arity must be >= 0, got -1"),
 ])
 def test_out_of_range_budgets_exit_two(capsys, argv, message):
     code, out, err = run(argv, capsys)

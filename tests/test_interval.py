@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_round_decimal, short_decimal
+from oracles import random_expr, reference_round_decimal, short_decimal
 from rigorkit import expr as ex
 from rigorkit import interval as iv
-from rigorkit.errors import DivisionByZeroInterval, DomainError, NonFiniteOperand, ParseError
+from rigorkit.errors import (DivisionByZeroInterval, DomainError, IntervalError,
+                             NonFiniteOperand, ParseError)
 from rigorkit.interval import Interval
 
 I = Interval
@@ -589,19 +590,23 @@ def _adversarial_floats() -> list[float]:
 
 def _pair_outcome(fn, args):
     """The endpoints fn returns on args, as binary64 bytes (so the sign of
-    zero counts), or the class and message of the error it raises.  A
-    result must be exactly a tuple."""
+    zero counts), or the class and message of the IntervalError it raises;
+    any other exception escapes.  A result must be exactly a tuple."""
     try:
         r = fn(*args)
-    except (NonFiniteOperand, DivisionByZeroInterval, DomainError) as exc:
+    except IntervalError as exc:
         return type(exc), str(exc)
     assert type(r) is tuple, (fn, args, r)
     return struct.pack("<2d", *r)
 
 
-_BINARY_OPERATIONS = [iv.add, iv.sub, iv.mul, iv.div]
+# add_products reads two pairs as two-element vectors, from the first as
+# its accumulator: a.lo + a.lo*b.lo + a.hi*b.hi
+_BINARY_OPERATIONS = [iv.add, iv.sub, iv.mul, iv.div,
+                      lambda a, b: iv.add_products(a, b, *a)]
 _UNARY_OPERATIONS = [iv.neg, iv.sqrt_interval, iv.atan_interval,
-                     *((lambda a, k=k: iv.pow_int(a, k)) for k in (1, 2, 3, -1))]
+                     *((lambda a, k=k: iv.pow_int(a, k))
+                       for k in (1, 2, 3, -1, 10**300, -10**300))]
 
 
 def _assert_operation_takes_either_pair(fn, *operands: Interval) -> None:
@@ -623,6 +628,19 @@ def _assert_operations_take_either_pair(x: float, y: float) -> None:
         _assert_operation_takes_either_pair(fn, r)
 
 
+def _assert_square_matches_reference(x: float, y: float) -> None:
+    """pow_int of the interval between x and y, squared: one product per
+    endpoint, rounded as the reference kernels round it, bit for bit."""
+    import oracles
+    lo, hi = min(x, y), max(x, y)
+    mig = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
+    mag = max(abs(lo), abs(hi))
+    want = struct.pack("<2d", oracles.reference_mul_down(mig, mig),
+                       oracles.reference_mul_up(mag, mag))
+    got = _pair_outcome(iv.pow_int, (I(lo, hi), 2))
+    assert got == want, (x, y, got, want)
+
+
 def test_kernels_match_reference_on_adversarial_operands():
     values = _adversarial_floats()
     for x in values:
@@ -632,6 +650,7 @@ def test_kernels_match_reference_on_adversarial_operands():
         # above, on every fourth y
         for y in values[::4]:
             _assert_operations_take_either_pair(x, y)
+            _assert_square_matches_reference(x, y)
 
 
 _any_finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -648,6 +667,30 @@ def test_kernels_match_reference(x, y):
     _assert_kernels_match_reference(x, y)
     _assert_kernels_match_reference(x, x)  # squares, as in pow_int
     _assert_operations_take_either_pair(x, y)
+    _assert_square_matches_reference(x, y)
+
+
+_adversarial_endpoints = st.sampled_from(_adversarial_floats() + [math.inf, -math.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(_adversarial_endpoints, _adversarial_endpoints),
+                min_size=1, max_size=3))
+def test_plans_raise_only_interval_errors(seed, ends):
+    # the plans run the operations and nothing else, so a germ or Hessian
+    # over a box with adversarial endpoints returns or raises an
+    # IntervalError, the one class the prover catches
+    rng = random.Random(seed)
+    arity = len(ends)
+    ev = ex.Evaluator(random_expr(rng, arity, rng.randint(2, 5)), arity)
+    box = [I(min(a, b), max(a, b)) for a, b in ends]
+    entries = [(i, j) for i in range(arity) for j in range(i, arity)]
+    for query in (lambda: ev.germ(box), lambda: ev.hessian(box, entries)):
+        try:
+            query()
+        except IntervalError:
+            pass
 
 
 # ---------------------------------------------------------------------------

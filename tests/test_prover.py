@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from rigorkit import prover
 from rigorkit.interval import Interval
 from rigorkit.prover import (ProofStatus, ProofTask, ProverConfig,
                              prove_negative, prove_nonpositive, reduce_cell)
-from rigorkit.taylor import Box, cell_germ
+from rigorkit.taylor import Box
 
 I = Interval
 
@@ -60,7 +61,7 @@ def test_margin():
 
 def test_reduce_cell_examples():
     def reduced(ev, cell):
-        return reduce_cell(ev, cell, cell_germ(ev, cell)).dims
+        return reduce_cell(ev, cell, ev.germ(cell.dims)).dims
 
     bi = ex.Evaluator(ex.parse("x0*x1", 2), 2)
     assert reduced(bi, Box((I(1, 2), I(3, 4)))) == (I(2, 2), I(4, 4))
@@ -81,6 +82,29 @@ def test_evaluation_failure_reported():
                        ProverConfig(max_cells=200, min_width=1e-2))
     assert r.status is ProofStatus.EVALUATION_FAILURE
     assert r.failed_cells
+
+
+@pytest.mark.parametrize("text, lo, hi, counts, first_failed", [
+    # a pole that moves with x0: every germ fails, and the budget runs out
+    ("atan(1, x0 - x0)", 0, 1, (20000, 20, 0, 0, 15, 9993), (0.0, 2.0**-20)),
+    # a pole at 0, where the cells shrink to min_width
+    ("1/x0 - 100", -1, 1, (83, 21, 26, 0, 14, 2), (-(2.0**-20), 0.0)),
+])
+def test_failed_germs_ask_once_whether_they_fail_everywhere(monkeypatch, text, lo, hi,
+                                                            counts, first_failed):
+    # whether a failure reads no variable does not depend on the cell, so
+    # one run evaluates the germ's constants at most once
+    calls = []
+    germ_constants = ex.Evaluator.germ_constants
+    monkeypatch.setattr(ex.Evaluator, "germ_constants",
+                        lambda ev: calls.append(1) or germ_constants(ev))
+    r = prove_negative(ProofTask(ex.parse(text, 1), Box((I(lo, hi),))))
+    assert len(calls) == 1
+    assert r.status is ProofStatus.EVALUATION_FAILURE
+    assert r.best_upper_bound_seen == math.inf
+    assert (r.cells_processed, r.max_depth_reached, r.cells_certified_by_germ,
+            r.cells_certified_by_taylor, len(r.undecided_cells), len(r.failed_cells)) == counts
+    assert r.failed_cells[0].dims == (I(*first_failed),)
 
 
 def test_no_taylor_bound_across_a_pole():
