@@ -82,12 +82,12 @@ class LocalDomain:
     constraints: tuple[Expr, ...]
 
     def __post_init__(self):
-        if len(self.var_names) != self.box.n:
+        if len(self.var_names) != len(self.box):
             raise ValueError(f"domain {self.id}: names/box arity mismatch")
 
     @property
     def n(self) -> int:
-        return self.box.n
+        return len(self.box)
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,7 +242,7 @@ def fit_dual(p: AssemblyProblem, x_star: Sequence[float], m_bound: float,
     should branch or enlarge the test set)."""
     if len(x_star) != p.n:
         raise ValueError("x_star length mismatch")
-    for g, comp in enumerate(comp for dom in p.domains for comp in dom.box.dims):
+    for g, comp in enumerate(comp for dom in p.domains for comp in dom.box):
         if not comp.contains(x_star[g]):
             raise ValueError(f"x_star[{g}] outside its domain box")
     if len(test_points) != p.n_domains or any(len(tp) == 0 for tp in test_points):
@@ -418,7 +418,7 @@ def problem_to_text(p: AssemblyProblem) -> str:
         lines.append(f"domain {dom.id}")
         lines.append("  vars " + " ".join(dom.var_names))
         lines.append("  box " + " ".join(
-            iv.format_interval_literal(d) for d in dom.box.dims))
+            iv.format_interval_literal(d) for d in dom.box))
         for phi in dom.constraints:
             lines.append("  phi " + to_text(phi))
         lines.append("end")

@@ -120,12 +120,12 @@ def parse_task_file(text: str) -> ProofTask:
     expr = last["expr"]
     e = rec.convert(expr.line, lambda t: ex.parse(t, arity), expr.values[0])
     margin = last["margin"].values[0] if "margin" in last else 0.0
-    return ProofTask(e, Box(tuple(domains[i].values[1] for i in range(arity))), margin)
+    return ProofTask(e, Box(domains[i].values[1] for i in range(arity)), margin)
 
 
 def format_task_file(task: ProofTask) -> str:
-    lines = [f"arity {task.domain.n}", f"expr {ex.to_text(task.expr)}"]
-    for i, d in enumerate(task.domain.dims):
+    lines = [f"arity {len(task.domain)}", f"expr {ex.to_text(task.expr)}"]
+    for i, d in enumerate(task.domain):
         lines.append(f"domain x{i} {iv.format_interval_literal(d)}")
     lines.append(f"margin {task.margin!r}")
     return "\n".join(lines) + "\n"
@@ -136,7 +136,7 @@ def format_task_file(task: ProofTask) -> str:
 # ---------------------------------------------------------------------------
 
 def _cells_rows(label: str, cells) -> list[tuple[str, str]]:
-    return [(label, " ".join(iv.format_interval_literal(d) for d in cell.dims))
+    return [(label, " ".join(iv.format_interval_literal(d) for d in cell))
             for cell in cells]
 
 
@@ -327,7 +327,7 @@ def _cmd_plan_dump(args) -> int:
     digests: list[tuple[str, str]] = []
     if args.task:
         task = parse_task_file(_read(args.task, digests))
-        e, arity = task.expr, task.domain.n
+        e, arity = task.expr, len(task.domain)
     elif args.expr is not None and args.arity is not None:
         e, arity = ex.parse(args.expr, args.arity), args.arity
     else:

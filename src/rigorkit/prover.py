@@ -14,7 +14,8 @@ non-degenerate component.
 
 Reported cells are always *footprints*: collapsed cells re-inflated to
 their pre-reduction parents, so the leaves of a run exactly tile the
-original domain.
+original domain.  Undecided and failed cells are listed in ascending box
+order: a box orders as the tuple of its (lo, hi) pairs.
 
 The engine is deterministic: depth-first, lower half first, no clocks,
 no unordered iteration.
@@ -103,25 +104,18 @@ def reduce_cell(ev: Evaluator, cell: Box, germ: Optional[TaylorGerm]) -> Box:
     germ).  sup f over the result equals sup f over the input cell."""
     if germ is None:
         return cell
-    dims = list(cell.dims)
-    changed = False
-    for i, df in enumerate(germ.df):
-        d = dims[i]
-        if d.lo == d.hi:
-            continue
-        if df.lo > 0.0:
-            dims[i] = Interval.point(d.hi)
-            changed = True
-        elif df.hi < 0.0:
-            dims[i] = Interval.point(d.lo)
-            changed = True
-    return Box(tuple(dims)) if changed else cell
+    dims = tuple(d if d.lo == d.hi
+                 else Interval.point(d.hi) if df.lo > 0.0
+                 else Interval.point(d.lo) if df.hi < 0.0
+                 else d
+                 for d, df in zip(cell, germ.df))
+    return cell if dims == cell else Box(dims)
 
 
 def _pick_split_dim(cell: Box, min_width: float) -> int:
     best = -1
     best_w = min_width
-    for i, d in enumerate(cell.dims):
+    for i, d in enumerate(cell):
         w = d.width
         if w > best_w:
             best = i
@@ -156,7 +150,7 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
         max_depth_seen = max(max_depth_seen, depth)
 
         try:
-            germ = ev.germ(cell.dims)
+            germ = ev.germ(cell)
         except IntervalError:
             germ = None
         cell = reduce_cell(ev, cell, germ)
@@ -209,9 +203,6 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
     else:
         status = ProofStatus.PROVEN
 
-    def cell_key(b: Box):
-        return tuple((d.lo, d.hi) for d in b.dims)
-
     return ProofReport(
         status=status,
         cells_processed=processed,
@@ -219,8 +210,8 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
         best_upper_bound_seen=best_upper,
         cells_certified_by_germ=by_germ_count,
         cells_certified_by_taylor=by_taylor_count,
-        undecided_cells=tuple(sorted(undecided, key=cell_key)),
-        failed_cells=tuple(sorted(failed, key=cell_key)),
+        undecided_cells=tuple(sorted(undecided)),
+        failed_cells=tuple(sorted(failed)),
         certified_cells=tuple(certified),
     )
 
@@ -232,7 +223,7 @@ def prove_negative(task: ProofTask, cfg: ProverConfig = ProverConfig()) -> Proof
     strict certified upper bound below -margin on each.  Equality-touching
     inequalities come back UNDECIDED, never PROVEN.
     """
-    ev = Evaluator(task.expr, task.domain.n)
+    ev = Evaluator(task.expr, len(task.domain))
     return _run(ev, task.domain, task.margin, strict=True, cfg=cfg)
 
 
@@ -242,5 +233,5 @@ def prove_nonpositive(task: ProofTask, cfg: ProverConfig = ProverConfig()) -> Pr
 
     This is the check used for duality certificate verification, where
     the inequality may bind at the optimum."""
-    ev = Evaluator(task.expr, task.domain.n)
+    ev = Evaluator(task.expr, len(task.domain))
     return _run(ev, task.domain, task.margin, strict=False, cfg=cfg)

@@ -11,12 +11,14 @@ improves quadratically as the box shrinks, which is what drives the
 adaptive subdivision in the prover.  Where interval arithmetic cannot
 enclose a term, the bound raises that operation's IntervalError; the
 prover, not this module, turns it into a verdict.
+
+A `Box` is the checked tuple of its `Interval`s, as an `Interval` is the
+checked (lo, hi) pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import interval as iv
 from .errors import NonFiniteOperand
@@ -26,54 +28,43 @@ from .interval import Interval
 __all__ = ["Box", "taylor_upper_bound"]
 
 
-@dataclass(frozen=True, slots=True)
-class Box:
-    """Axis-aligned box: a tuple of finite intervals, one per variable."""
+class Box(tuple):
+    """Axis-aligned box: the immutable tuple of its finite intervals, one per
+    variable, which indexes, compares, hashes and orders as that tuple does;
+    len(box) is its dimension."""
 
-    dims: tuple[Interval, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        dims = tuple(self.dims)
-        object.__setattr__(self, "dims", dims)
-        for d in dims:
+    def __new__(cls, dims: Iterable[Interval]) -> "Box":
+        self = tuple.__new__(cls, dims)
+        for d in self:
             if not d.is_finite:
                 raise NonFiniteOperand("box components must be finite")
+        return self
 
     @classmethod
     def from_bounds(cls, bounds: Sequence[tuple[float, float]]) -> "Box":
-        return cls(tuple(Interval(lo, hi) for lo, hi in bounds))
-
-    @property
-    def n(self) -> int:
-        return len(self.dims)
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-    def __getitem__(self, i: int) -> Interval:
-        return self.dims[i]
+        return cls(Interval(lo, hi) for lo, hi in bounds)
 
     def midpoint(self) -> tuple[float, ...]:
-        return tuple(d.mid for d in self.dims)
+        return tuple(d.mid for d in self)
 
     def volume(self) -> float:
         v = 1.0
-        for d in self.dims:
+        for d in self:
             v *= d.width
         return v
 
     def replace(self, i: int, component: Interval) -> "Box":
-        dims = list(self.dims)
-        dims[i] = component
-        return Box(tuple(dims))
+        return Box(self[:i] + (component,) + self[i + 1:])
 
     def split(self, i: int) -> tuple["Box", "Box"]:
-        d = self.dims[i]
+        d = self[i]
         m = d.mid
         return self.replace(i, Interval(d.lo, m)), self.replace(i, Interval(m, d.hi))
 
     def contains_point(self, point: Sequence[float]) -> bool:
-        return all(d.contains(x) for d, x in zip(self.dims, point))
+        return all(d.contains(x) for d, x in zip(self, point))
 
 
 def taylor_upper_bound(ev: Evaluator, box: Box) -> float:
@@ -82,23 +73,23 @@ def taylor_upper_bound(ev: Evaluator, box: Box) -> float:
     Raises the failing operation's IntervalError if interval evaluation
     fails anywhere in the chain.
     """
-    if ev.arity != box.n:
-        raise ValueError(f"evaluator arity {ev.arity} != box dimension {box.n}")
+    if ev.arity != len(box):
+        raise ValueError(f"evaluator arity {ev.arity} != box dimension {len(box)}")
     # The sum runs on plain (lo, hi) pairs.
     center_box = [(c, c) for c in box.midpoint()]
     # Upward-rounded radius around the (possibly off-center) midpoint, so
     # |x_i - c_i| <= w_i holds for every x in the box.
     w = []
-    for d, c in zip(box.dims, center_box):
+    for d, c in zip(box, center_box):
         lo, hi = iv.sub(d, c)
         w.append(max(abs(lo), abs(hi)))
     germ = ev.germ(center_box)
-    live = [i for i in range(box.n) if w[i] != 0.0]
+    live = [i for i in range(len(box)) if w[i] != 0.0]
     total = iv.add_products([germ.df[i].mag for i in live],
                             [w[i] for i in live], germ.f.lo, germ.f.hi)
     entries = [(i, j) for i in live for j in live if i <= j]
     half = (0.5, 0.5)
-    for (i, j), h in zip(entries, ev.hessian(box.dims, entries)):
+    for (i, j), h in zip(entries, ev.hessian(box, entries)):
         m, wi, wj = h.mag, w[i], w[j]
         term = iv.mul((m, m), iv.mul((wi, wi), (wj, wj)))
         total = iv.add(total, term if i != j else iv.mul(half, term))

@@ -357,19 +357,19 @@ def reference_taylor_upper_bound(ev: ex.Evaluator, box) -> float:
     """taylor.taylor_upper_bound as the interval chain it was first written
     as: every gradient and Hessian term added to f(c) by iv.add and iv.mul
     on point intervals, raising the failing operation's own error."""
-    if ev.arity != box.n:
-        raise ValueError(f"evaluator arity {ev.arity} != box dimension {box.n}")
+    if ev.arity != len(box):
+        raise ValueError(f"evaluator arity {ev.arity} != box dimension {len(box)}")
     center_box = tuple(Interval.point(c) for c in box.midpoint())
-    w = [Interval(*iv.sub(d, c)).mag for d, c in zip(box.dims, center_box)]
+    w = [Interval(*iv.sub(d, c)).mag for d, c in zip(box, center_box)]
     germ = ev.germ(center_box)
-    live = [i for i in range(box.n) if w[i] != 0.0]
+    live = [i for i in range(len(box)) if w[i] != 0.0]
     total = germ.f
     for i in live:
         total = Interval(*iv.add(total, iv.mul(
             Interval.point(germ.df[i].mag), Interval.point(w[i]))))
     entries = [(i, j) for i in live for j in live if i <= j]
     half = Interval(0.5, 0.5)
-    for (i, j), h in zip(entries, ev.hessian(box.dims, entries)):
+    for (i, j), h in zip(entries, ev.hessian(box, entries)):
         term = iv.mul(Interval.point(h.mag),
                       iv.mul(Interval.point(w[i]), Interval.point(w[j])))
         total = Interval(*iv.add(total, term if i != j else iv.mul(half, term)))

@@ -20,6 +20,7 @@ from rigorkit import geom
 from rigorkit import graphgen as gg
 from rigorkit import interval as iv
 from rigorkit import lp
+from rigorkit.errors import IntervalError
 from rigorkit.interval import Interval
 from rigorkit.prover import (ProofStatus, ProofTask, ProverConfig,
                              prove_negative)
@@ -115,7 +116,7 @@ def test_criterion_02_gradient_hessian_soundness():
         try:
             ev = ex.Evaluator(e, arity)
             germ = ev.germ(box)
-        except Exception:
+        except IntervalError:
             continue
         if germ.f.mag > 1e5 or any(d.mag > 1e5 for d in germ.df):
             continue
@@ -131,7 +132,7 @@ def test_criterion_02_gradient_hessian_soundness():
         for i, j in pairs:
             try:
                 h_enc = ev.hessian_entry(box, i, j)
-            except Exception:
+            except IntervalError:
                 bad = True
                 break
             if h_enc.mag > 1e5:
@@ -172,7 +173,7 @@ def run_criterion_3(seed=10003):
                      f"bound={report.best_upper_bound_seen!r}")
         for cell in report.undecided_cells:
             lines.append("  undecided " + " ".join(
-                iv.format_interval_literal(d) for d in cell.dims))
+                iv.format_interval_literal(d) for d in cell))
         if report.status is ProofStatus.PROVEN:
             proven_tasks.append((task_expr, bounds))
     return "\n".join(lines) + "\n", proven_tasks

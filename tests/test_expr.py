@@ -12,7 +12,7 @@ from rigorkit import assembly as asm
 from rigorkit import expr as ex
 from rigorkit import geom
 from rigorkit import interval as iv
-from rigorkit.errors import CompileError, ParseError, RigorError
+from rigorkit.errors import CompileError, IntervalError, ParseError
 from rigorkit.interval import Interval
 from rigorkit.taylor import Box, taylor_upper_bound
 
@@ -357,8 +357,8 @@ def test_hessian_entries_in_one_pass_equal_single_entries():
                    for _ in range(rng.randint(0, 6))]
         try:
             single = [ex.Evaluator(e, arity).hessian_entry(box, i, j) for i, j in entries]
-        except (RigorError, OverflowError):
-            with pytest.raises((RigorError, OverflowError)):
+        except IntervalError:
+            with pytest.raises(IntervalError):
                 ex.Evaluator(e, arity).hessian(box, entries)
             continue
         assert ex.Evaluator(e, arity).hessian(box, entries) == single
@@ -397,7 +397,7 @@ def test_gradient_and_hessian_soundness_sample():
         ev = ex.Evaluator(e, arity)
         try:
             germ = ev.germ(box)
-        except Exception:
+        except IntervalError:
             continue
         if germ.f.mag > 1e6 or any(d.mag > 1e6 for d in germ.df):
             continue
@@ -415,7 +415,7 @@ def test_gradient_and_hessian_soundness_sample():
         j = rng.randrange(arity)
         try:
             h_val = ev.hessian_entry(box, i, j)
-        except Exception:
+        except IntervalError:
             continue
         if h_val.mag > 1e6:
             continue
@@ -439,7 +439,7 @@ def test_commutation_over_boxes():
             try:
                 germ_component = ev.germ(box).df[i]
                 symbolic = ex.Evaluator(ex.differentiate(e, i), arity).value(box)
-            except Exception:
+            except IntervalError:
                 continue
             # both enclose the same function: intersection nonempty
             assert germ_component.lo <= symbolic.hi and symbolic.lo <= germ_component.hi
@@ -460,7 +460,7 @@ def test_germ_over_box_contains_pointwise_derivatives():
         ev = ex.Evaluator(e, arity)
         try:
             germ = ev.germ(box)
-        except Exception:
+        except IntervalError:
             continue
         if any(d.mag > 1e8 for d in germ.df):
             continue

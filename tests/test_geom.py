@@ -6,7 +6,7 @@ import pytest
 from oracles import mp_sqrt, reference_cayley_menger_det, reference_linked_sweep
 from rigorkit import geom
 from rigorkit import interval as iv
-from rigorkit.errors import NonFiniteOperand, PivotInfeasible
+from rigorkit.errors import NonFiniteOperand, ParseError, PivotInfeasible
 from rigorkit.interval import Interval
 
 I = Interval
@@ -366,7 +366,7 @@ def test_cayley_menger_det_computes_each_minor_once(monkeypatch):
 
 
 def test_parse_distance_spec_errors():
-    with pytest.raises(Exception):
+    with pytest.raises(ParseError):
         geom.parse_distance_spec("dmin a b 1\n")
     spec = geom.parse_distance_spec("points a b\ndmax a b inf\n")
     assert not spec.upper(0, 1).is_finite

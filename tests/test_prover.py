@@ -61,13 +61,18 @@ def test_margin():
 
 def test_reduce_cell_examples():
     def reduced(ev, cell):
-        return reduce_cell(ev, cell, ev.germ(cell.dims)).dims
+        return reduce_cell(ev, cell, ev.germ(cell))
 
     bi = ex.Evaluator(ex.parse("x0*x1", 2), 2)
     assert reduced(bi, Box((I(1, 2), I(3, 4)))) == (I(2, 2), I(4, 4))
 
     sq = ex.Evaluator(ex.parse("x0*x0"), 1)
     assert reduced(sq, Box((I(-1, 1),))) == (I(-1, 1),)
+    # nothing collapses: the cell itself comes back, which is how a
+    # collapse is told apart from none
+    cell = Box((I(-1, 1),))
+    assert reduce_cell(sq, cell, sq.germ(cell)) is cell
+    assert type(reduced(bi, Box((I(1, 2), I(3, 4))))) is Box
 
     neg = ex.Evaluator(ex.parse("0 - x0"), 1)
     assert reduced(neg, Box((I(0, 1),))) == (I(0, 0),)
@@ -104,7 +109,7 @@ def test_failed_germs_ask_once_whether_they_fail_everywhere(monkeypatch, text, l
     assert r.best_upper_bound_seen == math.inf
     assert (r.cells_processed, r.max_depth_reached, r.cells_certified_by_germ,
             r.cells_certified_by_taylor, len(r.undecided_cells), len(r.failed_cells)) == counts
-    assert r.failed_cells[0].dims == (I(*first_failed),)
+    assert r.failed_cells[0] == (I(*first_failed),)
 
 
 def test_no_taylor_bound_across_a_pole():
@@ -121,6 +126,17 @@ def test_budget_exhaustion_yields_frontier():
                        ProverConfig(max_cells=3))
     assert r.status is ProofStatus.UNDECIDED
     assert r.cells_processed == 3
+
+
+def test_undecided_cells_in_ascending_box_order():
+    # the stack leaves (0.75..1, 0..1) before (0.5..0.75, 0..1); the report
+    # lists the cells as boxes order, component by component
+    r = prove_negative(ProofTask(ex.parse("x0*x1 - 0.5", 2), Box((I(0, 1), I(0, 1)))),
+                       ProverConfig(max_cells=7))
+    assert r.status is ProofStatus.UNDECIDED and r.cells_processed == 7
+    assert r.undecided_cells == ((I(0, 0.5), I(0.75, 1)),
+                                 (I(0.5, 0.75), I(0, 1)),
+                                 (I(0.75, 1), I(0, 1)))
 
 
 def test_coverage_volume_accounting():

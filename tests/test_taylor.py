@@ -1,11 +1,13 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
 
 from oracles import evaluate_on_arrays, random_expr, reference_taylor_upper_bound
 from rigorkit import expr as ex
-from rigorkit.errors import DivisionByZeroInterval, IntervalError
+from rigorkit.errors import DivisionByZeroInterval, IntervalError, NonFiniteOperand
 from rigorkit.interval import Interval
 from rigorkit.taylor import Box, taylor_upper_bound
 
@@ -37,14 +39,14 @@ def test_bound_unavailable_is_a_value():
 def test_partial_sign_examples():
     # the prover collapses a variable whose germ partial has a strict sign
     sq = ex.Evaluator(ex.parse("x0*x0"), 1)
-    assert sq.germ(Box((I(1, 2),)).dims).df[0].lo > 0.0
-    d = sq.germ(Box((I(-1, 1),)).dims).df[0]
+    assert sq.germ(Box((I(1, 2),))).df[0].lo > 0.0
+    d = sq.germ(Box((I(-1, 1),))).df[0]
     assert d.lo < 0.0 < d.hi
     bi = ex.Evaluator(ex.parse("x0*x1", 2), 2)
-    assert bi.germ(Box((I(1, 2), I(3, 4))).dims).df[0].lo > 0.0
+    assert bi.germ(Box((I(1, 2), I(3, 4)))).df[0].lo > 0.0
     inv = ex.Evaluator(ex.parse("1/x0"), 1)
     with pytest.raises(DivisionByZeroInterval):
-        inv.germ(Box((I(-1, 1),)).dims)
+        inv.germ(Box((I(-1, 1),)))
 
 
 def test_partial_sign_soundness_via_finite_differences():
@@ -59,7 +61,7 @@ def test_partial_sign_soundness_via_finite_differences():
         ev = ex.Evaluator(e, arity)
         # a strict sign of a whole-cell germ's partial is what the prover
         # collapses on; polynomials never fail to give a germ
-        for i, d in enumerate(ev.germ(box.dims).df):
+        for i, d in enumerate(ev.germ(box).df):
             if not (d.lo > 0.0 or d.hi < 0.0):
                 continue
             claims += 1
@@ -121,11 +123,19 @@ def test_monotone_refinement():
 
 def test_box_type():
     b = Box.from_bounds([(0, 1), (2, 3)])
-    assert b.n == 2 and b.volume() == 1.0
+    assert len(b) == 2 and b.volume() == 1.0
+    assert isinstance(b, tuple) and b == (I(0, 1), I(2, 3))
     lo, hi = b.split(0)
+    assert type(lo) is Box and type(hi) is Box
     assert lo[0] == I(0, 0.5) and hi[0] == I(0.5, 1)
+    assert type(b.replace(1, I(2, 2))) is Box and b.replace(1, I(2, 2)) == (I(0, 1), I(2, 2))
     assert b.contains_point([0.5, 2.5])
-    with pytest.raises(Exception):
+    boxes = [Box.from_bounds(bounds) for bounds in
+             ([(0.5, 1), (0, 1)], [(0, 0.5), (0.5, 1)], [(0, 0.5), (0, 1)], [(0, 1), (0, 1)])]
+    assert sorted(boxes) == sorted(boxes, key=lambda c: tuple((d.lo, d.hi) for d in c))
+    for twin in (copy.copy(b), pickle.loads(pickle.dumps(b))):
+        assert type(twin) is Box and twin == b
+    with pytest.raises(NonFiniteOperand):
         Box((I(0, math.inf),))
 
 
