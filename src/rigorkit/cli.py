@@ -1,11 +1,13 @@
 """Single executable exposing every subcommand, file parsing, and report
 emission.
 
-Exit codes: 0 for Proven/Certified/complete enumeration, 1 for
-Undecided/Refuted/Inconclusive/Incomplete, 2 for input errors (malformed
+Exit codes, by the outcome the report spells: 0 for proven, certified:
+True, complete: True, no_such_configuration and a fitted candidate; 1
+for undecided, evaluation_failure, inconclusive, certified: False,
+complete: False and candidate: none; 2 for input errors (malformed
 input, arguments out of range, and paths that cannot be read or written:
-any OSError), 3 for internal errors (any other exception, reported on one
-stderr line).  `_report` writes every report: a header of schema,
+any OSError), 3 for internal errors (any other exception, reported on
+one stderr line).  `_report` writes every report: a header of schema,
 subcommand, version, input digests, config echo and wall time, then the
 body.  Reports are written even on exit 1 and re-parse under
 `parse_report`; apart from the wall-time field they are byte-identical
@@ -121,14 +123,6 @@ def parse_task_file(text: str) -> ProofTask:
     e = rec.convert(expr.line, lambda t: ex.parse(t, arity), expr.values[0])
     margin = last["margin"].values[0] if "margin" in last else 0.0
     return ProofTask(e, Box(domains[i].values[1] for i in range(arity)), margin)
-
-
-def format_task_file(task: ProofTask) -> str:
-    lines = [f"arity {len(task.domain)}", f"expr {ex.to_text(task.expr)}"]
-    for i, d in enumerate(task.domain):
-        lines.append(f"domain x{i} {iv.format_interval_literal(d)}")
-    lines.append(f"margin {task.margin!r}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

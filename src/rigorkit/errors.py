@@ -7,6 +7,10 @@ turn such a failure into a verdict (the prover's cell step and the geom
 checks) catch that one class.
 """
 
+__all__ = ["RigorError", "IntervalError", "NonFiniteOperand", "DivisionByZeroInterval",
+           "DomainError", "ParseError", "CompileError", "AugmentationError",
+           "BranchError", "NoProgress", "PivotInfeasible"]
+
 
 class RigorError(Exception):
     """Base class for all toolkit-specific errors."""

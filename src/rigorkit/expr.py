@@ -24,7 +24,7 @@ a leaf (a constant, read as the plan compiles, or a variable) or one
 differ only in their table of ops and their constant reader:
 
 * `FloatPlan(exprs)` does plain binary64 operations, for fitting at test
-  points; `evaluate_numeric` runs a one-expression plan at one point.
+  points; it is compiled once and run at any number of points.
 * `Evaluator(e, arity)` calls the interval operations on plain (lo, hi)
   tuples, and types only its outputs as Interval.  Its plan starts with
   f's slots, followed by those of the first partials and the second
@@ -79,7 +79,6 @@ __all__ = [
     "differentiate",
     "to_text",
     "FloatPlan",
-    "evaluate_numeric",
     "TaylorGerm",
     "Evaluator",
 ]
@@ -600,12 +599,6 @@ class FloatPlan(_Plan):
         """The roots' values at the point.  Coordinates past the highest
         variable are ignored; a point without it raises IndexError."""
         return self._execute(point, self._order, self._outputs)
-
-
-def evaluate_numeric(e: Expr, point: Sequence[float]) -> float:
-    """Plain binary64 evaluation of one expression at one point, by its
-    FloatPlan."""
-    return FloatPlan((e,))(point)[0]
 
 
 # Rigorous interval evaluation.

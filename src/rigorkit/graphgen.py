@@ -150,10 +150,6 @@ class DecoratedGraph:
     def n_vertices(self) -> int:
         return len(self.rot)
 
-    @property
-    def n_edges(self) -> int:
-        return sum(len(nbrs) for nbrs in self.rot) // 2
-
     def faces(self) -> list[FaceKey]:
         return sorted(self._faces)
 
@@ -432,9 +428,6 @@ class GenerationResult:
     terminals: tuple[TerminalRecord, ...]
     complete: bool
     states_explored: int
-
-    def canonical_strings(self) -> list[str]:
-        return [t.canonical for t in self.terminals]
 
 
 def generate(cfg: GeneratorConfig) -> GenerationResult:

@@ -58,6 +58,7 @@ __all__ = [
     "atan_interval",
     "add_products",
     "from_decimal_string",
+    "decimal_to_nearest_float",
     "parse_interval_literal",
     "format_interval_literal",
     "next_up",
@@ -305,10 +306,6 @@ class Interval(namedtuple("_Endpoints", ("lo", "hi"))):
         return math.isfinite(self.lo) and math.isfinite(self.hi)
 
     @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
-    @property
     def width(self) -> float:
         return self.hi - self.lo
 
@@ -329,12 +326,6 @@ class Interval(namedtuple("_Endpoints", ("lo", "hi"))):
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
-
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0.0 <= self.hi
 
     def __repr__(self) -> str:
         return f"Interval({self.lo!r}, {self.hi!r})"

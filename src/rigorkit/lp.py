@@ -56,7 +56,6 @@ __all__ = [
     "solve_approx",
     "problem_to_text",
     "problem_from_text",
-    "dual_to_text",
     "dual_from_text",
 ]
 
@@ -336,12 +335,6 @@ def problem_from_text(text: str) -> LpProblem:
     return make_problem([t["obj"].get(j, 0.0) for j in range(n)],
                         [t["bound"][j] for j in range(n)],
                         aineq=aineq, bineq=bineq, aeq=aeq, beq=beq)
-
-
-def dual_to_text(y: Sequence[float], z: Sequence[float]) -> str:
-    y_line = " ".join(repr(float(v)) for v in y)
-    z_line = " ".join(repr(float(v)) for v in z)
-    return f"{y_line}\n{z_line}\n"
 
 
 def dual_from_text(text: str) -> tuple[Vector, Vector]:

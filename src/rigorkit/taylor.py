@@ -49,12 +49,6 @@ class Box(tuple):
     def midpoint(self) -> tuple[float, ...]:
         return tuple(d.mid for d in self)
 
-    def volume(self) -> float:
-        v = 1.0
-        for d in self:
-            v *= d.width
-        return v
-
     def replace(self, i: int, component: Interval) -> "Box":
         return Box(self[:i] + (component,) + self[i + 1:])
 
@@ -62,9 +56,6 @@ class Box(tuple):
         d = self[i]
         m = d.mid
         return self.replace(i, Interval(d.lo, m)), self.replace(i, Interval(m, d.hi))
-
-    def contains_point(self, point: Sequence[float]) -> bool:
-        return all(d.contains(x) for d, x in zip(self, point))
 
 
 def taylor_upper_bound(ev: Evaluator, box: Box) -> float:

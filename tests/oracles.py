@@ -761,8 +761,8 @@ def random_expr(rng, arity: int, depth: int, polynomial: bool = False) -> ex.Exp
 def reference_evaluate_numeric(e: ex.Expr, point: Sequence[float]) -> float:
     """Plain binary64 evaluation by walking the expression: iterative,
     children left to right, memoised on nodes, constants read by
-    decimal_to_nearest_float when the walk reaches them.  This is how
-    `expr.evaluate_numeric` worked before it ran a FloatPlan."""
+    decimal_to_nearest_float when the walk reaches them.  `expr.FloatPlan`
+    must match it bit for bit."""
     memo: dict = {}
     v = memo.__getitem__
     for node in ex._post_order(e, memo):

@@ -60,7 +60,7 @@ def test_criterion_01_interval_containment_fuzz():
             elif op == 2:
                 ok = I(*iv.mul(a, b)).contains(x * y)
             else:
-                if b.contains_zero():
+                if b.contains(0.0):
                     continue
                 ok = I(*iv.div(a, b)).contains(x / y)
         elif op == 4:
@@ -82,20 +82,20 @@ def test_criterion_01_interval_containment_fuzz():
 # 2. Gradient/Hessian soundness
 # ---------------------------------------------------------------------------
 
-def _fd_grad(e, pt, i, h=1e-5):
+def _fd_grad(plan, pt, i, h=1e-5):
     up = list(pt)
     dn = list(pt)
     up[i] += h
     dn[i] -= h
-    return (ex.evaluate_numeric(e, up) - ex.evaluate_numeric(e, dn)) / (2 * h)
+    return (plan(up)[0] - plan(dn)[0]) / (2 * h)
 
 
-def _fd_hess(e, pt, i, j, h=1e-4):
+def _fd_hess(plan, pt, i, j, h=1e-4):
     def f(di, dj):
         q = list(pt)
         q[i] += di
         q[j] += dj
-        return ex.evaluate_numeric(e, q)
+        return plan(q)[0]
 
     if i == j:
         return (f(h, 0) - 2 * f(0, 0) + f(-h, 0)) / (h * h)
@@ -120,8 +120,9 @@ def test_criterion_02_gradient_hessian_soundness():
             continue
         if germ.f.mag > 1e5 or any(d.mag > 1e5 for d in germ.df):
             continue
+        plan = ex.FloatPlan((e,))
         for i in range(arity):
-            fd = _fd_grad(e, pt, i)
+            fd = _fd_grad(plan, pt, i)
             tol = 1e-6 * (1.0 + germ.df[i].mag) + 1e-9
             assert germ.df[i].lo - tol <= fd <= germ.df[i].hi + tol, \
                 (ex.to_text(e), pt, i)
@@ -138,7 +139,7 @@ def test_criterion_02_gradient_hessian_soundness():
             if h_enc.mag > 1e5:
                 bad = True
                 break
-            fd2 = _fd_hess(e, pt, i, j)
+            fd2 = _fd_hess(plan, pt, i, j)
             tol = 1e-4 * (1.0 + h_enc.mag) + 1e-6
             assert h_enc.lo - tol <= fd2 <= h_enc.hi + tol, \
                 (ex.to_text(e), pt, i, j)
@@ -408,7 +409,7 @@ def run_criterion_9():
     results = {}
     for n in (3, 4, 5):
         rn = gg.generate(gg.GeneratorConfig(n_max=n))
-        results[n] = set(rn.canonical_strings())
+        results[n] = {t.canonical for t in rn.terminals}
         lines.append(f"N={n} classes={len(rn.terminals)}")
         for canon in sorted(results[n]):
             lines.append("  class " + canon)

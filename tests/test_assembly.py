@@ -124,7 +124,7 @@ def test_branch_examples():
     for _ in range(10):
         leaves = [child for q in leaves for child in asm.branch(q, "d0", 0)]
     assert len(leaves) == 1024
-    total = sum(q.domains[0].box.volume() for q in leaves)
+    total = sum(math.prod(d.width for d in q.domains[0].box) for q in leaves)
     assert abs(total - 1.0) < 1e-12
 
     # certifying both children certifies the parent (sup of a union)
@@ -304,7 +304,7 @@ def random_assembly(rng):
             e = random_expr(rng, nv, 3, polynomial=True)
             # shift so the box center satisfies phi >= 0
             center = [box[i].mid for i in range(nv)]
-            val = ex.evaluate_numeric(e, center)
+            val = ex.FloatPlan((e,))(center)[0]
             phis.append(ex.make_sub(e, ex.const_from_float(val - 0.25)))
         domains.append(asm.LocalDomain(f"d{d_idx}", tuple(f"v{k}" for k in range(nv)),
                                        box, tuple(phis)))
@@ -326,6 +326,7 @@ def pick_guess_and_bound(p, rng, samples=4000):
 
     best = None
     best_x = None
+    constraints = [[ex.FloatPlan((phi,)) for phi in dom.constraints] for dom in p.domains]
     for _ in range(samples):
         x = []
         for d_idx, dom in enumerate(p.domains):
@@ -333,8 +334,8 @@ def pick_guess_and_bound(p, rng, samples=4000):
         ok = True
         for d_idx, dom in enumerate(p.domains):
             pt = [x[g] for g in p.globals_of_domain(d_idx)]
-            for phi in dom.constraints:
-                if ex.evaluate_numeric(phi, pt) < 0.0:
+            for phi in constraints[d_idx]:
+                if phi(pt)[0] < 0.0:
                     ok = False
                     break
             if not ok:

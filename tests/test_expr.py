@@ -102,7 +102,7 @@ def test_differentiate_atan_rule_structure():
 def test_differentiate_basics():
     assert ex.differentiate(ex.parse("x0*x0", arity=2), 1) == ex.ZERO
     prod = ex.differentiate(ex.parse("x0*x1", arity=2), 0)
-    assert ex.evaluate_numeric(prod, [2.0, 3.0]) == 3.0
+    assert ex.FloatPlan((prod,))([2.0, 3.0])[0] == 3.0
 
 
 def test_compile_examples():
@@ -112,7 +112,7 @@ def test_compile_examples():
 
     ev2 = ex.Evaluator(ex.parse("x0*x0"), 1)
     h = ev2.hessian_entry([I(-7, 3)], 0, 0)
-    assert h.contains_interval(I(2, 2))
+    assert h.contains(2.0)
 
     ev3 = ex.Evaluator(ex.parse("atan(x0, 1)"), 1)
     g3 = ev3.germ([I(1, 1)])
@@ -198,7 +198,7 @@ def test_long_flat_sum_renders_and_evaluates():
     expected = 1.0
     for _ in range(750):
         expected = expected - 0.001 * 0.5 + 0.001 * 0.5
-    assert ex.evaluate_numeric(e, [0.5]) == expected
+    assert ex.FloatPlan((e,))([0.5])[0] == expected
 
 
 def test_rendering_a_long_sum_holds_memory_linear_in_its_text():
@@ -240,10 +240,11 @@ def test_float_plan_matches_the_walker_bit_for_bit(seed):
         # wrappers make them fail at some points
         e = rng.choice([a, ex.Div(a, b), ex.Sqrt(b), ex.Atan(a, b), ex.Pow(b, -1)])
         plan = ex.FloatPlan((e, a, b))
+        single = ex.FloatPlan((e,))
         for _ in range(8):
             point = [rng.choice(_POINT_COORDS) for _ in range(arity)]
             want = [_float_or_error(reference_evaluate_numeric, r, point) for r in (e, a, b)]
-            assert _float_or_error(ex.evaluate_numeric, e, point) == want[0], (ex.to_text(e), point)
+            assert _float_or_error(single, point) == want[0], (ex.to_text(e), point)
             got = _float_or_error(plan, point)
             if all(isinstance(w, bytes) for w in want):
                 assert got == b"".join(want)
@@ -364,20 +365,20 @@ def test_hessian_entries_in_one_pass_equal_single_entries():
         assert ex.Evaluator(e, arity).hessian(box, entries) == single
 
 
-def _fd_gradient(e, pt, i, h=1e-5):
+def _fd_gradient(plan, pt, i, h=1e-5):
     up = list(pt)
     dn = list(pt)
     up[i] += h
     dn[i] -= h
-    return (ex.evaluate_numeric(e, up) - ex.evaluate_numeric(e, dn)) / (2 * h)
+    return (plan(up)[0] - plan(dn)[0]) / (2 * h)
 
 
-def _fd_hessian(e, pt, i, j, h=1e-4):
+def _fd_hessian(plan, pt, i, j, h=1e-4):
     def f(delta_i, delta_j):
         q = list(pt)
         q[i] += delta_i
         q[j] += delta_j
-        return ex.evaluate_numeric(e, q)
+        return plan(q)[0]
 
     if i == j:
         return (f(h, 0) - 2 * f(0, 0) + f(-h, 0)) / (h * h)
@@ -401,14 +402,15 @@ def test_gradient_and_hessian_soundness_sample():
             continue
         if germ.f.mag > 1e6 or any(d.mag > 1e6 for d in germ.df):
             continue
+        plan = ex.FloatPlan((e,))
         ok = True
         for i in range(arity):
-            fd = _fd_gradient(e, pt, i)
+            fd = _fd_gradient(plan, pt, i)
             tol = 1e-6 * (1.0 + germ.df[i].mag) + 1e-9
             if not (germ.df[i].lo - tol <= fd <= germ.df[i].hi + tol):
                 ok = False
             # commutation: symbolic derivative agrees with the germ
-            sym = ex.evaluate_numeric(ex.differentiate(e, i), pt)
+            sym = ex.FloatPlan((ex.differentiate(e, i),))(pt)[0]
             assert germ.df[i].lo - 1e-9 <= sym <= germ.df[i].hi + 1e-9
         assert ok, (ex.to_text(e), pt)
         i = rng.randrange(arity)
@@ -419,7 +421,7 @@ def test_gradient_and_hessian_soundness_sample():
             continue
         if h_val.mag > 1e6:
             continue
-        fd2 = _fd_hessian(e, pt, i, j)
+        fd2 = _fd_hessian(plan, pt, i, j)
         tol = 1e-4 * (1.0 + h_val.mag) + 1e-6
         assert h_val.lo - tol <= fd2 <= h_val.hi + tol, (ex.to_text(e), pt, i, j)
         checked += 1
@@ -464,12 +466,13 @@ def test_germ_over_box_contains_pointwise_derivatives():
             continue
         if any(d.mag > 1e8 for d in germ.df):
             continue
+        plan = ex.FloatPlan((e,))
         inside = True
         for _ in range(20):
             pt = [rng.uniform(box[j].lo, box[j].hi) for j in range(arity)]
             for i in range(arity):
                 try:
-                    fd = _fd_gradient(e, pt, i, h=1e-6)
+                    fd = _fd_gradient(plan, pt, i, h=1e-6)
                 except (ArithmeticError, ValueError):
                     inside = False
                     break

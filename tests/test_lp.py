@@ -235,7 +235,7 @@ def test_problem_file_errors():
 
 
 def test_dual_file_round_trip():
-    y, z = lp.dual_from_text(lp.dual_to_text((0.25, -1.5), (1.0, 0.0)))
+    y, z = lp.dual_from_text("0.25 -1.5\n1.0 0.0\n")
     assert y == (0.25, -1.5) and z == (1.0, 0.0)
     y2, z2 = lp.dual_from_text("\n1.5 2.5\n")
     assert y2 == () and z2 == (1.5, 2.5)

@@ -144,10 +144,11 @@ def test_coverage_volume_accounting():
     task = ProofTask(ex.parse("x0*x0 + x1 - 3", 2), Box((I(-1, 1), I(0, 1))))
     r = prove_negative(task, cfg)
     assert r.status is ProofStatus.PROVEN
-    vol = sum(c.volume() for c in r.certified_cells)
-    vol += sum(c.volume() for c in r.undecided_cells)
-    vol += sum(c.volume() for c in r.failed_cells)
-    assert abs(vol - task.domain.volume()) <= 1e-12 * task.domain.volume()
+    vol = sum(math.prod(d.width for d in c) for c in r.certified_cells)
+    vol += sum(math.prod(d.width for d in c) for c in r.undecided_cells)
+    vol += sum(math.prod(d.width for d in c) for c in r.failed_cells)
+    domain_vol = math.prod(d.width for d in task.domain)
+    assert abs(vol - domain_vol) <= 1e-12 * domain_vol
 
 
 def test_determinism():
@@ -223,10 +224,17 @@ def test_certified_counters_add_up():
     cfg = ProverConfig(max_cells=400, track_cells=True)
     for text, bounds in [("x0*(1 - x0) - 0.3", [(0, 1)]),
                          ("x0*x0*x1 - x1 + x0 - 1", [(-1, 1), (0, 1)]),
-                         ("x0*x0 - 1", [(0, 2)])]:
+                         ("x0*x0 - 1", [(0, 2)]),
+                         ("sqrt(1 + 16*x0*(1 - x0)*x1*(1 - x1)) - 1.42", [(0, 1), (0, 1)]),
+                         ("x0 + atan(1, 0)", [(0, 1)]),
+                         ("1/x0 - 100", [(-1, 1)])]:
         r = prove_negative(ProofTask(ex.parse(text), Box.from_bounds(bounds)), cfg)
-        assert (r.cells_certified_by_germ + r.cells_certified_by_taylor
-                == len(r.certified_cells)), text
+        certified = r.cells_certified_by_germ + r.cells_certified_by_taylor
+        assert certified == len(r.certified_cells), text
+        if r.cells_processed < cfg.max_cells:
+            # every processed cell is a leaf or splits in two
+            leaves = certified + len(r.undecided_cells) + len(r.failed_cells)
+            assert r.cells_processed == 2 * leaves - 1, text
 
 
 @settings(max_examples=40, deadline=None)
@@ -238,7 +246,8 @@ def test_proven_reports_hold_at_corners_and_sampled_points(seed):
     bounds = [(rng.uniform(-1.5, 0.0), rng.uniform(0.1, 1.5)) for _ in range(arity)]
     corners = list(itertools.product(*bounds))
     samples = [tuple(rng.uniform(lo, hi) for lo, hi in bounds) for _ in range(200)]
-    rough = max(ex.evaluate_numeric(e, p) for p in corners + samples[:20])
+    f = ex.FloatPlan((e,))
+    rough = max(f(p)[0] for p in corners + samples[:20])
     margin = rng.choice([0.0, 1e-3])
     shift = rough + rng.choice([0.5, 0.05, 0.0, -0.1]) * (1 + abs(rough))
     task_expr = ex.Sub(e, ex.const_from_float(shift))
@@ -246,5 +255,6 @@ def test_proven_reports_hold_at_corners_and_sampled_points(seed):
                             ProverConfig(max_cells=200, min_width=1e-4))
     if report.status is ProofStatus.PROVEN:
         assert report.cells_certified_by_germ + report.cells_certified_by_taylor > 0
+        task_f = ex.FloatPlan((task_expr,))
         for p in corners + samples:
-            assert ex.evaluate_numeric(task_expr, p) < -margin, (ex.to_text(task_expr), p)
+            assert task_f(p)[0] < -margin, (ex.to_text(task_expr), p)
