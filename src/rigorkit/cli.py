@@ -7,11 +7,17 @@ for undecided, evaluation_failure, inconclusive, certified: False,
 complete: False and candidate: none; 2 for input errors (malformed
 input, arguments out of range, and paths that cannot be read or written:
 any OSError), 3 for internal errors (any other exception, reported on
-one stderr line).  `_report` writes every report: a header of schema,
-subcommand, version, input digests, config echo and wall time, then the
-body.  Reports are written even on exit 1 and re-parse under
-`parse_report`; apart from the wall-time field they are byte-identical
-across reruns with the same inputs, flags and seeds.
+one stderr line).  Each subcommand is one handler, `handler(args, read)
+-> (config echo, body, decided)`; `dispatch` times it, writes every report
+(a header of schema, subcommand, version, input digests, config echo and
+wall time, then the body) and exits 0 if decided, else 1.  Handlers read
+files only through `read` (UTF-8, a byte-order mark dropped), which digests
+their bytes, so every file read is digested.  `wall_time_s` spans the
+handler: reading inputs, computing (`lp-certify --solve`'s solve too) and
+writing certificate, class or child files, not argument parsing or the
+report.  Reports are written even on exit 1 and re-parse under
+`parse_report`; apart from `wall_time_s` they are byte-identical across
+reruns with the same inputs, flags and seeds.
 """
 
 from __future__ import annotations
@@ -44,16 +50,15 @@ EXIT_INTERNAL = 3
 
 
 def _read(path: str, digests: list[tuple[str, str]]) -> str:
-    """Read an input file, as UTF-8, and record the SHA-256 of its bytes for
-    the report header."""
+    """A file's text, a UTF-8 byte-order mark dropped; digests its bytes."""
     data = Path(path).read_bytes()
     digests.append((Path(path).name, hashlib.sha256(data).hexdigest()))
-    return data.decode()
+    return data.decode("utf-8-sig")
 
 
 def _report(args, digests: Sequence[tuple[str, str]],
             config: Sequence[tuple[str, str]], body: Sequence[tuple[str, str]],
-            wall: float = 0.0) -> None:
+            wall: float) -> None:
     """Write the report to --report, if given, and to stdout."""
     lines = ["rigorkit-report v1", f"subcommand: {args.command}",
              f"toolkit_version: {__version__}",
@@ -134,14 +139,13 @@ def _cells_rows(label: str, cells) -> list[tuple[str, str]]:
             for cell in cells]
 
 
-def _cmd_prove(args) -> int:
-    digests: list[tuple[str, str]] = []
-    task = parse_task_file(_read(args.task, digests))
+def _cmd_prove(args, read):
+    task = parse_task_file(read(args.task))
     cfg = ProverConfig(max_cells=args.max_cells, max_depth=args.max_depth,
                        min_width=args.min_width)
-    t0 = time.perf_counter()
     report = prove_negative(task, cfg)
-    wall = time.perf_counter() - t0
+    config = (("max_cells", str(cfg.max_cells)), ("max_depth", str(cfg.max_depth)),
+              ("min_width", repr(cfg.min_width)), ("seed", str(args.seed)))
     body = [
         ("status", report.status.value),
         ("cells_processed", str(report.cells_processed)),
@@ -152,106 +156,84 @@ def _cmd_prove(args) -> int:
         *_cells_rows("undecided_cell", report.undecided_cells),
         *_cells_rows("failed_cell", report.failed_cells),
     ]
-    _report(args, digests,
-            (("max_cells", str(cfg.max_cells)), ("max_depth", str(cfg.max_depth)),
-             ("min_width", repr(cfg.min_width)), ("seed", str(args.seed))),
-            body, wall)
-    return EXIT_OK if report.status is ProofStatus.PROVEN else EXIT_NEGATIVE
+    return config, body, report.status is ProofStatus.PROVEN
 
 
-def _cmd_lp_certify(args) -> int:
-    digests: list[tuple[str, str]] = []
-    problem = lpmod.problem_from_text(_read(args.problem, digests))
+def _cmd_lp_certify(args, read):
+    problem = lpmod.problem_from_text(read(args.problem))
     if args.solve:
         try:
             _, (y_raw, z_raw), _ = lpmod.solve_approx(problem)
         except NoProgress:
             if not args.dual:
                 raise
-            y_raw, z_raw = lpmod.dual_from_text(_read(args.dual, digests))
+            y_raw, z_raw = lpmod.dual_from_text(read(args.dual))
     elif args.dual:
-        y_raw, z_raw = lpmod.dual_from_text(_read(args.dual, digests))
+        y_raw, z_raw = lpmod.dual_from_text(read(args.dual))
     else:
         raise ParseError("need --dual FILE or --solve")
     dual = lpmod.clamp_dual(y_raw, z_raw)
-    t0 = time.perf_counter()
     cert = lpmod.certify_upper_bound(problem, dual)
-    wall = time.perf_counter() - t0
-    residual_norm = max((d.mag for d in cert.residual), default=0.0)
-    _report(args, digests, (("solve", str(bool(args.solve))), ("seed", str(args.seed))), [
+    return (("solve", str(bool(args.solve))), ("seed", str(args.seed))), [
         ("bound", repr(cert.bound)),
         ("delta_bound", repr(cert.delta_bound)),
-        ("residual_max_norm", repr(residual_norm)),
+        ("residual_max_norm", repr(max((d.mag for d in cert.residual), default=0.0))),
         ("inputs_digest", cert.inputs_digest),
         ("dual_clamped", str(dual.clamped)),
-    ], wall)
-    return EXIT_OK
+    ], True
 
 
 def _mode_echo(args) -> tuple[tuple[str, str], ...]:
     return (("mode", args.mode), ("seed", str(args.seed)))
 
 
-def _cmd_fit(args) -> int:
-    digests: list[tuple[str, str]] = []
-    problem = asm.problem_from_text(_read(args.problem, digests))
+def _cmd_fit(args, read):
+    problem = asm.problem_from_text(read(args.problem))
     bound = iv.decimal_to_nearest_float(args.bound)
     guess = tuple(iv.decimal_to_nearest_float(tok) for tok in args.guess.split())
     tps = asm.default_test_points(problem, seed=args.seed, n_random=args.test_points)
-    t0 = time.perf_counter()
     cert = asm.fit_dual(problem, guess, bound, tps, test_seed=args.seed)
-    wall = time.perf_counter() - t0
     if cert is None:
-        _report(args, digests, _mode_echo(args), [("candidate", "none")], wall)
-        return EXIT_NEGATIVE
+        return _mode_echo(args), [("candidate", "none")], False
     if args.certificate:
         Path(args.certificate).write_text(asm.certificate_to_text(problem, cert))
-    _report(args, digests, _mode_echo(args), [
+    return _mode_echo(args), [
         ("candidate", "written" if args.certificate else "found"),
         ("M", repr(cert.m_bound)),
         ("t0", repr(cert.t0)),
         ("retained_rows", " ".join(map(str, cert.retained_rows))),
-    ], wall)
-    return EXIT_OK
+    ], True
 
 
-def _cmd_verify(args) -> int:
-    digests: list[tuple[str, str]] = []
-    problem = asm.problem_from_text(_read(args.problem, digests))
-    cert = asm.certificate_from_text(problem, _read(args.certificate, digests))
-    t0 = time.perf_counter()
+def _cmd_verify(args, read):
+    problem = asm.problem_from_text(read(args.problem))
+    cert = asm.certificate_from_text(problem, read(args.certificate))
     outcome = asm.verify_duality(problem, cert, ProverConfig(max_cells=args.max_cells))
-    wall = time.perf_counter() - t0
     body = [("certified", str(outcome.certified))]
     if not outcome.certified:
         body.append(("reason", outcome.reason))
         if outcome.domain_id:
             body.append(("domain", outcome.domain_id))
-    _report(args, digests, _mode_echo(args), body, wall)
-    return EXIT_OK if outcome.certified else EXIT_NEGATIVE
+    return _mode_echo(args), body, outcome.certified
 
 
-def _cmd_branch(args) -> int:
-    digests: list[tuple[str, str]] = []
-    problem = asm.problem_from_text(_read(args.problem, digests))
+def _cmd_branch(args, read):
+    problem = asm.problem_from_text(read(args.problem))
     children = asm.branch(problem, args.domain, args.slot)
     body = []
     for suffix, child in zip((".lo.asm", ".hi.asm"), children):
         Path(args.out_prefix + suffix).write_text(asm.problem_to_text(child))
         body.append(("child", args.out_prefix + suffix))
-    _report(args, digests, _mode_echo(args), body)
-    return EXIT_OK
+    return _mode_echo(args), body, True
 
 
-def _cmd_graphs(args) -> int:
+def _cmd_graphs(args, read):
     cfg = gg.GeneratorConfig(n_max=args.max_vertices, max_states=args.max_states,
                              prune=gg.compile_prune_spec(args.prune))
     outdir = Path(args.out) if args.out else None
     if outdir:
         outdir.mkdir(parents=True, exist_ok=True)   # an unusable --out fails first
-    t0 = time.perf_counter()
     result = gg.generate(cfg)
-    wall = time.perf_counter() - t0
     body = [("complete", str(result.complete)),
             ("classes", str(len(result.terminals))),
             ("states_explored", str(result.states_explored))]
@@ -261,11 +243,9 @@ def _cmd_graphs(args) -> int:
             fname = outdir / f"graph_{i:04d}.txt"
             fname.write_text(_terminal_file(term))
             body.append(("class_file", str(fname)))
-    _report(args, (),
-            (("max_vertices", str(args.max_vertices)), ("prune", args.prune),
-             ("max_states", str(args.max_states)), ("seed", str(args.seed))),
-            body, wall)
-    return EXIT_OK if result.complete else EXIT_NEGATIVE
+    config = (("max_vertices", str(args.max_vertices)), ("prune", args.prune),
+              ("max_states", str(args.max_states)), ("seed", str(args.seed)))
+    return config, body, result.complete
 
 
 def _terminal_file(term: gg.TerminalRecord) -> str:
@@ -285,27 +265,8 @@ def _terminal_file(term: gg.TerminalRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _simplex(args, digests) -> geom.CheckResult:
-    edges = [iv.parse_interval_literal(tok) for tok in args.edges]
-    return geom.check_simplex_interior_point(edges, iv.parse_interval_literal(args.r))
-
-
-def _segment(args, digests) -> geom.CheckResult:
-    return geom.check_segment_through_triangle(
-        iv.parse_interval_literal(args.r1),
-        iv.parse_interval_literal(args.r2),
-        iv.parse_interval_literal(args.r3))
-
-
-def _linked(args, digests) -> geom.CheckResult:
-    return geom.check_linked_line(geom.parse_distance_spec(_read(args.spec, digests)))
-
-
-def _cmd_geom(args) -> int:
-    digests: list[tuple[str, str]] = []
-    t0 = time.perf_counter()
-    res = args.check(args, digests)
-    wall = time.perf_counter() - t0
+def _geom_result(args, res: geom.CheckResult):
+    """The echo, body and verdict of every geom mode."""
     body = [("verdict", res.verdict.value)]
     if res.reason:
         body.append(("reason", res.reason))
@@ -313,23 +274,35 @@ def _cmd_geom(args) -> int:
         body.append(("witness", iv.format_interval_literal(res.witness)))
     if res.sweep_cells is not None:
         body.append(("sweep_cells", str(res.sweep_cells)))
-    _report(args, digests, _mode_echo(args), body, wall)
-    return EXIT_OK if res.refuted else EXIT_NEGATIVE
+    return _mode_echo(args), body, res.refuted
 
 
-def _cmd_plan_dump(args) -> int:
-    digests: list[tuple[str, str]] = []
+def _cmd_simplex(args, read):
+    *edges, r = map(iv.parse_interval_literal, (*args.edges, args.r))
+    return _geom_result(args, geom.check_simplex_interior_point(edges, r))
+
+
+def _cmd_segment(args, read):
+    return _geom_result(args, geom.check_segment_through_triangle(
+        *(iv.parse_interval_literal(r) for r in (args.r1, args.r2, args.r3))))
+
+
+def _cmd_linked(args, read):
+    return _geom_result(args, geom.check_linked_line(
+        geom.parse_distance_spec(read(args.spec))))
+
+
+def _cmd_plan_dump(args, read):
     if args.task:
-        task = parse_task_file(_read(args.task, digests))
+        task = parse_task_file(read(args.task))
         e, arity = task.expr, len(task.domain)
     elif args.expr is not None and args.arity is not None:
         e, arity = ex.parse(args.expr, args.arity), args.arity
     else:
         raise ParseError("plan-dump needs --task FILE or --expr/--arity")
     evaluator = ex.Evaluator(e, arity)
-    _report(args, digests, (("arity", str(arity)),),
-            [("instruction", line) for line in evaluator.plan_lines()])
-    return EXIT_OK
+    return (("arity", str(arity)),), [
+        ("instruction", line) for line in evaluator.plan_lines()], True
 
 
 # ---------------------------------------------------------------------------
@@ -394,15 +367,15 @@ def _build_parser() -> argparse.ArgumentParser:
     modes = sub.add_parser("geom", help="geometric nonexistence checks"
                            ).add_subparsers(dest="mode", required=True)
     p = modes.add_parser("simplex", help="capped simplex, point far from every vertex")
-    p.set_defaults(handler=_cmd_geom, check=_simplex)
+    p.set_defaults(handler=_cmd_simplex)
     p.add_argument("--edges", nargs=6, required=True)
     p.add_argument("--r", required=True)
     p = modes.add_parser("segment", help="segment through a triangle")
-    p.set_defaults(handler=_cmd_geom, check=_segment)
+    p.set_defaults(handler=_cmd_segment)
     for name in ("--r1", "--r2", "--r3"):
         p.add_argument(name, required=True)
     p = modes.add_parser("linked", help="line linking a triangle, from a .dspec file")
-    p.set_defaults(handler=_cmd_geom, check=_linked)
+    p.set_defaults(handler=_cmd_linked)
     p.add_argument("--spec", required=True)
 
     p = sub.add_parser("plan-dump", help="dump a compiled evaluation plan")
@@ -422,8 +395,12 @@ def dispatch(argv: Sequence[str]) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+    digests: list[tuple[str, str]] = []
     try:
-        return args.handler(args)
+        t0 = time.perf_counter()
+        config, body, decided = args.handler(args, lambda path: _read(path, digests))
+        _report(args, digests, config, body, time.perf_counter() - t0)
+        return EXIT_OK if decided else EXIT_NEGATIVE
     except (ParseError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -180,9 +180,12 @@ def interval(token: str) -> iv.Interval:
 
 
 def index(token: str) -> int:
-    """A non-negative integer in plain digits."""
-    if not (token.isascii() and token.isdigit()):
+    """A non-negative integer in decimal digits of any script, each read by
+    its value as numerals and expression subscripts are."""
+    if not token.isdecimal():
         raise ValueError(f"expected a non-negative index, got {token!r}")
+    if not token.isascii():
+        token = "".join(str(int(c)) for c in token)
     digits = token.lstrip("0") or "0"
     if len(digits) > 18:  # decided before int() reads the text
         raise ValueError(f"index of {len(digits)} digits is too large")

@@ -6,6 +6,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -436,6 +437,42 @@ def test_crlf_input_digest_is_the_sha256_of_its_bytes(tmp_path, capsys):
         reports.append(body)
     assert reports[0] == reports[1]
     assert digest_line(lf).split()[1] != digest_line(crlf).split()[1]
+
+
+def test_byte_order_mark_is_not_part_of_the_first_keyword(tmp_path, capsys):
+    # a UTF-8 BOM reads as nothing; the digest is of the bytes, BOM included
+    plain = PROBLEMS / "six_squares.ineq"
+    marked = tmp_path / "six_squares.ineq"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    bodies = []
+    for task in (plain, marked):
+        code, out, err = run(["prove", "--task", str(task)], capsys)
+        assert (code, err) == (0, "")
+        header, body = cli.parse_report(out)
+        assert header["input_digest"] == [digest_line(task)]
+        bodies.append(body)
+    assert bodies[0] == bodies[1]
+    lp_file = tmp_path / "p.lp"
+    lp_file.write_bytes(b"\xef\xbb\xbflp-problem v1\nvars 1\nobj 0 1\nbound 0 0..2\n")
+    code, out, err = run(["lp-certify", "--problem", str(lp_file), "--solve"], capsys)
+    assert (code, err) == (0, "")
+    assert dict(cli.parse_report(out)[1])["bound"] == "2.0"
+
+
+def test_wall_time_spans_the_handler_run(tmp_path, capsys, monkeypatch):
+    # lp-certify --solve's wall time includes the solve, not only the check
+    solve = lpmod.solve_approx
+
+    def slow(problem):
+        time.sleep(0.05)
+        return solve(problem)
+
+    monkeypatch.setattr(lpmod, "solve_approx", slow)
+    problem = tmp_path / "p.lp"
+    problem.write_text("vars 1\nobj 0 1\nineq 0 0 1\nineq_rhs 0 1\nbound 0 0..2\n")
+    code, out, _ = run(["lp-certify", "--problem", str(problem), "--solve"], capsys)
+    assert code == 0
+    assert float(cli.parse_report(out)[0]["wall_time_s"]) >= 0.05
 
 
 def test_dual_read_after_no_progress_is_digested(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Malformed input in every line-oriented format: each defect raises a
 ParseError naming its line, and the CLI exits 2 on it."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -328,3 +329,31 @@ def test_the_first_of_two_bad_fields_is_named(line):
     assert message == f"line {line}: expected a non-negative index, got 'x'"
     with pytest.raises(ParseError, match=f"^{message}$"):
         lp.problem_from_text(text)
+
+
+@pytest.mark.parametrize("token, value", [
+    ("١", 1), ("٠٧", 7), ("१२", 12), ("7١", 71),
+    ("٠" * 30 + "5", 5), ("0" * 30 + "5", 5), ("٠" * 30, 0),
+    ("٩" * 18, 10**18 - 1),
+])
+def test_index_reads_unicode_decimal_digits(token, value):
+    # as numerals and x{i} subscripts do; leading zeros of any script are zeros
+    assert rec.index(token) == value
+
+
+@pytest.mark.parametrize("token", ["²", "x", "-1", "+1", " 1", "1_000", "1 2", "", "١.٠"])
+def test_index_rejects_what_is_not_decimal_digits(token):
+    with pytest.raises(ValueError, match=re.escape(f"expected a non-negative index, got {token!r}")):
+        rec.index(token)
+
+
+@pytest.mark.parametrize("token", ["١" * 19, "1" + "٠" * 18])
+def test_unicode_digit_index_is_bounded_as_ascii(token):
+    with pytest.raises(ValueError, match="^index of 19 digits is too large$"):
+        rec.index(token)
+
+
+def test_task_with_unicode_digit_indices_reads_as_its_ascii_twin():
+    ascii_task = "arity 2\nexpr x0 + x1 - 3\ndomain x0 0..1\ndomain x1 0..1\n"
+    unicode_task = "arity ٢\nexpr x0 + x١ - 3\ndomain x٠ 0..1\ndomain x١ 0..1\n"
+    assert cli.parse_task_file(unicode_task) == cli.parse_task_file(ascii_task)
