@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import re
 import sys
 import time
 from pathlib import Path
@@ -163,23 +164,22 @@ def _cmd_lp_certify(args, read):
     problem = lpmod.problem_from_text(read(args.problem))
     if args.solve:
         try:
-            _, (y_raw, z_raw), _ = lpmod.solve_approx(problem)
+            _, (y, z), _ = lpmod.solve_approx(problem)
         except NoProgress:
             if not args.dual:
                 raise
-            y_raw, z_raw = lpmod.dual_from_text(read(args.dual))
+            y, z = lpmod.dual_from_text(read(args.dual))
     elif args.dual:
-        y_raw, z_raw = lpmod.dual_from_text(read(args.dual))
+        y, z = lpmod.dual_from_text(read(args.dual))
     else:
         raise ParseError("need --dual FILE or --solve")
-    dual = lpmod.clamp_dual(y_raw, z_raw)
-    cert = lpmod.certify_upper_bound(problem, dual)
+    cert = lpmod.certify_upper_bound(problem, y, z)
     return (("solve", str(bool(args.solve))), ("seed", str(args.seed))), [
         ("bound", repr(cert.bound)),
         ("delta_bound", repr(cert.delta_bound)),
         ("residual_max_norm", repr(max((d.mag for d in cert.residual), default=0.0))),
         ("inputs_digest", cert.inputs_digest),
-        ("dual_clamped", str(dual.clamped)),
+        ("dual_clamped", str(cert.clamped)),
     ], True
 
 
@@ -309,8 +309,17 @@ def _cmd_plan_dump(args, read):
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reads '-' or '-.' then a digit as a value (-1e-3, -0.5..3), not an
+    option: no rigorkit option looks like one.  Subparsers take this class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rigorkit",
         description="rigorous numerics toolkit: interval inequality proofs, "
                     "certified LP/duality bounds, plane-graph enumeration, "

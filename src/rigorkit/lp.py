@@ -11,7 +11,8 @@ lists the Aineq rows' multipliers, then those of x_j <= hi_j and
 2n bound rows appended.
 
 `certify_upper_bound` turns *any* approximate dual vector (y free,
-z >= 0) into a rigorous bound: the residual row vector
+z's negative entries zeroed first and reported) into a rigorous bound:
+the residual row vector
 
     delta = c - y Aeq - z A
 
@@ -47,10 +48,8 @@ from .interval import Interval
 
 __all__ = [
     "LpProblem",
-    "DualSolution",
     "BoundCertificate",
     "make_problem",
-    "clamp_dual",
     "certify_upper_bound",
     "augment_with_t",
     "solve_approx",
@@ -125,48 +124,28 @@ def make_problem(c: Sequence[float],
 
 
 @dataclass(frozen=True, slots=True)
-class DualSolution:
-    y: Vector
-    z: Vector
-    clamped: bool = False
-
-
-def clamp_dual(y: Sequence[float], z: Sequence[float]) -> DualSolution:
-    """Zero out negative inequality multipliers; y stays free."""
-    clamped = False
-    cleaned = []
-    for v in z:
-        v = float(v)
-        if v < 0.0:
-            cleaned.append(0.0)
-            clamped = True
-        else:
-            cleaned.append(v)
-    return DualSolution(tuple(float(v) for v in y), tuple(cleaned), clamped)
-
-
-@dataclass(frozen=True, slots=True)
 class BoundCertificate:
     bound: float
     delta_bound: float
     residual: tuple[Interval, ...]
     inputs_digest: str
+    clamped: bool  # some negative z entry was zeroed
 
 
-def certify_upper_bound(p: LpProblem, d: DualSolution) -> BoundCertificate:
-    """Rigorous upper bound on max c.x from an approximate dual.
+def certify_upper_bound(p: LpProblem, y: Sequence[float],
+                        z: Sequence[float]) -> BoundCertificate:
+    """Rigorous upper bound on max c.x from an approximate dual (y, z).
 
-    Sound for any y and any z >= 0: the residual bound D absorbs every
-    approximation error.
+    Negative z entries are zeroed first (NaN and -0.0 pass unchanged) and
+    reported in `clamped`.  The bound is sound for any y and the zeroed z:
+    the residual bound D absorbs every approximation error.
     """
-    if len(d.y) != p.m_eq or len(d.z) != p.m_ineq:
-        raise ValueError(
-            f"dual dimensions ({len(d.y)}, {len(d.z)}) do not match problem "
-            f"({p.m_eq}, {p.m_ineq})"
-        )
-    for v in d.z:
-        if v < 0.0:
-            raise ValueError("z must be componentwise nonnegative; clamp_dual first")
+    y, z = tuple(map(float, y)), tuple(map(float, z))
+    if len(y) != p.m_eq or len(z) != p.m_ineq:
+        raise ValueError(f"dual dimensions ({len(y)}, {len(z)}) do not match problem "
+                         f"({p.m_eq}, {p.m_ineq})")
+    clamped = any(v < 0.0 for v in z)
+    z = tuple(0.0 if v < 0.0 else v for v in z)
 
     # delta = c - y Aeq - z A, a column at a time: A stacks Aeq above Aineq
     # and m runs over y, then z.  delta_j adds to c_j the products
@@ -175,12 +154,12 @@ def certify_upper_bound(p: LpProblem, d: DualSolution) -> BoundCertificate:
     # where its multiplier is nonzero.  Each step rounds as add(delta_j,
     # mul(point(-m_i), point(A_ij))), to the bits of sub(delta_j,
     # mul(point(m_i), point(A_ij))).
-    live = [(m, row) for m, row in zip(chain(d.y, d.z), chain(p.aeq, p.aineq)) if m != 0.0]
+    live = [(m, row) for m, row in zip(chain(y, z), chain(p.aeq, p.aineq)) if m != 0.0]
     neg_m = [-m for m, _ in live]
     cols = list(zip(*(row for _, row in live))) or [()] * p.n
     first = len(p.bineq)
     delta = []
-    for c_j, col, z_hi, z_lo in zip(p.c, cols, d.z[first::2], d.z[first + 1::2]):
+    for c_j, col, z_hi, z_lo in zip(p.c, cols, z[first::2], z[first + 1::2]):
         xs, ys = list(compress(neg_m, col)), list(compress(col, col))
         for m, a in ((z_hi, 1.0), (z_lo, -1.0)):
             if m != 0.0:
@@ -192,18 +171,18 @@ def certify_upper_bound(p: LpProblem, d: DualSolution) -> BoundCertificate:
     # D = sum_j sup(|delta_j| * max(|lo_j|, |hi_j|)), then D + y.beq + z.b,
     # each term rounded as add(total, mul(point, point))
     d_lo, d_hi = iv.add_products([dj.mag for dj in delta], [b.mag for b in p.var_bounds])
-    _, bound = iv.add_products(d.y + d.z, p.beq + p.bineq + _bound_rhs(p), d_lo, d_hi)
-    return BoundCertificate(bound=bound, delta_bound=d_hi,
-                            residual=delta, inputs_digest=_inputs_digest(p, d))
+    _, bound = iv.add_products(y + z, p.beq + p.bineq + _bound_rhs(p), d_lo, d_hi)
+    return BoundCertificate(bound=bound, delta_bound=d_hi, residual=delta,
+                            inputs_digest=_inputs_digest(p, y, z), clamped=clamped)
 
 
-def _inputs_digest(p: LpProblem, d: DualSolution) -> str:
+def _inputs_digest(p: LpProblem, y: Vector, z: Vector) -> str:
     """SHA-256 of the dimensions (n, m_eq, Aineq rows, m_ineq) as
     little-endian int64, then as little-endian binary64 c, Aeq, beq, Aineq,
     bineq, each variable's bound endpoints, y and z."""
     values = array("d", chain(p.c, *p.aeq, p.beq, *p.aineq, p.bineq,
                               chain.from_iterable((b.lo, b.hi) for b in p.var_bounds),
-                              d.y, d.z))
+                              y, z))
     dims = array("q", (p.n, p.m_eq, len(p.bineq), p.m_ineq))
     if sys.byteorder == "big":
         dims.byteswap()
@@ -244,8 +223,10 @@ def solve_approx(p: LpProblem) -> tuple[Vector, tuple[Vector, Vector], float]:
     input to certify_upper_bound.  Dense; adequate to n, m <= 500.
 
     Returns (primal x, (raw y, raw z), reported objective).  Raises
-    NoProgress if the underlying solver fails; the certification path then
-    falls back to externally supplied duals."""
+    NoProgress if the solver fails or p has no variables; the certification
+    path then falls back to externally supplied duals."""
+    if not p.n:
+        raise NoProgress("approximate LP solve failed: the problem has no variables")
     import numpy as np
     from scipy.optimize import linprog
 

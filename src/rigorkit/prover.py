@@ -112,17 +112,6 @@ def reduce_cell(ev: Evaluator, cell: Box, germ: Optional[TaylorGerm]) -> Box:
     return cell if dims == cell else Box(dims)
 
 
-def _pick_split_dim(cell: Box, min_width: float) -> int:
-    best = -1
-    best_w = min_width
-    for i, d in enumerate(cell):
-        w = d.width
-        if w > best_w:
-            best = i
-            best_w = w
-    return best
-
-
 def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
          cfg: ProverConfig) -> ProofReport:
     limit = -margin
@@ -136,15 +125,11 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
     failed: list[Box] = []
     certified: list[Box] = []
     by_germ_count = by_taylor_count = 0
-    exhausted = False
     # Decided at the first cell whose germ fails: whether the failure is in
     # an instruction that reads no variable, and so recurs on every cell.
     hopeless = None
 
-    while stack:
-        if processed >= cfg.max_cells:
-            exhausted = True
-            break
+    while stack and processed < cfg.max_cells:
         footprint, cell, depth, _parent_upper = stack.pop()
         processed += 1
         max_depth_seen = max(max_depth_seen, depth)
@@ -161,7 +146,7 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
                 ev.germ_constants()
                 hopeless = False
             except IntervalError:
-                hopeless = True  # ends the run at this, the first cell
+                hopeless = True  # only ever at the root: every germ fails
         upper = math.inf if eval_failed else germ.f.hi
         by_germ = certifies(upper)
         if not (by_germ or eval_failed):
@@ -178,12 +163,11 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
                 certified.append(footprint)
             continue
 
-        k = _pick_split_dim(cell, cfg.min_width)
-        if k < 0 or depth >= cfg.max_depth or hopeless:
+        # split the first widest component, if it is wider than min_width
+        k = max(range(len(cell)), key=lambda i: cell[i].width, default=None)
+        if k is None or cell[k].width <= cfg.min_width or depth >= cfg.max_depth or hopeless:
             best_upper = max(best_upper, upper)
             (failed if eval_failed else undecided).append(footprint)
-            if hopeless:
-                break
             continue
 
         lo_cell, hi_cell = cell.split(k)
@@ -191,10 +175,10 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
         stack.append((hi_fp, hi_cell, depth + 1, upper))
         stack.append((lo_fp, lo_cell, depth + 1, upper))
 
-    if exhausted:
-        for footprint, _cell, _depth, parent_upper in stack:
-            undecided.append(footprint)
-            best_upper = max(best_upper, parent_upper)
+    # what the budget leaves on the stack is undecided, bounded by its parent
+    for footprint, _cell, _depth, parent_upper in stack:
+        undecided.append(footprint)
+        best_upper = max(best_upper, parent_upper)
 
     if failed:
         status = ProofStatus.EVALUATION_FAILURE

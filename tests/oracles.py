@@ -29,7 +29,7 @@ from rigorkit import lp
 from rigorkit import records as rec
 from rigorkit.errors import DomainError, ParseError
 from rigorkit.interval import Interval
-from rigorkit.lp import DualSolution, LpProblem
+from rigorkit.lp import LpProblem
 
 
 class OracleInfeasible(Exception):
@@ -315,18 +315,21 @@ def _solve(m: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
     return [row[k] for row in t]
 
 
-def reference_certify(p: LpProblem, d: DualSolution
+def reference_certify(p: LpProblem, y: Sequence[float], z: Sequence[float]
                       ) -> tuple[float, float, tuple[Interval, ...]]:
     """(bound, delta_bound, residual) of lp.certify_upper_bound, computed
-    one interval object at a time.  Each delta_j = c_j - (y Aeq + z A)_j is
+    one interval object at a time, once z's negative entries are zeroed:
+    max(v, 0.0) keeps v unless 0.0 is greater, so -0.0 and NaN stay as
+    they are.  Each delta_j = c_j - (y Aeq + z A)_j is
     reference_add_products from c_j over the pairs (-m_i, A_ij) with m_i
     and A_ij nonzero, in row order, where A is every inequality as an
     explicit row (inequality_rows) and m runs over y, then z; then D and
     the bound by iv.add and iv.mul on point intervals.  Any
     NonFiniteOperand is raised where that sequence first meets a
     non-finite operand."""
+    y, z = [float(v) for v in y], [max(float(v), 0.0) for v in z]
     rows_ineq, rhs_ineq = inequality_rows(p)
-    live = [(-m, row) for m, row in zip((*d.y, *d.z), (*p.aeq, *rows_ineq)) if m != 0.0]
+    live = [(-m, row) for m, row in zip((*y, *z), (*p.aeq, *rows_ineq)) if m != 0.0]
     delta = []
     for j, c_j in enumerate(p.c):
         pairs = [(m, row[j]) for m, row in live if row[j] != 0.0]
@@ -337,7 +340,7 @@ def reference_certify(p: LpProblem, d: DualSolution
         d_total = Interval(*iv.add(d_total, iv.mul(Interval.point(dj.mag),
                                                    Interval.point(b.mag))))
     total = d_total
-    for mult, rhs in ((d.y, p.beq), (d.z, rhs_ineq)):
+    for mult, rhs in ((y, p.beq), (z, rhs_ineq)):
         for yi, b in zip(mult, rhs):
             total = Interval(*iv.add(total, iv.mul(Interval.point(yi), Interval.point(b))))
     return total.hi, d_total.hi, tuple(delta)

@@ -204,6 +204,39 @@ def test_lp_certify_overflowing_product_is_an_input_error(tmp_path, capsys):
                    "[-inf, -1.7976931348623157e+308]; infinite endpoints are bookkeeping-only\n")
 
 
+def test_dual_clamped_reports_zeroed_multipliers(tmp_path, capsys):
+    # a negative multiplier certifies as its zeroed twin, and says so
+    problem = tmp_path / "p.lp"
+    problem.write_text("vars 1\nobj 0 1\nineq 0 0 1\nineq_rhs 0 1\nbound 0 0..2\n")
+    bodies = []
+    for name, text in (("neg.dual", "\n1.0 0.0 -0.5\n"), ("zero.dual", "\n1.0 0.0 0.0\n")):
+        (tmp_path / name).write_text(text)
+        code, out, err = run(["lp-certify", "--problem", str(problem),
+                              "--dual", str(tmp_path / name)], capsys)
+        assert (code, err) == (0, "")
+        bodies.append(dict(cli.parse_report(out)[1]))
+    neg, zero = bodies
+    assert neg["bound"] == zero["bound"] == "1.0"
+    assert neg["inputs_digest"] == zero["inputs_digest"]
+    assert (neg["dual_clamped"], zero["dual_clamped"]) == ("True", "False")
+
+
+def test_solve_on_a_problem_with_no_variables_falls_back_to_the_dual(tmp_path, capsys):
+    # the solver cannot take an empty objective; NoProgress hands over to --dual
+    problem = tmp_path / "empty.lp"
+    problem.write_text("lp-problem v1\nvars 0\n")
+    dual = tmp_path / "empty.dual"
+    dual.write_text("")
+    code, out, err = run(["lp-certify", "--problem", str(problem), "--solve",
+                          "--dual", str(dual)], capsys)
+    assert (code, err) == (0, "")
+    assert dict(cli.parse_report(out)[1])["bound"] == "0.0"
+    code, out, err = run(["lp-certify", "--problem", str(problem), "--solve"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("error: NoProgress: approximate LP solve failed: "
+                   "the problem has no variables\n")
+
+
 def test_lp_certify_solve_flag(tmp_path, capsys):
     problem = tmp_path / "p.lp"
     problem.write_text("vars 2\nobj 0 1\nobj 1 1\nineq 0 0 1\nineq 0 1 1\n"
@@ -515,6 +548,21 @@ def test_missing_or_misplaced_options_are_usage_errors(capsys, argv):
     code, out, err = run(argv, capsys)
     assert code == 2 and not out
     assert err.startswith("usage: rigorkit ")
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["assemble", "fit", "--problem", str(PROBLEMS / "toy_duality.asm"),
+      "--bound", "-1e-3", "--guess", "1.0"], 1, ("candidate", "none")),
+    (["assemble", "fit", "--problem", str(PROBLEMS / "toy_duality.asm"),
+      "--bound", "1.0", "--guess", "-0e0"], 0, ("candidate", "found")),
+    (["geom", "segment", "--r1", "1", "--r2", "2", "--r3", "-0.5..3"], 1,
+     ("reason", "r3 must be positive")),
+], ids=["bound-exponent", "guess-exponent", "interval-literal"])
+def test_negative_numerals_are_values_not_options(capsys, argv, code, line):
+    # '-' or '-.' then a digit is a value, exponent and '..' included
+    got, out, err = run(argv, capsys)
+    assert (got, err) == (code, "")
+    assert line in cli.parse_report(out)[1]
 
 
 def long_flat_phi_problem(tmp_path) -> tuple[Path, str]:

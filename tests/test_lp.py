@@ -42,34 +42,47 @@ def random_problem(rng, n_max=20, m_max=20, with_eq=False):
                            aeq=aeq, beq=beq)
 
 
-def test_clamp_dual_examples():
-    d = lp.clamp_dual([], [0.5, -1e-9])
-    assert d.z == (0.5, 0.0) and d.clamped
-    d2 = lp.clamp_dual([3.0, -4.0], [0.0, 0.0])
-    assert d2.y == (3.0, -4.0) and not d2.clamped
+def _certified(cert):
+    return cert.bound, cert.delta_bound, cert.residual, cert.inputs_digest
+
+
+def test_certify_zeroes_negative_z_as_its_zeroed_twin():
+    # a negative z entry certifies exactly as its zeroed twin does, clamped
+    p = toy_max_x()
+    for z, twin in (([0.5, -1e-9, 0.0], [0.5, 0.0, 0.0]),
+                    ([-0.5, 0.0, 0.0], [0.0, 0.0, 0.0]),
+                    ((1.0, -2.0, -1e-300), (1.0, 0.0, 0.0))):
+        got, want = lp.certify_upper_bound(p, [], z), lp.certify_upper_bound(p, [], twin)
+        assert got.clamped and not want.clamped
+        assert _certified(got) == _certified(want)
+    # -0.0 is not negative: it passes unchanged, and the digest tells it from +0.0
+    signed = lp.certify_upper_bound(p, [], [1.0, -0.0, 0.0])
+    assert not signed.clamped
+    assert signed.inputs_digest != lp.certify_upper_bound(p, [], [1.0, 0.0, 0.0]).inputs_digest
+    # y stays free
+    q = lp.make_problem([1.0, -0.5], [I(0, 2), I(-1, 1)], aeq=[[0.5, 0.5]], beq=[0.25])
+    assert not lp.certify_upper_bound(q, [-4.0], [0.0] * 4).clamped
 
 
 def test_certify_examples():
     p = toy_max_x()
-    cert = lp.certify_upper_bound(p, lp.clamp_dual([], [1.0, 0.0, 0.0]))
+    cert = lp.certify_upper_bound(p, [], [1.0, 0.0, 0.0])
     assert abs(cert.bound - 1.0) <= 4e-16
 
-    cert2 = lp.certify_upper_bound(p, lp.clamp_dual([], [0.999, 0.0, 0.0]))
+    cert2 = lp.certify_upper_bound(p, [], [0.999, 0.0, 0.0])
     assert 1.0 <= cert2.bound <= 1.0011
     assert cert2.delta_bound <= 0.002 + 1e-12
 
     p2 = lp.make_problem([1.0, 1.0], [I(0, 2), I(0, 2)],
                          aineq=[[1.0, 0.0], [0.0, 1.0]], bineq=[1.0, 1.0])
-    cert3 = lp.certify_upper_bound(p2, lp.clamp_dual([], [1.0, 1.0, 0, 0, 0, 0]))
+    cert3 = lp.certify_upper_bound(p2, [], [1.0, 1.0, 0, 0, 0, 0])
     assert abs(cert3.bound - 2.0) <= 8e-16
 
 
-def test_certify_rejects_bad_dims_and_negative_z():
+def test_certify_rejects_bad_dims():
     p = toy_max_x()
     with pytest.raises(ValueError):
-        lp.certify_upper_bound(p, lp.DualSolution((), (1.0,), False))
-    with pytest.raises(ValueError):
-        lp.certify_upper_bound(p, lp.DualSolution((), (-0.5, 0.0, 0.0), False))
+        lp.certify_upper_bound(p, (), (1.0,))
 
 
 def test_augment_examples():
@@ -119,7 +132,7 @@ def test_solver_bound_multipliers_keep_the_z_layout():
         "vars 2\nobj 0 1\nobj 1 -0.5\nbound 0 0..1\nbound 1 -1..2\n")
     _, (y, z), obj = lp.solve_approx(rowless)
     assert y == () and z == (1.0, 0.0, 0.0, 0.5) and _positive(z) and obj == 1.5
-    assert lp.certify_upper_bound(rowless, lp.clamp_dual(y, z)).bound == 1.5
+    assert lp.certify_upper_bound(rowless, y, z).bound == 1.5
 
 
 def test_solver_duals_certify_optima_pinned_on_bounds():
@@ -132,11 +145,10 @@ def test_solver_duals_certify_optima_pinned_on_bounds():
     gaps, pinned = [], 0
     for p in problems:
         _, (y, z), _ = lp.solve_approx(p)
-        d = lp.clamp_dual(y, z)
-        assert len(z) == p.m_ineq and _positive(d.z)
-        pinned += any(v > 0.0 for v in d.z[len(p.bineq):])
+        assert len(z) == p.m_ineq and _positive(z)
+        pinned += any(v > 0.0 for v in z[len(p.bineq):])
         opt, _ = exact_lp_optimum(p)
-        cert = lp.certify_upper_bound(p, d)
+        cert = lp.certify_upper_bound(p, y, z)
         assert Fraction(cert.bound) >= opt
         gaps.append(float(Fraction(cert.bound) - opt))
     assert pinned >= len(problems) - 2
@@ -150,13 +162,13 @@ def test_certificate_soundness_and_fuzz_small_batch():
         p = random_problem(rng, n_max=10, m_max=10, with_eq=(trial % 3 == 0))
         opt, _ = exact_lp_optimum(p)
         x, (y, z), _ = lp.solve_approx(p)
-        cert = lp.certify_upper_bound(p, lp.clamp_dual(y, z))
+        cert = lp.certify_upper_bound(p, y, z)
         assert Fraction(cert.bound) >= opt
         gaps.append(float(Fraction(cert.bound) - opt))
         # adversarial fuzz up to 1e-1
         fy = [v + rng.uniform(-0.1, 0.1) for v in y]
         fz = [v + rng.uniform(-0.1, 0.1) for v in z]
-        fuzzed = lp.certify_upper_bound(p, lp.clamp_dual(fy, fz))
+        fuzzed = lp.certify_upper_bound(p, fy, fz)
         assert Fraction(fuzzed.bound) >= opt
     gaps.sort()
     median = gaps[len(gaps) // 2]
@@ -206,8 +218,7 @@ def test_augmented_problem_file_round_trip():
         back = lp.problem_from_text(lp.problem_to_text(pa))
         assert back == pa
         _, (y, z), _ = lp.solve_approx(pa)
-        d = lp.clamp_dual(y, z)
-        got, want = lp.certify_upper_bound(back, d), lp.certify_upper_bound(pa, d)
+        got, want = lp.certify_upper_bound(back, y, z), lp.certify_upper_bound(pa, y, z)
         assert (got.bound, got.delta_bound, got.residual) == (
             want.bound, want.delta_bound, want.residual)
 
@@ -218,10 +229,9 @@ def test_augmented_problem_read_back_keeps_its_digest():
     pa = lp.augment_with_t(toy_max_x(), 0.5)
     back = lp.problem_from_text(lp.problem_to_text(pa))
     _, (y, z), _ = lp.solve_approx(pa)
-    d = lp.clamp_dual(y, z)
     assert back == pa
-    assert (lp.certify_upper_bound(back, d).inputs_digest
-            == lp.certify_upper_bound(pa, d).inputs_digest)
+    assert (lp.certify_upper_bound(back, y, z).inputs_digest
+            == lp.certify_upper_bound(pa, y, z).inputs_digest)
     assert all(math.copysign(1.0, v) == 1.0 for v in pa.bineq)
 
 
@@ -264,8 +274,8 @@ def test_dual_file_error_names_its_line_and_first_bad_token():
 def test_digest_covers_every_input_of_the_bound():
     p = lp.make_problem([1.0, -0.5], [I(0, 2), I(-1, 1)],
                         aineq=[[1.0, 2.0]], bineq=[1.5], aeq=[[0.5, 0.5]], beq=[0.25])
-    d = lp.clamp_dual([0.25], [0.5, 0.125, 0.0, 0.0, 0.0])
-    digest = lp.certify_upper_bound(p, d).inputs_digest
+    y, z = (0.25,), (0.5, 0.125, 0.0, 0.0, 0.0)
+    digest = lp.certify_upper_bound(p, y, z).inputs_digest
     # dimensions, then c, Aeq, beq, core Aineq and bineq, bounds, y, z
     values = [1.0, -0.5, 0.5, 0.5, 0.25, 1.0, 2.0, 1.5, 0.0, 2.0, -1.0, 1.0,
               0.25, 0.5, 0.125, 0.0, 0.0, 0.0]
@@ -277,25 +287,24 @@ def test_digest_covers_every_input_of_the_bound():
     up = lambda v: math.nextafter(v, math.inf)
     bumped = lambda vec, i: vec[:i] + (up(vec[i]),) + vec[i + 1:]
     variants = [
-        (replace(p, c=bumped(p.c, 1)), d),
-        (replace(p, aeq=(bumped(p.aeq[0], 0),)), d),
-        (replace(p, beq=bumped(p.beq, 0)), d),
-        (replace(p, aineq=(bumped(p.aineq[0], 1),) + p.aineq[1:]), d),
-        (replace(p, bineq=bumped(p.bineq, 0)), d),
-        (replace(p, var_bounds=(I(0, 2), I(-1, up(1.0)))), d),
-        (replace(p, var_bounds=(I(up(0.0), 2), I(-1, 1))), d),
-        (p, replace(d, y=bumped(d.y, 0))),
-        (p, replace(d, z=bumped(d.z, 1))),
+        (replace(p, c=bumped(p.c, 1)), y, z),
+        (replace(p, aeq=(bumped(p.aeq[0], 0),)), y, z),
+        (replace(p, beq=bumped(p.beq, 0)), y, z),
+        (replace(p, aineq=(bumped(p.aineq[0], 1),) + p.aineq[1:]), y, z),
+        (replace(p, bineq=bumped(p.bineq, 0)), y, z),
+        (replace(p, var_bounds=(I(0, 2), I(-1, up(1.0)))), y, z),
+        (replace(p, var_bounds=(I(up(0.0), 2), I(-1, 1))), y, z),
+        (p, bumped(y, 0), z),
+        (p, y, bumped(z, 1)),
     ]
-    digests = {lp.certify_upper_bound(q, e).inputs_digest for q, e in variants}
+    digests = {lp.certify_upper_bound(*v).inputs_digest for v in variants}
     assert len(digests) == len(variants) and digest not in digests
 
 
 def test_digest_is_stable():
     p = toy_max_x()
-    d = lp.clamp_dual([], [1.0, 0.0, 0.0])
-    c1 = lp.certify_upper_bound(p, d)
-    c2 = lp.certify_upper_bound(p, d)
+    c1 = lp.certify_upper_bound(p, [], [1.0, 0.0, 0.0])
+    c2 = lp.certify_upper_bound(p, [], [1.0, 0.0, 0.0])
     assert c1.inputs_digest == c2.inputs_digest
 
 
@@ -340,16 +349,16 @@ def test_certify_is_bit_identical_to_the_interval_reference():
                             aeq=[[draw() for _ in range(n)] for _ in range(m_eq)],
                             beq=[draw() for _ in range(m_eq)])
         if regime == "big":  # multipliers near 1, so most products stay finite
-            d = lp.clamp_dual([rng.uniform(-1, 1) for _ in range(m_eq)],
-                              [rng.choice((0.0, rng.random())) for _ in range(p.m_ineq)])
+            y = [rng.uniform(-1, 1) for _ in range(m_eq)]
+            z = [rng.choice((0.0, rng.random())) for _ in range(p.m_ineq)]
         else:
-            d = lp.clamp_dual([draw() for _ in range(m_eq)], [draw() for _ in range(p.m_ineq)])
+            y, z = [draw() for _ in range(m_eq)], [draw() for _ in range(p.m_ineq)]
 
         def library():
-            cert = lp.certify_upper_bound(p, d)
+            cert = lp.certify_upper_bound(p, y, z)
             return cert.bound, cert.delta_bound, cert.residual
 
-        got, want = _outcome(library), _outcome(lambda: reference_certify(p, d))
+        got, want = _outcome(library), _outcome(lambda: reference_certify(p, y, z))
         assert got == want, (trial, regime)
         raised += want[0] == "NonFiniteOperand"
         finished += want[0] != "NonFiniteOperand"

@@ -126,6 +126,15 @@ def test_budget_exhaustion_yields_frontier():
                        ProverConfig(max_cells=3))
     assert r.status is ProofStatus.UNDECIDED
     assert r.cells_processed == 3
+    # the cells the budget leaves bring their parents' bounds into the report
+    assert (r.best_upper_bound_seen, r.max_depth_reached) == (3.0, 2)
+
+
+def test_arity_zero_task_is_undecided_or_proven():
+    # a constant has no component to split: its one cell is decided as it is
+    r = prove_negative(ProofTask(ex.parse("1", 0), Box(())))
+    assert r.status is ProofStatus.UNDECIDED and r.undecided_cells == ((),)
+    assert prove_negative(ProofTask(ex.parse("-1", 0), Box(()))).proven
 
 
 def test_undecided_cells_in_ascending_box_order():
@@ -137,6 +146,19 @@ def test_undecided_cells_in_ascending_box_order():
     assert r.undecided_cells == ((I(0, 0.5), I(0.75, 1)),
                                  (I(0.5, 0.75), I(0, 1)),
                                  (I(0.75, 1), I(0, 1)))
+    assert (r.best_upper_bound_seen, r.max_depth_reached, r.cells_certified_by_germ) == (
+        0.5, 3, 2)
+
+
+def test_subdividing_task_report_is_pinned():
+    # sqrt, TwoSum and TwoProduct are exactly specified, so no libm enters
+    # these figures
+    e = ex.parse("sqrt(1 + 16*x0*(1 - x0)*x1*(1 - x1)) - 1.42", 2)
+    r = prove_negative(ProofTask(e, Box((I(0, 1), I(0, 1)))))
+    assert r.status is ProofStatus.PROVEN
+    assert (r.cells_processed, r.max_depth_reached, r.cells_certified_by_germ,
+            r.cells_certified_by_taylor) == (103, 9, 4, 48)
+    assert r.best_upper_bound_seen == -0.0017805297772209995
 
 
 def test_coverage_volume_accounting():
