@@ -131,8 +131,7 @@ def main():
         x_star += [a_star, 2.0, 2.0, alpha_star]
     m_bound = -3.7
 
-    tps = asm.default_test_points(problem, seed=20260808, n_random=24)
-    cert = asm.fit_dual(problem, x_star, m_bound, tps, test_seed=20260808)
+    cert = asm.fit_dual(problem, x_star, m_bound, seed=20260808, n_random=24)
     if cert is None:
         print("fit produced no candidate")
         return 1

@@ -36,7 +36,7 @@ import contextlib
 import random
 from dataclasses import dataclass, replace
 from itertools import compress
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import interval as iv
 from . import lp as lpmod
@@ -56,7 +56,6 @@ __all__ = [
     "fit_dual",
     "verify_duality",
     "branch",
-    "default_test_points",
     "binding_rows",
     "mx_check_interval",
     "problem_to_text",
@@ -113,10 +112,6 @@ class AssemblyProblem:
     @property
     def n(self) -> int:
         return sum(dom.n for dom in self.domains)
-
-    @property
-    def n_domains(self) -> int:
-        return len(self.domains)
 
     def globals_of_domain(self, d_idx: int) -> range:
         """Global indices of a domain's variables, ordered by slot."""
@@ -175,7 +170,7 @@ def _side(p: AssemblyProblem, m_bound: float, t0: float, obj: Pair,
           retained: Pair) -> Pair:
     """Enclosure of M + d t0 - obj - retained."""
     total = iv.add(Interval.point(m_bound),
-                   iv.mul(Interval.point(float(p.n_domains)), Interval.point(t0)))
+                   iv.mul(Interval.point(float(len(p.domains))), Interval.point(t0)))
     return iv.sub(iv.sub(total, obj), retained)
 
 
@@ -195,44 +190,33 @@ def _compute_t0(p: AssemblyProblem, m_bound: float, x_star: Sequence[float],
     to the textbook substitution t0 = (-M + c.x*)/d."""
     obj, retained = _side_terms(p, x_star, w, retained_rows)
     num = iv.add(iv.sub(obj, Interval.point(m_bound)), retained)
-    _, t0 = iv.div(num, Interval.point(float(p.n_domains)))
+    _, t0 = iv.div(num, Interval.point(float(len(p.domains))))
     for _ in range(128):
         lo, _ = _side(p, m_bound, t0, obj, retained)
         if lo >= 0.0:
             return t0
-        t0 = iv.next_up(t0) if t0 != 0.0 else 5e-324
+        t0 = iv.next_up(t0)
     raise ArithmeticError("could not stabilize t0; data badly scaled")
 
 
-def default_test_points(p: AssemblyProblem, seed: int = 0,
-                        n_random: int = 16) -> list[list[tuple[float, ...]]]:
-    """Corners of each domain box, plus the center, plus seeded uniform
-    random points.  The seed is recorded in fitted certificates."""
-    if n_random < 0:
-        raise ValueError("n_random must be >= 0")
-    out = []
-    for dom in p.domains:
-        rng = random.Random(f"{seed}:{dom.id}")
-        pts = []
-        n = dom.n
-        if n <= 12:
-            for mask in range(1 << n):
-                pts.append(tuple(
-                    dom.box[i].hi if (mask >> i) & 1 else dom.box[i].lo
-                    for i in range(n)))
-        pts.append(tuple(dom.box[i].mid for i in range(n)))
-        for _ in range(n_random):
-            pts.append(tuple(rng.uniform(dom.box[i].lo, dom.box[i].hi)
-                             for i in range(n)))
-        out.append(pts)
-    return out
+def _test_points(dom: LocalDomain, seed: int, n_random: int) -> Iterator[tuple[float, ...]]:
+    """The box's corners (up to 12 variables), its center, then n_random
+    uniform points drawn from Random(f"{seed}:{dom.id}")."""
+    rng = random.Random(f"{seed}:{dom.id}")
+    if dom.n <= 12:
+        for mask in range(1 << dom.n):
+            yield tuple(d.hi if (mask >> i) & 1 else d.lo for i, d in enumerate(dom.box))
+    yield tuple(d.mid for d in dom.box)
+    for _ in range(n_random):
+        yield tuple(rng.uniform(d.lo, d.hi) for d in dom.box)
 
 
 def fit_dual(p: AssemblyProblem, x_star: Sequence[float], m_bound: float,
-             test_points: Sequence[Sequence[Sequence[float]]],
-             test_seed: Optional[int] = None) -> Optional[DualityCertificate]:
+             seed: int = 0, n_random: int = 16) -> Optional[DualityCertificate]:
     """Fit candidate multipliers on a finite test-point relaxation.
 
+    Each domain's test points are _test_points(dom, seed, n_random); the
+    certificate records seed as test_seed, which names the points fitted.
     Maximizes t subject to the per-test-point inequalities and the side
     condition, then (at the optimal t) minimizes the total multiplier mass
     so verification sees the smallest certificate.  Heuristic: the result
@@ -240,16 +224,16 @@ def fit_dual(p: AssemblyProblem, x_star: Sequence[float], m_bound: float,
 
     Returns None when the finite LP is infeasible or degenerate (callers
     should branch or enlarge the test set)."""
+    if n_random < 0:
+        raise ValueError("n_random must be >= 0")
     if len(x_star) != p.n:
         raise ValueError("x_star length mismatch")
     for g, comp in enumerate(comp for dom in p.domains for comp in dom.box):
         if not comp.contains(x_star[g]):
             raise ValueError(f"x_star[{g}] outside its domain box")
-    if len(test_points) != p.n_domains or any(len(tp) == 0 for tp in test_points):
-        return None
 
     retained = binding_rows(p, x_star)
-    d_count = p.n_domains
+    d_count = len(p.domains)
     # LP variables: [t] + [r_phi ...] + [w_k ...]; r_start[d] is domain d's
     # first r column, and r_start[-1] the first w column
     r_start = [1]
@@ -265,8 +249,7 @@ def fit_dual(p: AssemblyProblem, x_star: Sequence[float], m_bound: float,
         xs_d = [x_star[g] for g in gl]
         c_d = [p.c[g] for g in gl]
         phis_at = FloatPlan(dom.constraints)
-        for pt in test_points[d_idx]:
-            pt = tuple(float(v) for v in pt)
+        for pt in _test_points(dom, seed, n_random):
             try:
                 phis = phis_at(pt)
             except (ArithmeticError, ValueError):
@@ -315,7 +298,7 @@ def fit_dual(p: AssemblyProblem, x_star: Sequence[float], m_bound: float,
         w=w_vals,
         t0=t0,
         retained_rows=tuple(retained),
-        test_seed=test_seed,
+        test_seed=seed,
     )
 
 
@@ -356,7 +339,7 @@ def verify_duality(p: AssemblyProblem, cert: DualityCertificate,
     exact binary64 data stored in the problem and certificate."""
     if len(cert.x_star) != p.n:
         return VerifyOutcome(False, reason="x_star length mismatch")
-    if len(cert.r) != p.n_domains or any(
+    if len(cert.r) != len(p.domains) or any(
             len(rd) != len(dom.constraints)
             for rd, dom in zip(cert.r, p.domains)):
         return VerifyOutcome(False, reason="r shape mismatch")

@@ -191,8 +191,7 @@ def _cmd_fit(args, read):
     problem = asm.problem_from_text(read(args.problem))
     bound = iv.decimal_to_nearest_float(args.bound)
     guess = tuple(iv.decimal_to_nearest_float(tok) for tok in args.guess.split())
-    tps = asm.default_test_points(problem, seed=args.seed, n_random=args.test_points)
-    cert = asm.fit_dual(problem, guess, bound, tps, test_seed=args.seed)
+    cert = asm.fit_dual(problem, guess, bound, args.seed, args.test_points)
     if cert is None:
         return _mode_echo(args), [("candidate", "none")], False
     if args.certificate:
@@ -310,12 +309,13 @@ def _cmd_plan_dump(args, read):
 # ---------------------------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
-    """Reads '-' or '-.' then a digit as a value (-1e-3, -0.5..3), not an
-    option: no rigorkit option looks like one.  Subparsers take this class."""
+    """Reads '-' or '-.' then a digit, or '-inf' as a whole word, as a
+    value (-1e-3, -0.5..3, -inf..3), not an option: no rigorkit option
+    looks like one.  Subparsers take this class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf\b)")
 
 
 def _build_parser() -> argparse.ArgumentParser:

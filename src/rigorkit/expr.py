@@ -254,10 +254,12 @@ def make_pow(a: Expr, k: int) -> Expr:
 
 
 def const_from_float(v: float) -> Const:
-    """Exact decimal text of a binary64 value (repr round-trips)."""
+    """A binary64 value as the decimal text that equals it exactly (repr
+    where repr is exact, else the full expansion), so an interval plan
+    reads it as a point."""
     if not math.isfinite(v):
         raise ValueError(f"cannot embed non-finite constant {v!r}")
-    return Const(repr(v))
+    return Const(iv.format_interval_literal(Interval(v, v)))
 
 
 def _children(e: Expr) -> tuple[Expr, ...]:
@@ -659,14 +661,12 @@ class Evaluator(_Plan):
     valid Intervals.
     """
 
-    def __init__(self, expr: Expr, arity: Optional[int] = None):
-        if arity is not None and arity < 0:
+    def __init__(self, expr: Expr, arity: int):
+        if arity < 0:
             raise ValueError(f"arity must be >= 0, got {arity}")
         super().__init__(_interval_ops(), _decimal_pair)
         root = self._lower(expr)
         used = 1 + max((i for _, i in self._loads), default=-1)
-        if arity is None:
-            arity = used
         if used > arity:
             raise CompileError(f"expression uses x{used - 1} but arity is {arity}")
         self.arity = arity

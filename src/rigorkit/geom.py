@@ -28,6 +28,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from functools import cache
+from itertools import permutations
 from typing import Callable, Optional, Sequence
 
 from . import interval as iv
@@ -81,13 +82,9 @@ def _v_cross(a: Vec3, b: Vec3) -> Vec3:
     )
 
 
-def _dist2(a: Vec3, b: Vec3) -> Pair:
-    d = _v_sub(a, b)
-    return _v_dot(d, d)
-
-
 def _dist(a: Vec3, b: Vec3) -> Pair:
-    return iv.sqrt_interval(_dist2(a, b))
+    d = _v_sub(a, b)
+    return iv.sqrt_interval(_v_dot(d, d))
 
 
 def _sqrt_nonneg(x: Pair, what: str) -> Pair:
@@ -167,10 +164,10 @@ def _place_third(d01: Pair, d02: Pair, d12: Pair) -> tuple[Vec3, Vec3, Vec3]:
     return p0, p1, p2
 
 
-def _place_apex(p0: Vec3, p1: Vec3, p2: Vec3, d01: Pair,
-                r0: Pair, r1: Pair, r2: Pair) -> Vec3:
-    """Point at distances r0, r1, r2 from p0, p1, p2, on the z >= 0 side.
-    Assumes the base triangle is in the gauge position."""
+def _place_apex(p2: Vec3, d01: Pair, r0: Pair, r1: Pair, r2: Pair) -> Vec3:
+    """Point at distances r0, r1, r2 from the base triangle's vertices
+    p0, p1, p2, on the z >= 0 side.  The base is in the gauge position, so
+    p0 is the origin and p1 is (d01, 0, 0): only p2 and d01 are read."""
     x2, y2 = p2[0], p2[1]
     x = iv.div(iv.sub(iv.add(_sq(d01), _sq(r0)), _sq(r1)),
                iv.mul(_TWO, d01))
@@ -189,7 +186,7 @@ def rigid_realization(d: Sequence[Interval]) -> tuple[Vec3, Vec3, Vec3, Vec3]:
     (unrealizable)."""
     d01, d02, d03, d12, d13, d23 = d
     p0, p1, p2 = _place_third(d01, d02, d12)
-    return p0, p1, p2, _place_apex(p0, p1, p2, d01, d03, d13, d23)
+    return p0, p1, p2, _place_apex(p2, d01, d03, d13, d23)
 
 
 def cayley_menger_det(d: Sequence[Interval]) -> Interval:
@@ -271,8 +268,8 @@ def check_simplex_interior_point(edge_bounds: Sequence[Interval],
         if cm.lo < 0.0:
             return CheckResult(Verdict.INCONCLUSIVE,
                                reason="realizability undecided (Cayley-Menger straddles zero)")
-        p0, p1, p2, p3 = rigid_realization(edge_bounds)
-        q = _place_apex(p0, p1, p2, edge_bounds[0], r, r, r)
+        _, _, p2, p3 = rigid_realization(edge_bounds)
+        q = _place_apex(p2, edge_bounds[0], r, r, r)
         fourth = Interval(*_dist(q, p3))
     except PivotInfeasible as exc:
         return CheckResult(Verdict.INCONCLUSIVE,
@@ -402,18 +399,14 @@ def _bind_linked_line(spec: DistanceSpec) -> CheckResult | Callable[[Interval, i
                 return CheckResult(
                     Verdict.NO_SUCH_CONFIGURATION,
                     reason=f"dmin({i},{j}) exceeds dmax({i},{j})")
-    for i in range(5):
-        for j in range(5):
-            for k in range(5):
-                if len({i, j, k}) < 3:
-                    continue
-                need = spec.lower(i, k)
-                via = _cap_sum(spec.upper(i, j), spec.upper(j, k))
-                if via is not None and need.lo > via:
-                    return CheckResult(
-                        Verdict.NO_SUCH_CONFIGURATION,
-                        reason=f"triangle inequality: dmin({i},{k}) > "
-                               f"dmax({i},{j}) + dmax({j},{k})")
+    for i, j, k in permutations(range(5), 3):
+        cap_ij, cap_jk = spec.upper(i, j), spec.upper(j, k)
+        if (cap_ij.is_finite and cap_jk.is_finite
+                and spec.lower(i, k).lo > iv.add(cap_ij, cap_jk)[1]):
+            return CheckResult(
+                Verdict.NO_SUCH_CONFIGURATION,
+                reason=f"triangle inequality: dmin({i},{k}) > "
+                       f"dmax({i},{j}) + dmax({j},{k})")
 
     # Stage 2 binds the cables at their caps, which must be finite, and the
     # strut at its floor, which must be positive.
@@ -469,8 +462,7 @@ def _bind_linked_line(spec: DistanceSpec) -> CheckResult | Callable[[Interval, i
     pairs_to_check = [(2, p2), (3, p3)]
 
     def cell_refuted(c_iv: Interval, s_sign: int) -> bool:
-        s_lo, s_hi = iv.sub(_ONE, _sq(c_iv))
-        s_iv = iv.sqrt_interval((max(s_lo, 0.0), max(s_hi, 0.0)))
+        s_iv = iv.sqrt_interval(iv.sub(_ONE, _sq(c_iv)))
         if s_sign < 0:
             s_iv = iv.neg(s_iv)
         q = _v_add(base, _v_add(_v_scale(iv.mul(h, c_iv), w_unit),
@@ -487,14 +479,6 @@ def _bind_linked_line(spec: DistanceSpec) -> CheckResult | Callable[[Interval, i
         return status is LinkStatus.NOT_LINKED
 
     return cell_refuted
-
-
-def _cap_sum(a: Interval, b: Interval) -> Optional[float]:
-    """Upper end of a cap sum, or None when either cap is infinite."""
-    if not (a.is_finite and b.is_finite):
-        return None
-    _, hi = iv.add(a, b)
-    return hi
 
 
 # ---------------------------------------------------------------------------

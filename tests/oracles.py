@@ -3,10 +3,10 @@
 Everything here is deliberately separate from the library's own code
 paths: LP optima proved exact in rationals (from the float solver's basis,
 else by an exact rational simplex), dense numpy grid search
-for function maxima and assembly feasibility, a rotation-system brute
-force for small sphere graphs, the refinement step enumerator, the
-Cayley-Menger recursion, the record reader and the `.lp` reader built on
-it, the Taylor bound as first written, an interval walk of an expression
+for function maxima and assembly feasibility, the assembly fit's test
+points as first drawn, a rotation-system brute force for small sphere
+graphs, the refinement step enumerator, the Cayley-Menger recursion, the
+record reader and the `.lp` reader built on it, the Taylor bound as first written, an interval walk of an expression
 and its partials with the public interval operations, mpmath for
 high-precision scalar references, directed-rounding kernels that decide
 every rounding by exact integer ratios, and a decimal reader that rounds
@@ -17,6 +17,7 @@ it.  None of it is shipped.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -527,6 +528,31 @@ def reference_lp_from_records(text: str) -> LpProblem:
 # ---------------------------------------------------------------------------
 # Dense numeric evaluation of Expr over numpy grids
 # ---------------------------------------------------------------------------
+
+def reference_test_points(p, seed: int = 0,
+                          n_random: int = 16) -> list[list[tuple[float, ...]]]:
+    """Corners of each domain box, plus the center, plus seeded uniform
+    random points: the fit's test points as the library first drew them,
+    for the whole problem at once."""
+    if n_random < 0:
+        raise ValueError("n_random must be >= 0")
+    out = []
+    for dom in p.domains:
+        rng = random.Random(f"{seed}:{dom.id}")
+        pts = []
+        n = dom.n
+        if n <= 12:
+            for mask in range(1 << n):
+                pts.append(tuple(
+                    dom.box[i].hi if (mask >> i) & 1 else dom.box[i].lo
+                    for i in range(n)))
+        pts.append(tuple(dom.box[i].mid for i in range(n)))
+        for _ in range(n_random):
+            pts.append(tuple(rng.uniform(dom.box[i].lo, dom.box[i].hi)
+                             for i in range(n)))
+        out.append(pts)
+    return out
+
 
 def evaluate_on_arrays(e: ex.Expr, values: Sequence[np.ndarray]) -> np.ndarray:
     """Vectorized float64 evaluation; no rigor claim, oracle use only."""

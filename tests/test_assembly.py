@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import assembly_grid_max, reference_add_products
+from oracles import assembly_grid_max, reference_add_products, reference_test_points
 from rigorkit import assembly as asm
 from rigorkit import cli
 from rigorkit import interval as iv
@@ -33,8 +33,7 @@ def two_domain_problem():
 
 def test_toy_certifies_m1_and_refutes_m09():
     p = toy_problem()
-    tps = asm.default_test_points(p, seed=3)
-    cert = asm.fit_dual(p, [1.0], 1.0, tps, test_seed=3)
+    cert = asm.fit_dual(p, [1.0], 1.0, seed=3)
     assert cert is not None
     out = asm.verify_duality(p, cert)
     assert out.certified
@@ -44,7 +43,7 @@ def test_toy_certifies_m1_and_refutes_m09():
     assert asm.verify_duality(p, hand).certified
 
     # M = 0.9 < sup: either no candidate or a refuted one
-    cert9 = asm.fit_dual(p, [1.0], 0.9, tps, test_seed=3)
+    cert9 = asm.fit_dual(p, [1.0], 0.9, seed=3)
     if cert9 is not None:
         assert not asm.verify_duality(p, cert9, ProverConfig(max_cells=500)).certified
     forced = asm.DualityCertificate(0.9, (1.0,), ((0.0,),), (1.0,), 0.1, (0,))
@@ -87,8 +86,7 @@ def test_two_domain_linking():
     # branching, not single-shot verification.
     x_star = [0.6, 0.6]
     m_bound = 1.25
-    tps = asm.default_test_points(p, seed=5)
-    cert = asm.fit_dual(p, x_star, m_bound, tps, test_seed=5)
+    cert = asm.fit_dual(p, x_star, m_bound, seed=5)
     assert cert is not None
     out = asm.verify_duality(p, cert)
     assert out.certified, out.reason
@@ -130,14 +128,31 @@ def test_branch_examples():
     # certifying both children certifies the parent (sup of a union)
     l_res, h_res = asm.branch(p, "d0", 0)
     for child in (l_res, h_res):
-        tps = asm.default_test_points(child, seed=9)
-        cert = asm.fit_dual(child, [child.domains[0].box[0].hi], 1.0, tps)
+        cert = asm.fit_dual(child, [child.domains[0].box[0].hi], 1.0, seed=9)
         assert cert is not None and asm.verify_duality(child, cert).certified
 
 
-def test_fit_empty_test_points():
+def test_test_points_are_the_reference_draws():
+    # each domain draws its corners, centre and random points from
+    # Random(f"{seed}:{id}") in the reference's order; a 13-variable domain
+    # gets no corners
+    wide = asm.LocalDomain("wide", tuple(f"v{i}" for i in range(13)),
+                           Box((I(-1, 2),) * 13), ())
+    p = asm.AssemblyProblem(two_domain_problem().domains + (wide,), (), (), (0.0,) * 15)
+    for seed, n_random in ((0, 16), (7, 0), (20260808, 5)):
+        want = reference_test_points(p, seed=seed, n_random=n_random)
+        assert [list(asm._test_points(d, seed, n_random)) for d in p.domains] == want
+        assert [len(pts) for pts in want] == [3 + n_random, 3 + n_random, 1 + n_random]
+
+
+def test_fit_records_the_seed_it_drew_from():
     p = toy_problem()
-    assert asm.fit_dual(p, [1.0], 1.0, [[]]) is None
+    for seed in (0, 3, 20260808):
+        cert = asm.fit_dual(p, [1.0], 1.0, seed=seed)
+        assert cert.test_seed == seed
+        assert f"seed {seed}" in asm.certificate_to_text(p, cert).splitlines()
+    with pytest.raises(ValueError, match="n_random must be >= 0"):
+        asm.fit_dual(p, [2.0], 1.0, n_random=-1)
 
 
 def test_assembly_without_linking_rows():
@@ -145,8 +160,7 @@ def test_assembly_without_linking_rows():
     dom = asm.LocalDomain("solo", ("x",), Box((I(0, 2),)),
                           (parse("1 - x0*x0", 1),))  # feasible set [0, 1]
     p = asm.AssemblyProblem((dom,), (), (), (1.0,))
-    tps = asm.default_test_points(p, seed=4)
-    cert = asm.fit_dual(p, [1.0], 1.25, tps, test_seed=4)
+    cert = asm.fit_dual(p, [1.0], 1.25, seed=4)
     assert cert is not None and cert.retained_rows == ()
     assert asm.verify_duality(p, cert).certified
     brute = assembly_grid_max(p, points_per_domain=20000, seed=2)
@@ -177,8 +191,7 @@ def test_fit_linear_domain_recovers_dual_structure():
     # certificate with w = 1 on the binding row (the LP dual) verifies
     dom = asm.LocalDomain("lin", ("x",), Box((I(0, 1),)), ())
     p = asm.AssemblyProblem((dom,), ((1.0,),), (1.0,), (1.0,))
-    tps = asm.default_test_points(p, seed=2)
-    cand = asm.fit_dual(p, [1.0], 1.0, tps, test_seed=2)
+    cand = asm.fit_dual(p, [1.0], 1.0, seed=2)
     assert cand is not None
     assert all(not rd for rd in cand.r) or all(v == 0.0 for rd in cand.r for v in rd)
     assert asm.verify_duality(p, cand).certified
@@ -206,7 +219,7 @@ def _reference_mx_check(p, cert):
         resid = I(*reference_add_products([-a for a, _ in live], [x for _, x in live],
                                           p.b[k], p.b[k]))
         retained = iv.add(retained, iv.mul(point(w_k), resid))
-    total = iv.add(point(cert.m_bound), iv.mul(point(float(p.n_domains)), point(cert.t0)))
+    total = iv.add(point(cert.m_bound), iv.mul(point(float(len(p.domains))), point(cert.t0)))
     return I(*iv.sub(iv.sub(total, obj), retained))
 
 
@@ -260,8 +273,7 @@ def test_file_round_trips():
     p = two_domain_problem()
     text = asm.problem_to_text(p)
     assert asm.problem_from_text(text) == p
-    tps = asm.default_test_points(p, seed=5)
-    cert = asm.fit_dual(p, [0.6, 0.6], 1.2, tps, test_seed=5)
+    cert = asm.fit_dual(p, [0.6, 0.6], 1.2, seed=5)
     ct = asm.certificate_to_text(p, cert)
     assert asm.certificate_from_text(p, ct) == cert
 
@@ -274,8 +286,7 @@ def test_random_ensemble_soundness_small():
         x_star, m_bound = pick_guess_and_bound(p, rng)
         if x_star is None:
             continue
-        tps = asm.default_test_points(p, seed=trial, n_random=12)
-        cert = asm.fit_dual(p, x_star, m_bound, tps, test_seed=trial)
+        cert = asm.fit_dual(p, x_star, m_bound, seed=trial, n_random=12)
         if cert is None:
             continue
         out = asm.verify_duality(p, cert, ProverConfig(max_cells=4000))

@@ -542,8 +542,9 @@ def test_dual_file_with_a_third_vector_exits_two(tmp_path, capsys):
     ["assemble", "verify", "--problem", str(PROBLEMS / "toy_duality.asm"),
      "--certificate", str(PROBLEMS / "voronoi2d.cert"), "--bound", "1"],
     ["lp-certify", "--problem", "p.lp", "--solve", "--certificate", "out.txt"],
+    ["geom", "segment", "--r1", "1", "--r2", "2", "--r3", "-infinity"],
 ], ids=["fit-without-bound", "verify-without-certificate", "simplex-without-r",
-        "verify-with-bound", "lp-certify-certificate"])
+        "verify-with-bound", "lp-certify-certificate", "minus-infinity-word"])
 def test_missing_or_misplaced_options_are_usage_errors(capsys, argv):
     code, out, err = run(argv, capsys)
     assert code == 2 and not out
@@ -557,9 +558,12 @@ def test_missing_or_misplaced_options_are_usage_errors(capsys, argv):
       "--bound", "1.0", "--guess", "-0e0"], 0, ("candidate", "found")),
     (["geom", "segment", "--r1", "1", "--r2", "2", "--r3", "-0.5..3"], 1,
      ("reason", "r3 must be positive")),
-], ids=["bound-exponent", "guess-exponent", "interval-literal"])
+    (["geom", "segment", "--r1", "1", "--r2", "2", "--r3", "-inf..3"], 1,
+     ("verdict", "inconclusive")),
+], ids=["bound-exponent", "guess-exponent", "interval-literal", "infinite-literal"])
 def test_negative_numerals_are_values_not_options(capsys, argv, code, line):
-    # '-' or '-.' then a digit is a value, exponent and '..' included
+    # '-' or '-.' then a digit is a value, exponent and '..' included, and
+    # so is the word '-inf'
     got, out, err = run(argv, capsys)
     assert (got, err) == (code, "")
     assert line in cli.parse_report(out)[1]

@@ -1,3 +1,4 @@
+import math
 import random
 import struct
 import tracemalloc
@@ -391,7 +392,7 @@ def test_gradient_and_hessian_soundness_sample():
     while checked < 60:
         arity = rng.randint(1, 4)
         e = random_expr(rng, arity, rng.randint(2, 6))
-        if ex.Evaluator(e).arity == 0:
+        if "x" not in ex.to_text(e):
             continue
         pt = [rng.uniform(-1.5, 1.5) for _ in range(arity)]
         box = [I.point(v) for v in pt]
@@ -490,3 +491,16 @@ def test_constant_deferred_to_interval_layer():
     v = ex.Evaluator(e, 1).value([I(0, 1)])
     from fractions import Fraction
     assert Fraction(v.lo) <= Fraction(1, 10) <= Fraction(v.hi)
+
+
+def test_const_from_float_embeds_its_float_exactly():
+    # the text is the float's exact decimal, so the interval plan reads the
+    # point itself, where repr's shortest text (0.1) would be widened
+    from fractions import Fraction
+    for v in (0.1, -2.5e-7, 1 / 3, 5e-324, 1.7976931348623157e308, 3.0, -0.0):
+        c = ex.const_from_float(v)
+        assert Fraction(c.text) == Fraction(v)
+        assert ex.Evaluator(c, 0).value(()) == I(v, v)
+    assert ex.const_from_float(2.5).text == "2.5"
+    with pytest.raises(ValueError, match="non-finite"):
+        ex.const_from_float(math.inf)

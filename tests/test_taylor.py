@@ -55,7 +55,7 @@ def test_partial_sign_soundness_via_finite_differences():
     while claims < 30:
         arity = rng.randint(1, 3)
         e = random_expr(rng, arity, 4, polynomial=True)
-        if ex.Evaluator(e).arity == 0:
+        if "x" not in ex.to_text(e):
             continue
         box = Box(tuple(I(rng.uniform(-2, 0), rng.uniform(0.1, 2)) for _ in range(arity)))
         ev = ex.Evaluator(e, arity)
