@@ -127,7 +127,9 @@ class DualityCertificate:
     w: tuple[float, ...]
     t0: float
     retained_rows: tuple[int, ...]
+    # the fit's test points: _test_points(dom, test_seed, test_points) per domain
     test_seed: Optional[int] = None
+    test_points: Optional[int] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,7 +218,8 @@ def fit_dual(p: AssemblyProblem, x_star: Sequence[float], m_bound: float,
     """Fit candidate multipliers on a finite test-point relaxation.
 
     Each domain's test points are _test_points(dom, seed, n_random); the
-    certificate records seed as test_seed, which names the points fitted.
+    certificate records seed as test_seed and n_random as test_points,
+    which name the points fitted.
     Maximizes t subject to the per-test-point inequalities and the side
     condition, then (at the optimal t) minimizes the total multiplier mass
     so verification sees the smallest certificate.  Heuristic: the result
@@ -299,6 +302,7 @@ def fit_dual(p: AssemblyProblem, x_star: Sequence[float], m_bound: float,
         t0=t0,
         retained_rows=tuple(retained),
         test_seed=seed,
+        test_points=n_random,
     )
 
 
@@ -492,13 +496,15 @@ def certificate_to_text(p: AssemblyProblem, cert: DualityCertificate) -> str:
         lines.append("retained " + " ".join(str(k) for k in cert.retained_rows))
     if cert.test_seed is not None:
         lines.append(f"seed {cert.test_seed}")
+    if cert.test_points is not None:
+        lines.append(f"test_points {cert.test_points}")
     return "\n".join(lines) + "\n"
 
 
 _CERTIFICATE_FIELDS = {
     "m": (rec.decimal,), "t0": (rec.decimal,), "x_star": (rec.index, rec.decimal),
     "r": (str, rec.index, rec.decimal), "w": (rec.index, rec.decimal),
-    "retained": [rec.index], "seed": (int,),
+    "retained": [rec.index], "seed": (int,), "test_points": (rec.index,),
 }
 
 
@@ -529,4 +535,5 @@ def certificate_from_text(p: AssemblyProblem, text: str) -> DualityCertificate:
         t0=last["t0"][0],
         retained_rows=retained,
         test_seed=last["seed"][0] if "seed" in last else None,
+        test_points=last["test_points"][0] if "test_points" in last else None,
     )

@@ -32,7 +32,8 @@ differ only in their table of ops and their constant reader:
   need them, so a subexpression shared by f, its gradient and its Hessian
   is evaluated once.  Each query -- interval value, value-and-gradient
   germ, the listed Hessian entries -- evaluates exactly the instructions
-  its outputs depend on, in one pass.
+  its outputs depend on, in one pass; the germ's pass is the value's,
+  resumed on the same slots for the partials.
 
 Constants are stored as decimal text; conversion to binary64 enclosures
 is deferred to the interval layer so no precision is lost before the
@@ -553,17 +554,27 @@ class _Plan:
             self._preload.append(pre)
         return slots[root]
 
-    def _execute(self, point: Sequence, order: Sequence[int],
-                 outputs: Sequence[int]) -> list:
-        """Run the instructions of the slots in order, with the variables
-        read from point; return the outputs' values."""
-        vals = self._preload.copy()
+    def _load(self, point: Sequence, n: int) -> list:
+        """A slot array for the first n slots: their preloads, with the
+        variables read from point.  Every variable's slot is below n."""
+        vals = self._preload[:n]
         for s, i in self._loads:
             vals[s] = point[i]
+        return vals
+
+    def _resume(self, vals: list, order: Sequence[int]) -> None:
+        """Run the instructions of the slots in order on the slot array."""
         code = self._code
         for s in order:
             op, a, b = code[s]
             vals[s] = op(vals[a], vals[b])
+
+    def _execute(self, point: Sequence, order: Sequence[int],
+                 outputs: Sequence[int]) -> list:
+        """Run the instructions of the slots in order, with the variables
+        read from point; return the outputs' values."""
+        vals = self._load(point, len(self.plan))
+        self._resume(vals, order)
         return [vals[s] for s in outputs]
 
 
@@ -659,6 +670,11 @@ class Evaluator(_Plan):
     pairs, and only the outputs of a query are typed as Interval.  A box is
     a sequence of (lo, hi) pairs, Intervals or plain tuples that would make
     valid Intervals.
+
+    A germ is two passes over one slot array: `value_pass` runs f's
+    instructions, and `resume_germ` runs the first partials' on what it
+    left.  A caller that can decide from f's enclosure alone stops after
+    the first, and the partials are never differentiated.
     """
 
     def __init__(self, expr: Expr, arity: int):
@@ -673,6 +689,13 @@ class Evaluator(_Plan):
         # derivative index: () is f, (i,) is df/dx_i, (i, j) is d/dx_j(df/dx_i)
         self._partials: dict[tuple[int, ...], tuple[Expr, int]] = {(): (expr, root)}
         self._schedules: dict[tuple[int, ...], list[int]] = {}
+        # f is lowered first: its instructions are every instruction slot up
+        # to its root, and every partial's lie past it.  Differentiating
+        # adds no variable, so every load is one of f's slots.
+        self._root = root
+        self._value_order = [s for s, ins in enumerate(self._code) if ins is not None]
+        # the germ's output slots and the partials pass's schedule, on first use
+        self._germ_plan: Optional[tuple[tuple[int, ...], list[int]]] = None
 
     def _slot(self, index: tuple[int, ...]) -> int:
         """Slot of the partial named by index, lowered on first use."""
@@ -686,7 +709,7 @@ class Evaluator(_Plan):
     def plan_lines(self) -> list[str]:
         """Human-readable rendering of f's evaluation plan."""
         lines = []
-        for s, node in enumerate(self.plan[:self._partials[()][1] + 1]):
+        for s, node in enumerate(self.plan[:self._root + 1]):
             match node:
                 case Const(text=t):
                     rhs = f"const {t}"
@@ -722,20 +745,45 @@ class Evaluator(_Plan):
 
     def value(self, box: Sequence[Pair]) -> Interval:
         """Containment-sound interval enclosure of the range over the box."""
-        return self._run(box, (self._slot(()),))[0]
+        return self.value_pass(box)[0]
+
+    def value_pass(self, box: Sequence[Pair]) -> tuple[Interval, list]:
+        """The germ's first pass: f's enclosure over the box, from f's
+        instructions alone, and the slot array they filled, which
+        `resume_germ` completes.  No partial is lowered or evaluated."""
+        vals = self._load([(lo, hi) for lo, hi in box], self._root + 1)
+        self._resume(vals, self._value_order)
+        return _new(Interval, vals[self._root]), vals
+
+    def _germ_schedule(self) -> tuple[tuple[int, ...], list[int]]:
+        """The germ's output slots, f's and then each first partial's, and
+        the instruction slots past f's root that they depend on."""
+        if self._germ_plan is None:
+            outputs = (self._root, *(self._slot((i,)) for i in range(self.arity)))
+            self._germ_plan = (outputs, [s for s in self._schedule(outputs) if s > self._root])
+        return self._germ_plan
+
+    def resume_germ(self, vals: list) -> TaylorGerm:
+        """The germ's second pass: every first partial, from the slot array
+        of a value pass, running only the instructions past f's root."""
+        outputs, order = self._germ_schedule()
+        # Partials lowered after the value pass: their constants and
+        # exponents are missing from its array.
+        vals.extend(self._preload[len(vals):])
+        self._resume(vals, order)
+        f, *df = [_new(Interval, vals[s]) for s in outputs]
+        return TaylorGerm(f, tuple(df))
 
     def germ(self, box: Sequence[Pair]) -> TaylorGerm:
-        """Interval value and gradient over the box: f and every first
-        partial, evaluated together."""
-        partials = [self._slot((i,)) for i in range(self.arity)]
-        f, *df = self._run(box, (self._slot(()), *partials))
-        return TaylorGerm(f, tuple(df))
+        """Interval value and gradient over the box: the value pass, then
+        the partials pass on its slot array."""
+        return self.resume_germ(self.value_pass(box)[1])
 
     def germ_constants(self) -> None:
         """Evaluate the germ's instructions that read no variable.  They
         give the same values over every box, so an error raised here is
         raised by germ over every box."""
-        outputs = (self._slot(()), *(self._slot((i,)) for i in range(self.arity)))
+        outputs, _ = self._germ_schedule()
         varying = {s for s, _ in self._loads}
         for s, ins in enumerate(self._code):
             if ins is not None and (ins[1] in varying or ins[2] in varying):

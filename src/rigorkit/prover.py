@@ -1,16 +1,18 @@
 """Adaptive-subdivision proof engine for f < 0 (or f <= 0) over a box.
 
-Each cell is evaluated once as a whole: the whole-cell germ encloses f and
-every first partial over it.  A germ that fails means f may not be smooth
-on the cell (an evaluation failure).  Otherwise the cell is *reduced*:
-every variable whose partial derivative has a certified strict sign is
-collapsed to the extremal facet (sup f over the cell equals sup f over the
-facet), which removes that dimension from further subdivision.  The
-germ's f.hi bounds f over the whole cell, so it bounds the reduced cell
-too; only when it does not certify is the reduced cell bounded by the
-Taylor form as well, and the smaller of the two bounds is used.  Cells
-whose bound does not certify are bisected along their widest
-non-degenerate component.
+Each cell is evaluated once as a whole, value first: f's enclosure over
+the cell is computed from f's instructions alone, and a cell whose f.hi
+certifies is done, with no partial differentiated or evaluated.  Only
+then does the cell get its germ, the first partials over it, resumed from
+the value's slots.  An enclosure or germ that fails means f may not be
+smooth on the cell (an evaluation failure).  Otherwise the cell is
+*reduced*: every variable whose partial derivative has a certified strict
+sign is collapsed to the extremal facet (sup f over the cell equals sup f
+over the facet), which removes that dimension from further subdivision.
+f.hi bounds f over the whole cell, so it bounds the reduced cell too; the
+reduced cell is bounded by the Taylor form as well, and the smaller of
+the two bounds is used.  Cells whose bound does not certify are bisected
+along their widest non-degenerate component.
 
 Reported cells are always *footprints*: collapsed cells re-inflated to
 their pre-reduction parents, so the leaves of a run exactly tile the
@@ -134,20 +136,22 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
         processed += 1
         max_depth_seen = max(max_depth_seen, depth)
 
+        # f's enclosure first; the gradient only for a cell it leaves open
         try:
-            germ = ev.germ(cell)
+            f, vals = ev.value_pass(cell)
+            upper = f.hi
+            germ = None if certifies(upper) else ev.resume_germ(vals)
+            eval_failed = False
         except IntervalError:
-            germ = None
+            # Without a whole-cell germ, f may have a pole the Taylor bound misses.
+            upper, germ, eval_failed = math.inf, None, True
         cell = reduce_cell(ev, cell, germ)
-        # Without a whole-cell germ, f may have a pole the Taylor bound misses.
-        eval_failed = germ is None
         if eval_failed and hopeless is None:
             try:
                 ev.germ_constants()
                 hopeless = False
             except IntervalError:
                 hopeless = True  # only ever at the root: every germ fails
-        upper = math.inf if eval_failed else germ.f.hi
         by_germ = certifies(upper)
         if not (by_germ or eval_failed):
             try:

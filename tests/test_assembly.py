@@ -149,8 +149,8 @@ def test_fit_records_the_seed_it_drew_from():
     p = toy_problem()
     for seed in (0, 3, 20260808):
         cert = asm.fit_dual(p, [1.0], 1.0, seed=seed)
-        assert cert.test_seed == seed
-        assert f"seed {seed}" in asm.certificate_to_text(p, cert).splitlines()
+        assert (cert.test_seed, cert.test_points) == (seed, 16)
+        assert {f"seed {seed}", "test_points 16"} <= set(asm.certificate_to_text(p, cert).splitlines())
     with pytest.raises(ValueError, match="n_random must be >= 0"):
         asm.fit_dual(p, [2.0], 1.0, n_random=-1)
 

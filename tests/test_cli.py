@@ -264,6 +264,30 @@ def test_assemble_fit_verify_round_trip(tmp_path, capsys):
     assert dict(body)["candidate"] == "written"
 
 
+def test_fit_certificate_records_its_test_point_count(tmp_path, capsys):
+    # the seed alone does not name the points: the count is written beside it
+    from rigorkit import assembly as asm
+
+    problem = asm.problem_from_text((PROBLEMS / "toy_duality.asm").read_text())
+    texts = {}
+    for n in (3, 40):
+        cert_path = tmp_path / f"n{n}.cert"
+        code, _, _ = run(["--seed", "7", "assemble", "fit",
+                          "--problem", str(PROBLEMS / "toy_duality.asm"),
+                          "--bound", "1.0", "--guess", "1.0", "--test-points", str(n),
+                          "--certificate", str(cert_path)], capsys)
+        assert code == 0
+        texts[n] = cert_path.read_text()
+        assert {"seed 7", f"test_points {n}"} <= set(texts[n].splitlines())
+        cert = asm.certificate_from_text(problem, texts[n])
+        assert (cert.test_seed, cert.test_points) == (7, n)
+    assert texts[3] != texts[40]
+    # a certificate written before the count was kept reads as it did
+    voronoi = asm.problem_from_text((PROBLEMS / "voronoi2d.asm").read_text())
+    old = asm.certificate_from_text(voronoi, (PROBLEMS / "voronoi2d.cert").read_text())
+    assert (old.test_seed, old.test_points) == (20260808, None)
+
+
 def test_assemble_fit_without_certificate_reports_found(tmp_path, capsys, monkeypatch):
     # with no --certificate path nothing is written, so nothing is reported written
     monkeypatch.chdir(tmp_path)

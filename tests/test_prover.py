@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import grid_max, random_expr
 from rigorkit import expr as ex
 from rigorkit import prover
+from rigorkit.errors import IntervalError
 from rigorkit.interval import Interval
 from rigorkit.prover import (ProofStatus, ProofTask, ProverConfig,
                              prove_negative, prove_nonpositive, reduce_cell)
@@ -230,6 +231,28 @@ def test_root_germ_certifies_without_a_taylor_bound(monkeypatch):
     assert r.cells_certified_by_germ == 1 and r.cells_certified_by_taylor == 0
     assert r.best_upper_bound_seen == -1.0
     assert calls == []
+
+
+def test_root_value_certifies_without_differentiating(monkeypatch):
+    # f's enclosure decides the cell, so no partial is lowered
+    calls = []
+    original = ex.differentiate
+    monkeypatch.setattr(ex, "differentiate", lambda e, i: calls.append(i) or original(e, i))
+    e6 = ex.parse("x0*x0 + x1*x1 + x2*x2 + x3*x3 + x4*x4 + x5*x5 - 7", 6)
+    assert prove_negative(ProofTask(e6, Box(tuple(I(0, 1) for _ in range(6))))).proven
+    assert calls == []
+
+
+def test_value_certifies_where_the_gradient_has_a_pole():
+    # sqrt is defined on [0, 1], so f's enclosure holds over the cell, but
+    # its derivative divides by sqrt(x0), which holds 0
+    r = prove_negative(ProofTask(ex.parse("0.001*sqrt(x0) - 1", 1), Box((I(0, 1),))))
+    assert r.status is ProofStatus.PROVEN
+    assert r.cells_processed == 1
+    assert r.cells_certified_by_germ == 1 and r.cells_certified_by_taylor == 0
+    assert r.best_upper_bound_seen == -0.999
+    with pytest.raises(IntervalError):
+        ex.Evaluator(ex.parse("0.001*sqrt(x0) - 1", 1), 1).germ([I(0, 1)])
 
 
 def test_only_the_taylor_bound_certifies():
