@@ -8,9 +8,11 @@ complete: False and candidate: none; 2 for input errors (malformed
 input, arguments out of range, and paths that cannot be read or written:
 any OSError), 3 for internal errors (any other exception, reported on
 one stderr line).  Each subcommand is one handler, `handler(args, read)
--> (config echo, body, decided)`; `dispatch` times it, writes every report
-(a header of schema, subcommand, version, input digests, config echo and
-wall time, then the body) and exits 0 if decided, else 1.  Handlers read
+-> (body, decided)`; `dispatch` times it, writes every report (a header of
+schema, subcommand, version, input digests, config echo and wall time,
+then the body) and exits 0 if decided, else 1.  The config echo is every
+parsed setting that is given and is not a path the run reads or writes,
+in declaration order, one `config: NAME VALUE` line each.  Handlers read
 files only through `read` (UTF-8, a byte-order mark dropped), which digests
 their bytes, so every file read is digested.  `wall_time_s` spans the
 handler: reading inputs, computing (`lp-certify --solve`'s solve too) and
@@ -50,17 +52,27 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-def _read(path: str, digests: list[tuple[str, str]]) -> str:
+def _read(path: Path, digests: list[tuple[str, str]]) -> str:
     """A file's text, a UTF-8 byte-order mark dropped; digests its bytes."""
-    data = Path(path).read_bytes()
-    digests.append((Path(path).name, hashlib.sha256(data).hexdigest()))
+    data = path.read_bytes()
+    digests.append((path.name, hashlib.sha256(data).hexdigest()))
     return data.decode("utf-8-sig")
 
 
-def _report(args, digests: Sequence[tuple[str, str]],
-            config: Sequence[tuple[str, str]], body: Sequence[tuple[str, str]],
+def _echo(value) -> str:
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, list):
+        return " ".join(value)
+    return str(value)
+
+
+def _report(args, digests: Sequence[tuple[str, str]], body: Sequence[tuple[str, str]],
             wall: float) -> None:
     """Write the report to --report, if given, and to stdout."""
+    config = [(key, _echo(val)) for key, val in vars(args).items()
+              if key not in ("command", "handler") and val is not None
+              and not isinstance(val, Path)]
     lines = ["rigorkit-report v1", f"subcommand: {args.command}",
              f"toolkit_version: {__version__}",
              *(f"input_digest: {name} {digest}" for name, digest in digests),
@@ -69,7 +81,7 @@ def _report(args, digests: Sequence[tuple[str, str]],
              *(f"{key}: {val}" for key, val in body)]
     text = "\n".join(lines) + "\n"
     if args.report:
-        Path(args.report).write_text(text)
+        args.report.write_text(text)
     sys.stdout.write(text)
 
 
@@ -145,8 +157,6 @@ def _cmd_prove(args, read):
     cfg = ProverConfig(max_cells=args.max_cells, max_depth=args.max_depth,
                        min_width=args.min_width)
     report = prove_negative(task, cfg)
-    config = (("max_cells", str(cfg.max_cells)), ("max_depth", str(cfg.max_depth)),
-              ("min_width", repr(cfg.min_width)), ("seed", str(args.seed)))
     body = [
         ("status", report.status.value),
         ("cells_processed", str(report.cells_processed)),
@@ -157,7 +167,7 @@ def _cmd_prove(args, read):
         *_cells_rows("undecided_cell", report.undecided_cells),
         *_cells_rows("failed_cell", report.failed_cells),
     ]
-    return config, body, report.status is ProofStatus.PROVEN
+    return body, report.status is ProofStatus.PROVEN
 
 
 def _cmd_lp_certify(args, read):
@@ -174,7 +184,7 @@ def _cmd_lp_certify(args, read):
     else:
         raise ParseError("need --dual FILE or --solve")
     cert = lpmod.certify_upper_bound(problem, y, z)
-    return (("solve", str(bool(args.solve))), ("seed", str(args.seed))), [
+    return [
         ("bound", repr(cert.bound)),
         ("delta_bound", repr(cert.delta_bound)),
         ("residual_max_norm", repr(max((d.mag for d in cert.residual), default=0.0))),
@@ -183,20 +193,16 @@ def _cmd_lp_certify(args, read):
     ], True
 
 
-def _mode_echo(args) -> tuple[tuple[str, str], ...]:
-    return (("mode", args.mode), ("seed", str(args.seed)))
-
-
 def _cmd_fit(args, read):
     problem = asm.problem_from_text(read(args.problem))
     bound = iv.decimal_to_nearest_float(args.bound)
     guess = tuple(iv.decimal_to_nearest_float(tok) for tok in args.guess.split())
     cert = asm.fit_dual(problem, guess, bound, args.seed, args.test_points)
     if cert is None:
-        return _mode_echo(args), [("candidate", "none")], False
+        return [("candidate", "none")], False
     if args.certificate:
-        Path(args.certificate).write_text(asm.certificate_to_text(problem, cert))
-    return _mode_echo(args), [
+        args.certificate.write_text(asm.certificate_to_text(problem, cert))
+    return [
         ("candidate", "written" if args.certificate else "found"),
         ("M", repr(cert.m_bound)),
         ("t0", repr(cert.t0)),
@@ -213,7 +219,7 @@ def _cmd_verify(args, read):
         body.append(("reason", outcome.reason))
         if outcome.domain_id:
             body.append(("domain", outcome.domain_id))
-    return _mode_echo(args), body, outcome.certified
+    return body, outcome.certified
 
 
 def _cmd_branch(args, read):
@@ -221,30 +227,28 @@ def _cmd_branch(args, read):
     children = asm.branch(problem, args.domain, args.slot)
     body = []
     for suffix, child in zip((".lo.asm", ".hi.asm"), children):
-        Path(args.out_prefix + suffix).write_text(asm.problem_to_text(child))
-        body.append(("child", args.out_prefix + suffix))
-    return _mode_echo(args), body, True
+        path = f"{args.out_prefix}{suffix}"
+        Path(path).write_text(asm.problem_to_text(child))
+        body.append(("child", path))
+    return body, True
 
 
 def _cmd_graphs(args, read):
     cfg = gg.GeneratorConfig(n_max=args.max_vertices, max_states=args.max_states,
                              prune=gg.compile_prune_spec(args.prune))
-    outdir = Path(args.out) if args.out else None
-    if outdir:
-        outdir.mkdir(parents=True, exist_ok=True)   # an unusable --out fails first
+    if args.out:
+        args.out.mkdir(parents=True, exist_ok=True)   # an unusable --out fails first
     result = gg.generate(cfg)
     body = [("complete", str(result.complete)),
             ("classes", str(len(result.terminals))),
             ("states_explored", str(result.states_explored))]
     for i, term in enumerate(result.terminals):
         body.append(("class", term.canonical))
-        if outdir:
-            fname = outdir / f"graph_{i:04d}.txt"
+        if args.out:
+            fname = args.out / f"graph_{i:04d}.txt"
             fname.write_text(_terminal_file(term))
             body.append(("class_file", str(fname)))
-    config = (("max_vertices", str(args.max_vertices)), ("prune", args.prune),
-              ("max_states", str(args.max_states)), ("seed", str(args.seed)))
-    return config, body, result.complete
+    return body, result.complete
 
 
 def _terminal_file(term: gg.TerminalRecord) -> str:
@@ -264,8 +268,8 @@ def _terminal_file(term: gg.TerminalRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _geom_result(args, res: geom.CheckResult):
-    """The echo, body and verdict of every geom mode."""
+def _geom_result(res: geom.CheckResult):
+    """The body and verdict of every geom mode."""
     body = [("verdict", res.verdict.value)]
     if res.reason:
         body.append(("reason", res.reason))
@@ -273,21 +277,21 @@ def _geom_result(args, res: geom.CheckResult):
         body.append(("witness", iv.format_interval_literal(res.witness)))
     if res.sweep_cells is not None:
         body.append(("sweep_cells", str(res.sweep_cells)))
-    return _mode_echo(args), body, res.refuted
+    return body, res.refuted
 
 
 def _cmd_simplex(args, read):
     *edges, r = map(iv.parse_interval_literal, (*args.edges, args.r))
-    return _geom_result(args, geom.check_simplex_interior_point(edges, r))
+    return _geom_result(geom.check_simplex_interior_point(edges, r))
 
 
 def _cmd_segment(args, read):
-    return _geom_result(args, geom.check_segment_through_triangle(
+    return _geom_result(geom.check_segment_through_triangle(
         *(iv.parse_interval_literal(r) for r in (args.r1, args.r2, args.r3))))
 
 
 def _cmd_linked(args, read):
-    return _geom_result(args, geom.check_linked_line(
+    return _geom_result(geom.check_linked_line(
         geom.parse_distance_spec(read(args.spec))))
 
 
@@ -299,9 +303,7 @@ def _cmd_plan_dump(args, read):
         e, arity = ex.parse(args.expr, args.arity), args.arity
     else:
         raise ParseError("plan-dump needs --task FILE or --expr/--arity")
-    evaluator = ex.Evaluator(e, arity)
-    return (("arity", str(arity)),), [
-        ("instruction", line) for line in evaluator.plan_lines()], True
+    return [("instruction", line) for line in ex.Evaluator(e, arity).plan_lines()], True
 
 
 # ---------------------------------------------------------------------------
@@ -325,21 +327,21 @@ def _build_parser() -> argparse.ArgumentParser:
                     "certified LP/duality bounds, plane-graph enumeration, "
                     "geometric nonexistence checks")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--report", type=str, default=None,
+    parser.add_argument("--report", type=Path, default=None,
                         help="write the structured report here as well as stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prove", help="prove f < -margin on a box")
     p.set_defaults(handler=_cmd_prove)
-    p.add_argument("--task", required=True)
+    p.add_argument("--task", type=Path, required=True)
     p.add_argument("--max-cells", type=int, default=20000)
     p.add_argument("--max-depth", type=int, default=64)
     p.add_argument("--min-width", type=float, default=1e-6)
 
     p = sub.add_parser("lp-certify", help="rigorous LP upper bound from a dual")
     p.set_defaults(handler=_cmd_lp_certify)
-    p.add_argument("--problem", required=True)
-    p.add_argument("--dual")
+    p.add_argument("--problem", type=Path, required=True)
+    p.add_argument("--dual", type=Path)
     p.add_argument("--solve", action="store_true",
                    help="obtain duals from the built-in approximate solver")
 
@@ -347,30 +349,30 @@ def _build_parser() -> argparse.ArgumentParser:
                            ).add_subparsers(dest="mode", required=True)
     p = modes.add_parser("fit", help="fit a candidate certificate")
     p.set_defaults(handler=_cmd_fit)
-    p.add_argument("--problem", required=True)
+    p.add_argument("--problem", type=Path, required=True)
     p.add_argument("--bound", required=True,
                    help="decimal M, parsed through the exact reader")
     p.add_argument("--guess", required=True,
                    help="whitespace-separated x* vector (global variable order)")
     p.add_argument("--test-points", type=int, default=16)
-    p.add_argument("--certificate", help="write the fitted certificate here")
+    p.add_argument("--certificate", type=Path, help="write the fitted certificate here")
     p = modes.add_parser("verify", help="verify a certificate rigorously")
     p.set_defaults(handler=_cmd_verify)
-    p.add_argument("--problem", required=True)
-    p.add_argument("--certificate", required=True)
+    p.add_argument("--problem", type=Path, required=True)
+    p.add_argument("--certificate", type=Path, required=True)
     p.add_argument("--max-cells", type=int, default=20000)
     p = modes.add_parser("branch", help="bisect one domain box component")
     p.set_defaults(handler=_cmd_branch)
-    p.add_argument("--problem", required=True)
+    p.add_argument("--problem", type=Path, required=True)
     p.add_argument("--domain", required=True)
     p.add_argument("--slot", type=int, required=True)
-    p.add_argument("--out-prefix", required=True)
+    p.add_argument("--out-prefix", type=Path, required=True)
 
     p = sub.add_parser("graphs", help="enumerate decorated sphere graphs")
     p.set_defaults(handler=_cmd_graphs)
     p.add_argument("--max-vertices", type=int, required=True)
     p.add_argument("--prune", type=str, default="")
-    p.add_argument("--out", type=str, default=None)
+    p.add_argument("--out", type=Path, default=None)
     p.add_argument("--max-states", type=int, default=500000)
 
     modes = sub.add_parser("geom", help="geometric nonexistence checks"
@@ -385,12 +387,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(name, required=True)
     p = modes.add_parser("linked", help="line linking a triangle, from a .dspec file")
     p.set_defaults(handler=_cmd_linked)
-    p.add_argument("--spec", required=True)
+    p.add_argument("--spec", type=Path, required=True)
 
     p = sub.add_parser("plan-dump", help="dump a compiled evaluation plan")
     p.set_defaults(handler=_cmd_plan_dump)
-    p.add_argument("--task")
-    p.add_argument("--expr")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--task", type=Path)
+    source.add_argument("--expr")
     p.add_argument("--arity", type=int)
 
     return parser
@@ -407,8 +410,8 @@ def dispatch(argv: Sequence[str]) -> int:
     digests: list[tuple[str, str]] = []
     try:
         t0 = time.perf_counter()
-        config, body, decided = args.handler(args, lambda path: _read(path, digests))
-        _report(args, digests, config, body, time.perf_counter() - t0)
+        body, decided = args.handler(args, lambda path: _read(path, digests))
+        _report(args, digests, body, time.perf_counter() - t0)
         return EXIT_OK if decided else EXIT_NEGATIVE
     except (ParseError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

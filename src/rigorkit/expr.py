@@ -20,8 +20,10 @@ operators' symbols and precedences, which `parse` and `to_text` share.
 
 One lowering compiles expressions into a flat plan with one slot per node:
 a leaf (a constant, read as the plan compiles, or a variable) or one
-`(op, a, b)` instruction.  One loop runs the instructions.  The two plans
-differ only in their table of ops and their constant reader:
+`(op, a, b)` instruction.  An instruction that reads no variable is run
+once, as the plan compiles; each run executes only those that read one.
+One loop runs them.  The two plans differ only in their table of ops, the
+failures those ops raise, and their constant reader:
 
 * `FloatPlan(exprs)` does plain binary64 operations, for fitting at test
   points; it is compiled once and run at any number of points.
@@ -54,7 +56,7 @@ from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import interval as iv
-from .errors import CompileError, DomainError, ParseError
+from .errors import CompileError, DomainError, IntervalError, ParseError
 from .interval import Interval, Pair
 
 __all__ = [
@@ -518,20 +520,28 @@ class _Plan:
     run, and every other slot holds one instruction `(op, a, b)`, run as
     `vals[s] = op(vals[a], vals[b])` with `op = ops[type(node)]`.  A unary
     op ignores b, which is a; a power's slot is preloaded with its integer
-    exponent, so its b is the slot itself."""
+    exponent, so its b is the slot itself.
 
-    def __init__(self, ops: dict[type, Callable], read: Callable[[str], object]):
+    An instruction that reads no slot of `_runtime` (variables and the
+    instructions left to run) is folded: run once as it is lowered, its
+    result preloaded and its code None.  One that raises one of `fails`
+    sets `_raised` and stays an instruction, to raise at each run."""
+
+    def __init__(self, ops: dict[type, Callable], read: Callable[[str], object],
+                 fails: type | tuple[type, ...]):
         self.plan: list[Expr] = []                # slot -> node
         self._code: list[Optional[tuple]] = []    # slot -> (op, a, b); None for a leaf
         self._preload: list = []                  # slot -> constant, exponent or None
         self._loads: list[tuple[int, int]] = []   # (slot, index) per variable
         self._slots: dict[Expr, int] = {}         # node -> slot
-        self._ops, self._read = ops, read
+        self._runtime: set[int] = set()           # slots each run computes
+        self._ops, self._read, self._fails = ops, read, fails
+        self._raised = False                      # whether an instruction failed to fold
 
     def _lower(self, root: Expr) -> int:
         """Append the slots root needs that the plan lacks; return root's
         slot."""
-        slots = self._slots
+        slots, preload, runtime = self._slots, self._preload, self._runtime
         for node in _post_order(root, slots):
             s = len(self.plan)
             ins, pre = None, None
@@ -548,10 +558,18 @@ class _Plan:
                     ins = (self._ops[type(node)], slots[kids[0]], slots[kids[-1]])
                 case _:
                     raise TypeError(f"not an Expr node: {node!r}")
+            if ins is not None and not (ins[1] in runtime or ins[2] in runtime):
+                op, a, b = ins
+                try:
+                    ins, pre = None, op(preload[a], pre if b == s else preload[b])
+                except self._fails:
+                    self._raised = True
+            if ins is not None or pre is None:    # an instruction or a variable
+                runtime.add(s)
             slots[node] = s
             self.plan.append(node)
             self._code.append(ins)
-            self._preload.append(pre)
+            preload.append(pre)
         return slots[root]
 
     def _load(self, point: Sequence, n: int) -> list:
@@ -604,7 +622,8 @@ class FloatPlan(_Plan):
     raises ParseError here, not at a point."""
 
     def __init__(self, roots: Sequence[Expr]):
-        super().__init__(_FLOAT_OPS, iv.decimal_to_nearest_float)
+        super().__init__(_FLOAT_OPS, iv.decimal_to_nearest_float,
+                         (ArithmeticError, ValueError))
         self._outputs = [self._lower(root) for root in roots]
         self._order = [s for s, ins in enumerate(self._code) if ins is not None]
 
@@ -680,8 +699,9 @@ class Evaluator(_Plan):
     def __init__(self, expr: Expr, arity: int):
         if arity < 0:
             raise ValueError(f"arity must be >= 0, got {arity}")
-        super().__init__(_interval_ops(), _decimal_pair)
+        super().__init__(_interval_ops(), _decimal_pair, IntervalError)
         root = self._lower(expr)
+        self.fails_everywhere = self._raised      # a constant of f raised: every box raises
         used = 1 + max((i for _, i in self._loads), default=-1)
         if used > arity:
             raise CompileError(f"expression uses x{used - 1} but arity is {arity}")
@@ -694,7 +714,7 @@ class Evaluator(_Plan):
         # adds no variable, so every load is one of f's slots.
         self._root = root
         self._value_order = [s for s, ins in enumerate(self._code) if ins is not None]
-        # the germ's output slots and the partials pass's schedule, on first use
+        # the germ's outputs (f, df/dx_i) and the instructions past f's root they read
         self._germ_plan: Optional[tuple[tuple[int, ...], list[int]]] = None
 
     def _slot(self, index: tuple[int, ...]) -> int:
@@ -755,18 +775,13 @@ class Evaluator(_Plan):
         self._resume(vals, self._value_order)
         return _new(Interval, vals[self._root]), vals
 
-    def _germ_schedule(self) -> tuple[tuple[int, ...], list[int]]:
-        """The germ's output slots, f's and then each first partial's, and
-        the instruction slots past f's root that they depend on."""
-        if self._germ_plan is None:
-            outputs = (self._root, *(self._slot((i,)) for i in range(self.arity)))
-            self._germ_plan = (outputs, [s for s in self._schedule(outputs) if s > self._root])
-        return self._germ_plan
-
     def resume_germ(self, vals: list) -> TaylorGerm:
         """The germ's second pass: every first partial, from the slot array
         of a value pass, running only the instructions past f's root."""
-        outputs, order = self._germ_schedule()
+        if self._germ_plan is None:
+            outputs = (self._root, *(self._slot((i,)) for i in range(self.arity)))
+            self._germ_plan = (outputs, [s for s in self._schedule(outputs) if s > self._root])
+        outputs, order = self._germ_plan
         # Partials lowered after the value pass: their constants and
         # exponents are missing from its array.
         vals.extend(self._preload[len(vals):])
@@ -778,18 +793,6 @@ class Evaluator(_Plan):
         """Interval value and gradient over the box: the value pass, then
         the partials pass on its slot array."""
         return self.resume_germ(self.value_pass(box)[1])
-
-    def germ_constants(self) -> None:
-        """Evaluate the germ's instructions that read no variable.  They
-        give the same values over every box, so an error raised here is
-        raised by germ over every box."""
-        outputs, _ = self._germ_schedule()
-        varying = {s for s, _ in self._loads}
-        for s, ins in enumerate(self._code):
-            if ins is not None and (ins[1] in varying or ins[2] in varying):
-                varying.add(s)
-        order = [s for s in self._schedule(outputs) if s not in varying]
-        self._execute([None] * self.arity, order, ())
 
     def hessian(self, box: Sequence[Pair],
                 entries: Sequence[tuple[int, int]]) -> list[Interval]:

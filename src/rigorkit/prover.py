@@ -12,7 +12,10 @@ over the facet), which removes that dimension from further subdivision.
 f.hi bounds f over the whole cell, so it bounds the reduced cell too; the
 reduced cell is bounded by the Taylor form as well, and the smaller of
 the two bounds is used.  Cells whose bound does not certify are bisected
-along their widest non-degenerate component.
+along their widest non-degenerate component.  A failed cell is split like
+any other, unless the failure is in an instruction of f that reads no
+variable: that fails on every cell, the evaluator records it as it
+compiles f (`fails_everywhere`), and the run stops at its first cell.
 
 Reported cells are always *footprints*: collapsed cells re-inflated to
 their pre-reduction parents, so the leaves of a run exactly tile the
@@ -127,9 +130,6 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
     failed: list[Box] = []
     certified: list[Box] = []
     by_germ_count = by_taylor_count = 0
-    # Decided at the first cell whose germ fails: whether the failure is in
-    # an instruction that reads no variable, and so recurs on every cell.
-    hopeless = None
 
     while stack and processed < cfg.max_cells:
         footprint, cell, depth, _parent_upper = stack.pop()
@@ -146,12 +146,6 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
             # Without a whole-cell germ, f may have a pole the Taylor bound misses.
             upper, germ, eval_failed = math.inf, None, True
         cell = reduce_cell(ev, cell, germ)
-        if eval_failed and hopeless is None:
-            try:
-                ev.germ_constants()
-                hopeless = False
-            except IntervalError:
-                hopeless = True  # only ever at the root: every germ fails
         by_germ = certifies(upper)
         if not (by_germ or eval_failed):
             try:
@@ -167,9 +161,11 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
                 certified.append(footprint)
             continue
 
-        # split the first widest component, if it is wider than min_width
+        # split the first widest component, if it is wider than min_width;
+        # no cell of f whose constants fail is worth splitting
         k = max(range(len(cell)), key=lambda i: cell[i].width, default=None)
-        if k is None or cell[k].width <= cfg.min_width or depth >= cfg.max_depth or hopeless:
+        if (k is None or cell[k].width <= cfg.min_width or depth >= cfg.max_depth
+                or ev.fails_everywhere):
             best_upper = max(best_upper, upper)
             (failed if eval_failed else undecided).append(footprint)
             continue

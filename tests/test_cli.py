@@ -478,6 +478,51 @@ def test_plan_dump_task_is_digested(capsys):
     assert header["input_digest"] == [digest_line(task)]
 
 
+def test_plan_dump_takes_a_task_or_an_expression_not_both(capsys):
+    code, out, _ = run(["plan-dump", "--task", str(PROBLEMS / "six_squares.ineq"),
+                        "--expr", "x0", "--arity", "1"], capsys)
+    assert code == 2 and not out
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["--seed", "3", "prove", "--max-cells", "50", "--max-depth", "9", "--min-width", "0.001",
+      "--task", str(PROBLEMS / "six_squares.ineq")],
+     ["seed 3", "max_cells 50", "max_depth 9", "min_width 0.001"]),
+    (["lp-certify", "--problem", "{tmp}/toy.lp", "--solve"], ["seed 0", "solve True"]),
+    (["assemble", "fit", "--problem", str(PROBLEMS / "toy_duality.asm"), "--bound", "1.0",
+      "--guess", "1.0", "--test-points", "4", "--certificate", "{tmp}/toy.cert"],
+     ["seed 0", "mode fit", "bound 1.0", "guess 1.0", "test_points 4"]),
+    (["assemble", "verify", "--problem", str(PROBLEMS / "voronoi2d.asm"),
+      "--certificate", str(PROBLEMS / "voronoi2d.cert"), "--max-cells", "5"],
+     ["seed 0", "mode verify", "max_cells 5"]),
+    (["assemble", "branch", "--problem", str(PROBLEMS / "toy_duality.asm"),
+      "--domain", "d0", "--slot", "0", "--out-prefix", "{tmp}/child"],
+     ["seed 0", "mode branch", "domain d0", "slot 0"]),
+    (["graphs", "--max-vertices", "5", "--prune", "max-degree=4", "--max-states", "100",
+      "--out", "{tmp}/classes"],
+     ["seed 0", "max_vertices 5", "prune max-degree=4", "max_states 100"]),
+    (["geom", "simplex", "--edges", *["2.8284"] * 6, "--r", "2"],
+     ["seed 0", "mode simplex", "edges" + " 2.8284" * 6, "r 2"]),
+    (["geom", "segment", "--r1", "1", "--r2", "2", "--r3", "-inf..3"],
+     ["seed 0", "mode segment", "r1 1", "r2 2", "r3 -inf..3"]),
+    (["geom", "linked", "--spec", str(PROBLEMS / "linked_line_refuted.dspec")],
+     ["seed 0", "mode linked"]),
+    (["plan-dump", "--expr", "x0", "--arity", "1"], ["seed 0", "expr x0", "arity 1"]),
+    (["plan-dump", "--task", str(PROBLEMS / "six_squares.ineq")], ["seed 0"]),
+], ids=["prove", "lp-certify", "fit", "verify", "branch", "graphs", "simplex", "segment",
+        "linked", "plan-dump-expr", "plan-dump-task"])
+def test_reports_echo_every_setting_but_paths(tmp_path, capsys, argv, config):
+    # a setting that can change the result is in the header; the files a
+    # run reads or writes are not, as their digests or bodies name them
+    (tmp_path / "toy.lp").write_text("vars 1\nobj 0 1\nineq 0 0 1\nineq_rhs 0 1\nbound 0 0..2\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    report = tmp_path / "report.txt"
+    code, out, err = run(["--report", str(report), *argv], capsys)
+    assert code in (0, 1) and not err
+    assert cli.parse_report(out)[0]["config"] == config
+    assert report.read_text() == out
+
+
 def test_crlf_input_digest_is_the_sha256_of_its_bytes(tmp_path, capsys):
     # the CRLF twin reads as the same task but is a different file
     lf = tmp_path / "lf.ineq"

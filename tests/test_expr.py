@@ -318,6 +318,32 @@ def test_float_plan_reads_constants_when_it_compiles():
     assert ex.FloatPlan(())([]) == []
 
 
+def test_constant_instructions_run_once_as_the_plan_compiles(monkeypatch):
+    calls = []
+    for name in ("add", "mul", "sqrt_interval"):
+        kernel = getattr(iv, name)
+        monkeypatch.setattr(iv, name, lambda *args, kernel=kernel, name=name:
+                            calls.append(name) or kernel(*args))
+    e = ex.parse("x0 + sqrt(2)*3", 1)
+    ev = ex.Evaluator(e, 1)
+    assert calls == ["sqrt_interval", "mul"] and not ev.fails_everywhere
+    box = [I(0, 1)]
+    for _ in range(2):
+        calls.clear()
+        got = _intervals_or_error(lambda b: [ev.value(b)], box)
+        assert calls == ["add"]
+    assert got == _intervals_or_error(lambda b: reference_germ(e, 1, b)[:1], box)
+
+
+def test_a_constant_that_fails_raises_at_each_point():
+    # folding it raised, so it stays an instruction and raises as it did unfolded
+    plan = ex.FloatPlan((ex.parse("x0 + 1/0", 1),))
+    with pytest.raises(ZeroDivisionError):
+        plan([1.0])
+    with pytest.raises(IntervalError, match="contains zero"):
+        ex.Evaluator(ex.parse("x0 + atan(1, 0)", 1), 1).value([I(0, 1)])
+
+
 def test_long_expressions_compare_and_hash_without_recursion():
     # structural equality and hashing used to recurse along the chain
     text = "1" + " - 0.001*x0 + 0.001*x0" * 750

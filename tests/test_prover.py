@@ -96,21 +96,44 @@ def test_evaluation_failure_reported():
     # a pole at 0, where the cells shrink to min_width
     ("1/x0 - 100", -1, 1, (83, 21, 26, 0, 14, 2), (-(2.0**-20), 0.0)),
 ])
-def test_failed_germs_ask_once_whether_they_fail_everywhere(monkeypatch, text, lo, hi,
-                                                            counts, first_failed):
-    # whether a failure reads no variable does not depend on the cell, so
-    # one run evaluates the germ's constants at most once
-    calls = []
-    germ_constants = ex.Evaluator.germ_constants
-    monkeypatch.setattr(ex.Evaluator, "germ_constants",
-                        lambda ev: calls.append(1) or germ_constants(ev))
-    r = prove_negative(ProofTask(ex.parse(text, 1), Box((I(lo, hi),))))
-    assert len(calls) == 1
+def test_failed_germs_ask_once_whether_they_fail_everywhere(text, lo, hi, counts,
+                                                            first_failed):
+    # whether a failure reads no variable is decided once, as f compiles;
+    # these failures read x0, so the run goes on splitting
+    e = ex.parse(text, 1)
+    assert not ex.Evaluator(e, 1).fails_everywhere
+    r = prove_negative(ProofTask(e, Box((I(lo, hi),))))
     assert r.status is ProofStatus.EVALUATION_FAILURE
     assert r.best_upper_bound_seen == math.inf
     assert (r.cells_processed, r.max_depth_reached, r.cells_certified_by_germ,
             r.cells_certified_by_taylor, len(r.undecided_cells), len(r.failed_cells)) == counts
     assert r.failed_cells[0] == (I(*first_failed),)
+
+
+@pytest.mark.parametrize("text, arity, fails", [
+    ("x0 + atan(1, 0)", 1, True),
+    ("x0/1e-200 + 1e200*x1*(1 - x1) - 1.3e200", 2, False),
+    ("atan(1, x0 - x0)", 1, False),
+])
+def test_fails_everywhere_is_decided_by_the_constants_of_f(text, arity, fails):
+    assert ex.Evaluator(ex.parse(text, arity), arity).fails_everywhere is fails
+
+
+def test_constants_of_a_partial_do_not_stop_the_run():
+    # d/dx0 holds the constant 1e-200/(1e-200*1e-200), whose square
+    # underflows to hold 0, so every germ fails; f's value never does, and
+    # f's enclosure certifies the cells the germ cannot
+    e = ex.parse("x0/1e-200 + 1e200*x1*(1 - x1) - 1.3e200", 2)
+    with pytest.raises(IntervalError):
+        ex.Evaluator(e, 2).germ([I(0, 1), I(0, 1)])
+    r = prove_negative(ProofTask(e, Box((I(0, 1), I(0, 1)))))
+    assert r.status is ProofStatus.PROVEN
+    assert r.cells_processed == 31 and r.cells_certified_by_germ == 16
+    # a false member runs to the budget, as a pole that reads x0 does
+    r = prove_negative(ProofTask(ex.parse("x0/1e-200 - 0.5e200", 1), Box((I(0, 1),))),
+                       ProverConfig(max_cells=500))
+    assert r.status is ProofStatus.EVALUATION_FAILURE
+    assert r.cells_processed == 500
 
 
 def test_no_taylor_bound_across_a_pole():
