@@ -296,13 +296,13 @@ def _cmd_linked(args, read):
 
 
 def _cmd_plan_dump(args, read):
-    if args.task:
+    if args.task and args.arity is None:
         task = parse_task_file(read(args.task))
         e, arity = task.expr, len(task.domain)
     elif args.expr is not None and args.arity is not None:
         e, arity = ex.parse(args.expr, args.arity), args.arity
     else:
-        raise ParseError("plan-dump needs --task FILE or --expr/--arity")
+        raise ParseError("plan-dump takes --task alone, or --expr with --arity")
     return [("instruction", line) for line in ex.Evaluator(e, arity).plan_lines()], True
 
 

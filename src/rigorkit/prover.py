@@ -17,13 +17,13 @@ any other, unless the failure is in an instruction of f that reads no
 variable: that fails on every cell, the evaluator records it as it
 compiles f (`fails_everywhere`), and the run stops at its first cell.
 
-Reported cells are always *footprints*: collapsed cells re-inflated to
-their pre-reduction parents, so the leaves of a run exactly tile the
-original domain.  Undecided and failed cells are listed in ascending box
-order: a box orders as the tuple of its (lo, hi) pairs.
-
-The engine is deterministic: depth-first, lower half first, no clocks,
-no unordered iteration.
+Each processed cell leaves one `Cell` record, and the report is folded
+from them.  A split pushes its halves as "unvisited" records; what the
+budget leaves is appended in pop order, so `ProofReport.cells` is one
+depth-first preorder, lower half first.  Reported cells are footprints,
+the cells before any collapse, so the leaves tile the domain; undecided
+and failed ones are listed in ascending box order (as tuples of (lo, hi)
+pairs).  No clock and no unordered iteration enters a run.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import IntervalError
 from .expr import Evaluator, Expr, TaylorGerm
@@ -43,6 +43,7 @@ __all__ = [
     "ProverConfig",
     "ProofStatus",
     "ProofReport",
+    "Cell",
     "prove_negative",
     "prove_nonpositive",
     "reduce_cell",
@@ -67,7 +68,6 @@ class ProverConfig:
     max_cells: int = 20000
     max_depth: int = 64
     min_width: float = 1e-6
-    track_cells: bool = False
 
     def __post_init__(self):
         if self.max_cells < 1:
@@ -84,6 +84,14 @@ class ProofStatus(enum.Enum):
     EVALUATION_FAILURE = "evaluation_failure"
 
 
+class Cell(NamedTuple):
+    footprint: Box
+    cell: Box  # as bounded (reduced), or as split if unvisited
+    depth: int
+    upper: float  # an unvisited cell carries its parent's
+    outcome: str  # value, taylor, split, undecided, failed or unvisited
+
+
 @dataclass(frozen=True, slots=True)
 class ProofReport:
     status: ProofStatus
@@ -95,7 +103,7 @@ class ProofReport:
     cells_certified_by_taylor: int = 0
     undecided_cells: tuple[Box, ...] = ()
     failed_cells: tuple[Box, ...] = ()
-    certified_cells: tuple[Box, ...] = ()
+    cells: tuple[Cell, ...] = ()
 
     @property
     def proven(self) -> bool:
@@ -121,20 +129,11 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
          cfg: ProverConfig) -> ProofReport:
     limit = -margin
     certifies = (lambda u: u < limit) if strict else (lambda u: u <= limit)
-    # Work items: (footprint, reduced-or-original cell, depth, parent_upper)
-    stack = [(domain, domain, 0, math.inf)]
-    processed = 0
-    max_depth_seen = 0
-    best_upper = -math.inf
-    undecided: list[Box] = []
-    failed: list[Box] = []
-    certified: list[Box] = []
-    by_germ_count = by_taylor_count = 0
+    stack = [Cell(domain, domain, 0, math.inf, "unvisited")]
+    cells: list[Cell] = []
 
-    while stack and processed < cfg.max_cells:
-        footprint, cell, depth, _parent_upper = stack.pop()
-        processed += 1
-        max_depth_seen = max(max_depth_seen, depth)
+    while stack and len(cells) < cfg.max_cells:
+        footprint, cell, depth, _, _ = stack.pop()
 
         # f's enclosure first; the gradient only for a cell it leaves open
         try:
@@ -146,57 +145,46 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
             # Without a whole-cell germ, f may have a pole the Taylor bound misses.
             upper, germ, eval_failed = math.inf, None, True
         cell = reduce_cell(ev, cell, germ)
-        by_germ = certifies(upper)
-        if not (by_germ or eval_failed):
+        by_value = certifies(upper)
+        if not (by_value or eval_failed):
             try:
                 upper = min(taylor_upper_bound(ev, cell), upper)
             except IntervalError:
                 eval_failed = True
 
         if certifies(upper):
-            best_upper = max(best_upper, upper)
-            by_germ_count += by_germ
-            by_taylor_count += not by_germ
-            if cfg.track_cells:
-                certified.append(footprint)
-            continue
+            outcome = "value" if by_value else "taylor"
+        else:
+            # split the first widest component, if it is wider than min_width;
+            # no cell of f whose constants fail is worth splitting
+            k = max(range(len(cell)), key=lambda i: cell[i].width, default=None)
+            if (k is None or cell[k].width <= cfg.min_width or depth >= cfg.max_depth
+                    or ev.fails_everywhere):
+                outcome = "failed" if eval_failed else "undecided"
+            else:
+                outcome = "split"  # the upper half goes on the stack first
+                stack += [Cell(footprint.replace(k, half[k]), half, depth + 1, upper, "unvisited")
+                          for half in reversed(cell.split(k))]
+        cells.append(Cell(footprint, cell, depth, upper, outcome))
+    # what the budget leaves is undecided, in pop order
+    visited = len(cells)
+    cells += reversed(stack)
 
-        # split the first widest component, if it is wider than min_width;
-        # no cell of f whose constants fail is worth splitting
-        k = max(range(len(cell)), key=lambda i: cell[i].width, default=None)
-        if (k is None or cell[k].width <= cfg.min_width or depth >= cfg.max_depth
-                or ev.fails_everywhere):
-            best_upper = max(best_upper, upper)
-            (failed if eval_failed else undecided).append(footprint)
-            continue
+    def footprints(*outcomes):
+        return tuple(sorted(c.footprint for c in cells if c.outcome in outcomes))
 
-        lo_cell, hi_cell = cell.split(k)
-        lo_fp, hi_fp = footprint.replace(k, lo_cell[k]), footprint.replace(k, hi_cell[k])
-        stack.append((hi_fp, hi_cell, depth + 1, upper))
-        stack.append((lo_fp, lo_cell, depth + 1, upper))
-
-    # what the budget leaves on the stack is undecided, bounded by its parent
-    for footprint, _cell, _depth, parent_upper in stack:
-        undecided.append(footprint)
-        best_upper = max(best_upper, parent_upper)
-
-    if failed:
-        status = ProofStatus.EVALUATION_FAILURE
-    elif undecided:
-        status = ProofStatus.UNDECIDED
-    else:
-        status = ProofStatus.PROVEN
-
+    failed, undecided = footprints("failed"), footprints("undecided", "unvisited")
     return ProofReport(
-        status=status,
-        cells_processed=processed,
-        max_depth_reached=max_depth_seen,
-        best_upper_bound_seen=best_upper,
-        cells_certified_by_germ=by_germ_count,
-        cells_certified_by_taylor=by_taylor_count,
-        undecided_cells=tuple(sorted(undecided)),
-        failed_cells=tuple(sorted(failed)),
-        certified_cells=tuple(certified),
+        status=(ProofStatus.EVALUATION_FAILURE if failed else
+                ProofStatus.UNDECIDED if undecided else ProofStatus.PROVEN),
+        cells_processed=visited,
+        max_depth_reached=max(c.depth for c in cells[:visited]),
+        best_upper_bound_seen=max(c.upper for c in cells if c.outcome != "split"),
+        cells_certified_by_germ=sum(c.outcome == "value" for c in cells),
+        cells_certified_by_taylor=sum(c.outcome == "taylor" for c in cells),
+        undecided_cells=undecided,
+        failed_cells=failed,
+        cells=tuple(cells),
     )
 
 

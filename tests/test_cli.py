@@ -382,6 +382,9 @@ def test_unusable_paths_exit_two(tmp_path, capsys, argv):
       "--bound", "1.0", "--guess", "1.0", "--test-points", "-3"],
      "n_random must be >= 0"),
     (["plan-dump", "--expr", "1", "--arity", "-1"], "arity must be >= 0, got -1"),
+    # a task file names its own arity
+    (["plan-dump", "--task", str(PROBLEMS / "six_squares.ineq"), "--arity", "9"],
+     "plan-dump takes --task alone, or --expr with --arity"),
 ])
 def test_out_of_range_budgets_exit_two(capsys, argv, message):
     code, out, err = run(argv, capsys)

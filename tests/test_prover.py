@@ -1,11 +1,13 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import grid_max, random_expr
 from rigorkit import expr as ex
 from rigorkit import prover
@@ -16,6 +18,10 @@ from rigorkit.prover import (ProofStatus, ProofTask, ProverConfig,
 from rigorkit.taylor import Box
 
 I = Interval
+
+
+def certified_footprints(report):
+    return [c.footprint for c in report.cells if c.outcome in ("value", "taylor")]
 
 
 def test_prove_examples():
@@ -186,11 +192,11 @@ def test_subdividing_task_report_is_pinned():
 
 
 def test_coverage_volume_accounting():
-    cfg = ProverConfig(max_cells=5000, track_cells=True)
+    cfg = ProverConfig(max_cells=5000)
     task = ProofTask(ex.parse("x0*x0 + x1 - 3", 2), Box((I(-1, 1), I(0, 1))))
     r = prove_negative(task, cfg)
     assert r.status is ProofStatus.PROVEN
-    vol = sum(math.prod(d.width for d in c) for c in r.certified_cells)
+    vol = sum(math.prod(d.width for d in c) for c in certified_footprints(r))
     vol += sum(math.prod(d.width for d in c) for c in r.undecided_cells)
     vol += sum(math.prod(d.width for d in c) for c in r.failed_cells)
     domain_vol = math.prod(d.width for d in task.domain)
@@ -289,7 +295,7 @@ def test_only_the_taylor_bound_certifies():
 
 
 def test_certified_counters_add_up():
-    cfg = ProverConfig(max_cells=400, track_cells=True)
+    cfg = ProverConfig(max_cells=400)
     for text, bounds in [("x0*(1 - x0) - 0.3", [(0, 1)]),
                          ("x0*x0*x1 - x1 + x0 - 1", [(-1, 1), (0, 1)]),
                          ("x0*x0 - 1", [(0, 2)]),
@@ -298,11 +304,86 @@ def test_certified_counters_add_up():
                          ("1/x0 - 100", [(-1, 1)])]:
         r = prove_negative(ProofTask(ex.parse(text), Box.from_bounds(bounds)), cfg)
         certified = r.cells_certified_by_germ + r.cells_certified_by_taylor
-        assert certified == len(r.certified_cells), text
+        assert certified == len(certified_footprints(r)), text
         if r.cells_processed < cfg.max_cells:
             # every processed cell is a leaf or splits in two
             leaves = certified + len(r.undecided_cells) + len(r.failed_cells)
             assert r.cells_processed == 2 * leaves - 1, text
+
+
+def collapses(cell, parent):
+    """Each component of cell is parent's, or a point at one of its ends."""
+    return len(cell) == len(parent) and all(
+        d == p or (d.lo == d.hi and d.lo in (p.lo, p.hi)) for d, p in zip(cell, parent))
+
+
+def exact_volume(box):
+    return math.prod(Fraction(d.hi) - Fraction(d.lo) for d in box)
+
+
+# a proven run, a budget-bound one and one with failed cells
+RECORDED_RUNS = [
+    ("sqrt(1 + 16*x0*(1 - x0)*x1*(1 - x1)) - 1.42", [(0, 1), (0, 1)], ProverConfig(),
+     ProofStatus.PROVEN),
+    ("x0*x0*x1 - x1 + x0 - 1", [(-1, 1), (0, 1)], ProverConfig(max_cells=800),
+     ProofStatus.UNDECIDED),
+    ("1/x0 - 100", [(-1, 1)], ProverConfig(), ProofStatus.EVALUATION_FAILURE),
+]
+
+
+@pytest.mark.parametrize("text, bounds, cfg, status", RECORDED_RUNS)
+def test_cell_records_recheck_against_the_oracles(text, bounds, cfg, status):
+    domain = Box.from_bounds(bounds)
+    e = ex.parse(text, len(domain))
+    r = prove_negative(ProofTask(e, domain), cfg)
+    assert r.status is status
+    cells = r.cells
+    # each certified cell's bound, recomputed bit for bit by the reference walks
+    checked = 0
+    for c in cells:
+        if c.outcome == "value":
+            ref = oracles._reference_interval_walk([e], [e], c.cell)[0].hi
+        elif c.outcome == "taylor":
+            ref = oracles.reference_taylor_upper_bound(ex.Evaluator(e, len(domain)), c.cell)
+        else:
+            continue
+        assert c.upper.hex() == ref.hex(), c
+        checked += 1
+    assert checked == r.cells_certified_by_germ + r.cells_certified_by_taylor > 0
+    # the footprints of the records that did not split tile the domain
+    leaves = [c.footprint for c in cells if c.outcome != "split"]
+    assert sum(map(exact_volume, leaves)) == exact_volume(domain)
+    for a, b in itertools.combinations(leaves, 2):
+        assert any(x.hi <= y.lo or y.hi <= x.lo for x, y in zip(a, b)), (a, b)
+    # one preorder, unvisited cells included: a split is followed by its
+    # lower half, which starts from the lower half of the cell as bounded
+    assert cells[-1].outcome != "split"
+    expected = [(domain, 0)]
+    for c, nxt in zip(cells, cells[1:] + (None,)):
+        assert (c.footprint, c.depth) == expected.pop(), c
+        assert collapses(c.cell, c.footprint), c
+        if c.outcome == "split":
+            ks = [k for k, (a, b) in enumerate(zip(c.footprint, nxt.footprint)) if a != b]
+            assert len(ks) == 1, (c, nxt)
+            lo, hi = c.footprint.split(ks[0])
+            expected += [(hi, c.depth + 1), (lo, c.depth + 1)]
+            assert collapses(nxt.cell, c.cell.split(ks[0])[0]), (c, nxt)
+    assert expected == []
+
+
+@pytest.mark.parametrize("text, bounds, cfg, status", RECORDED_RUNS)
+def test_reduce_cell_is_called_once_per_processed_cell(monkeypatch, text, bounds, cfg,
+                                                      status):
+    # the benchmark's tracer counts cells by wrapping prover.reduce_cell and
+    # reading the popped cell, its second argument
+    popped = []
+    original = prover.reduce_cell
+    monkeypatch.setattr(prover, "reduce_cell",
+                        lambda ev, cell, germ: popped.append(cell) or original(ev, cell, germ))
+    r = prove_negative(ProofTask(ex.parse(text, len(bounds)), Box.from_bounds(bounds)), cfg)
+    assert r.status is status
+    assert len(popped) == r.cells_processed
+    assert all(collapses(c.cell, cell) for c, cell in zip(r.cells, popped))
 
 
 @settings(max_examples=40, deadline=None)
