@@ -5,7 +5,9 @@ cyclic order of its neighbours.  Faces are the orbits of the face-tracing
 map next(u,v) = (v, w) where w immediately precedes u in the rotation at
 v.  Graphs are simple (no loops, no multiple joins) and every face is a
 simple polygon of size >= 3; the Euler relation V - E + F = 2 is checked
-on every constructed graph.
+on every constructed graph.  A refinement's child is built from its
+parent's faces: only the refined face changes, so only its darts and the
+new ones are traced, and only what the step can break is checked.
 
 Each face carries an attribute: Modifiable (still under construction) or
 Unmodifiable (committed).  A refinement step fixes, per graph, the
@@ -29,7 +31,9 @@ invariant under embedding-preserving isomorphism and includes the face
 attributes.  Reflection is included for undecorated graphs only: under
 reflection the form reads the attribute of the face across an edge, so a
 decorated state and its mirror image can get different forms and states
-that are not isomorphic can share one (see _face_flags).
+that are not isomorphic can share one (see _face_flags).  The form is
+encoded only from root darts whose first two rows can begin the least
+string.
 """
 
 from __future__ import annotations
@@ -62,23 +66,56 @@ def _canon_cycle(cycle: list[Dart]) -> FaceKey:
     return tuple(cycle[i:] + cycle[:i])
 
 
-def _faces_of_rotation(rot: Sequence[Sequence[int]]) -> list[FaceKey]:
-    # next(a, b) = (b, w), w immediately preceding a in the rotation at b
-    nxt = {}
-    for b, nbrs in enumerate(rot):
-        for i, a in enumerate(nbrs):
-            nxt[a, b] = (b, nbrs[i - 1])
+def _faces_of_rotation(rot: Sequence[Sequence[int]],
+                       starts: Optional[Sequence[Dart]] = None) -> list[FaceKey]:
+    """The faces through the darts `starts` (every dart by default), in
+    trace order.  Each face must close inside `starts`: a trace that
+    reaches a dart outside them raises ValueError."""
+    if starts is None:
+        starts = [(u, v) for u, nbrs in enumerate(rot) for v in nbrs]
+    left = set(starts)
     faces = []
-    for u, nbrs in enumerate(rot):
-        for v in nbrs:
-            cur = (u, v)
-            cycle = []
-            while cur in nxt:  # a traced dart leaves nxt
-                cycle.append(cur)
-                cur = nxt.pop(cur)
-            if cycle:
-                faces.append(_canon_cycle(cycle))
+    for start in starts:
+        cur = start
+        cycle = []
+        while cur in left:  # a traced dart leaves `left`
+            left.remove(cur)
+            cycle.append(cur)
+            # next(a, b) = (b, w), w immediately preceding a in the rotation at b
+            a, b = cur
+            nbrs = rot[b]
+            cur = (b, nbrs[nbrs.index(a) - 1])
+        if cycle:
+            if cur != start:
+                raise ValueError(f"face through {start} leaves the traced darts")
+            faces.append(_canon_cycle(cycle))
     return faces
+
+
+def _check_rows(rot: Sequence[Sequence[int]], vertices: Sequence[int]) -> None:
+    nv = len(rot)
+    for u in vertices:
+        nbrs = rot[u]
+        if len(set(nbrs)) != len(nbrs):
+            raise ValueError(f"vertex {u}: repeated neighbour (multi-join)")
+        for v in nbrs:
+            if v == u:
+                raise ValueError(f"vertex {u}: loop")
+            if not (0 <= v < nv):
+                raise ValueError(f"vertex {u}: neighbour {v} out of range")
+
+
+def _check_euler(nv: int, ne: int, nf: int) -> None:
+    if nv - ne + nf != 2:
+        raise ValueError(f"not a sphere embedding: V-E+F = {nv}-{ne}+{nf}")
+
+
+def _check_faces(faces: Sequence[FaceKey]) -> None:
+    for f in faces:
+        if len(f) < 3:
+            raise ValueError(f"face {f} has fewer than 3 sides")
+        if len({a for a, _b in f}) != len(f):
+            raise ValueError(f"face {f} is not a simple polygon")
 
 
 def _check_modifiable(faces: Sequence[FaceKey], modifiable: frozenset) -> None:
@@ -107,30 +144,14 @@ class DecoratedGraph:
         nv = len(rot)
         if nv == 0:
             raise ValueError("graph must be nonempty")
-        seen_edges = set()
-        for u, nbrs in enumerate(rot):
-            if len(set(nbrs)) != len(nbrs):
-                raise ValueError(f"vertex {u}: repeated neighbour (multi-join)")
-            for v in nbrs:
-                if v == u:
-                    raise ValueError(f"vertex {u}: loop")
-                if not (0 <= v < nv):
-                    raise ValueError(f"vertex {u}: neighbour {v} out of range")
-                seen_edges.add((u, v))
-        for (u, v) in seen_edges:
-            if (v, u) not in seen_edges:
+        _check_rows(rot, range(nv))
+        darts = {(u, v) for u, nbrs in enumerate(rot) for v in nbrs}
+        for (u, v) in darts:
+            if (v, u) not in darts:
                 raise ValueError(f"dart ({u},{v}) lacks its reverse")
         faces = tuple(_faces_of_rotation(rot))
-        ne = len(seen_edges) // 2
-        if nv - ne + len(faces) != 2:
-            raise ValueError(
-                f"not a sphere embedding: V-E+F = {nv}-{ne}+{len(faces)}")
-        for f in faces:
-            if len(f) < 3:
-                raise ValueError(f"face {f} has fewer than 3 sides")
-            verts = [d[0] for d in f]
-            if len(set(verts)) != len(verts):
-                raise ValueError(f"face {f} is not a simple polygon")
+        _check_euler(nv, len(darts) // 2, len(faces))
+        _check_faces(faces)
         _check_modifiable(faces, self.modifiable_faces)
         object.__setattr__(self, "_faces", faces)
 
@@ -138,11 +159,7 @@ class DecoratedGraph:
         """The same rotation with another set of modifiable faces, checked
         against this graph's traced faces instead of tracing them again."""
         _check_modifiable(self._faces, modifiable)
-        g = object.__new__(DecoratedGraph)
-        object.__setattr__(g, "rot", self.rot)
-        object.__setattr__(g, "modifiable_faces", modifiable)
-        object.__setattr__(g, "_faces", self._faces)
-        return g
+        return _checked_graph(self.rot, modifiable, self._faces)
 
     # -- derived structure ------------------------------------------------
 
@@ -168,6 +185,16 @@ class DecoratedGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.rot[u]
+
+
+def _checked_graph(rot, modifiable: frozenset, faces: tuple) -> DecoratedGraph:
+    """A graph from parts its caller has already checked, without
+    __post_init__'s checks and face trace."""
+    g = object.__new__(DecoratedGraph)
+    object.__setattr__(g, "rot", rot)
+    object.__setattr__(g, "modifiable_faces", modifiable)
+    object.__setattr__(g, "_faces", faces)
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +258,16 @@ def _enumerate_steps(g: DecoratedGraph, budget: int) -> list[RefinementStep]:
 
 
 def apply_step(g: DecoratedGraph, step: RefinementStep) -> DecoratedGraph:
-    """Insert the polygon Q described by the step into the fixed face."""
+    """Insert the polygon Q described by the step into the fixed face P.
+
+    At each kept vertex, Q's new neighbours go in between P's succ and
+    pred, so no face but P changes: the child keeps g's other faces, and
+    only P's darts and the new ones are traced.  Only what the step can
+    break is checked: the touched rows (loop, repeated neighbour), that
+    each new face closes inside P and is a simple polygon of at least 3
+    sides, and Euler from the counts.  The child equals
+    DecoratedGraph(child.rot, child.modifiable_faces), which re-checks
+    everything."""
     face = _fixed_face_and_edge(g)
     k = len(face)
     bverts = [d[0] for d in face]
@@ -252,32 +288,45 @@ def apply_step(g: DecoratedGraph, step: RefinementStep) -> DecoratedGraph:
         qcycle += [bverts[i], *range(next_id, next_id + j)]
         next_id += j
     m = len(qcycle)
-    rot = [list(nbrs) for nbrs in g.rot]
+    rot = list(g.rot)
+    rows = {}  # the rows of kept vertices, as they are edited
 
     succ = {bverts[i]: bverts[(i + 1) % k] for i in range(k)}
     pred = {bverts[i]: bverts[(i - 1) % k] for i in range(k)}
 
+    new_darts = []
     for t, vert in enumerate(qcycle):
-        qprev = qcycle[(t - 1) % m]
+        qprev = qcycle[t - 1]
         qnext = qcycle[(t + 1) % m]
+        if succ.get(vert) != qnext:  # Q's edge to qnext is not P's
+            new_darts += [(vert, qnext), (qnext, vert)]
         if vert >= nv:  # new vertices come in id order
-            rot.append([qprev, qnext])
+            rot.append((qprev, qnext))
             continue
         # Q's edges that are not P's go in just after P's pred at vert
-        at = rot[vert].index(pred[vert])
-        rot[vert][at:at] = [w for w, p_nbr in ((qnext, succ[vert]), (qprev, pred[vert]))
-                            if w != p_nbr]
+        row = rows.setdefault(vert, list(rot[vert]))
+        at = row.index(pred[vert])
+        row[at:at] = [w for w, p_nbr in ((qnext, succ[vert]), (qprev, pred[vert]))
+                      if w != p_nbr]
+    for vert, row in rows.items():
+        rot[vert] = tuple(row)
+    rot = tuple(rot)
+    _check_rows(rot, [*sorted(rows), *range(nv, len(rot))])
 
-    child = DecoratedGraph(tuple(tuple(nbrs) for nbrs in rot), frozenset())
-    # Q is the child's face on the fixed edge's side of P
-    q_key = next(f for f in child._faces if face[0] in f)
+    new_faces = _faces_of_rotation(rot, [*face, *new_darts])
+    faces = tuple(f for f in g._faces if f != face) + tuple(new_faces)
+    # g's edge count from Euler, which g satisfies
+    _check_euler(len(rot), nv - 2 + len(g._faces) + len(new_darts) // 2, len(faces))
+    _check_faces(new_faces)
+    # Q is the face traced first, from the fixed edge's dart
+    q_key = new_faces[0]
     if q_key != _canon_cycle(list(zip(qcycle, qcycle[1:] + qcycle[:1]))):
         raise AssertionError(f"inserted polygon is not the face on the fixed edge ({step})")
-    survivors = set(child._faces)
+    survivors = set(faces)
     kept_unmod = set(g._faces) - g.modifiable_faces
     if not kept_unmod <= survivors:
         raise AssertionError("refinement disturbed an unmodifiable face")
-    return child._with_modifiable(frozenset(survivors - kept_unmod - {q_key}))
+    return _checked_graph(rot, frozenset(survivors - kept_unmod - {q_key}), faces)
 
 
 def refinements_with_steps(g: DecoratedGraph, n_max: int) -> list[tuple[RefinementStep, DecoratedGraph]]:
@@ -337,12 +386,6 @@ def _encode_from(rot: Sequence[Sequence[int]], start: Dart, mirror: bool,
     return "".join(out), label
 
 
-def _root_row(deg: int) -> str:
-    # The first row of every encoding rooted at a vertex of this degree:
-    # the root's neighbours are labelled 1..deg in rotation order.
-    return str(deg) + ":" + ",".join(map(str, range(1, deg + 1)))
-
-
 def _face_flags(g: DecoratedGraph, flag_of: dict, label: dict, mirror: bool) -> str:
     """Attribute flags of the relabelled faces in order of their least
     relabelled dart, read from the cached trace.  A reflection reverses
@@ -369,21 +412,26 @@ def canonical_form(g: DecoratedGraph) -> str:
     encoding plus the attribute flags.  Reflection is included for
     undecorated graphs only (see _face_flags).
 
-    Only roots whose first row ("<deg>:1,...,<deg>", compared as a string)
-    is the least can win, so other roots are skipped.  Each encoding is
-    abandoned as soon as its prefix sorts after the best candidate so far,
-    and face flags are read from the faces traced at construction."""
+    An encoding from root dart (u, v) begins "<deg u>:1,...,<deg u>;<deg
+    v>:", and a "<deg>:" piece is prefix-free.  So only roots whose two
+    pieces are least, compared as strings ("30:" sorts before "3:"), can
+    win, and no other root is encoded.  Each encoding is abandoned as soon
+    as its prefix sorts after the best candidate so far, and face flags
+    are read from the faces traced at construction."""
     flag_of = {}
     for f in g._faces:
         flag = "M" if f in g.modifiable_faces else "U"
         for d in f:
             flag_of[d] = flag
-    root_deg = min({len(nbrs) for nbrs in g.rot}, key=_root_row)
+    deg_key = [str(len(nbrs)) + ":" for nbrs in g.rot]
+    least = min(deg_key)
+    roots = [u for u, key in enumerate(deg_key) if key == least]
+    second = min(deg_key[v] for u in roots for v in g.rot[u])
     best = None
-    for u, nbrs in enumerate(g.rot):
-        if len(nbrs) != root_deg:
-            continue
-        for v in nbrs:
+    for u in roots:
+        for v in g.rot[u]:
+            if deg_key[v] != second:
+                continue
             for mirror in (False, True):
                 found = _encode_from(g.rot, (u, v), mirror, best)
                 if found is None:

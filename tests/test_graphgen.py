@@ -1,5 +1,6 @@
 import functools
 import random
+from itertools import combinations
 
 import pytest
 
@@ -329,6 +330,61 @@ def test_steps_match_reference_order(monkeypatch, n_max, spec):
         assert steps == reference_enumerate_steps(g, n_max - g.n_vertices)
 
 
+@functools.lru_cache(maxsize=None)
+def applied_steps(n_max: int, prune_spec: str = "") -> tuple:
+    """Every (graph, step, child) apply_step makes during generate()."""
+    seen = []
+    original = gg.apply_step
+
+    def recording(g, step):
+        child = original(g, step)
+        seen.append((g, step, child))
+        return child
+
+    gg.apply_step = recording
+    try:
+        gg.generate(gg.GeneratorConfig(n_max=n_max, prune=gg.compile_prune_spec(prune_spec)))
+    finally:
+        gg.apply_step = original
+    return tuple(seen)
+
+
+def test_children_match_full_construction():
+    # apply_step traces only the fixed face's darts and the new ones; the
+    # full constructor re-traces and re-checks everything
+    applied = applied_steps(6) + applied_steps(8, "all-triangles")
+    assert len(applied) == 3214
+    for _g, _step, child in applied:
+        assert gg.DecoratedGraph(child.rot, child.modifiable_faces) == child
+        assert sorted(child._faces) == sorted(gg._faces_of_rotation(child.rot))
+
+
+def test_steps_through_an_existing_chord_are_rejected():
+    # A zero-news step that crosses a gap by a chord the graph already has
+    # is left out by _enumerate_steps; applied anyway, it joins the chord's
+    # ends twice, and the least such end is named.
+    rejected = 0
+    for g in {g for g, _step, _child in applied_steps(6)}:
+        face = min(g.modifiable_faces)
+        k = len(face)
+        bverts = [d[0] for d in face]
+        admissible = set(gg._enumerate_steps(g, 0))
+        for size in range(1, k - 1):
+            for rest in combinations(range(2, k), size):
+                keep = (0, 1, *rest)
+                step = gg.RefinementStep(keep, (0,) * (len(keep) - 1))
+                if step in admissible:
+                    continue
+                gaps = zip(keep[1:], keep[2:] + (0,))
+                u = min(min(bverts[a], bverts[b]) for a, b in gaps
+                        if (a + 1) % k != b and g.has_edge(bverts[a], bverts[b]))
+                with pytest.raises(ValueError) as info:
+                    gg.apply_step(g, step)
+                assert str(info.value) == f"vertex {u}: repeated neighbour (multi-join)"
+                rejected += 1
+    assert rejected == 110
+
+
 def test_cuboctahedron_eleven_step_derivation():
     g = gg.seed_graph(4)
     for step in CUBOCTA_STEPS:
@@ -395,6 +451,17 @@ def wheel_with_subdivided_rim(spokes: int) -> gg.DecoratedGraph:
     return gg.DecoratedGraph(tuple(rot), frozenset())
 
 
+def wheel_with_subdivided_spoke(spokes: int) -> gg.DecoratedGraph:
+    """Hub 0 joined to rim cycle 1..spokes, with the spoke from 0 to 1
+    subdivided by vertex spokes + 1 (degree 2)."""
+    mid = spokes + 1
+    rot = [(mid, *range(2, spokes + 1))]
+    for i in range(1, spokes + 1):
+        rot.append((0 if i > 1 else mid, i - 1 if i > 1 else spokes, i % spokes + 1))
+    rot.append((0, 1))
+    return gg.DecoratedGraph(tuple(rot), frozenset())
+
+
 def test_canonical_form_matches_reference_on_generated_graphs():
     graphs = (canonicalised_graphs(6)
               + canonicalised_graphs(8, "all-triangles"))
@@ -408,11 +475,20 @@ def test_canonical_form_matches_reference_on_generated_graphs():
         assert gg.canonical_form(h) == reference_canonical_form(h)
 
 
-@pytest.mark.parametrize("spokes", [3, 9, 10, 12, 20])
-def test_canonical_form_matches_reference_across_degree_digits(spokes):
+@pytest.mark.parametrize("build, spokes, root_rows", [
+    *(pytest.param(wheel_with_subdivided_rim, spokes, prefix, id=str(spokes))
+      for spokes, prefix in ((3, "2:1,2;3:"), (9, "2:1,2;3:"), (10, "10:1,2,"),
+                             (12, "12:1,2,"), (20, "20:1,2,"))),
+    pytest.param(wheel_with_subdivided_spoke, 30, "2:1,2;30:", id="spoke30"),
+])
+def test_canonical_form_matches_reference_across_degree_digits(build, spokes, root_rows):
     # Rows compare as strings: "20:1,..." sorts before "2:1,2" and "3:...",
-    # so the winning root is the hub, not the vertex of least degree.
-    g = wheel_with_subdivided_rim(spokes)
+    # so from 10 spokes on the winning root is the hub, not the vertex of
+    # least degree.  With
+    # a subdivided spoke the degree-2 vertex is the root, and its neighbour
+    # of degree 30 is labelled 1 before the one of degree 3, since "30:"
+    # sorts before "3:".
+    g = build(spokes)
     quad = next(f for f in g.faces() if len(f) == 4)
     rim = max(g.faces(), key=len)
     rng = random.Random(spokes)
@@ -422,8 +498,7 @@ def test_canonical_form_matches_reference_across_degree_digits(spokes):
         rng.shuffle(perm)
         for h in (dg, relabel(dg, perm, False), relabel(dg, perm, True)):
             assert gg.canonical_form(h) == reference_canonical_form(h)
-    if spokes >= 10:
-        assert gg.canonical_form(g).startswith(f"{spokes}:1,2,")
+    assert gg.canonical_form(g).startswith(root_rows)
 
 
 @pytest.mark.xfail(strict=True, reason=(
