@@ -28,6 +28,10 @@ kept because a floating-point x* binds only to tolerance.
 Since equality may be attained at the optimizer, the per-domain proofs
 are non-strict (prove_nonpositive); the resulting bound claim is
 sup c.x <= M.
+
+A fit compiles each domain's phis once into one FloatPlan, run at every
+test point, and builds both fitting LPs from one row list; verification
+computes the side condition's sums once per check.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import contextlib
 import random
 from dataclasses import dataclass, replace
 from itertools import compress
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import interval as iv
 from . import lp as lpmod
@@ -132,8 +136,7 @@ class DualityCertificate:
     test_points: Optional[int] = None
 
 
-@dataclass(frozen=True, slots=True)
-class VerifyOutcome:
+class VerifyOutcome(NamedTuple):
     certified: bool
     domain_id: Optional[str] = None
     reason: str = ""
@@ -336,7 +339,7 @@ def _domain_inequality_expr(p: AssemblyProblem, cert: DualityCertificate,
 
 
 def verify_duality(p: AssemblyProblem, cert: DualityCertificate,
-                   cfg: ProverConfig = ProverConfig(max_cells=20000)) -> VerifyOutcome:
+                   cfg: ProverConfig = ProverConfig()) -> VerifyOutcome:
     """Rigorously verify a duality certificate.
 
     Certified implies sup { c.x : x assembly-feasible } <= M, for the

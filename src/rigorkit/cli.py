@@ -330,13 +330,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--report", type=Path, default=None,
                         help="write the structured report here as well as stdout")
     sub = parser.add_subparsers(dest="command", required=True)
+    budget = ProverConfig()
 
     p = sub.add_parser("prove", help="prove f < -margin on a box")
     p.set_defaults(handler=_cmd_prove)
     p.add_argument("--task", type=Path, required=True)
-    p.add_argument("--max-cells", type=int, default=20000)
-    p.add_argument("--max-depth", type=int, default=64)
-    p.add_argument("--min-width", type=float, default=1e-6)
+    p.add_argument("--max-cells", type=int, default=budget.max_cells)
+    p.add_argument("--max-depth", type=int, default=budget.max_depth)
+    p.add_argument("--min-width", type=float, default=budget.min_width)
 
     p = sub.add_parser("lp-certify", help="rigorous LP upper bound from a dual")
     p.set_defaults(handler=_cmd_lp_certify)
@@ -360,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
     p.add_argument("--problem", type=Path, required=True)
     p.add_argument("--certificate", type=Path, required=True)
-    p.add_argument("--max-cells", type=int, default=20000)
+    p.add_argument("--max-cells", type=int, default=budget.max_cells)
     p = modes.add_parser("branch", help="bisect one domain box component")
     p.set_defaults(handler=_cmd_branch)
     p.add_argument("--problem", type=Path, required=True)

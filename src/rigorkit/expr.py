@@ -53,7 +53,7 @@ import re
 import weakref
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import interval as iv
 from .errors import CompileError, DomainError, IntervalError, ParseError
@@ -635,8 +635,7 @@ class FloatPlan(_Plan):
 
 # Rigorous interval evaluation.
 
-@dataclass(frozen=True, slots=True)
-class TaylorGerm:
+class TaylorGerm(NamedTuple):
     """Interval value and gradient of a function over a box: the interval
     version of a linear approximation f + Df[0] x0 + ... + Df[n-1] x{n-1}."""
 

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, product
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 __all__ = [
     "DecoratedGraph",
@@ -215,8 +215,7 @@ def seed_graph(k: int) -> DecoratedGraph:
 # Refinement
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class RefinementStep:
+class RefinementStep(NamedTuple):
     """Replayable descriptor of one refinement: indices (into the fixed
     face's boundary) of the polygon vertices kept from P, and the number
     of new interior vertices inserted in each gap after them.  The fixed
@@ -464,15 +463,13 @@ class GeneratorConfig:
             raise ValueError("max_states must be >= 1")
 
 
-@dataclass(frozen=True, slots=True)
-class TerminalRecord:
+class TerminalRecord(NamedTuple):
     graph: DecoratedGraph
     canonical: str
     path: tuple
 
 
-@dataclass(frozen=True, slots=True)
-class GenerationResult:
+class GenerationResult(NamedTuple):
     terminals: tuple[TerminalRecord, ...]
     complete: bool
     states_explored: int

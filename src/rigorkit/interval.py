@@ -2,7 +2,7 @@
 
 Every rigorous claim in the toolkit bottoms out here: each operation
 returns an interval that provably contains the exact real-arithmetic
-image of its operand sets.
+image of its operand sets.  No other module knows the rounding rules.
 
 Outward rounding is implemented by computing endpoints in the default
 round-to-nearest mode and then nudging them outward *only when the

@@ -16,8 +16,8 @@ the residual row vector
 
     delta = c - y Aeq - z A
 
-is computed in interval arithmetic, |delta . x| is bounded over the
-variable box by D, and
+is computed a column at a time by interval.add_products, |delta . x| is
+bounded over the variable box by D, and
 
     c.x <= D + y.beq + z.b
 
@@ -39,7 +39,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain, compress
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import interval as iv
 from . import records as rec
@@ -123,8 +123,7 @@ def make_problem(c: Sequence[float],
                      c=tuple(float(v) for v in c), var_bounds=bounds)
 
 
-@dataclass(frozen=True, slots=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     bound: float
     delta_bound: float
     residual: tuple[Interval, ...]

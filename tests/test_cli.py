@@ -62,17 +62,21 @@ def test_sqrt_of_a_negative_constant_is_not_proven(tmp_path, capsys):
 
 
 def test_failure_that_depends_on_no_variable_stops_at_the_first_cell(tmp_path, capsys):
-    # The failing sqrt reads constants only, so it fails on every cell alike:
-    # subdividing cannot help, and once ran the whole 20,000-cell budget.
+    # The failing sqrt and atan read constants only, so they fail on every
+    # cell alike: subdividing cannot help, and once ran the whole
+    # 20,000-cell budget.  A pole that reads x0 runs to the budget.
     task = tmp_path / "neg.ineq"
-    task.write_text("arity 1\nexpr sqrt(0.1 - 0.1000000000000000000001) + x0 - 2\n"
-                    "domain x0 0..1\n")
-    code, out, _ = run(["prove", "--task", str(task)], capsys)
-    assert code == 1
-    _, body = cli.parse_report(out)
-    assert ("status", "evaluation_failure") in body
-    assert ("cells_processed", "1") in body
-    assert [v for k, v in body if k == "failed_cell"] == ["0.0..1.0"]
+    for text, domain, budget, cells, failed in (
+            ("sqrt(0.1 - 0.1000000000000000000001) + x0 - 2", "0..1", [], "1", "0.0..1.0"),
+            ("x0 + atan(1, 0)", "0..1", [], "1", "0.0..1.0"),
+            ("1/x0 - 100", "-1..1", ["--max-cells", "50"], "50", "-9.5367431640625e-07..0.0")):
+        task.write_text(one_variable_task(text, domain))
+        code, out, _ = run(["prove", "--task", str(task), *budget], capsys)
+        assert code == 1
+        _, body = cli.parse_report(out)
+        assert ("status", "evaluation_failure") in body
+        assert ("cells_processed", cells) in body
+        assert [v for k, v in body if k == "failed_cell"] == [failed]
 
 
 def test_prove_false_inequality_exits_one(tmp_path, capsys):
@@ -270,11 +274,11 @@ def test_fit_certificate_records_its_test_point_count(tmp_path, capsys):
 
     problem = asm.problem_from_text((PROBLEMS / "toy_duality.asm").read_text())
     texts = {}
-    for n in (3, 40):
+    for n, flag in ((3, ["--test-points", "3"]), (40, ["--test-points", "40"]), (16, [])):
         cert_path = tmp_path / f"n{n}.cert"
         code, _, _ = run(["--seed", "7", "assemble", "fit",
                           "--problem", str(PROBLEMS / "toy_duality.asm"),
-                          "--bound", "1.0", "--guess", "1.0", "--test-points", str(n),
+                          "--bound", "1.0", "--guess", "1.0", *flag,
                           "--certificate", str(cert_path)], capsys)
         assert code == 0
         texts[n] = cert_path.read_text()
@@ -392,18 +396,22 @@ def test_out_of_range_budgets_exit_two(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
-def test_graphs_all_triangles_single_file(tmp_path, capsys):
+@pytest.mark.parametrize("n, prune", [(4, "all-triangles"), (8, "all-triangles"),
+                                      (7, "max-faces=8,max-degree=5")])
+def test_graphs_all_triangles_single_file(tmp_path, capsys, n, prune):
+    # one class file per class, each named in the body
     outdir = tmp_path / "classes"
-    code, out, _ = run(["graphs", "--max-vertices", "4",
-                        "--prune", "all-triangles", "--out", str(outdir)], capsys)
+    code, out, _ = run(["graphs", "--max-vertices", str(n),
+                        "--prune", prune, "--out", str(outdir)], capsys)
     assert code == 0
     header, body = cli.parse_report(out)
-    assert header["subcommand"] == "graphs" and ("classes", "1") in body
-    files = sorted(outdir.iterdir())
-    assert len(files) == 1
-    content = files[0].read_text()
-    assert content.startswith("vertices 4")
-    assert "derivation 3" in content
+    assert header["subcommand"] == "graphs" and ("complete", "True") in body
+    files = sorted(outdir.glob("graph_*.txt"))
+    assert len(files) == int(dict(body)["classes"]) == sum(k == "class_file" for k, _ in body)
+    if n == 4:
+        content = files[0].read_text()
+        assert len(files) == 1 and content.startswith("vertices 4")
+        assert "derivation 3" in content
 
 
 def test_geom_modes(tmp_path, capsys):
@@ -677,11 +685,12 @@ def test_task_file_round_trip():
 
 
 def test_voronoi_shipped_certificate_verifies(capsys):
-    code, out, _ = run(["assemble", "verify",
-                        "--problem", str(PROBLEMS / "voronoi2d.asm"),
-                        "--certificate", str(PROBLEMS / "voronoi2d.cert"),
-                        "--max-cells", "60000"], capsys)
-    assert code == 0
+    # the default budget suffices; five cells do not
+    for budget, code in ((["--max-cells", "60000"], 0), ([], 0), (["--max-cells", "5"], 1)):
+        assert run(["assemble", "verify",
+                    "--problem", str(PROBLEMS / "voronoi2d.asm"),
+                    "--certificate", str(PROBLEMS / "voronoi2d.cert"), *budget],
+                   capsys)[0] == code
 
 
 def test_shipped_problem_files_round_trip():
@@ -723,8 +732,9 @@ def test_every_exported_name_exists():
 
 
 def test_help_exits_zero(capsys):
-    assert cli.dispatch(["--help"]) == 0
-    capsys.readouterr()
+    for argv in (["--help"], ["assemble", "fit", "--help"]):
+        assert cli.dispatch(argv) == 0
+        assert capsys.readouterr().out.startswith(" ".join(["usage: rigorkit", *argv[:-1]]))
 
 
 def test_cross_process_reports_identical(tmp_path):
@@ -769,6 +779,8 @@ def test_malformed_variable_name_is_an_input_error_at_its_offset(tmp_path, capsy
     task.write_text(one_variable_task("x²"))
     code, out, err = run(["prove", "--task", str(task)], capsys)
     assert (code, out, err) == (2, "", "error: line 2: unknown identifier 'x²' at offset 0\n")
+    code, out, err = run(["plan-dump", "--expr", "x²", "--arity", "1"], capsys)
+    assert (code, out, err) == (2, "", "error: unknown identifier 'x²' at offset 0\n")
     code, out, err = run(["plan-dump", "--expr", "x" + "9" * 5000, "--arity", "1"], capsys)
     assert (code, out, err) == (2, "", "error: variable index of 5000 digits is too large "
                                        "at offset 0\n")

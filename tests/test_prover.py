@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,11 @@ def test_undecided_cells_in_ascending_box_order():
                                  (I(0.75, 1), I(0, 1)))
     assert (r.best_upper_bound_seen, r.max_depth_reached, r.cells_certified_by_germ) == (
         0.5, 3, 2)
+    # on a box twice as tall as wide the root splits x1 and its lower half
+    # x0, so the preorder leaves (0.5..1, 0..1) before (0..1, 1..2)
+    r = prove_negative(ProofTask(ex.parse("x0*x1 - 0.5", 2), Box((I(0, 1), I(0, 2)))),
+                       ProverConfig(max_cells=2))
+    assert r.undecided_cells == ((I(0, 0.5), I(0, 1)), (I(0, 1), I(1, 2)), (I(0.5, 1), I(0, 1)))
 
 
 def test_subdividing_task_report_is_pinned():
@@ -189,6 +195,8 @@ def test_subdividing_task_report_is_pinned():
     assert (r.cells_processed, r.max_depth_reached, r.cells_certified_by_germ,
             r.cells_certified_by_taylor) == (103, 9, 4, 48)
     assert r.best_upper_bound_seen == -0.0017805297772209995
+    # one record per processed cell, none left unvisited
+    assert Counter(c.outcome for c in r.cells) == {"value": 4, "taylor": 48, "split": 51}
 
 
 def test_coverage_volume_accounting():
