@@ -5,10 +5,13 @@ vertices, 8 triangular + 6 square faces).
 
 The refinement step at each graph is taken through the canonical face and
 edge, so a derivation is just the sequence of RefinementStep descriptors.
-This script found the 11-step sequence frozen into the test suite; it is
-kept for reproducibility.
+The search matches the target's skeleton, decorations stripped: it finds
+the ten insertions that open the 11-step sequence frozen into
+tests/test_graphgen.py.  The eleventh step, which commits the last face,
+is not found by the search.
 
 Usage: python scripts/find_dual_derivation.py [max_depth]
+Exits 1 when no derivation is found within max_depth steps.
 """
 
 import math
@@ -70,7 +73,7 @@ def strip_attrs(g: gg.DecoratedGraph) -> gg.DecoratedGraph:
     return gg.DecoratedGraph(g.rot, frozenset())
 
 
-def main(max_depth: int = 11) -> None:
+def main(max_depth: int = 11) -> int:
     target = cuboctahedron()
     assert target.n_vertices == 12 and target.face_sizes() == [3] * 8 + [4] * 6
     target_canon = gg.canonical_form(target)
@@ -103,11 +106,12 @@ def main(max_depth: int = 11) -> None:
             stack.append((child, path + (step,)))
     if found is None:
         print(f"no derivation within {max_depth} steps ({explored} states)")
-        return
+        return 1
     print(f"found {len(found)}-step derivation ({explored} states explored):")
     for st in found:
         print(f"    gg.RefinementStep({st.keep}, {st.news}),")
+    return 0
 
 
 if __name__ == "__main__":
-    main(int(sys.argv[1]) if len(sys.argv) > 1 else 11)
+    sys.exit(main(int(sys.argv[1]) if len(sys.argv) > 1 else 11))

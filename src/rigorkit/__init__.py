@@ -8,6 +8,3 @@ enumeration, and pivot-based geometric nonexistence checks.
 """
 
 __version__ = "0.1.0"
-
-from .interval import Interval  # noqa: F401
-from .taylor import Box  # noqa: F401

@@ -39,13 +39,13 @@ from __future__ import annotations
 import contextlib
 import random
 from dataclasses import dataclass, replace
-from itertools import compress
+from itertools import compress, count
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import interval as iv
 from . import lp as lpmod
 from . import records as rec
-from .errors import BranchError, NoProgress, ParseError
+from .errors import BranchError, IntervalError, NoProgress, ParseError
 from .expr import (Expr, FloatPlan, Var, const_from_float, make_add, make_mul, make_sub,
                    parse, to_text)
 from .interval import Interval, Pair
@@ -123,8 +123,7 @@ class AssemblyProblem:
         return range(start, start + self.domains[d_idx].n)
 
 
-@dataclass(frozen=True, slots=True)
-class DualityCertificate:
+class DualityCertificate(NamedTuple):
     m_bound: float
     x_star: tuple[float, ...]
     r: tuple[tuple[float, ...], ...]
@@ -187,21 +186,27 @@ def mx_check_interval(p: AssemblyProblem, cert: DualityCertificate) -> Interval:
 
 
 def _compute_t0(p: AssemblyProblem, m_bound: float, x_star: Sequence[float],
-                w: Sequence[float], retained_rows: Sequence[int]) -> float:
-    """Smallest t0 (up to a few ulps) that provably passes the side
-    condition: an upward-rounded (-M + c.x* + w.(b_R - A_R x*))/d.
+                w: Sequence[float], retained_rows: Sequence[int]) -> Optional[float]:
+    """A t0 that provably passes the side condition, or None if the side's
+    enclosure overflows first: an upward-rounded (-M + c.x* + w.(b_R -
+    A_R x*))/d, raised by 128 one-ulp steps, then by doubling ones, since
+    that enclosure's width scales with ulp(M) and w.residual, not ulp(t0).
 
     With an exactly binding x* the residual term vanishes and this reduces
     to the textbook substitution t0 = (-M + c.x*)/d."""
     obj, retained = _side_terms(p, x_star, w, retained_rows)
     num = iv.add(iv.sub(obj, Interval.point(m_bound)), retained)
     _, t0 = iv.div(num, Interval.point(float(len(p.domains))))
-    for _ in range(128):
-        lo, _ = _side(p, m_bound, t0, obj, retained)
-        if lo >= 0.0:
-            return t0
-        t0 = iv.next_up(t0)
-    raise ArithmeticError("could not stabilize t0; data badly scaled")
+    step = 0.0
+    with contextlib.suppress(IntervalError):
+        for k in count():
+            lo, _ = _side(p, m_bound, t0, obj, retained)
+            if lo >= 0.0:
+                return t0
+            if k >= 128:
+                step = 2.0 * step or iv.next_up(abs(t0)) - abs(t0)
+            t0 = iv.next_up(t0 + step)
+    return None
 
 
 def _test_points(dom: LocalDomain, seed: int, n_random: int) -> Iterator[tuple[float, ...]]:
@@ -228,8 +233,8 @@ def fit_dual(p: AssemblyProblem, x_star: Sequence[float], m_bound: float,
     so verification sees the smallest certificate.  Heuristic: the result
     carries no rigor claim until verify_duality certifies it.
 
-    Returns None when the finite LP is infeasible or degenerate (callers
-    should branch or enlarge the test set)."""
+    Returns None when the finite LP is infeasible or degenerate or no t0
+    is found (callers should branch or enlarge the test set)."""
     if n_random < 0:
         raise ValueError("n_random must be >= 0")
     if len(x_star) != p.n:
@@ -297,6 +302,8 @@ def fit_dual(p: AssemblyProblem, x_star: Sequence[float], m_bound: float,
                    for d in range(d_count))
     w_vals = tuple(max(0.0, v) for v in sol[w_start:])
     t0 = _compute_t0(p, m_bound, x_star, w_vals, retained)
+    if t0 is None:
+        return None
     return DualityCertificate(
         m_bound=float(m_bound),
         x_star=tuple(float(v) for v in x_star),

@@ -374,7 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vertices", type=int, required=True)
     p.add_argument("--prune", type=str, default="")
     p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--max-states", type=int, default=500000)
+    p.add_argument("--max-states", type=int, default=500000,
+                   help="popped states before stopping; each expansion builds all children first")
 
     modes = sub.add_parser("geom", help="geometric nonexistence checks"
                            ).add_subparsers(dest="mode", required=True)

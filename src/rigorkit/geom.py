@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
 from functools import cache
 from itertools import permutations
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import interval as iv
 from . import records as rec
@@ -101,8 +100,7 @@ def _sqrt_nonneg(x: Pair, what: str) -> Pair:
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class DistanceSpec:
+class DistanceSpec(NamedTuple):
     """Pairwise lower/upper distance thresholds; +inf upper caps allowed."""
 
     labels: tuple[str, ...]
@@ -121,8 +119,7 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True, slots=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     verdict: Verdict
     reason: str = ""
     witness: Optional[Interval] = None
@@ -359,7 +356,7 @@ def check_linked_line(spec: DistanceSpec) -> CheckResult:
     try:
         refuted = _bind_linked_line(spec)
         if isinstance(refuted, CheckResult):
-            return replace(refuted, sweep_cells=0)
+            return refuted._replace(sweep_cells=0)
         for s_sign in (1, -1):
             stack = [(Interval(-1.0, 1.0), 0)]
             while stack:

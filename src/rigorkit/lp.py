@@ -37,7 +37,6 @@ from __future__ import annotations
 import hashlib
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import chain, compress
 from typing import NamedTuple, Sequence
 
@@ -62,8 +61,7 @@ Matrix = tuple[tuple[float, ...], ...]
 Vector = tuple[float, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class LpProblem:
+class LpProblem(NamedTuple):
     """Immutable LP data.  `aineq` holds the explicit rows only; the
     variable bounds are `var_bounds`.  `m_ineq` is the length of z: the
     rows plus two bound multipliers per variable."""

@@ -92,8 +92,7 @@ class Cell(NamedTuple):
     outcome: str  # value, taylor, split, undecided, failed or unvisited
 
 
-@dataclass(frozen=True, slots=True)
-class ProofReport:
+class ProofReport(NamedTuple):
     status: ProofStatus
     cells_processed: int
     max_depth_reached: int

@@ -167,6 +167,31 @@ def test_assembly_without_linking_rows():
     assert brute is not None and brute <= 1.25
 
 
+def test_t0_search_crosses_any_gap_then_gives_up(monkeypatch):
+    # after 128 one-ulp steps the step doubles, so t0 crosses a gap far
+    # above ulp(t0) (here from 0 to 1); a side that never passes ends the
+    # search with no t0 once t0 overflows, and fit with no candidate
+    seen = []
+
+    def reaches_one(p, m_bound, t0, obj, retained):
+        seen.append(t0)
+        return iv.sub(Interval.point(t0), Interval.point(1.0))
+
+    def never_passes(p, m_bound, t0, obj, retained):
+        seen.append(t0)
+        return iv.sub(Interval.point(-1.0), Interval.point(t0))
+
+    p = toy_problem()
+    monkeypatch.setattr(asm, "_side", reaches_one)
+    assert 1.0 <= asm._compute_t0(p, 1.0, [1.0], [], [0]) < 2.1
+    assert seen[0] == 0.0 and seen[128] == 128 * 5e-324
+    seen.clear()
+    monkeypatch.setattr(asm, "_side", never_passes)
+    assert asm._compute_t0(p, 1.0, [1.0], [], [0]) is None
+    assert seen[-1] == math.inf and len(seen) < 128 + 2100
+    assert asm.fit_dual(p, [1.0], 1.0, seed=3) is None
+
+
 def test_many_constraints_verify_through_the_cli(tmp_path, capsys):
     # E_D is a left-deep sum with one term per constraint, so 600
     # constraints make it over 600 plan levels deep

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import inspect
@@ -693,6 +694,23 @@ def test_voronoi_shipped_certificate_verifies(capsys):
                    capsys)[0] == code
 
 
+def test_voronoi_fits_and_verifies_near_its_optimum(tmp_path, capsys):
+    # -3.88 is a true bound (the optimum is about -3.88686); there the side
+    # condition's rounding is wider than 128 ulps of t0, so the fit needs
+    # the t0 search's doubling steps
+    x_star = " ".join(["0.9717141478190061 2.0 2.0 1.5707963267948966"] * 4)
+    cert = tmp_path / "tight.cert"
+    problem = str(PROBLEMS / "voronoi2d.asm")
+    code, out, err = run(["assemble", "fit", "--problem", problem, "--bound", "-3.88",
+                          "--guess", x_star, "--certificate", str(cert)], capsys)
+    assert code == 0, err
+    assert ("candidate", "written") in cli.parse_report(out)[1]
+    code, out, err = run(["assemble", "verify", "--problem", problem,
+                          "--certificate", str(cert)], capsys)
+    assert code == 0, err
+    assert ("certified", "True") in cli.parse_report(out)[1]
+
+
 def test_shipped_problem_files_round_trip():
     from rigorkit import assembly as asm
     text = (PROBLEMS / "voronoi2d.asm").read_text()
@@ -714,6 +732,12 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+    # and a single layer loads only what it imports, not the package's others
+    probe = ("import sys, rigorkit.interval; "
+             "print(sorted(m for m in sys.modules if m.startswith('rigorkit.')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "['rigorkit.errors', 'rigorkit.interval']\n"
 
 
 def test_every_exported_name_exists():
@@ -729,6 +753,21 @@ def test_every_exported_name_exists():
                     if not n.startswith("_") and (inspect.isfunction(v) or inspect.isclass(v))
                     and v.__module__ == mod.__name__ and n not in getattr(mod, "__all__", ())]
         assert not unlisted, (name, unlisted)
+
+
+def test_only_checked_types_are_dataclasses():
+    # A dataclass is kept for a type whose __post_init__ checks its fields, or
+    # for an interned expression node, which is held by a weak reference that
+    # a tuple cannot take; a record that checks nothing is a NamedTuple.
+    unchecked = []
+    for info in pkgutil.iter_modules(rigorkit.__path__):
+        mod = importlib.import_module(f"rigorkit.{info.name}")
+        for name, v in vars(mod).items():
+            if (inspect.isclass(v) and v.__module__ == mod.__name__
+                    and dataclasses.is_dataclass(v) and "__post_init__" not in vars(v)
+                    and not issubclass(v, ex.Expr)):
+                unchecked.append(f"{info.name}.{name}")
+    assert not unchecked
 
 
 def test_help_exits_zero(capsys):

@@ -9,8 +9,8 @@ from oracles import (brute_force_sphere_classes, reference_canonical_form,
 from rigorkit import graphgen as gg
 
 # Frozen 11-step derivation from the square seed to the graph dual to the
-# rhombic dodecahedron (found by scripts/find_dual_derivation.py: ten
-# insertions complete the 12-vertex skeleton, the eleventh commits a face).
+# rhombic dodecahedron: ten insertions complete the 12-vertex skeleton (the
+# ones scripts/find_dual_derivation.py finds), the eleventh commits a face.
 CUBOCTA_STEPS = (
     gg.RefinementStep((0, 1), (1,)),
     gg.RefinementStep((0, 1), (2,)),

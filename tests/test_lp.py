@@ -2,7 +2,6 @@ import hashlib
 import math
 import random
 import struct
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -287,13 +286,13 @@ def test_digest_covers_every_input_of_the_bound():
     up = lambda v: math.nextafter(v, math.inf)
     bumped = lambda vec, i: vec[:i] + (up(vec[i]),) + vec[i + 1:]
     variants = [
-        (replace(p, c=bumped(p.c, 1)), y, z),
-        (replace(p, aeq=(bumped(p.aeq[0], 0),)), y, z),
-        (replace(p, beq=bumped(p.beq, 0)), y, z),
-        (replace(p, aineq=(bumped(p.aineq[0], 1),) + p.aineq[1:]), y, z),
-        (replace(p, bineq=bumped(p.bineq, 0)), y, z),
-        (replace(p, var_bounds=(I(0, 2), I(-1, up(1.0)))), y, z),
-        (replace(p, var_bounds=(I(up(0.0), 2), I(-1, 1))), y, z),
+        (p._replace(c=bumped(p.c, 1)), y, z),
+        (p._replace(aeq=(bumped(p.aeq[0], 0),)), y, z),
+        (p._replace(beq=bumped(p.beq, 0)), y, z),
+        (p._replace(aineq=(bumped(p.aineq[0], 1),) + p.aineq[1:]), y, z),
+        (p._replace(bineq=bumped(p.bineq, 0)), y, z),
+        (p._replace(var_bounds=(I(0, 2), I(-1, up(1.0)))), y, z),
+        (p._replace(var_bounds=(I(up(0.0), 2), I(-1, 1))), y, z),
         (p, bumped(y, 0), z),
         (p, y, bumped(z, 1)),
     ]
