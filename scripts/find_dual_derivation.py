@@ -81,7 +81,9 @@ def main(max_depth: int = 11) -> int:
 
     prune = gg.compile_prune_spec("max-face-size=4,max-degree=4")
     seed = gg.seed_graph(4)
-    # DFS with global dedup; paths recorded as step tuples.
+    # DFS with global dedup; paths recorded as step tuples.  A step whose
+    # inserted face has more than 4 sides is skipped before its child is
+    # built (the predicate's step test).
     stack = [(seed, ())]
     seen = {gg.canonical_form(seed)}
     found = None
@@ -96,7 +98,7 @@ def main(max_depth: int = 11) -> int:
             break
         if len(path) >= max_depth or g.is_terminal:
             continue
-        for step, child in gg.refinements_with_steps(g, 12):
+        for step, child in gg.refinements_with_steps(g, 12, prune.admits_step):
             if not prune(child):
                 continue
             canon = gg.canonical_form(child)

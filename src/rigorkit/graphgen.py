@@ -23,7 +23,9 @@ classes, and every graph whose largest face has k edges is reached from
 the k-gon seed, so seeds honour the largest-initial-polygon rule via a
 cheap terminal filter.  A prune predicate (compile_prune_spec) sees each
 candidate: face-size caps combine by min, a later max-degree or
-max-faces replaces an earlier one.
+max-faces replaces an earlier one.  Under a face-size cap the step alone
+decides the cap, so a step that breaks it is skipped before its child is
+built.
 
 Generation runs the seeds in increasing size, each depth first to the
 end, and deduplicates each seed's states with a canonical form that is
@@ -32,8 +34,9 @@ attributes.  Reflection is included for undecorated graphs only: under
 reflection the form reads the attribute of the face across an edge, so a
 decorated state and its mirror image can get different forms and states
 that are not isomorphic can share one (see _face_flags).  The form is
-encoded only from root darts whose first two rows can begin the least
-string.
+encoded from the root darts whose first two rows can begin the least
+string, all in lockstep, one row at a time, dropping each root whose row
+is not least; face flags are built only for the roots tied at the end.
 """
 
 from __future__ import annotations
@@ -328,8 +331,15 @@ def apply_step(g: DecoratedGraph, step: RefinementStep) -> DecoratedGraph:
     return _checked_graph(rot, frozenset(survivors - kept_unmod - {q_key}), faces)
 
 
-def refinements_with_steps(g: DecoratedGraph, n_max: int) -> list[tuple[RefinementStep, DecoratedGraph]]:
-    return [(step, apply_step(g, step)) for step in _enumerate_steps(g, n_max - g.n_vertices)]
+def refinements_with_steps(g: DecoratedGraph, n_max: int,
+                           admits: Optional[Callable[[RefinementStep], bool]] = None
+                           ) -> list[tuple[RefinementStep, DecoratedGraph]]:
+    """Each admissible step and its child.  With `admits`, a step it
+    rejects is skipped before its child is built."""
+    steps = _enumerate_steps(g, n_max - g.n_vertices)
+    if admits is not None:
+        steps = filter(admits, steps)
+    return [(step, apply_step(g, step)) for step in steps]
 
 
 def replay_path(path: Sequence) -> DecoratedGraph:
@@ -344,48 +354,7 @@ def replay_path(path: Sequence) -> DecoratedGraph:
 # Canonical form
 # ---------------------------------------------------------------------------
 
-def _encode_from(rot: Sequence[Sequence[int]], start: Dart, mirror: bool,
-                 bound: Optional[str] = None) -> Optional[tuple[str, dict]]:
-    """Breadth-first canonical labelling from a root dart; returns the
-    encoding and the old->new label map.
-
-    With a bound (the least candidate string so far), returns None as soon
-    as the encoding's prefix sorts after the bound's prefix of the same
-    length: every string with that prefix sorts after the bound, so the
-    candidate cannot win.  Once a prefix sorts before the bound's, no
-    further comparison is made."""
-    label = {start[0]: 0}
-    order = [start[0]]
-    anchors = [start[1]]  # per labelled vertex, the neighbour its row starts at
-    out = []
-    pos = 0 if bound is not None else -1  # prefix length equal to bound's; -1: decided
-    for u, anchor in zip(order, anchors):  # both grow while they are walked
-        nbrs = rot[u]
-        ai = nbrs.index(anchor)
-        seq = nbrs[ai::-1] + nbrs[:ai:-1] if mirror else nbrs[ai:] + nbrs[:ai]
-        row = []
-        for v in seq:
-            lv = label.get(v)
-            if lv is None:
-                lv = label[v] = len(order)
-                order.append(v)
-                anchors.append(u)
-            row.append(lv)
-        piece = str(len(nbrs)) + ":" + ",".join(map(str, row))
-        if out:
-            piece = ";" + piece
-        if pos >= 0:
-            ref = bound[pos:pos + len(piece)]
-            if piece > ref:
-                return None
-            pos = pos + len(piece) if piece == ref else -1
-        out.append(piece)
-    if len(order) != len(rot):
-        raise ValueError("graph is not connected")
-    return "".join(out), label
-
-
-def _face_flags(g: DecoratedGraph, flag_of: dict, label: dict, mirror: bool) -> str:
+def _face_flags(g: DecoratedGraph, flag_of: dict, label: Sequence[int], mirror: bool) -> str:
     """Attribute flags of the relabelled faces in order of their least
     relabelled dart, read from the cached trace.  A reflection reverses
     every face, so a dart (a, b) becomes (label[b], label[a])."""
@@ -411,35 +380,75 @@ def canonical_form(g: DecoratedGraph) -> str:
     encoding plus the attribute flags.  Reflection is included for
     undecorated graphs only (see _face_flags).
 
-    An encoding from root dart (u, v) begins "<deg u>:1,...,<deg u>;<deg
-    v>:", and a "<deg>:" piece is prefix-free.  So only roots whose two
-    pieces are least, compared as strings ("30:" sorts before "3:"), can
-    win, and no other root is encoded.  Each encoding is abandoned as soon
-    as its prefix sorts after the best candidate so far, and face flags
-    are read from the faces traced at construction."""
+    The encoding from a root dart labels the vertices breadth first and
+    writes one row per vertex, "<deg>:<its neighbours' labels>", each
+    followed by ";", or by "|" after the last.  All candidate roots
+    advance in lockstep, one row at a time, and after each row only the
+    roots whose row is least go on: a terminated row is never a proper
+    prefix of another, so the first row in which two roots differ decides
+    between them.  A row is compared as its list of tokens, "<deg>:" and
+    each label with the separator after it.  No token is a proper prefix
+    of another, so the lists sort as the rows do ("2;" sorts after "23;",
+    though "2" sorts before "23"), and only the least row is joined.  ";"
+    and "|" sort alike against digits, so the last row compares with ";".
+
+    The encoding from root dart (u, v) begins "<deg u>:1,...,<deg u>;<deg
+    v>:", so only roots whose two degree tokens are least ("30:" sorts
+    before "3:") start.  Face flags are built only for the roots still
+    tied after the last row, from the faces traced at construction, and
+    not at all when no face is modifiable."""
+    rot = g.rot
+    n = len(rot)
+    deg_key = [str(len(nbrs)) + ":" for nbrs in rot]
+    least = min(deg_key)
+    roots = [u for u, key in enumerate(deg_key) if key == least]
+    second = min(deg_key[v] for u in roots for v in rot[u])
+    comma = [f"{j}," for j in range(n)]
+    semi = [f"{j};" for j in range(n)]
+    # per candidate root: its orientation, the old -> new labels, the
+    # vertices in label order, and per labelled vertex the neighbour its
+    # row starts at (the last two grow while they are walked)
+    walks = [(mirror, [None] * n, [u], [v]) for u in roots for v in rot[u]
+             if deg_key[v] == second for mirror in (False, True)]
+    for _mirror, label, order, _anchors in walks:
+        label[order[0]] = 0
+    rows = []
+    for i in range(n):
+        best = None
+        for walk in walks:
+            mirror, label, order, anchors = walk
+            if i == len(order):
+                raise ValueError("graph is not connected")
+            u = order[i]
+            nbrs = rot[u]
+            ai = nbrs.index(anchors[i])
+            seq = nbrs[ai::-1] + nbrs[:ai:-1] if mirror else nbrs[ai:] + nbrs[:ai]
+            row = [deg_key[u]]
+            for v in seq:
+                lv = label[v]
+                if lv is None:
+                    lv = label[v] = len(order)
+                    order.append(v)
+                    anchors.append(u)
+                row.append(comma[lv])
+            row[-1] = semi[lv]
+            if best is None or row < best:
+                best = row
+                tied = [walk]
+            elif row == best:
+                tied.append(walk)
+        walks = tied
+        rows.append("".join(best))
+    enc = "".join(rows)[:-1] + "|"
+    if not g.modifiable_faces:  # every flag is "U", whatever the root
+        return enc + "U" * len(g._faces)
     flag_of = {}
     for f in g._faces:
         flag = "M" if f in g.modifiable_faces else "U"
         for d in f:
             flag_of[d] = flag
-    deg_key = [str(len(nbrs)) + ":" for nbrs in g.rot]
-    least = min(deg_key)
-    roots = [u for u, key in enumerate(deg_key) if key == least]
-    second = min(deg_key[v] for u in roots for v in g.rot[u])
-    best = None
-    for u in roots:
-        for v in g.rot[u]:
-            if deg_key[v] != second:
-                continue
-            for mirror in (False, True):
-                found = _encode_from(g.rot, (u, v), mirror, best)
-                if found is None:
-                    continue
-                enc, label = found
-                cand = enc + "|" + _face_flags(g, flag_of, label, mirror)
-                if best is None or cand < best:
-                    best = cand
-    return best
+    return enc + min(_face_flags(g, flag_of, label, mirror)
+                     for mirror, label, _order, _anchors in walks)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +487,14 @@ class GenerationResult(NamedTuple):
 def generate(cfg: GeneratorConfig) -> GenerationResult:
     """Exhaustive set of terminal isomorphism classes with <= N vertices
     surviving pruning.  Seeds run in increasing size, each depth first to
-    the end.  Deterministic: output sorted by canonical string."""
+    the end.  Deterministic: output sorted by canonical string.
+
+    A predicate from compile_prune_spec carries a step test, `admits_step`,
+    that rejects a step before its child is built where the step alone
+    decides the predicate; every child built still meets the predicate.  A
+    predicate without one (any other callable, or a wrapper around a
+    compiled one) sees every child."""
+    admits = getattr(cfg.prune, "admits_step", None)
     terminals: dict[str, TerminalRecord] = {}
     states = 0
     for seed_k in range(3, cfg.n_max + 1):
@@ -495,7 +511,7 @@ def generate(cfg: GeneratorConfig) -> GenerationResult:
                 if canon not in terminals:
                     terminals[canon] = TerminalRecord(g, canon, path)
                 continue
-            for step, child in refinements_with_steps(g, cfg.n_max):
+            for step, child in refinements_with_steps(g, cfg.n_max, admits):
                 if not cfg.prune(child):
                     continue
                 canon = canonical_form(child)
@@ -531,6 +547,11 @@ def compile_prune_spec(spec: str) -> Callable[[DecoratedGraph], bool]:
 
     All clauses are monotone along refinement paths (a violating graph
     has no clean descendants), so pruning mid-generation is safe.
+
+    Under a face-size cap the predicate carries a step test,
+    `admits_step(step)`: a refinement commits its inserted polygon Q at
+    once, and Q has len(step.keep) + sum(step.news) sides, so a step whose
+    Q exceeds the cap yields a child the predicate rejects.
     """
     caps: dict[str, int] = {}
     triangulation = False
@@ -563,4 +584,6 @@ def compile_prune_spec(spec: str) -> Callable[[DecoratedGraph], bool]:
             return False
         return True
 
+    if max_face is not None:
+        predicate.admits_step = lambda step: len(step.keep) + sum(step.news) <= max_face
     return predicate

@@ -4,8 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from oracles import (brute_force_sphere_classes, reference_canonical_form,
-                     reference_enumerate_steps)
+from oracles import (_oracle_encode, brute_force_sphere_classes,
+                     reference_canonical_form, reference_enumerate_steps)
 from rigorkit import graphgen as gg
 
 # Frozen 11-step derivation from the square seed to the graph dual to the
@@ -172,10 +172,10 @@ def test_dedup_soundness_by_isomorphism_search():
         # rooted-map matching over all anchor darts and orientations
         if g1.n_vertices != g2.n_vertices or sum(g1.degrees()) // 2 != sum(g2.degrees()) // 2:
             return False
-        enc1 = {gg._encode_from(g1.rot, (u, v), m)[0]
+        enc1 = {_oracle_encode(g1.rot, (u, v), m)[0]
                 for u in range(g1.n_vertices) for v in g1.rot[u]
                 for m in (False, True)}
-        enc2 = {gg._encode_from(g2.rot, (u, v), m)[0]
+        enc2 = {_oracle_encode(g2.rot, (u, v), m)[0]
                 for u in range(g2.n_vertices) for v in g2.rot[u]
                 for m in (False, True)}
         return bool(enc1 & enc2)
@@ -311,50 +311,91 @@ def test_prune_spec_combining_rules():
     assert accepts("max-face-size=3", flat) == [True]
 
 
-@pytest.mark.parametrize("n_max, spec", [
-    (6, ""), (7, "max-faces=8,max-degree=5"), (8, "all-triangles")])
-def test_steps_match_reference_order(monkeypatch, n_max, spec):
-    # every state generate() refines gets the reference's steps, in order
-    original = gg.refinements_with_steps
-    refined = []
-
-    def recording(g, n):
-        out = original(g, n)
-        refined.append((g, [step for step, _child in out]))
-        return out
-
-    monkeypatch.setattr(gg, "refinements_with_steps", recording)
-    gg.generate(gg.GeneratorConfig(n_max=n_max, prune=gg.compile_prune_spec(spec)))
-    assert refined
-    for g, steps in refined:
-        assert steps == reference_enumerate_steps(g, n_max - g.n_vertices)
-
-
 @functools.lru_cache(maxsize=None)
-def applied_steps(n_max: int, prune_spec: str = "") -> tuple:
-    """Every (graph, step, child) apply_step makes during generate()."""
+def enumerated_steps(n_max: int, prune_spec: str = "") -> tuple:
+    """Every (graph, steps) pair of a _enumerate_steps call during
+    generate(), in call order: each state's full list of steps, before the
+    step test skips any."""
     seen = []
-    original = gg.apply_step
+    original = gg._enumerate_steps
 
-    def recording(g, step):
-        child = original(g, step)
-        seen.append((g, step, child))
-        return child
+    def recording(g, budget):
+        steps = original(g, budget)
+        seen.append((g, tuple(steps)))
+        return steps
 
-    gg.apply_step = recording
+    gg._enumerate_steps = recording
     try:
         gg.generate(gg.GeneratorConfig(n_max=n_max, prune=gg.compile_prune_spec(prune_spec)))
     finally:
-        gg.apply_step = original
+        gg._enumerate_steps = original
     return tuple(seen)
+
+
+def step_pairs(n_max: int, prune_spec: str = "") -> list:
+    """Every (graph, step) that generate() enumerates."""
+    return [(g, step) for g, steps in enumerated_steps(n_max, prune_spec) for step in steps]
+
+
+GENERATED_RUNS = [(6, ""), (7, "max-faces=8,max-degree=5"), (8, "all-triangles")]
+
+
+@pytest.mark.parametrize("n_max, spec", GENERATED_RUNS)
+def test_steps_match_reference_order(n_max, spec):
+    # every state generate() refines gets the reference's steps, in order
+    refined = enumerated_steps(n_max, spec)
+    assert refined
+    for g, steps in refined:
+        assert list(steps) == reference_enumerate_steps(g, n_max - g.n_vertices)
+
+
+@pytest.mark.parametrize("n_max, spec, skipped", [
+    (*run, skipped) for run, skipped in zip(GENERATED_RUNS, (0, 0, 1579))])
+def test_step_test_rejects_only_what_the_predicate_rejects(n_max, spec, skipped):
+    # a step the step test rejects is never built by generate(); built
+    # here, its child fails the predicate
+    predicate = gg.compile_prune_spec(spec)
+    admits = getattr(predicate, "admits_step", lambda _step: True)
+    rejected = 0
+    for g, step in step_pairs(n_max, spec):
+        if not admits(step):
+            assert not predicate(gg.apply_step(g, step))
+            rejected += 1
+    assert rejected == skipped
+
+
+def test_wrapped_predicate_builds_every_child_with_the_same_result():
+    # a wrapper hides the step test, so every child is built and pruned
+    # after construction, to the same classes, paths and state count
+    predicate = gg.compile_prune_spec("all-triangles")
+    original = gg.apply_step
+    runs = []
+    for prune in (predicate, lambda g: predicate(g)):
+        built = []
+
+        def counting(g, step):
+            built.append(step)
+            return original(g, step)
+
+        gg.apply_step = counting
+        try:
+            r = gg.generate(gg.GeneratorConfig(n_max=8, prune=prune))
+        finally:
+            gg.apply_step = original
+        runs.append(([(t.canonical, t.path) for t in r.terminals], r.states_explored, len(built)))
+    (found, states, n_built), (wrapped_found, wrapped_states, n_wrapped) = runs
+    assert (found, states) == (wrapped_found, wrapped_states)
+    assert n_built < n_wrapped
 
 
 def test_children_match_full_construction():
     # apply_step traces only the fixed face's darts and the new ones; the
-    # full constructor re-traces and re-checks everything
-    applied = applied_steps(6) + applied_steps(8, "all-triangles")
-    assert len(applied) == 3214
-    for _g, _step, child in applied:
+    # full constructor re-traces and re-checks everything.  Steps the step
+    # test skips in generate() are applied here too.
+    pairs = step_pairs(6) + step_pairs(8, "all-triangles")
+    assert len(pairs) == 3214
+    for g, step in pairs:
+        child = gg.apply_step(g, step)
         assert gg.DecoratedGraph(child.rot, child.modifiable_faces) == child
         assert sorted(child._faces) == sorted(gg._faces_of_rotation(child.rot))
 
@@ -364,7 +405,7 @@ def test_steps_through_an_existing_chord_are_rejected():
     # is left out by _enumerate_steps; applied anyway, it joins the chord's
     # ends twice, and the least such end is named.
     rejected = 0
-    for g in {g for g, _step, _child in applied_steps(6)}:
+    for g in {g for g, _steps in enumerated_steps(6)}:
         face = min(g.modifiable_faces)
         k = len(face)
         bverts = [d[0] for d in face]
@@ -462,6 +503,18 @@ def wheel_with_subdivided_spoke(spokes: int) -> gg.DecoratedGraph:
     return gg.DecoratedGraph(tuple(rot), frozenset())
 
 
+def wheel_with_ear(spokes: int) -> gg.DecoratedGraph:
+    """Hub 0 joined to rim cycle 1..spokes, and to vertex spokes + 1 (degree
+    2), which sits in the triangle (0, 1, 2) and is joined to rim vertex 1."""
+    ear = spokes + 1
+    rot = [(1, ear, *range(2, spokes + 1))]
+    for i in range(1, spokes + 1):
+        rot.append((0, i - 1 if i > 1 else spokes, i % spokes + 1))
+    rot[1] = (0, spokes, 2, ear)
+    rot.append((0, 1))
+    return gg.DecoratedGraph(tuple(rot), frozenset())
+
+
 def test_canonical_form_matches_reference_on_generated_graphs():
     graphs = (canonicalised_graphs(6)
               + canonicalised_graphs(8, "all-triangles"))
@@ -480,6 +533,9 @@ def test_canonical_form_matches_reference_on_generated_graphs():
       for spokes, prefix in ((3, "2:1,2;3:"), (9, "2:1,2;3:"), (10, "10:1,2,"),
                              (12, "12:1,2,"), (20, "20:1,2,"))),
     pytest.param(wheel_with_subdivided_spoke, 30, "2:1,2;30:", id="spoke30"),
+    *(pytest.param(wheel_with_ear, spokes,
+                   f"{spokes + 1}:{','.join(map(str, range(1, spokes + 2)))};2:0,{spokes + 1};",
+                   id=f"ear{spokes}") for spokes in (19, 28)),
 ])
 def test_canonical_form_matches_reference_across_degree_digits(build, spokes, root_rows):
     # Rows compare as strings: "20:1,..." sorts before "2:1,2" and "3:...",
@@ -487,7 +543,10 @@ def test_canonical_form_matches_reference_across_degree_digits(build, spokes, ro
     # least degree.  With
     # a subdivided spoke the degree-2 vertex is the root, and its neighbour
     # of degree 30 is labelled 1 before the one of degree 3, since "30:"
-    # sorts before "3:".
+    # sorts before "3:".  With an ear the hub is the root and the ear is
+    # labelled 1; the ear's row reads "2:0,2;" in one orientation and
+    # "2:0,20;" (say) in the other, which is least only because ";" sorts
+    # after every digit, though "2:0,2" is a prefix of "2:0,20".
     g = build(spokes)
     quad = next(f for f in g.faces() if len(f) == 4)
     rim = max(g.faces(), key=len)
@@ -499,6 +558,43 @@ def test_canonical_form_matches_reference_across_degree_digits(build, spokes, ro
         for h in (dg, relabel(dg, perm, False), relabel(dg, perm, True)):
             assert gg.canonical_form(h) == reference_canonical_form(h)
     assert gg.canonical_form(g).startswith(root_rows)
+
+
+def prism(k: int) -> gg.DecoratedGraph:
+    """Two k-gons joined vertex to vertex, built from coordinates."""
+    import math
+    r = 1 / (math.sqrt(2) * math.sin(math.pi / k))
+    h = 1 / math.sqrt(2)
+    return polyhedron([(r * math.cos(2 * math.pi * i / k), r * math.sin(2 * math.pi * i / k), z)
+                       for z in (h, -h) for i in range(k)])
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(octahedron, id="octahedron"),
+    pytest.param(cuboctahedron_target, id="cuboctahedron"),
+    *(pytest.param(functools.partial(wheel, k), id=f"wheel{k}") for k in (3, 4, 6)),
+    *(pytest.param(functools.partial(prism, k), id=f"prism{k}") for k in (3, 4, 5)),
+])
+def test_canonical_form_breaks_ties_among_equal_encodings(build):
+    # On a symmetric map several roots give the least encoding, and their
+    # face flags decide between them.  Decorated, relabelled and reflected
+    # copies must get the reference's string.
+    g = build()
+    encodings = [_oracle_encode(g.rot, (u, v), m)[0]
+                 for u in range(g.n_vertices) for v in g.rot[u] for m in (False, True)]
+    assert encodings.count(min(encodings)) > 1
+    faces = g.faces()
+    rng = random.Random(len(faces))
+    decorations = [frozenset(), frozenset(faces[:1]), frozenset(faces[::2]), frozenset(faces[1:]),
+                   frozenset(faces), frozenset(rng.sample(faces, len(faces) // 2))]
+    for mod in decorations:
+        dg = gg.DecoratedGraph(g.rot, mod)
+        assert gg.canonical_form(dg) == reference_canonical_form(dg)
+        for _ in range(3):
+            perm = list(range(dg.n_vertices))
+            rng.shuffle(perm)
+            h = relabel(dg, perm, rng.random() < 0.5)
+            assert gg.canonical_form(h) == reference_canonical_form(h)
 
 
 @pytest.mark.xfail(strict=True, reason=(
