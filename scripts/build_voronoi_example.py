@@ -28,7 +28,8 @@ sector equals y_a of the next.
 
 The objective is -sum A (an upper bound M on it is a lower bound -M on
 the cell area).  We fit and verify M = -3.7; the true minimum is about
-3.8869 (all y at 2), so the certificate has a healthy margin.
+3.8869 (all y at 2), so the certificate has a healthy margin.  The fit
+starts from that symmetric cell, each A evaluated from F's text above.
 
 Writes problems/voronoi2d.asm and problems/voronoi2d.cert.
 """
@@ -41,13 +42,10 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from rigorkit import assembly as asm
-from rigorkit.expr import parse
+from rigorkit.expr import FloatPlan, parse
 from rigorkit.prover import ProverConfig
 from rigorkit.taylor import Box
 
-T_TRUNC = 1.25
-T_SQ = 1.5625          # t^2, exact binary64
-HALF_T_SQ = 0.78125    # t^2 / 2, exact binary64
 N_SECTORS = 4
 TAU_LO = 6.2831853071795
 TAU_HI = 6.2831853071797
@@ -66,16 +64,6 @@ def area_formula_text() -> str:
     th_a = theta.format(y="x1")
     th_b = theta.format(y="x2")
     return f"{t_a} + {t_b} + 0.78125*(x3 - {th_a} - {th_b})"
-
-
-def sector_area(y_a: float, y_b: float, alpha: float) -> float:
-    def tri(y):
-        return (y / 2) * math.sqrt(T_SQ - (y / 2) ** 2) / 2
-
-    def theta(y):
-        return math.atan2(math.sqrt(T_SQ - (y / 2) ** 2), y / 2)
-
-    return tri(y_a) + tri(y_b) + HALF_T_SQ * (alpha - theta(y_a) - theta(y_b))
 
 
 def build_problem() -> asm.AssemblyProblem:
@@ -124,7 +112,7 @@ def main():
     print("wrote", out_problem)
 
     alpha_star = math.pi / 2
-    a_star = sector_area(2.0, 2.0, alpha_star)
+    a_star = FloatPlan([parse(area_formula_text(), 4)])((0.0, 2.0, 2.0, alpha_star))[0]
     print(f"symmetric sector area: {a_star!r}; total {4 * a_star!r}")
     x_star = []
     for _ in range(N_SECTORS):

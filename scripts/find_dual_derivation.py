@@ -1,17 +1,14 @@
 #!/usr/bin/env python3
-"""Search for a shortest scripted derivation from the square seed to the
-graph dual to the rhombic dodecahedron (the cuboctahedron map: 12
-vertices, 8 triangular + 6 square faces).
+"""Print the derivation of the graph dual to the rhombic dodecahedron (the
+cuboctahedron map: 12 vertices, 8 triangular + 6 square faces).
 
-The refinement step at each graph is taken through the canonical face and
-edge, so a derivation is just the sequence of RefinementStep descriptors.
-The search matches the target's skeleton, decorations stripped: it finds
-the ten insertions that open the 11-step sequence frozen into
-tests/test_graphgen.py.  The eleventh step, which commits the last face,
-is not found by the search.
+One `generate` run with N = 12 under max-face-size=4,max-degree=4 records
+each terminal class's path: its seed size, then the RefinementStep taken
+at each graph.  The cuboctahedron's path, from the square seed, is frozen
+as CUBOCTA_STEPS in tests/test_graphgen.py.
 
-Usage: python scripts/find_dual_derivation.py [max_depth]
-Exits 1 when no derivation is found within max_depth steps.
+Usage: python scripts/find_dual_derivation.py
+Exits 1 when the cuboctahedron is not among the terminal classes.
 """
 
 import math
@@ -69,51 +66,21 @@ def cuboctahedron() -> gg.DecoratedGraph:
     return gg.DecoratedGraph(tuple(rot), frozenset())
 
 
-def strip_attrs(g: gg.DecoratedGraph) -> gg.DecoratedGraph:
-    return gg.DecoratedGraph(g.rot, frozenset())
-
-
-def main(max_depth: int = 11) -> int:
-    target = cuboctahedron()
-    assert target.n_vertices == 12 and target.face_sizes() == [3] * 8 + [4] * 6
-    target_canon = gg.canonical_form(target)
-    print("target canonical:", target_canon[:60], "...")
-
-    prune = gg.compile_prune_spec("max-face-size=4,max-degree=4")
-    seed = gg.seed_graph(4)
-    # DFS with global dedup; paths recorded as step tuples.  A step whose
-    # inserted face has more than 4 sides is skipped before its child is
-    # built (the predicate's step test).
-    stack = [(seed, ())]
-    seen = {gg.canonical_form(seed)}
-    found = None
-    explored = 0
-    while stack:
-        g, path = stack.pop()
-        explored += 1
-        if explored % 2000 == 0:
-            print(f"explored {explored}, frontier {len(stack)}, depth {len(path)}")
-        if gg.canonical_form(strip_attrs(g)) == target_canon:
-            found = path
-            break
-        if len(path) >= max_depth or g.is_terminal:
-            continue
-        for step, child in gg.refinements_with_steps(g, 12, prune.admits_step):
-            if not prune(child):
-                continue
-            canon = gg.canonical_form(child)
-            if canon in seen:
-                continue
-            seen.add(canon)
-            stack.append((child, path + (step,)))
+def main() -> int:
+    target = gg.canonical_form(cuboctahedron())
+    result = gg.generate(gg.GeneratorConfig(
+        12, gg.compile_prune_spec("max-face-size=4,max-degree=4")))
+    found = next((t for t in result.terminals if t.canonical == target), None)
     if found is None:
-        print(f"no derivation within {max_depth} steps ({explored} states)")
+        print(f"cuboctahedron not found ({result.states_explored} states)")
         return 1
-    print(f"found {len(found)}-step derivation ({explored} states explored):")
-    for st in found:
+    seed_k, *steps = found.path
+    print(f"{len(steps)}-step derivation from the {seed_k}-gon seed "
+          f"({result.states_explored} states explored):")
+    for st in steps:
         print(f"    gg.RefinementStep({st.keep}, {st.news}),")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(int(sys.argv[1]) if len(sys.argv) > 1 else 11))
+    sys.exit(main())

@@ -470,7 +470,7 @@ def problem_from_text(text: str) -> AssemblyProblem:
             try:
                 dom = LocalDomain(block["id"], block["vars"], Box(block["box"]),
                                   tuple(block["phi"]))
-            except ValueError as exc:
+            except (ValueError, IntervalError) as exc:
                 raise r.error(str(exc)) from None
             for vname in dom.var_names:
                 if f"{dom.id}.{vname}" in names:

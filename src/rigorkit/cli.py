@@ -135,6 +135,8 @@ def parse_task_file(text: str) -> ProofTask:
     for i, r in domains.items():
         if i >= arity:
             raise r.error(f"x{i} out of range for arity {arity}")
+        if not r.values[1].is_finite:
+            raise r.error(f"x{i}: domain must be finite")
     if len(domains) != arity:
         raise ParseError("task file must give a domain for every variable")
     expr = last["expr"]

@@ -301,6 +301,12 @@ def problem_from_text(text: str) -> LpProblem:
          for kw in ("obj", "bound", "eq_rhs", "ineq_rhs")}
     if len(t["bound"]) != n:
         raise ParseError("every variable needs a bound entry")
+    if n:  # each variable's last bound record, the one that wins
+        last = dict(zip(cols["bound"].fields[0], cols["bound"].lines))
+        infinite = [(last[j], j) for j, b in t["bound"].items() if not b.is_finite]
+        if infinite:
+            line, j = min(infinite)
+            raise rec.line_error(line, f"variable {j} needs finite bounds")
 
     def dense(kw):  # kw's rows; named yields (line, row) for each of its records
         named = ((line, r) for k in (kw, kw + "_rhs") if k in cols

@@ -109,8 +109,7 @@ class ProofReport(NamedTuple):
         return self.status is ProofStatus.PROVEN
 
 
-# `ev` is unused; it keeps the cell second, where the benchmark's tracer reads it.
-def reduce_cell(ev: Evaluator, cell: Box, germ: Optional[TaylorGerm]) -> Box:
+def reduce_cell(germ: Optional[TaylorGerm], cell: Box) -> Box:
     """Collapse every component whose partial in the cell's germ has a
     certified strict sign to its extremal endpoint (no collapse without a
     germ).  sup f over the result equals sup f over the input cell."""
@@ -143,7 +142,7 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
         except IntervalError:
             # Without a whole-cell germ, f may have a pole the Taylor bound misses.
             upper, germ, eval_failed = math.inf, None, True
-        cell = reduce_cell(ev, cell, germ)
+        cell = reduce_cell(germ, cell)
         by_value = certifies(upper)
         if not (by_value or eval_failed):
             try:

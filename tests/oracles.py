@@ -2,16 +2,17 @@
 
 Everything here is deliberately separate from the library's own code
 paths: LP optima proved exact in rationals (from the float solver's basis,
-else by an exact rational simplex), dense numpy grid search
-for function maxima and assembly feasibility, the assembly fit's test
-points as first drawn, a rotation-system brute force for small sphere
-graphs, the refinement step enumerator, the Cayley-Menger recursion, the
-record reader and the `.lp` reader built on it, the Taylor bound as first written, an interval walk of an expression
-and its partials with the public interval operations, mpmath for
-high-precision scalar references, directed-rounding kernels that decide
-every rounding by exact integer ratios, and a decimal reader that rounds
-by one exact integer division, with Clinger's float-division case beside
-it.  None of it is shipped.
+else by an exact rational simplex), dense numpy grid search for function
+maxima and assembly feasibility, central finite differences, the assembly
+fit's test points as first drawn, a rotation-system brute force for small
+sphere graphs, the refinement step enumerator, the Cayley-Menger
+recursion, the record reader and the `.lp` reader built on it, the Taylor
+bound as first written, an interval walk of an expression and its partials
+with the public interval operations, mpmath for high-precision scalar
+references, directed-rounding kernels that decide every rounding by exact
+integer ratios, and a decimal reader that rounds by one exact integer
+division, with Clinger's float-division case beside it.  None of it is
+shipped.
 """
 
 from __future__ import annotations
@@ -587,6 +588,28 @@ def grid_max(e: ex.Expr, bounds: Sequence[tuple[float, float]],
     mesh = np.meshgrid(*axes, indexing="ij")
     flat = [m.ravel() for m in mesh]
     return float(np.max(evaluate_on_arrays(e, flat)))
+
+
+def fd_gradient(plan, pt: Sequence[float], i: int, h: float = 1e-5) -> float:
+    """Central difference for df/dx_i of a FloatPlan's first root at pt."""
+    up = list(pt)
+    dn = list(pt)
+    up[i] += h
+    dn[i] -= h
+    return (plan(up)[0] - plan(dn)[0]) / (2 * h)
+
+
+def fd_hessian(plan, pt: Sequence[float], i: int, j: int, h: float = 1e-4) -> float:
+    """Central difference for d2f/dx_i dx_j of a FloatPlan's first root at pt."""
+    def f(delta_i, delta_j):
+        q = list(pt)
+        q[i] += delta_i
+        q[j] += delta_j
+        return plan(q)[0]
+
+    if i == j:
+        return (f(h, 0) - 2 * f(0, 0) + f(-h, 0)) / (h * h)
+    return (f(h, h) - f(h, -h) - f(-h, h) + f(-h, -h)) / (4 * h * h)
 
 
 # ---------------------------------------------------------------------------

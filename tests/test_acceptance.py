@@ -12,8 +12,8 @@ import time
 from fractions import Fraction
 
 import oracles
-from oracles import (assembly_grid_max, exact_lp_optimum, grid_max,
-                     random_expr)
+from oracles import (assembly_grid_max, exact_lp_optimum, fd_gradient, fd_hessian,
+                     grid_max, random_expr)
 from rigorkit import assembly as asm
 from rigorkit import expr as ex
 from rigorkit import geom
@@ -82,26 +82,6 @@ def test_criterion_01_interval_containment_fuzz():
 # 2. Gradient/Hessian soundness
 # ---------------------------------------------------------------------------
 
-def _fd_grad(plan, pt, i, h=1e-5):
-    up = list(pt)
-    dn = list(pt)
-    up[i] += h
-    dn[i] -= h
-    return (plan(up)[0] - plan(dn)[0]) / (2 * h)
-
-
-def _fd_hess(plan, pt, i, j, h=1e-4):
-    def f(di, dj):
-        q = list(pt)
-        q[i] += di
-        q[j] += dj
-        return plan(q)[0]
-
-    if i == j:
-        return (f(h, 0) - 2 * f(0, 0) + f(-h, 0)) / (h * h)
-    return (f(h, h) - f(h, -h) - f(-h, h) + f(-h, -h)) / (4 * h * h)
-
-
 def test_criterion_02_gradient_hessian_soundness():
     t0 = time.perf_counter()
     rng = random.Random(10002)
@@ -122,7 +102,7 @@ def test_criterion_02_gradient_hessian_soundness():
             continue
         plan = ex.FloatPlan((e,))
         for i in range(arity):
-            fd = _fd_grad(plan, pt, i)
+            fd = fd_gradient(plan, pt, i)
             tol = 1e-6 * (1.0 + germ.df[i].mag) + 1e-9
             assert germ.df[i].lo - tol <= fd <= germ.df[i].hi + tol, \
                 (ex.to_text(e), pt, i)
@@ -139,7 +119,7 @@ def test_criterion_02_gradient_hessian_soundness():
             if h_enc.mag > 1e5:
                 bad = True
                 break
-            fd2 = _fd_hess(plan, pt, i, j)
+            fd2 = fd_hessian(plan, pt, i, j)
             tol = 1e-4 * (1.0 + h_enc.mag) + 1e-6
             assert h_enc.lo - tol <= fd2 <= h_enc.hi + tol, \
                 (ex.to_text(e), pt, i, j)
@@ -416,7 +396,7 @@ def run_criterion_9():
         g = gg.apply_step(g, step)
     blind = gg.DecoratedGraph(g.rot, frozenset())
     iso = gg.canonical_form(blind) == gg.canonical_form(cuboctahedron_target())
-    lines.append(f"cuboctahedron 11-step isomorphic={iso}")
+    lines.append(f"cuboctahedron {len(CUBOCTA_STEPS)}-step isomorphic={iso}")
     return "\n".join(lines) + "\n", r3, r4, results, iso
 
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_expr, reference_evaluate_numeric, reference_germ, reference_hessian
+from oracles import (fd_gradient, fd_hessian, random_expr, reference_evaluate_numeric,
+                     reference_germ, reference_hessian)
 from rigorkit import assembly as asm
 from rigorkit import expr as ex
 from rigorkit import geom
@@ -403,26 +404,6 @@ def test_hessian_entries_in_one_pass_equal_single_entries():
         assert ex.Evaluator(e, arity).hessian(box, entries) == single
 
 
-def _fd_gradient(plan, pt, i, h=1e-5):
-    up = list(pt)
-    dn = list(pt)
-    up[i] += h
-    dn[i] -= h
-    return (plan(up)[0] - plan(dn)[0]) / (2 * h)
-
-
-def _fd_hessian(plan, pt, i, j, h=1e-4):
-    def f(delta_i, delta_j):
-        q = list(pt)
-        q[i] += delta_i
-        q[j] += delta_j
-        return plan(q)[0]
-
-    if i == j:
-        return (f(h, 0) - 2 * f(0, 0) + f(-h, 0)) / (h * h)
-    return (f(h, h) - f(h, -h) - f(-h, h) + f(-h, -h)) / (4 * h * h)
-
-
 def test_gradient_and_hessian_soundness_sample():
     rng = random.Random(20260808)
     checked = 0
@@ -443,7 +424,7 @@ def test_gradient_and_hessian_soundness_sample():
         plan = ex.FloatPlan((e,))
         ok = True
         for i in range(arity):
-            fd = _fd_gradient(plan, pt, i)
+            fd = fd_gradient(plan, pt, i)
             tol = 1e-6 * (1.0 + germ.df[i].mag) + 1e-9
             if not (germ.df[i].lo - tol <= fd <= germ.df[i].hi + tol):
                 ok = False
@@ -459,7 +440,7 @@ def test_gradient_and_hessian_soundness_sample():
             continue
         if h_val.mag > 1e6:
             continue
-        fd2 = _fd_hessian(plan, pt, i, j)
+        fd2 = fd_hessian(plan, pt, i, j)
         tol = 1e-4 * (1.0 + h_val.mag) + 1e-6
         assert h_val.lo - tol <= fd2 <= h_val.hi + tol, (ex.to_text(e), pt, i, j)
         checked += 1
@@ -510,7 +491,7 @@ def test_germ_over_box_contains_pointwise_derivatives():
             pt = [rng.uniform(box[j].lo, box[j].hi) for j in range(arity)]
             for i in range(arity):
                 try:
-                    fd = _fd_gradient(plan, pt, i, h=1e-6)
+                    fd = fd_gradient(plan, pt, i, h=1e-6)
                 except (ArithmeticError, ValueError):
                     inside = False
                     break

@@ -8,9 +8,9 @@ from oracles import (_oracle_encode, brute_force_sphere_classes,
                      reference_canonical_form, reference_enumerate_steps)
 from rigorkit import graphgen as gg
 
-# Frozen 11-step derivation from the square seed to the graph dual to the
-# rhombic dodecahedron: ten insertions complete the 12-vertex skeleton (the
-# ones scripts/find_dual_derivation.py finds), the eleventh commits a face.
+# Frozen 13-step derivation from the square seed to the graph dual to the
+# rhombic dodecahedron, the one scripts/find_dual_derivation.py prints: ten
+# insertions complete the 12-vertex skeleton, the last three commit faces.
 CUBOCTA_STEPS = (
     gg.RefinementStep((0, 1), (1,)),
     gg.RefinementStep((0, 1), (2,)),
@@ -22,6 +22,8 @@ CUBOCTA_STEPS = (
     gg.RefinementStep((0, 1, 7), (1, 0)),
     gg.RefinementStep((0, 1, 7), (0, 0)),
     gg.RefinementStep((0, 1, 3, 5), (0, 0, 0)),
+    gg.RefinementStep((0, 1, 2), (0, 0)),
+    gg.RefinementStep((0, 1, 2), (0, 0)),
     gg.RefinementStep((0, 1, 2), (0, 0)),
 )
 
@@ -426,16 +428,20 @@ def test_steps_through_an_existing_chord_are_rejected():
     assert rejected == 110
 
 
-def test_cuboctahedron_eleven_step_derivation():
+def test_cuboctahedron_thirteen_step_derivation():
+    assert len(CUBOCTA_STEPS) == 13
     g = gg.seed_graph(4)
-    for step in CUBOCTA_STEPS:
+    for step in CUBOCTA_STEPS[:11]:
         g = gg.apply_step(g, step)
-    assert len(CUBOCTA_STEPS) == 11
     target = cuboctahedron_target()
     blind = gg.DecoratedGraph(g.rot, frozenset())
     assert gg.canonical_form(blind) == gg.canonical_form(target)
     assert blind.n_vertices == 12
     assert blind.face_sizes() == [3] * 8 + [4] * 6
+    for step in CUBOCTA_STEPS[11:]:
+        g = gg.apply_step(g, step)
+    assert g.is_terminal
+    assert gg.canonical_form(g) == gg.canonical_form(target)
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ def test_margin():
 
 def test_reduce_cell_examples():
     def reduced(ev, cell):
-        return reduce_cell(ev, cell, ev.germ(cell))
+        return reduce_cell(ev.germ(cell), cell)
 
     bi = ex.Evaluator(ex.parse("x0*x1", 2), 2)
     assert reduced(bi, Box((I(1, 2), I(3, 4)))) == (I(2, 2), I(4, 4))
@@ -79,7 +79,7 @@ def test_reduce_cell_examples():
     # nothing collapses: the cell itself comes back, which is how a
     # collapse is told apart from none
     cell = Box((I(-1, 1),))
-    assert reduce_cell(sq, cell, sq.germ(cell)) is cell
+    assert reduce_cell(sq.germ(cell), cell) is cell
     assert type(reduced(bi, Box((I(1, 2), I(3, 4))))) is Box
 
     neg = ex.Evaluator(ex.parse("0 - x0"), 1)
@@ -87,7 +87,7 @@ def test_reduce_cell_examples():
 
     # no germ: nothing collapses
     cell = Box((I(-1, 1),))
-    assert reduce_cell(neg, cell, None) is cell
+    assert reduce_cell(None, cell) is cell
 
 
 def test_evaluation_failure_reported():
@@ -387,7 +387,7 @@ def test_reduce_cell_is_called_once_per_processed_cell(monkeypatch, text, bounds
     popped = []
     original = prover.reduce_cell
     monkeypatch.setattr(prover, "reduce_cell",
-                        lambda ev, cell, germ: popped.append(cell) or original(ev, cell, germ))
+                        lambda germ, cell: popped.append(cell) or original(germ, cell))
     r = prove_negative(ProofTask(ex.parse(text, len(bounds)), Box.from_bounds(bounds)), cfg)
     assert r.status is status
     assert len(popped) == r.cells_processed

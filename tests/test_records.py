@@ -82,10 +82,15 @@ CASES = [
     ("lp", 7, "ineq_rhs 100000 1.0"),
     ("lp", 4, "eq 100000 0 1.0"),
     ("asm", 8, "rhs 100000 1.0"),
+    # an infinite endpoint
+    ("ineq", 3, "domain x0 -inf..1"),
+    ("asm", 4, "  box 0..inf"),                    # reported at 'end', line 6
+    ("lp", 8, "bound 0 -inf..1"),
 ]
 
 # A defect found when its domain block closes is reported there.
-REPORTED_AT = {("asm", 4, "  box 0..1 0..1"): 6, ("cert", 7, "# retained 0"): 6}
+REPORTED_AT = {("asm", 4, "  box 0..1 0..1"): 6, ("asm", 4, "  box 0..inf"): 6,
+               ("cert", 7, "# retained 0"): 6}
 
 
 def _parse(fmt: str, text: str):
