@@ -45,7 +45,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from . import interval as iv
 from . import lp as lpmod
 from . import records as rec
-from .errors import BranchError, IntervalError, NoProgress, ParseError
+from .errors import IntervalError, NoProgress, ParseError
 from .expr import (Expr, FloatPlan, Var, const_from_float, make_add, make_mul, make_sub,
                    parse, to_text)
 from .interval import Interval, Pair
@@ -388,13 +388,13 @@ def branch(p: AssemblyProblem, domain_id: str, slot: int) -> tuple[AssemblyProbl
     children certifies M on the parent."""
     d_idx = next((i for i, d in enumerate(p.domains) if d.id == domain_id), None)
     if d_idx is None:
-        raise BranchError(f"no domain {domain_id!r}")
+        raise ValueError(f"no domain {domain_id!r}")
     dom = p.domains[d_idx]
     if not 0 <= slot < dom.n:
-        raise BranchError(f"domain {domain_id} has no slot {slot} (slots 0..{dom.n - 1})")
+        raise ValueError(f"domain {domain_id} has no slot {slot} (slots 0..{dom.n - 1})")
     comp = dom.box[slot]
     if comp.lo == comp.hi:
-        raise BranchError(f"domain {domain_id} slot {slot} is degenerate")
+        raise ValueError(f"domain {domain_id} slot {slot} is degenerate")
     lo_box, hi_box = dom.box.split(slot)
 
     def with_box(box: Box) -> AssemblyProblem:

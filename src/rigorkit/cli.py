@@ -7,19 +7,22 @@ for undecided, evaluation_failure, inconclusive, certified: False,
 complete: False and candidate: none; 2 for input errors (malformed
 input, arguments out of range, and paths that cannot be read or written:
 any OSError), 3 for internal errors (any other exception, reported on
-one stderr line).  Each subcommand is one handler, `handler(args, read)
--> (body, decided)`; `dispatch` times it, writes every report (a header of
-schema, subcommand, version, input digests, config echo and wall time,
-then the body) and exits 0 if decided, else 1.  The config echo is every
-parsed setting that is given and is not a path the run reads or writes,
-in declaration order, one `config: NAME VALUE` line each.  Handlers read
-files only through `read` (UTF-8, a byte-order mark dropped), which digests
-their bytes, so every file read is digested.  `wall_time_s` spans the
-handler: reading inputs, computing (`lp-certify --solve`'s solve too) and
-writing certificate, class or child files, not argument parsing or the
-report.  Reports are written even on exit 1 and re-parse under
-`parse_report`; apart from `wall_time_s` they are byte-identical across
-reruns with the same inputs, flags and seeds.
+one stderr line).  An input error prints `error: <message>`; only a
+computation that failed, an IntervalError or NoProgress, names its class
+as `error: <Class>: <message>`.  Each subcommand is one handler,
+`handler(args, read) -> (body, decided)`; `dispatch` times it, writes
+every report (a header of schema, subcommand, version, input digests,
+config echo and wall time, then the body) and exits 0 if decided,
+else 1.  The config echo is every parsed setting that is given and is
+not a path the run reads or writes, in declaration order, one
+`config: NAME VALUE` line each.  Handlers read files only through `read`
+(UTF-8, a byte-order mark dropped), which digests their bytes, so every
+file read is digested.  `wall_time_s` spans the handler: reading
+inputs, computing (`lp-certify --solve`'s solve too) and writing
+certificate, class or child files, not argument parsing or the report.
+Reports are written even on exit 1 and re-parse under `parse_report`;
+apart from `wall_time_s` they are byte-identical across reruns with the
+same inputs, flags and seeds.
 """
 
 from __future__ import annotations
@@ -322,6 +325,15 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf\b)")
 
 
+def _decimal(text: str) -> float:
+    """An option's numeral through the exact decimal reader.  argparse turns
+    only TypeError, ValueError and ArgumentTypeError into a usage error."""
+    try:
+        return iv.decimal_to_nearest_float(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="rigorkit",
@@ -339,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", type=Path, required=True)
     p.add_argument("--max-cells", type=int, default=budget.max_cells)
     p.add_argument("--max-depth", type=int, default=budget.max_depth)
-    p.add_argument("--min-width", type=float, default=budget.min_width)
+    p.add_argument("--min-width", type=_decimal, default=budget.min_width)
 
     p = sub.add_parser("lp-certify", help="rigorous LP upper bound from a dual")
     p.set_defaults(handler=_cmd_lp_certify)

@@ -1,15 +1,15 @@
 """Exception types shared across the toolkit.
 
 Every failure mode that callers are expected to branch on gets its own
-class; anything else is a plain ValueError/TypeError programming error.
+class; anything else, a bad argument included, is a plain ValueError
+(or a TypeError for a programming error).
 Interval arithmetic fails in one way, an IntervalError; the places that
 turn such a failure into a verdict (the prover's cell step and the geom
 checks) catch that one class.
 """
 
 __all__ = ["RigorError", "IntervalError", "NonFiniteOperand", "DivisionByZeroInterval",
-           "DomainError", "ParseError", "CompileError", "AugmentationError",
-           "BranchError", "NoProgress", "PivotInfeasible"]
+           "DomainError", "ParseError", "NoProgress", "PivotInfeasible"]
 
 
 class RigorError(Exception):
@@ -49,20 +49,6 @@ class ParseError(RigorError):
     def __init__(self, message: str, position: int | None = None):
         super().__init__(message)
         self.position = position
-
-
-class CompileError(RigorError):
-    """Expression uses a variable past the evaluator's arity."""
-
-
-class AugmentationError(RigorError):
-    """K-t augmentation precondition violated (0 outside a variable's
-    bounds, so x=0 would not be feasible-compatible)."""
-
-
-class BranchError(RigorError):
-    """Branching was requested on an unknown domain, a slot out of range,
-    or a degenerate box component."""
 
 
 class NoProgress(RigorError):

@@ -56,7 +56,7 @@ from functools import partial
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import interval as iv
-from .errors import CompileError, DomainError, IntervalError, ParseError
+from .errors import DomainError, IntervalError, ParseError
 from .interval import Interval, Pair
 
 __all__ = [
@@ -703,7 +703,7 @@ class Evaluator(_Plan):
         self.fails_everywhere = self._raised      # a constant of f raised: every box raises
         used = 1 + max((i for _, i in self._loads), default=-1)
         if used > arity:
-            raise CompileError(f"expression uses x{used - 1} but arity is {arity}")
+            raise ValueError(f"expression uses x{used - 1} but arity is {arity}")
         self.arity = arity
         # derivative index: () is f, (i,) is df/dx_i, (i, j) is d/dx_j(df/dx_i)
         self._partials: dict[tuple[int, ...], tuple[Expr, int]] = {(): (expr, root)}

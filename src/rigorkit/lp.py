@@ -42,7 +42,7 @@ from typing import NamedTuple, Sequence
 
 from . import interval as iv
 from . import records as rec
-from .errors import AugmentationError, NoProgress, ParseError
+from .errors import NoProgress, ParseError
 from .interval import Interval
 
 __all__ = [
@@ -199,7 +199,7 @@ def augment_with_t(p: LpProblem, k: float) -> LpProblem:
     and is attained with t = 0."""
     for i, b in enumerate(p.var_bounds):
         if not b.contains(0.0):
-            raise AugmentationError(
+            raise ValueError(
                 f"variable x{i} bounds [{b.lo}, {b.hi}] exclude 0; translate "
                 "variables before augmenting"
             )

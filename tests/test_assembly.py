@@ -7,7 +7,7 @@ from oracles import assembly_grid_max, reference_add_products, reference_test_po
 from rigorkit import assembly as asm
 from rigorkit import cli
 from rigorkit import interval as iv
-from rigorkit.errors import BranchError, NonFiniteOperand
+from rigorkit.errors import NonFiniteOperand
 from rigorkit.expr import parse
 from rigorkit.interval import Interval
 from rigorkit.prover import ProverConfig
@@ -65,6 +65,30 @@ def test_negative_multiplier_rejected():
     assert not asm.verify_duality(p, bad).certified
 
 
+@pytest.mark.parametrize("change, reason", [
+    ({"x_star": (1.0, 1.0)}, "x_star length mismatch"),
+    ({"r": ()}, "r shape mismatch"),
+    ({"r": ((0.0, 0.0),)}, "r shape mismatch"),
+    ({"w": ()}, "w/retained length mismatch"),
+    ({"w": (1.0, 1.0), "retained_rows": (0, 1)}, "retained row 1 out of range"),
+    ({"retained_rows": (-1,)}, "retained row -1 out of range"),
+])
+def test_malformed_certificate_is_refused(change, reason):
+    p = toy_problem()
+    good = asm.DualityCertificate(1.0, (1.0,), ((0.0,),), (1.0,), 0.0, (0,))
+    assert asm.verify_duality(p, good).certified
+    assert asm.verify_duality(p, good._replace(**change)) == asm.VerifyOutcome(
+        False, reason=reason)
+
+
+def test_fit_refuses_an_x_star_it_cannot_fit_at():
+    p = toy_problem()
+    with pytest.raises(ValueError, match="^x_star length mismatch$"):
+        asm.fit_dual(p, (0.5, 0.5), 1.0)
+    with pytest.raises(ValueError, match=r"^x_star\[0\] outside its domain box$"):
+        asm.fit_dual(p, (1.5,), 1.0)
+
+
 def test_not_binding_rows_rejected():
     p = toy_problem()
     bad = asm.DualityCertificate(1.5, (0.5,), ((0.0,),), (1.0,), 0.0, (0,))
@@ -114,7 +138,7 @@ def test_branch_examples():
 
     degenerate = asm.AssemblyProblem(
         (asm.LocalDomain("d", ("x",), Box((I(1, 1),)), ()),), (), (), (1.0,))
-    with pytest.raises(BranchError):
+    with pytest.raises(ValueError, match="^domain d slot 0 is degenerate$"):
         asm.branch(degenerate, "d", 0)
 
     # 10-level recursion tiles the box exactly

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import hashlib
 import importlib
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import rigorkit
-from rigorkit import cli
+from rigorkit import cli, errors
 from rigorkit import expr as ex
 from rigorkit import lp as lpmod
 from rigorkit.errors import NoProgress, ParseError
@@ -339,7 +340,8 @@ def test_assemble_branch_rejects_unknown_domain_or_slot(tmp_path, capsys, domain
                           "--domain", domain, "--slot", slot,
                           "--out-prefix", str(tmp_path / "child")], capsys)
     assert code == 2
-    assert err.startswith("error: BranchError: ") and not out
+    # a bad argument, not a failed computation: no class name after "error: "
+    assert err.startswith(("error: no domain ", "error: domain d0 has no slot ")) and not out
     assert list(tmp_path.iterdir()) == []
 
 
@@ -390,11 +392,32 @@ def test_unusable_paths_exit_two(tmp_path, capsys, argv):
     # a task file names its own arity
     (["plan-dump", "--task", str(PROBLEMS / "six_squares.ineq"), "--arity", "9"],
      "plan-dump takes --task alone, or --expr with --arity"),
+    (["prove", "--task", str(PROBLEMS / "six_squares.ineq"), "--max-cells", "0"],
+     "max_cells must be >= 1"),
+    (["prove", "--task", str(PROBLEMS / "six_squares.ineq"), "--min-width", "0"],
+     "min_width must be > 0"),
+    (["graphs", "--max-vertices", "2"], "N must be >= 3"),
+    (["graphs", "--max-vertices", "5", "--prune", "wat"], "unknown prune clause 'wat'"),
 ])
 def test_out_of_range_budgets_exit_two(capsys, argv, message):
     code, out, err = run(argv, capsys)
     assert code == 2 and not out
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("width, message", [
+    ("inf", "invalid decimal numeral 'inf'"),  # float() read it; the run stopped at its root
+    ("nan", "invalid decimal numeral 'nan'"),
+    ("1_0", "invalid decimal numeral '1_0'"),
+    ("1e999", "decimal numeral '1e999' overflows binary64"),
+])
+def test_min_width_is_read_as_an_exact_decimal(capsys, width, message):
+    six = str(PROBLEMS / "six_squares.ineq")
+    code, out, err = run(["prove", "--task", six, "--min-width", width], capsys)
+    assert code == 2 and not out
+    assert err.endswith(f"rigorkit prove: error: argument --min-width: {message}\n")
+    code, out, _ = run(["prove", "--task", six, "--min-width", "1e-6"], capsys)
+    assert code == 0 and "config: min_width 1e-06\n" in out
 
 
 @pytest.mark.parametrize("n, prune", [(4, "all-triangles"), (8, "all-triangles"),
@@ -459,6 +482,30 @@ def test_geom_overflow_is_inconclusive(tmp_path, capsys, argv):
     _, body = cli.parse_report(out)
     assert ("verdict", "inconclusive") in body
     assert dict(body)["reason"].startswith("arithmetic on non-finite interval")
+
+
+CAPPED = "".join(f"dmax {pair} 2\n" for pair in
+                 ("0 p1", "0 p2", "0 p3", "p1 p2", "p1 p3", "p2 p3", "0 q"))
+
+
+@pytest.mark.parametrize("argv, verdict, reason", [
+    (["simplex", "--edges", *["2.8284271247461903"] * 6, "--r", "0"],
+     "inconclusive", "r must be positive"),
+    (["segment", "--r1", "1", "--r2", "5", "--r3", "0.9..1.1"],
+     "inconclusive", "axis height straddles zero"),
+    (["linked", "dmin p1 q 3\ndmax p1 q 2\n"],
+     "no_such_configuration", "dmin(1,4) exceeds dmax(1,4)"),
+    (["linked", CAPPED], "inconclusive", "dmin(p1,q) must be positive to bind the strut"),
+], ids=["simplex-r-zero", "segment-straddles", "linked-dmin-above-dmax", "linked-no-strut"])
+def test_geom_verdict_names_its_reason(tmp_path, capsys, argv, verdict, reason):
+    if argv[0] == "linked":
+        spec = tmp_path / "s.dspec"
+        spec.write_text("points 0 p1 p2 p3 q\n" + argv[1])
+        argv = ["linked", "--spec", str(spec)]
+    code, out, err = run(["geom", *argv], capsys)
+    assert code == (0 if verdict == "no_such_configuration" else 1) and not err
+    _, body = cli.parse_report(out)
+    assert ("verdict", verdict) in body and ("reason", reason) in body
 
 
 def test_plan_dump(capsys):
@@ -768,6 +815,26 @@ def test_only_checked_types_are_dataclasses():
                     and not issubclass(v, ex.Expr)):
                 unchecked.append(f"{info.name}.{name}")
     assert not unchecked
+
+
+def test_every_error_class_is_caught_by_name():
+    # An error class is kept for a failure some caller branches on; anything
+    # else raises ValueError.  IntervalError's three subclasses are the
+    # documented ways interval arithmetic fails, caught as IntervalError.
+    caught = set()
+    for path in Path(rigorkit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                named = [node.type]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "suppress"):
+                named = node.args
+            else:
+                continue
+            for expr in named:
+                caught |= {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+    documented = {"NonFiniteOperand", "DivisionByZeroInterval", "DomainError"}
+    assert sorted(set(errors.__all__) - caught - documented) == []
 
 
 def test_help_exits_zero(capsys):

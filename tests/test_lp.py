@@ -9,7 +9,7 @@ import pytest
 import oracles
 from oracles import exact_lp_optimum, reference_certify
 from rigorkit import lp
-from rigorkit.errors import AugmentationError, NonFiniteOperand, ParseError
+from rigorkit.errors import NonFiniteOperand, ParseError
 from rigorkit.interval import Interval
 
 I = Interval
@@ -101,7 +101,7 @@ def test_augment_examples():
     assert pa.var_bounds[-1] == I(0, 1)
 
     shifted = lp.make_problem([1.0], [I(1, 2)], aineq=[[1.0]], bineq=[1.5])
-    with pytest.raises(AugmentationError):
+    with pytest.raises(ValueError, match=r"^variable x0 bounds \[1.0, 2.0\] exclude 0"):
         lp.augment_with_t(shifted, 0.5)
 
 

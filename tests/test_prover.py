@@ -12,11 +12,11 @@ import oracles
 from oracles import grid_max, random_expr
 from rigorkit import expr as ex
 from rigorkit import prover
-from rigorkit.errors import IntervalError
+from rigorkit.errors import DivisionByZeroInterval, IntervalError
 from rigorkit.interval import Interval
 from rigorkit.prover import (ProofStatus, ProofTask, ProverConfig,
                              prove_negative, prove_nonpositive, reduce_cell)
-from rigorkit.taylor import Box
+from rigorkit.taylor import Box, taylor_upper_bound
 
 I = Interval
 
@@ -149,6 +149,21 @@ def test_no_taylor_bound_across_a_pole():
     r = prove_negative(ProofTask(ex.parse("atan(10, x0)"), Box((I(-2, 1),))),
                        ProverConfig(max_cells=200))
     assert r.status is not ProofStatus.PROVEN
+
+
+def test_taylor_bound_failure_fails_the_cell():
+    # f and its gradient evaluate, but the Hessian's x0**4 underflows, so a
+    # divisor holds 0 and only the Taylor bound raises
+    e, cell = ex.parse("x1*x1/x0 - 5", 2), Box((I(1e-120, 1), I(-1, 1)))
+    ev = ex.Evaluator(e, 2)
+    ev.germ(cell)
+    with pytest.raises(DivisionByZeroInterval):
+        taylor_upper_bound(ev, cell)
+    r = prove_negative(ProofTask(e, cell), ProverConfig(max_depth=0))
+    assert r.status is ProofStatus.EVALUATION_FAILURE
+    assert [c.outcome for c in r.cells] == ["failed"]
+    assert r.failed_cells == (cell,)
+    assert r.best_upper_bound_seen == ev.germ(cell).f.hi
 
 
 def test_budget_exhaustion_yields_frontier():

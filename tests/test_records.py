@@ -38,6 +38,7 @@ CASES = [
     ("ineq", 1, "arity two"),
     ("ineq", 2, "expr x0 *"),
     ("ineq", 5, "wat 3"),                          # unknown keyword
+    ("ineq", 4, "domain y0 0..1"),                 # not a variable
     ("lp", 4, "eq 0 1"),
     ("lp", 3, "obj 0 1.0 2.0"),
     ("lp", 6, "ineq -1 0 1.0"),                    # used to overwrite the last row
@@ -57,6 +58,7 @@ CASES = [
     ("asm", 5, "  phi x1"),
     ("asm", 4, "  box 0..1 0..1"),                 # reported at 'end', line 6
     ("asm", 2, "vars x"),                          # 'vars' outside a domain block
+    ("asm", 3, "domain d1"),                       # a block opened inside another
     ("asm", 9, "column 0"),
     ("cert", 4, "x_star 0"),
     ("cert", 3, "t0 0.0 1.0"),
@@ -120,6 +122,8 @@ def _argv(fmt: str, path: Path, tmp_path: Path) -> list[str]:
         return ["assemble", "verify", "--problem", str(path), "--certificate", str(path)]
     if fmt == "cert":
         return ["assemble", "verify", "--problem", str(TOY), "--certificate", str(path)]
+    if fmt == "lp-certify":
+        return ["lp-certify", "--problem", str(path)]  # neither --dual nor --solve
     return ["geom", "linked", "--spec", str(path)]
 
 
@@ -146,6 +150,33 @@ def test_malformed_line_is_a_numbered_input_error(fmt, line, replacement, tmp_pa
     assert cli.dispatch(_argv(fmt, path, tmp_path)) == 2
     assert f"line {where}: " in capsys.readouterr().err
 
+
+# (format, whole file, message): defects no one-line change of BASE makes
+WHOLE_FILE_CASES = [
+    ("ineq", "arity 1\ndomain x0 0..1\n", "task file needs 'arity' and 'expr'"),
+    ("ineq", "arity 2\nexpr x0*x1 - 2\ndomain x0 0..1\n",
+     "task file must give a domain for every variable"),
+    ("lp", "lp-problem v1\nbound 0 0..1\n", "missing 'vars N' declaration"),
+    ("lp-certify", BASE["lp"], "need --dual FILE or --solve"),
+    ("asm", "assembly-problem v1\ndomain d0\nend\n", "line 3: domain 'd0' has no vars"),
+    ("asm", "assembly-problem v1\n" + "domain d0\n  vars x\n  box 0..1\nend\n" * 2,
+     "line 9: variable d0.x defined twice"),
+    ("asm", "assembly-problem v1\ndomain d0\n  vars x\n  box 0..1\n",
+     "unterminated domain block"),
+    ("cert", "duality-certificate v1\nM 1.0\n", "certificate missing M or t0"),
+    ("dspec", "# no points\n", "missing 'points' declaration"),
+    ("dspec", "points 0 p1 p2 q\n", "spec must cover exactly 5 points: 0 p1 p2 p3 q"),
+]
+
+
+@pytest.mark.parametrize("fmt, text, message", WHOLE_FILE_CASES,
+                         ids=[f"{f}:{m}" for f, _, m in WHOLE_FILE_CASES])
+def test_whole_file_defect_is_an_input_error(fmt, text, message, tmp_path, capsys):
+    path = tmp_path / f"bad.{fmt}"
+    path.write_text(text)
+    assert cli.dispatch(_argv(fmt, path, tmp_path)) == 2
+    out = capsys.readouterr()
+    assert out.err == f"error: {message}\n" and not out.out
 
 
 @pytest.mark.parametrize("earlier, later", [("obj 0 one", "ineq 0 1 two"),
