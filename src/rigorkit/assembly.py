@@ -438,14 +438,6 @@ _PROBLEM_FIELDS = {
 }
 
 
-def _read_phi(text: str, arity: int) -> Expr:
-    """A phi, its constants read as fit_dual's float plan reads them, so
-    one past binary64 is an input error of its line."""
-    phi = parse(text, arity=arity)
-    FloatPlan((phi,))
-    return phi
-
-
 def problem_from_text(text: str) -> AssemblyProblem:
     records = rec.read_records(text, _PROBLEM_FIELDS, header="assembly-problem")
     domains: list[LocalDomain] = []
@@ -463,7 +455,7 @@ def problem_from_text(text: str) -> AssemblyProblem:
             block[kw] = v
         elif kw == "phi":
             arity = len(block["vars"])
-            block["phi"].append(rec.convert(r.line, lambda t: _read_phi(t, arity), v[0]))
+            block["phi"].append(rec.convert(r.line, lambda t: parse(t, arity=arity), v[0]))
         elif kw == "end":
             if not block["vars"]:
                 raise r.error(f"domain {block['id']!r} has no vars")

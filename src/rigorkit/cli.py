@@ -145,6 +145,8 @@ def parse_task_file(text: str) -> ProofTask:
     expr = last["expr"]
     e = rec.convert(expr.line, lambda t: ex.parse(t, arity), expr.values[0])
     margin = last["margin"].values[0] if "margin" in last else 0.0
+    if margin < 0.0:
+        raise last["margin"].error("margin must be >= 0")
     return ProofTask(e, Box(domains[i].values[1] for i in range(arity)), margin)
 
 

@@ -19,11 +19,11 @@ operators' symbols and precedences, which `parse` and `to_text` share.
 `parse` recurses once per nesting level: too deep a text is a ParseError.
 
 One lowering compiles expressions into a flat plan with one slot per node:
-a leaf (a constant, read as the plan compiles, or a variable) or one
-`(op, a, b)` instruction.  An instruction that reads no variable is run
-once, as the plan compiles; each run executes only those that read one.
-One loop runs them.  The two plans differ only in their table of ops, the
-failures those ops raise, and their constant reader:
+a leaf (a constant or a variable) or one `(op, a, b)` instruction.  An
+instruction that reads no variable is run once, as the plan compiles; each
+run executes only those that read one.  One loop runs them.  The two plans
+differ only in their table of ops, which also names the value a constant's
+slot preloads, and the failures those ops raise:
 
 * `FloatPlan(exprs)` does plain binary64 operations, for fitting at test
   points; it is compiled once and run at any number of points.
@@ -37,9 +37,11 @@ failures those ops raise, and their constant reader:
   its outputs depend on, in one pass; the germ's pass is the value's,
   resumed on the same slots for the partials.
 
-Constants are stored as decimal text; conversion to binary64 enclosures
-is deferred to the interval layer so no precision is lost before the
-rigorous arithmetic sees them.
+A constant keeps its decimal text and is read once, as its node is made,
+by the interval layer: its nearest binary64 value, its tight enclosure and
+the integer it denotes, if any.  So no precision is lost before the
+rigorous arithmetic sees it, and text past binary64 is a ParseError there,
+which `parse` reports at the numeral's offset.
 
 No simplification is performed beyond folding integer constants and
 eliminating 0/1 identities: simplification bugs are rigor bugs.
@@ -114,11 +116,15 @@ class Expr(metaclass=_Interned):
 @dataclass(frozen=True, slots=True, eq=False)
 class Const(Expr):
     text: str
-    # The integer the text denotes, else None; read once, as nodes are immutable.
+    # iv.read_constant's reading of the text, made once as nodes are immutable
+    _nearest: float = field(init=False, repr=False)
+    _pair: Pair = field(init=False, repr=False)
     _int_value: Optional[int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_int_value", _read_int(self.text))
+        read = iv.read_constant(self.text)
+        for name, value in zip(("_nearest", "_pair", "_int_value"), read):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -167,24 +173,6 @@ class Atan(Expr):
     den: Expr
 
 
-def _read_int(text: str) -> Optional[int]:
-    """The value of a decimal numeral if it is an integer, else None.
-    Decided from interval's split of the numeral into digits and a power of
-    ten, so no power of ten is built for a far exponent."""
-    try:
-        sign, body, k = iv._split_decimal(text)
-    except ParseError:
-        return None
-    digits = body.rstrip("0")
-    if not digits:
-        return 0
-    k += len(body) - len(digits)
-    # |value| >= 10**(len(digits) + k - 1): past 310, past binary64 too
-    if k < 0 or len(digits) + k > 310:
-        return None
-    return int(sign + digits) * 10**k
-
-
 ZERO = Const("0")
 ONE = Const("1")
 
@@ -195,9 +183,9 @@ def _as_int(e: Expr) -> Optional[int]:
 
 
 def _folded(v: int, op: type, a: Expr, b: Expr) -> Expr:
-    # A constant past binary64's range would fail to read in the plan; the
-    # unfolded operation op(a, b) overflows as an interval instead.
-    return Const(str(v)) if v.bit_length() < 1024 else op(a, b)
+    # A constant past binary64's range cannot be made; the unfolded
+    # operation op(a, b) overflows as an interval instead.
+    return Const(str(v)) if abs(v) <= _FLOAT_MAX else op(a, b)
 
 
 def make_add(a: Expr, b: Expr) -> Expr:
@@ -370,10 +358,14 @@ class _Parser:
             self.expect(")")
             return e
         if c.isdigit() or c == ".":
+            start = self.pos
             num = self.take(_NUMBER_RE)
             if not num or num == ".":
                 raise self.error("malformed number")
-            return Const(num)
+            try:
+                return Const(num)
+            except ParseError as exc:   # past binary64, or no digit (".e5")
+                raise self.error(str(exc), start) from None
         if not c.isalpha():
             raise self.error("expected operand")
         start = self.pos
@@ -515,27 +507,26 @@ def differentiate(e: Expr, i: int) -> Expr:
 class _Plan:
     """Expressions lowered to one slot per node, in the iterative
     post-order of each root as it is added (children left to right, a
-    shared node once).  A constant's slot is preloaded with `read(text)`
-    as the plan compiles, a variable's is loaded from the point at each
-    run, and every other slot holds one instruction `(op, a, b)`, run as
-    `vals[s] = op(vals[a], vals[b])` with `op = ops[type(node)]`.  A unary
-    op ignores b, which is a; a power's slot is preloaded with its integer
-    exponent, so its b is the slot itself.
+    shared node once).  A constant's slot is preloaded with
+    `ops[Const](node)`, a value the node read as it was made, a variable's
+    is loaded from the point at each run, and every other slot holds one
+    instruction `(op, a, b)`, run as `vals[s] = op(vals[a], vals[b])` with
+    `op = ops[type(node)]`.  A unary op ignores b, which is a; a power's
+    slot is preloaded with its integer exponent, so its b is the slot itself.
 
     An instruction that reads no slot of `_runtime` (variables and the
     instructions left to run) is folded: run once as it is lowered, its
     result preloaded and its code None.  One that raises one of `fails`
     sets `_raised` and stays an instruction, to raise at each run."""
 
-    def __init__(self, ops: dict[type, Callable], read: Callable[[str], object],
-                 fails: type | tuple[type, ...]):
+    def __init__(self, ops: dict[type, Callable], fails: type | tuple[type, ...]):
         self.plan: list[Expr] = []                # slot -> node
         self._code: list[Optional[tuple]] = []    # slot -> (op, a, b); None for a leaf
         self._preload: list = []                  # slot -> constant, exponent or None
         self._loads: list[tuple[int, int]] = []   # (slot, index) per variable
         self._slots: dict[Expr, int] = {}         # node -> slot
         self._runtime: set[int] = set()           # slots each run computes
-        self._ops, self._read, self._fails = ops, read, fails
+        self._ops, self._fails = ops, fails
         self._raised = False                      # whether an instruction failed to fold
 
     def _lower(self, root: Expr) -> int:
@@ -546,9 +537,8 @@ class _Plan:
             s = len(self.plan)
             ins, pre = None, None
             match node:
-                case Const(text=t):
-                    # Read before the slot is taken: a failed read leaves none.
-                    pre = self._read(t)
+                case Const():
+                    pre = self._ops[Const](node)
                 case Var(index=i):
                     self._loads.append((s, i))
                 case Pow(base=a, exponent=k):
@@ -606,8 +596,8 @@ def _float_atan(a: float, b: float) -> float:
     return math.atan(a / b)
 
 
-_FLOAT_OPS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul,
-              Div: operator.truediv, Pow: operator.pow, Sqrt: _float_sqrt,
+_FLOAT_OPS = {Const: operator.attrgetter("_nearest"), Add: operator.add, Sub: operator.sub,
+              Mul: operator.mul, Div: operator.truediv, Pow: operator.pow, Sqrt: _float_sqrt,
               Atan: _float_atan}
 
 
@@ -617,13 +607,11 @@ class FloatPlan(_Plan):
     ArithmeticError or ValueError subclasses on domain violations.
 
     The ops are `x + y`, `x - y`, `x * y`, `x / y`, `x ** k`,
-    `math.sqrt(x)` and `math.atan(x / y)`.  Constants are read by
-    `decimal_to_nearest_float` as the plan compiles, so one past binary64
-    raises ParseError here, not at a point."""
+    `math.sqrt(x)` and `math.atan(x / y)`.  A constant's slot preloads the
+    nearest binary64 value its node read as it was made."""
 
     def __init__(self, roots: Sequence[Expr]):
-        super().__init__(_FLOAT_OPS, iv.decimal_to_nearest_float,
-                         (ArithmeticError, ValueError))
+        super().__init__(_FLOAT_OPS, (ArithmeticError, ValueError))
         self._outputs = [self._lower(root) for root in roots]
         self._order = [s for s, ins in enumerate(self._code) if ins is not None]
 
@@ -661,13 +649,8 @@ def _interval_ops() -> dict:
     def atan_of_ratio(a: Pair, b: Pair) -> Pair:
         return atan(div(a, b))
 
-    return {Add: iv.add, Sub: iv.sub, Mul: iv.mul, Div: div,
-            Pow: iv.pow_int, Sqrt: checked_sqrt, Atan: atan_of_ratio}
-
-
-def _decimal_pair(text: str) -> Pair:
-    """A constant's enclosure as a plain (lo, hi) tuple."""
-    return tuple(iv.from_decimal_string(text))
+    return {Const: operator.attrgetter("_pair"), Add: iv.add, Sub: iv.sub, Mul: iv.mul,
+            Div: div, Pow: iv.pow_int, Sqrt: checked_sqrt, Atan: atan_of_ratio}
 
 
 _new = tuple.__new__
@@ -680,8 +663,8 @@ class Evaluator(_Plan):
     The plan starts with f's slots.  A first partial df/dx_i, or a second
     partial d/dx_j(df/dx_i) with i <= j, is differentiated and its missing
     slots appended on first use; apart from that growth (deterministic)
-    the evaluator is immutable.  Constants are read by
-    `interval.from_decimal_string`.
+    the evaluator is immutable.  A constant's slot preloads the enclosure
+    its node read as it was made.
 
     The plan runs on plain (lo, hi) tuples through the interval
     operations: the constants are preloaded as pairs, the box is loaded as
@@ -698,7 +681,7 @@ class Evaluator(_Plan):
     def __init__(self, expr: Expr, arity: int):
         if arity < 0:
             raise ValueError(f"arity must be >= 0, got {arity}")
-        super().__init__(_interval_ops(), _decimal_pair, IntervalError)
+        super().__init__(_interval_ops(), IntervalError)
         root = self._lower(expr)
         self.fails_everywhere = self._raised      # a constant of f raised: every box raises
         used = 1 + max((i for _, i in self._loads), default=-1)

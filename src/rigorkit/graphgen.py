@@ -543,7 +543,8 @@ def compile_prune_spec(spec: str) -> Callable[[DecoratedGraph], bool]:
     Empty clauses are skipped, so the empty spec accepts every graph.
     Face-size caps combine by min (all-triangles counts as
     max-face-size=3); a later max-degree or max-faces replaces an earlier
-    one.  An unknown clause or a bad integer raises ValueError.
+    one.  An unknown clause, or a K that `records.index` refuses (a sign, an
+    underscore, a space), raises ValueError naming the clause.
 
     All clauses are monotone along refinement paths (a violating graph
     has no clean descendants), so pruning mid-generation is safe.
@@ -553,6 +554,7 @@ def compile_prune_spec(spec: str) -> Callable[[DecoratedGraph], bool]:
     once, and Q has len(step.keep) + sum(step.news) sides, so a step whose
     Q exceeds the cap yields a child the predicate rejects.
     """
+    from .records import index   # loaded on first use, not by `import rigorkit.graphgen`
     caps: dict[str, int] = {}
     triangulation = False
     for clause in spec.split(","):
@@ -565,7 +567,10 @@ def compile_prune_spec(spec: str) -> Callable[[DecoratedGraph], bool]:
             continue
         elif not eq or name not in ("max-face-size", "max-degree", "max-faces"):
             raise ValueError(f"unknown prune clause {clause!r}")
-        cap = int(value)
+        try:
+            cap = index(value)
+        except ValueError as exc:
+            raise ValueError(f"prune clause {clause!r}: {exc}") from None
         caps[name] = min(cap, caps.get(name, cap)) if name == "max-face-size" else cap
     max_face = caps.get("max-face-size")
     max_degree = caps.get("max-degree")

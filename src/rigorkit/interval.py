@@ -37,7 +37,7 @@ import math
 import re
 import sys
 from collections import namedtuple
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     DivisionByZeroInterval,
@@ -58,6 +58,7 @@ __all__ = [
     "atan_interval",
     "add_products",
     "from_decimal_string",
+    "read_constant",
     "decimal_to_nearest_float",
     "parse_interval_literal",
     "format_interval_literal",
@@ -618,11 +619,10 @@ def _excerpt(s: str) -> str:
     return s if len(s) <= 60 else f"{s[:40]}...({len(s)} characters)"
 
 
-def from_decimal_string(s: str) -> Interval:
+def _enclose(f: float, sign: str, digits: str, k: int) -> Pair:
     """Tight enclosure (width <= 1 ulp, exact when representable) of the
-    exact value of a signed decimal numeral: its nearest binary64 value f,
-    widened by one step toward the value when the value is not f."""
-    f, sign, digits, k = _read_decimal(s)
+    value int(sign + digits) * 10**k of a numeral _read_decimal split: its
+    nearest binary64 value f, widened one step toward the value if not f."""
     if f:
         # sign of int(sign + digits) * 10**k - n/d, by one integer comparison
         n, d = f.as_integer_ratio()
@@ -631,7 +631,23 @@ def from_decimal_string(s: str) -> Interval:
     else:
         # a zero numeral is exact; an underflow lies on its sign's side of f
         err = 0 if not digits else -1 if sign == "-" else 1
-    return _make(_nextafter(f, -_INF) if err < 0 else f, _nextafter(f, _INF) if err > 0 else f)
+    return (_nextafter(f, -_INF) if err < 0 else f, _nextafter(f, _INF) if err > 0 else f)
+
+
+def from_decimal_string(s: str) -> Interval:
+    """Tight enclosure, as an Interval, of a signed decimal numeral's value."""
+    return _make(*_enclose(*_read_decimal(s)))
+
+
+def read_constant(s: str) -> tuple[float, Pair, Optional[int]]:
+    """An expression constant's numeral, read once: its nearest binary64
+    value, its tight enclosure as a plain (lo, hi) tuple, and the integer it
+    denotes (at most 309 digits) or None.  Text past binary64 is a ParseError."""
+    read = f, sign, digits, k = _read_decimal(s)
+    kept = digits.rstrip("0")
+    k += len(digits) - len(kept)
+    whole = 0 if not kept else int(sign + kept) * 10**k if k >= 0 else None
+    return f, _enclose(*read), whole
 
 
 def decimal_to_nearest_float(s: str) -> float:

@@ -16,6 +16,7 @@ import pytest
 import rigorkit
 from rigorkit import cli, errors
 from rigorkit import expr as ex
+from rigorkit import interval as iv
 from rigorkit import lp as lpmod
 from rigorkit.errors import NoProgress, ParseError
 from rigorkit.interval import Interval
@@ -305,6 +306,20 @@ def test_assemble_fit_without_certificate_reports_found(tmp_path, capsys, monkey
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("phi, code, candidate", [
+    ("sqrt(x0 - 0.5)", 0, "found"),   # the corner x0 = 0 is skipped; the others fit
+    ("sqrt(-1 - x0)", 1, "none"),     # every point is skipped: no row to fit
+])
+def test_fit_skips_test_points_outside_a_phi_domain(tmp_path, capsys, phi, code, candidate):
+    problem = tmp_path / "toy.asm"
+    problem.write_text((PROBLEMS / "toy_duality.asm").read_text().replace(
+        "  phi x0 - x0*x0\n", f"  phi x0 - x0*x0\n  phi {phi}\n"))
+    got, out, err = run(["assemble", "fit", "--problem", str(problem),
+                         "--bound", "1.0", "--guess", "1.0"], capsys)
+    assert (got, err) == (code, "")
+    assert dict(cli.parse_report(out)[1])["candidate"] == candidate
+
+
 def test_assemble_verify_refutes_bad_bound(tmp_path, capsys):
     cert_path = tmp_path / "bad.cert"
     cert_path.write_text(
@@ -363,7 +378,8 @@ def test_phi_constant_past_binary64_is_an_input_error(tmp_path, capsys, phi, sub
                         "--out-prefix", str(tmp_path / "child")]}[subcommand]
     code, out, err = run(["assemble", subcommand, "--problem", str(problem), *extra], capsys)
     assert code == 2 and not out
-    assert err == "error: line 6: decimal numeral '1e999' overflows binary64\n"
+    offset = phi.index("1e999")   # 15 and 12
+    assert err == f"error: line 6: decimal numeral '1e999' overflows binary64 at offset {offset}\n"
     assert sorted(f.name for f in tmp_path.iterdir()) == ["big.asm", "toy.cert"]
 
 
@@ -398,6 +414,15 @@ def test_unusable_paths_exit_two(tmp_path, capsys, argv):
      "min_width must be > 0"),
     (["graphs", "--max-vertices", "2"], "N must be >= 3"),
     (["graphs", "--max-vertices", "5", "--prune", "wat"], "unknown prune clause 'wat'"),
+    # int() read these caps: -1 ran to `complete: True, classes: 0`, exit 0
+    (["graphs", "--max-vertices", "5", "--prune", "max-degree=-1"],
+     "prune clause 'max-degree=-1': expected a non-negative index, got '-1'"),
+    (["graphs", "--max-vertices", "5", "--prune", "max-degree=+3"],
+     "prune clause 'max-degree=+3': expected a non-negative index, got '+3'"),
+    (["graphs", "--max-vertices", "5", "--prune", "max-face-size=1_0"],
+     "prune clause 'max-face-size=1_0': expected a non-negative index, got '1_0'"),
+    (["graphs", "--max-vertices", "5", "--prune", "max-degree= 3"],
+     "prune clause 'max-degree= 3': expected a non-negative index, got ' 3'"),
 ])
 def test_out_of_range_budgets_exit_two(capsys, argv, message):
     code, out, err = run(argv, capsys)
@@ -496,7 +521,10 @@ CAPPED = "".join(f"dmax {pair} 2\n" for pair in
     (["linked", "dmin p1 q 3\ndmax p1 q 2\n"],
      "no_such_configuration", "dmin(1,4) exceeds dmax(1,4)"),
     (["linked", CAPPED], "inconclusive", "dmin(p1,q) must be positive to bind the strut"),
-], ids=["simplex-r-zero", "segment-straddles", "linked-dmin-above-dmax", "linked-no-strut"])
+    (["simplex", "--edges", *["1..2"] * 6, "--r", "1"],
+     "inconclusive", "realizability undecided (Cayley-Menger straddles zero)"),
+], ids=["simplex-r-zero", "segment-straddles", "linked-dmin-above-dmax", "linked-no-strut",
+        "simplex-cm-straddles"])
 def test_geom_verdict_names_its_reason(tmp_path, capsys, argv, verdict, reason):
     if argv[0] == "linked":
         spec = tmp_path / "s.dspec"
@@ -506,6 +534,19 @@ def test_geom_verdict_names_its_reason(tmp_path, capsys, argv, verdict, reason):
     assert code == (0 if verdict == "no_such_configuration" else 1) and not err
     _, body = cli.parse_report(out)
     assert ("verdict", verdict) in body and ("reason", reason) in body
+
+
+def test_simplex_past_every_stage_reports_its_witness(capsys):
+    # the pivoted point's distance to the fourth vertex is not below r: the
+    # verdict gives no reason, only that distance's enclosure
+    code, out, err = run(["geom", "simplex", "--edges", "2.56", "2.42", "2.52", "2.46",
+                          "2.49", "2.46", "--r", "1.49"], capsys)
+    assert code == 1 and not err
+    _, body = cli.parse_report(out)
+    fields = dict(body)
+    assert fields["verdict"] == "inconclusive" and "reason" not in fields
+    witness = iv.parse_interval_literal(fields["witness"])
+    assert 1.6298 < witness.lo <= witness.hi < 1.6300
 
 
 def test_plan_dump(capsys):

@@ -107,6 +107,25 @@ def test_differentiate_basics():
     assert ex.FloatPlan((prod,))([2.0, 3.0])[0] == 3.0
 
 
+@pytest.mark.parametrize("text, derivative, df, d2f", [
+    ("x0/1", "1", I(1, 1), I(0, 0)),
+    ("pow(x0, 1)", "1", I(1, 1), I(0, 0)),
+    ("x0*x0/1", "x0 + x0", I(-4, 6), I(2, 2)),
+    ("pow(x0, 1)*x0", "x0 + pow(x0, 1)", I(-4, 6), I(2, 2)),
+])
+def test_identities_of_one_keep_derivatives_exact(text, derivative, df, d2f):
+    # d(a/1) meets make_div(a, 1) -> a, and d(pow(a, 1)) meets
+    # make_pow(a, 0) -> ONE; df and d2f are the exact ranges on the box
+    e = ex.parse(text, 1)
+    assert ex.to_text(ex.differentiate(e, 0)) == derivative
+    ev = ex.Evaluator(e, 1)
+    box = [I(-2, 3)]
+    (got,) = ev.germ(box).df
+    (h,) = ev.hessian(box, [(0, 0)])
+    assert got.lo <= df.lo and df.hi <= got.hi
+    assert h.lo <= d2f.lo and d2f.hi <= h.hi
+
+
 def test_compile_examples():
     ev = ex.Evaluator(ex.parse("x0"), 1)
     g = ev.germ([I(0, 1)])
@@ -306,12 +325,16 @@ def test_plan_matches_an_independent_interval_walk(seed, arity, point):
 
 
 def test_float_plan_reads_constants_when_it_compiles():
-    # a constant the points never reach still fails, at compile time
-    e = ex.parse("1/(x0 - x0) + 1e999", 1)
+    # a constant the points never reach still fails, as its node is made
+    with pytest.raises(ParseError, match="'1e999' overflows binary64 at offset 14"):
+        ex.parse("1/(x0 - x0) + 1e999", 1)
+    with pytest.raises(ParseError, match="'1e999' overflows binary64$"):
+        ex.Const("1e999")
+    e = ex.parse("1/(x0 - x0) + 1e99", 1)
     with pytest.raises(ZeroDivisionError):
         reference_evaluate_numeric(e, [0.5])
-    with pytest.raises(ParseError):
-        ex.FloatPlan((e,))
+    plan = ex.FloatPlan((e,))   # the constant's slot preloads the value its node read
+    assert plan._preload[plan._slots[ex.Const("1e99")]] == 1e99
     plan = ex.FloatPlan((ex.parse("x0 - x1"), ex.parse("x1*x1")))
     assert plan([3.0, 2.0, 99.0]) == [1.0, 4.0]   # coordinates past the arity ignored
     with pytest.raises(IndexError):
@@ -361,8 +384,12 @@ def test_equal_structure_is_one_node():
 
 
 @pytest.mark.parametrize("text, value", [("15", 15), ("1.50e1", 15), ("-0", 0), ("1e-1", None),
-                                         ("12e2", 1200), ("1e999999999", None)])
+                                         ("12e2", 1200), ("1e999999999", ParseError)])
 def test_integer_constants_are_read_once_per_node(text, value):
+    if value is ParseError:   # past binary64: no node is made
+        with pytest.raises(ParseError, match="overflows binary64"):
+            ex.Const(text)
+        return
     const = ex.Const(text)
     assert ex._as_int(const) == value
     assert repr(const) == f"Const(text={text!r})"

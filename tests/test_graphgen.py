@@ -272,7 +272,8 @@ def test_prune_spec_errors():
     for spec, message in [
             ("max-degree", "unknown prune clause 'max-degree'"),
             ("all-triangles=3", "unknown prune clause 'all-triangles=3'"),
-            ("max-face-size=x", "invalid literal for int() with base 10: 'x'"),
+            ("max-face-size=x",
+             "prune clause 'max-face-size=x': expected a non-negative index, got 'x'"),
             ("frobnicate=3", "unknown prune clause 'frobnicate=3'")]:
         with pytest.raises(ValueError) as info:
             gg.compile_prune_spec(spec)

@@ -310,7 +310,7 @@ def test_unicode_digits_read_as_their_ascii_twins():
                     ("\u0660" * 400 + "1", "1"), ("1e" + "\u0660" * 20 + "5", "1e5"),
                     ("\u0661\u0660", "10"), ("1" + "\u0660" * 900 + "e-900", "1")]:
         assert _read(s) == _read(twin)
-        assert ex._read_int(s) == ex._read_int(twin)
+        assert iv.read_constant(s) == iv.read_constant(twin)
 
 
 @st.composite

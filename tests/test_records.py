@@ -39,6 +39,9 @@ CASES = [
     ("ineq", 2, "expr x0 *"),
     ("ineq", 5, "wat 3"),                          # unknown keyword
     ("ineq", 4, "domain y0 0..1"),                 # not a variable
+    ("ineq", 5, "margin -1"),                      # used to name no line
+    ("ineq", 2, "expr x0*x1 - 1e400"),             # a numeral past binary64
+    ("ineq", 2, "expr x0*x1 + .e5"),               # a numeral with no digit
     ("lp", 4, "eq 0 1"),
     ("lp", 3, "obj 0 1.0 2.0"),
     ("lp", 6, "ineq -1 0 1.0"),                    # used to overwrite the last row
