@@ -217,7 +217,9 @@ def augment_with_t(p: LpProblem, k: float) -> LpProblem:
 
 def solve_approx(p: LpProblem) -> tuple[Vector, tuple[Vector, Vector], float]:
     """Floating-point primal/dual solve (no rigor claim) intended only as
-    input to certify_upper_bound.  Dense; adequate to n, m <= 500.
+    input to certify_upper_bound.  Dense; a problem read from a file has
+    at most records.MAX_DENSE_CELLS matrix cells in each of its eq and
+    ineq blocks.
 
     Returns (primal x, (raw y, raw z), reported objective).  Raises
     NoProgress if the solver fails or p has no variables; the certification

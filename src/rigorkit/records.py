@@ -25,7 +25,8 @@ from . import interval as iv
 from .errors import ParseError
 
 __all__ = ["Record", "Columns", "TEXT", "read_records", "read_columns", "strip_comment",
-           "line_error", "convert", "table", "decimal", "interval", "index", "dense_rows"]
+           "line_error", "convert", "table", "decimal", "interval", "index", "dense_rows",
+           "MAX_DENSE_CELLS"]
 
 TEXT = "rest of line"
 
@@ -192,14 +193,21 @@ def index(token: str) -> int:
     return int(digits)
 
 
+# The most cells (rows x columns) a dense matrix may have.  A row exists as
+# soon as a record names it, and a column as soon as the file declares it,
+# so a short file could otherwise ask for memory quadratic in its length.
+MAX_DENSE_CELLS = 10 ** 6
+
+
 def dense_rows(entries: Sequence[Sequence], rhs: Mapping[int, float],
                n: int, named: Iterable[tuple[int, int]]) -> tuple[list[list[float]], list[float]]:
     """n-column matrix and right-hand side from sparse entries, the columns
     (rows, columns, values), written in order so a later entry for a cell
     wins, and row values, zero where absent.  Every row up to the largest
     must be named by some record, so the file's length, not one index in
-    it, sizes the matrix.  `named` yields (line, row) for each record that
-    names a row; it is read only to place the error when a row is missing."""
+    it, sizes the matrix, and the matrix has at most MAX_DENSE_CELLS cells.
+    `named` yields (line, row) for each record that names a row; it is read
+    only to place the error when a row is missing or past the cap."""
     rows = set(entries[0])
     rows.update(rhs)
     m = len(rows)
@@ -207,6 +215,11 @@ def dense_rows(entries: Sequence[Sequence], rhs: Mapping[int, float],
         gap = next(r for r in range(m) if r not in rows)
         line, r = min((line, r) for line, r in named if r > gap)
         raise line_error(line, f"row {r} is given but row {gap} is not")
+    if m * n > MAX_DENSE_CELLS:
+        first = MAX_DENSE_CELLS // n  # rows 0..first-1 fit under the cap
+        line, r = min((line, r) for line, r in named if r >= first)
+        raise line_error(line, f"row {r} of {n} variables passes the cap of "
+                               f"{MAX_DENSE_CELLS} dense matrix cells")
     a = [[0.0] * n for _ in range(m)]
     for r, j, v in zip(*entries):
         a[r][j] = v

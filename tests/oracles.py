@@ -359,26 +359,52 @@ def reference_add_products(xs: Sequence[float], ys: Sequence[float],
 
 
 def reference_taylor_upper_bound(ev: ex.Evaluator, box) -> float:
-    """taylor.taylor_upper_bound as the interval chain it was first written
-    as: every gradient and Hessian term added to f(c) by iv.add and iv.mul
-    on point intervals, raising the failing operation's own error."""
+    """taylor.taylor_upper_bound as the interval chain its docstring states:
+    every term added to f(c) by iv.add, iv.mul, iv.sub and iv.div on point
+    intervals, raising the failing operation's own error."""
     if ev.arity != len(box):
         raise ValueError(f"evaluator arity {ev.arity} != box dimension {len(box)}")
     center_box = tuple(Interval.point(c) for c in box.midpoint())
     w = [Interval(*iv.sub(d, c)).mag for d, c in zip(box, center_box)]
     germ = ev.germ(center_box)
     live = [i for i in range(len(box)) if w[i] != 0.0]
+    entries = [(i, j) for i in live for j in live if i <= j]
+    hessian = dict(zip(entries, ev.hessian(box, entries)))
+    half, two = Interval(0.5, 0.5), Interval(2.0, 2.0)
+    # each concave coordinate's term first, in coordinate order, where no
+    # step can overflow
+    concave = {}
+    for i in live:
+        a, k, wi = (Interval.point(v) for v in (germ.df[i].mag, -hessian[i, i].hi, w[i]))
+        if k.lo > 0.0 and max(a.lo, k.lo, wi.lo) < 2.0 ** 340:
+            if a.lo >= iv.mul(k, wi)[1]:
+                term = iv.sub(iv.mul(a, wi), iv.mul(half, iv.mul(k, iv.mul(wi, wi))))
+            else:
+                term = iv.div(iv.mul(a, a), iv.mul(two, k))
+            concave[i] = Interval.point(min(term[1], iv.mul(a, wi)[1]))
     total = germ.f
     for i in live:
-        total = Interval(*iv.add(total, iv.mul(
-            Interval.point(germ.df[i].mag), Interval.point(w[i]))))
-    entries = [(i, j) for i in live for j in live if i <= j]
-    half = Interval(0.5, 0.5)
-    for (i, j), h in zip(entries, ev.hessian(box, entries)):
-        term = iv.mul(Interval.point(h.mag),
-                      iv.mul(Interval.point(w[i]), Interval.point(w[j])))
-        total = Interval(*iv.add(total, term if i != j else iv.mul(half, term)))
+        term = (concave[i] if i in concave else
+                iv.mul(Interval.point(germ.df[i].mag), Interval.point(w[i])))
+        total = Interval(*iv.add(total, term))
+    for (i, j), h in hessian.items():
+        if i != j:
+            term = iv.mul(Interval.point(h.mag),
+                          iv.mul(Interval.point(w[i]), Interval.point(w[j])))
+        elif h.hi >= 0.0:
+            term = iv.mul(half, iv.mul(Interval.point(abs(h.hi)),
+                                       iv.mul(Interval.point(w[i]), Interval.point(w[i]))))
+        else:
+            continue
+        total = Interval(*iv.add(total, term))
     return total.hi
+
+
+def reference_concave_term(a: float, h: float, w: float) -> Fraction:
+    """max(a*e + h*e*e/2 for 0 <= e <= w), exactly, for h <= 0."""
+    a, k, w = Fraction(a), -Fraction(h), Fraction(w)
+    e = w if k == 0 or a >= k * w else a / k
+    return a * e - k * e * e / 2
 
 
 def _reference_interval_walk(roots: Sequence[ex.Expr], outputs: Sequence[ex.Expr],

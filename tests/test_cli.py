@@ -774,8 +774,10 @@ def test_task_file_round_trip():
 
 
 def test_voronoi_shipped_certificate_verifies(capsys):
-    # the default budget suffices; five cells do not
-    for budget, code in ((["--max-cells", "60000"], 0), ([], 0), (["--max-cells", "5"], 1)):
+    # the default budget suffices, and so do 23 cells a domain (its domains
+    # need 5, 23, 5 and 23); five cells do not
+    for budget, code in ((["--max-cells", "60000"], 0), ([], 0), (["--max-cells", "23"], 0),
+                         (["--max-cells", "5"], 1)):
         assert run(["assemble", "verify",
                     "--problem", str(PROBLEMS / "voronoi2d.asm"),
                     "--certificate", str(PROBLEMS / "voronoi2d.cert"), *budget],

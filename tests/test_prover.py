@@ -208,10 +208,25 @@ def test_subdividing_task_report_is_pinned():
     r = prove_negative(ProofTask(e, Box((I(0, 1), I(0, 1)))))
     assert r.status is ProofStatus.PROVEN
     assert (r.cells_processed, r.max_depth_reached, r.cells_certified_by_germ,
-            r.cells_certified_by_taylor) == (103, 9, 4, 48)
-    assert r.best_upper_bound_seen == -0.0017805297772209995
+            r.cells_certified_by_taylor) == (63, 7, 4, 28)
+    assert r.best_upper_bound_seen == -0.0020018191349945196
     # one record per processed cell, none left unvisited
-    assert Counter(c.outcome for c in r.cells) == {"value": 4, "taylor": 48, "split": 51}
+    assert Counter(c.outcome for c in r.cells) == {"value": 4, "taylor": 28, "split": 31}
+
+
+# Each factor of `prod` and each term of `ring` is concave along one
+# coordinate, where the Taylor bound charges the linear term at most: 687
+# and 1,487 cells when the bound charged every diagonal entry by its
+# magnitude.
+@pytest.mark.parametrize("text, n, cells", [
+    ("*".join(f"4*x{i}*(1 - x{i})" for i in range(3)) + " - 1.01", 3, 367),
+    (" + ".join(f"x{i}*x{(i + 1) % 4}*(1 - x{i})*(1 - x{(i + 1) % 4})" for i in range(4))
+     + " - 0.26", 4, 713),
+], ids=["prod-3", "ring-4"])
+def test_concave_directions_cost_their_linear_term_at_most(text, n, cells):
+    r = prove_negative(ProofTask(ex.parse(text, n), Box((I(0, 1),) * n)),
+                       ProverConfig(max_cells=cells))
+    assert r.status is ProofStatus.PROVEN
 
 
 def test_coverage_volume_accounting():

@@ -154,8 +154,19 @@ def test_malformed_line_is_a_numbered_input_error(fmt, line, replacement, tmp_pa
     assert f"line {where}: " in capsys.readouterr().err
 
 
+def _wide_lp(n):
+    """A valid LP of n variables and n rows in 2n + 3 short lines: row r's
+    right-hand side is line n + 2 + r."""
+    return "\n".join([f"vars {n}", *(f"bound {j} 0..1" for j in range(n)),
+                      *(f"ineq_rhs {r} 1" for r in range(n)), "ineq 0 0 1", "obj 0 1"]) + "\n"
+
+
 # (format, whole file, message): defects no one-line change of BASE makes
 WHOLE_FILE_CASES = [
+    # 167 rows of 6,000 columns pass the cap of 10**6 cells; its dense
+    # matrix would take 288 MB
+    ("lp", _wide_lp(6000),
+     "line 6168: row 166 of 6000 variables passes the cap of 1000000 dense matrix cells"),
     ("ineq", "arity 1\ndomain x0 0..1\n", "task file needs 'arity' and 'expr'"),
     ("ineq", "arity 2\nexpr x0*x1 - 2\ndomain x0 0..1\n",
      "task file must give a domain for every variable"),

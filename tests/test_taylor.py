@@ -2,14 +2,17 @@ import copy
 import math
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 
-from oracles import evaluate_on_arrays, random_expr, reference_taylor_upper_bound
+from oracles import (evaluate_on_arrays, random_expr, reference_concave_term,
+                     reference_taylor_upper_bound)
 from rigorkit import expr as ex
+from rigorkit import interval as iv
 from rigorkit.errors import DivisionByZeroInterval, IntervalError, NonFiniteOperand
 from rigorkit.interval import Interval
-from rigorkit.taylor import Box, taylor_upper_bound
+from rigorkit.taylor import Box, _concave_term, taylor_upper_bound
 
 I = Interval
 
@@ -122,6 +125,46 @@ def test_monotone_refinement():
         checked += 1
 
 
+def _concave_triples():
+    """(a, h, w) with h <= 0: a on either side of |h|*w by an ulp, tiny and
+    huge magnitudes, a = 0, h = -0.0, and log-uniform draws."""
+    rng = random.Random(7)
+    pairs = [(3.0, 0.5), (1.0, 0.1), (0.1, 0.3), (7.0, 1 / 3), (1e-300, 1e-10), (1e300, 1e-300),
+             (5e-324, 3.0), (1e-320, 0.75), (2.0, 5e-324), (1e150, 1e150), (1e-160, 1e-160)]
+    pairs += [(10.0 ** rng.uniform(-300, 300), 10.0 ** rng.uniform(-300, 300))
+              for _ in range(300)]
+    for k, w in pairs:
+        for kw in (iv._mul_down(k, w), iv._mul_up(k, w)):
+            for a in (iv.next_down(kw), kw, iv.next_up(kw)):
+                if 0.0 <= a < math.inf:
+                    yield a, -k, w
+        yield 0.0, -k, w
+        yield rng.uniform(0, 2) * k * w, -k, w
+        yield 10.0 ** rng.uniform(-300, 300), -k, w
+    for a, w in ((0.0, 1.0), (1.0, 0.5), (5e-324, 1e300), (1e300, 1e-300)):
+        yield a, -0.0, w
+        yield a, -5e-324, w
+
+
+def test_concave_term_bounds_the_exact_maximum():
+    endpoint = finite = 0
+    for a, h, w in _concave_triples():
+        t = _concave_term(a, h, w)
+        step1 = iv._mul_up(a, w)
+        assert t <= step1, (a, h, w)
+        if t == math.inf:  # an overflow: no bound, never a wrong one
+            continue
+        assert Fraction(t) >= reference_concave_term(a, h, w), (a, h, w)
+        finite += 1
+        # The vertex's value bounds the maximum in any case, a*w - |h|*w*w/2
+        # only where a >= |h|*w holds exactly.
+        vertex = min(iv._div_up(iv._mul_up(a, a), iv._mul_down(2.0, -h)), step1) if h else None
+        if t != vertex:
+            assert Fraction(a) >= -Fraction(h) * Fraction(w), (a, h, w)
+            endpoint += 1
+    assert finite > 2000 and endpoint > 400 and finite - endpoint > 1000
+
+
 def test_box_type():
     b = Box.from_bounds([(0, 1), (2, 3)])
     assert len(b) == 2 and math.prod(d.width for d in b) == 1.0
@@ -166,10 +209,16 @@ def test_bound_matches_the_interval_chain_bit_for_bit():
         assert got == _bound_or_error(reference_taylor_upper_bound, ev, box), (ex.to_text(e), box)
         outcomes.append(got)
     # gradient terms that overflow as a product and as a sum, and a
-    # Hessian w_i * w_j that overflows
+    # Hessian w_i * w_j that overflows; concave terms by either formula, and
+    # concave coordinates too large for them (a*w, a*a or 2*|h| would overflow)
     for text, box in (("x0*x1", Box((I(-1e300, 1e300), I(1e10, 1e10)))),
                       ("x0 + x1", Box((I(-1.7e308, 1.7e308), I(-1.7e308, 1.7e308)))),
-                      ("x0 - x1", Box((I(0, 0), I(-1e308, 1e308))))):
+                      ("x0 - x1", Box((I(0, 0), I(-1e308, 1e308)))),
+                      ("x0 - x0*x0 + x1*x1", Box((I(0, 2), I(0, 1)))),
+                      ("3*x0 - x0*x0 - x1*x1", Box((I(0, 1), I(-1, 1)))),
+                      ("1e300*x0 - x0*x0 + x1", Box((I(-1e10, 1e10), I(0, 1)))),
+                      ("1e200*x0 - 1e300*x0*x0 + x1", Box((I(-1, 1), I(0, 1)))),
+                      ("x0 - 1e308*x0*x0 + x1", Box((I(-1, 1), I(0, 1))))):
         ev = ex.Evaluator(ex.parse(text, 2), 2)
         got = _bound_or_error(taylor_upper_bound, ev, box)
         assert got == _bound_or_error(reference_taylor_upper_bound, ev, box), text
