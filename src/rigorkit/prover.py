@@ -11,19 +11,27 @@ sign is collapsed to the extremal facet (sup f over the cell equals sup f
 over the facet), which removes that dimension from further subdivision.
 f.hi bounds f over the whole cell, so it bounds the reduced cell too; the
 reduced cell is bounded by the Taylor form as well, and the smaller of
-the two bounds is used.  Cells whose bound does not certify are bisected
-along their widest non-degenerate component.  A failed cell is split like
-any other, unless the failure is in an instruction of f that reads no
-variable: that fails on every cell, the evaluator records it as it
-compiles f (`fails_everywhere`), and the run stops at its first cell.
+the two bounds is used.  The Taylor form starts from f's upper bound at
+the reduced cell's centre, a point of the cell, and adds terms that are
+all >= 0, so it is never below f.lo: where f.lo does not certify, the
+Taylor form cannot either, and the cell skips it unless it is a leaf
+(undecided or failed), which computes it for its record.  Cells whose
+bound does not certify are bisected along their widest non-degenerate
+component.  A failed cell is split like any other, unless the failure
+is in an instruction of f that reads no variable: that fails on every
+cell, the evaluator records it as it compiles f (`fails_everywhere`),
+and the run stops at its first cell.
 
 Each processed cell leaves one `Cell` record, and the report is folded
 from them.  A split pushes its halves as "unvisited" records; what the
 budget leaves is appended in pop order, so `ProofReport.cells` is one
-depth-first preorder, lower half first.  Reported cells are footprints,
-the cells before any collapse, so the leaves tile the domain; undecided
-and failed ones are listed in ascending box order (as tuples of (lo, hi)
-pairs).  No clock and no unordered iteration enters a run.
+depth-first preorder, lower half first.  An unvisited cell carries its
+parent's bound; a split that skipped the Taylor form records f.hi, and
+if the budget leaves any of its halves, its Taylor bound is computed at
+the end, once, for them.  Reported cells are footprints, the cells
+before any collapse, so the leaves tile the domain; undecided and failed
+ones are listed in ascending box order (as tuples of (lo, hi) pairs).
+No clock and no unordered iteration enters a run.
 """
 
 from __future__ import annotations
@@ -88,7 +96,9 @@ class Cell(NamedTuple):
     footprint: Box
     cell: Box  # as bounded (reduced), or as split if unvisited
     depth: int
-    upper: float  # an unvisited cell carries its parent's
+    # min(Taylor bound, f.hi); f.hi alone for a split whose f.lo does not
+    # certify.  An unvisited cell carries its parent's min(Taylor bound, f.hi).
+    upper: float
     outcome: str  # value, taylor, split, undecided, failed or unvisited
 
 
@@ -129,6 +139,17 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
     certifies = (lambda u: u < limit) if strict else (lambda u: u <= limit)
     stack = [Cell(domain, domain, 0, math.inf, "unvisited")]
     cells: list[Cell] = []
+    # the record index of the last split at each depth, if it skipped the
+    # Taylor bound; a cell left on the stack at depth d is a half of the
+    # last split at depth d - 1
+    skipped: dict[int, Optional[int]] = {}
+
+    def bounded(cell: Box, upper: float) -> tuple[float, bool]:
+        """min(Taylor bound over cell, upper), and whether the Taylor bound failed."""
+        try:
+            return min(taylor_upper_bound(ev, cell), upper), False
+        except IntervalError:
+            return upper, True
 
     while stack and len(cells) < cfg.max_cells:
         footprint, cell, depth, _, _ = stack.pop()
@@ -144,11 +165,11 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
             upper, germ, eval_failed = math.inf, None, True
         cell = reduce_cell(germ, cell)
         by_value = certifies(upper)
-        if not (by_value or eval_failed):
-            try:
-                upper = min(taylor_upper_bound(ev, cell), upper)
-            except IntervalError:
-                eval_failed = True
+        # the Taylor bound is never below f.lo, so it certifies only where f.lo does
+        pending = not (by_value or eval_failed)
+        if pending and certifies(f.lo):
+            upper, eval_failed = bounded(cell, upper)
+            pending = False
 
         if certifies(upper):
             outcome = "value" if by_value else "taylor"
@@ -158,15 +179,26 @@ def _run(ev: Evaluator, domain: Box, margin: float, strict: bool,
             k = max(range(len(cell)), key=lambda i: cell[i].width, default=None)
             if (k is None or cell[k].width <= cfg.min_width or depth >= cfg.max_depth
                     or ev.fails_everywhere):
+                if pending:
+                    upper, eval_failed = bounded(cell, upper)
                 outcome = "failed" if eval_failed else "undecided"
             else:
                 outcome = "split"  # the upper half goes on the stack first
+                skipped[depth] = len(cells) if pending else None
                 stack += [Cell(footprint.replace(k, half[k]), half, depth + 1, upper, "unvisited")
                           for half in reversed(cell.split(k))]
         cells.append(Cell(footprint, cell, depth, upper, outcome))
-    # what the budget leaves is undecided, in pop order
+    # what the budget leaves is undecided, in pop order; a parent that
+    # skipped the Taylor bound gets it now, once
     visited = len(cells)
-    cells += reversed(stack)
+    late = {}
+    for c in reversed(stack):
+        i = skipped[c.depth - 1]
+        if i is not None:
+            if i not in late:
+                late[i] = bounded(cells[i].cell, cells[i].upper)[0]
+            c = c._replace(upper=late[i])
+        cells.append(c)
 
     def footprints(*outcomes):
         return tuple(sorted(c.footprint for c in cells if c.outcome in outcomes))

@@ -503,6 +503,24 @@ def test_literal_round_trips():
         assert back.lo <= box.lo and box.hi <= back.hi
 
 
+def test_infinite_endpoints_format_as_inf_and_read_back():
+    for a, text in [(I(-math.inf, 1), "-inf..1.0"), (I(0.5, math.inf), "0.5..inf"),
+                    (I(-math.inf, math.inf), "-inf..inf"), (I(math.inf, math.inf), "inf..inf"),
+                    (I(-math.inf, -math.inf), "-inf..-inf")]:
+        assert iv.format_interval_literal(a) == text
+        assert iv.parse_interval_literal(text) == a
+
+
+def test_midpoint_of_endpoints_whose_sum_overflows():
+    # lo + hi rounds to an infinity, so the midpoint halves each endpoint
+    # first; it stays finite and inside the interval
+    big = sys.float_info.max
+    for a in [I(1e308, 1.7e308), I(-1.7e308, -1e308), I(0.9 * big, big), I(-big, -0.5 * big)]:
+        assert math.isinf(a.lo + a.hi)
+        assert a.mid == 0.5 * a.lo + 0.5 * a.hi and a.lo < a.mid < a.hi
+    assert I(1e308, 1.7e308).mid == 1.35e308
+
+
 def test_directed_rounding_on_adversarial_bit_patterns():
     # random 64-bit patterns: subnormals, extreme exponents, signed zeros
     import random

@@ -2,6 +2,8 @@ import hashlib
 import math
 import random
 import struct
+import types
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -270,15 +272,22 @@ def test_dual_file_error_names_its_line_and_first_bad_token():
     assert str(lp.dual_from_text("-0\n-1e-400\n")) == "((0.0,), (-0.0,))"
 
 
-def test_digest_covers_every_input_of_the_bound():
+def _digest_case():
+    """A problem, its dual, and the bytes its inputs digest hashes: the
+    dimensions, then c, Aeq, beq, core Aineq and bineq, bounds, y and z,
+    little-endian."""
     p = lp.make_problem([1.0, -0.5], [I(0, 2), I(-1, 1)],
                         aineq=[[1.0, 2.0]], bineq=[1.5], aeq=[[0.5, 0.5]], beq=[0.25])
     y, z = (0.25,), (0.5, 0.125, 0.0, 0.0, 0.0)
-    digest = lp.certify_upper_bound(p, y, z).inputs_digest
-    # dimensions, then c, Aeq, beq, core Aineq and bineq, bounds, y, z
     values = [1.0, -0.5, 0.5, 0.5, 0.25, 1.0, 2.0, 1.5, 0.0, 2.0, -1.0, 1.0,
               0.25, 0.5, 0.125, 0.0, 0.0, 0.0]
     layout = struct.pack("<4q", 2, 1, 1, 5) + struct.pack(f"<{len(values)}d", *values)
+    return p, y, z, layout
+
+
+def test_digest_covers_every_input_of_the_bound():
+    p, y, z, layout = _digest_case()
+    digest = lp.certify_upper_bound(p, y, z).inputs_digest
     assert digest == hashlib.sha256(layout).hexdigest()
     # the same on every run and platform
     assert digest == "e82fe06a3a1a1762a2efbc98765c6de910e89eebb26030a4212151abc9d4c646"
@@ -298,6 +307,24 @@ def test_digest_covers_every_input_of_the_bound():
     ]
     digests = {lp.certify_upper_bound(*v).inputs_digest for v in variants}
     assert len(digests) == len(variants) and digest not in digests
+
+
+def test_digest_hashes_little_endian_bytes_on_a_big_endian_host(monkeypatch):
+    # A big-endian host is simulated: sys.byteorder reads "big", and an
+    # array hands out its items' bytes most significant first.  The digest
+    # must still hash the little-endian layout, so it swaps before hashing.
+    class BigEndianArray(array):
+        def tobytes(self):
+            stored = array(self.typecode, self)
+            stored.byteswap()
+            return stored.tobytes()
+
+    p, y, z, layout = _digest_case()
+    monkeypatch.setattr(lp, "array", BigEndianArray)
+    # the simulated arrays do store big-endian bytes
+    assert lp._inputs_digest(p, y, z) != hashlib.sha256(layout).hexdigest()
+    monkeypatch.setattr(lp, "sys", types.SimpleNamespace(byteorder="big"))
+    assert lp._inputs_digest(p, y, z) == hashlib.sha256(layout).hexdigest()
 
 
 def test_digest_is_stable():

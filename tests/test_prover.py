@@ -286,11 +286,16 @@ def test_completeness_on_margin():
         assert report.status is ProofStatus.PROVEN, ex.to_text(task_expr)
 
 
-def test_root_germ_certifies_without_a_taylor_bound(monkeypatch):
+def count_taylor_bounds(monkeypatch):
     calls = []
     original = prover.taylor_upper_bound
     monkeypatch.setattr(prover, "taylor_upper_bound",
                         lambda ev, box: calls.append(box) or original(ev, box))
+    return calls
+
+
+def test_root_germ_certifies_without_a_taylor_bound(monkeypatch):
+    calls = count_taylor_bounds(monkeypatch)
     e6 = ex.parse("x0*x0 + x1*x1 + x2*x2 + x3*x3 + x4*x4 + x5*x5 - 7", 6)
     r = prove_negative(ProofTask(e6, Box(tuple(I(0, 1) for _ in range(6)))))
     assert r.status is ProofStatus.PROVEN
@@ -298,6 +303,40 @@ def test_root_germ_certifies_without_a_taylor_bound(monkeypatch):
     assert r.cells_certified_by_germ == 1 and r.cells_certified_by_taylor == 0
     assert r.best_upper_bound_seen == -1.0
     assert calls == []
+
+
+def test_false_task_skips_the_taylor_bound_where_f_lo_fails(monkeypatch):
+    # a concave bowl whose top is above 0, as the benchmark plants them:
+    # near the top f.lo >= 0 over the whole cell, where no bound >= f.lo
+    # can certify, so only leaves and the parents of unvisited cells get a
+    # Taylor bound there.  Bounding every cell took 200 calls and gave the
+    # same report.
+    calls = count_taylor_bounds(monkeypatch)
+    e = ex.parse("x0*(1 - x0) + x1*(1 - x1) - 0.45", 2)
+    r = prove_negative(ProofTask(e, Box((I(0, 1), I(0, 1)))), ProverConfig(max_cells=200))
+    assert r.status is ProofStatus.UNDECIDED
+    assert (r.cells_processed, len(calls)) == (200, 114)
+    assert r.best_upper_bound_seen == 0.050000000000000044
+    assert Counter(c.outcome for c in r.cells) == {
+        "split": 102, "undecided": 96, "unvisited": 5, "taylor": 2}
+
+
+@pytest.mark.parametrize("prove, split_upper", [(prove_negative, 0.5),
+                                                (prove_nonpositive, -0.25)])
+def test_f_lo_at_the_limit_skips_the_taylor_bound_only_when_strict(monkeypatch, prove,
+                                                                  split_upper):
+    # f's enclosure over the root is [-0.5, 0.5], so f.lo equals the limit
+    # -margin: f < -0.5 cannot be certified, f <= -0.5 could be.  The
+    # Taylor bound, -0.25, reaches the unvisited halves either way; the
+    # split records it only where it was computed as the root was bounded.
+    calls = count_taylor_bounds(monkeypatch)
+    domain = Box((I(0, 1),))
+    task = ProofTask(ex.parse("x0*(1 - x0) - 0.5"), domain, margin=0.5)
+    assert ex.Evaluator(task.expr, 1).value_pass(domain)[0] == I(-0.5, 0.5)
+    r = prove(task, ProverConfig(max_cells=1))
+    assert [(c.outcome, c.upper) for c in r.cells] == [
+        ("split", split_upper), ("unvisited", -0.25), ("unvisited", -0.25)]
+    assert calls == [domain] and r.best_upper_bound_seen == -0.25
 
 
 def test_root_value_certifies_without_differentiating(monkeypatch):
@@ -359,14 +398,28 @@ def exact_volume(box):
     return math.prod(Fraction(d.hi) - Fraction(d.lo) for d in box)
 
 
-# a proven run, a budget-bound one and one with failed cells
+# a proven run, a budget-bound one, one with failed cells, and a false one
+# that skips the Taylor bound on most of its cells
 RECORDED_RUNS = [
     ("sqrt(1 + 16*x0*(1 - x0)*x1*(1 - x1)) - 1.42", [(0, 1), (0, 1)], ProverConfig(),
      ProofStatus.PROVEN),
     ("x0*x0*x1 - x1 + x0 - 1", [(-1, 1), (0, 1)], ProverConfig(max_cells=800),
      ProofStatus.UNDECIDED),
     ("1/x0 - 100", [(-1, 1)], ProverConfig(), ProofStatus.EVALUATION_FAILURE),
+    ("x0*(1 - x0) + x1*(1 - x1) - 0.45", [(0, 1), (0, 1)], ProverConfig(max_cells=200),
+     ProofStatus.UNDECIDED),
 ]
+
+
+def reference_upper(e, cell, popped):
+    """min(Taylor bound over the cell as bounded, f.hi over the cell as
+    popped), by the reference walks; f.hi alone where the Taylor bound fails."""
+    f_hi = oracles._reference_interval_walk([e], [e], popped)[0].hi
+    try:
+        return min(oracles.reference_taylor_upper_bound(ex.Evaluator(e, len(cell)), cell),
+                   f_hi)
+    except IntervalError:
+        return f_hi
 
 
 @pytest.mark.parametrize("text, bounds, cfg, status", RECORDED_RUNS)
@@ -394,19 +447,33 @@ def test_cell_records_recheck_against_the_oracles(text, bounds, cfg, status):
     for a, b in itertools.combinations(leaves, 2):
         assert any(x.hi <= y.lo or y.hi <= x.lo for x, y in zip(a, b)), (a, b)
     # one preorder, unvisited cells included: a split is followed by its
-    # lower half, which starts from the lower half of the cell as bounded
+    # lower half, which starts from the lower half of the cell as bounded.
+    # Each undecided cell's bound, and each unvisited cell's parent's,
+    # recomputed bit for bit, whether or not the split skipped it.
     assert cells[-1].outcome != "split"
-    expected = [(domain, 0)]
+    expected = [(domain, 0, domain, None)]  # footprint, depth, cell as popped, parent
+    rechecked = 0
     for c, nxt in zip(cells, cells[1:] + (None,)):
-        assert (c.footprint, c.depth) == expected.pop(), c
+        footprint, depth, popped, parent = expected.pop()
+        assert (c.footprint, c.depth) == (footprint, depth), c
         assert collapses(c.cell, c.footprint), c
         if c.outcome == "split":
             ks = [k for k, (a, b) in enumerate(zip(c.footprint, nxt.footprint)) if a != b]
             assert len(ks) == 1, (c, nxt)
             lo, hi = c.footprint.split(ks[0])
-            expected += [(hi, c.depth + 1), (lo, c.depth + 1)]
-            assert collapses(nxt.cell, c.cell.split(ks[0])[0]), (c, nxt)
+            cell_lo, cell_hi = c.cell.split(ks[0])
+            expected += [(hi, c.depth + 1, cell_hi, (c.cell, popped)),
+                         (lo, c.depth + 1, cell_lo, (c.cell, popped))]
+            assert collapses(nxt.cell, cell_lo), (c, nxt)
+        elif c.outcome == "undecided":
+            assert c.upper.hex() == reference_upper(e, c.cell, popped).hex(), c
+            rechecked += 1
+        elif c.outcome == "unvisited":
+            assert c.cell == popped, c
+            assert c.upper.hex() == reference_upper(e, *parent).hex(), c
+            rechecked += 1
     assert expected == []
+    assert rechecked == len(r.undecided_cells)
 
 
 @pytest.mark.parametrize("text, bounds, cfg, status", RECORDED_RUNS)

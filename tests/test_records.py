@@ -161,12 +161,24 @@ def _wide_lp(n):
                       *(f"ineq_rhs {r} 1" for r in range(n)), "ineq 0 0 1", "obj 0 1"]) + "\n"
 
 
+def _wide_asm(n, m):
+    """A valid assembly problem of one n-variable domain and m zero rows:
+    row r's right-hand side is line 6 + r."""
+    return "\n".join(["assembly-problem v1", "domain d0",
+                      "  vars " + " ".join(f"v{j}" for j in range(n)),
+                      "  box " + " ".join(["0..1"] * n), "end",
+                      *(f"rhs {r} 1" for r in range(m))]) + "\n"
+
+
 # (format, whole file, message): defects no one-line change of BASE makes
 WHOLE_FILE_CASES = [
     # 167 rows of 6,000 columns pass the cap of 10**6 cells; its dense
     # matrix would take 288 MB
     ("lp", _wide_lp(6000),
      "line 6168: row 166 of 6000 variables passes the cap of 1000000 dense matrix cells"),
+    # .asm rows are dense over every domain's variables: 501 rows of 2,000
+    ("asm", _wide_asm(2000, 501),
+     "line 506: row 500 of 2000 variables passes the cap of 1000000 dense matrix cells"),
     ("ineq", "arity 1\ndomain x0 0..1\n", "task file needs 'arity' and 'expr'"),
     ("ineq", "arity 2\nexpr x0*x1 - 2\ndomain x0 0..1\n",
      "task file must give a domain for every variable"),
