@@ -506,7 +506,7 @@ def certificate_to_text(p: AssemblyProblem, cert: DualityCertificate) -> str:
 _CERTIFICATE_FIELDS = {
     "m": (rec.decimal,), "t0": (rec.decimal,), "x_star": (rec.index, rec.decimal),
     "r": (str, rec.index, rec.decimal), "w": (rec.index, rec.decimal),
-    "retained": [rec.index], "seed": (int,), "test_points": (rec.index,),
+    "retained": [rec.index], "seed": (rec.integer,), "test_points": (rec.index,),
 }
 
 

@@ -63,11 +63,7 @@ def _read(path: Path, digests: list[tuple[str, str]]) -> str:
 
 
 def _echo(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, list):
-        return " ".join(value)
-    return str(value)
+    return " ".join(value) if isinstance(value, list) else str(value)   # str is repr on floats
 
 
 def _report(args, digests: Sequence[tuple[str, str]], body: Sequence[tuple[str, str]],
@@ -117,7 +113,7 @@ def parse_report(text: str) -> tuple[dict, list[tuple[str, str]]]:
 # ---------------------------------------------------------------------------
 
 def _variable(token: str) -> int:
-    if not token.startswith("x"):
+    if not token.startswith("x") or not token[1:].isdecimal():
         raise ValueError(f"expected a variable xI, got {token!r}")
     return rec.index(token[1:])
 
@@ -342,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="rigorous numerics toolkit: interval inequality proofs, "
                     "certified LP/duality bounds, plane-graph enumeration, "
                     "geometric nonexistence checks")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=rec.integer, default=0)
     parser.add_argument("--report", type=Path, default=None,
                         help="write the structured report here as well as stdout")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -351,8 +347,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", help="prove f < -margin on a box")
     p.set_defaults(handler=_cmd_prove)
     p.add_argument("--task", type=Path, required=True)
-    p.add_argument("--max-cells", type=int, default=budget.max_cells)
-    p.add_argument("--max-depth", type=int, default=budget.max_depth)
+    p.add_argument("--max-cells", type=rec.integer, default=budget.max_cells)
+    p.add_argument("--max-depth", type=rec.integer, default=budget.max_depth)
     p.add_argument("--min-width", type=_decimal, default=budget.min_width)
 
     p = sub.add_parser("lp-certify", help="rigorous LP upper bound from a dual")
@@ -371,26 +367,26 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="decimal M, parsed through the exact reader")
     p.add_argument("--guess", required=True,
                    help="whitespace-separated x* vector (global variable order)")
-    p.add_argument("--test-points", type=int, default=16)
+    p.add_argument("--test-points", type=rec.integer, default=16)
     p.add_argument("--certificate", type=Path, help="write the fitted certificate here")
     p = modes.add_parser("verify", help="verify a certificate rigorously")
     p.set_defaults(handler=_cmd_verify)
     p.add_argument("--problem", type=Path, required=True)
     p.add_argument("--certificate", type=Path, required=True)
-    p.add_argument("--max-cells", type=int, default=budget.max_cells)
+    p.add_argument("--max-cells", type=rec.integer, default=budget.max_cells)
     p = modes.add_parser("branch", help="bisect one domain box component")
     p.set_defaults(handler=_cmd_branch)
     p.add_argument("--problem", type=Path, required=True)
     p.add_argument("--domain", required=True)
-    p.add_argument("--slot", type=int, required=True)
+    p.add_argument("--slot", type=rec.integer, required=True)
     p.add_argument("--out-prefix", type=Path, required=True)
 
     p = sub.add_parser("graphs", help="enumerate decorated sphere graphs")
     p.set_defaults(handler=_cmd_graphs)
-    p.add_argument("--max-vertices", type=int, required=True)
+    p.add_argument("--max-vertices", type=rec.integer, required=True)
     p.add_argument("--prune", type=str, default="")
     p.add_argument("--out", type=Path, default=None)
-    p.add_argument("--max-states", type=int, default=500000,
+    p.add_argument("--max-states", type=rec.integer, default=500000,
                    help="popped states before stopping; each expansion builds all children first")
 
     modes = sub.add_parser("geom", help="geometric nonexistence checks"
@@ -412,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group()
     source.add_argument("--task", type=Path)
     source.add_argument("--expr")
-    p.add_argument("--arity", type=int)
+    p.add_argument("--arity", type=rec.integer)
 
     return parser
 

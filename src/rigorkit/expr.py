@@ -49,6 +49,7 @@ eliminating 0/1 identities: simplification bugs are rigor bugs.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 import re
@@ -379,34 +380,29 @@ class _Parser:
                 args.append(self.expr() if call is Atan else self.pow_exponent())
             self.expect(")")
             return call(*args)
-        index = name[1:]
-        if name[0] != "x" or not index.isdecimal():
+        if name[0] != "x" or not name[1:].isdecimal():
             raise self.error(f"unknown identifier {name!r}", start)
-        if len(index) > 4300:   # int() refuses longer decimal text by default
-            raise self.error(f"variable index of {len(index)} digits is too large", start)
-        i = int(index)
+        try:
+            i = iv._read_index(name[1:])
+        except ValueError as exc:   # too many digits
+            raise self.error(f"variable {exc}", start) from None
         if self.arity is not None and i >= self.arity:
-            raise self.error(f"undeclared variable {name} (arity {self.arity})", start)
+            raise self.error(f"undeclared variable x{i} (arity {self.arity})", start)
         return Var(i)
 
     def pow_exponent(self) -> int:
         """pow's second argument: an integer literal, optionally negated."""
-        sign = 1
-        if self.peek() == "-":
-            self.pos += 1
-            sign = -1
+        negated = self.peek() == "-"
+        self.pos += negated
         kpos = self.pos
         num = self.take(_NUMBER_RE)
-        if not num or any(ch in num for ch in ".eE"):
+        if not num.isdecimal():
             raise self.error("pow exponent must be an integer literal", kpos)
-        # The digit count bounds the magnitude before int() reads the text;
-        # a leading zero may be any Unicode zero digit, as int() reads it.
-        if not num.isascii():
-            num = "".join(str(int(ch)) for ch in num)
-        digits = num.lstrip("0") or "0"
-        if len(digits) > 309 or int(digits) > _FLOAT_MAX:
-            raise self.error("pow exponent overflows binary64", kpos)
-        return sign * int(digits)
+        with contextlib.suppress(ParseError):   # past binary64
+            k = iv.read_constant(num)[2]   # an int, as num is digits only
+            if k <= _FLOAT_MAX:
+                return -k if negated else k
+        raise self.error("pow exponent overflows binary64", kpos)
 
 
 def parse(text: str, arity: Optional[int] = None) -> Expr:

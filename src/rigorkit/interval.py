@@ -552,18 +552,29 @@ _DECIMAL_RE = re.compile(r"^([+-]?)(?=\.?\d)(\d*)(?:\.(\d*))?(?:[eE]([+-]?\d+))?
 _KEPT_DIGITS = 800
 
 
+def _ascii_digits(t: str) -> str:
+    """t with each Unicode decimal digit in ASCII: \\d, int() and float() read it by its value."""
+    return t if t.isascii() else "".join(str(int(c)) if c.isdecimal() else c for c in t)
+
+
+def _read_index(token: str) -> int:
+    """A non-negative integer in decimal digits of any script: at most 18
+    after leading zeros of any script, counted before int() reads them."""
+    if not token.isdecimal():
+        raise ValueError(f"expected a non-negative index, got {_excerpt(token)!r}")
+    digits = _ascii_digits(token).lstrip("0")
+    if len(digits) > 18:
+        raise ValueError(f"index of {len(digits)} digits is too large")
+    return int(digits or "0")
+
+
 def _split_decimal(s: str) -> tuple[str, str, int]:
     """A decimal numeral as (sign, digits, k), its value being
     int(sign + digits) * 10**k: digits are ASCII with no leading zero ("" for
     a zero numeral), cut to _KEPT_DIGITS and one sticky digit.  k is clamped
     to +-10**18, past which the exponent's sign alone decides the magnitude
-    of any numeral short enough to hold in memory (and int() refuses strings
-    of more than 4300 digits).  Other text is a ParseError."""
-    t = s.strip()
-    if not t.isascii():
-        # \d, like float() and int(), accepts every Unicode decimal digit
-        t = "".join(str(int(c)) if c.isdecimal() else c for c in t)
-    m = _DECIMAL_RE.match(t)
+    of any numeral short enough to hold in memory.  Other text is a ParseError."""
+    m = _DECIMAL_RE.match(_ascii_digits(s.strip()))
     if not m:
         raise ParseError(f"invalid decimal numeral {_excerpt(s)!r}")
     sign, whole, frac, exp = m.groups("")

@@ -25,8 +25,8 @@ from . import interval as iv
 from .errors import ParseError
 
 __all__ = ["Record", "Columns", "TEXT", "read_records", "read_columns", "strip_comment",
-           "line_error", "convert", "table", "decimal", "interval", "index", "dense_rows",
-           "MAX_DENSE_CELLS"]
+           "line_error", "convert", "table", "decimal", "interval", "index", "integer",
+           "dense_rows", "MAX_DENSE_CELLS"]
 
 TEXT = "rest of line"
 
@@ -180,17 +180,13 @@ def interval(token: str) -> iv.Interval:
     return iv.parse_interval_literal(token)
 
 
-def index(token: str) -> int:
-    """A non-negative integer in decimal digits of any script, each read by
-    its value as numerals and expression subscripts are."""
-    if not token.isdecimal():
-        raise ValueError(f"expected a non-negative index, got {token!r}")
-    if not token.isascii():
-        token = "".join(str(int(c)) for c in token)
-    digits = token.lstrip("0") or "0"
-    if len(digits) > 18:  # decided before int() reads the text
-        raise ValueError(f"index of {len(digits)} digits is too large")
-    return int(digits)
+# The interval layer's digit reader, the one rule for every integer field.
+index = iv._read_index
+
+
+def integer(token: str) -> int:
+    """An integer: an optional "-", then digits as `index` reads them."""
+    return -index(token[1:]) if token.startswith("-") else index(token)
 
 
 # The most cells (rows x columns) a dense matrix may have.  A row exists as

@@ -935,6 +935,47 @@ def test_malformed_variable_name_is_an_input_error_at_its_offset(tmp_path, capsy
                                        "at offset 0\n")
 
 
+def test_long_variable_index_is_a_short_input_error(capsys):
+    # 4,000 digits once passed the subscript's own bound, and the undeclared
+    # variable's message then repeated all of them
+    code, out, err = run(["plan-dump", "--expr", "x" + "9" * 4000, "--arity", "1"], capsys)
+    assert (code, out) == (2, "") and len(err) < 200
+    assert err == "error: variable index of 4000 digits is too large at offset 0\n"
+
+
+@pytest.mark.parametrize("token", ["x1_0", "x", "x-1", "x+3", "X1", "x²"])
+def test_bad_domain_variable_names_its_whole_token(token):
+    text = one_variable_task("x0 - 2").replace("domain x0", f"domain {token}")
+    with pytest.raises(ParseError, match=f"^line 3: expected a variable xI, got {re.escape(repr(token))}$"):
+        cli.parse_task_file(text)
+
+
+def _fit_with_seed(seed, cert_path, capsys):
+    return run(["--seed", seed, "assemble", "fit", "--problem", str(PROBLEMS / "toy_duality.asm"),
+                "--bound", "1.0", "--guess", "1.0", "--certificate", str(cert_path)], capsys)
+
+
+@pytest.mark.parametrize("seed, value", [("-7", -7), ("٠٠٣", 3), ("9" * 18, 10**18 - 1)])
+def test_every_certificate_fit_writes_reads_back(tmp_path, capsys, seed, value):
+    from rigorkit import assembly as asm
+
+    cert_path = tmp_path / "fit.cert"
+    code, out, _ = _fit_with_seed(seed, cert_path, capsys)
+    assert code == 0 and f"config: seed {value}\n" in out
+    problem = asm.problem_from_text((PROBLEMS / "toy_duality.asm").read_text())
+    assert asm.certificate_from_text(problem, cert_path.read_text()).test_seed == value
+
+
+@pytest.mark.parametrize("seed", ["1_0", "+3", " 3", "1" + "0" * 18, "9" * 5000])
+def test_seed_no_certificate_can_hold_is_a_usage_error(tmp_path, capsys, seed):
+    # int() read each of these, and a certificate fitted with the last two
+    # did not read back
+    cert_path = tmp_path / "fit.cert"
+    code, out, err = _fit_with_seed(seed, cert_path, capsys)
+    assert code == 2 and not out and not cert_path.exists()
+    assert "argument --seed: invalid integer value" in err
+
+
 def test_pow_exponent_at_binary64_limit_is_read():
     top = int(1.7976931348623157e308)
     task = cli.parse_task_file(one_variable_task(f"pow(x0, -{top}) - 2"))

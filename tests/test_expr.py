@@ -77,6 +77,19 @@ def test_variable_index_in_unicode_decimal_digits():
     assert ex.parse("x٣ + x0٣") == ex.Add(ex.Var(3), ex.Var(3))
 
 
+def test_variable_index_digits_are_counted_after_leading_zeros():
+    # as every index is read: a run of zeros of any length is index 0
+    assert ex.parse("x" + "0" * 4302) == ex.Var(0)
+    assert ex.parse("x" + "٠" * 4302 + "7", 8) == ex.Var(7)
+    with pytest.raises(ParseError, match="^variable index of 19 digits is too large at offset 4$"):
+        ex.parse("1 + x" + "0" * 30 + "1" * 19)
+
+
+def test_undeclared_variable_is_named_by_its_index():
+    with pytest.raises(ParseError, match="^undeclared variable x3 \\(arity 2\\) at offset 0$"):
+        ex.parse("x" + "٠" * 5000 + "٣", 2)
+
+
 @pytest.mark.parametrize("zero", ["0", "٠", "０"], ids=["ascii", "arabic-indic", "fullwidth"])
 def test_pow_exponent_leading_zeros_in_any_script(zero):
     # the bound on the exponent's digit count must not count leading zeros,

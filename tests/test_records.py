@@ -9,6 +9,8 @@ import pytest
 from oracles import reference_lp_from_records, reference_read_records
 from rigorkit import assembly as asm
 from rigorkit import cli, geom
+from rigorkit import expr as ex
+from rigorkit import graphgen as gg
 from rigorkit import lp
 from rigorkit import records as rec
 from rigorkit.errors import ParseError
@@ -419,3 +421,77 @@ def test_task_with_unicode_digit_indices_reads_as_its_ascii_twin():
     ascii_task = "arity 2\nexpr x0 + x1 - 3\ndomain x0 0..1\ndomain x1 0..1\n"
     unicode_task = "arity ٢\nexpr x0 + x١ - 3\ndomain x٠ 0..1\ndomain x١ 0..1\n"
     assert cli.parse_task_file(unicode_task) == cli.parse_task_file(ascii_task)
+
+
+def _field_value(fmt: str, line: str):
+    """The first field of a one-record file of `fmt`, as its reader reads it."""
+    fields, header = FORMATS[fmt]
+    return rec.read_records(line + "\n", fields, header)[0].values[0]
+
+
+def _prune_cap(digits: str) -> int:
+    """The cap that `max-face-size=<digits>` compiles to, found from its
+    step test, which admits a step committing an n-gon exactly when n <= cap."""
+    admits = gg.compile_prune_spec(f"max-face-size={digits}").admits_step
+    lo, hi = 0, 10 ** 19   # admitted, and past every cap an index can hold
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if admits(gg.RefinementStep((), (mid,))) else (lo, mid)
+    return lo
+
+
+# Every integer field of the input, as a function of its digit string.
+INTEGER_FIELDS = {
+    "ineq-arity": lambda d: _field_value("ineq", f"arity {d}"),
+    "ineq-domain": lambda d: _field_value("ineq", f"domain x{d} 0..1"),
+    "expr-variable": lambda d: ex.parse(f"x{d}").index,
+    "pow-exponent": lambda d: ex.parse(f"pow(x0, {d})").exponent,
+    "lp-vars": lambda d: _field_value("lp", f"vars {d}"),
+    "cert-test_points": lambda d: _field_value("cert", f"test_points {d}"),
+    "cert-seed": lambda d: _field_value("cert", f"seed {d}"),
+    "prune-cap": _prune_cap,
+}
+
+TOO_LARGE = "index of 19 digits is too large"
+
+# (digit string, the value every field reads, or None where every field
+# rejects it, or TOO_LARGE where every index field rejects it by its count)
+DIGIT_STRINGS = [
+    ("7", 7),
+    ("\u0667", 7),                                  # Arabic-Indic
+    ("\uff17", 7),                                  # fullwidth
+    ("1\u0662\uff13", 123),                         # three scripts in one string
+    ("0\u0660\uff10" * 10 + "42", 42),              # leading zeros of three scripts
+    ("9" * 18, 10**18 - 1),
+    ("\u0660" * 30 + "9" * 18, 10**18 - 1),         # leading zeros are not counted
+    ("1" + "0" * 18, TOO_LARGE),
+    ("1_0", None),
+    ("+3", None),
+]
+
+
+@pytest.mark.parametrize("field", sorted(INTEGER_FIELDS))
+@pytest.mark.parametrize("digits, want", DIGIT_STRINGS, ids=[
+    "ascii", "arabic-indic", "fullwidth", "mixed", "leading-zeros", "18-digits",
+    "18-after-zeros", "19-digits", "underscore", "plus"])
+def test_every_integer_field_reads_digits_by_one_rule(field, digits, want):
+    read = INTEGER_FIELDS[field]
+    if want == TOO_LARGE and field == "pow-exponent":
+        want = int(digits)   # an exponent is bounded by binary64, not by its digit count
+    if isinstance(want, int):
+        assert read(digits) == want
+        return
+    with pytest.raises((ParseError, ValueError)) as err:
+        read(digits)
+    assert want is None or want in str(err.value)
+
+
+@pytest.mark.parametrize("seed, message", [
+    ("9" * 5000, "index of 5000 digits is too large"),   # once int()'s own limit message
+    ("-1_0", "expected a non-negative index, got '1_0'"),
+    ("--3", "expected a non-negative index, got '-3'"),
+], ids=["5000-digits", "underscore", "two-signs"])
+def test_certificate_seed_is_a_sign_then_an_index(seed, message):
+    assert _field_value("cert", "seed -" + "٠" * 20 + "42") == -42
+    with pytest.raises(ParseError, match=f"^line 1: {re.escape(message)}$"):
+        _field_value("cert", f"seed {seed}")
